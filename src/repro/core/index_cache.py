@@ -85,22 +85,20 @@ class IndexCache:
         self._page_idx_counts[page[1]] += 1
         return False
 
-    def access_many(self, pages: list[PageKey]) -> list[bool]:
-        """Bulk :meth:`access` with an all-resident decision pass.
+    def resident(self, page_idx: int, n_live: int) -> bool:
+        """O(1) all-resident test for one consult's pages.
 
-        The steady-state common case — every consulted PBFG page is
-        already cached — mutates nothing (plain FIFO: re-access does not
-        refresh position), so it is decided with one membership sweep
-        and settled with a single hit-counter bump.  Any miss falls back
-        to the exact scalar loop: FIFO admission is order-dependent, so
-        the mutation path stays per-page.
+        A consult touches page ``page_idx`` of each of the ``n_live``
+        live index groups.  Only live groups' pages are ever admitted
+        and :meth:`drop_group` removes a group's pages when it dies, so
+        the occupancy count at ``page_idx`` equals ``n_live`` exactly
+        when every one of them is cached.  The steady-state common case
+        — all resident — mutates nothing (plain FIFO: re-access does not
+        refresh position); the caller settles it with one
+        ``hits += n_live`` bump.  Any miss goes through :meth:`access`
+        page by page: FIFO admission is order-dependent.
         """
-        fifo = self._fifo
-        if all(p in fifo for p in pages):
-            self.hits += len(pages)
-            return [True] * len(pages)
-        access = self.access
-        return [access(p) for p in pages]
+        return self._page_idx_counts[page_idx] == n_live
 
     def _dec(self, page_idx: int) -> None:
         counts = self._page_idx_counts
@@ -178,6 +176,9 @@ class IndexPool:
         # group set only changes on group writes/deaths: cache per
         # offset, invalidated by a generation counter.
         self._generation = 0
+        #: Groups with ``live_members > 0``, maintained incrementally
+        #: (``check_invariants`` recounts it from the groups).
+        self._live_groups = 0
         self._offset_cache: dict[int, tuple[int, list[tuple[PageKey, int]]]] = {}
 
     # ------------------------------------------------------------------
@@ -205,6 +206,8 @@ class IndexPool:
         self._zone_groups.setdefault(zone_id, []).append(gid)
         for sg in member_sgs:
             self._sg_to_group[sg] = gid
+        if group.live_members > 0:
+            self._live_groups += 1
         self._generation += 1
         return gid
 
@@ -234,6 +237,7 @@ class IndexPool:
                 f"{len(alive)} live group(s); give the pool more zones"
             )
         self._zone_fifo.popleft()
+        # Every popped group is dead: the live count does not move.
         for g in gids:
             self.groups.pop(g, None)
         self._zone_groups.pop(victim, None)
@@ -313,6 +317,7 @@ class IndexPool:
                 zone_order.append(zone_id)
         self._zone_fifo = deque(zone_order)
         self._next_group_id = len(found)
+        self._live_groups = self._scan_live_groups()
         self._generation += 1
 
     # ------------------------------------------------------------------
@@ -347,6 +352,7 @@ class IndexPool:
             return
         group.live_members -= 1
         if group.live_members <= 0:
+            self._live_groups -= 1
             self._generation += 1
             if self.on_group_dead is not None:
                 self.on_group_dead(gid)
@@ -357,4 +363,16 @@ class IndexPool:
         )
 
     def live_group_count(self) -> int:
+        return self._live_groups
+
+    def _scan_live_groups(self) -> int:
         return sum(1 for g in self.groups.values() if g.live_members > 0)
+
+    def check_invariants(self) -> None:
+        """Audit the incrementally-maintained live-group count against
+        a scan of the groups; raises :class:`EngineStateError` on drift."""
+        live = self._scan_live_groups()
+        if self._live_groups != live:
+            raise EngineStateError(
+                f"stale live-group count ({self._live_groups} != {live})"
+            )

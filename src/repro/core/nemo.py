@@ -155,8 +155,10 @@ class NemoCache(CacheEngine):
             num_offsets=self.sets_per_sg,
         )
 
-        # Hot-path constant: the hotness window limit in SG positions
-        # (hoisted out of `_in_window`).
+        # Hot-path constants: offsets per index page (every page one
+        # consult touches shares ``offset // _offsets_per_page``) and
+        # the hotness window limit in SG positions.
+        self._offsets_per_page = self.layout.offsets_per_page
         self._window_sgs = (
             self.config.hotness_window_fraction * self.pool_capacity_sgs
         )
@@ -304,45 +306,80 @@ class NemoCache(CacheEngine):
     ) -> tuple[FlashSG | None, int, float]:
         """PBFG consult + candidate reads for a memory-miss lookup.
 
-        Returns ``(holder, flash_reads, latency_us)``; the caller does
-        the hit accounting.  Without a latency model the page reads go
-        through the device's batched latency-free lane.
+        Two independent halves: the **index side** touches PBFG pages
+        (:meth:`_consult_index`) and the **candidate side** identifies
+        and reads candidate SGs (:meth:`_candidates`).  Returns
+        ``(holder, flash_reads, latency_us)``; the caller does the hit
+        accounting.
         """
-        device = self.device
-        fast_dev = device.latency is None
-
-        # --- PBFG consultation: one index page per live group ---------
-        # Decision pass first (``access_many``'s all-resident sweep);
-        # the admission mutations only run when some page missed.
-        self.pbfg_lookups += 1
-        entries = self.index_pool.pages_for_offset(offset)
-        self.pbfg_touches += len(entries)
-        cached = self.index_cache.access_many([pk for pk, _ in entries])
-        miss_pages = [
-            physical for (_, physical), hit in zip(entries, cached) if not hit
-        ]
-        self.pbfg_pool_reads += len(miss_pages)
-        flash_reads = 0
-        latency = 0.0
-        if miss_pages:
-            self.pbfg_lookups_from_pool += 1
-            if fast_dev:
-                device.read_pages(miss_pages)
-            else:
-                _, lat = device.read_many(miss_pages, now_us=now_us)
-                latency = max(latency, lat)
-            flash_reads += len(miss_pages)
-
-        # --- Candidate SG identification -------------------------------
+        flash_reads, latency = self._consult_index(offset, now_us)
         candidate_pages, holder = self._candidates(key, offset)
         if candidate_pages:
-            if fast_dev:
-                device.read_pages(candidate_pages)
-            else:
-                _, lat = device.read_many(candidate_pages, now_us=now_us)
-                latency = max(latency, lat)
+            latency = max(latency, self._read_pages(candidate_pages, now_us))
             flash_reads += len(candidate_pages)
         return holder, flash_reads, latency
+
+    def _read_pages(self, pages: list[int], now_us: float) -> float:
+        """Read ``pages`` in parallel; returns the latency (0.0 on the
+        device's batched latency-free lane)."""
+        device = self.device
+        if device.latency is None:
+            device.read_pages(pages)
+            return 0.0
+        return device.read_many(pages, now_us=now_us)[1]
+
+    # ------------------------------------------------------------------
+    # Index side: one PBFG page per live index group
+    # ------------------------------------------------------------------
+    def _consult_index(self, offset: int, now_us: float) -> tuple[int, float]:
+        """Index side of one consult: ``(pool_page_reads, latency_us)``.
+
+        Every page the consult touches shares one group-page index, so
+        "all cached" is the O(1) :meth:`IndexCache.resident` test and a
+        plain-FIFO hit mutates nothing.  Otherwise the pages are
+        admitted one by one and the misses read from the index pool.
+        """
+        self.pbfg_lookups += 1
+        cache = self.index_cache
+        n_live = self.index_pool.live_group_count()
+        if cache.resident(offset // self._offsets_per_page, n_live):
+            self.pbfg_touches += n_live
+            cache.hits += n_live
+            return 0, 0.0
+        entries = self.index_pool.pages_for_offset(offset)
+        self.pbfg_touches += len(entries)
+        access = cache.access
+        miss_pages = [physical for page, physical in entries if not access(page)]
+        self.pbfg_pool_reads += len(miss_pages)
+        self.pbfg_lookups_from_pool += 1
+        return len(miss_pages), self._read_pages(miss_pages, now_us)
+
+    def _consult_index_many(self, offsets: np.ndarray) -> None:
+        """Index side of a run of consults, in request order.
+
+        The caller guarantees a constant live-group set (no flush or
+        eviction inside the run) and a latency-free device.  Residency
+        is resolved once per distinct page index; the all-resident
+        prefix settles as three counter bumps.  From the first miss on,
+        FIFO admission makes residency state-dependent, so the rest of
+        the run takes :meth:`_consult_index` one consult at a time.
+        """
+        n_live = self.index_pool.live_group_count()
+        cache = self.index_cache
+        page_idx = offsets // self._offsets_per_page
+        distinct, inverse = np.unique(page_idx, return_inverse=True)
+        resident = np.fromiter(
+            (cache.resident(p, n_live) for p in distinct.tolist()),
+            dtype=bool,
+            count=len(distinct),
+        )[inverse]
+        n_prefix = len(offsets) if resident.all() else int(resident.argmin())
+        self.pbfg_lookups += n_prefix
+        self.pbfg_touches += n_prefix * n_live
+        cache.hits += n_prefix * n_live
+        consult = self._consult_index
+        for offset in offsets[n_prefix:].tolist():
+            consult(offset, 0.0)
 
     # ------------------------------------------------------------------
     # Bulk replay paths (batched dispatch)
@@ -564,6 +601,44 @@ class NemoCache(CacheEngine):
     def _random_pool_page(self, offset: int) -> int:
         fsg = self.pool[self._rng.randrange(len(self.pool))]
         return fsg.page_of(offset)
+
+    def _draw_false_positives(self, n_scanned: np.ndarray) -> int:
+        """Statistical FP draws for a run of consults; returns the FPs.
+
+        One linear pass over the consults that scan at least one SG, in
+        request order: the ``random()`` per consult and the
+        ``randrange`` per false positive that :meth:`_candidates` and
+        :meth:`_random_pool_page` consume, draw for draw.
+        """
+        rng_random = self._rng.random
+        randrange = self._rng.randrange
+        n_pool = len(self.pool)
+        n_fp = 0
+        for thr in (n_scanned * self.config.bf_false_positive_rate).tolist():
+            if rng_random() < thr:
+                randrange(n_pool)
+                n_fp += 1
+        self.false_positive_reads += n_fp
+        return n_fp
+
+    def _probe_candidates_many(self, keys: list[int], offsets: list[int]) -> None:
+        """Candidate side of a run of consults, one by one.
+
+        Real-filter candidates depend on each key's bloom membership, so
+        this mode has no array form: every consult identifies and reads
+        its candidate pages and records a flash hit's hotness, exactly
+        as the scalar lookup does after its index side.
+        """
+        device = self.device
+        record_access = self.hotness.record_access
+        for key, offset in zip(keys, offsets):
+            pages, holder = self._candidates(key, offset)
+            if pages:
+                device.read_pages(pages)
+            if holder is not None:
+                record_access(
+                    key, offset, in_window=self._in_window(holder.sg_id)
+                )
 
     def _in_window(self, sg_id: int) -> bool:
         """Is this SG in the oldest ``hotness_window_fraction`` of the pool?"""
@@ -813,6 +888,20 @@ class NemoCache(CacheEngine):
         if self.pbfg_lookups == 0:
             return float("nan")
         return self.pbfg_lookups_from_pool / self.pbfg_lookups
+
+    #: ``metrics_snapshot`` keys the flash-consult side of a lookup
+    #: mutates (page reads, FP draws, index-cache admission).  A lane
+    #: that defers consults past a sample boundary must not sample these.
+    CONSULT_METRICS = frozenset(
+        {
+            "host_read_bytes",
+            "host_read_ops",
+            "flash_read_bytes",
+            "false_positive_reads",
+            "pbfg_pool_read_ratio",
+            "index_cache_pages",
+        }
+    )
 
     def metrics_snapshot(self) -> dict[str, float]:
         snap = super().metrics_snapshot()

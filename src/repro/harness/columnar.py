@@ -65,8 +65,9 @@ import numpy as np
 from repro.baselines.log_structured import LogStructuredCache
 from repro.core.flusher import FlushDecision
 from repro.core.nemo import NemoCache
-from repro.errors import EngineStateError
+from repro.errors import EngineStateError, ReadError
 from repro.faults.plan import FaultPlan
+from repro.flash.zone import ZoneState
 from repro.harness.metrics import MetricSeries, WindowedRate
 from repro.harness.percentile import LatencyRecorder
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
@@ -740,11 +741,12 @@ def replay_nemo_columnar(
     placement column ``sg_arr`` recording which SG holds each event's
     object.  Everything lookup-side settles vectorially per segment
     from the cached prefix sums: a GET is a memory hit iff its placing
-    event's SG has not been flushed, a flash hit otherwise, and the
-    consulting GETs' false-positive draws replay the engine's RNG
-    stream exactly (batch draw, rewind via ``getstate``/``setstate`` at
-    each FP so the interleaved ``randrange`` consumes the same
-    sequence).
+    event's SG has not been flushed, a flash hit otherwise.  The
+    consulting GETs settle through the engine's two bulk halves: the
+    index side (``_consult_index_many``: PBFG page touches, index-cache
+    FIFO, index-pool reads) and the candidate side (one linear pass of
+    false-positive draws over the engine's RNG stream, then array
+    accounting of the page reads and hotness bits).
 
     Delayed-flush evictions are the one event the decision columns
     cannot predict.  When the walk evicts a live key it *repairs* the
@@ -809,7 +811,6 @@ def replay_nemo_columnar(
     queue = engine.queue
     flush_policy = engine.flush_policy
     hotness = engine.hotness
-    index_pool = engine.index_pool
     pool_dq = engine.pool
     flash_index = engine._flash_index
     pool_map = engine._pool_map
@@ -817,13 +818,8 @@ def replay_nemo_columnar(
     zones_per_sg = engine.zones_per_sg
     set_size = engine.set_size
     page_size = engine.geometry.page_size
-    fp_rate = config.bf_false_positive_rate
     window_sgs = engine._window_sgs
     use_real_filters = config.use_real_filters
-    rng = engine._rng
-    rng_random = rng.random
-    flash_lookup = engine._flash_lookup
-    record_access = hotness.record_access
     OP_GET_ = OP_GET
 
     sgs = list(queue._queue)
@@ -839,13 +835,7 @@ def replay_nemo_columnar(
     # / eviction / injection boundaries — a handful per trace) instead
     # of per sample boundary.  Only legal when no sampled series would
     # observe the deferred counters mid-epoch.
-    defer_reads = {
-        "host_read_bytes",
-        "host_read_ops",
-        "flash_read_bytes",
-        "false_positive_reads",
-        "pbfg_pool_read_ratio",
-    }.isdisjoint(sampled_metrics)
+    defer_reads = NemoCache.CONSULT_METRICS.isdisjoint(sampled_metrics)
 
     # ------------------------------------------------------------------
     # Column repair after a delayed-flush eviction
@@ -894,12 +884,8 @@ def replay_nemo_columnar(
 
         Totals (lookups/hits/inserts/bytes) come from the cached prefix
         sums; hit read-bytes and the memory-vs-flash split from the
-        placement column.  Consulting GETs (misses + flash hits while
-        the pool is non-empty) replay the engine's false-positive RNG
-        stream draw-for-draw.  With real filters or live index groups
-        the consults run through the real ``_flash_lookup`` instead
-        (exact lane) — page-level index traffic is state-dependent
-        there.
+        placement column.  The flash-consult side of the GETs (misses
+        + flash hits while the pool is non-empty) is ``read_settle``'s.
         """
         nonlocal seg_start
         a = seg_start
@@ -958,60 +944,35 @@ def replay_nemo_columnar(
             sg = sg_arr[last_ev[hp]]
             mem = sg >= F
             ns[np.searchsorted(gp, hp)] = np.where(mem, -1, F - 1 - sg)
-        if use_real_filters or index_pool.live_group_count():
-            # Exact lane: per-consult index traffic is state-dependent
-            # (real BF membership, index-cache FIFO, pool reads), so
-            # each consulting GET goes through the real engine path in
-            # request order.  Hits/bytes stayed vectorised above.
-            pool0 = pool_dq[0].sg_id
-            # reprolint: disable=R008
-            for p in gp[ns >= 0].tolist():
-                key = int(keys_arr[p])
-                off = int(col[p])
-                holder, _reads, _lat = flash_lookup(key, off, 0.0)
-                if holder is not None:
-                    record_access(
-                        key,
-                        off,
-                        in_window=(holder.sg_id - pool0) < window_sgs,
-                    )
+        consult = gp[ns >= 0]
+        consult_offs = col[consult]
+        # Index side: one PBFG page per live group and consult.  Within
+        # an epoch the index-cache FIFO, the FP RNG stream and the
+        # hotness bits do not read each other, so each settles in bulk.
+        engine._consult_index_many(consult_offs)
+        if use_real_filters:
+            # Real bloom membership decides the candidates per key: the
+            # candidate side has no array form in this mode.
+            engine._probe_candidates_many(
+                keys_arr[consult].tolist(), consult_offs.tolist()
+            )
             return
-        # Fast lane (statistical filters, no live index groups): the
-        # only per-consult state is the FP RNG stream and the page-read
-        # counters.
-        engine.pbfg_lookups += int((ns >= 0).sum())
+        # Candidate side (statistical filters): one FP draw per consult
+        # that scans an SG, one page read per flash hit and per FP.
+        n_fp = engine._draw_false_positives(ns[ns > 0])
         n_flash_hits = int((~mem).sum()) if n_hit else 0
-        draws_needed = ns[ns > 0]
-        thresh = draws_needed.astype(np.float64) * fp_rate
-        n_draws = len(thresh)
-        n_fp = 0
-        pos0 = 0
-        # FP replay: draw the remaining stream in one batch; at the
-        # first FP rewind, consume exactly the draws the engine would
-        # have (the FP's random() + its randrange) and re-batch.  One
-        # iteration per false positive, not per request.
-        # reprolint: disable=R008
-        while pos0 < n_draws:
-            state = rng.getstate()
-            batch = np.asarray([rng_random() for _ in range(n_draws - pos0)])
-            fp_rel = np.flatnonzero(batch < thresh[pos0:])
-            if not len(fp_rel):
-                break
-            i = int(fp_rel[0])
-            rng.setstate(state)
-            # reprolint: disable=R008
-            for _ in range(i + 1):
-                rng_random()
-            rng.randrange(F)
-            n_fp += 1
-            pos0 += i + 1
-        if n_fp:
-            engine.false_positive_reads += n_fp
         pages_read = n_flash_hits + n_fp
         if pages_read:
-            # Candidate + FP page reads, batched like zns.read_pages
-            # (pages are programmed by construction: every flash hit's
-            # holder SG and every FP page live in the pool).
+            # Candidate + FP page reads, batched like zns.read_pages.
+            # Every such page lives in a pool SG, so "programmed" is
+            # checked once per span: the pool's zones are all FULL.
+            zones = device.zones
+            if any(
+                zones[z].state is not ZoneState.FULL
+                for fsg in pool_dq
+                for z in fsg.zone_ids
+            ):
+                raise ReadError("an SG-pool zone is not fully programmed")
             device.nand.read_count += pages_read
             nbytes = page_size * pages_read
             stats.host_read_bytes += nbytes

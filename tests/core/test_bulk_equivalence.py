@@ -9,8 +9,9 @@ scalar paths they replace:
 - the array kernels (:meth:`BloomFilter.add_array` /
   :meth:`BloomFilter.contains_array`, :meth:`HotnessTracker.\
 record_access_array` / :meth:`HotnessTracker.is_hot_array`,
-  :meth:`IndexCache.access_many`, :meth:`SetGroupQueue.find_many`)
-  versus their scalar loops;
+  :meth:`SetGroupQueue.find_many`) versus their scalar loops;
+- :meth:`IndexCache.resident`, the O(1) all-resident test, versus a
+  membership sweep over the live groups' pages;
 - :meth:`ZipfGenerator.sample` drawing one batch versus the same seeded
   generator drawing the stream in arbitrary smaller pieces.
 
@@ -172,24 +173,40 @@ class TestHotnessArrayKernelEquivalence:
 
 class TestIndexCacheBulkEquivalence:
     @given(
-        batches=st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=12
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("access"), st.integers(0, 7), st.integers(0, 3)
+                ),
+                st.tuples(st.just("drop"), st.integers(0, 7), st.just(0)),
+                st.tuples(st.just("new"), st.just(0), st.just(0)),
             ),
-            max_size=8,
+            max_size=60,
         ),
         capacity=st.integers(min_value=0, max_value=10),
+        flat=st.booleans(),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_access_many_matches_scalar_access(self, batches, capacity):
-        bulk = IndexCache(capacity, num_page_indices=4)
-        scalar = IndexCache(capacity, num_page_indices=4)
-        for batch in batches:
-            got = bulk.access_many(batch)
-            want = [scalar.access(p) for p in batch]
-            assert got == want
-            assert list(bulk._fifo) == list(scalar._fifo)
-            assert (bulk.hits, bulk.misses) == (scalar.hits, scalar.misses)
+    @settings(max_examples=200, deadline=None)
+    def test_resident_matches_bruteforce(self, ops, capacity, flat):
+        """The O(1) all-resident test equals ``all(p in cache ...)``
+        over the live groups after every access / group death, as long
+        as only live groups' pages are accessed (the engine's contract).
+        """
+        cache = IndexCache(capacity, num_page_indices=4 if flat else None)
+        live: list[int] = []
+        next_gid = 0
+        for op, g, page_idx in ops:
+            if op == "new":
+                live.append(next_gid)
+                next_gid += 1
+            elif live and op == "access":
+                cache.access((live[g % len(live)], page_idx))
+            elif live:
+                cache.drop_group(live.pop(g % len(live)))
+            for idx in range(4):
+                assert cache.resident(idx, len(live)) == all(
+                    (gid, idx) in cache for gid in live
+                )
 
 
 class TestSGQueueBulkEquivalence:

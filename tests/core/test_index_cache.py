@@ -148,3 +148,18 @@ class TestIndexPool:
         pool.on_sg_evicted(0)
         pool.on_sg_evicted(1)
         assert pool.live_group_count() == 0
+
+    def test_live_group_count_is_audited(self):
+        """The count is maintained incrementally; ``check_invariants``
+        recounts it from the groups across writes, deaths and reclaims."""
+        pool, layout, _ = make_pool(num_zones=2, sets_per_sg=8, sgs_per_group=1)
+        for i in range(8):
+            pool.write_group([i], group_payloads(layout))
+            pool.check_invariants()
+            if i >= 2:
+                pool.on_sg_evicted(i - 2)
+                pool.check_invariants()
+        assert pool.live_group_count() == 2
+        pool._live_groups += 1
+        with pytest.raises(EngineStateError):
+            pool.check_invariants()

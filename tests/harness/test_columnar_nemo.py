@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
+from repro.errors import ReadError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
+from repro.flash.zone import ZoneState
 from repro.harness.columnar import (
     KERNEL_REGISTRY,
     kernel_eligible,
@@ -383,3 +386,176 @@ class TestKernelRegistry:
         result = replay(warm, trace, kernel="columnar")
         assert len(result.notes) == 1
         assert "not virgin" in result.notes[0]
+
+
+# ----------------------------------------------------------------------
+# Scale regime: live index groups, index-cache churn, index-pool reads
+# ----------------------------------------------------------------------
+def _scale_geometry() -> FlashGeometry:
+    """48 zones x 256 KiB: a dozen SGs flush within a few 10k requests."""
+    return FlashGeometry(
+        page_size=4096, pages_per_block=64, num_blocks=48, blocks_per_zone=1
+    )
+
+
+def _scale_config(mode: str) -> NemoConfig:
+    """Four index pages per group, and an index cache smaller than the
+    live index so PBFG consults keep missing into the index pool."""
+    return dataclasses.replace(
+        _config(mode), bf_capacity_per_set=40, cached_index_ratio=0.25
+    )
+
+
+def _scale_trace(n: int) -> Trace:
+    """Zipf-skewed GET-heavy trace over a few thousand keys."""
+    rng = np.random.default_rng(7)
+    ops = rng.choice(
+        np.array([OP_GET, OP_SET, OP_DELETE], dtype=np.uint8),
+        size=n,
+        p=[0.85, 0.13, 0.02],
+    )
+    return Trace(
+        ops=ops,
+        keys=(rng.zipf(1.2, size=n) % 6000).astype(np.int64),
+        sizes=rng.integers(40, 700, size=n),
+        name="scale",
+    )
+
+
+def _deep_state(engine: NemoCache) -> dict[str, object]:
+    """Engine end state beyond ``metrics_snapshot``: everything the
+    flash-consult side of a lookup mutates."""
+    cache = engine.index_cache
+    return {
+        "pbfg": (
+            engine.pbfg_lookups,
+            engine.pbfg_lookups_from_pool,
+            engine.pbfg_touches,
+            engine.pbfg_pool_reads,
+        ),
+        "index_cache": (cache.hits, cache.misses, list(cache._fifo)),
+        "hotness_bits": list(engine.hotness._bits.items()),
+        "rng": engine._rng.getstate(),
+        "nand_reads": engine.device.nand.read_count,
+    }
+
+
+class TestNemoScaleRegime:
+    @pytest.mark.parametrize(
+        "mode, n", [("statistical", 60_000), ("real", 20_000)]
+    )
+    def test_live_groups_end_state_identical(self, mode, n):
+        trace = _scale_trace(n)
+        eng_b = NemoCache(_scale_geometry(), _scale_config(mode))
+        eng_c = NemoCache(_scale_geometry(), _scale_config(mode))
+        batched = replay(eng_b, trace)
+        columnar = replay(eng_c, trace, kernel="columnar")
+        assert columnar.kernel == "columnar" and columnar.notes == []
+        # The point of this cell: consults walk live index groups and
+        # some of them miss the index cache into the index pool.
+        eng_b.index_pool.check_invariants()
+        assert eng_b.index_pool.live_group_count() >= (
+            2 if mode == "statistical" else 1
+        )
+        assert eng_b.pbfg_pool_reads >= 1
+        assert eng_b.index_cache.hits > eng_b.index_cache.misses
+        _assert_results_identical(columnar, batched)
+        assert _deep_state(eng_c) == _deep_state(eng_b)
+
+    def test_each_snapshot_key_sampled_alone(self):
+        """Sampling any one ``metrics_snapshot`` key yields the batched
+        lane's series — the kernel may defer read-side work only past
+        boundaries where no sampled key can observe it."""
+        trace = _scale_trace(20_000)
+        probe = NemoCache(_scale_geometry(), _scale_config("statistical"))
+        metric_keys = tuple(probe.metrics_snapshot())
+        assert NemoCache.CONSULT_METRICS <= set(metric_keys)
+        batched = replay(
+            probe, trace, sampled_metrics=metric_keys, sample_every=500
+        )
+        for key in metric_keys:
+            columnar = replay(
+                NemoCache(_scale_geometry(), _scale_config("statistical")),
+                trace,
+                kernel="columnar",
+                sampled_metrics=(key,),
+                sample_every=500,
+            )
+            assert columnar.kernel == "columnar"
+            got = columnar.series[key].as_rows()
+            want = batched.series[key].as_rows()
+            assert len(got) == len(want)
+            for (xa, va), (xb, vb) in zip(got, want):
+                assert xa == xb
+                assert va == vb or (math.isnan(va) and math.isnan(vb)), key
+
+
+class _CountingRandom(random.Random):
+    """``random.Random`` that counts the calls the FP model makes.
+
+    Overrides ``getrandbits`` too, so ``randrange`` keeps drawing bits
+    (a subclass overriding only ``random`` would switch ``randrange``
+    onto the float stream).
+    """
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.calls: dict[str, int] = dict.fromkeys(
+            ("random", "randrange", "getstate", "setstate"), 0
+        )
+
+    def random(self) -> float:
+        self.calls["random"] += 1
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        return super().getrandbits(k)
+
+    def randrange(self, *args, **kwargs) -> int:
+        self.calls["randrange"] += 1
+        return super().randrange(*args, **kwargs)
+
+    def getstate(self):
+        self.calls["getstate"] += 1
+        return super().getstate()
+
+    def setstate(self, state) -> None:
+        self.calls["setstate"] += 1
+        super().setstate(state)
+
+
+class TestNemoDrawCount:
+    def test_one_draw_per_scanning_consult(self):
+        """The kernel draws exactly what the scalar FP model draws: one
+        ``random()`` per consult that scans an SG, one ``randrange`` per
+        false positive, and never rewinds the stream."""
+        trace = _scale_trace(60_000)
+        engines = {}
+        for kernel in ("batched", "columnar"):
+            engine = NemoCache(_scale_geometry(), _scale_config("statistical"))
+            engine._rng = _CountingRandom(engine.config.rng_seed)
+            assert replay(engine, trace, kernel=kernel).kernel == kernel
+            engines[kernel] = engine
+        calls = engines["columnar"]._rng.calls
+        assert calls == engines["batched"]._rng.calls
+        assert calls["getstate"] == calls["setstate"] == 0
+        assert calls["randrange"] == engines["columnar"].false_positive_reads > 0
+        assert calls["random"] > calls["randrange"]
+
+
+class TestNemoKernelReadValidation:
+    def test_unprogrammed_pool_zone_raises(self, small_geometry):
+        """The kernel batches candidate/FP page reads without touching
+        the NAND page states; its per-span stand-in is that every pool
+        SG's zones are FULL, and a violation is a ``ReadError``."""
+        engine = NemoCache(small_geometry, _config("statistical"))
+        flush = engine._flush_front
+
+        def flush_then_reopen(*, now_us: float = 0.0) -> None:
+            flush(now_us=now_us)
+            zone = engine.device.zones[engine.pool[-1].zone_ids[0]]
+            zone.state = ZoneState.OPEN
+
+        engine._flush_front = flush_then_reopen
+        with pytest.raises(ReadError):
+            replay(engine, _flush_trace(), kernel="columnar")

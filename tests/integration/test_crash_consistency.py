@@ -146,6 +146,10 @@ def make_crash_machine(engine_name: str) -> type[RuleBasedStateMachine]:
                 assert isinstance(value, (int, float)), key
                 assert math.isnan(value) or value >= 0, (key, value)
             assert snap["flash_write_bytes"] >= snap["host_write_bytes"]
+            if isinstance(engine, NemoCache):
+                # The incremental live-group count survives group
+                # writes, SG evictions, zone reclaims and recovery.
+                engine.index_pool.check_invariants()
 
     CrashConsistencyMachine.__name__ = f"CrashMachine_{engine_name}"
     return CrashConsistencyMachine
