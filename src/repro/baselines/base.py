@@ -111,8 +111,9 @@ class CacheEngine(abc.ABC):
     def columnar_spec(self) -> tuple[int, int] | None:
         """``(hash_seed, modulus)`` of the placement hash this engine's
         bulk paths can consume as a precomputed ``offsets=`` column
-        (``Trace.columns(seed, modulus).set_ids``), or None when the
-        engine has no such column.  Engines that return a spec must
+        (``Trace.columns(seed, modulus).set_ids``; the replay runner
+        supplies it chunk by chunk on every bulk lane), or None when
+        the engine has no such column.  Engines that return a spec must
         accept ``offsets=`` in ``lookup_many``/``insert_many`` and
         produce byte-identical metrics with or without it."""
         return None

@@ -197,10 +197,11 @@ class HierarchicalCacheBase(CacheEngine):
     # Bulk request paths (batched replay dispatch)
     # ------------------------------------------------------------------
     # Inlined run loops for the harness's same-op dispatch: the
-    # key→bucket hash arrives as a precomputed column (the columnar
-    # lane's ``offsets=``, else one vectorised sweep per run — the
-    # scalar path hashes twice per request, ``hlog.find`` internally
-    # and ``bucket_of`` for the HSet probe), the HLog bucket dict and
+    # key→bucket hash arrives as a precomputed column (``offsets=``,
+    # hashed per chunk by the replay runner; a direct caller that
+    # passes none gets one vectorised sweep per run — the scalar path
+    # hashes twice per request, ``hlog.find`` internally and
+    # ``bucket_of`` for the HSet probe), the HLog bucket dict and
     # HSet mirrors are probed directly, and on a latency-free device
     # the per-read NAND validation stays inline while the read
     # *counters* accumulate in locals and flush once per run.  Nothing

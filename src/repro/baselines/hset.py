@@ -31,8 +31,12 @@ passive and active cases (Figures 4 and 5), passive/active RMW counts
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import (
     ConfigError,
@@ -155,7 +159,13 @@ class HierarchicalSet:
                 f"{self.num_sets} sets cannot fit the {region_pages}-page region"
             )
         self.sets = [_SetMirror() for _ in range(self.num_sets)]
-        self.location = [-1] * self.num_sets  # set id -> current flash page
+        #: set id -> current flash page (-1 = no flash copy).  This map
+        #: and ``_page_owner`` are ``array('q')``: scalar reads stay
+        #: list-fast for the lookup paths, while GC gathers/scatters
+        #: whole victims through numpy views built at the point of use
+        #: (never stored: a ``deepcopy``/pickle would detach a stored
+        #: view from its buffer, and ``crash()`` replaces the arrays).
+        self.location: array[int] = array("q", [-1]) * self.num_sets
         #: Resident objects (mirrors + promotion staging), maintained
         #: incrementally at every mutation site so the harness's
         #: per-sample ``object_count`` probe never re-scans the sets.
@@ -163,15 +173,15 @@ class HierarchicalSet:
 
         self.victim_policy = victim_policy
         #: flash page -> owning set id (-1 = no current copy), flat
-        #: array over the whole device so the GC scan is an index walk.
-        self._page_owner = [-1] * device.geometry.num_pages
+        #: array over the whole device so the GC scan is one slice.
+        self._page_owner: array[int] = array("q", [-1]) * device.geometry.num_pages
         self._pages_per_zone = device.geometry.pages_per_zone
         self._free_zones: deque[int] = deque(zone_ids)
         self._zone_fifo: deque[int] = deque()
         self._open_zone: int | None = None
         self._in_gc = False
         #: live (current-copy) pages per zone, for greedy victim choice.
-        self._zone_valid = [0] * device.geometry.num_zones
+        self._zone_valid: array[int] = array("q", [0]) * device.geometry.num_zones
         #: Monotonic stamp on every set page written; recovery picks the
         #: newest copy of each set by this stamp (DESIGN.md §7).
         self._write_seq = 0
@@ -332,31 +342,34 @@ class HierarchicalSet:
             )
         self._append_set_page(set_id, now_us=now_us)
         self.case_writes[CASE_RELOCATE] += 1
-        self.case_new_bytes[CASE_RELOCATE] += 0
 
-    def _relocate_batch(self, set_ids: list[int]) -> None:
+    def _relocate_batch(self, set_ids: Sequence[int] | np.ndarray) -> None:
         """Bulk latency-free relocation: ``_relocate_set`` over ``set_ids``.
 
         Kangaroo GC relocates hundreds of sets per victim and those
-        relocations dominate replay time, so the read/append chain is
-        inlined here: pages are programmed in zone-sequential runs and
-        the (identical) stat deltas are accumulated locally and applied
-        once per batch.  Nothing observes device stats mid-GC — the
-        whole batch runs inside one engine ``insert`` — so the deferred
-        accounting is indistinguishable from the per-set path.
+        relocations dominate replay time, so each zone-sequential run is
+        one gather of the source pages, one slice of target pages and
+        one scatter into the placement maps, with ``_relocate_set``'s
+        validations expressed on the slice (every source page
+        programmed, every target page erased) and the (identical) stat
+        deltas applied once per batch.  ``set_ids`` must be distinct
+        sets with a flash copy — what a victim scan yields.  Nothing
+        observes device stats mid-GC — the whole batch runs inside one
+        engine ``insert`` — so the deferred accounting is
+        indistinguishable from the per-set path.
         """
         device = self.device
         nand = device.nand
         zones = device.zones
         ppz = self._pages_per_zone
-        ppb = nand._pages_per_block
-        state = nand._state
         payload = nand._payload
-        programmed = nand._programmed_in_block
-        owner = self._page_owner
-        location = self.location
-        zone_valid = self._zone_valid
-        total = len(set_ids)
+        sets = self.sets
+        state = np.frombuffer(nand._state, dtype=np.uint8)
+        owner = np.frombuffer(self._page_owner, dtype=np.int64)
+        location = np.frombuffer(self.location, dtype=np.int64)
+        zone_valid = np.frombuffer(self._zone_valid, dtype=np.int64)
+        ids = np.asarray(set_ids, dtype=np.int64)
+        total = len(ids)
         i = 0
         while i < total:
             zone_id = self._writable_zone()
@@ -365,28 +378,36 @@ class HierarchicalSet:
             cap = zone.capacity_pages
             take = min(total - i, cap - wp)
             base = zone_id * ppz + wp
-            for j in range(take):
-                set_id = set_ids[i + j]
-                old_page = location[set_id]
-                # RMW read (accounting-only; the mirror is authoritative).
-                if state[old_page] != PAGE_PROGRAMMED:
-                    raise ReadError(f"page {old_page} is not programmed")
-                page = base + j
-                if state[page] == PAGE_PROGRAMMED:
-                    raise DeviceError(
-                        f"page {page} already programmed; erase its block first"
-                    )
-                state[page] = PAGE_PROGRAMMED
-                payload[page] = (set_id, self._write_seq, self.sets[set_id].objects)
-                self._write_seq += 1
-                programmed[page // ppb] += 1
-                owner[old_page] = -1
-                zone_valid[old_page // ppz] -= 1
-                owner[page] = set_id
-                location[set_id] = page
-            wp += take
-            zone.write_pointer = wp
-            if wp == cap:
+            stop = base + take
+            run = ids[i : i + take]
+            old_pages = location[run]
+            # RMW reads (accounting-only; the mirror is authoritative).
+            # A state byte is 0 (erased) or 1 (programmed), so all() /
+            # any() are the per-page tests taken over the slice.
+            source = state[old_pages]
+            if old_pages.min() < 0 or not source.all():
+                unreadable = (old_pages < 0) | (source != PAGE_PROGRAMMED)
+                page = int(old_pages[unreadable.argmax()])
+                raise ReadError(f"page {page} is not programmed")
+            target = state[base:stop]
+            if target.any():
+                page = base + int(target.argmax())
+                raise DeviceError(
+                    f"page {page} already programmed; erase its block first"
+                )
+            target[:] = PAGE_PROGRAMMED
+            seq = self._write_seq
+            payload[base:stop] = [
+                (set_id, stamp, sets[set_id].objects)
+                for set_id, stamp in zip(run.tolist(), range(seq, seq + take))
+            ]
+            self._write_seq = seq + take
+            owner[old_pages] = -1
+            zone_valid -= np.bincount(old_pages // ppz, minlength=len(zone_valid))
+            owner[base:stop] = run
+            location[run] = np.arange(base, stop)
+            zone.write_pointer = wp + take
+            if wp + take == cap:
                 zone.state = ZoneState.FULL
                 self._open_zone = None
             else:
@@ -404,7 +425,6 @@ class HierarchicalSet:
         stats.host_write_ops += total
         stats.flash_write_bytes += nbytes
         self.case_writes[CASE_RELOCATE] += total
-        self.case_new_bytes[CASE_RELOCATE] += 0
 
     def _maybe_flush_promotions(self, bucket: int, *, now_us: float = 0.0) -> None:
         pending = self.pending_promotions[bucket]
@@ -507,16 +527,16 @@ class HierarchicalSet:
     def _gc_once(self, *, now_us: float = 0.0) -> None:
         victim = self._pick_victim()
         self._zone_fifo.remove(victim)
-        geo = self.device.geometry
-        first = geo.zone_first_page(victim)
+        first = self.device.geometry.zone_first_page(victim)
         wp = self.device.zones[victim].write_pointer
-        owner = self._page_owner
-        location = self.location
-        valid_sets = []
-        for page in range(first, first + wp):
-            set_id = owner[page]
-            if set_id >= 0 and location[set_id] == page:
-                valid_sets.append(set_id)
+        # Victim scan: the sets whose current copy sits in the victim's
+        # written range, in page order.
+        owner = np.frombuffer(self._page_owner, dtype=np.int64)
+        location = np.frombuffer(self.location, dtype=np.int64)
+        owned = owner[first : first + wp]
+        offsets = (owned >= 0).nonzero()[0]
+        set_ids = owned[offsets]
+        valid_sets = set_ids[location[set_ids] == offsets + first]
         self.gc_runs += 1
         self.gc_valid_fractions.append(len(valid_sets) / wp if wp else 0.0)
 
@@ -535,9 +555,7 @@ class HierarchicalSet:
             self._gc_install(valid_sets, max_relocate, now_us=now_us)
         finally:
             self._in_gc = False
-        owner = self._page_owner
-        for page in range(first, first + wp):
-            owner[page] = -1
+        owner[first : first + wp] = -1
         self.device.reset_zone(victim, now_us=now_us)
         self._free_zones.append(victim)
         if self._zone_valid[victim] != 0:
@@ -547,7 +565,7 @@ class HierarchicalSet:
             )
 
     def _gc_install(
-        self, valid_sets: list[int], max_relocate: int, *, now_us: float = 0.0
+        self, valid_sets: np.ndarray, max_relocate: int, *, now_us: float = 0.0
     ) -> None:
         if not self.merge_on_gc:
             # Kangaroo mode: every kept set relocates verbatim.  The
@@ -561,12 +579,12 @@ class HierarchicalSet:
             ):
                 self._relocate_batch(valid_sets[:max_relocate])
             else:
-                for set_id in valid_sets[:max_relocate]:
+                for set_id in valid_sets[:max_relocate].tolist():
                     self._relocate_set(set_id, now_us=now_us)
-            for set_id in valid_sets[max_relocate:]:
+            for set_id in valid_sets[max_relocate:].tolist():
                 self._drop_set(set_id)
             return
-        for idx, set_id in enumerate(valid_sets):
+        for idx, set_id in enumerate(valid_sets.tolist()):
             if idx >= max_relocate:
                 self._drop_set(set_id)
                 continue
@@ -604,14 +622,14 @@ class HierarchicalSet:
         instrumentation counters survive — they are measurement
         apparatus, not cache state."""
         self.sets = [_SetMirror() for _ in range(self.num_sets)]
-        self.location = [-1] * self.num_sets
+        self.location = array("q", [-1]) * self.num_sets
         self._object_count = 0
-        self._page_owner = [-1] * self.device.geometry.num_pages
+        self._page_owner = array("q", [-1]) * self.device.geometry.num_pages
         self._free_zones.clear()
         self._zone_fifo.clear()
         self._open_zone = None
         self._in_gc = False
-        self._zone_valid = [0] * self.device.geometry.num_zones
+        self._zone_valid = array("q", [0]) * self.device.geometry.num_zones
         self.pending_promotions = [dict() for _ in range(self.num_buckets)]
 
     def recover(self) -> None:
@@ -658,6 +676,63 @@ class HierarchicalSet:
             self._zone_valid[page // self._pages_per_zone] += 1
             self._object_count += len(objs)
         self._write_seq = max_seq + 1
+
+    # ------------------------------------------------------------------
+    # Run-time audit
+    # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Audit internal consistency; raises :class:`EngineStateError`.
+
+        Recomputes every incrementally-maintained quantity (the two
+        placement maps against each other, per-zone valid counts, the
+        resident-object count, the zone bookkeeping) from the raw state,
+        so a stale counter or a half-applied scatter cannot hide behind
+        its own cache.
+        """
+        location = self.location
+        owner = self._page_owner
+        state = self.device.nand._state
+        ppz = self._pages_per_zone
+        valid = array("q", [0]) * len(self._zone_valid)
+        for page, set_id in enumerate(owner):
+            if set_id < 0:
+                continue
+            if set_id >= self.num_sets or location[set_id] != page:
+                raise EngineStateError(
+                    f"page {page} is owned by set {set_id}, which is not there"
+                )
+            if state[page] != PAGE_PROGRAMMED:
+                raise EngineStateError(f"owned page {page} is not programmed")
+            valid[page // ppz] += 1
+        for set_id, page in enumerate(location):
+            if page >= 0 and owner[page] != set_id:
+                raise EngineStateError(
+                    f"set {set_id} sits at page {page}, owned by set {owner[page]}"
+                )
+        if valid != self._zone_valid:
+            raise EngineStateError(
+                f"stale per-zone valid counts "
+                f"({self._zone_valid.tolist()} != {valid.tolist()})"
+            )
+        objects = sum(len(mirror.objects) for mirror in self.sets) + sum(
+            len(pending) for pending in self.pending_promotions
+        )
+        if objects != self._object_count:
+            raise EngineStateError(
+                f"stale object count ({self._object_count} != {objects})"
+            )
+        # Every zone is free or written (the open zone is the youngest
+        # written one), never both, never neither.
+        zones = [*self._free_zones, *self._zone_fifo]
+        if sorted(zones) != sorted(self.zone_ids):
+            raise EngineStateError(
+                f"free {list(self._free_zones)} + written "
+                f"{list(self._zone_fifo)} zones do not partition {self.zone_ids}"
+            )
+        if self._open_zone is not None and self._open_zone not in self._zone_fifo:
+            raise EngineStateError(
+                f"open zone {self._open_zone} missing from the written-zone FIFO"
+            )
 
     # ------------------------------------------------------------------
     # Instrumentation helpers

@@ -22,8 +22,10 @@ from typing import Callable, cast
 import numpy as np
 
 from repro.baselines.base import CacheEngine, LookupResult
-from repro.errors import ConfigError, ObjectTooLargeError
+from repro.errors import ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.conventional import ConventionalSSD
+from repro.flash.device import PAGE_PROGRAMMED
+from repro.flash.ftl import UNMAPPED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.hashing import bucket_of, splitmix64_array
@@ -150,9 +152,10 @@ class SetAssociativeCache(CacheEngine):
     # Bulk request paths (batched replay dispatch)
     # ------------------------------------------------------------------
     # Same per-request semantics as the base-class fallbacks, but the
-    # key→set hash is consumed as a precomputed column (``offsets`` from
-    # the columnar lane, else one vectorised sweep here) instead of
-    # being re-derived per request — twice per miss in the scalar loop.
+    # key→set hash is consumed as a precomputed column (``offsets``,
+    # hashed per chunk by the replay runner; a direct caller that passes
+    # none gets one vectorised sweep here) instead of being re-derived
+    # per request — twice per miss in the scalar loop.
 
     def lookup_many(
         self,
@@ -166,20 +169,54 @@ class SetAssociativeCache(CacheEngine):
     ) -> float:
         if offsets is None:
             offsets = self._set_column(keys)
-        lookup_in = self._lookup_in
         insert_in = self._insert_in
-        if record is None:
-            for key, size, sid in zip(keys, sizes, offsets):
-                if not lookup_in(sid, key, now_us).hit:
-                    insert_in(sid, key, size, now_us)
-                now_us += step_us
-        else:
+        device = self.device
+        if device.latency is not None or device.fault_plan is not None:
+            # Timed or faulty device: every read goes through the device
+            # stack (``_lookup_in``), the scalar reference.
+            lookup_in = self._lookup_in
             for key, size, sid in zip(keys, sizes, offsets):
                 result = lookup_in(sid, key, now_us)
-                record(result.latency_us)
+                if record is not None:
+                    record(result.latency_us)
                 if not result.hit:
                     insert_in(sid, key, size, now_us)
                 now_us += step_us
+            return now_us
+        # Latency-free, fault-free run loop (the lane FW/KG/Nemo already
+        # have): the set mirror is probed directly, the FTL-read
+        # validation (mapped LBA, programmed page) stays inline, and the
+        # read counters flush once per run — nothing observes them
+        # mid-run, the harness samples only at chunk boundaries.
+        sets = self._sets
+        l2p = device.ftl._l2p
+        state = device.ftl.nand._state
+        hits = read_bytes = 0
+        for key, size, sid in zip(keys, sizes, offsets):
+            obj_size = sets[sid].objects.get(key)
+            if obj_size is None:
+                insert_in(sid, key, size, now_us)
+            else:
+                ppn = l2p[sid]
+                if ppn == UNMAPPED:
+                    raise ReadError(f"LBA {sid} is unmapped")
+                if state[ppn] != PAGE_PROGRAMMED:
+                    raise ReadError(f"page {ppn} is not programmed")
+                hits += 1
+                read_bytes += obj_size
+            if record is not None:
+                record(0.0)
+            now_us += step_us
+        self.counters.lookups += len(keys)
+        self.counters.hits += hits
+        stats = self.stats
+        stats.logical_read_bytes += read_bytes
+        if hits:
+            device.ftl.nand.read_count += hits
+            nbytes = self.geometry.page_size * hits
+            stats.host_read_bytes += nbytes
+            stats.host_read_ops += hits
+            stats.flash_read_bytes += nbytes
         return now_us
 
     def insert_many(

@@ -398,8 +398,9 @@ class NemoCache(CacheEngine):
 
         Per-request semantics, counter totals and RNG draw sequence are
         identical to scalar ``lookup`` + ``insert``-on-miss; the key
-        hash is consumed as a precomputed column (``offsets`` from the
-        columnar lane, else one vectorised sweep here), the in-memory
+        hash is consumed as a precomputed column (``offsets``, hashed
+        per chunk by the replay runner; a direct caller that passes
+        none gets one vectorised sweep here), the in-memory
         probe walks the SG-queue set dicts directly, and request
         counters are accumulated locally and flushed once per run
         (nothing observes them mid-run — the harness samples only at

@@ -55,9 +55,6 @@ class NandArray:
         self.erase_count = 0
         #: per-block erase counters (wear), indexed by block id.
         self.block_erases = [0] * geometry.num_blocks
-        #: per-block programmed-page counters, maintained incrementally
-        #: so introspection and GC never re-scan page state.
-        self._programmed_in_block = [0] * geometry.num_blocks
         # Fault injection (DESIGN.md §7).  ``None`` keeps every hot path
         # on a single pointer comparison; the layer is fully inert until
         # install_fault_plan() is called with a plan that can fire.
@@ -163,7 +160,6 @@ class NandArray:
         self._state[page] = PAGE_PROGRAMMED
         self._payload[page] = payload
         self.program_count += 1
-        self._programmed_in_block[page // self._pages_per_block] += 1
 
     def read(self, page: int) -> Any:
         """Return the payload of a programmed page."""
@@ -210,7 +206,6 @@ class NandArray:
         self._erase_page_range(first, first + self.geometry.pages_per_block)
         self.erase_count += 1
         self.block_erases[block] += 1
-        self._programmed_in_block[block] = 0
 
     def erase_zone(self, zone: int) -> None:
         """Erase every block in ``zone`` (a ZNS zone reset).
@@ -231,7 +226,6 @@ class NandArray:
         self.erase_count += bpz
         for block in range(first_block, first_block + bpz):
             self.block_erases[block] += 1
-            self._programmed_in_block[block] = 0
 
     def _note_erase_failure(self, block: int) -> None:
         """An erase attempt failed: retire the block to a spare.
@@ -245,14 +239,15 @@ class NandArray:
 
     def _erase_page_range(self, first: int, stop: int) -> None:
         self._state[first:stop] = bytes(stop - first)
-        payload = self._payload
-        for page in range(first, stop):
-            payload[page] = None
+        self._payload[first:stop] = [None] * (stop - first)
 
     # ------------------------------------------------------------------
     def programmed_pages_in_block(self, block: int) -> int:
         self.geometry.check_block(block)
-        return self._programmed_in_block[block]
+        first = self.geometry.block_first_page(block)
+        return self._state.count(
+            PAGE_PROGRAMMED, first, first + self._pages_per_block
+        )
 
     def max_block_erases(self) -> int:
         """Highest per-block erase count (wear hot spot)."""

@@ -16,12 +16,12 @@ Three replay lanes share these semantics and are byte-identical (the
 metric-parity goldens compare them):
 
 - ``kernel="batched"`` (default): the trace is pre-sliced into same-op
-  runs handed to the engines' bulk fast paths.
+  runs handed to the engines' bulk fast paths, with the placement hash
+  of each chunk computed once here (``Trace.set_id_slice``).
 - ``kernel="columnar"``: whole-trace numpy decision passes; engines
   with a registered whole-trace kernel (Log, Nemo — see
   ``KERNEL_REGISTRY`` in :mod:`repro.harness.columnar`) replay through
-  it, other engines consume precomputed hash columns
-  (``Trace.columns``) through their bulk paths.
+  it, other engines replay batched.
 - ``kernel="scalar"``: the :class:`CacheEngine` scalar-loop fallbacks —
   the slowest lane, kept as the semantic reference.
 """
@@ -321,23 +321,18 @@ def replay(
                 f"dispatch: {reason}"
             )
 
-    # Columnar hash columns for engines whose bulk paths accept
-    # precomputed placement offsets (Nemo, FW/KG, Set): one vectorised
-    # hash pass replaces the per-request splitmix chains.
-    offset_column = None
-    if kernel == "columnar" and not force_scalar:
-        spec = engine.columnar_spec()
-        if spec is not None:
-            seed, num_sets = spec
-            offset_column = trace.columns(seed, num_sets).set_ids
+    # Engines whose bulk paths accept precomputed placement offsets
+    # (Nemo, FW/KG, Set) get them on every bulk lane: one vectorised
+    # hash per chunk here replaces one per same-op run in the engine.
+    placement = None if force_scalar else engine.columnar_spec()
 
     for stop in boundary_list:
         ops_arr = trace.ops[start:stop]
         keys = trace.keys[start:stop].tolist()
         sizes = trace.sizes[start:stop].tolist()
         offsets = (
-            offset_column[start:stop].tolist()
-            if offset_column is not None
+            trace.set_id_slice(*placement, start, stop).tolist()
+            if placement is not None
             else None
         )
         start = stop

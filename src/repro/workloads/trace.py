@@ -27,6 +27,16 @@ OP_DELETE = 2
 _OP_NAMES = {OP_GET: "get", OP_SET: "set", OP_DELETE: "delete"}
 
 
+def _placement(
+    keys: np.ndarray, seed: int, num_sets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hash64(key, seed), hash64(key, seed) % num_sets)`` per key."""
+    if num_sets <= 0:
+        raise TraceError("num_sets must be positive")
+    hashes = splitmix64_array(keys, seed)
+    return hashes, (hashes % np.uint64(num_sets)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class TraceColumns:
     """Whole-trace hash columns for one (seed, placement) combination.
@@ -114,14 +124,11 @@ class Trace:
         num_sets`` exactly, so engines consuming the column are
         byte-identical to their inlined per-request splitmix chains.
         """
-        if num_sets <= 0:
-            raise TraceError("num_sets must be positive")
         cache_key = (seed, num_sets, sets_per_sg)
         cached = self._column_cache.get(cache_key)
         if cached is not None:
             return cached
-        hashes = splitmix64_array(self.keys, seed)
-        set_ids = (hashes % np.uint64(num_sets)).astype(np.int64)
+        hashes, set_ids = _placement(self.keys, seed, num_sets)
         sg_ids = None
         if sets_per_sg is not None:
             if sets_per_sg <= 0:
@@ -136,6 +143,23 @@ class Trace:
         )
         self._column_cache[cache_key] = cols
         return cols
+
+    def set_id_slice(
+        self, seed: int, num_sets: int, start: int, stop: int
+    ) -> np.ndarray:
+        """``columns(seed, num_sets).set_ids[start:stop]`` without the
+        whole-trace pass.
+
+        The replay dispatch loop asks chunk by chunk.  A column already
+        cached or adopted (a whole-trace kernel ran first, or a cluster
+        parent shipped it) is sliced; otherwise only the chunk's keys
+        are hashed and nothing is retained, so the column cache does
+        not grow on lanes that never need the whole column.
+        """
+        cached = self._column_cache.get((seed, num_sets, None))
+        if cached is not None:
+            return cached.set_ids[start:stop]
+        return _placement(self.keys[start:stop], seed, num_sets)[1]
 
     def adopt_columns(
         self, cols: TraceColumns, sets_per_sg: int | None = None

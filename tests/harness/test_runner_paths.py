@@ -9,10 +9,14 @@ presence of latency samples.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from repro.baselines.log_structured import LogStructuredCache
+from repro.experiments.common import scale_params
+from repro.experiments.fig12_wa_main import build_engines
 from repro.harness.runner import replay
 from repro.workloads.trace import OP_GET
 
@@ -22,7 +26,10 @@ def _series_rows(result):
 
 
 def _assert_metrics_equal(fast, instrumented):
-    assert fast.final == instrumented.final
+    assert fast.final.keys() == instrumented.final.keys()
+    for name, va in fast.final.items():
+        vb = instrumented.final[name]
+        assert va == vb or (math.isnan(va) and math.isnan(vb)), name
     fast_rows = _series_rows(fast)
     inst_rows = _series_rows(instrumented)
     assert fast_rows.keys() == inst_rows.keys()
@@ -88,3 +95,67 @@ class TestPathEquivalence:
         )
         _assert_metrics_equal(fast, instrumented)
         assert fast.write_rate.rates == instrumented.write_rate.rates
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Lengths of every ``splitmix64_array`` call, whichever module
+    imported the name."""
+    import repro.hashing
+
+    original = repro.hashing.splitmix64_array
+    calls: list[int] = []
+
+    def counting(keys, seed=0):
+        calls.append(len(keys))
+        return original(keys, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "splitmix64_array", None) is original
+        ):
+            monkeypatch.setattr(module, "splitmix64_array", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Log", "Set", "FW", "KG", "Nemo"])
+class TestOneHashPerChunk:
+    """The batched lane hashes each chunk's keys once in the runner —
+    not once per same-op run in the engine, and never the whole trace."""
+
+    def build(self, name):
+        engines = build_engines(scale_params("micro")[0])
+        return next(e for e in engines if e.name == name)
+
+    def test_batched_replay_hashes_once_per_chunk(
+        self, name, pressure_trace, hash_calls
+    ):
+        # A new Trace object: the shared fixture's caches stay out of it.
+        trace = pressure_trace.slice(0, len(pressure_trace))
+        batched = replay(self.build(name), trace, kernel="batched")
+        if name == "Log":  # no placement hash at all
+            assert hash_calls == []
+        else:
+            # Default sampling: 64 boundaries plus the end of the trace.
+            assert 0 < len(hash_calls) <= 65
+            assert sum(hash_calls) == len(trace)
+        assert trace._column_cache == {}
+        scalar = replay(self.build(name), trace, kernel="scalar")
+        _assert_metrics_equal(batched, scalar)
+
+    def test_cached_column_is_sliced_not_rehashed(
+        self, name, pressure_trace, hash_calls
+    ):
+        spec = self.build(name).columnar_spec()
+        if spec is None:
+            pytest.skip("engine has no placement column")
+        trace = pressure_trace.slice(0, len(pressure_trace))
+        trace.columns(*spec)
+        assert hash_calls == [len(trace)]
+        cold = replay(
+            self.build(name), pressure_trace.slice(0, len(trace)), kernel="batched"
+        )
+        del hash_calls[:]
+        warm = replay(self.build(name), trace, kernel="batched")
+        assert hash_calls == []
+        _assert_metrics_equal(warm, cold)

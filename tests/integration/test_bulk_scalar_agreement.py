@@ -14,6 +14,7 @@ defaults, then their metric snapshots must match exactly.
 """
 
 import argparse
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ import pytest
 
 from repro.baselines.base import CacheEngine
 from repro.cli import ENGINE_NAMES, build_engine
+from repro.errors import ReadError
+from repro.flash.device import PAGE_ERASED
 from repro.flash.geometry import FlashGeometry
 
 STEP_US = 37.0
@@ -114,3 +117,46 @@ class TestBulkScalarAgreement:
         gets = sum(len(keys) for op, keys, _ in runs if op == "get")
         assert len(lat_bulk) == gets
         assert lat_bulk == lat_scalar
+
+
+class TestSetLatencyFreeLane:
+    """Set's bulk GET loop validates and counts flash reads inline on a
+    latency-free, fault-free device; ``_lookup_in`` (the device-stack
+    chain) stays the reference."""
+
+    def test_read_accounting_identical_after_hits(self):
+        bulk_engine = make_engine("set")
+        scalar_engine = make_engine("set")
+        rng = np.random.default_rng(3)
+        runs = []
+        for _ in range(30):  # GET-only, few keys: mostly hits
+            keys = [int(k) for k in rng.integers(0, 60, size=20)]
+            runs.append(("get", keys, [100 + k for k in keys]))
+
+        drive_bulk(bulk_engine, runs)
+        drive_scalar(scalar_engine, runs)
+
+        assert bulk_engine.counters.hits > 300
+        assert bulk_engine.counters == scalar_engine.counters
+        assert dataclasses.asdict(bulk_engine.stats) == dataclasses.asdict(
+            scalar_engine.stats
+        )
+        assert (
+            bulk_engine.device.ftl.nand.read_count
+            == scalar_engine.device.ftl.nand.read_count
+        )
+
+    def test_unmapped_lba_hit_raises_read_error(self):
+        engine = make_engine("set")
+        engine.insert_many([5], [100], 0.0, STEP_US)
+        engine.device.trim(engine._set_of(5))
+        with pytest.raises(ReadError, match="unmapped"):
+            engine.lookup_many([5], [100], 0.0, STEP_US)
+
+    def test_unprogrammed_page_hit_raises_read_error(self):
+        engine = make_engine("set")
+        engine.insert_many([5], [100], 0.0, STEP_US)
+        ftl = engine.device.ftl
+        ftl.nand._state[ftl._l2p[engine._set_of(5)]] = PAGE_ERASED
+        with pytest.raises(ReadError, match="not programmed"):
+            engine.lookup_many([5], [100], 0.0, STEP_US)

@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from repro.baselines.fairywren import FairyWrenCache
+from repro.baselines.hierarchical import HierarchicalCacheBase
 from repro.baselines.kangaroo import KangarooCache
 from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
@@ -150,6 +151,11 @@ def make_crash_machine(engine_name: str) -> type[RuleBasedStateMachine]:
                 # The incremental live-group count survives group
                 # writes, SG evictions, zone reclaims and recovery.
                 engine.index_pool.check_invariants()
+            if isinstance(engine, HierarchicalCacheBase):
+                # The HSet's placement maps, per-zone valid counts,
+                # object count and zone lists agree after every rule —
+                # set writes, GC rounds, deletes and recovery alike.
+                engine.hset.check_invariants()
 
     CrashConsistencyMachine.__name__ = f"CrashMachine_{engine_name}"
     return CrashConsistencyMachine
