@@ -19,13 +19,7 @@ The columnar-lane targets (DESIGN.md §5) cover the whole-trace kernel:
   by ``benchmarks/check_regression.py`` via ``floor_requests_per_sec``;
 - ``fig15_micro_nemo_batched`` / ``fig15_micro_nemo_columnar`` — the
   same workload on the Nemo engine, batched vs the whole-trace Nemo
-  kernel; the columnar cell is ratcheted at >= 2.5M req/s;
-- ``fig15_micro_sharded`` — the cell under ``replay_sharded``: at this
-  scale the requests-per-shard threshold demotes it to the serial
-  whole-trace kernel (the satellite fix for the ~100x fan-out cliff);
-- ``fig15_micro_sharded_forced`` — the same call with
-  ``min_requests_per_shard=0``, forcing the analytic fan-out lane so
-  the worker-startup-dominated side stays measured and cannot rot.
+  kernel; the columnar cell is ratcheted at >= 2.5M req/s.
 
 ``benchmarks/save_baseline.py`` records these as ``BENCH_replay.json``
 with the fast-over-seed, columnar-over-batched (Log and Nemo) and
@@ -215,50 +209,6 @@ def test_replay_fig15_micro_columnar(benchmark):
     )
     _record_throughput(benchmark, result)
     benchmark.extra_info["floor_requests_per_sec"] = FIG15_MICRO_FLOOR_RPS
-    reference = replay(engine, trace)
-    assert result.final == reference.final
-
-
-def test_replay_fig15_micro_sharded(benchmark):
-    """At 60k requests the requests-per-shard threshold demotes this
-    call to the serial whole-trace kernel (with a note) — the demotion
-    is the behaviour under test, so the cell now tracks serial-kernel
-    throughput instead of the ~100x worker-startup cliff."""
-    from repro.harness.parallel import replay_sharded
-
-    engine, trace = fig15_micro_cell()
-    result = _bench(
-        benchmark,
-        lambda: replay_sharded(
-            fig15_micro_cell()[0], trace, shards=2, jobs=2, kernel="columnar"
-        ),
-    )
-    _record_throughput(benchmark, result)
-    assert any("fan-out threshold" in note for note in result.notes)
-    reference = replay(engine, trace)
-    assert result.final == reference.final
-
-
-def test_replay_fig15_micro_sharded_forced(benchmark):
-    """The other side of the threshold: ``min_requests_per_shard=0``
-    forces the analytic fan-out lane (worker-process startup dominates
-    at this scale) so its wall-clock stays on the record."""
-    from repro.harness.parallel import replay_sharded
-
-    engine, trace = fig15_micro_cell()
-    result = _bench(
-        benchmark,
-        lambda: replay_sharded(
-            fig15_micro_cell()[0],
-            trace,
-            shards=2,
-            jobs=2,
-            kernel="columnar",
-            min_requests_per_shard=0,
-        ),
-    )
-    _record_throughput(benchmark, result)
-    assert result.notes == []
     reference = replay(engine, trace)
     assert result.final == reference.final
 

@@ -7,7 +7,7 @@ output into small files at the repo root:
   (engine insert/lookup, bloom add/query, zipf sampling, latency model);
 - ``BENCH_replay.json`` — end-to-end replay throughput (requests/sec)
   for the seed-reference loop, the fast path, the instrumented path and
-  the columnar/sharded lanes (including the fig15 micro acceptance
+  the columnar lane (including the fig15 micro acceptance
   cells with their hard floors: Log kernel 5M req/s, Nemo kernel
   2.5M req/s), plus the fast-over-seed, columnar-over-batched (Log and
   Nemo) and vs-pre-columnar speedups;
@@ -58,8 +58,6 @@ _REPLAY_BENCHES = {
     "test_replay_fig15_micro_columnar",
     "test_replay_fig15_micro_nemo_batched",
     "test_replay_fig15_micro_nemo_columnar",
-    "test_replay_fig15_micro_sharded",
-    "test_replay_fig15_micro_sharded_forced",
 }
 
 #: fig12 micro-cell wall-clock (best-of-2 seconds, reference dev machine)

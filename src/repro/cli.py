@@ -9,11 +9,11 @@ the paper's headline metrics.  Examples::
     python -m repro --engine all --requests 200000
     python -m repro --engine nemo --trace-csv cluster52.csv --requests 1000000
 
-The ``replay`` subcommand selects the replay kernel lane explicitly and
-can shard one trace across worker processes with byte-identical
-metrics (DESIGN.md §5)::
+The ``replay`` subcommand selects the replay kernel and device timing
+lanes explicitly; metrics are byte-identical across kernels
+(DESIGN.md §5)::
 
-    python -m repro replay --engine log --kernel columnar --shards 4
+    python -m repro replay --engine log --kernel columnar
     python -m repro replay --engine all --kernel scalar
 
 The ``cluster`` subcommand replays a multi-tenant Zipf mix on a
@@ -217,30 +217,22 @@ def faults_main(argv: list[str]) -> int:
 
 
 def replay_main(argv: list[str]) -> int:
-    """``python -m repro replay``: explicit kernel lane, optional sharding.
+    """``python -m repro replay``: explicit kernel and latency lanes.
 
     Selects the replay kernel (``batched``, ``columnar``, ``scalar``)
-    and, with ``--shards N``, splits the trace into N deterministic
-    shards replayed across worker processes and merged exactly —
-    byte-identical metrics to the serial run.  An engine with no
-    registered whole-trace kernel is a hard error under ``--shards``
-    (nothing can replay its shards); engines whose kernel exists but
-    whose analytic sharding lane doesn't (Nemo, a wrapping Log trace)
-    demote to the serial whole-trace kernel and say so — every demotion
-    note the harness emits is printed as a ``warning:`` line::
+    and the device timing lane.  Every demotion note the harness emits
+    (an engine with no whole-trace kernel, a latency model under
+    ``--kernel columnar``) is printed as a ``warning:`` line::
 
-        python -m repro replay --engine log --kernel columnar --shards 4
+        python -m repro replay --engine log --kernel columnar
         python -m repro replay --engine all --kernel columnar
     """
-    from repro.harness.columnar import kernel_ineligible_reason
-    from repro.harness.parallel import replay_sharded
     from repro.flash.devsim import LATENCY_LANES
     from repro.harness.runner import LATENCY_PERCENTILES, REPLAY_KERNELS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro replay",
-        description="Replay a workload on a chosen kernel lane, "
-        "optionally sharded across worker processes.",
+        description="Replay a workload on a chosen kernel lane.",
     )
     parser.add_argument(
         "--engine", default="log", choices=ENGINE_NAMES + ("all",)
@@ -257,13 +249,6 @@ def replay_main(argv: list[str]) -> int:
         help="replay kernel lane (default: $REPRO_REPLAY_KERNEL or batched)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="deterministic intra-trace shards (>=2 enables the "
-        "parallel columnar lane; metrics stay byte-identical)",
-    )
-    parser.add_argument(
         "--latency-lane",
         default=None,
         choices=LATENCY_LANES,
@@ -271,29 +256,12 @@ def replay_main(argv: list[str]) -> int:
         "event (discrete-event devsim); default: $REPRO_LATENCY_LANE "
         "or no timing model",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes for shards"
-    )
     parser.add_argument("--sample-every", type=int, default=None)
     parser.add_argument("--flush-threshold", type=int, default=8)
     parser.add_argument("--sgs-per-index-group", type=int, default=4)
     parser.add_argument("--cached-index-ratio", type=float, default=0.5)
     parser.add_argument("--progress", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.shards > 1 and args.kernel not in (None, "columnar"):
-        parser.error(
-            f"--shards {args.shards} requires the columnar kernel "
-            f"(the sharded lane is built on it); drop --kernel "
-            f"{args.kernel} or run without --shards"
-        )
-    if args.shards > 1 and args.latency_lane is not None:
-        parser.error(
-            f"--shards {args.shards} cannot carry --latency-lane "
-            f"{args.latency_lane}: a latency model needs per-request "
-            "timing, which demotes the whole-trace kernels the sharded "
-            "lane is built on; run without --shards for timed replay"
-        )
 
     geometry = FlashGeometry(
         page_size=4096,
@@ -314,34 +282,15 @@ def replay_main(argv: list[str]) -> int:
     rows = []
     for name in names:
         engine = build_engine(name, geometry, args)
-        if args.shards > 1:
-            reason = kernel_ineligible_reason(engine, trace, None)
-            if reason is not None:
-                parser.error(
-                    f"--shards {args.shards}: engine {engine.name!r} on "
-                    f"trace {trace.name!r} has no whole-trace kernel to "
-                    f"replay shards with ({reason}); run without "
-                    "--shards for the batched lane"
-                )
-            result = replay_sharded(
-                engine,
-                trace,
-                shards=args.shards,
-                jobs=args.jobs,
-                sample_every=args.sample_every,
-                kernel=args.kernel,
-                progress=args.progress,
-            )
-        else:
-            result = replay(
-                engine,
-                trace,
-                sample_every=args.sample_every,
-                kernel=args.kernel,
-                latency_lane=args.latency_lane,
-                record_latency=args.latency_lane is not None,
-                progress=args.progress,
-            )
+        result = replay(
+            engine,
+            trace,
+            sample_every=args.sample_every,
+            kernel=args.kernel,
+            latency_lane=args.latency_lane,
+            record_latency=args.latency_lane is not None,
+            progress=args.progress,
+        )
         for note in result.notes:
             print(f"warning: {engine.name}: {note}")
         if result.latency_lane is not None and len(result.latency):

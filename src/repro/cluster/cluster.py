@@ -24,8 +24,8 @@ replay proceeds in three deterministic steps:
 3. **Merge exactly** — the parent folds per-shard counters in shard
    order (independent of ``jobs``), rebuilds every derived ratio
    through the real ``FlashStats`` / ``EngineCounters`` arithmetic
-   (the ``replay_sharded`` merge discipline), and merges latency
-   recorders via ``LatencyRecorder.merge``.  Ratios are *never* summed
+   (``_merged_snapshot``), and merges latency recorders via
+   ``LatencyRecorder.merge``.  Ratios are *never* summed
    across shards — only the integer components are.
 
 Shards share no state, so the merged metrics are a pure function of
@@ -67,7 +67,7 @@ from repro.flash.stats import FlashStats
 from repro.harness.metrics import MetricSeries
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.percentile import LatencyRecorder
-from repro.harness.runner import replay
+from repro.harness.runner import replay, replay_plan
 from repro.workloads.trace import Trace, TraceColumns
 
 #: Raw integer metrics each shard samples; every derived ratio the
@@ -329,19 +329,11 @@ class CacheCluster:
         t0 = time.perf_counter()
         n = len(trace)
 
-        # Global sample boundaries (the serial runner's layout).  The
+        # Global sample boundaries: the runner's layout.  The
         # end-of-trace point is always *computed* (the merged final
         # snapshot lives there) but only *recorded* into the series
-        # when the caller's sampling plan includes it.
-        if sample_at is not None:
-            requested = {int(b) for b in sample_at if 0 <= b <= n}
-        else:
-            every = sample_every if sample_every else max(1, n // 64)
-            if every <= 0:
-                raise ConfigError("sample_every must be positive")
-            requested = set(range(every, n + 1, every))
-            requested.add(n)
-        points = sorted(requested | {n})
+        # when the sampling plan includes it.
+        points, requested, _, _ = replay_plan(n, sample_every, sample_at)
         points_arr = np.asarray(points, dtype=np.int64)
 
         shard_indices = self.route_trace(trace)

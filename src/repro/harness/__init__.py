@@ -15,9 +15,7 @@ from repro.harness.parallel import (
     Cell,
     CellFailure,
     default_jobs,
-    replay_sharded,
     run_cells,
-    sharding_eligible,
 )
 from repro.harness.runner import ReplayResult, replay
 from repro.harness.report import cdf_from_counter, format_table
@@ -35,6 +33,4 @@ __all__ = [
     "CellFailure",
     "default_jobs",
     "run_cells",
-    "replay_sharded",
-    "sharding_eligible",
 ]

@@ -23,10 +23,15 @@ requires:
   applied to the real engine via its bulk insert path, in request order.
   Lookup-side counters settle per chunk in O(1) from padded prefix sums.
 
+A kernel is a *chunk executor* for the runner's one replay loop
+(``harness/runner.py`` owns boundaries, sampling and window marks): the
+registered function runs the decision pass once and returns
+``advance(stop)``, which applies the mutation loop up to ``stop``,
+settles the deferred lookup counters and returns the position reached.
 The engine remains the source of truth: every sampled metric comes from
-``engine.metrics_snapshot()`` after the kernel settles its deferred
-lookup counters, so the lane is byte-identical to the batched lane (the
-parity goldens compare all three lanes).
+``engine.metrics_snapshot()`` after an advance, so the lane is
+byte-identical to the batched lane (the parity goldens compare all three
+lanes).
 
 Correctness boundaries (the kernels *refuse* rather than approximate):
 
@@ -41,10 +46,10 @@ Correctness boundaries (the kernels *refuse* rather than approximate):
   first flush that *can* recycle a zone), runs fall back to the exact
   ``insert_many`` path and the walker checks the engine's eviction
   counter after each flush.  On the first live-object eviction it
-  *bails* — settles counters for the exactly-processed prefix and hands
-  the remaining suffix back to the batched lane mid-replay.  Wrapping
-  workloads therefore replay as a columnar prefix + batched suffix,
-  still byte-identical.
+  *bails* — settles counters for the exactly-processed prefix and
+  returns a position short of ``stop``, and the runner finishes the
+  trace on the batched executor.  Wrapping workloads therefore replay
+  as a columnar prefix + batched suffix, still byte-identical.
 - The Nemo kernel (:func:`replay_nemo_columnar`) runs its own compact
   mutation loop over insert events with a vectorised settle of every
   lookup-side counter between state changes; it repairs the decision
@@ -58,53 +63,47 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, cast
+from typing import Callable, cast
 
 import numpy as np
 
+from repro.baselines.base import CacheEngine
 from repro.baselines.log_structured import LogStructuredCache
 from repro.core.flusher import FlushDecision
 from repro.core.nemo import NemoCache
 from repro.errors import EngineStateError, ReadError
 from repro.faults.plan import FaultPlan
 from repro.flash.zone import ZoneState
-from repro.harness.metrics import MetricSeries, WindowedRate
 from repro.harness.percentile import LatencyRecorder
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
 
-@dataclass(frozen=True)
-class ColumnarOutcome:
-    """What the kernel processed.
-
-    ``resume_pos`` is the first request the kernel did *not* process;
-    ``now_us`` is the simulated clock after the last processed request,
-    ready for the batched lane to continue accumulating from.
-    ``completed`` distinguishes a full replay from a bail-out that
-    stopped exactly at the final boundary (whose sample the batched
-    lane still owes).
-    """
-
-    resume_pos: int
-    now_us: float
-    completed: bool
+#: An opened kernel's chunk executor: ``advance(stop)`` replays the
+#: requests from its current position up to ``stop`` and returns the
+#: position it reached.  Anything short of ``stop`` is a bail: engine
+#: state is exact through the returned position, the decision columns
+#: beyond it are stale, and the caller finishes the trace another way
+#: (a bail that lands exactly on ``stop`` shows on the next advance).
+Advance = Callable[[int], int]
 
 
-def log_kernel_ineligible_reason(
-    engine: object, trace: Trace, faults: FaultPlan | None
+_NOT_VIRGIN = (
+    "the engine is not virgin (the decision pass must observe every state change)"
+)
+
+
+def _shared_ineligible_reason(
+    engine: CacheEngine, trace: Trace, faults: FaultPlan | None
 ) -> str | None:
-    """Why the whole-trace Log kernel may *not* replay this combination.
+    """The refusals every whole-trace kernel shares.
 
-    The kernel's decision pass assumes it observes every state change,
-    so the engine must start empty; latency models and fault plans need
-    per-request treatment and stay on the batched lane.  Returns None
-    when the kernel is eligible.
+    A decision pass assumes it observes every state change, so the
+    engine must start empty; latency models and fault plans need
+    per-request treatment and stay on the batched lane.
     """
-    if type(engine) is not LogStructuredCache:
-        return f"the Log kernel only replays LogStructuredCache, not {type(engine).__name__}"
     if faults is not None:
         return "fault plans need per-request NAND hooks"
-    if engine.device.latency is not None:
+    if engine.latency_model() is not None:
         return "latency models need per-request timing"
     counters = engine.counters
     if (
@@ -112,27 +111,35 @@ def log_kernel_ineligible_reason(
         or counters.inserts
         or counters.deletes
         or engine.object_count()
-        or engine._buffer_bytes
         or engine.stats.host_write_bytes
         or engine.stats.logical_write_bytes
     ):
-        return "the engine is not virgin (the decision pass must observe every state change)"
-    n = len(trace)
-    if n == 0:
+        return _NOT_VIRGIN
+    if len(trace) == 0:
         return "empty trace"
+    return None
+
+
+def log_kernel_ineligible_reason(
+    engine: object, trace: Trace, faults: FaultPlan | None
+) -> str | None:
+    """Why the whole-trace Log kernel may *not* replay this combination.
+
+    Returns None when the kernel is eligible.
+    """
+    if type(engine) is not LogStructuredCache:
+        return f"the Log kernel only replays LogStructuredCache, not {type(engine).__name__}"
+    reason = _shared_ineligible_reason(engine, trace, faults)
+    if reason is not None:
+        return reason
+    if engine._buffer_bytes:
+        return _NOT_VIRGIN
     max_stored = int(trace.sizes.max()) + engine.object_header_bytes
     if max_stored > engine.geometry.page_size:
         # An oversized object must raise at its exact request position;
         # only the per-request lanes can do that.
         return "an oversized object must raise at its exact request position"
     return None
-
-
-def log_kernel_eligible(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> bool:
-    """Whether the whole-trace Log kernel may replay this combination."""
-    return log_kernel_ineligible_reason(engine, trace, faults) is None
 
 
 def _flush_schedule(ins_stored: np.ndarray, page_size: int) -> np.ndarray:
@@ -188,7 +195,6 @@ class _TraceLinks:
     cum_read_bytes: np.ndarray
     cum_ins: np.ndarray
     cum_ins_bytes: np.ndarray
-    cum_live: np.ndarray
 
 
 def _trace_links(trace: Trace) -> _TraceLinks:
@@ -252,17 +258,6 @@ def _trace_links(trace: Trace) -> _TraceLinks:
     np.cumsum(is_ins_event, out=cum_ins[1:])
     cum_ins_bytes = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.where(is_ins_event, sizes, 0), out=cum_ins_bytes[1:])
-    # Live-object-count delta per request (how ``len(_index)`` moves):
-    # +1 when an absent key is admitted (SET or read-through miss),
-    # -1 when a present key is DELETEd, 0 otherwise.  Prefix-summed so
-    # the analytic sharded lane reads ``object_count`` at any position.
-    live_delta = np.where(
-        present,
-        np.where(is_del, -1, 0),
-        np.where(is_del, 0, 1),
-    ).astype(np.int64)
-    cum_live = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(live_delta, out=cum_live[1:])
 
     links = _TraceLinks(
         prev_pos=prev_pos,
@@ -280,7 +275,6 @@ def _trace_links(trace: Trace) -> _TraceLinks:
         cum_read_bytes=cum_read_bytes,
         cum_ins=cum_ins,
         cum_ins_bytes=cum_ins_bytes,
-        cum_live=cum_live,
     )
     trace._kernel_cache["log-links"] = links
     return links
@@ -299,7 +293,6 @@ class _FlushPlan:
     """
 
     flush_list: list[int]
-    flush_positions: np.ndarray
     pages: list[int]
     prune_list: list[int]
     prune_pages: list[int]
@@ -365,7 +358,6 @@ def _flush_plan(
 
     plan = _FlushPlan(
         flush_list=flush_evt.tolist(),
-        flush_positions=flush_positions,
         pages=pages.tolist(),
         prune_list=prune_evt.tolist(),
         prune_pages=prune_pages.tolist(),
@@ -375,7 +367,7 @@ def _flush_plan(
     return plan
 
 
-def _clock(trace: Trace, step_us: float) -> np.ndarray:
+def sim_clock(trace: Trace, step_us: float) -> np.ndarray:
     """Simulated clock after each request.
 
     ``np.add.accumulate`` is a sequential left fold, so boundary values
@@ -395,24 +387,18 @@ def replay_log_columnar(
     engine: LogStructuredCache,
     trace: Trace,
     *,
-    boundaries: list[int],
-    sample_points: set[int],
-    mark_window_at: int | None,
-    series: dict[str, MetricSeries],
-    sampled_metrics: tuple[str, ...],
-    latency: LatencyRecorder,
-    record_latency: bool,
-    write_rate: WindowedRate | None,
     step_us: float,
-    progress: bool,
-    progress_every: int,
-    sample_every: int,
-) -> ColumnarOutcome:
-    """Replay ``trace`` on the whole-trace columnar kernel.
+    latency: LatencyRecorder | None,
+    sampled_metrics: tuple[str, ...],
+) -> Advance:
+    """Open a replay of ``trace`` on the whole-trace Log kernel.
 
-    Caller guarantees :func:`log_kernel_eligible` returned True.
-    ``boundaries`` is the runner's sorted chunk-boundary list (sample
-    points plus the Fig. 15 window mark, ending at ``len(trace)``).
+    Caller guarantees :func:`log_kernel_ineligible_reason` returned
+    None.  Runs the decision pass and returns the chunk executor.
+    ``latency`` is the recorder per-GET latencies go to (None: not
+    recorded); ``sampled_metrics`` is part of the common kernel
+    signature and unused here — this kernel leaves nothing unsettled
+    at the end of an advance.
     """
     n = len(trace)
     header = engine.object_header_bytes
@@ -423,7 +409,7 @@ def replay_log_columnar(
     # ------------------------------------------------------------------
     links = _trace_links(trace)
     plan = _flush_plan(trace, links, page_size, header)
-    clock = _clock(trace, step_us)
+    clock = sim_clock(trace, step_us)
 
     # ------------------------------------------------------------------
     # Mutation-loop inputs (compact event lists)
@@ -475,7 +461,7 @@ def replay_log_columnar(
             return
         n_get = int(cum_get[b] - cum_get[a])
         n_hit = int(cum_hit[b] - cum_hit[a])
-        if record_latency and n_get:
+        if latency is not None and n_get:
             # Latency-free device: every GET records 0.0, in order.
             latency.record_many([0.0] * n_get)
         counters.lookups += n_get
@@ -491,122 +477,102 @@ def replay_log_columnar(
             stats.host_read_ops += flash_reads
             stats.flash_read_bytes += nbytes
 
-    def sample_at(stop: int, now_us: float) -> None:
-        snap = engine.metrics_snapshot()
-        # Per-metric (not per-request) loop over the handful of sampled
-        # series names.
-        # reprolint: disable=R008
-        for metric in sampled_metrics:
-            series[metric].record(stop, snap.get(metric, float("nan")))
-        if write_rate is not None:
-            write_rate.update(now_us / 1e6, snap["host_write_bytes"])
-        if progress and stop % progress_every < sample_every:
-            print(
-                f"  [{engine.name}] {stop:,}/{n:,} "
-                f"wa={snap.get('wa', float('nan')):.2f} "
-                f"miss={snap.get('miss_ratio', float('nan')):.3f}"
-            )
-
     # ------------------------------------------------------------------
-    # Mutation loop: apply events in request order, chunk by chunk
+    # Mutation loop: apply events in request order, one chunk per advance
     # ------------------------------------------------------------------
     ii = 0  # next insert event
     di = 0  # next delete event
     fi = 0  # next flush (monotone pointer into flush_list)
     pi = 0  # next prune event (monotone pointer into prune_list)
-    start = 0
-    # Chunk loop: one iteration per sample boundary, not per request.
-    # reprolint: disable=R008
-    for stop in boundaries:
-        if stop > start:
-            now_chunk = float(clock[start - 1]) if start else 0.0
-            # Event walker: one iteration per insert *run* (cut at
-            # deletes and — once the device can wrap — at each flush),
-            # not per request.
-            # reprolint: disable=R008
-            while True:
-                next_ins = ins_pos_list[ii] if ii < n_ins else n
-                next_del = del_pos_list[di] if di < n_del else n
-                if next_ins >= stop and next_del >= stop:
-                    break
-                if next_del < next_ins:
-                    delete(del_keys[di])
-                    di += 1
-                    continue
-                # Maximal insert run: up to the chunk end or the next
-                # delete, cut right after the first predicted flush that
-                # could evict, so evictions surface at the exact request
-                # they happen.  Flushes that still have an empty zone to
-                # write into stay inside the run as ``cuts``.
-                run_stop = min(stop, next_del)
-                jj = int(np.searchsorted(ins_pos, run_stop, side="left"))
-                check_evictions = False
-                if first_evicting_flush < n_flush:
-                    nf = fi if fi >= first_evicting_flush else first_evicting_flush
-                    if nf < n_flush and flush_list[nf] + 1 <= jj:
-                        jj = flush_list[nf] + 1
-                        check_evictions = True
-                f_lo = fi
-                # Monotone pointer advances: one step per flush/prune
-                # event across the whole trace, not per request.
-                # reprolint: disable=R008
-                while fi < n_flush and flush_list[fi] < jj:
-                    fi += 1
-                p_lo = pi
-                # reprolint: disable=R008
-                while pi < n_prune and prune_list[pi] < jj:
-                    pi += 1
-                if check_evictions or f_lo >= first_evicting_flush:
-                    # The device may recycle zones from here on: page
-                    # predictions are stale, so replay the run through
-                    # the exact per-event bulk path.
-                    insert_many(
-                        ins_keys[ii:jj], ins_sizes[ii:jj], now_chunk, 0.0
-                    )
-                else:
-                    # Placements beyond the run's last flush stay
-                    # buffered: exactly the last trigger event and
-                    # everything after it (a trigger's own insert lands
-                    # in the fresh buffer), so the cap is a slice +
-                    # fill, not a scan.
-                    if fi > f_lo:
-                        flushed_to = flush_list[fi - 1]
-                        run_pages = pages[ii:flushed_to]
-                        run_pages += [-1] * (jj - flushed_to)
-                    else:
-                        run_pages = [-1] * (jj - ii)
-                    insert_column(
-                        ins_keys[ii:jj],
-                        ins_sizes[ii:jj],
-                        [t - ii for t in flush_list[f_lo:fi]],
-                        [t - ii for t in prune_list[p_lo:pi]],
-                        prune_pages[p_lo:pi],
-                        run_pages,
-                        now_chunk,
-                    )
-                ii = jj
-                if check_evictions and counters.evicted_objects:
-                    # First live-object eviction: the hit classification
-                    # beyond this request is stale.  Settle the exact
-                    # prefix and hand the rest to the batched lane.
-                    bail = ins_pos_list[jj - 1] + 1
-                    settle(start, bail)
-                    return ColumnarOutcome(
-                        resume_pos=bail,
-                        now_us=float(clock[bail - 1]),
-                        completed=False,
-                    )
-            settle(start, stop)
-        now_us = float(clock[stop - 1]) if stop else 0.0
-        if stop == mark_window_at:
-            latency.mark_window()
-        if stop in sample_points:
-            sample_at(stop, now_us)
-        start = stop
+    pos = 0  # requests below it are applied and settled
+    bailed = False
 
-    return ColumnarOutcome(
-        resume_pos=n, now_us=float(clock[n - 1]) if n else 0.0, completed=True
-    )
+    def advance(stop: int) -> int:
+        nonlocal ii, di, fi, pi, pos, bailed
+        if bailed:
+            # The evicting request can be the last of its chunk: that
+            # advance reached its ``stop``, this one reports the bail.
+            return pos
+        start = pos
+        now_chunk = float(clock[start - 1]) if start else 0.0
+        # Event walker: one iteration per insert *run* (cut at
+        # deletes and — once the device can wrap — at each flush),
+        # not per request.
+        # reprolint: disable=R008
+        while True:
+            next_ins = ins_pos_list[ii] if ii < n_ins else n
+            next_del = del_pos_list[di] if di < n_del else n
+            if next_ins >= stop and next_del >= stop:
+                break
+            if next_del < next_ins:
+                delete(del_keys[di])
+                di += 1
+                continue
+            # Maximal insert run: up to the chunk end or the next
+            # delete, cut right after the first predicted flush that
+            # could evict, so evictions surface at the exact request
+            # they happen.  Flushes that still have an empty zone to
+            # write into stay inside the run as ``cuts``.
+            run_stop = min(stop, next_del)
+            jj = int(np.searchsorted(ins_pos, run_stop, side="left"))
+            check_evictions = False
+            if first_evicting_flush < n_flush:
+                nf = fi if fi >= first_evicting_flush else first_evicting_flush
+                if nf < n_flush and flush_list[nf] + 1 <= jj:
+                    jj = flush_list[nf] + 1
+                    check_evictions = True
+            f_lo = fi
+            # Monotone pointer advances: one step per flush/prune
+            # event across the whole trace, not per request.
+            # reprolint: disable=R008
+            while fi < n_flush and flush_list[fi] < jj:
+                fi += 1
+            p_lo = pi
+            # reprolint: disable=R008
+            while pi < n_prune and prune_list[pi] < jj:
+                pi += 1
+            if check_evictions or f_lo >= first_evicting_flush:
+                # The device may recycle zones from here on: page
+                # predictions are stale, so replay the run through
+                # the exact per-event bulk path.
+                insert_many(
+                    ins_keys[ii:jj], ins_sizes[ii:jj], now_chunk, 0.0
+                )
+            else:
+                # Placements beyond the run's last flush stay
+                # buffered: exactly the last trigger event and
+                # everything after it (a trigger's own insert lands
+                # in the fresh buffer), so the cap is a slice +
+                # fill, not a scan.
+                if fi > f_lo:
+                    flushed_to = flush_list[fi - 1]
+                    run_pages = pages[ii:flushed_to]
+                    run_pages += [-1] * (jj - flushed_to)
+                else:
+                    run_pages = [-1] * (jj - ii)
+                insert_column(
+                    ins_keys[ii:jj],
+                    ins_sizes[ii:jj],
+                    [t - ii for t in flush_list[f_lo:fi]],
+                    [t - ii for t in prune_list[p_lo:pi]],
+                    prune_pages[p_lo:pi],
+                    run_pages,
+                    now_chunk,
+                )
+            ii = jj
+            if check_evictions and counters.evicted_objects:
+                # First live-object eviction: the hit classification
+                # beyond this request is stale.  Stop right after it,
+                # settle the exact prefix, and leave the rest to the
+                # runner's batched executor.
+                bailed = True
+                stop = ins_pos_list[jj - 1] + 1
+                break
+        settle(start, stop)
+        pos = stop
+        return stop
+
+    return advance
 
 
 # ======================================================================
@@ -678,63 +644,35 @@ def nemo_kernel_ineligible_reason(
 ) -> str | None:
     """Why the whole-trace Nemo kernel may *not* replay this combination.
 
-    Mirrors :func:`log_kernel_ineligible_reason`: virgin engine,
-    latency-free device, no fault plan, no oversized objects.  Returns
-    None when the kernel is eligible.
+    Returns None when the kernel is eligible.
     """
     if type(engine) is not NemoCache:
         return f"the Nemo kernel only replays NemoCache, not {type(engine).__name__}"
-    if faults is not None:
-        return "fault plans need per-request NAND hooks"
-    if engine.device.latency is not None:
-        return "latency models need per-request timing"
-    counters = engine.counters
-    if (
-        counters.lookups
-        or counters.inserts
-        or counters.deletes
-        or engine.pool
-        or engine.flush_policy.blocked_inserts
-        or engine.object_count()
-        or engine.stats.host_write_bytes
-        or engine.stats.logical_write_bytes
-    ):
-        return "the engine is not virgin (the decision pass must observe every state change)"
-    n = len(trace)
-    if n == 0:
-        return "empty trace"
+    reason = _shared_ineligible_reason(engine, trace, faults)
+    if reason is not None:
+        return reason
+    if engine.pool or engine.flush_policy.blocked_inserts:
+        return _NOT_VIRGIN
     if int(trace.sizes.max()) > engine.set_size:
         return "an oversized object must raise at its exact request position"
     return None
-
-
-def nemo_kernel_eligible(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> bool:
-    """Whether the whole-trace Nemo kernel may replay this combination."""
-    return nemo_kernel_ineligible_reason(engine, trace, faults) is None
 
 
 def replay_nemo_columnar(
     engine: NemoCache,
     trace: Trace,
     *,
-    boundaries: list[int],
-    sample_points: set[int],
-    mark_window_at: int | None,
-    series: dict[str, MetricSeries],
-    sampled_metrics: tuple[str, ...],
-    latency: LatencyRecorder,
-    record_latency: bool,
-    write_rate: WindowedRate | None,
     step_us: float,
-    progress: bool,
-    progress_every: int,
-    sample_every: int,
-) -> ColumnarOutcome:
-    """Replay ``trace`` on the whole-trace Nemo kernel.
+    latency: LatencyRecorder | None,
+    sampled_metrics: tuple[str, ...],
+) -> Advance:
+    """Open a replay of ``trace`` on the whole-trace Nemo kernel.
 
-    Caller guarantees :func:`nemo_kernel_eligible` returned True.
+    Caller guarantees :func:`nemo_kernel_ineligible_reason` returned
+    None.  Runs the decision pass and returns the chunk executor;
+    ``latency`` is the recorder per-GET latencies go to (None: not
+    recorded) and ``sampled_metrics`` names what the caller reads from
+    the engine between advances (it decides ``defer_reads`` below).
 
     The mutation loop visits only *state changes* — insert events
     (SETs + read-through misses), deletes, flush decisions — and keeps a
@@ -756,8 +694,9 @@ def replay_nemo_columnar(
     size re-read); if no copy survives, the next GET is really a
     read-through miss — the kernel schedules a scalar *injection* at
     that exact position and excludes it from the vector settle.  SG-pool
-    evictions (a blocked insert with no free SG zones) bail to the
-    batched lane instead, before any policy state mutates.
+    evictions (a blocked insert with no free SG zones) bail instead
+    (``advance`` returns the position of that request), before any
+    policy state mutates.
     """
     n = len(trace)
     ops = trace.ops
@@ -770,7 +709,7 @@ def replay_nemo_columnar(
     # ------------------------------------------------------------------
     links = _trace_links(trace)
     chain = _nemo_chain(trace, links)
-    clock = _clock(trace, step_us)
+    clock = sim_clock(trace, step_us)
     col = trace.columns(config.hash_seed, engine.sets_per_sg).set_ids
 
     get_pos = chain.get_pos
@@ -833,8 +772,8 @@ def replay_nemo_columnar(
     # counters, hotness bits) is engine state nothing reads between
     # state-change events, so it can settle per *epoch* (flush / delete
     # / eviction / injection boundaries — a handful per trace) instead
-    # of per sample boundary.  Only legal when no sampled series would
-    # observe the deferred counters mid-epoch.
+    # of per advance.  Only legal when no sampled series would observe
+    # the deferred counters mid-epoch.
     defer_reads = NemoCache.CONSULT_METRICS.isdisjoint(sampled_metrics)
 
     # ------------------------------------------------------------------
@@ -902,7 +841,7 @@ def replay_nemo_columnar(
         stats.logical_write_bytes += ins_bytes
         if not n_get:
             return
-        if record_latency:
+        if latency is not None:
             # Latency-free device: every GET records 0.0, in order.
             latency.record_many([0.0] * n_get)
         if n_hit:
@@ -985,50 +924,6 @@ def replay_nemo_columnar(
                 keys_arr[fh], col[fh], sg[~mem] < window_sgs
             )
 
-    # ``object_count`` is the one snapshot key that scans every set
-    # (O(sets) per sample point); when it is not sampled, build the
-    # same snapshot without it.  The key set and every formula below
-    # mirror ``NemoCache.metrics_snapshot`` — the metric-parity suite
-    # compares sampled series across lanes, so drift fails loudly.
-    sample_object_count = "object_count" in sampled_metrics
-
-    def sample_at(stop: int, now_us: float) -> None:
-        if sample_object_count:
-            snap = engine.metrics_snapshot()
-        else:
-            snap = stats.snapshot()
-            snap.update(
-                {
-                    "lookups": counters.lookups,
-                    "hits": counters.hits,
-                    "miss_ratio": counters.miss_ratio,
-                    "inserts": counters.inserts,
-                    "evicted_objects": counters.evicted_objects,
-                    "wa": engine.write_amplification,
-                    "mean_fill_rate": engine.mean_fill_rate(),
-                    "mean_new_fill_rate": engine.mean_new_fill_rate(),
-                    "pool_sgs": len(pool_dq),
-                    "writeback_objects": engine.writeback_objects,
-                    "early_evicted_objects": engine.early_evicted_objects,
-                    "pbfg_pool_read_ratio": engine.pbfg_pool_read_ratio(),
-                    "false_positive_reads": engine.false_positive_reads,
-                    "index_cache_pages": len(engine.index_cache),
-                }
-            )
-        # Per-metric (not per-request) loop over the handful of sampled
-        # series names.
-        # reprolint: disable=R008
-        for metric in sampled_metrics:
-            series[metric].record(stop, snap.get(metric, float("nan")))
-        if write_rate is not None:
-            write_rate.update(now_us / 1e6, snap["host_write_bytes"])
-        if progress and stop % progress_every < sample_every:
-            print(
-                f"  [{engine.name}] {stop:,}/{n:,} "
-                f"wa={snap.get('wa', float('nan')):.2f} "
-                f"miss={snap.get('miss_ratio', float('nan')):.3f}"
-            )
-
     # ------------------------------------------------------------------
     # Blocked-insert slow path (eviction, flush, or bail)
     # ------------------------------------------------------------------
@@ -1037,7 +932,7 @@ def replay_nemo_columnar(
 
         Returns None to bail: an SG-pool eviction is imminent (no free
         SG zones), which would invalidate the whole classification —
-        the batched lane redoes this request from untouched policy
+        the batched executor redoes this request from untouched policy
         state, so nothing may mutate before the bail.
         """
         nonlocal F, sgs
@@ -1076,177 +971,164 @@ def replay_nemo_columnar(
         raise EngineStateError("insert failed after flushing the front SG")
 
     # ------------------------------------------------------------------
-    # Mutation loop: insert events, deletes, injections, chunk by chunk
+    # Mutation loop: insert events, deletes, injections, one chunk per
+    # advance
     # ------------------------------------------------------------------
     ii = 0  # next insert event
     di = 0  # next delete event
     next_ins = ins_pos_list[0] if n_ins else n
     next_del = del_pos_list[0] if n_del else n
-    start = 0
-    # Chunk loop: one iteration per sample boundary, not per request.
-    # reprolint: disable=R008
-    for stop in boundaries:
-        if stop > start:
-            # Event walker: one iteration per state change (insert
-            # event, delete, injection), not per request.
-            # reprolint: disable=R008
-            while True:
-                t = next_ins
-                kind = 0
-                if next_del < t:
-                    t = next_del
-                    kind = 1
-                if sched and sched[0] < t:
-                    t = sched[0]
-                    kind = 2
-                if t >= stop:
-                    break
-                if kind == 0:
-                    # Insert event: inline SetGroupQueue.try_insert,
-                    # recording the placement in sg_arr.  The queue's
-                    # membership pass checks every SG before placing, so
-                    # the fused walk collects the first SG with room on
-                    # the same pass it proves the key absent.
-                    key = ins_keys[ii]
-                    size = ins_sizes[ii]
-                    off = ins_offs[ii]
-                    ii += 1
-                    next_ins = ins_pos_list[ii] if ii < n_ins else n
-                    fit = None
-                    # reprolint: disable=R008
-                    for sg in sgs:
-                        tset = sg.sets[off]
-                        obj = tset.objects
-                        if key in obj:
-                            # In-place update (keeps dict position).
-                            sg_arr[t] = sg.sg_id
-                            old = obj[key]
-                            obj[key] = size
-                            ub = tset.used_bytes + size - old
-                            tset.used_bytes = ub
-                            sg.new_bytes_in += size
-                            if ub > set_size:
-                                # Oversized replacement: shed FIFO
-                                # (silent, as SetGroup.try_insert).
-                                # reprolint: disable=R008
-                                while tset.used_bytes > set_size:
-                                    k2 = next(iter(obj))
-                                    tset.used_bytes -= obj.pop(k2)
-                                    dirty(k2, t)
-                            break
-                        if fit is None and tset.used_bytes + size <= set_size:
-                            fit = (sg, tset, obj)
-                    else:
-                        if fit is not None:
-                            sg, tset, obj = fit
-                            obj[key] = size
-                            tset.used_bytes += size
-                            sg.new_bytes_in += size
-                            sg_arr[t] = sg.sg_id
-                        else:
-                            placed = blocked_insert(key, size, off, t)
-                            if placed is None:
-                                settle(t)
-                                read_settle(t)
-                                return ColumnarOutcome(
-                                    resume_pos=t,
-                                    now_us=float(clock[t - 1]),
-                                    completed=False,
-                                )
-                            sg_arr[t] = placed
-                elif kind == 1:
-                    # Deletes discard hotness bits and pool copies, so
-                    # the deferred read side must land first.
-                    settle(t)
-                    read_settle(t)
-                    engine.delete(del_keys[di])
-                    di += 1
-                    next_del = del_pos_list[di] if di < n_del else n
-                else:
-                    # Injection: this position was classified a hit but
-                    # the key was evicted with no surviving flash copy —
-                    # run the one request scalar (real lookup, manual
-                    # read-through accounting) and exclude it from the
-                    # vector settle.
-                    heappop(sched)
-                    key, carrier = pending_inj.pop(t)
-                    off = int(col[t])
-                    size = int(sizes_arr[t])
-                    room = False
-                    # reprolint: disable=R008
-                    for sg in sgs:
-                        if sg.sets[off].used_bytes + size <= set_size:
-                            room = True
-                            break
-                    if not room and len(free_zones) < zones_per_sg:
-                        # The read-through insert would force an SG-pool
-                        # eviction: bail before any state mutates.
-                        settle(t)
-                        read_settle(t)
-                        return ColumnarOutcome(
-                            resume_pos=t,
-                            now_us=float(clock[t - 1]),
-                            completed=False,
-                        )
-                    settle(t)
-                    read_settle(t)
-                    seg_start = t + 1  # this request settles scalar
-                    rpos = t + 1  # the real lookup consults for itself
-                    res = engine.lookup(
-                        key, size, float(clock[t - 1]) if t else 0.0
-                    )
-                    if res.hit:
-                        raise EngineStateError(
-                            "injected lookup unexpectedly hit"
-                        )
-                    if record_latency:
-                        latency.record(res.latency_us)
-                    counters.inserts += 1
-                    counters.insert_bytes += size
-                    stats.logical_write_bytes += size
-                    placed = None
-                    # Membership pass is vacuous (the key just missed);
-                    # placement pass as in the walk above.
-                    # reprolint: disable=R008
-                    for sg in sgs:
-                        tset = sg.sets[off]
-                        if tset.used_bytes + size <= set_size:
-                            tset.objects[key] = size
-                            tset.used_bytes += size
-                            sg.new_bytes_in += size
-                            placed = sg.sg_id
-                            break
-                    if placed is None:
-                        placed = blocked_insert(key, size, off, t)
-                        if placed is None:  # pragma: no cover - prechecked
-                            raise EngineStateError(
-                                "injection bail after mutation"
-                            )
-                    # Re-point the key's carrier at the new placement
-                    # and repair its future GET-hit run to this size.
-                    sg_arr[carrier] = placed
-                    lo, hi = run_bounds[key]
-                    occ = occ_sorted[lo:hi]
-                    j = int(np.searchsorted(occ, t, side="right"))
-                    # reprolint: disable=R008
-                    while j < hi - lo:
-                        p = int(occ[j])
-                        if ops[p] != OP_GET_ or not hit_b[p]:
-                            break
-                        rs[p] = size
-                        j += 1
-            settle(stop)
-        now_us = float(clock[stop - 1]) if stop else 0.0
-        if stop == mark_window_at:
-            latency.mark_window()
-        if stop in sample_points:
-            sample_at(stop, now_us)
-        start = stop
 
-    read_settle(n)
-    return ColumnarOutcome(
-        resume_pos=n, now_us=float(clock[n - 1]) if n else 0.0, completed=True
-    )
+    def advance(stop: int) -> int:
+        nonlocal ii, di, next_ins, next_del, seg_start, rpos
+        # Event walker: one iteration per state change (insert
+        # event, delete, injection), not per request.
+        # reprolint: disable=R008
+        while True:
+            t = next_ins
+            kind = 0
+            if next_del < t:
+                t = next_del
+                kind = 1
+            if sched and sched[0] < t:
+                t = sched[0]
+                kind = 2
+            if t >= stop:
+                break
+            if kind == 0:
+                # Insert event: inline SetGroupQueue.try_insert,
+                # recording the placement in sg_arr.  The queue's
+                # membership pass checks every SG before placing, so
+                # the fused walk collects the first SG with room on
+                # the same pass it proves the key absent.
+                key = ins_keys[ii]
+                size = ins_sizes[ii]
+                off = ins_offs[ii]
+                ii += 1
+                next_ins = ins_pos_list[ii] if ii < n_ins else n
+                fit = None
+                # reprolint: disable=R008
+                for sg in sgs:
+                    tset = sg.sets[off]
+                    obj = tset.objects
+                    if key in obj:
+                        # In-place update (keeps dict position).
+                        sg_arr[t] = sg.sg_id
+                        old = obj[key]
+                        obj[key] = size
+                        ub = tset.used_bytes + size - old
+                        tset.used_bytes = ub
+                        sg.new_bytes_in += size
+                        if ub > set_size:
+                            # Oversized replacement: shed FIFO
+                            # (silent, as SetGroup.try_insert).
+                            # reprolint: disable=R008
+                            while tset.used_bytes > set_size:
+                                k2 = next(iter(obj))
+                                tset.used_bytes -= obj.pop(k2)
+                                dirty(k2, t)
+                        break
+                    if fit is None and tset.used_bytes + size <= set_size:
+                        fit = (sg, tset, obj)
+                else:
+                    if fit is not None:
+                        sg, tset, obj = fit
+                        obj[key] = size
+                        tset.used_bytes += size
+                        sg.new_bytes_in += size
+                        sg_arr[t] = sg.sg_id
+                    else:
+                        placed = blocked_insert(key, size, off, t)
+                        if placed is None:
+                            settle(t)
+                            read_settle(t)
+                            return t
+                        sg_arr[t] = placed
+            elif kind == 1:
+                # Deletes discard hotness bits and pool copies, so
+                # the deferred read side must land first.
+                settle(t)
+                read_settle(t)
+                engine.delete(del_keys[di])
+                di += 1
+                next_del = del_pos_list[di] if di < n_del else n
+            else:
+                # Injection: this position was classified a hit but
+                # the key was evicted with no surviving flash copy —
+                # run the one request scalar (real lookup, manual
+                # read-through accounting) and exclude it from the
+                # vector settle.
+                heappop(sched)
+                key, carrier = pending_inj.pop(t)
+                off = int(col[t])
+                size = int(sizes_arr[t])
+                room = False
+                # reprolint: disable=R008
+                for sg in sgs:
+                    if sg.sets[off].used_bytes + size <= set_size:
+                        room = True
+                        break
+                if not room and len(free_zones) < zones_per_sg:
+                    # The read-through insert would force an SG-pool
+                    # eviction: bail before any state mutates.
+                    settle(t)
+                    read_settle(t)
+                    return t
+                settle(t)
+                read_settle(t)
+                seg_start = t + 1  # this request settles scalar
+                rpos = t + 1  # the real lookup consults for itself
+                res = engine.lookup(
+                    key, size, float(clock[t - 1]) if t else 0.0
+                )
+                if res.hit:
+                    raise EngineStateError(
+                        "injected lookup unexpectedly hit"
+                    )
+                if latency is not None:
+                    latency.record(res.latency_us)
+                counters.inserts += 1
+                counters.insert_bytes += size
+                stats.logical_write_bytes += size
+                placed = None
+                # Membership pass is vacuous (the key just missed);
+                # placement pass as in the walk above.
+                # reprolint: disable=R008
+                for sg in sgs:
+                    tset = sg.sets[off]
+                    if tset.used_bytes + size <= set_size:
+                        tset.objects[key] = size
+                        tset.used_bytes += size
+                        sg.new_bytes_in += size
+                        placed = sg.sg_id
+                        break
+                if placed is None:
+                    placed = blocked_insert(key, size, off, t)
+                    if placed is None:  # pragma: no cover - prechecked
+                        raise EngineStateError(
+                            "injection bail after mutation"
+                        )
+                # Re-point the key's carrier at the new placement
+                # and repair its future GET-hit run to this size.
+                sg_arr[carrier] = placed
+                lo, hi = run_bounds[key]
+                occ = occ_sorted[lo:hi]
+                j = int(np.searchsorted(occ, t, side="right"))
+                # reprolint: disable=R008
+                while j < hi - lo:
+                    p = int(occ[j])
+                    if ops[p] != OP_GET_ or not hit_b[p]:
+                        break
+                    rs[p] = size
+                    j += 1
+        settle(stop)
+        if stop == n:
+            # End of trace: nothing is left to open another epoch, so
+            # the deferred read side lands here.
+            read_settle(n)
+        return stop
+
+    return advance
 
 
 # ======================================================================
@@ -1258,17 +1140,19 @@ class KernelSpec:
     """One engine type's whole-trace columnar kernel.
 
     ``ineligible_reason`` returns a human-readable refusal (or None when
-    the kernel may run); ``replay`` has the common kernel signature and
-    returns a :class:`ColumnarOutcome`.
+    the kernel may run); ``replay`` has the common kernel signature
+    ``(engine, trace, *, step_us, latency, sampled_metrics)``: it opens
+    the replay (decision pass) and returns its :data:`Advance`.
     """
 
     name: str
     ineligible_reason: Callable[[object, Trace, FaultPlan | None], str | None]
-    replay: Callable[..., ColumnarOutcome]
+    replay: Callable[..., Advance]
 
 
-#: Engine type -> whole-trace kernel.  Dispatch (runner, sharded lane,
-#: cluster shards) consults this instead of hardcoding engine checks.
+#: Engine type -> whole-trace kernel.  Dispatch (the runner, and through
+#: it the cluster's shard workers) consults this instead of hardcoding
+#: engine checks.
 KERNEL_REGISTRY: dict[type, KernelSpec] = {
     LogStructuredCache: KernelSpec(
         name="log",
@@ -1306,10 +1190,3 @@ def kernel_ineligible_reason(
             f"(registered: {registered})"
         )
     return spec.ineligible_reason(engine, trace, faults)
-
-
-def kernel_eligible(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> bool:
-    """Whether any registered whole-trace kernel may replay this combination."""
-    return kernel_ineligible_reason(engine, trace, faults) is None

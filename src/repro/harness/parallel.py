@@ -6,22 +6,9 @@ no state across cells.  That makes the experiment sweeps embarrassingly
 parallel, which is exactly the structural independence the paper leans
 on when it argues Nemo's extra reads are "parallelisable" (§5.5).
 
-Two layers live here:
-
-- the generic cell pool (:class:`Cell` / :func:`run_cells`) experiments
-  fan out over, and
-- **deterministic intra-trace sharding** (:func:`replay_sharded`): one
-  trace split across worker processes at dependency-safe boundaries.
-  The columnar decision pass (``harness/columnar.py``) makes *every*
-  request position dependency-safe for metric extraction — hits,
-  flushes, flash reads, and live-object counts at any position are pure
-  prefix-sum reads — so each shard owns a contiguous range of sample
-  boundaries, computes the exact snapshot components for its range
-  in-worker, and the parent merges ``MetricSeries`` / ``FlashStats`` /
-  latency recorders exactly: same snapshot dict, same goldens as the
-  serial run, for any shard count and any job count.
-
-Design constraints honoured here:
+This module is the generic cell pool (:class:`Cell` /
+:func:`run_cells`) that experiments and the cluster's shard replays fan
+out over.  Design constraints honoured here:
 
 - **Spawn-safe**: cells carry only top-level callables and picklable
   arguments, so the pool works under the ``spawn`` start method (the
@@ -42,28 +29,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
-from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.baselines.base import CacheEngine, EngineCounters
-from repro.errors import ConfigError, ReproError
-from repro.faults.plan import FaultPlan
-from repro.flash.stats import FlashStats
-from repro.harness.metrics import MetricSeries, WindowedRate
-from repro.harness.percentile import LatencyRecorder
-from repro.harness.runner import (
-    KERNEL_ENV_VAR,
-    ReplayResult,
-    replay,
-    resolve_kernel,
-)
-from repro.workloads.trace import Trace
+from repro.errors import ReproError
 
 
 class CellFailure(ReproError):
@@ -98,9 +69,9 @@ def default_jobs() -> int:
     Prefers ``os.process_cpu_count()`` (Python >= 3.13) because it
     respects CPU affinity masks — a container pinned to 4 of 64 cores
     should not spawn 63 workers.  Older interpreters fall back to
-    ``os.cpu_count()``.  Every fan-out layer (``run_cells``,
-    ``replay_sharded``, the cluster replay) resolves ``jobs=None``
-    through this one function, so the policy is applied consistently.
+    ``os.cpu_count()``.  Both fan-out layers (``run_cells`` and, through
+    it, the cluster replay) resolve ``jobs=None`` through this one
+    function, so the policy is applied consistently.
     """
     count_fn = getattr(os, "process_cpu_count", None) or os.cpu_count
     return max(1, (count_fn() or 2) - 1)
@@ -176,414 +147,3 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     # pure, so the serial re-run is slower but byte-identical.
     except Exception:  # reprolint: disable=R006
         return _run_serial(cells)
-
-
-# ----------------------------------------------------------------------
-# Deterministic intra-trace sharding (DESIGN.md §5)
-# ----------------------------------------------------------------------
-
-#: Snapshot components a shard worker extracts at one sample position.
-#: All integers; the parent rebuilds the full ``metrics_snapshot()``
-#: dict (including derived ratios) through the real FlashStats /
-#: EngineCounters arithmetic so key set, types, and float behaviour are
-#: byte-identical to a serial replay's.
-_COMPONENT_KEYS = (
-    "lookups",
-    "hits",
-    "logical_read_bytes",
-    "flash_reads",
-    "inserts",
-    "insert_bytes",
-    "flushes",
-    "object_count",
-)
-
-
-@dataclass(frozen=True)
-class _ShardResult:
-    """What one shard worker returns.
-
-    ``points`` holds ``(position, components)`` for every boundary the
-    shard owns; ``gets_before_mark`` / ``gets_after_mark`` count the
-    shard's GET requests on each side of the Fig. 15 window mark
-    (``gets_after_mark`` is None when the mark lies at-or-after the
-    shard, i.e. all its GETs precede the mark).
-    """
-
-    points: list[tuple[int, dict[str, int]]]
-    gets_before_mark: int
-    gets_after_mark: int | None
-
-
-def _shard_components(
-    ops: np.ndarray,
-    keys: np.ndarray,
-    sizes: np.ndarray,
-    page_size: int,
-    header: int,
-    lo: int,
-    hi: int,
-    points: list[int],
-    mark: int | None,
-) -> _ShardResult:
-    """Shard worker: exact snapshot components for positions in (lo, hi].
-
-    Rebuilds the trace from its columns and runs the *decision pass
-    only* (``_trace_links`` / ``_flush_plan`` — vectorised, no engine,
-    no mutation loop); every component is then an O(1) prefix-sum read.
-    Pure function of its arguments, so results are independent of shard
-    count, job count, and execution order.
-    """
-    from repro.harness.columnar import _flush_plan, _trace_links
-
-    trace = Trace(ops=ops, keys=keys, sizes=sizes)
-    links = _trace_links(trace)
-    plan = _flush_plan(trace, links, page_size, header)
-    flush_positions = plan.flush_positions
-    out: list[tuple[int, dict[str, int]]] = []
-    for p in points:
-        out.append(
-            (
-                p,
-                {
-                    "lookups": int(links.cum_get[p]),
-                    "hits": int(links.cum_hit[p]),
-                    "logical_read_bytes": int(links.cum_read_bytes[p]),
-                    "flash_reads": int(plan.cum_flash[p]),
-                    "inserts": int(links.cum_ins[p]),
-                    "insert_bytes": int(links.cum_ins_bytes[p]),
-                    "flushes": int(
-                        np.searchsorted(flush_positions, p, side="left")
-                    ),
-                    "object_count": int(links.cum_live[p]),
-                },
-            )
-        )
-    g_lo = int(links.cum_get[lo])
-    g_hi = int(links.cum_get[hi])
-    if mark is None or mark > hi:
-        # The mark (if any) lies beyond this shard: all GETs pre-mark.
-        return _ShardResult(out, g_hi - g_lo, None)
-    if mark <= lo:
-        # An earlier shard owns the mark: all GETs post-mark.
-        return _ShardResult(out, 0, g_hi - g_lo)
-    # This shard owns the mark (lo < mark <= hi) and places it, even
-    # when it falls exactly on the shard's end boundary.
-    g_mark = int(links.cum_get[mark])
-    return _ShardResult(out, g_mark - g_lo, g_hi - g_mark)
-
-
-def _analytic_snapshot(comps: dict[str, int], page_size: int) -> dict[str, float]:
-    """Rebuild ``engine.metrics_snapshot()`` from shard components.
-
-    Routes the integers through real :class:`FlashStats` /
-    :class:`EngineCounters` objects so every derived ratio (alwa, dlwa,
-    miss_ratio, nan-on-zero-denominator behaviour) comes from the same
-    arithmetic a live engine uses — the resulting dict is byte-identical
-    to the serial lane's snapshot at the same position.
-    """
-    flushes = comps["flushes"]
-    flash_reads = comps["flash_reads"]
-    stats = FlashStats(
-        logical_write_bytes=comps["insert_bytes"],
-        logical_read_bytes=comps["logical_read_bytes"],
-        host_write_bytes=flushes * page_size,
-        host_read_bytes=flash_reads * page_size,
-        flash_write_bytes=flushes * page_size,
-        flash_read_bytes=flash_reads * page_size,
-        host_write_ops=flushes,
-        host_read_ops=flash_reads,
-    )
-    counters = EngineCounters(
-        lookups=comps["lookups"],
-        hits=comps["hits"],
-        inserts=comps["inserts"],
-        insert_bytes=comps["insert_bytes"],
-    )
-    snap = stats.snapshot()
-    snap.update(
-        {
-            "lookups": counters.lookups,
-            "hits": counters.hits,
-            "miss_ratio": counters.miss_ratio,
-            "inserts": counters.inserts,
-            "evicted_objects": 0,
-            "wa": stats.alwa,
-            "object_count": comps["object_count"],
-        }
-    )
-    return snap
-
-
-#: Below this many requests per shard, process fan-out costs more than
-#: it saves (spawn startup alone swamps a tiny trace: the fig15 micro
-#: cell ran ~100x *slower* sharded than serial columnar) — the sharded
-#: lane demotes to the serial whole-trace kernel instead.
-MIN_REQUESTS_PER_SHARD = 32_768
-
-
-def sharding_ineligible_reason(engine: CacheEngine, trace: Trace) -> str | None:
-    """Why the analytic sharded lane may *not* replay this combination.
-
-    Requires everything the whole-trace Log kernel does *plus*
-    whole-trace eviction-freedom: the trace's total flush count must fit
-    the device (no zone ever recycled), because a wrap would add erase
-    ops and invalidate the hit classification mid-trace.  Engines whose
-    registered kernels run a state-dependent mutation walk (Nemo) are
-    not analytically shardable either — per-shard snapshot components
-    must be pure prefix-sum reads.  Returns None when eligible.
-    """
-    from typing import cast
-
-    from repro.baselines.log_structured import LogStructuredCache
-    from repro.harness.columnar import (
-        _flush_plan,
-        _trace_links,
-        log_kernel_ineligible_reason,
-    )
-
-    reason = log_kernel_ineligible_reason(engine, trace, None)
-    if reason is not None:
-        return (
-            "per-shard snapshot components must be pure prefix-sum reads, "
-            f"which only the whole-trace Log kernel provides ({reason})"
-        )
-    log = cast(LogStructuredCache, engine)  # narrowed by eligibility
-    plan = _flush_plan(
-        trace,
-        _trace_links(trace),
-        log.geometry.page_size,
-        log.object_header_bytes,
-    )
-    if len(plan.flush_list) > log.geometry.num_pages:
-        return (
-            "the trace wraps the device (zone recycling invalidates the "
-            "analytic flush schedule)"
-        )
-    return None
-
-
-def sharding_eligible(engine: CacheEngine, trace: Trace) -> bool:
-    """Whether the analytic sharded lane can replay this combination."""
-    return sharding_ineligible_reason(engine, trace) is None
-
-
-def replay_sharded(
-    engine: CacheEngine,
-    trace: Trace,
-    *,
-    shards: int = 2,
-    jobs: int | None = None,
-    sample_every: int | None = None,
-    sample_at: Sequence[int] | None = None,
-    arrival_rate: float = 50_000.0,
-    record_latency: bool = False,
-    write_rate_window_s: float | None = None,
-    mark_window_at: int | None = None,
-    sampled_metrics: tuple[str, ...] = ("wa", "miss_ratio", "host_write_bytes"),
-    progress: bool = False,
-    faults: FaultPlan | None = None,
-    kernel: str | None = None,
-    min_requests_per_shard: int | None = None,
-) -> ReplayResult:
-    """Replay one trace split across ``shards`` worker processes.
-
-    Byte-identical to the serial lanes by construction: the columnar
-    decision pass makes every request position a dependency-safe
-    boundary, so shard ``k`` owns a contiguous range of sample
-    boundaries and extracts exact snapshot components for them from
-    whole-trace prefix sums — no shard ever observes another's state
-    because no shard holds any.  The parent merges the per-shard pieces
-    into the same ``MetricSeries`` / final snapshot / latency recorder
-    a serial replay produces, for any ``shards``/``jobs`` combination.
-
-    ``kernel=None`` defaults to ``"columnar"`` (the lane sharding is
-    built on — a caller asking for shards wants it), unless the
-    ``REPRO_REPLAY_KERNEL`` environment override names another lane.
-    Falls back to serial :func:`~repro.harness.runner.replay` (same
-    arguments, trivially identical) whenever the analytic lane does not
-    apply: ``shards <= 1``, a non-columnar ``kernel``, or fault plans
-    fall back silently; an engine whose registered whole-trace kernel is
-    not analytically shardable (Nemo's state-dependent mutation walk) or
-    a trace that wraps the device demotes to the *serial whole-trace
-    kernel* with a ``ReplayResult.notes`` entry naming the reason; and a
-    trace smaller than ``min_requests_per_shard`` requests per shard
-    (default :data:`MIN_REQUESTS_PER_SHARD`) demotes the same way when
-    worker processes would actually fan out — spawn startup swamps tiny
-    traces.  Pass ``min_requests_per_shard=0`` to force the analytic
-    lane on small inputs.
-
-    The analytic fast path is measurement-only: ``engine`` is consulted
-    for geometry and eligibility but **not mutated** (its counters stay
-    virgin).  The serial lanes — including every demotion above — leave
-    the engine in its end-of-trace state.
-    """
-    if arrival_rate <= 0:
-        raise ConfigError("arrival_rate must be positive")
-    if kernel is None and not os.environ.get(KERNEL_ENV_VAR):
-        kernel = "columnar"
-    resolved = resolve_kernel(kernel)
-
-    def _serial(serial_kernel: str, note: str | None) -> ReplayResult:
-        result = replay(
-            engine,
-            trace,
-            sample_every=sample_every,
-            sample_at=sample_at,
-            arrival_rate=arrival_rate,
-            record_latency=record_latency,
-            write_rate_window_s=write_rate_window_s,
-            mark_window_at=mark_window_at,
-            sampled_metrics=sampled_metrics,
-            progress=progress,
-            faults=faults,
-            kernel=serial_kernel,
-        )
-        if note is not None:
-            result.notes.append(note)
-        return result
-
-    if shards <= 1 or resolved != "columnar" or faults is not None:
-        return _serial(resolved, None)
-    analytic_reason = sharding_ineligible_reason(engine, trace)
-    if analytic_reason is not None:
-        from repro.harness.columnar import kernel_ineligible_reason
-
-        note = None
-        if kernel_ineligible_reason(engine, trace, None) is None:
-            # The engine has a registered whole-trace kernel (Nemo): the
-            # request for shards still lands on the columnar fast lane,
-            # just serially.
-            note = (
-                f"replaying {shards} shards on the serial whole-trace "
-                f"kernel: {analytic_reason}"
-            )
-        return _serial(resolved, note)
-    threshold = (
-        MIN_REQUESTS_PER_SHARD
-        if min_requests_per_shard is None
-        else min_requests_per_shard
-    )
-    fan_out = (default_jobs() if jobs is None else jobs) > 1
-    if fan_out and len(trace) < shards * threshold:
-        return _serial(
-            resolved,
-            f"replaying on the serial whole-trace kernel: {len(trace):,} "
-            f"requests over {shards} shards is below the {threshold:,} "
-            "requests-per-shard fan-out threshold",
-        )
-
-    from typing import cast
-
-    from repro.baselines.log_structured import LogStructuredCache
-    from repro.harness.columnar import _clock
-
-    log = cast(LogStructuredCache, engine)  # narrowed by eligibility
-    t0 = time.perf_counter()
-    n = len(trace)
-    if sample_every is None:
-        sample_every = max(1, n // 64)
-    # Boundary layout: exactly the serial runner's.
-    if sample_at is not None:
-        sample_points = {int(b) for b in sample_at if 0 <= b <= n}
-    else:
-        sample_points = set(range(sample_every, n + 1, sample_every))
-        sample_points.add(n)
-    mark = (
-        mark_window_at
-        if mark_window_at is not None and 1 <= mark_window_at <= n
-        else None
-    )
-    boundaries = set(sample_points)
-    if mark is not None:
-        boundaries.add(mark)
-    blist = sorted(boundaries) if boundaries else [0]
-    p_end = blist[-1]
-
-    # Contiguous shard ranges over the boundary list (dependency-safe:
-    # every boundary is one).  Shard k owns boundaries (lo_k, hi_k].
-    n_b = len(blist)
-    cells: list[Cell] = []
-    lo = 0
-    for k in range(shards):
-        chunk = blist[(k * n_b) // shards : ((k + 1) * n_b) // shards]
-        if not chunk:
-            continue
-        hi = chunk[-1]
-        cells.append(
-            Cell(
-                cell_id=f"{trace.name}:shard{k}[{lo}:{hi}]",
-                fn=_shard_components,
-                args=(
-                    trace.ops,
-                    trace.keys,
-                    trace.sizes,
-                    log.geometry.page_size,
-                    log.object_header_bytes,
-                    lo,
-                    hi,
-                    chunk,
-                    mark,
-                ),
-            )
-        )
-        lo = hi
-    shard_results: list[_ShardResult] = run_cells(cells, jobs=jobs)
-
-    # ------------------------------------------------------------------
-    # Exact merge
-    # ------------------------------------------------------------------
-    page_size: int = log.geometry.page_size
-    point_snaps: dict[int, dict[str, float]] = {}
-    for res in shard_results:
-        for p, comps in res.points:
-            point_snaps[p] = _analytic_snapshot(comps, page_size)
-
-    series = {m: MetricSeries(name=m) for m in sampled_metrics}
-    for p in sorted(sample_points):
-        snap = point_snaps[p]
-        for metric in sampled_metrics:
-            series[metric].record(p, snap.get(metric, float("nan")))
-
-    latency = LatencyRecorder()
-    if record_latency:
-        for res in shard_results:
-            shard_rec = LatencyRecorder()
-            # Latency-free device (guaranteed by eligibility): every GET
-            # recorded 0.0, split around the window mark exactly where
-            # the serial lane splits.
-            shard_rec.record_many([0.0] * res.gets_before_mark)
-            if res.gets_after_mark is not None:
-                shard_rec.mark_window()
-                shard_rec.record_many([0.0] * res.gets_after_mark)
-            latency.merge(shard_rec)
-    elif mark is not None:
-        latency.mark_window()
-
-    clock = _clock(trace, 1e6 / arrival_rate)
-    now_us = float(clock[p_end - 1]) if p_end else 0.0
-    write_rate = WindowedRate(write_rate_window_s) if write_rate_window_s else None
-    if write_rate is not None:
-        for p in sorted(sample_points):
-            t = float(clock[p - 1]) / 1e6 if p else 0.0
-            write_rate.update(t, point_snaps[p]["host_write_bytes"])
-        write_rate.finish(now_us / 1e6)
-
-    final = point_snaps.get(p_end)
-    if final is None:  # no boundaries at all: the virgin snapshot
-        final = _analytic_snapshot(dict.fromkeys(_COMPONENT_KEYS, 0), page_size)
-
-    return ReplayResult(
-        engine_name=engine.name,
-        trace_name=trace.name,
-        num_requests=n,
-        final=final,
-        series=series,
-        latency=latency,
-        write_rate=write_rate,
-        wall_seconds=time.perf_counter() - t0,
-        sim_seconds=now_us / 1e6,
-        fault_counters=None,
-        crashes=0,
-        kernel="columnar",
-    )

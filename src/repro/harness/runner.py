@@ -12,16 +12,21 @@ A simulated wall clock advances by ``1e6 / arrival_rate`` microseconds
 per request so the device latency model experiences realistic
 inter-arrival gaps; "flash writes per minute" uses this clock.
 
-Three replay lanes share these semantics and are byte-identical (the
-metric-parity goldens compare them):
+One loop replays every lane: :func:`replay_plan` cuts the trace into
+chunks that end at sample boundaries, and an *executor* advances the
+engine to each boundary before the loop's crash / window-mark / sample
+epilogue runs.  The three executors share these semantics and are
+byte-identical (the metric-parity goldens compare them):
 
-- ``kernel="batched"`` (default): the trace is pre-sliced into same-op
+- ``kernel="batched"`` (default): each chunk is pre-sliced into same-op
   runs handed to the engines' bulk fast paths, with the placement hash
-  of each chunk computed once here (``Trace.set_id_slice``).
+  of the chunk computed once here (``Trace.set_id_slice``).
 - ``kernel="columnar"``: whole-trace numpy decision passes; engines
   with a registered whole-trace kernel (Log, Nemo — see
-  ``KERNEL_REGISTRY`` in :mod:`repro.harness.columnar`) replay through
-  it, other engines replay batched.
+  ``KERNEL_REGISTRY`` in :mod:`repro.harness.columnar`) open it once and
+  advance it chunk by chunk, other engines replay batched.  A kernel
+  that bails (first eviction) returns a position short of the boundary
+  and the batched executor finishes that chunk and the rest.
 - ``kernel="scalar"``: the :class:`CacheEngine` scalar-loop fallbacks —
   the slowest lane, kept as the semantic reference.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +144,52 @@ class ReplayResult:
         return "  ".join(parts)
 
 
+def replay_plan(
+    n: int,
+    sample_every: int | None = None,
+    sample_at: Sequence[int] | None = None,
+    mark_window_at: int | None = None,
+    crash_points: Iterable[int] = (),
+) -> tuple[list[int], set[int], set[int], int | None]:
+    """The chunk layout of one ``n``-request replay.
+
+    Returns ``(boundaries, sample_points, crash_points, mark)``: the
+    sorted positions a chunk ends at, and which of them sample, crash
+    and place the Fig. 15 window mark.  The default sampling layout is
+    every ``sample_every`` requests (None = 64 samples) plus the end of
+    a non-empty trace; ``sample_at`` replaces it, and position 0 is
+    honoured there (a cluster shard samples its empty prefix).  The end
+    of the trace is always a boundary, so a replay runs every request
+    whether or not its last sample sits there.  Sample, mark and crash
+    positions beyond the trace are never reached and drop out; a
+    non-positive stride or a negative position is a
+    :class:`ConfigError`.
+    """
+    if sample_every is not None and sample_every <= 0:
+        raise ConfigError("sample_every must be positive")
+    if mark_window_at is not None and mark_window_at < 0:
+        raise ConfigError("mark_window_at must be non-negative")
+    if sample_at is not None:
+        if any(b < 0 for b in sample_at):
+            raise ConfigError("sample_at positions must be non-negative")
+        sample_points = {int(b) for b in sample_at if b <= n}
+    else:
+        every = sample_every or max(1, n // 64)
+        sample_points = set(range(every, n + 1, every))
+        if n:
+            sample_points.add(n)
+    mark = (
+        mark_window_at
+        if mark_window_at is not None and 1 <= mark_window_at <= n
+        else None
+    )
+    crashes = {c for c in crash_points if 1 <= c <= n}
+    boundaries = sample_points | crashes | {n}
+    if mark is not None:
+        boundaries.add(mark)
+    return sorted(boundaries), sample_points, crashes, mark
+
+
 def replay(
     engine: CacheEngine,
     trace: Trace,
@@ -166,8 +217,9 @@ def replay(
     sample_every:
         Record ``sampled_metrics`` every N requests (None = 64 samples).
     sample_at:
-        Explicit sample positions (overrides ``sample_every``); used by
-        the sharded lane to align per-shard samples with global ones.
+        Explicit sample positions (overrides ``sample_every``); cluster
+        shard workers use it to sample at the shard-local image of every
+        global boundary.
     arrival_rate:
         Requests per simulated second (drives the latency clock).
     record_latency:
@@ -216,44 +268,28 @@ def replay(
             make_latency_model(latency_lane, like=engine.latency_model())
         )
     n = len(trace)
-    if sample_every is None:
-        sample_every = max(1, n // 64)
-
     series = {m: MetricSeries(name=m) for m in sampled_metrics}
     latency = LatencyRecorder()
     write_rate = WindowedRate(write_rate_window_s) if write_rate_window_s else None
 
     step_us = 1e6 / arrival_rate
 
-    # Batched dispatch: the trace is pre-sliced into chunks that end
-    # exactly at a sample boundary (or the Fig. 15 window mark), so no
-    # per-request sampling/marking branches survive.  Each chunk is then
-    # segmented into runs of the same op and handed to the engine's bulk
-    # API (``lookup_many``/``insert_many``/``delete_many``), which owns
-    # the per-request loop — engines with inlined fast paths amortise
-    # hashing and counter updates across the run; others fall back to
-    # the scalar defaults in :class:`CacheEngine`.  Chunks are converted
-    # to Python lists once — `int(keys[i])` per request boxes a fresh
-    # numpy scalar, which dominated the seed loop's profile.
-    if sample_at is not None:
-        sample_points = {int(b) for b in sample_at if 0 <= b <= n}
-    else:
-        sample_points = set(range(sample_every, n + 1, sample_every))
-        if n:
-            sample_points.add(n)
-    boundaries = set(sample_points)
-    if mark_window_at is not None and 1 <= mark_window_at <= n:
-        boundaries.add(mark_window_at)
-
-    crash_points: set[int] = set()
+    # The trace is pre-sliced into chunks that end exactly at a sample
+    # boundary, the Fig. 15 window mark or a crash point, so no
+    # per-request sampling/marking branches survive in any executor.
     if faults is not None:
         engine.install_fault_plan(faults)
-        crash_points = {c for c in faults.crash_points if 1 <= c <= n}
-        boundaries |= crash_points
+    boundaries, sample_points, crash_points, mark = replay_plan(
+        n,
+        sample_every,
+        sample_at,
+        mark_window_at,
+        faults.crash_points if faults is not None else (),
+    )
 
     # Only latency recording needs per-GET instrumentation; everything
     # else (sampling, write-rate windows, window marks) happens at chunk
-    # boundaries in both paths.
+    # boundaries on every executor.
     record = latency.record if record_latency else None
 
     force_scalar = kernel == "scalar" or (
@@ -274,47 +310,36 @@ def replay(
         insert_many = engine.insert_many
         delete_many = engine.delete_many
     OP_GET_, OP_SET_, OP_DELETE_ = OP_GET, OP_SET, OP_DELETE  # local binds
-    progress_every = max(1, n // 10)
-    boundary_list = sorted(boundaries)
+    progress_every = next_progress = max(1, n // 10)
 
     t0 = time.perf_counter()
     now_us = 0.0
     start = 0
-    result_kernel = kernel
 
+    # Columnar executor: the engine's whole-trace kernel, opened once
+    # (decision pass + engine handles); ``advance(stop)`` replays up to
+    # ``stop`` and returns the position it reached.
+    advance: Callable[[int], int] | None = None
     notes: list[str] = []
     if kernel == "columnar" and not force_scalar:
-        from repro.harness.columnar import kernel_for, kernel_ineligible_reason
+        from repro.harness.columnar import (
+            kernel_for,
+            kernel_ineligible_reason,
+            sim_clock,
+        )
 
         reason = kernel_ineligible_reason(engine, trace, faults)
         if reason is None:
             spec = kernel_for(engine)
             assert spec is not None  # eligible implies registered
-            outcome = spec.replay(
+            advance = spec.replay(
                 engine,
                 trace,
-                boundaries=boundary_list,
-                sample_points=sample_points,
-                mark_window_at=mark_window_at,
-                series=series,
-                sampled_metrics=sampled_metrics,
-                latency=latency,
-                record_latency=record_latency,
-                write_rate=write_rate,
                 step_us=step_us,
-                progress=progress,
-                progress_every=progress_every,
-                sample_every=sample_every,
+                latency=latency if record_latency else None,
+                sampled_metrics=sampled_metrics,
             )
-            now_us = outcome.now_us
-            start = outcome.resume_pos
-            if outcome.completed:
-                boundary_list = []
-            else:
-                # Bail-out (first eviction): the batched lane finishes
-                # the suffix, starting with the partial chunk up to the
-                # next (still unsampled) boundary.
-                boundary_list = [b for b in boundary_list if b >= start]
+            clock = sim_clock(trace, step_us)
         else:
             notes.append(
                 "columnar kernel unavailable, falling back to batched "
@@ -326,21 +351,37 @@ def replay(
     # hash per chunk here replaces one per same-op run in the engine.
     placement = None if force_scalar else engine.columnar_spec()
 
-    for stop in boundary_list:
-        ops_arr = trace.ops[start:stop]
-        keys = trace.keys[start:stop].tolist()
-        sizes = trace.sizes[start:stop].tolist()
-        offsets = (
-            trace.set_id_slice(*placement, start, stop).tolist()
-            if placement is not None
-            else None
-        )
-        start = stop
-        n_chunk = len(ops_arr)
-        if n_chunk:
+    for stop in boundaries:
+        if advance is not None:
+            start = advance(stop)
+            now_us = float(clock[start - 1]) if start else 0.0
+            if start < stop:
+                # Bail (first eviction): engine state is exact through
+                # ``start``; the batched executor below finishes this
+                # chunk and every later one from there.
+                advance = None
+        if start < stop:
+            # Batched executor: the chunk is segmented into runs of the
+            # same op and handed to the engine's bulk API
+            # (``lookup_many``/``insert_many``/``delete_many``), which
+            # owns the per-request loop — engines with inlined fast
+            # paths amortise hashing and counter updates across the run;
+            # others (and the scalar executor) run the scalar defaults
+            # in :class:`CacheEngine`.  Chunks are converted to Python
+            # lists once — `int(keys[i])` per request boxes a fresh
+            # numpy scalar, which dominated the seed loop's profile.
+            ops_arr = trace.ops[start:stop]
+            keys = trace.keys[start:stop].tolist()
+            sizes = trace.sizes[start:stop].tolist()
+            offsets = (
+                trace.set_id_slice(*placement, start, stop).tolist()
+                if placement is not None
+                else None
+            )
+            start = stop
             # Run starts: positions where the op code changes.
             cuts = np.flatnonzero(ops_arr[1:] != ops_arr[:-1]) + 1
-            bounds = [0, *cuts.tolist(), n_chunk]
+            bounds = [0, *cuts.tolist(), len(ops_arr)]
             for a, b in zip(bounds, bounds[1:]):
                 op = ops_arr[a]
                 if op == OP_GET_:
@@ -372,7 +413,7 @@ def replay(
         if stop in crash_points:
             engine.crash()
             engine.recover()
-        if stop == mark_window_at:
+        if stop == mark:
             latency.mark_window()
         if stop in sample_points:
             snap = engine.metrics_snapshot()
@@ -380,7 +421,10 @@ def replay(
                 series[m].record(stop, snap.get(m, float("nan")))
             if write_rate is not None:
                 write_rate.update(now_us / 1e6, snap["host_write_bytes"])
-            if progress and stop % progress_every < sample_every:
+            if progress and stop >= next_progress:
+                # One line per ~10 % of the trace: the first sample at
+                # or past each decile.
+                next_progress = (stop // progress_every + 1) * progress_every
                 print(
                     f"  [{engine.name}] {stop:,}/{n:,} "
                     f"wa={snap.get('wa', float('nan')):.2f} "
@@ -403,7 +447,7 @@ def replay(
             engine.stats.fault_snapshot() if faults is not None else None
         ),
         crashes=len(crash_points),
-        kernel=result_kernel,
+        kernel=kernel,
         latency_lane=latency_lane,
         notes=notes,
     )

@@ -8,6 +8,7 @@ the shuffle; ``--order-seed -1`` restores plain collection order.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -108,3 +109,33 @@ def small_trace() -> Trace:
 def pressure_trace() -> Trace:
     """Trace whose referenced working set exceeds the small geometries."""
     return cached_twitter_trace(60_000, 1.0 / 512)
+
+
+@pytest.fixture
+def kernel_advances(monkeypatch) -> list[tuple[int, int]]:
+    """``(stop, reached)`` of every whole-trace kernel advance.
+
+    Wraps each ``KERNEL_REGISTRY`` entry so the chunk executor it opens
+    records its calls: an empty list means no kernel engaged, ``reached
+    < stop`` is a bail.
+    """
+    import repro.harness.columnar as columnar
+
+    calls: list[tuple[int, int]] = []
+
+    def recording(spec):
+        def opened(engine, trace, **kwargs):
+            advance = spec.replay(engine, trace, **kwargs)
+
+            def recorded(stop):
+                reached = advance(stop)
+                calls.append((stop, reached))
+                return reached
+
+            return recorded
+
+        return dataclasses.replace(spec, replay=opened)
+
+    for engine_type, spec in list(columnar.KERNEL_REGISTRY.items()):
+        monkeypatch.setitem(columnar.KERNEL_REGISTRY, engine_type, recording(spec))
+    return calls

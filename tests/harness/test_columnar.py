@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
 from repro.flash.latency import LatencyModel
-from repro.harness.columnar import _clock, log_kernel_eligible
+from repro.harness.columnar import log_kernel_ineligible_reason, sim_clock
 from repro.harness.runner import replay
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
@@ -190,7 +190,7 @@ class TestKernelCache:
     def test_clock_matches_per_request_accumulation(self):
         trace = _mixed_trace(n=1000)
         step = 1e6 / 50_000.0
-        clock = _clock(trace, step)
+        clock = sim_clock(trace, step)
         now = 0.0
         expected = []
         for _ in range(len(trace)):
@@ -201,30 +201,34 @@ class TestKernelCache:
 
 class TestEligibility:
     def test_virgin_log_engine_eligible(self, small_geometry):
-        assert log_kernel_eligible(
+        assert log_kernel_ineligible_reason(
             LogStructuredCache(small_geometry), _mixed_trace(), None
-        )
+        ) is None
 
     def test_non_log_engine_ineligible(self, small_geometry):
-        assert not log_kernel_eligible(
+        reason = log_kernel_ineligible_reason(
             SetAssociativeCache(small_geometry), _mixed_trace(), None
         )
+        assert reason is not None and "only replays LogStructuredCache" in reason
 
     def test_warm_engine_ineligible(self, small_geometry):
         engine = LogStructuredCache(small_geometry)
         engine.insert(1, 100)
-        assert not log_kernel_eligible(engine, _mixed_trace(), None)
+        reason = log_kernel_ineligible_reason(engine, _mixed_trace(), None)
+        assert reason is not None and "not virgin" in reason
 
     def test_latency_model_ineligible(self, small_geometry):
         engine = LogStructuredCache(small_geometry, latency=LatencyModel())
-        assert not log_kernel_eligible(engine, _mixed_trace(), None)
+        reason = log_kernel_ineligible_reason(engine, _mixed_trace(), None)
+        assert reason is not None and "latency models" in reason
 
     def test_fault_plan_ineligible(self, small_geometry):
         from repro.faults.plan import FaultPlan
 
-        assert not log_kernel_eligible(
+        reason = log_kernel_ineligible_reason(
             LogStructuredCache(small_geometry), _mixed_trace(), FaultPlan()
         )
+        assert reason is not None and "fault plans" in reason
 
     def test_oversized_object_ineligible(self, small_geometry):
         trace = Trace(
@@ -232,9 +236,10 @@ class TestEligibility:
             keys=np.array([1]),
             sizes=np.array([small_geometry.page_size]),
         )
-        assert not log_kernel_eligible(
+        reason = log_kernel_ineligible_reason(
             LogStructuredCache(small_geometry), trace, None
         )
+        assert reason is not None and "oversized object" in reason
 
     def test_empty_trace_ineligible(self, small_geometry):
         trace = Trace(
@@ -242,9 +247,10 @@ class TestEligibility:
             keys=np.zeros(0, dtype=np.int64),
             sizes=np.zeros(0, dtype=np.int64),
         )
-        assert not log_kernel_eligible(
+        reason = log_kernel_ineligible_reason(
             LogStructuredCache(small_geometry), trace, None
         )
+        assert reason is not None and "empty trace" in reason
 
     def test_ineligible_combination_falls_back_identically(
         self, small_geometry

@@ -31,10 +31,8 @@ from repro.flash.latency import LatencyModel
 from repro.flash.zone import ZoneState
 from repro.harness.columnar import (
     KERNEL_REGISTRY,
-    kernel_eligible,
     kernel_for,
     kernel_ineligible_reason,
-    nemo_kernel_eligible,
     nemo_kernel_ineligible_reason,
 )
 from repro.harness.runner import replay
@@ -287,11 +285,11 @@ class TestNemoKernelCache:
 
 class TestNemoEligibility:
     def test_virgin_nemo_engine_eligible(self, small_geometry):
-        assert nemo_kernel_eligible(
+        assert nemo_kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")),
             _flush_trace(),
             None,
-        )
+        ) is None
 
     def test_non_nemo_engine_ineligible(self, small_geometry):
         reason = nemo_kernel_ineligible_reason(
@@ -302,22 +300,25 @@ class TestNemoEligibility:
     def test_warm_engine_ineligible(self, small_geometry):
         engine = NemoCache(small_geometry, _config("statistical"))
         engine.insert(1, 100)
-        assert not nemo_kernel_eligible(engine, _flush_trace(), None)
+        reason = nemo_kernel_ineligible_reason(engine, _flush_trace(), None)
+        assert reason is not None and "not virgin" in reason
 
     def test_latency_model_ineligible(self, small_geometry):
         engine = NemoCache(
             small_geometry, _config("statistical"), latency=LatencyModel()
         )
-        assert not nemo_kernel_eligible(engine, _flush_trace(), None)
+        reason = nemo_kernel_ineligible_reason(engine, _flush_trace(), None)
+        assert reason is not None and "latency models" in reason
 
     def test_fault_plan_ineligible(self, small_geometry):
         from repro.faults.plan import FaultPlan
 
-        assert not nemo_kernel_eligible(
+        reason = nemo_kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")),
             _flush_trace(),
             FaultPlan(),
         )
+        assert reason is not None and "fault plans" in reason
 
     def test_oversized_object_ineligible(self, small_geometry):
         trace = Trace(
@@ -325,9 +326,10 @@ class TestNemoEligibility:
             keys=np.array([1]),
             sizes=np.array([small_geometry.page_size + 1]),
         )
-        assert not nemo_kernel_eligible(
+        reason = nemo_kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")), trace, None
         )
+        assert reason is not None and "oversized object" in reason
 
     def test_empty_trace_ineligible(self, small_geometry):
         trace = Trace(
@@ -335,9 +337,10 @@ class TestNemoEligibility:
             keys=np.zeros(0, dtype=np.int64),
             sizes=np.zeros(0, dtype=np.int64),
         )
-        assert not nemo_kernel_eligible(
+        reason = nemo_kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")), trace, None
         )
+        assert reason is not None and "empty trace" in reason
 
 
 class TestKernelRegistry:
@@ -354,10 +357,12 @@ class TestKernelRegistry:
 
     def test_registered_engines_eligible(self, small_geometry):
         trace = _flush_trace()
-        assert kernel_eligible(
+        assert kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")), trace, None
-        )
-        assert kernel_eligible(LogStructuredCache(small_geometry), trace, None)
+        ) is None
+        assert kernel_ineligible_reason(
+            LogStructuredCache(small_geometry), trace, None
+        ) is None
 
     def test_unregistered_engine_reason_lists_registry(self, small_geometry):
         reason = kernel_ineligible_reason(

@@ -77,19 +77,14 @@ class TestReplaySubcommand:
         out = capsys.readouterr().out
         assert "columnar" in out and "Log" in out
 
-    def test_sharded_replay_matches_serial(self, capsys):
-        common = ["replay", "--engine", "log", "--kernel", "columnar",
-                  "--requests", "8000", "--zones", "8",
-                  "--wss-scale", "0.0002"]
-        assert main(common) == 0
-        serial = capsys.readouterr().out
-        assert main(common + ["--shards", "2", "--jobs", "1"]) == 0
-        sharded = capsys.readouterr().out
-        # Identical metric columns; only the wall-time column may differ.
-        strip = lambda s: [  # noqa: E731
-            line.rsplit(None, 2)[0] for line in s.splitlines() if line
-        ]
-        assert strip(serial) == strip(sharded)
+    def test_shards_flag_is_rejected(self, capsys):
+        """``repro replay`` has no shard flag (``repro cluster`` owns
+        shard parallelism): passing one is a usage error, not silently
+        ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--engine", "log", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_kernel_choices(self):
         with pytest.raises(SystemExit):
@@ -119,13 +114,6 @@ class TestLatencyLaneFlag:
         assert "warning:" in out
         assert "latency models need per-request timing" in out
         assert "latency[event] Log:" in out
-
-    def test_shards_cannot_carry_a_latency_lane(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["replay", "--engine", "log", "--shards", "2",
-                 "--latency-lane", "event"]
-            )
 
     def test_lane_choices(self):
         with pytest.raises(SystemExit):
