@@ -53,6 +53,12 @@ class LookupResult:
     source: str = "miss"
 
 
+#: LookupResult is frozen, so the constant outcomes are shared instances
+#: instead of per-lookup allocations (lookup is the replay hot path).
+MISS = LookupResult(hit=False)
+MEMORY_HIT = LookupResult(hit=True, source="memory")
+
+
 @dataclass
 class EngineCounters:
     """Request-level counters every engine maintains."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import MEMORY_HIT, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError
 from repro.faults.plan import FaultPlan
 
@@ -108,7 +108,7 @@ class TieredCache(CacheEngine):
         cached = self.dram.get(key)
         if cached is not None:
             self.counters.hits += 1
-            return LookupResult(hit=True, source="memory")
+            return MEMORY_HIT
         result = self.flash.lookup(key, size, now_us=now_us)
         if result.hit:
             self.counters.hits += 1

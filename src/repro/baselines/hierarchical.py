@@ -30,7 +30,7 @@ from typing import cast
 
 import numpy as np
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.baselines.hlog import HierarchicalLog
 from repro.baselines.hset import CASE_PASSIVE, HierarchicalSet
 from repro.errors import ConfigError, ReadError
@@ -147,7 +147,7 @@ class HierarchicalCacheBase(CacheEngine):
             self.hot_keys.add(key)
             self.stats.record_logical_read(entry.size)
             if entry.page < 0:
-                return LookupResult(hit=True, source="memory")
+                return MEMORY_HIT
             if self.device.latency is None:
                 self.device.read_page(entry.page)
                 lat = 0.0
@@ -159,13 +159,13 @@ class HierarchicalCacheBase(CacheEngine):
         bucket = self.hlog.bucket_of(key)
         found = self.hset.find(key, bucket)
         if found is None:
-            return LookupResult(hit=False)
+            return MISS
         set_id, obj_size = found
         self.counters.hits += 1
         self.hot_keys.add(key)
         self.stats.record_logical_read(obj_size)
         if set_id < 0:  # promotion staging buffer (DRAM)
-            return LookupResult(hit=True, source="memory")
+            return MEMORY_HIT
         if self.device.latency is None:
             self.device.read_page(self.hset.location[set_id])
             lat = 0.0

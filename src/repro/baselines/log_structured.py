@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Callable
 from itertools import repeat
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
@@ -30,10 +30,7 @@ from repro.flash.zns import ZNSDevice
 #: (64 b); hotness is optional and omitted here.
 INDEX_BITS_PER_OBJECT = 29 + 29 + 64
 
-#: LookupResult is frozen, so the constant outcomes are shared instances
-#: instead of per-lookup allocations (lookup is the replay hot path).
-_MISS = LookupResult(hit=False)
-_BUFFER_HIT = LookupResult(hit=True, source="memory")
+#: Shared like ``MISS``/``MEMORY_HIT``: a flash hit with no latency model.
 _FLASH_HIT_NO_LATENCY = LookupResult(hit=True, flash_reads=1, source="flash")
 
 
@@ -94,14 +91,14 @@ class LogStructuredCache(CacheEngine):
         counters.lookups += 1
         entry = self._index.get(key)
         if entry is None:
-            return _MISS
+            return MISS
         page, obj_size = entry
         counters.hits += 1
         # Inlined stats.record_logical_read (sizes are validated positive
         # at trace construction; this runs once per hit).
         self.stats.logical_read_bytes += obj_size
         if page < 0:  # still in the write buffer
-            return _BUFFER_HIT
+            return MEMORY_HIT
         device = self.device
         if device.latency is None:
             device.read_page(page)

@@ -21,7 +21,7 @@ from typing import Callable, cast
 
 import numpy as np
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import MISS, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.conventional import ConventionalSSD
 from repro.flash.device import PAGE_PROGRAMMED
@@ -101,7 +101,7 @@ class SetAssociativeCache(CacheEngine):
         sset = self._sets[sid]
         if key not in sset.objects:
             # The per-set bloom filter rejects the key without flash I/O.
-            return LookupResult(hit=False)
+            return MISS
         _, lat = self.device.read(sid, now_us=now_us)
         self.counters.hits += 1
         self.stats.record_logical_read(sset.objects[key])

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.core.bloom import BloomFilter, bloom_bits_per_object
 from repro.core.config import NemoConfig
 from repro.core.flusher import FlushDecision, FlushPolicy
@@ -279,10 +279,10 @@ class NemoCache(CacheEngine):
         if mem_size is not None:
             self.counters.hits += 1
             self.stats.record_logical_read(mem_size)
-            return LookupResult(hit=True, source="memory")
+            return MEMORY_HIT
 
         if not self.pool:
-            return LookupResult(hit=False)
+            return MISS
 
         holder, flash_reads, latency = self._flash_lookup(key, offset, now_us)
 

@@ -15,6 +15,15 @@ engine whose device carries a latency model).  Two issue disciplines:
   highest-priority tier).  Sojourn time (completion − arrival) then
   includes queueing delay, which is what makes bursty tails visible.
 
+:meth:`FrontendScheduler.run` merges two time-sorted streams: the
+arrival array (sorted on input, so it never enters a heap) and a
+min-heap of in-flight completions, at most ``queue_depth`` entries.
+Events fire in ``(time, seq)`` order, arrival ``i`` carrying seq ``i``
+and the k-th issued request's completion seq ``n + k``: at equal
+timestamps an arrival fires before any completion, and completions
+fire in issue order.  After every event the scheduler issues as many
+waiting requests as free slots allow.
+
 Arrival times and class ids come in as plain arrays precomputed by
 :mod:`repro.workloads.arrivals` from seeded streams; the frontend
 itself is RNG-free, so identical inputs replay identical event
@@ -25,10 +34,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import ConfigError
-from repro.flash.devsim.event import Event, EventLoop
 
 #: Service callback: ``(request_index, issue_time_us) -> latency_us``.
 ServiceFn = Callable[[int, float], float]
@@ -38,13 +50,13 @@ EVENT_COMPLETE = "frontend-complete"
 
 
 class FrontendScheduler:
-    """Issue requests against a service function on an event loop."""
+    """Issue requests against a service function in simulated-time order."""
 
     def __init__(
         self,
-        arrival_us: Sequence[float],
+        arrival_us: Sequence[float] | np.ndarray,
         *,
-        class_ids: Sequence[int] | None = None,
+        class_ids: Sequence[int] | np.ndarray | None = None,
         num_classes: int = 1,
         queue_depth: int | None = None,
     ) -> None:
@@ -53,82 +65,80 @@ class FrontendScheduler:
             raise ConfigError("queue_depth must be positive (or None for open loop)")
         if num_classes <= 0:
             raise ConfigError("num_classes must be positive")
-        if class_ids is None:
-            class_ids = [0] * n
-        if len(class_ids) != n:
-            raise ConfigError(
-                f"class_ids has {len(class_ids)} entries for {n} arrivals"
-            )
-        last = 0.0
-        for t in arrival_us:
-            if t < last:
-                raise ConfigError("arrival_us must be non-decreasing")
-            last = t
-        for c in class_ids:
-            if not 0 <= c < num_classes:
-                raise ConfigError(f"class id {c} outside [0, {num_classes})")
-        self.arrival_us = list(arrival_us)
-        self.class_ids = list(class_ids)
+        arrivals = np.asarray(arrival_us, dtype=np.float64)
+        # The merge in run() compares arrivals with `<=`; a NaN would
+        # silently reorder the schedule, so it is rejected here.
+        if not (np.isfinite(arrivals).all() and (np.diff(arrivals, prepend=0.0) >= 0.0).all()):
+            raise ConfigError("arrival_us must be finite, non-negative and non-decreasing")
+        classes = np.zeros(n, dtype=np.int64) if class_ids is None else np.asarray(class_ids)
+        if len(classes) != n:
+            raise ConfigError(f"class_ids has {len(classes)} entries for {n} arrivals")
+        bad = classes[(classes < 0) | (classes >= num_classes)]
+        if bad.size:
+            raise ConfigError(f"class id {bad[0]} outside [0, {num_classes})")
+        self.arrival_us: list[float] = arrivals.tolist()
+        self.class_ids: list[int] = classes.tolist()
         self.num_classes = num_classes
         self.queue_depth = queue_depth
         #: Filled by :meth:`run`: per-request issue/completion times.
         self.issue_us = [0.0] * n
         self.complete_us = [0.0] * n
-        self.outstanding = 0
-        self.max_outstanding = 0
-        self._pending: list[deque[int]] = [deque() for _ in range(num_classes)]
-        self.loop = EventLoop()
-        self.loop.register_handler(EVENT_ARRIVAL, self._on_arrival)
-        self.loop.register_handler(EVENT_COMPLETE, self._on_complete)
-        self._service: ServiceFn | None = None
+        self.outstanding = self.max_outstanding = 0
+        self._trace: list[tuple[float, int, str]] | None = None
 
-    # ------------------------------------------------------------------
-    def _on_arrival(self, event: Event) -> None:
-        index: int = event.payload
-        self._pending[self.class_ids[index]].append(index)
-        self._try_issue()
+    def enable_trace(self) -> list[tuple[float, int, str]]:
+        """Record every fired event as ``(time, seq, kind)``.
 
-    def _on_complete(self, event: Event) -> None:
-        self.outstanding -= 1
-        self._try_issue()
+        Returns the (live) list, restarted by each :meth:`run`; the
+        determinism tests compare two runs' traces for equality.
+        """
+        if self._trace is None:
+            self._trace = []
+        return self._trace
 
-    def _slots_free(self) -> bool:
-        return self.queue_depth is None or self.outstanding < self.queue_depth
-
-    def _try_issue(self) -> None:
-        service = self._service
-        assert service is not None  # only called from within run()
-        while self._slots_free():
-            index = None
-            for queue in self._pending:  # class 0 first
-                if queue:
-                    index = queue.popleft()
-                    break
-            if index is None:
-                return
-            now = self.loop.now
-            latency = service(index, now)
-            if latency < 0.0:
-                raise ConfigError(f"service returned negative latency {latency:g}")
-            self.issue_us[index] = now
-            self.complete_us[index] = now + latency
-            self.outstanding += 1
-            if self.outstanding > self.max_outstanding:
-                self.max_outstanding = self.outstanding
-            self.loop.schedule(now + latency, EVENT_COMPLETE, index)
-
-    # ------------------------------------------------------------------
     def run(self, service: ServiceFn) -> int:
         """Drive every request through ``service``; returns events fired.
 
         After the run, :attr:`issue_us` and :attr:`complete_us` hold
         each request's issue and completion timestamps (µs); sojourn
-        time is ``complete_us[i] - arrival_us[i]``.
+        time is ``complete_us[i] - arrival_us[i]``.  Calling it again
+        replays all arrivals from an empty queue and overwrites them.
         """
-        self._service = service
-        for index, t in enumerate(self.arrival_us):
-            self.loop.schedule(t, EVENT_ARRIVAL, index)
-        try:
-            return self.loop.run_until_idle()
-        finally:
-            self._service = None
+        arrivals, classes, trace = self.arrival_us, self.class_ids, self._trace
+        issue_us, complete_us, n = self.issue_us, self.complete_us, len(arrivals)
+        # Open loop: at most n requests are ever in flight.
+        depth = n if self.queue_depth is None else self.queue_depth
+        pending: list[deque[int]] = [deque() for _ in range(self.num_classes)]
+        in_flight: list[tuple[float, int]] = []  # min-heap of (complete_time, seq)
+        if trace is not None:
+            trace.clear()
+        i, next_seq, waiting, peak = 0, n, 0, 0
+        while i < n or in_flight:
+            if i < n and (not in_flight or arrivals[i] <= in_flight[0][0]):
+                now = arrivals[i]
+                pending[classes[i]].append(i)
+                waiting += 1
+                if trace is not None:
+                    trace.append((now, i, EVENT_ARRIVAL))
+                i += 1
+            else:
+                now, seq = heappop(in_flight)
+                if trace is not None:
+                    trace.append((now, seq, EVENT_COMPLETE))
+            while waiting and len(in_flight) < depth:
+                for queue in pending:  # class 0 first
+                    if queue:
+                        index = queue.popleft()
+                        break
+                waiting -= 1
+                latency = service(index, now)
+                if not 0.0 <= latency < inf:
+                    raise ConfigError(f"service latency must be finite and >= 0, got {latency:g}")
+                issue_us[index] = now
+                complete_us[index] = done = now + latency
+                heappush(in_flight, (done, next_seq))
+                next_seq += 1
+                if len(in_flight) > peak:
+                    peak = len(in_flight)
+        self.outstanding, self.max_outstanding = len(in_flight), peak
+        return 2 * n

@@ -149,8 +149,8 @@ def replay_closed_loop(
         return 0.0
 
     frontend = FrontendScheduler(
-        arrival_us.tolist(),
-        class_ids=class_ids.tolist(),
+        arrival_us,
+        class_ids=class_ids,
         num_classes=len(class_names),
         queue_depth=queue_depth,
     )

@@ -9,9 +9,24 @@ ISSUE's CI-asserted acceptance criterion for the event device lane.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.experiments.fig15_tail import CLASS_NAMES, SYSTEMS, run
+from repro.experiments.common import scale_params, twitter_trace
+from repro.experiments.fig15_tail import (
+    ARRIVAL_RATE_RPS,
+    ARRIVAL_SEED,
+    CLASS_NAMES,
+    CLASS_SEED,
+    CLASS_SHARES,
+    QUEUE_DEPTH,
+    SYSTEMS,
+    _build_system,
+    run,
+)
+from repro.harness.closed_loop import replay_closed_loop
+from repro.workloads.arrivals import assign_classes, bursty_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +83,42 @@ class TestFig15Tail:
             assert name in out
         for cls in CLASS_NAMES:
             assert cls in out
+
+
+#: sha256(issue_us.tobytes() + complete_us.tobytes()) and peak in-flight
+#: of the micro cell, recorded on the EventLoop-based frontend scheduler
+#: (the commit before the two-stream merge): (system, queue_depth) ->
+#: (digest, max_outstanding).  Every closed-loop timestamp is pinned.
+SCHEDULE_DIGESTS = {
+    ("Nemo", QUEUE_DEPTH): (
+        "2874e6bb1f4dd559ebe05cb6745a3fa653deebcb67104d3af3945fc983275de5", 16,
+    ),
+    ("Nemo", None): (
+        "4b98805055a2945b634eaafaffa32b3b967922bd64d84694bbf0b754e5b245f4", 44,
+    ),
+    ("FW", QUEUE_DEPTH): (
+        "3c1eb56932704c9cb712d7aa7e360c73ecf92c9d3d818590e48aa408a152f5ff", 16,
+    ),
+    ("FW", None): (
+        "aceb38e05a76a0c79165ecc7178b97cd5ea4e38b84a5d9e900c7fc70a62c4973", 73,
+    ),
+}
+
+
+class TestScheduleDigests:
+    @pytest.mark.parametrize(("system", "queue_depth"), list(SCHEDULE_DIGESTS))
+    def test_micro_cell_timestamps_are_bit_identical(self, system, queue_depth):
+        geometry, n = scale_params("micro")
+        result = replay_closed_loop(
+            _build_system(system, geometry),
+            twitter_trace(n),
+            arrival_us=bursty_arrivals(n, ARRIVAL_RATE_RPS, seed=ARRIVAL_SEED),
+            class_ids=assign_classes(n, CLASS_SHARES, seed=CLASS_SEED),
+            class_names=CLASS_NAMES,
+            queue_depth=queue_depth,
+        )
+        digest = hashlib.sha256(
+            result.issue_us.tobytes() + result.complete_us.tobytes()
+        ).hexdigest()
+        assert (digest, result.max_outstanding) == SCHEDULE_DIGESTS[system, queue_depth]
+        assert result.events_fired == 2 * n == 120_000

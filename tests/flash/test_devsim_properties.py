@@ -171,8 +171,9 @@ class TestDeterminism:
                 num_classes=2,
                 queue_depth=4,
             )
-            trace = frontend.loop.enable_trace()
+            trace = frontend.enable_trace()
             frontend.run(lambda index, now: float((index * 37) % 90) + 1.0)
+            assert len(trace) == 2 * n
             return list(trace), list(frontend.issue_us), list(frontend.complete_us)
 
         assert run_once() == run_once()
