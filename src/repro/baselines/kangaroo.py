@@ -44,7 +44,7 @@ class KangarooCache(HierarchicalCacheBase):
             # greedy (fewest-valid) victim selection is the standard
             # device policy.  At 5 % OP with a fully-populated set
             # region, victims are ~95 % valid regardless of policy (see
-            # bench_ablations), so KG's WA blow-up here overshoots the
+            # test_hierarchical.py), so KG's WA blow-up here overshoots the
             # paper's 55.6x while preserving the multiplicative-GC
             # mechanism and the KG >> FW ordering (EXPERIMENTS.md).
             victim_policy="greedy",

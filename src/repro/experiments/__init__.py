@@ -5,7 +5,7 @@ result with a ``format()`` method, and registers itself in
 :data:`repro.experiments.registry.EXPERIMENTS` so the benchmark harness
 and ``python -m repro.experiments`` can enumerate them.
 
-Scales: ``"small"`` (seconds; used by tests and pytest-benchmark) and
+Scales: ``"small"`` (seconds; used by tests and ``benchmarks/e2e``) and
 ``"full"`` (the EXPERIMENTS.md numbers; tens of seconds per engine).
 """
 

@@ -2,8 +2,8 @@
 
 ``python -m repro.experiments [exp_id ...] [--scale small|full] [-j N]``
 runs experiments and prints their formatted results; with no arguments
-it lists what exists.  ``benchmarks/`` wraps the same registry in
-pytest-benchmark targets.
+it lists what exists.  ``benchmarks/e2e`` runs the same registry as
+its ``figures_micro`` workload.
 
 Experiments whose sweeps are embarrassingly parallel expose a
 ``cells(scale)`` / ``assemble(payloads)`` pair next to ``run``;

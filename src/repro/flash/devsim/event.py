@@ -91,25 +91,11 @@ class EventLoop:
         heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
-    def schedule_after(self, delay: float, kind: str, payload: Any = None) -> Event:
-        """Schedule ``kind`` ``delay`` microseconds from now."""
-        return self.schedule(self.now + delay, kind, payload)
-
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (lazy: skipped when popped)."""
         event.cancelled = True
 
     # ------------------------------------------------------------------
-    def peek(self) -> float | None:
-        """Timestamp of the next pending event (None when drained)."""
-        while self._heap:
-            _, _, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return event.time
-        return None
-
     def pending(self) -> int:
         """Number of non-cancelled events still in the heap."""
         return sum(1 for _, _, e in self._heap if not e.cancelled)

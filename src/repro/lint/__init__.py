@@ -7,8 +7,8 @@ cell-for-cell.  Golden-metric tests enforce that contract after the
 fact; this package enforces it at lint time, before a single experiment
 runs, by refusing the code patterns that historically break it:
 wall-clock reads inside the simulation, unseeded randomness,
-set-iteration-order dependence, unpaired bulk/scalar engine APIs, float
-contamination of integer device counters, and silent broad excepts.
+set-iteration-order dependence, float contamination of integer device
+counters, and silent broad excepts.
 
 Run it as ``python -m repro lint`` (or ``tools/reprolint`` in CI).
 Suppress a finding with an inline ``# reprolint: disable=R001`` comment

@@ -81,11 +81,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and rebuild the --deep call-graph cache",
-    )
-    parser.add_argument(
         "--dead-code",
         action="store_true",
         help=(
@@ -188,12 +183,7 @@ def _run(argv: list[str] | None = None) -> int:
 def _run_deep(args, root: Path, select: set[str] | None) -> int:
     from repro.lint.deep.driver import deep_lint
 
-    result = deep_lint(
-        root,
-        select=select,
-        use_cache=not args.no_cache,
-        dead_code=args.dead_code,
-    )
+    result = deep_lint(root, select=select, dead_code=args.dead_code)
     if args.format == "text":
         for violation in result.violations:
             print(violation.render())
@@ -205,8 +195,7 @@ def _run_deep(args, root: Path, select: set[str] | None) -> int:
             stats = result.stats
             print(
                 f"repro lint --deep: {status} "
-                f"({stats['modules_reused']} cached + "
-                f"{stats['modules_parsed']} parsed modules, "
+                f"({stats['modules_parsed']} parsed modules, "
                 f"{stats['seconds']}s)"
                 + (f"; {len(result.dead)} dead symbol(s)" if args.dead_code else "")
             )

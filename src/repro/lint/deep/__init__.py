@@ -1,9 +1,9 @@
 """Whole-program ("deep") analysis layer for reprolint.
 
 ``repro lint --deep`` builds a project-wide symbol table and call graph
-(:mod:`~repro.lint.deep.symbols`, :mod:`~repro.lint.deep.callgraph`),
-caches it keyed on file mtimes (:mod:`~repro.lint.deep.cache`), and runs
-the interprocedural D101-D105 rules (:mod:`~repro.lint.deep.rules`) on
+(:mod:`~repro.lint.deep.symbols`, :mod:`~repro.lint.deep.callgraph`,
+assembled by :mod:`~repro.lint.deep.project`) and runs the
+interprocedural D101-D105 rules (:mod:`~repro.lint.deep.rules`) on
 top of the reachability helpers in :mod:`~repro.lint.deep.dataflow`.
 The driver (:mod:`~repro.lint.deep.driver`) merges deep findings with
 the shallow per-file pass and renders text/JSON/SARIF.

@@ -1,10 +1,9 @@
 """The ``--deep`` orchestrator: shallow pass + whole-program rules.
 
-``deep_lint`` runs the per-file rules first (minus R004, whose
-bulk/scalar pairing heuristic D105 supersedes with real signature
-resolution), then builds/loads the cached project and runs D101-D105.
-The optional dead-code report (``--dead-code``) rides the same project
-but never affects the exit status — it is a report, not a gate.
+``deep_lint`` runs the per-file rules first, then parses the project
+and runs D101-D105.  The optional dead-code report (``--dead-code``)
+rides the same project but never affects the exit status — it is a
+report, not a gate.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.deep.cache import load_project
 from repro.lint.deep.deadcode import find_dead
+from repro.lint.deep.project import load_project
 from repro.lint.deep.rules import DEEP_RULES, discover_anchors
 from repro.lint.engine import Violation, lint_paths
 
@@ -26,40 +25,23 @@ class DeepResult:
 
     violations: list[Violation] = field(default_factory=list)
     dead: list[Violation] = field(default_factory=list)
-    #: modules reused from cache / re-parsed, and wall time in seconds.
+    #: modules parsed, and wall time in seconds.
     stats: dict[str, float] = field(default_factory=dict)
-
-
-def shallow_codes_for_deep() -> set[str]:
-    """Shallow rules that still run under ``--deep``: everything except
-    R004 (replaced by D105), plus the W001 unused-disable report."""
-    from repro.lint.rules import ALL_RULES
-
-    return {rule.code for rule in ALL_RULES if rule.code != "R004"} | {"W001"}
 
 
 def deep_lint(
     root: Path,
     *,
     select: Iterable[str] | None = None,
-    use_cache: bool = True,
-    cache_path: Path | None = None,
     dead_code: bool = False,
 ) -> DeepResult:
     """Run the shallow pass plus D101-D105 over the repo at ``root``."""
     started = time.perf_counter()
     wanted = set(select) if select is not None else None
 
-    shallow_select = shallow_codes_for_deep()
-    if wanted is not None:
-        shallow_select &= wanted
-    violations = lint_paths(
-        root, select=shallow_select, report_unused="W001" in shallow_select
-    )
+    violations = lint_paths(root, select=wanted, report_unused=True)
 
-    project, reused, parsed = load_project(
-        root, use_cache=use_cache, cache_path=cache_path
-    )
+    project = load_project(root)
     anchors = discover_anchors(project)
     for code, _description, checker in DEEP_RULES:
         if wanted is not None and code not in wanted:
@@ -72,8 +54,7 @@ def deep_lint(
         violations=violations,
         dead=dead,
         stats={
-            "modules_reused": reused,
-            "modules_parsed": parsed,
+            "modules_parsed": len(project.modules),
             "seconds": round(time.perf_counter() - started, 3),
         },
     )

@@ -33,7 +33,7 @@ from repro.lint.deep.symbols import (
 )
 from repro.lint.engine import Violation
 
-#: D105's bulk/scalar pairs — the contract R004 checked heuristically.
+#: D105's bulk/scalar pairs.
 BULK_SCALAR_PAIRS = (
     ("lookup_many", "lookup"),
     ("insert_many", "insert"),

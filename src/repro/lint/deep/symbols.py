@@ -1,12 +1,10 @@
 """Project-wide symbol extraction for the whole-program lint layer.
 
-One pass per file turns the AST into a serialisable :class:`ModuleInfo`:
-classes (bases, methods, attribute types), functions (parameters,
-nesting), and — per function — the *facts* the deep rules consume
-(call sites with receiver inference, attribute stores with taint roots,
-RNG/wall-clock/accounting sites).  Everything here is plain
-lists/dicts/strings so the call-graph cache (``deep/cache.py``) can
-round-trip it through JSON and skip re-parsing unchanged files.
+One pass per file turns the AST into a :class:`ModuleInfo`: classes
+(bases, methods, attribute types), functions (parameters, nesting), and
+— per function — the *facts* the deep rules consume (call sites with
+receiver inference, attribute stores with taint roots,
+RNG/wall-clock/accounting sites).
 
 Receiver inference is deliberately static and local (DESIGN.md §6):
 
@@ -26,11 +24,8 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
-
-#: Bump when the extracted shape changes; stale caches are discarded.
-SCHEMA_VERSION = 3
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -301,54 +296,6 @@ class ModuleInfo:
         if not codes:
             return False
         return "all" in codes or code in codes
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleInfo":
-        info = cls(
-            module=data["module"],
-            path=data["path"],
-            zone=data["zone"],
-            columnar_marker=data["columnar_marker"],
-            aliases=dict(data["aliases"]),
-            dict_registries=data["dict_registries"],
-            suppressions={k: list(v) for k, v in data["suppressions"].items()},
-            comments=[SuppressionComment(**c) for c in data["comments"]],
-            exports=list(data["exports"]),
-        )
-        for qual, fn in data["functions"].items():
-            info.functions[qual] = FuncInfo(
-                name=fn["name"],
-                qualname=fn["qualname"],
-                module=fn["module"],
-                cls=fn["cls"],
-                lineno=fn["lineno"],
-                end_lineno=fn["end_lineno"],
-                params=[ParamInfo(**p) for p in fn["params"]],
-                decorators=list(fn["decorators"]),
-                parent=fn["parent"],
-                calls=[CallSite(**c) for c in fn["calls"]],
-                attr_stores=[AttrStore(**s) for s in fn["attr_stores"]],
-                rng_sites=[RngSite(**r) for r in fn["rng_sites"]],
-                wallclock_sites=[SimpleSite(**s) for s in fn["wallclock_sites"]],
-                stats_mut_sites=[SimpleSite(**s) for s in fn["stats_mut_sites"]],
-                nand_sites=[SimpleSite(**s) for s in fn["nand_sites"]],
-                instantiates=list(fn["instantiates"]),
-                referenced_names=list(fn["referenced_names"]),
-            )
-        for name, cl in data["classes"].items():
-            info.classes[name] = ClassInfo(
-                name=cl["name"],
-                qualname=cl["qualname"],
-                module=cl["module"],
-                lineno=cl["lineno"],
-                bases=list(cl["bases"]),
-                methods=dict(cl["methods"]),
-                attr_types=dict(cl["attr_types"]),
-            )
-        return info
 
 
 # ----------------------------------------------------------------------
@@ -792,14 +739,17 @@ def extract_module(
     *,
     zone: str,
     project_class_names: set[str] | None = None,
+    tree: ast.Module | None = None,
 ) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo` (raises SyntaxError).
 
     ``project_class_names`` widens receiver inference with class names
-    from *other* files (the builder runs a cheap pre-pass to collect
-    them); ``None`` restricts inference to same-file classes.
+    from *other* files; ``None`` restricts inference to same-file
+    classes.  ``tree`` is ``source`` already parsed, when the caller
+    has it.
     """
-    tree = ast.parse(source, filename=rel_path)
+    if tree is None:
+        tree = ast.parse(source, filename=rel_path)
     module = module_name_for(rel_path)
     aliases = _alias_map(tree, module)
     info = ModuleInfo(module=module, path=rel_path, zone=zone)

@@ -427,68 +427,6 @@ class SetOrderRule(Rule):
         return attrs
 
 
-class BulkScalarPairingRule(Rule):
-    """R004: engine bulk/scalar API pairing.
-
-    The batched replay path dispatches to ``lookup_many`` /
-    ``insert_many`` / ``delete_many``; the scalar methods are the
-    semantic reference those fast paths must match (and what the
-    equivalence tests replay against).  An engine class that overrides a
-    bulk method without defining the scalar one has a fast path with no
-    reference — the byte-identity contract becomes unverifiable.
-    (Scalar-only engines are fine: ``CacheEngine`` supplies bulk
-    defaults that loop over the scalar methods.)
-    """
-
-    code = "R004"
-    name = "bulk-scalar-pairing"
-    zones = frozenset({"core", "baselines", "repro"})
-
-    PAIRS = {
-        "lookup_many": "lookup",
-        "insert_many": "insert",
-        "delete_many": "delete",
-    }
-    ENGINE_BASE_SUFFIXES = ("CacheEngine", "Cache")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        aliases = _qualname_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._is_engine_class(node, aliases):
-                continue
-            methods = {
-                stmt.name
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for bulk, scalar in self.PAIRS.items():
-                if bulk in methods and scalar not in methods:
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"engine `{node.name}` overrides `{bulk}` without "
-                        f"defining scalar `{scalar}` — the bulk fast path "
-                        "has no scalar reference to stay byte-identical to",
-                    )
-
-    def _is_engine_class(
-        self, node: ast.ClassDef, aliases: dict[str, str]
-    ) -> bool:
-        if node.name == "CacheEngine":
-            # The ABC itself defines the reference implementations.
-            return False
-        for base in node.bases:
-            qual = _resolve(base, aliases)
-            if qual is None:
-                continue
-            leaf = qual.rsplit(".", 1)[-1]
-            if leaf.endswith(self.ENGINE_BASE_SUFFIXES):
-                return True
-        return False
-
-
 class FloatIntoIntCounterRule(Rule):
     """R005: no float contamination of integer device counters.
 
@@ -767,7 +705,6 @@ ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
     SetOrderRule(),
-    BulkScalarPairingRule(),
     FloatIntoIntCounterRule(),
     BroadExceptRule(),
     FaultRandomnessRule(),

@@ -9,6 +9,7 @@ benchmark harness amortise generation across processes.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +40,47 @@ def save_trace(trace: Trace, path: str | Path) -> Path:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Load a trace previously written by :func:`save_trace`."""
+    """Load a trace previously written by :func:`save_trace`.
+
+    A file that is not such an archive raises :class:`TraceError`
+    naming the path and the cause.
+    """
+    # np.load imports zipfile on first use; at module level it would
+    # add its ~15 ms to every ``import repro``.
+    import zipfile
+
     path = Path(path)
     if not path.exists():
         raise TraceError(f"no trace at {path}")
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        return Trace(
-            ops=data["ops"],
-            keys=data["keys"],
-            sizes=data["sizes"],
-            name=meta.pop("name", "trace"),
-            num_keys=meta.pop("num_keys", 0),
-            meta=meta,
-        )
+    try:
+        data = np.load(path)
+        # A bare ``.npy`` file loads as an ndarray, which has no members
+        # and is no context manager.
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            ops, keys, sizes = data["ops"], data["keys"], data["sizes"]
+            meta = json.loads(bytes(data["meta"]).decode())
+    except (
+        # What np.load and the member reads raise on a truncated, empty,
+        # bit-flipped or member-less file, and bad meta JSON.
+        OSError,
+        EOFError,
+        KeyError,
+        ValueError,
+        zipfile.BadZipFile,
+        zlib.error,
+    ) as exc:
+        raise TraceError(
+            f"corrupt trace at {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not isinstance(meta, dict):
+        raise TraceError(f"corrupt trace at {path}: meta is not a JSON object")
+    return Trace(
+        ops=ops,
+        keys=keys,
+        sizes=sizes,
+        name=meta.pop("name", "trace"),
+        num_keys=meta.pop("num_keys", 0),
+        meta=meta,
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.fairywren import FairyWrenCache
+from repro.baselines.hierarchical import HierarchicalCacheBase
 from repro.baselines.kangaroo import KangarooCache
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
@@ -109,6 +110,22 @@ class TestWAShape:
         assert kg.write_amplification > fw.write_amplification
         if kg.hset.gc_runs:
             assert kg.gc_overhead > 1.0
+        # Victim-policy ablation: at 5 % OP victims are ~95 % valid
+        # whichever way they are chosen, so KG with FIFO victims (the
+        # engine itself is greedy) still grinds far above FW.
+        kg_fifo = HierarchicalCacheBase(
+            geometry,
+            log_fraction=0.05,
+            op_ratio=0.05,
+            hot_cold=False,
+            merge_on_gc=False,
+            victim_policy="fifo",
+        )
+        feed(kg_fifo, 25_000)
+        assert kg.hset.victim_policy == "greedy"
+        assert min(kg.write_amplification, kg_fifo.write_amplification) > (
+            2 * fw.write_amplification
+        )
 
     def test_fw_l2swa_near_model(self, geometry):
         fw = FairyWrenCache(geometry)

@@ -153,11 +153,14 @@ class TestIndexBehaviour:
         assert cache.pbfg_touches >= cache.pbfg_lookups
 
     def test_real_filters_mode_agrees_with_statistical(self):
-        """Same trace, both index modes: identical hit decisions."""
+        """Same trace, both index modes: identical hit decisions and WA."""
         a = fill_to_flash(tiny_nemo(use_real_filters=False), n=6000)
         b = fill_to_flash(tiny_nemo(use_real_filters=True), n=6000)
         for key in range(0, 6000, 11):
             assert a.lookup(key, 200).hit == b.lookup(key, 200).hit
+        assert a.write_amplification == pytest.approx(
+            b.write_amplification, abs=0.05
+        )
 
     def test_real_filters_have_no_false_negatives(self):
         cache = fill_to_flash(tiny_nemo(use_real_filters=True), n=6000)

@@ -46,6 +46,19 @@ class TestFlushPolicies:
         assert cache.flush_policy.flushes > 0
         assert len(cache.pool) > 0
 
+    def test_probabilistic_fill_matches_count_at_equal_operating_point(self):
+        """Count-based flushing (deployed) and the probabilistic form the
+        paper describes (Table 3 footnote) fill SGs alike when
+        ``flush_probability == 1 / flush_threshold``."""
+        count = churn(build(flush_policy=FlushPolicyKind.COUNT, flush_threshold=8))
+        prob = churn(
+            build(
+                flush_policy=FlushPolicyKind.PROBABILISTIC,
+                flush_probability=1 / 8,
+            )
+        )
+        assert abs(count.mean_fill_rate() - prob.mean_fill_rate()) < 0.1
+
     def test_naive_flushes_on_first_block(self):
         cache = churn(build(enable_delayed_flush=False))
         assert cache.flush_policy.deferrals == 0

@@ -2,7 +2,7 @@
 
 The batched replay dispatch calls ``lookup_many`` / ``insert_many`` /
 ``delete_many``; engines override them with inlined fast paths.  The
-contract (enforced statically by reprolint R004, behaviourally here) is
+contract (signatures checked statically by reprolint D105, behaviour here) is
 that each override is observationally identical to the base-class
 default — the plain loop over the scalar methods — including the
 simulated-clock accumulation order, so metrics stay byte-identical.

@@ -1,16 +1,10 @@
-"""Unit tests for the whole-program symbol table, call graph and cache.
+"""Unit tests for the whole-program symbol table and call graph.
 
 Covers the resolution strategies the deep rules lean on (self/param/
 local/chained attribute calls, virtual dispatch through base-class
-receivers), cycle safety of the traversals, and the mtime/class-set
-keyed cache invalidation.
+receivers) and cycle safety of the traversals.
 """
 
-import json
-import os
-from pathlib import Path
-
-from repro.lint.deep.cache import CACHE_FILENAME, load_project, load_symbol_tables
 from repro.lint.deep.callgraph import build_project
 from repro.lint.deep.dataflow import covered_fixpoint, reachable, shortest_path
 from repro.lint.deep.symbols import extract_module, parse_suppression_comments
@@ -182,74 +176,3 @@ class TestSuppressionComments:
         source = "# reprolint: disable=R008\nx = 1\n"
         (comment,) = parse_suppression_comments(source)
         assert comment.effective_lines == [1, 2]
-
-
-def seed_project(root: Path) -> None:
-    (root / "pyproject.toml").write_text("[project]\nname = 'fake'\n")
-    pkg = root / "src" / "repro"
-    pkg.mkdir(parents=True)
-    (pkg / "a.py").write_text("def fa():\n    return 1\n")
-    (pkg / "b.py").write_text("from repro.a import fa\n\nresult = fa()\n")
-
-
-class TestCacheInvalidation:
-    def test_second_run_reuses_everything(self, tmp_path):
-        seed_project(tmp_path)
-        _, reused, parsed = load_symbol_tables(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (0, 2)
-        _, reused, parsed = load_symbol_tables(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (2, 0)
-
-    def test_mtime_change_reparses_only_that_file(self, tmp_path):
-        seed_project(tmp_path)
-        load_symbol_tables(tmp_path, scan_roots=("src/repro",))
-        target = tmp_path / "src" / "repro" / "a.py"
-        target.write_text("def fa():\n    return 2\n")
-        os.utime(target, ns=(1, 1))  # force a distinct mtime_ns
-        _, reused, parsed = load_symbol_tables(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (1, 1)
-
-    def test_new_class_invalidates_the_whole_cache(self, tmp_path):
-        seed_project(tmp_path)
-        load_symbol_tables(tmp_path, scan_roots=("src/repro",))
-        target = tmp_path / "src" / "repro" / "a.py"
-        target.write_text("class Fresh:\n    pass\n\ndef fa():\n    return 1\n")
-        os.utime(target, ns=(1, 1))
-        # Receiver inference depends on the global class-name set, so
-        # every entry re-parses, not just the edited file.
-        _, reused, parsed = load_symbol_tables(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (0, 2)
-
-    def test_schema_mismatch_discards_cache(self, tmp_path):
-        seed_project(tmp_path)
-        load_symbol_tables(tmp_path, scan_roots=("src/repro",))
-        cache_file = tmp_path / CACHE_FILENAME
-        payload = json.loads(cache_file.read_text())
-        payload["schema"] = -1
-        cache_file.write_text(json.dumps(payload))
-        _, reused, parsed = load_symbol_tables(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (0, 2)
-
-    def test_no_cache_flag_skips_the_file(self, tmp_path):
-        seed_project(tmp_path)
-        load_symbol_tables(tmp_path, use_cache=False, scan_roots=("src/repro",))
-        assert not (tmp_path / CACHE_FILENAME).exists()
-
-    def test_cross_module_edges_survive_a_cached_load(self, tmp_path):
-        seed_project(tmp_path)
-        load_project(tmp_path, scan_roots=("src/repro",))
-        project, reused, parsed = load_project(
-            tmp_path, scan_roots=("src/repro",)
-        )
-        assert (reused, parsed) == (2, 0)
-        assert "repro.a.fa" in project.edges["repro.b.<module>"]

@@ -56,7 +56,7 @@ class TestMain:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R001", "R002", "R003", "R005", "R006", "R007", "R008",
         ):
             assert code in out
 

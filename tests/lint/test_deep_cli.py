@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from repro.lint.cli import main
-from repro.lint.deep.driver import deep_lint, shallow_codes_for_deep
+from repro.lint.deep.driver import deep_lint
 from repro.lint.engine import lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -32,23 +32,14 @@ def seed_violation_tree(root: Path) -> Path:
 
 
 class TestDeepOnRepo:
-    def test_repo_is_deep_clean_within_budget(self, tmp_path):
-        result = deep_lint(
-            REPO_ROOT, use_cache=True, cache_path=tmp_path / "cache.json"
-        )
+    def test_repo_is_deep_clean_within_budget(self):
+        result = deep_lint(REPO_ROOT)
         assert result.violations == []
-        # Acceptance budget is 30s in CI; a cold local build must fit
-        # comfortably inside it.
         assert result.stats["seconds"] < 30
 
     def test_deep_cli_exits_zero_on_repo(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         assert main(["--root", str(REPO_ROOT), "--deep", "-q"]) == 0
-
-    def test_r004_is_replaced_by_d105_in_deep_runs(self):
-        codes = shallow_codes_for_deep()
-        assert "R004" not in codes
-        assert "W001" in codes
 
 
 class TestJsonFormat:
@@ -85,7 +76,7 @@ class TestJsonFormat:
             }
         ]
 
-    def test_deep_json_summary_carries_cache_stats(self, tmp_path):
+    def test_deep_json_summary_carries_run_stats(self, tmp_path):
         seed_clean_tree(tmp_path)
         out_file = tmp_path / "report.json"
         assert (
@@ -94,7 +85,6 @@ class TestJsonFormat:
                     "--root",
                     str(tmp_path),
                     "--deep",
-                    "--no-cache",
                     "--format",
                     "json",
                     "--output",
@@ -107,7 +97,7 @@ class TestJsonFormat:
         payload = json.loads(out_file.read_text())
         summary = payload["summary"]
         assert summary["mode"] == "deep"
-        assert {"modules_parsed", "modules_reused", "seconds"} <= set(summary)
+        assert {"modules_parsed", "seconds"} <= set(summary)
 
 
 class TestSarifFormat:
@@ -120,7 +110,6 @@ class TestSarifFormat:
                     "--root",
                     str(tmp_path),
                     "--deep",
-                    "--no-cache",
                     "--format",
                     "sarif",
                     "--output",
@@ -166,7 +155,7 @@ class TestUnusedSuppressions:
         assert lint_source(source, zone="core", report_unused=True) == []
 
     def test_unused_codes_only_judged_when_their_rule_ran(self):
-        # R004 only applies to engine classes; here it never runs, so
+        # D101 is a whole-program rule the per-file pass never runs, so
         # its suppression is not judged (and not flagged).
         source = "x = 1  # reprolint: disable=D101\n"
         assert lint_source(source, zone="core", report_unused=True) == []
@@ -178,9 +167,7 @@ class TestDeadCodeReport:
         dead = tmp_path / "src" / "repro" / "core" / "orphan.py"
         dead.write_text("def never_called():\n    return 1\n")
         assert (
-            main(
-                ["--root", str(tmp_path), "--deep", "--no-cache", "--dead-code"]
-            )
+            main(["--root", str(tmp_path), "--deep", "--dead-code"])
             == 0
         )
         out = capsys.readouterr().out
@@ -195,9 +182,7 @@ class TestDeadCodeReport:
             "HANDLERS = {'cb': callback}\n"
         )
         assert (
-            main(
-                ["--root", str(tmp_path), "--deep", "--no-cache", "--dead-code"]
-            )
+            main(["--root", str(tmp_path), "--deep", "--dead-code"])
             == 0
         )
         assert "callback" not in capsys.readouterr().out

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.deep.cache import load_project
+from repro.lint.deep.project import load_project
 from repro.lint.deep.rules import DEEP_RULES, discover_anchors
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "deep"
@@ -21,9 +21,7 @@ CHECKERS = {code: checker for code, _desc, checker in DEEP_RULES}
 
 
 def run_rule(fixture: str, code: str):
-    project, _, _ = load_project(
-        FIXTURES / fixture, use_cache=False, scan_roots=(".",)
-    )
+    project = load_project(FIXTURES / fixture, scan_roots=(".",))
     anchors = discover_anchors(project)
     return project, anchors, CHECKERS[code](project, anchors)
 
@@ -119,9 +117,7 @@ class TestSuppression:
             "    # reprolint: disable=D103\n    engine.head = len(keys)",
         )
         (tmp_path / "kernels.py").write_text(source, encoding="utf-8")
-        project, _, _ = load_project(
-            tmp_path, use_cache=False, scan_roots=(".",)
-        )
+        project = load_project(tmp_path, scan_roots=(".",))
         anchors = discover_anchors(project)
         assert CHECKERS["D103"](project, anchors) == []
 
