@@ -60,7 +60,9 @@ class HierarchicalCacheBase(CacheEngine):
         "Log of cache size", 5 % by default).
     op_ratio:
         The paper's ``X``: fraction of the set region reserved for GC
-        headroom; usable sets are ``(1 - X)`` of the region's pages.
+        headroom; usable sets are ``(1 - X)`` of the region's pages —
+        with verbatim-relocation GC (``merge_on_gc=False``), of the
+        region's pages less the one-zone GC reserve.
     hot_cold / merge_on_gc:
         The two switches distinguishing FairyWREN from Kangaroo.
     """
@@ -97,6 +99,11 @@ class HierarchicalCacheBase(CacheEngine):
                 "(need >= 3 for GC headroom)"
             )
         set_region_pages = set_zone_count * geometry.pages_per_zone
+        if not merge_on_gc:
+            # Verbatim-relocation GC needs one free zone to relocate a
+            # victim into (HSet._ensure_headroom's reserve); OP is taken
+            # from what is left, so spare pages always exceed a zone.
+            set_region_pages -= geometry.pages_per_zone
         usable_sets = int((1.0 - op_ratio) * set_region_pages)
         num_buckets = usable_sets // 2 if hot_cold else usable_sets
         if num_buckets <= 0:

@@ -198,6 +198,10 @@ class HierarchicalSet:
         self.case_new_bytes: Counter[str] = Counter()
         self.gc_runs = 0
         self.gc_valid_fractions: list[float] = []
+        #: Valid sets GC dropped (evicting their objects) to make
+        #: progress: free space short of the relocations, or a fully
+        #: valid victim (``_gc_once``'s ``wp - 1`` guard).
+        self.gc_dropped_sets = 0
 
     # ------------------------------------------------------------------
     # Set addressing
@@ -495,6 +499,10 @@ class HierarchicalSet:
         trigger keeps a one-zone reserve (collect while every free page
         lives in the reserve), and :meth:`_gc_once` guarantees a net
         gain of at least one page per run, so this loop terminates.
+        The reserve is not over-provisioning: with verbatim relocation
+        a region whose spare pages do not exceed it leaves every victim
+        (nearly) fully valid, so the engine sizes its sets from the
+        region minus one zone (``HierarchicalCacheBase``).
         """
         ppz = self.device.geometry.pages_per_zone
         while self._free_pages() <= ppz:
@@ -601,6 +609,7 @@ class HierarchicalSet:
                 self._relocate_set(set_id, now_us=now_us)
 
     def _drop_set(self, set_id: int) -> None:
+        self.gc_dropped_sets += 1
         mirror = self.sets[set_id]
         for key, size in list(mirror.objects.items()):
             self.on_evict(key, size)

@@ -42,11 +42,8 @@ class KangarooCache(HierarchicalCacheBase):
             hash_seed=hash_seed,
             # Kangaroo's device GC relocates valid sets without merging;
             # greedy (fewest-valid) victim selection is the standard
-            # device policy.  At 5 % OP with a fully-populated set
-            # region, victims are ~95 % valid regardless of policy (see
-            # test_hierarchical.py), so KG's WA blow-up here overshoots the
-            # paper's 55.6x while preserving the multiplicative-GC
-            # mechanism and the KG >> FW ordering (EXPERIMENTS.md).
+            # device policy, and with OP beyond the one-zone GC reserve
+            # it finds victims near the paper's 50-80 % valid band.
             victim_policy="greedy",
         )
 

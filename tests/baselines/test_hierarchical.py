@@ -6,7 +6,9 @@ from repro.baselines.fairywren import FairyWrenCache
 from repro.baselines.hierarchical import HierarchicalCacheBase
 from repro.baselines.kangaroo import KangarooCache
 from repro.errors import ConfigError
+from repro.experiments.common import scale_params, twitter_trace
 from repro.flash.geometry import FlashGeometry
+from repro.harness.runner import replay
 
 
 @pytest.fixture
@@ -22,10 +24,23 @@ def feed(engine, n, size=250, start=0):
 
 
 class TestConstruction:
-    def test_fw_has_half_the_hash_range_of_kg(self, geometry):
+    def test_kg_op_excludes_the_gc_reserve_fw_op_does_not(self, geometry):
         fw = FairyWrenCache(geometry)
         kg = KangarooCache(geometry)
-        assert fw.hlog.num_buckets == pytest.approx(kg.hlog.num_buckets / 2, abs=1)
+        ppz = geometry.pages_per_zone
+        region = len(kg.hset.zone_ids) * ppz
+        # KG relocates verbatim, so one zone is GC reserve, not OP.
+        assert kg.hlog.num_buckets == int(0.95 * (region - ppz))
+        # FW folds GC into migration: OP over the whole region, halved
+        # between each bucket's cold and hot set.
+        assert fw.hlog.num_buckets == int(0.95 * region) // 2
+
+    @pytest.mark.parametrize("scale", ["micro", "small", "full"])
+    def test_kg_spare_exceeds_one_zone_at_every_scale(self, scale):
+        geo, _ = scale_params(scale)
+        kg = KangarooCache(geo)
+        spare = len(kg.hset.zone_ids) * geo.pages_per_zone - kg.hset.num_sets
+        assert spare > geo.pages_per_zone
 
     def test_zone_split_matches_log_fraction(self, geometry):
         fw = FairyWrenCache(geometry, log_fraction=0.25)
@@ -110,9 +125,9 @@ class TestWAShape:
         assert kg.write_amplification > fw.write_amplification
         if kg.hset.gc_runs:
             assert kg.gc_overhead > 1.0
-        # Victim-policy ablation: at 5 % OP victims are ~95 % valid
-        # whichever way they are chosen, so KG with FIFO victims (the
-        # engine itself is greedy) still grinds far above FW.
+        # Victim-policy ablation: at 5 % OP victims average > 80 %
+        # valid whichever way they are chosen, so KG with FIFO victims
+        # (the engine itself is greedy) still grinds far above FW.
         kg_fifo = HierarchicalCacheBase(
             geometry,
             log_fraction=0.05,
@@ -144,6 +159,22 @@ class TestWAShape:
     def test_memory_overhead_near_paper(self, geometry):
         fw = FairyWrenCache(geometry, log_fraction=0.05)
         assert fw.memory_overhead_bits_per_object() == pytest.approx(9.9, abs=0.2)
+
+
+class TestGCReserve:
+    """With OP taken beyond the one-zone GC reserve, greedy GC has
+    mostly-invalid victims to pick and never drops a valid set."""
+
+    @pytest.mark.parametrize("scale", ["micro", "small"])
+    def test_kg_replay_drops_no_sets(self, scale):
+        geo, num_requests = scale_params(scale)
+        kg = KangarooCache(geo)
+        replay(kg, twitter_trace(num_requests))
+        fractions = kg.hset.gc_valid_fractions
+        assert kg.hset.gc_runs > 0
+        assert kg.hset.gc_dropped_sets == 0
+        assert kg.write_amplification < 100
+        assert sum(fractions) / len(fractions) < 0.9
 
 
 class TestMetricsSnapshot:

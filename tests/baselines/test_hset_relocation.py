@@ -152,6 +152,7 @@ class TestDropCase:
         apply_writes(ref, writes)
         assert 1.0 in batch.gc_valid_fractions
         assert batch_evicted  # the dropped sets' objects
+        assert batch.gc_dropped_sets == ref.gc_dropped_sets > 0
         assert_same_state(
             full_state(batch, batch_evicted), full_state(ref, ref_evicted)
         )

@@ -1,7 +1,7 @@
 """CLI and output-format tests for ``repro lint --deep``.
 
-Pins: the real repo is deep-clean (exit 0) inside the CI runtime
-budget, the JSON shape is snapshot-stable, SARIF carries the fields
+Pins: the real repo is deep-clean (exit 0), the JSON shape is
+snapshot-stable, SARIF carries the fields
 GitHub code scanning requires, W001 reports stale suppressions, and
 the dead-code report never affects the exit status.
 """
