@@ -231,7 +231,7 @@ class HierarchicalLog:
         wp = self.device.zones[victim].write_pointer
         stale_buckets: set[int] = set()
         for page in range(first, first + wp):
-            _, objs = self.device.nand.read(page)
+            _, objs = self.device.read_page(page)
             for key, (_size, seq) in objs.items():
                 b = self.bucket_of(key)
                 cur = self.buckets[b].get(key)

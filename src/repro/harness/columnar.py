@@ -1,7 +1,5 @@
 """Whole-trace columnar replay kernels (DESIGN.md §5).
 
-# reprolint: columnar-kernel-zone
-
 The batched lane (``harness/runner.py``) still walks every request in a
 Python loop inside the engines' bulk methods; that caps replay at ~2M
 req/s.  This module processes an entire trace as numpy column passes
@@ -18,7 +16,7 @@ requires:
   trace (``Trace._kernel_cache``) — repeated replays of the same trace
   pay the sort exactly once, the "hash once up front" contract applied
   to the whole decision pass.
-- **Mutation loop** (compact, annotated): only the surviving state
+- **Mutation loop** (compact, per event): only the surviving state
   changes — misses, SETs, and DELETEs, ~20 % of a GET-heavy trace — are
   applied to the real engine via its bulk insert path, in request order.
   Lookup-side counters settle per chunk in O(1) from padded prefix sums.
@@ -160,7 +158,6 @@ def _flush_schedule(ins_stored: np.ndarray, page_size: int) -> np.ndarray:
     j = 0
     # Mutation loop: data-dependent reset-cumsum (one iteration per
     # *flush*, not per request; bisect jumps whole pages at C speed).
-    # reprolint: disable=R008
     while True:
         j = bisect_right(cs, base + page_size, j)
         if j >= limit:
@@ -498,7 +495,6 @@ def replay_log_columnar(
         # Event walker: one iteration per insert *run* (cut at
         # deletes and — once the device can wrap — at each flush),
         # not per request.
-        # reprolint: disable=R008
         while True:
             next_ins = ins_pos_list[ii] if ii < n_ins else n
             next_del = del_pos_list[di] if di < n_del else n
@@ -524,11 +520,9 @@ def replay_log_columnar(
             f_lo = fi
             # Monotone pointer advances: one step per flush/prune
             # event across the whole trace, not per request.
-            # reprolint: disable=R008
             while fi < n_flush and flush_list[fi] < jj:
                 fi += 1
             p_lo = pi
-            # reprolint: disable=R008
             while pi < n_prune and prune_list[pi] < jj:
                 pi += 1
             if check_evictions or f_lo >= first_evicting_flush:
@@ -799,7 +793,6 @@ def replay_nemo_columnar(
             j = i + 1
             # Per-occurrence repair walk: bounded by this key's future
             # GET-hit run, not the trace.
-            # reprolint: disable=R008
             while j < hi - lo:
                 p = int(occ[j])
                 if ops[p] != OP_GET_ or not hit_b[p]:
@@ -942,7 +935,6 @@ def replay_nemo_columnar(
         if decision is FlushDecision.MAKE_ROOM:
             front = sgs[0]
             evicted = front.evict_from_set(off, size)
-            # reprolint: disable=R008
             for k2, s2 in evicted:
                 engine.early_evicted_objects += 1
                 engine.early_evicted_bytes += s2
@@ -960,7 +952,6 @@ def replay_nemo_columnar(
         engine._flush_front(now_us=float(clock[t - 1]) if t else 0.0)
         sgs = list(queue._queue)
         F = len(pool_dq)
-        # reprolint: disable=R008
         for sg in sgs:
             tset = sg.sets[off]
             if tset.used_bytes + size <= set_size:
@@ -983,7 +974,6 @@ def replay_nemo_columnar(
         nonlocal ii, di, next_ins, next_del, seg_start, rpos
         # Event walker: one iteration per state change (insert
         # event, delete, injection), not per request.
-        # reprolint: disable=R008
         while True:
             t = next_ins
             kind = 0
@@ -1007,7 +997,6 @@ def replay_nemo_columnar(
                 ii += 1
                 next_ins = ins_pos_list[ii] if ii < n_ins else n
                 fit = None
-                # reprolint: disable=R008
                 for sg in sgs:
                     tset = sg.sets[off]
                     obj = tset.objects
@@ -1022,7 +1011,6 @@ def replay_nemo_columnar(
                         if ub > set_size:
                             # Oversized replacement: shed FIFO
                             # (silent, as SetGroup.try_insert).
-                            # reprolint: disable=R008
                             while tset.used_bytes > set_size:
                                 k2 = next(iter(obj))
                                 tset.used_bytes -= obj.pop(k2)
@@ -1063,7 +1051,6 @@ def replay_nemo_columnar(
                 off = int(col[t])
                 size = int(sizes_arr[t])
                 room = False
-                # reprolint: disable=R008
                 for sg in sgs:
                     if sg.sets[off].used_bytes + size <= set_size:
                         room = True
@@ -1093,7 +1080,6 @@ def replay_nemo_columnar(
                 placed = None
                 # Membership pass is vacuous (the key just missed);
                 # placement pass as in the walk above.
-                # reprolint: disable=R008
                 for sg in sgs:
                     tset = sg.sets[off]
                     if tset.used_bytes + size <= set_size:
@@ -1114,7 +1100,6 @@ def replay_nemo_columnar(
                 lo, hi = run_bounds[key]
                 occ = occ_sorted[lo:hi]
                 j = int(np.searchsorted(occ, t, side="right"))
-                # reprolint: disable=R008
                 while j < hi - lo:
                     p = int(occ[j])
                     if ops[p] != OP_GET_ or not hit_b[p]:

@@ -8,13 +8,17 @@ fact; this package enforces it at lint time, before a single experiment
 runs, by refusing the code patterns that historically break it:
 wall-clock reads inside the simulation, unseeded randomness,
 set-iteration-order dependence, float contamination of integer device
-counters, and silent broad excepts.
+counters, silent broad excepts, and fault randomness outside the fault
+plan.  Every rule sees one file at a time; contracts that span files
+(flash accounting conservation, the engines' crash protocol and
+request signatures) are checked by runtime tests instead.
 
 Run it as ``python -m repro lint`` (or ``tools/reprolint`` in CI).
 Suppress a finding with an inline ``# reprolint: disable=R001`` comment
 on the offending line (or on a comment-only line directly above it).
 
-See DESIGN.md §6 for the rule table and the contract each rule guards.
+See DESIGN.md §6 for the rule table, the contract each rule guards, and
+the tests that took over the cross-file contracts.
 """
 
 from __future__ import annotations

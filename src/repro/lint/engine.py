@@ -10,7 +10,9 @@ in the rules themselves.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,17 +20,22 @@ from pathlib import Path
 #: Directories (relative to the repo root) reprolint scans by default.
 DEFAULT_SCAN_ROOTS = ("src/repro", "benchmarks", "tests")
 
-#: Subtrees never scanned: lint fixtures contain deliberate violations
-#: (the deep-rule packages under tests/lint/fixtures/ exist to trip
-#: D101-D105), so the repo-tree-is-clean invariant must not see them.
-EXCLUDED_SUBTREES = ("tests/lint/fixtures",)
-
 #: ``# reprolint: disable=R001`` or ``disable=R001,R003`` or ``disable=all``.
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
-#: A comment-only line (suppression comments on these apply to the
-#: *next* line, so long statements can be annotated without overflowing).
-_COMMENT_ONLY_RE = re.compile(r"^\s*#")
+#: Token types that carry no code: a line holding only these is a
+#: comment-only line.
+_NON_CODE_TOKENS = frozenset(
+    {
+        tokenize.COMMENT,
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENDMARKER,
+        tokenize.ENCODING,
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,20 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
+@dataclass(frozen=True)
+class SuppressionComment:
+    """One ``# reprolint: disable=...`` comment and the lines it silences."""
+
+    line: int
+    codes: frozenset[str]
+    effective_lines: tuple[int, ...]
+
+    def silences(self, line: int, code: str) -> bool:
+        return line in self.effective_lines and (
+            "all" in self.codes or code in self.codes
+        )
+
+
 @dataclass
 class FileContext:
     """Everything a rule needs to inspect one file."""
@@ -53,14 +74,11 @@ class FileContext:
     source: str
     tree: ast.Module
     zone: str
-    #: line number -> set of suppressed rule codes ("all" suppresses any).
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
+    #: The file's suppression comments, in source order.
+    suppressions: list[SuppressionComment] = field(default_factory=list)
 
     def is_suppressed(self, line: int, code: str) -> bool:
-        codes = self.suppressions.get(line)
-        if codes is None:
-            return False
-        return "all" in codes or code in codes
+        return any(c.silences(line, code) for c in self.suppressions)
 
 
 def classify_zone(rel_path: str) -> str:
@@ -84,23 +102,33 @@ def classify_zone(rel_path: str) -> str:
     return "other"
 
 
-def parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Collect ``# reprolint: disable=...`` comments by effective line.
+def parse_suppression_comments(source: str) -> list[SuppressionComment]:
+    """Genuine ``# reprolint: disable=...`` comments, found by tokenize.
 
-    A suppression on a code line silences that line; a suppression on a
-    comment-only line silences the next line as well.
+    Only comment tokens count, so the syntax quoted inside a string or
+    docstring silences nothing.  A comment on a code line silences that
+    line; a comment alone on its line silences itself and the next line
+    (so long statements can be annotated without overflowing).
     """
-    suppressed: dict[int, set[str]] = {}
-    lines = source.splitlines()
-    for lineno, text in enumerate(lines, start=1):
+    code_lines: set[int] = set()
+    found: list[tuple[int, str]] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                found.append((tok.start[0], tok.string))
+            elif tok.type not in _NON_CODE_TOKENS:
+                code_lines.update(range(tok.start[0], tok.end[0] + 1))
+    except (tokenize.TokenError, SyntaxError):
+        return []
+    comments: list[SuppressionComment] = []
+    for lineno, text in found:
         match = _SUPPRESS_RE.search(text)
         if match is None:
             continue
-        codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
-        suppressed.setdefault(lineno, set()).update(codes)
-        if _COMMENT_ONLY_RE.match(text) and lineno < len(lines) + 1:
-            suppressed.setdefault(lineno + 1, set()).update(codes)
-    return suppressed
+        codes = frozenset(c.strip() for c in match.group(1).split(",") if c.strip())
+        effective = (lineno,) if lineno in code_lines else (lineno, lineno + 1)
+        comments.append(SuppressionComment(lineno, codes, effective))
+    return comments
 
 
 def build_context(path: str, source: str, zone: str | None = None) -> FileContext:
@@ -111,7 +139,7 @@ def build_context(path: str, source: str, zone: str | None = None) -> FileContex
         source=source,
         tree=tree,
         zone=classify_zone(path) if zone is None else zone,
-        suppressions=parse_suppressions(source),
+        suppressions=parse_suppression_comments(source),
     )
 
 
@@ -119,55 +147,41 @@ def iter_python_files(
     root: Path, scan_roots: Sequence[str] = DEFAULT_SCAN_ROOTS
 ) -> Iterator[Path]:
     """Yield the ``.py`` files under ``root``'s scan directories, sorted."""
-    excluded = tuple((root / sub).resolve() for sub in EXCLUDED_SUBTREES)
-
-    def keep(path: Path) -> bool:
-        resolved = path.resolve()
-        return not any(resolved.is_relative_to(ex) for ex in excluded)
-
     for scan in scan_roots:
         base = root / scan
         if base.is_file() and base.suffix == ".py":
-            if keep(base):
-                yield base
-            continue
-        if not base.is_dir():
-            continue
-        yield from (p for p in sorted(base.rglob("*.py")) if keep(p))
+            yield base
+        elif base.is_dir():
+            yield from sorted(base.rglob("*.py"))
 
 
 def unused_suppression_violations(
-    path: str,
-    source: str,
-    raw_violations: Iterable[Violation],
+    ctx: FileContext,
+    raw_violations: Sequence[Violation],
     ran_codes: set[str],
 ) -> list[Violation]:
     """W001: ``# reprolint: disable=CODE`` comments that silence nothing.
 
-    Only genuine comments count (tokenize-based discovery, so docstring
-    mentions of the syntax don't register), and a code is only judged
-    when its rule actually ran on this file (``ran_codes``) — otherwise
-    a ``--select`` run would flag every suppression as stale.
+    A code is only judged when its rule actually ran on this file
+    (``ran_codes``) — otherwise a ``--select`` run would flag every
+    suppression as stale.
     """
-    from repro.lint.deep.symbols import parse_suppression_comments
-
-    hits = {(v.line, v.code) for v in raw_violations}
-    hit_lines = {v.line for v in raw_violations}
     out: list[Violation] = []
-    for comment in parse_suppression_comments(source):
-        for code in comment.codes:
+    for comment in ctx.suppressions:
+        lines = comment.effective_lines
+        for code in sorted(comment.codes):
             if code == "all":
-                if not ran_codes:
-                    continue
-                used = any(ln in hit_lines for ln in comment.effective_lines)
+                judged = bool(ran_codes)
+                used = any(v.line in lines for v in raw_violations)
             else:
-                if code not in ran_codes:
-                    continue
-                used = any((ln, code) in hits for ln in comment.effective_lines)
-            if not used:
+                judged = code in ran_codes
+                used = any(
+                    v.line in lines and v.code == code for v in raw_violations
+                )
+            if judged and not used:
                 out.append(
                     Violation(
-                        path=path,
+                        path=ctx.path,
                         line=comment.line,
                         col=0,
                         code="W001",
@@ -211,9 +225,7 @@ def lint_source(
         raw.extend(rule.check(ctx))
     violations = [v for v in raw if not ctx.is_suppressed(v.line, v.code)]
     if report_unused and (wanted is None or "W001" in wanted):
-        violations.extend(
-            unused_suppression_violations(path, source, raw, ran_codes)
-        )
+        violations.extend(unused_suppression_violations(ctx, raw, ran_codes))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations
 

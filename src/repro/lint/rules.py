@@ -1,4 +1,4 @@
-"""reprolint rules R001–R008.
+"""reprolint rules R001–R007.
 
 Each rule guards one clause of the simulator's byte-identity /
 determinism contract (DESIGN.md §6).  Rules are AST-based and
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import abc
 import ast
-import re
 from collections.abc import Iterator
 
 from repro.lint.engine import FileContext, Violation
@@ -134,14 +133,18 @@ class WallClockRule(Rule):
 
 
 class UnseededRandomRule(Rule):
-    """R002: no global-state randomness anywhere in the repo.
+    """R002: no unseeded or global-state randomness anywhere in the repo.
 
     Module-level ``random.*`` functions and ``numpy.random.*`` legacy
     functions draw from hidden global state that any import or earlier
     call can perturb — replay output would depend on execution history.
-    All randomness must flow through seeded ``numpy.random.Generator``
-    (via ``default_rng(seed)``) or ``random.Random(seed)`` instances
-    threaded from config.
+    A stream constructed without a seed (``random.Random()``,
+    ``default_rng()``, ``RandomState()``) and the OS-entropy sources
+    (``random.SystemRandom``, ``os.urandom``, ``uuid.uuid1``/``uuid4``,
+    ``secrets.*``) differ on every run outright.  All randomness must
+    flow through seeded ``numpy.random.Generator`` (via
+    ``default_rng(seed)``) or ``random.Random(seed)`` instances threaded
+    from config.
     """
 
     code = "R002"
@@ -188,13 +191,36 @@ class UnseededRandomRule(Rule):
             "Philox",
             "SFC64",
             "MT19937",
-            "RandomState",  # legacy but instance-based; seeding is audited by review
+            "RandomState",  # legacy but instance-based; unseeded calls are flagged
         }
+    )
+    #: Stream constructors that seed themselves from OS entropy when
+    #: called with no arguments.
+    SEEDABLE_CONSTRUCTORS = frozenset(
+        {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
+    )
+    #: Nondeterministic however they are called (as is all of ``secrets``).
+    OS_ENTROPY = frozenset(
+        {"random.SystemRandom", "os.urandom", "uuid.uuid1", "uuid.uuid4"}
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         aliases = _qualname_map(ctx.tree)
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                qual = _resolve(node.func, aliases)
+                if (
+                    qual in self.SEEDABLE_CONSTRUCTORS
+                    and not node.args
+                    and not node.keywords
+                ):
+                    yield self.violation(
+                        ctx,
+                        node,
+                        f"`{qual}()` without a seed draws OS entropy (pass a "
+                        "seed threaded from config)",
+                    )
+                continue
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             if not isinstance(getattr(node, "ctx", None), ast.Load):
@@ -203,7 +229,14 @@ class UnseededRandomRule(Rule):
             if qual is None or "." not in qual:
                 continue
             prefix, attr = qual.rsplit(".", 1)
-            if prefix == "random" and attr in self.BANNED_RANDOM:
+            if qual in self.OS_ENTROPY or prefix == "secrets":
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"OS-entropy source `{qual}` differs on every run (use a "
+                    "seeded `random.Random(seed)` instance)",
+                )
+            elif prefix == "random" and attr in self.BANNED_RANDOM:
                 yield self.violation(
                     ctx,
                     node,
@@ -659,47 +692,6 @@ class FaultRandomnessRule(Rule):
             yield from self._visit(ctx, child, aliases, child_in_plan)
 
 
-class ColumnarKernelLoopRule(Rule):
-    """R008: no per-request Python loops in columnar-kernel zones.
-
-    A module that opts in with a ``# reprolint: columnar-kernel-zone``
-    marker promises to process whole traces as numpy array programs —
-    vectorised decision passes feeding compact state-mutation loops.  A
-    ``for``/``while`` *statement* there is almost always a per-request
-    loop sneaking back into the hot path, quietly costing the orders of
-    magnitude the lane exists for.  The audited compact mutation loops
-    carry an inline ``# reprolint: disable=R008``.  Comprehensions and
-    generator expressions are exempt: they build small plan structures
-    (per-flush, per-window), not per-request traversals.
-    """
-
-    code = "R008"
-    name = "loop-in-columnar-kernel-zone"
-    zones = None  # opt-in by marker, not by directory
-
-    #: The marker is a module-level declaration: a comment-only line in
-    #: the module header.  Mentions elsewhere (docstrings, fixture
-    #: snippets embedded in test files) do not opt a file in.
-    MARKER_RE = re.compile(r"^\s*#\s*reprolint:\s*columnar-kernel-zone\s*$")
-    MARKER_SCAN_LINES = 10
-
-    def applies(self, ctx: FileContext) -> bool:
-        head = ctx.source.splitlines()[: self.MARKER_SCAN_LINES]
-        return any(self.MARKER_RE.match(line) for line in head)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                kind = "while" if isinstance(node, ast.While) else "for"
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"`{kind}` statement in a columnar-kernel-zone module "
-                    "— express it as a numpy array pass, or audit the "
-                    "compact mutation loop with `# reprolint: disable=R008`",
-                )
-
-
 #: Registration order == reporting order for same-line findings.
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
@@ -708,7 +700,6 @@ ALL_RULES: tuple[Rule, ...] = (
     FloatIntoIntCounterRule(),
     BroadExceptRule(),
     FaultRandomnessRule(),
-    ColumnarKernelLoopRule(),
 )
 
 

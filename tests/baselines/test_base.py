@@ -1,10 +1,24 @@
 """Unit tests for the shared engine interface pieces."""
 
+import inspect
 import math
 
-from repro.baselines.base import EngineCounters, LookupResult
+import pytest
+
+from repro.baselines.base import CacheEngine, EngineCounters, LookupResult
 from repro.baselines.log_structured import LogStructuredCache
+from repro.cluster.factory import ENGINE_NAMES, make_engine, shard_geometry
 from repro.flash.geometry import FlashGeometry
+
+#: The request methods the replay runner calls through the base signature.
+REQUEST_METHODS = (
+    "lookup",
+    "insert",
+    "delete",
+    "lookup_many",
+    "insert_many",
+    "delete_many",
+)
 
 
 class TestLookupResult:
@@ -86,3 +100,29 @@ class TestEngineHelpers:
         engine.lookup(1, 100)
         text = repr(engine)
         assert "objects=" in text
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+class TestRegisteredEngineProtocol:
+    """Every engine the factory builds implements crash recovery (the
+    base class refuses) and accepts every call the base signature
+    allows on each request method."""
+
+    def test_overrides_crash_and_recover(self, name):
+        engine_type = type(make_engine(name, shard_geometry(8)))
+        assert engine_type.crash is not CacheEngine.crash
+        assert engine_type.recover is not CacheEngine.recover
+
+    @pytest.mark.parametrize("method", REQUEST_METHODS)
+    def test_request_signature_extends_the_base(self, name, method):
+        engine_type = type(make_engine(name, shard_geometry(8)))
+        base = list(inspect.signature(getattr(CacheEngine, method)).parameters.values())
+        own = list(inspect.signature(getattr(engine_type, method)).parameters.values())
+
+        def shape(params):
+            return [(p.name, p.kind, p.default) for p in params]
+
+        assert shape(own[: len(base)]) == shape(base)
+        variadic = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+        for extra in own[len(base) :]:
+            assert extra.default is not extra.empty or extra.kind in variadic, extra.name

@@ -2,7 +2,8 @@
 
 The batched replay dispatch calls ``lookup_many`` / ``insert_many`` /
 ``delete_many``; engines override them with inlined fast paths.  The
-contract (signatures checked statically by reprolint D105, behaviour here) is
+contract (signatures checked by ``mypy --strict`` and
+``tests/baselines/test_base.py``, behaviour here) is
 that each override is observationally identical to the base-class
 default — the plain loop over the scalar methods — including the
 simulated-clock accumulation order, so metrics stay byte-identical.

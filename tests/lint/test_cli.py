@@ -1,8 +1,9 @@
 """End-to-end tests for the ``repro lint`` / ``tools/reprolint`` front end.
 
 The pinned contract: the real repo tree lints clean (exit 0), a seeded
-violation tree exits 1, usage errors exit 2, and syntax errors surface
-as E999 diagnostics instead of crashing the run.
+violation tree exits 1, usage errors exit 2, syntax errors surface as
+E999 diagnostics instead of crashing the run, and stale suppressions
+are reported as W001.
 """
 
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.cli import find_repo_root, main
-from repro.lint.engine import lint_file, lint_paths
+from repro.lint.engine import lint_file, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -55,10 +56,15 @@ class TestMain:
     def test_list_rules_names_all_codes(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in (
-            "R001", "R002", "R003", "R005", "R006", "R007", "R008",
-        ):
-            assert code in out
+        listed = [line.split()[0] for line in out.splitlines() if line[:1].strip()]
+        assert listed == ["R001", "R002", "R003", "R005", "R006", "R007", "W001"]
+
+    @pytest.mark.parametrize("flag", [["--deep"], ["--format", "json"]])
+    def test_retired_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_explicit_paths_restrict_the_scan(self, tmp_path):
         seed_fixture_tree(tmp_path)
@@ -90,6 +96,35 @@ class TestSyntaxErrors:
         )
         found = lint_paths(tmp_path)
         assert {v.code for v in found} == {"R001", "E999"}
+
+
+class TestUnusedSuppressions:
+    def test_stale_disable_reports_w001(self, tmp_path, capsys):
+        (tmp_path / "pyproject.toml").write_text("[project]\nname = 'fake'\n")
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "stale.py").write_text("x = 1  # reprolint: disable=R001\n")
+        assert main(["--root", str(tmp_path), "-q"]) == 1
+        out = capsys.readouterr().out
+        assert "W001" in out and "stale.py" in out
+
+    def test_used_disable_is_not_reported(self):
+        source = (
+            "import time\n\n\n"
+            "def stamp():\n"
+            "    return time.time()  # reprolint: disable=R001\n"
+        )
+        assert lint_source(source, zone="core", report_unused=True) == []
+
+    def test_docstring_mention_is_not_a_suppression_comment(self):
+        source = '"""Use `# reprolint: disable=R001` to suppress."""\n'
+        assert lint_source(source, zone="core", report_unused=True) == []
+
+    def test_unused_codes_only_judged_when_their_rule_ran(self):
+        # R003 does not apply in the harness zone, so its suppression
+        # there is not judged (and not flagged).
+        source = "x = 1  # reprolint: disable=R003\n"
+        assert lint_source(source, zone="harness", report_unused=True) == []
 
 
 class TestToolsShim:

@@ -1,4 +1,4 @@
-"""Unit tests for reprolint rules R001–R008.
+"""Unit tests for reprolint rules R001–R007.
 
 Every rule gets the same treatment: a fixture snippet that must fire, a
 snippet in an allowlisted zone (or an allowed pattern) that must stay
@@ -9,7 +9,7 @@ linted through :func:`repro.lint.engine.lint_source` with an explicit
 
 import textwrap
 
-from repro.lint.engine import classify_zone, lint_source, parse_suppressions
+from repro.lint.engine import classify_zone, lint_source, parse_suppression_comments
 from repro.lint.rules import ALL_RULES, rules_by_code
 
 
@@ -30,10 +30,10 @@ class TestRuleRegistry:
             seen.add(rule.code)
             assert rule.__doc__ and rule.code in rule.__doc__
 
-    def test_rules_by_code_covers_r001_to_r008(self):
+    def test_rules_by_code_covers_r001_to_r007(self):
         table = rules_by_code()
-        # Code 4 is retired: D105 checks bulk/scalar parity under --deep.
-        assert sorted(table) == [f"R00{i}" for i in range(1, 9) if i != 4]
+        # Code 4 is retired: bulk/scalar signatures are a runtime test.
+        assert sorted(table) == [f"R00{i}" for i in range(1, 8) if i != 4]
 
 
 class TestWallClockR001:
@@ -132,6 +132,57 @@ class TestUnseededRandomR002:
             x = rng.random() + gen.random()
             """,
             zone="core",
+        )
+        assert found == []
+
+    def test_flags_unseeded_stream_constructors(self):
+        found = lint(
+            """
+            import random
+            import numpy as np
+            a = random.Random()
+            b = np.random.default_rng()
+            c = np.random.RandomState()
+            """,
+            zone="tests",
+        )
+        assert codes(found) == ["R002"] * 3
+        assert "without a seed" in found[0].message
+
+    def test_flags_os_entropy_sources(self):
+        found = lint(
+            """
+            import os
+            import random
+            import secrets
+            import uuid
+            from secrets import token_hex
+            a = random.SystemRandom()
+            b = os.urandom(8)
+            c = uuid.uuid1()
+            d = uuid.uuid4()
+            e = secrets.randbelow(10)
+            f = token_hex(8)
+            """,
+            zone="harness",
+        )
+        assert codes(found) == ["R002"] * 6
+        assert "OS-entropy" in found[0].message
+
+    def test_seeded_constructors_stay_allowed(self):
+        found = lint(
+            """
+            import random
+            import numpy as np
+            def streams(seed):
+                return (
+                    np.random.default_rng(0),
+                    np.random.default_rng(seed=seed),
+                    np.random.RandomState(seed),
+                    random.Random(seed),
+                )
+            """,
+            zone="workloads",
         )
         assert found == []
 
@@ -450,91 +501,6 @@ class TestFaultRandomnessR007:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-class TestColumnarKernelLoopR008:
-    def test_flags_for_loop_in_marked_module(self):
-        found = lint(
-            """
-            # reprolint: columnar-kernel-zone
-            def decide(requests):
-                out = []
-                for req in requests:
-                    out.append(req * 2)
-                return out
-            """,
-            zone="harness",
-        )
-        assert codes(found) == ["R008"]
-        assert "columnar-kernel-zone" in found[0].message
-
-    def test_flags_while_loop_in_marked_module(self):
-        found = lint(
-            """
-            # reprolint: columnar-kernel-zone
-            def drain(queue):
-                while queue:
-                    queue.pop()
-            """,
-            zone="harness",
-        )
-        assert codes(found) == ["R008"]
-        assert "`while`" in found[0].message
-
-    def test_unmarked_module_unaffected(self):
-        found = lint(
-            """
-            def decide(requests):
-                for req in requests:
-                    pass
-            """,
-            zone="harness",
-            select=["R008"],
-        )
-        assert found == []
-
-    def test_comprehensions_and_genexprs_exempt(self):
-        found = lint(
-            """
-            # reprolint: columnar-kernel-zone
-            def plan(flushes):
-                pages = [f.page for f in flushes]
-                total = sum(f.bytes for f in flushes)
-                by_zone = {f.zone: f for f in flushes}
-                return pages, total, by_zone
-            """,
-            zone="harness",
-        )
-        assert found == []
-
-    def test_audited_mutation_loop_suppressed(self):
-        found = lint(
-            """
-            # reprolint: columnar-kernel-zone
-            def mutate(index, evictions):
-                # Compact state-mutation loop over evictions, not requests.
-                # reprolint: disable=R008
-                for key in evictions:
-                    del index[key]
-            """,
-            zone="harness",
-        )
-        assert found == []
-
-    def test_shipped_columnar_kernel_is_clean(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--select", "R008",
-             "src/repro/harness"],
-            cwd=repo,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 class TestEngineHelpers:
     def test_zone_classification(self):
         assert classify_zone("src/repro/core/nemo.py") == "core"
@@ -573,14 +539,29 @@ class TestEngineHelpers:
         assert sorted(codes(found)) == ["R001", "R002"]
 
     def test_parse_suppressions_same_line_and_next_line(self):
-        sup = parse_suppressions(
+        same_line, comment_only = parse_suppression_comments(
             "x = 1  # reprolint: disable=R001\n"
             "# reprolint: disable=R002, R003\n"
             "y = 2\n"
         )
-        assert sup[1] == {"R001"}
-        assert sup[2] == {"R002", "R003"}
-        assert sup[3] == {"R002", "R003"}
+        assert same_line.codes == {"R001"}
+        assert same_line.effective_lines == (1,)
+        assert comment_only.codes == {"R002", "R003"}
+        assert comment_only.effective_lines == (2, 3)
+
+    def test_docstring_mention_silences_nothing(self):
+        found = lint(
+            '''
+            import time
+
+            def stamp():
+                """Host time; callers that must may suppress with
+                # reprolint: disable=R001"""
+                return time.time()
+            ''',
+            zone="core",
+        )
+        assert codes(found) == ["R001"]
 
     def test_disable_all(self):
         found = lint(
