@@ -181,16 +181,6 @@ class BloomFilter:
         self._bits |= int.from_bytes(packed, "little")
         self.count += len(keys)
 
-    def contains_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains_many`: one bool verdict per key."""
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        nbytes = (self.num_bits + 7) // 8
-        data = np.frombuffer(self._bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(data, bitorder="little", count=self.num_bits)
-        verdict: np.ndarray = bits[self._probe_matrix(keys)].all(axis=1)
-        return verdict
-
     def clear(self) -> None:
         self._bits = 0
         self.count = 0

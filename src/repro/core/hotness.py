@@ -103,41 +103,6 @@ class HotnessTracker:
         if len(tracked):
             self._bits.update(zip(tracked.tolist(), offsets[in_window].tolist()))
 
-    def is_hot_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_hot`: one bool verdict per key.
-
-        Decision pass: gather each key's tracked offset, map offsets to
-        PBFG page indices through the flat table, then resolve the cache
-        occupancy once per *distinct* page index (the verdict depends
-        only on the page, and a batch touches few distinct pages).
-        """
-        n = len(keys)
-        out = np.zeros(n, dtype=bool)
-        if n == 0 or not self._bits:
-            return out
-        bits_get = self._bits.get
-        offs = np.fromiter(
-            (bits_get(k, -1) for k in keys.tolist()), dtype=np.int64, count=n
-        )
-        tracked = offs >= 0
-        if not tracked.any():
-            return out
-        table = self._offset_page
-        if table is not None:
-            pages = np.asarray(table, dtype=np.int64)[offs[tracked]]
-        else:
-            page_of = self._page_of_offset
-            pages = np.fromiter(
-                (page_of(o) for o in offs[tracked].tolist()), dtype=np.int64
-            )
-        uniq, inv = np.unique(pages, return_inverse=True)
-        cached = self._page_idx_cached
-        verdicts = np.fromiter(
-            (cached(p) for p in uniq.tolist()), dtype=bool, count=len(uniq)
-        )
-        out[tracked] = verdicts[inv]
-        return out
-
     def discard(self, key: int) -> None:
         self._bits.pop(key, None)
 

@@ -90,31 +90,6 @@ class SetGroupQueue:
                 return size
         return None
 
-    def find_many(
-        self, offsets: list[int], keys: list[int]
-    ) -> list[int | None]:
-        """Bulk :meth:`find`: front-first resident sizes, None on absence.
-
-        One pass per queued SG fills still-unresolved slots, preserving
-        the scalar front-to-rear precedence while touching each SG's set
-        dicts once per batch instead of once per key.
-        """
-        out: list[int | None] = [None] * len(keys)
-        unresolved = list(range(len(keys)))
-        for sg in self._queue:
-            if not unresolved:
-                break
-            sets = sg.sets
-            still: list[int] = []
-            for i in unresolved:
-                size = sets[offsets[i]].objects.get(keys[i])
-                if size is None:
-                    still.append(i)
-                else:
-                    out[i] = size
-            unresolved = still
-        return out
-
     def remove(self, offset: int, key: int) -> bool:
         for sg in self._queue:
             if sg.sets[offset].remove(key) is not None:

@@ -3,18 +3,19 @@
 The analytic :class:`~repro.flash.latency.LatencyModel` collapses each
 channel to a ``busy_until`` horizon — exact for open-loop replay, but
 unable to express queueing under bursty closed-loop arrivals, priority
-classes, or die-level parallelism.  This subpackage provides the event
-lane behind the same surface:
+classes, or preempted writes.  This subpackage provides the event lane
+behind the same surface:
 
-- :class:`~repro.flash.devsim.event.EventLoop` — deterministic heap
-  scheduler with stable ``(time, seq)`` ordering and registered
-  handlers.
 - :class:`~repro.flash.devsim.nand.Die` — per-die NAND queues (fg
   reads, bg reads, writes) with program/erase suspend-resume and read
-  prioritisation; residual write work is never lost.
+  prioritisation; residual write work is never lost.  Each die is its
+  own clock: :meth:`~repro.flash.devsim.nand.Die.advance` fires its
+  pending suspend and completions in time order, with no event queue
+  shared between dies.
 - :class:`~repro.flash.devsim.model.EventLatencyModel` — the
   ``LatencyModel``-compatible facade engines and the replay harness
-  attach via ``latency_lane="event"``.
+  attach via ``latency_lane="event"``; it keeps the device clock and
+  advances only the dies a call touches.
 - :class:`~repro.flash.devsim.frontend.FrontendScheduler` — open-loop
   and QD-limited closed-loop issue with priority classes, driving any
   service function (the closed-loop replay harness wires it to a cache
@@ -25,28 +26,16 @@ by construction — the latency model only times operations, it never
 changes what the engines do.  The metric-parity suite asserts this.
 """
 
-from repro.flash.devsim.event import Event, EventLoop
-from repro.flash.devsim.factory import (
-    LANE_ANALYTIC,
-    LANE_EVENT,
-    LATENCY_LANES,
-    lane_of,
-    make_latency_model,
-)
+from repro.flash.devsim.factory import LATENCY_LANES, make_latency_model
 from repro.flash.devsim.frontend import FrontendScheduler
 from repro.flash.devsim.model import EventLatencyModel
 from repro.flash.devsim.nand import Die, NandOp
 
 __all__ = [
-    "Event",
-    "EventLoop",
     "Die",
     "NandOp",
     "EventLatencyModel",
     "FrontendScheduler",
-    "LANE_ANALYTIC",
-    "LANE_EVENT",
     "LATENCY_LANES",
-    "lane_of",
     "make_latency_model",
 ]

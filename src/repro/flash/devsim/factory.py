@@ -14,18 +14,8 @@ from repro.errors import ConfigError
 from repro.flash.devsim.model import EventLatencyModel
 from repro.flash.latency import LatencyModel, NandTimings
 
-LANE_ANALYTIC = "analytic"
-LANE_EVENT = "event"
-
 #: Valid ``latency_lane=`` values, analytic first (the default lane).
-LATENCY_LANES = (LANE_ANALYTIC, LANE_EVENT)
-
-
-def lane_of(model: LatencyModel | None) -> str | None:
-    """The lane name of an attached model (None when no model)."""
-    if model is None:
-        return None
-    return LANE_EVENT if isinstance(model, EventLatencyModel) else LANE_ANALYTIC
+LATENCY_LANES = ("analytic", "event")
 
 
 def make_latency_model(
@@ -35,14 +25,13 @@ def make_latency_model(
     num_channels: int = 8,
     timings: NandTimings | None = None,
     read_cache_pages: int = 64,
-    dies_per_channel: int = 1,
 ) -> LatencyModel:
     """Build a fresh latency model for ``lane``.
 
     ``like`` clones another model's device parameters (channel count,
-    NAND timings, read-buffer size — and die count when it is an event
-    model), overriding the keyword defaults; the harness uses it to
-    swap lanes on an engine without changing the simulated device.
+    NAND timings, read-buffer size), overriding the keyword defaults;
+    the harness uses it to swap lanes on an engine without changing the
+    simulated device.
     """
     if lane not in LATENCY_LANES:
         raise ConfigError(
@@ -52,19 +41,9 @@ def make_latency_model(
         num_channels = like.num_channels
         timings = like.timings
         read_cache_pages = like.read_cache_pages
-        if isinstance(like, EventLatencyModel):
-            dies_per_channel = like.dies_per_channel
-    if timings is None:
-        timings = NandTimings()
-    if lane == LANE_EVENT:
-        return EventLatencyModel(
-            num_channels=num_channels,
-            timings=timings,
-            read_cache_pages=read_cache_pages,
-            dies_per_channel=dies_per_channel,
-        )
-    return LatencyModel(
+    model = EventLatencyModel if lane == "event" else LatencyModel
+    return model(
         num_channels=num_channels,
-        timings=timings,
+        timings=NandTimings() if timings is None else timings,
         read_cache_pages=read_cache_pages,
     )

@@ -16,8 +16,8 @@ engine whose device carries a latency model).  Two issue disciplines:
   includes queueing delay, which is what makes bursty tails visible.
 
 :meth:`FrontendScheduler.run` merges two time-sorted streams: the
-arrival array (sorted on input, so it never enters a heap) and a
-min-heap of in-flight completions, at most ``queue_depth`` entries.
+arrival array (sorted on input, so an index walks it) and a sorted
+list of in-flight completions, at most ``queue_depth`` entries.
 Events fire in ``(time, seq)`` order, arrival ``i`` carrying seq ``i``
 and the k-th issued request's completion seq ``n + k``: at equal
 timestamps an arrival fires before any completion, and completions
@@ -32,9 +32,9 @@ sequences (the determinism property test relies on this).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from collections.abc import Sequence
-from heapq import heappop, heappush
 from math import inf
 from typing import Callable
 
@@ -109,7 +109,7 @@ class FrontendScheduler:
         # Open loop: at most n requests are ever in flight.
         depth = n if self.queue_depth is None else self.queue_depth
         pending: list[deque[int]] = [deque() for _ in range(self.num_classes)]
-        in_flight: list[tuple[float, int]] = []  # min-heap of (complete_time, seq)
+        in_flight: list[tuple[float, int]] = []  # sorted (complete_time, seq)
         if trace is not None:
             trace.clear()
         i, next_seq, waiting, peak = 0, n, 0, 0
@@ -122,7 +122,7 @@ class FrontendScheduler:
                     trace.append((now, i, EVENT_ARRIVAL))
                 i += 1
             else:
-                now, seq = heappop(in_flight)
+                now, seq = in_flight.pop(0)
                 if trace is not None:
                     trace.append((now, seq, EVENT_COMPLETE))
             while waiting and len(in_flight) < depth:
@@ -136,7 +136,7 @@ class FrontendScheduler:
                     raise ConfigError(f"service latency must be finite and >= 0, got {latency:g}")
                 issue_us[index] = now
                 complete_us[index] = done = now + latency
-                heappush(in_flight, (done, next_seq))
+                insort(in_flight, (done, next_seq))
                 next_seq += 1
                 if len(in_flight) > peak:
                     peak = len(in_flight)

@@ -5,9 +5,9 @@ consumer — the devices' ``latency`` slot, the engines' ``latency=``
 constructor parameter, type annotations throughout — accepts it
 unchanged.  The dataclass fields (``num_channels``, ``timings``,
 ``read_cache_pages``) and the controller read-buffer LRU are inherited;
-the per-channel ``busy_until`` arrays are superseded by a
-:class:`~repro.flash.devsim.event.EventLoop` driving per-die queues
-with suspend-resume (:mod:`repro.flash.devsim.nand`).
+the per-channel ``busy_until`` arrays are superseded by one
+:class:`~repro.flash.devsim.nand.Die` per channel, each with its own
+queues, suspend-resume and clock.
 
 Semantics contract (DESIGN.md §9):
 
@@ -15,32 +15,29 @@ Semantics contract (DESIGN.md §9):
   ``program_many`` return completion latency + ``transfer_us``;
   ``erase`` returns raw completion latency (the documented asymmetry —
   erase is a command, no host data transfer), both lanes identical.
-- With ``dies_per_channel=1`` (the default) the two lanes agree on
-  every scenario where the analytic horizon model is exact: unloaded
-  reads, channel collisions, floor-bounded reads behind writes, batched
-  flush striping.  They diverge only where the event lane is more
-  faithful: a preempted write's *in-device* completion extends by the
-  reads that suspended it, so later writes on that die queue behind the
-  residual (the analytic lane forgets the residual once the read's
-  horizon passes).  The timeline goldens pin both behaviours.
+- The two lanes agree on every scenario where the analytic horizon
+  model is exact: unloaded reads, channel collisions, floor-bounded
+  reads behind writes, batched flush striping.  They diverge only where
+  the event lane is more faithful: a preempted write's *in-device*
+  completion extends by the reads that suspended it, so later writes on
+  that die queue behind the residual (the analytic lane forgets the
+  residual once the read's horizon passes).  The timeline goldens pin
+  both behaviours.
 - Timestamps must be non-decreasing across calls (the replay harness
-  guarantees this); each call first advances the loop to ``now_us``.
+  guarantees this): one model clock covers every die, and an op
+  submitted behind it is a ``ConfigError``.  A call advances only the
+  dies it submits to, each to ``now_us`` before its first submit; a die
+  left behind catches up when next touched, which is exact because dies
+  share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import ConfigError
-from repro.flash.devsim.event import EventLoop
-from repro.flash.devsim.nand import (
-    OP_ERASE,
-    OP_PROGRAM,
-    OP_READ,
-    Die,
-    NandOp,
-    register_die_handlers,
-)
+from repro.flash.devsim.nand import OP_ERASE, OP_PROGRAM, OP_READ, Die, NandOp
 from repro.flash.latency import LatencyModel
 
 
@@ -48,35 +45,18 @@ from repro.flash.latency import LatencyModel
 class EventLatencyModel(LatencyModel):
     """Discrete-event device lane (``latency_lane="event"``).
 
-    Parameters are the analytic model's plus ``dies_per_channel``:
-    pages stripe channels first (``page % num_channels``, identical to
-    the analytic ``channel_of``), then dies within the channel
-    (``(page // num_channels) % dies_per_channel``), so two pages that
-    collide on a channel may still be served in parallel by different
-    dies when ``dies_per_channel > 1``.
+    Parameters are the analytic model's; page ``p`` is served by die
+    ``p % num_channels``, the analytic ``channel_of``.
     """
-
-    dies_per_channel: int = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.dies_per_channel <= 0:
-            raise ConfigError("dies_per_channel must be positive")
         self._build()
 
     def _build(self) -> None:
-        self.loop = EventLoop()
-        register_die_handlers(self.loop)
-        self.dies = [
-            Die(self.loop, i, self.timings)
-            for i in range(self.num_channels * self.dies_per_channel)
-        ]
-
-    def die_of(self, page: int) -> Die:
-        """The die serving physical page ``page``."""
-        channel = page % self.num_channels
-        die = (page // self.num_channels) % self.dies_per_channel
-        return self.dies[channel * self.dies_per_channel + die]
+        #: Model clock (µs): the latest timestamp any call has carried.
+        self.now = 0.0
+        self.dies = [Die(i, self.timings) for i in range(self.num_channels)]
 
     # -- cache probe (inherited LRU, identical to the analytic lane) ---
     def _cache_hit(self, page: int) -> bool:
@@ -91,21 +71,44 @@ class EventLatencyModel(LatencyModel):
             cache.popitem(last=False)
         return False
 
+    def _die_at(self, page: int, now_us: float) -> Die:
+        """The die serving ``page``, advanced to ``now_us``."""
+        die = self.dies[page % self.num_channels]
+        die.advance(now_us)
+        return die
+
+    def _batch_dies(self, pages: list[int], now_us: float) -> list[Die]:
+        """Each page's die; every distinct one is advanced to ``now_us``
+        once, up front, so all the batch's submits happen at ``now_us``
+        with nothing fired in between."""
+        dies = self.dies
+        nch = self.num_channels
+        batch = [dies[page % nch] for page in pages]
+        for die in dict.fromkeys(batch):
+            die.advance(now_us)
+        return batch
+
     def _submit(
-        self, kind: str, page: int, service_us: float, now_us: float, *, background: bool
+        self, die: Die, kind: str, page: int, service_us: float, now_us: float,
+        background: bool = False,
     ) -> NandOp:
+        if now_us < self.now:
+            raise ConfigError(
+                f"op submitted at {now_us:g}us behind the device clock "
+                f"{self.now:g}us"
+            )
         op = NandOp(kind, page, service_us, background=background)
-        # run_until in the callers advanced the loop to now_us already;
-        # resubmitting at loop.now keeps batch members at one timestamp.
-        self.die_of(page).submit(op, now_us)
+        die.submit(op, now_us)
         return op
 
     # -- LatencyModel surface ------------------------------------------
     def read(self, page: int, now_us: float, *, background: bool = False) -> float:
-        self.loop.run_until(now_us)
+        if now_us > self.now:
+            self.now = now_us
         if self._cache_hit(page):
             return self.timings.transfer_us
-        op = self._submit(OP_READ, page, self.timings.read_us, now_us, background=background)
+        die = self._die_at(page, now_us)
+        op = self._submit(die, OP_READ, page, self.timings.read_us, now_us, background)
         return op.projected_end - now_us + self.timings.transfer_us
 
     def read_many(
@@ -113,36 +116,38 @@ class EventLatencyModel(LatencyModel):
     ) -> float:
         if not pages:
             return 0.0
-        self.loop.run_until(now_us)
+        if now_us > self.now:
+            self.now = now_us
         transfer_us = self.timings.transfer_us
         read_us = self.timings.read_us
         worst = 0.0
-        for page in pages:
+        for page, die in zip(pages, self._batch_dies(pages, now_us)):
             if self._cache_hit(page):
                 lat = transfer_us
             else:
-                op = self._submit(OP_READ, page, read_us, now_us, background=background)
+                op = self._submit(die, OP_READ, page, read_us, now_us, background)
                 lat = op.projected_end - now_us + transfer_us
             if lat > worst:
                 worst = lat
         return worst
 
     def program(self, page: int, now_us: float) -> float:
-        self.loop.run_until(now_us)
-        op = self._submit(
-            OP_PROGRAM, page, self.timings.program_us, now_us, background=False
-        )
+        if now_us > self.now:
+            self.now = now_us
+        die = self._die_at(page, now_us)
+        op = self._submit(die, OP_PROGRAM, page, self.timings.program_us, now_us)
         return op.projected_end - now_us + self.timings.transfer_us
 
     def program_many(self, pages: list[int], now_us: float) -> float:
         if not pages:
             return 0.0
-        self.loop.run_until(now_us)
+        if now_us > self.now:
+            self.now = now_us
         program_us = self.timings.program_us
         transfer_us = self.timings.transfer_us
         worst = 0.0
-        for page in pages:
-            op = self._submit(OP_PROGRAM, page, program_us, now_us, background=False)
+        for page, die in zip(pages, self._batch_dies(pages, now_us)):
+            op = self._submit(die, OP_PROGRAM, page, program_us, now_us)
             lat = op.projected_end - now_us + transfer_us
             if lat > worst:
                 worst = lat
@@ -151,10 +156,10 @@ class EventLatencyModel(LatencyModel):
     def erase(self, first_page: int, now_us: float) -> float:
         # No transfer_us: erase is command-only (DESIGN.md §9), matching
         # the analytic lane byte for byte.
-        self.loop.run_until(now_us)
-        op = self._submit(
-            OP_ERASE, first_page, self.timings.erase_us, now_us, background=False
-        )
+        if now_us > self.now:
+            self.now = now_us
+        die = self._die_at(first_page, now_us)
+        op = self._submit(die, OP_ERASE, first_page, self.timings.erase_us, now_us)
         return op.projected_end - now_us
 
     # ------------------------------------------------------------------
@@ -168,14 +173,23 @@ class EventLatencyModel(LatencyModel):
         self._build()
 
     # -- introspection for tests/benchmarks ----------------------------
+    def _caught_up(self) -> list[Die]:
+        """Every die, advanced to the model clock."""
+        for die in self.dies:
+            die.advance(self.now)
+        return self.dies
+
     @property
     def total_preemptions(self) -> int:
-        return sum(die.preemptions for die in self.dies)
+        return sum(die.preemptions for die in self._caught_up())
 
     @property
     def completed_ops(self) -> int:
-        return sum(die.completed_ops for die in self.dies)
+        return sum(die.completed_ops for die in self._caught_up())
 
     def drain(self) -> int:
-        """Run the loop to idle (end of epoch); returns events fired."""
-        return self.loop.run_until_idle()
+        """Run every die to idle (end of epoch); returns the events fired
+        past the model clock, which ends at the last of them."""
+        fired = sum(die.advance(inf) for die in self._caught_up())
+        self.now = max(self.now, *(die.now for die in self.dies))
+        return fired

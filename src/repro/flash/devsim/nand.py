@@ -1,9 +1,8 @@
 """Per-die NAND queues with program/erase suspend-resume.
 
-A :class:`Die` is one NAND service unit.  Physical page ``p`` on a
-``C``-channel, ``D``-die device maps to channel ``p % C`` and die
-``(p // C) % D`` — interleaved striping, matching the analytic lane's
-``channel_of`` when ``D == 1``.
+A :class:`Die` is one NAND service unit, one per channel: physical page
+``p`` on a ``C``-channel device is served by die ``p % C`` —
+interleaved striping, exactly the analytic lane's ``channel_of``.
 
 Three queues per die, in dispatch priority order:
 
@@ -14,7 +13,7 @@ Three queues per die, in dispatch priority order:
    the *front* with its residual service time, so no work is lost.
 
 Suspend model: when a read arrives behind an in-flight program/erase, a
-``nand-suspend`` event fires after at most
+suspend fires after at most
 :attr:`~repro.flash.latency.NandTimings.suspend_floor_us` — the write
 is split, the read runs, the residual resumes.  This is the same
 read-prioritisation contract the analytic lane's ``_start_time``
@@ -24,12 +23,18 @@ Commit-at-issue projections: the host-visible latency of every op is
 computed *at submission* from the die's queue horizons (``fg_tail``,
 ``bg_tail``, ``write_tail``).  For foreground reads the projection is
 exact — nothing can later be inserted ahead of a committed read — which
-a property test pins by comparing projections against actual event
+a property test pins by comparing projections against actual
 completions.  Write/erase projections are issue-time estimates: later
 reads may preempt them, extending the in-device completion (tracked by
 the shifted ``write_tail`` and asserted in the timeline goldens) while
 the host-visible latency stays the committed value, exactly like a real
 device acknowledging a program before its suspended tail finishes.
+
+Each die is its own clock.  Dies share no state, and a die has at most
+two pending timestamps — the in-flight op's completion and a suspend,
+which is only ever planned strictly before that completion — so
+:meth:`Die.advance` fires them in time order with no shared event queue
+(DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -37,17 +42,12 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import ConfigError
-from repro.flash.devsim.event import Event, EventLoop
 from repro.flash.latency import NandTimings
 
 #: Op kinds (``program`` and ``erase`` share the write path).
 OP_READ = "read"
 OP_PROGRAM = "program"
 OP_ERASE = "erase"
-
-#: Event kinds the die registers on its loop.
-EVENT_COMPLETE = "nand-complete"
-EVENT_SUSPEND = "nand-suspend"
 
 
 class NandOp:
@@ -95,26 +95,10 @@ class NandOp:
         )
 
 
-def register_die_handlers(loop: EventLoop) -> None:
-    """Register the die event handlers on ``loop`` (once per loop)."""
-
-    def on_complete(event: Event) -> None:
-        die: Die = event.payload
-        die._on_complete()
-
-    def on_suspend(event: Event) -> None:
-        die: Die = event.payload
-        die._on_suspend()
-
-    loop.register_handler(EVENT_COMPLETE, on_complete)
-    loop.register_handler(EVENT_SUSPEND, on_suspend)
-
-
 class Die:
-    """One NAND die: three priority queues, one in-flight op."""
+    """One NAND die: three priority queues, one in-flight op, own clock."""
 
     __slots__ = (
-        "loop",
         "index",
         "timings",
         "fg",
@@ -127,13 +111,13 @@ class Die:
         "write_tail",
         "completed_ops",
         "preemptions",
+        "now",
         "_segment_start",
-        "_complete_event",
-        "_suspend_event",
+        "_complete_at",
+        "_suspend_at",
     )
 
-    def __init__(self, loop: EventLoop, index: int, timings: NandTimings) -> None:
-        self.loop = loop
+    def __init__(self, index: int, timings: NandTimings) -> None:
         self.index = index
         self.timings = timings
         self.fg: deque[NandOp] = deque()
@@ -147,25 +131,51 @@ class Die:
         self.write_tail = 0.0
         self.completed_ops = 0
         self.preemptions = 0
+        #: The die's clock (µs): the time of the last event it fired.
+        self.now = 0.0
         self._segment_start = 0.0
-        self._complete_event: Event | None = None
-        self._suspend_event: Event | None = None
+        #: The in-flight op's completion, and a planned suspend of an
+        #: in-flight write (always strictly before that completion).
+        self._complete_at: float | None = None
+        self._suspend_at: float | None = None
 
     # ------------------------------------------------------------------
     def busy_horizon(self) -> float:
         """Absolute time at which all currently-queued work completes."""
         return max(self.fg_tail, self.bg_tail, self.write_tail)
 
+    def advance(self, t: float) -> int:
+        """Fire the pending suspend and completions due by ``t``, in time
+        order (``t=inf`` runs the die to idle).
+
+        A completion dispatches the next queued op, whose own completion
+        fires in the same call when it is due too.  Returns the number of
+        suspends and completions fired.
+        """
+        fired = 0
+        while True:
+            at = self._suspend_at
+            if at is not None and at <= t:
+                self.now = at
+                self._on_suspend()
+            else:
+                at = self._complete_at
+                if at is None or at > t:
+                    return fired
+                self.now = at
+                self._on_complete()
+            fired += 1
+
     def submit(self, op: NandOp, now_us: float) -> None:
         """Commit ``op`` at ``now_us``: project its latency and enqueue.
 
-        The caller must have advanced the loop to ``now_us`` first
-        (``loop.run_until``); submissions never travel back in time.
+        The caller must have advanced the die to ``now_us`` first
+        (:meth:`advance`); submissions never travel back in time.
         """
-        if now_us < self.loop.now:
+        if now_us < self.now:
             raise ConfigError(
-                f"op submitted at {now_us:g}us behind the loop clock "
-                f"{self.loop.now:g}us"
+                f"op submitted at {now_us:g}us behind the die's last "
+                f"event at {self.now:g}us"
             )
         op.issued_at = now_us
         if op.kind == OP_READ:
@@ -198,9 +208,8 @@ class Die:
             # Program/erase in flight: suspend bounds the wait.  An
             # already-planned suspend (for an earlier queued read) fires
             # at its own time, and dispatch favours this read then.
-            if self._suspend_event is not None:
-                suspend_at = self._suspend_event.time
-            else:
+            suspend_at = self._suspend_at
+            if suspend_at is None:
                 suspend_at = now_us + self.timings.suspend_floor_us
             start = min(self.in_flight_end, suspend_at)
         end = start + read_us
@@ -227,18 +236,15 @@ class Die:
     def _start(self, op: NandOp, now_us: float) -> None:
         self.in_flight = op
         self._segment_start = now_us
-        self.in_flight_end = now_us + op.remaining_us
-        self._complete_event = self.loop.schedule(
-            self.in_flight_end, EVENT_COMPLETE, self
-        )
+        self.in_flight_end = self._complete_at = now_us + op.remaining_us
 
     def _plan_suspend(self, now_us: float) -> None:
         infl = self.in_flight
-        if infl is None or not infl.is_write or self._suspend_event is not None:
+        if infl is None or not infl.is_write or self._suspend_at is not None:
             return
         at = now_us + self.timings.suspend_floor_us
         if at < self.in_flight_end:
-            self._suspend_event = self.loop.schedule(at, EVENT_SUSPEND, self)
+            self._suspend_at = at
         # else: the write finishes within the floor; the read waits for
         # the natural completion (dispatch order still favours it).
 
@@ -251,10 +257,10 @@ class Die:
                 return
 
     def _on_complete(self) -> None:
-        self._complete_event = None
+        self._complete_at = None
         op = self.in_flight
         assert op is not None  # completes are cancelled on suspend
-        now = self.loop.now
+        now = self.now
         op.consumed_us += now - self._segment_start
         op.completed_at = now
         self.completed_ops += 1
@@ -262,23 +268,22 @@ class Die:
         self._dispatch(now)
 
     def _on_suspend(self) -> None:
-        self._suspend_event = None
+        self._suspend_at = None
         infl = self.in_flight
         if infl is None or not infl.is_write:
             # The write this suspend targeted is gone (defensive; the
             # scheduling rules make this unreachable).
-            self._dispatch(self.loop.now)
+            self._dispatch(self.now)
             return
-        now = self.loop.now
+        now = self.now
         infl.consumed_us += now - self._segment_start
         infl.remaining_us = self.in_flight_end - now
         infl.preemptions += 1
         self.preemptions += 1
-        if self._complete_event is not None:
-            self.loop.cancel(self._complete_event)
-            self._complete_event = None
-        # Residual work re-enters at the FRONT of the write queue: the
-        # suspended op resumes before any later-queued write starts.
+        # The suspended op's completion is cancelled; its residual work
+        # re-enters at the FRONT of the write queue, so it resumes
+        # before any later-queued write starts.
+        self._complete_at = None
         self.writes.appendleft(infl)
         self.in_flight = None
         self._dispatch(now)

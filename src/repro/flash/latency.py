@@ -43,7 +43,10 @@ entirely.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from math import isfinite
+
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,12 @@ class NandTimings:
     #: With program/erase-suspend and read prioritisation, a read never
     #: waits behind more than this residual of in-flight write work.
     suspend_floor_us: float = 180.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -95,9 +104,9 @@ class LatencyModel:
 
     def __post_init__(self) -> None:
         if self.num_channels <= 0:
-            raise ValueError("num_channels must be positive")
+            raise ConfigError("num_channels must be positive")
         if self.read_cache_pages < 0:
-            raise ValueError("read_cache_pages must be non-negative")
+            raise ConfigError("read_cache_pages must be non-negative")
         self._busy_until = array("d", [0.0]) * self.num_channels
         self._busy_is_program = bytearray(self.num_channels)
         from collections import OrderedDict

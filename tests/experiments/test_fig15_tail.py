@@ -86,9 +86,10 @@ class TestFig15Tail:
 
 
 #: sha256(issue_us.tobytes() + complete_us.tobytes()) and peak in-flight
-#: of the micro cell, recorded on the EventLoop-based frontend scheduler
-#: (the commit before the two-stream merge): (system, queue_depth) ->
-#: (digest, max_outstanding).  Every closed-loop timestamp is pinned.
+#: of the micro cell, recorded when the frontend scheduler and the NAND
+#: dies still shared a heap-based event loop (before the frontend's
+#: two-stream merge and the self-advancing dies): (system, queue_depth)
+#: -> (digest, max_outstanding).  Every closed-loop timestamp is pinned.
 SCHEDULE_DIGESTS = {
     ("Nemo", QUEUE_DEPTH): (
         "2874e6bb1f4dd559ebe05cb6745a3fa653deebcb67104d3af3945fc983275de5", 16,

@@ -1,9 +1,9 @@
 """Oracle and edge tests for the two-stream frontend scheduler.
 
-``FrontendScheduler.run`` merges the sorted arrival array with a small
-completion heap.  Its predecessor pushed every arrival and completion
-through an :class:`~repro.flash.devsim.event.EventLoop` as ``Event``
-objects; that body is kept here as :class:`ReferenceScheduler`, and the
+``FrontendScheduler.run`` merges the sorted arrival array with a short
+sorted list of in-flight completions.  Its predecessor pushed every arrival and completion
+through an :class:`~tests.flash.devsim_reference.EventLoop` as
+``Event`` objects; that body is kept here as :class:`ReferenceScheduler`, and the
 property test requires the two to agree on every observable — return
 value, timestamps, service-call order and the ``(time, seq, kind)``
 trace — on schedules dense with tied timestamps and zero latencies.
@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.flash.devsim.event import Event, EventLoop
 from repro.flash.devsim.frontend import (
     EVENT_ARRIVAL,
     EVENT_COMPLETE,
     FrontendScheduler,
 )
+from tests.flash.devsim_reference import Event, EventLoop
 
 
 class ReferenceScheduler:

@@ -2,8 +2,9 @@
 
 Five contracts, each driven by Hypothesis-random inputs:
 
-1. the event loop never fires an event before its scheduled time, and
-   fired order is exactly ``(time, seq)``;
+1. self-advancing dies reproduce the shared-event-loop reference
+   (``devsim_reference.py``) exactly: latencies, per-op timelines, die
+   counters and drain counts;
 2. within one priority class a die serves ops FIFO;
 3. program/erase suspend never loses residual work — every op's
    consumed service time equals its nominal service time at completion;
@@ -28,70 +29,19 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
-from repro.flash.devsim import EventLatencyModel, EventLoop
+from repro.flash.devsim import EventLatencyModel
 from repro.flash.devsim.frontend import FrontendScheduler
-from repro.flash.devsim.nand import (
-    OP_ERASE,
-    OP_PROGRAM,
-    OP_READ,
-    Die,
-    NandOp,
-    register_die_handlers,
-)
+from repro.flash.devsim.nand import OP_ERASE, OP_PROGRAM, OP_READ, Die, NandOp
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import NandTimings
 from repro.harness.runner import replay
 from repro.workloads.arrivals import assign_classes, bursty_arrivals
 from repro.workloads.mixer import merged_twitter_trace
-
-_times = st.lists(
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=50,
-)
+from tests.flash.devsim_reference import ReferenceLatencyModel
 
 
-class TestEventLoopOrdering:
-    @given(times=_times)
-    @settings(max_examples=50, deadline=None)
-    def test_no_event_fires_early_and_order_is_stable(self, times):
-        loop = EventLoop()
-        fired: list[tuple[float, int]] = []
-
-        def handler(event):
-            # The clock is exactly the event's timestamp when it fires.
-            assert loop.now == event.time
-            fired.append((event.time, event.seq))
-
-        loop.register_handler("tick", handler)
-        for t in times:
-            loop.schedule(t, "tick")
-        loop.run_until_idle()
-        assert len(fired) == len(times)
-        # (time, seq) is a total order: ties fire in schedule order.
-        assert fired == sorted(fired)
-        assert loop.fired == len(times)
-
-    @given(
-        times=_times,
-        horizon=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_run_until_fires_exactly_the_horizon(self, times, horizon):
-        loop = EventLoop()
-        loop.register_handler("tick", lambda event: None)
-        for t in times:
-            loop.schedule(t, "tick")
-        fired = loop.run_until(horizon)
-        assert fired == sum(1 for t in times if t <= horizon)
-        assert loop.now == horizon
-        assert loop.pending() == len(times) - fired
-
-
-def _make_die():
-    loop = EventLoop()
-    register_die_handlers(loop)
-    return loop, Die(loop, 0, NandTimings())
+def _make_die() -> Die:
+    return Die(0, NandTimings())
 
 
 def _make_op(kind: str, timings=NandTimings()) -> NandOp:
@@ -100,6 +50,106 @@ def _make_op(kind: str, timings=NandTimings()) -> NandOp:
     if kind == "erase":
         return NandOp(OP_ERASE, 0, timings.erase_us)
     return NandOp(OP_READ, 0, timings.read_us, background=(kind == "bg"))
+
+
+def _die_state(die) -> tuple:
+    return (
+        die.completed_ops, die.preemptions, die.fg_tail, die.bg_tail,
+        die.write_tail, die.in_flight_end, len(die.fg), len(die.bg), len(die.writes),
+    )
+
+
+def _op_state(op: NandOp) -> tuple:
+    return (
+        op.kind, op.page, op.background, op.issued_at, op.projected_start,
+        op.projected_end, op.remaining_us, op.completed_at, op.consumed_us,
+        op.preemptions,
+    )
+
+
+class _RecordingModel(EventLatencyModel):
+    """The library model, keeping every op it submits."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.ops: list[NandOp] = []
+
+    def _submit(self, *args, **kwargs) -> NandOp:
+        op = super()._submit(*args, **kwargs)
+        self.ops.append(op)
+        return op
+
+
+_CALLS = ["read", "bg_read", "program", "erase", "read_many", "bg_read_many", "program_many"]
+#: Gaps between calls; "suspend" / "complete" jump exactly to the
+#: reference device's next pending suspend / completion.
+_GAPS = [0.0, 0.0, 10.0, 65.0, 115.0, 180.0, 350.0, 1000.0, "suspend", "complete"]
+
+
+@st.composite
+def _streams(draw):
+    num_channels = draw(st.sampled_from([1, 2, 4]))
+    read_cache_pages = draw(st.sampled_from([0, 4]))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_CALLS),
+                st.lists(st.integers(0, 11), min_size=1, max_size=6),
+                st.sampled_from(_GAPS),
+                st.booleans(),  # compare counters and op timelines after the call
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return num_channels, read_cache_pages, steps
+
+
+def _next_event(reference: ReferenceLatencyModel, kind: str, now: float) -> float:
+    attr = "_suspend_event" if kind == "suspend" else "_complete_event"
+    events = (getattr(die, attr) for die in reference.dies)
+    return min((e.time for e in events if e is not None and e.time >= now), default=now)
+
+
+def _issue(model, call: str, pages: list[int], now: float) -> float:
+    if call in ("read", "bg_read"):
+        return model.read(pages[0], now, background=(call == "bg_read"))
+    if call == "program":
+        return model.program(pages[0], now)
+    if call == "erase":
+        return model.erase(pages[0], now)
+    if call == "program_many":
+        return model.program_many(pages, now)
+    return model.read_many(pages, now, background=(call == "bg_read_many"))
+
+
+class TestAgainstLoopReference:
+    """Self-advancing dies against the shared event loop they replaced."""
+
+    @staticmethod
+    def _assert_same_device(model, reference):
+        assert model.completed_ops == reference.completed_ops
+        assert model.total_preemptions == reference.total_preemptions
+        assert [_die_state(d) for d in model.dies] == [_die_state(d) for d in reference.dies]
+        assert [_op_state(op) for op in model.ops] == [_op_state(op) for op in reference.ops]
+
+    @given(stream=_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_random_multi_die_streams_match_the_event_loop(self, stream):
+        num_channels, read_cache_pages, steps = stream
+        model = _RecordingModel(num_channels=num_channels, read_cache_pages=read_cache_pages)
+        reference = ReferenceLatencyModel(
+            num_channels=num_channels, read_cache_pages=read_cache_pages
+        )
+        now = 0.0
+        for call, pages, gap, check in steps:
+            now = _next_event(reference, gap, now) if isinstance(gap, str) else now + gap
+            assert _issue(model, call, pages, now) == _issue(reference, call, pages, now)
+            if check:
+                self._assert_same_device(model, reference)
+        assert model.drain() == reference.drain()
+        self._assert_same_device(model, reference)
+        assert all(op.completed_at is not None for op in model.ops)
 
 
 class TestDieQueues:
@@ -112,13 +162,13 @@ class TestDieQueues:
     )
     @settings(max_examples=50, deadline=None)
     def test_fifo_within_priority_class(self, kinds):
-        loop, die = _make_die()
+        die = _make_die()
         ops = []
         for kind in kinds:
             op = _make_op(kind)
             die.submit(op, 0.0)
             ops.append((kind, op))
-        loop.run_until_idle()
+        die.advance(math.inf)
         # Writes and erases share the write queue (one class).
         classes = {"fg": "fg", "bg": "bg", "write": "w", "erase": "w"}
         for cls in ("fg", "bg", "w"):
@@ -138,16 +188,16 @@ class TestDieQueues:
     )
     @settings(max_examples=50, deadline=None)
     def test_suspend_preserves_residual_work(self, steps):
-        loop, die = _make_die()
+        die = _make_die()
         ops = []
         now = 0.0
         for kind, gap in steps:
             now += gap
-            loop.run_until(now)
+            die.advance(now)
             op = _make_op(kind)
             die.submit(op, now)
             ops.append(op)
-        loop.run_until_idle()
+        die.advance(math.inf)
         for op in ops:
             assert op.completed_at is not None
             # However many times it was suspended, every microsecond of
@@ -188,7 +238,6 @@ class TestDeterminism:
 
         def run_once():
             model = EventLatencyModel(num_channels=8, read_cache_pages=4)
-            trace = model.loop.enable_trace()
             now = 0.0
             latencies = []
             for page, kind, gap in zip(pages, kinds, gaps):
@@ -199,8 +248,8 @@ class TestDeterminism:
                     latencies.append(model.program(page, now))
                 else:
                     latencies.append(model.erase(page, now))
-            model.drain()
-            return list(trace), latencies
+            fired = model.drain()
+            return latencies, fired, [_die_state(die) for die in model.dies]
 
         assert run_once() == run_once()
 

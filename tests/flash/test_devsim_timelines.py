@@ -9,19 +9,14 @@ delaying later writes) is pinned as an explicit, documented divergence.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.flash.devsim import EventLatencyModel, make_latency_model
-from repro.flash.devsim.event import EventLoop
+from repro.flash.devsim import make_latency_model
 from repro.flash.devsim.frontend import FrontendScheduler
-from repro.flash.devsim.nand import (
-    OP_ERASE,
-    OP_READ,
-    Die,
-    NandOp,
-    register_die_handlers,
-)
+from repro.flash.devsim.nand import OP_ERASE, OP_READ, Die, NandOp
 from repro.flash.latency import NandTimings
 
 
@@ -88,6 +83,27 @@ class TestBothLanes:
         assert m.idle_at(0.0)
         assert m.read(0, 0.0) == 77.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("read_us", math.nan),
+            ("read_us", -65.0),
+            ("program_us", -5.0),
+            ("erase_us", math.inf),
+            ("suspend_floor_us", -1.0),
+            ("num_channels", 0),
+            ("read_cache_pages", -1),
+        ],
+    )
+    def test_rejects_bad_device_config(self, lane, field, value):
+        # A NaN or negative service time would otherwise come back as a
+        # NaN or negative latency.
+        with pytest.raises(ConfigError, match=field):
+            if hasattr(NandTimings, field):
+                _model(lane, timings=NandTimings(**{field: value}))
+            else:
+                _model(lane, **{field: value})
+
 
 class TestEventLaneDivergence:
     """Where the event lane is *more* faithful than the analytic one."""
@@ -107,15 +123,14 @@ class TestEventLaneDivergence:
         assert event.program(0, 400.0) == 377.0
 
     def test_suspend_splits_the_erase_exactly(self):
-        loop = EventLoop()
-        register_die_handlers(loop)
-        die = Die(loop, 0, NandTimings())
+        die = Die(0, NandTimings())
         erase = NandOp(OP_ERASE, 0, 3500.0)
         die.submit(erase, 0.0)
-        loop.run_until(100.0)
+        assert die.advance(100.0) == 0
         read = NandOp(OP_READ, 0, 65.0)
         die.submit(read, 100.0)
-        loop.run_until_idle()
+        # Suspend, read completion, erase completion.
+        assert die.advance(math.inf) == 3
         # Suspend fires at 100+180=280; read runs [280,345); the erase
         # executed [0,280) + [345,3565) — all 3500us of it.
         assert read.completed_at == 345.0
@@ -124,18 +139,6 @@ class TestEventLaneDivergence:
         assert erase.preemptions == 1
         assert die.preemptions == 1
         assert die.completed_ops == 2
-
-    def test_dies_per_channel_adds_parallelism(self):
-        # Pages 0 and 8 share channel 0; with two dies per channel they
-        # land on different dies and overlap fully.
-        two_dies = EventLatencyModel(
-            num_channels=8, dies_per_channel=2, read_cache_pages=0
-        )
-        assert two_dies.read(0, 0.0) == 77.0
-        assert two_dies.read(8, 0.0) == 77.0
-        one_die = EventLatencyModel(num_channels=8, read_cache_pages=0)
-        assert one_die.read(0, 0.0) == 77.0
-        assert one_die.read(8, 0.0) == 142.0
 
     def test_model_counts_completions(self):
         m = _model("event")

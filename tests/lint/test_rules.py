@@ -516,7 +516,7 @@ class TestEngineHelpers:
         ``src/repro/flash/devsim/`` and must classify into the ``flash``
         zone so the simulated-zone determinism contracts (R001
         wall-clock, R007 fault randomness) apply to it."""
-        for module in ("event", "nand", "model", "frontend", "factory"):
+        for module in ("nand", "model", "frontend", "factory"):
             path = f"src/repro/flash/devsim/{module}.py"
             assert classify_zone(path) == "flash", path
 
