@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.errors import EngineStateError
 from repro.faults.plan import FaultPlan
@@ -275,8 +275,16 @@ class CacheEngine(abc.ABC):
         self.counters.insert_bytes += size
         self.stats.record_logical(size)
 
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Harness sampling hook: stats + request counters."""
+    def metrics_snapshot(
+        self, keys: Collection[str] | None = None
+    ) -> dict[str, float]:
+        """Harness sampling hook: stats + request counters.
+
+        ``keys`` names the entries the caller reads (None: all of them).
+        ``object_count`` walks every set on some engines, so it is left
+        out unless named; every other entry is a counter read and always
+        present.
+        """
         snap = self.stats.snapshot()
         snap.update(
             {
@@ -286,9 +294,10 @@ class CacheEngine(abc.ABC):
                 "inserts": self.counters.inserts,
                 "evicted_objects": self.counters.evicted_objects,
                 "wa": self.write_amplification,
-                "object_count": self.object_count(),
             }
         )
+        if keys is None or "object_count" in keys:
+            snap["object_count"] = self.object_count()
         return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

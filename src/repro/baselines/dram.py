@@ -15,6 +15,7 @@ describe the flash tier exactly as the paper reports them).
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Collection
 
 from repro.baselines.base import MEMORY_HIT, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError
@@ -159,8 +160,10 @@ class TieredCache(CacheEngine):
         """Flash-tier WA (the paper's metric)."""
         return self.flash.write_amplification
 
-    def metrics_snapshot(self) -> dict[str, float]:
-        snap = self.flash.metrics_snapshot()
+    def metrics_snapshot(
+        self, keys: Collection[str] | None = None
+    ) -> dict[str, float]:
+        snap = self.flash.metrics_snapshot(keys)
         snap.update(
             {
                 "lookups": self.counters.lookups,

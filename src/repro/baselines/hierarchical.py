@@ -25,7 +25,7 @@ back tier's overflow policy.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from typing import cast
 
 import numpy as np
@@ -452,8 +452,10 @@ class HierarchicalCacheBase(CacheEngine):
     def l2swa(self, case: str | None = None) -> float:
         return self.hset.l2swa(case)
 
-    def metrics_snapshot(self) -> dict[str, float]:
-        snap = super().metrics_snapshot()
+    def metrics_snapshot(
+        self, keys: Collection[str] | None = None
+    ) -> dict[str, float]:
+        snap = super().metrics_snapshot(keys)
         snap.update(
             {
                 "p_fraction": self.hset.p_fraction,

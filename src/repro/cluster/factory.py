@@ -9,9 +9,11 @@ does ``--engine kg`` mean" has exactly one definition.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
 from repro.baselines.base import CacheEngine
+from repro.core.config import NemoConfig
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 
@@ -35,17 +37,14 @@ def make_engine(
 ) -> CacheEngine:
     """Build a registered engine on ``geometry``.
 
-    ``params`` forwards engine-specific knobs; unknown names raise so a
-    typo cannot silently fall back to a default configuration.
-    Defaults match the paper's evaluation setup (Nemo's flush
-    threshold 8, FW/KG's 5 % log with 5 % overprovisioning).
+    ``params`` forwards engine-specific knobs (for Nemo, any
+    :class:`NemoConfig` field); unknown names raise so a typo cannot
+    silently fall back to a default configuration.  Defaults match the
+    paper's evaluation setup (Nemo's flush threshold 8, FW/KG's 5 % log
+    with 5 % overprovisioning).
     """
     allowed = {
-        "nemo": {
-            "flush_threshold",
-            "sgs_per_index_group",
-            "cached_index_ratio",
-        },
+        "nemo": {f.name for f in fields(NemoConfig)},
         "log": set(),
         "set": {"op_ratio"},
         "fw": {"log_fraction", "op_ratio"},
@@ -61,17 +60,17 @@ def make_engine(
         raise ConfigError(f"engine {name!r} does not accept {extra}")
 
     if name == "nemo":
-        from repro.core.config import NemoConfig
         from repro.core.nemo import NemoCache
 
         return NemoCache(
             geometry,
             NemoConfig(
-                flush_threshold=int(params.get("flush_threshold", 8)),
-                sgs_per_index_group=int(params.get("sgs_per_index_group", 4)),
-                cached_index_ratio=float(
-                    params.get("cached_index_ratio", 0.5)
-                ),
+                **{
+                    **params,
+                    "flush_threshold": int(params.get("flush_threshold", 8)),
+                    "sgs_per_index_group": int(params.get("sgs_per_index_group", 4)),
+                    "cached_index_ratio": float(params.get("cached_index_ratio", 0.5)),
+                }
             ),
         )
     if name == "log":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.core.bloom import BloomFilter, bloom_bits_per_object
@@ -904,8 +904,10 @@ class NemoCache(CacheEngine):
         }
     )
 
-    def metrics_snapshot(self) -> dict[str, float]:
-        snap = super().metrics_snapshot()
+    def metrics_snapshot(
+        self, keys: Collection[str] | None = None
+    ) -> dict[str, float]:
+        snap = super().metrics_snapshot(keys)
         snap.update(
             {
                 "mean_fill_rate": self.mean_fill_rate(),

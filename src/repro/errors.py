@@ -14,6 +14,16 @@ class ReproError(Exception):
     """Base class for every error raised by the ``repro`` package."""
 
 
+class PoolFallbackWarning(RuntimeWarning):
+    """The worker pool was unusable, so cells re-ran serially in-process.
+
+    Emitted once per ``harness.parallel.run_cells`` call that degrades
+    (a worker died, spawn failed, a payload would not pickle), naming
+    the cause.  Results are unchanged — cells are pure — only the wall
+    time is.
+    """
+
+
 class ConfigError(ReproError, ValueError):
     """A configuration value is invalid or inconsistent with the geometry."""
 

@@ -8,9 +8,12 @@ Usage::
     python -m repro.experiments -j 4 fig12      # fan cells over 4 workers
 
 ``--jobs`` parallelises across processes at the *cell* level (one
-independent configuration of one experiment per job).  Results are
-deterministic: any jobs value produces byte-identical metrics to a
-serial run — see DESIGN.md §5.
+independent configuration of one experiment per job).  Several ids run
+as one pooled suite at any ``--jobs`` (``-j 1`` included), so a system
+run that several figures share — default Nemo, FW Log5-OP5 — replays
+once.  Unknown ids are a usage error (exit 2) listing the known ones.
+Results are deterministic: any jobs value produces byte-identical
+metrics to a serial run — see DESIGN.md §5.
 """
 
 from __future__ import annotations
@@ -66,16 +69,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     targets = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    try:
+        experiments = [get_experiment(exp_id) for exp_id in targets]
+    except KeyError as exc:
+        parser.error(exc.args[0])
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
 
-    if jobs > 1 and len(targets) > 1:
-        # Pool every cell of every experiment into one executor so
-        # independent experiments run concurrently too.
+    if len(targets) > 1:
+        # One pool for every cell of every experiment, at any jobs
+        # value: experiments run concurrently and each shared system
+        # run replays once for all of them.
         t0 = time.perf_counter()
         results = run_experiments(targets, scale=args.scale, jobs=jobs)
-        for exp_id, result in zip(targets, results):
-            exp = get_experiment(exp_id)
-            print(f"=== {exp_id}: {exp.description} (scale={args.scale}) ===")
+        for exp, result in zip(experiments, results):
+            print(f"=== {exp.exp_id}: {exp.description} (scale={args.scale}) ===")
             print(result.format())
             print()
         print(
@@ -84,13 +91,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    for exp_id in targets:
-        exp = get_experiment(exp_id)
-        print(f"=== {exp_id}: {exp.description} (scale={args.scale}) ===")
-        t0 = time.perf_counter()
-        result = run_experiment(exp_id, scale=args.scale, jobs=jobs)
-        print(result.format())
-        print(f"[{exp_id} took {time.perf_counter() - t0:.1f}s]\n")
+    (exp,) = experiments
+    print(f"=== {exp.exp_id}: {exp.description} (scale={args.scale}) ===")
+    t0 = time.perf_counter()
+    result = run_experiment(exp.exp_id, scale=args.scale, jobs=jobs)
+    print(result.format())
+    print(f"[{exp.exp_id} took {time.perf_counter() - t0:.1f}s]\n")
     return 0
 
 

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from collections import Counter
-
-from repro.baselines.fairywren import FairyWrenCache
-from repro.experiments.common import scale_params, twitter_trace
+from repro.experiments.systems import SystemRecord, system, system_cell
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import cdf_from_counter, format_table, mean_from_counter
-from repro.harness.runner import replay
 
 #: (label, log_fraction) for the two configurations the figure compares.
 CONFIGS = [("Log5-OP5", 0.05), ("Log10-OP5", 0.10)]
@@ -64,51 +60,33 @@ class Fig05Result:
         return "Figure 5: passive vs active migration\n" + table
 
 
-def _config_cell(scale: str, label: str, log_fraction: float) -> dict:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = FairyWrenCache(geometry, log_fraction=log_fraction, op_ratio=0.05)
-    replay(engine, trace)
-    hs = engine.hset
-    model = engine.model(trace.mean_request_size)
-    return {
-        "label": label,
-        "passive_hist": Counter(hs.passive_hist),
-        "active_hist": Counter(hs.active_hist),
-        "l2swa_p": hs.l2swa("passive"),
-        "l2swa_a": hs.l2swa("active"),
-        "model_p_mean": model.measured_passive_mean_objects,
-        "model_a_mean": model.measured_active_mean_objects,
-    }
-
-
 def cells(scale: str) -> list[Cell]:
     return [
-        Cell(f"fig05/{label}", _config_cell, (scale, label, log_fraction))
-        for label, log_fraction in CONFIGS
+        system_cell(system("fw", scale, log_fraction=log_fraction, op_ratio=0.05))
+        for _, log_fraction in CONFIGS
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig05Result:
+def assemble(records: list[SystemRecord]) -> Fig05Result:
     result = Fig05Result()
-    for p in payloads:
-        label = p["label"]
-        result.cdfs[f"{label}/passive"] = cdf_from_counter(p["passive_hist"])
-        result.cdfs[f"{label}/active"] = cdf_from_counter(p["active_hist"])
+    for (label, _), rec in zip(CONFIGS, records):
+        x = rec.extras
+        result.cdfs[f"{label}/passive"] = cdf_from_counter(x["passive_hist"])
+        result.cdfs[f"{label}/active"] = cdf_from_counter(x["active_hist"])
         result.rows.append(
             {
                 "config": label,
-                "mean_passive": mean_from_counter(p["passive_hist"]),
-                "mean_active": mean_from_counter(p["active_hist"]),
-                "l2swa_p": p["l2swa_p"],
-                "l2swa_a": p["l2swa_a"],
+                "mean_passive": mean_from_counter(x["passive_hist"]),
+                "mean_active": mean_from_counter(x["active_hist"]),
+                "l2swa_p": x["l2swa_p"],
+                "l2swa_a": x["l2swa_a"],
                 "ratio": (
-                    p["l2swa_a"] / p["l2swa_p"]
-                    if p["l2swa_p"] == p["l2swa_p"]
+                    x["l2swa_a"] / x["l2swa_p"]
+                    if x["l2swa_p"] == x["l2swa_p"]
                     else float("nan")
                 ),
-                "model_p_mean": p["model_p_mean"],
-                "model_a_mean": p["model_a_mean"],
+                "model_p_mean": x["model_p_mean"],
+                "model_a_mean": x["model_a_mean"],
             }
         )
     return result

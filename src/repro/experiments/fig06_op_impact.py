@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.experiments.common import scale_params, twitter_trace
+from repro.experiments.systems import SystemRecord, system, system_cell
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 OP_RATIOS = [0.05, 0.20, 0.35, 0.50]
 
@@ -41,29 +39,19 @@ class Fig06Result:
         return "Figure 6: OP-ratio impact on passive migration share p\n" + table
 
 
-def _op_cell(scale: str, op: float) -> dict:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = FairyWrenCache(geometry, log_fraction=0.05, op_ratio=op)
-    r = replay(engine, trace, sampled_metrics=("p_fraction", "wa"))
-    return {
-        "op": op,
-        "final_p": engine.p_fraction,
-        "series": r.series["p_fraction"].as_rows(),
-    }
-
-
 def cells(scale: str) -> list[Cell]:
     return [
-        Cell(f"fig06/op{op:.0%}", _op_cell, (scale, op)) for op in OP_RATIOS
+        system_cell(system("fw", scale, log_fraction=0.05, op_ratio=op))
+        for op in OP_RATIOS
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig06Result:
+def assemble(records: list[SystemRecord]) -> Fig06Result:
     result = Fig06Result()
-    for p in payloads:
-        result.final_p[p["op"]] = p["final_p"]
-        result.p_series[p["op"]] = p["series"]
+    for op, rec in zip(OP_RATIOS, records):
+        result.final_p[op] = rec.final["p_fraction"]
+        # The replay default layout: 64 samples.
+        result.p_series[op] = rec.series("p_fraction", 64)
     return result
 
 

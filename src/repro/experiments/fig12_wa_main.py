@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.baselines.kangaroo import KangarooCache
-from repro.baselines.log_structured import LogStructuredCache
-from repro.baselines.set_associative import SetAssociativeCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.systems import (
+    SystemRecord,
+    SystemSpec,
+    nemo_system,
+    system,
+    system_cell,
+)
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 PAPER_WA = {"Log": 1.08, "Set": 16.31, "FW": 15.2, "KG": 55.59, "Nemo": 1.56}
 PAPER_WA_VARIANTS = {"FW Log20-OP5": 4.12, "FW Log5-OP50": 6.56}
@@ -60,15 +60,21 @@ class Fig12Result:
         )
 
 
-def build_engines(geometry):
+def table4_systems(scale: str) -> list[SystemSpec]:
     """The five Table 4 engines at their paper configurations."""
     return [
-        LogStructuredCache(geometry),
-        SetAssociativeCache(geometry, op_ratio=0.5),
-        FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        KangarooCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        NemoCache(geometry, nemo_config()),
+        system("log", scale),
+        system("set", scale, op_ratio=0.5),
+        system("fw", scale, log_fraction=0.05, op_ratio=0.05),
+        system("kg", scale, log_fraction=0.05, op_ratio=0.05),
+        nemo_system(scale),
     ]
+
+
+def build_engines(geometry):
+    """The five Table 4 engines at their paper configurations."""
+    # The scale only sets the trace length, which building ignores.
+    return [spec.build(geometry) for spec in table4_systems("small")]
 
 
 #: The Fig. 12b FW variants.
@@ -78,54 +84,34 @@ VARIANTS = [
 ]
 
 
-def _main_cell(scale: str, engine_index: int) -> dict:
-    """Replay one Table 4 engine (spawn-safe: trace is regenerated)."""
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = build_engines(geometry)[engine_index]
-    r = replay(engine, trace)
+def _main_row(rec: SystemRecord) -> dict:
     return {
-        "engine": engine.name,
-        "wa": engine.write_amplification,
-        "paper_wa": PAPER_WA[engine.name],
-        "miss": r.miss_ratio,
-        "mem_bits": engine.memory_overhead_bits_per_object(),
-        "read_amp": engine.stats.read_amplification,
+        "engine": rec.engine,
+        "wa": rec.final["wa"],
+        "paper_wa": PAPER_WA[rec.engine],
+        "miss": rec.final["miss_ratio"],
+        "mem_bits": rec.mem_bits,
+        "read_amp": rec.read_amp,
     }
 
 
-def _variant_cell(scale: str, label: str, log_fraction: float, op_ratio: float) -> dict:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = FairyWrenCache(geometry, log_fraction=log_fraction, op_ratio=op_ratio)
-    replay(engine, trace)
-    return {
-        "config": label,
-        "wa": engine.write_amplification,
-        "paper_wa": PAPER_WA_VARIANTS[label],
-    }
+def _variant_row(label: str, rec: SystemRecord) -> dict:
+    return {"config": label, "wa": rec.final["wa"], "paper_wa": PAPER_WA_VARIANTS[label]}
 
 
 def cells(scale: str) -> list[Cell]:
-    main = [
-        Cell(f"fig12a/{name}", _main_cell, (scale, i))
-        for i, name in enumerate(PAPER_WA)
-    ]
-    variants = [
-        Cell(
-            f"fig12b/{label}",
-            _variant_cell,
-            (scale, label, kw["log_fraction"], kw["op_ratio"]),
-        )
-        for label, kw in VARIANTS
-    ]
-    return main + variants
+    specs = table4_systems(scale)
+    specs += [system("fw", scale, **kw) for _, kw in VARIANTS]
+    return [system_cell(spec) for spec in specs]
 
 
-def assemble(payloads: list[dict]) -> Fig12Result:
+def assemble(records: list[SystemRecord]) -> Fig12Result:
     result = Fig12Result()
-    result.main_rows = payloads[: len(PAPER_WA)]
-    result.variant_rows = payloads[len(PAPER_WA) :]
+    result.main_rows = [_main_row(rec) for rec in records[: len(PAPER_WA)]]
+    result.variant_rows = [
+        _variant_row(label, rec)
+        for (label, _), rec in zip(VARIANTS, records[len(PAPER_WA) :])
+    ]
     nemo_row = next(r for r in result.main_rows if r["engine"] == "Nemo")
     result.variant_rows.append(
         {"config": "Nemo", "wa": nemo_row["wa"], "paper_wa": PAPER_WA["Nemo"]}

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.baselines.kangaroo import KangarooCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.systems import SystemRecord, nemo_system, system, system_cell
+from repro.harness.metrics import WindowedRate
+from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 
 @dataclass
@@ -54,41 +52,52 @@ class Fig13Result:
         return "Figure 13: flash writes per minute at steady state\n" + table
 
 
-def run(scale: str = "small") -> Fig13Result:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    result = Fig13Result()
+#: Requests per simulated second: the replay default clock.
+ARRIVAL_RATE = 50_000.0
 
-    engines = [
-        NemoCache(geometry, nemo_config()),
-        FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        KangarooCache(geometry, log_fraction=0.05, op_ratio=0.05),
+
+def cells(scale: str) -> list[Cell]:
+    return [
+        system_cell(nemo_system(scale)),
+        system_cell(system("fw", scale, log_fraction=0.05, op_ratio=0.05)),
+        system_cell(system("kg", scale, log_fraction=0.05, op_ratio=0.05)),
     ]
-    # The simulated run spans num_requests / arrival_rate seconds; use
-    # 64 windows so "per-minute" buckets exist at any trace length.
-    arrival_rate = 50_000.0
-    window_s = max(1e-3, num_requests / arrival_rate / 64.0)
-    for engine in engines:
-        r = replay(
-            engine,
-            trace,
-            arrival_rate=arrival_rate,
-            write_rate_window_s=window_s,
-            sample_every=max(1, num_requests // 512),
-        )
-        rates = r.write_rate.rates if r.write_rate else []
+
+
+def write_rates(rec: SystemRecord, window_s: float) -> list[tuple[float, float]]:
+    """Host-write bytes per ``window_s`` simulated seconds.
+
+    Rebuilt from the record's ``n // 512`` samples: window deltas depend
+    on where ``WindowedRate.update`` is called, so it sees exactly the
+    points (and times) a replay sampling every ``n // 512`` fed it.
+    The clock is the same left fold of per-request steps the replay
+    loop runs (``harness.columnar.sim_clock``).
+    """
+    n = rec.spec.num_requests
+    clock = np.add.accumulate(np.full(n, 1e6 / ARRIVAL_RATE))
+    rate = WindowedRate(window_s)
+    for x, value in rec.series("host_write_bytes", 512):
+        rate.update(float(clock[x - 1]) / 1e6, value)
+    rate.finish(float(clock[n - 1]) / 1e6 if n else 0.0)
+    return rate.rates
+
+
+def assemble(records: list[SystemRecord]) -> Fig13Result:
+    result = Fig13Result()
+    for rec in records:
+        # The simulated run spans n / arrival_rate seconds; use 64
+        # windows so "per-minute" buckets exist at any trace length.
+        window_s = max(1e-3, rec.spec.num_requests / ARRIVAL_RATE / 64.0)
+        rates = write_rates(rec, window_s)
         # Steady state: ignore the warm-up half.
         steady = [v for _, v in rates[len(rates) // 2 :]]
         arr = np.asarray(steady if steady else [0.0])
-        mean_write = (
-            engine.stats.host_write_bytes / engine.stats.host_write_ops
-            if engine.stats.host_write_ops
-            else float("nan")
-        )
-        result.rate_series[engine.name] = rates
+        ops = rec.final["host_write_ops"]
+        mean_write = rec.final["host_write_bytes"] / ops if ops else float("nan")
+        result.rate_series[rec.engine] = rates
         result.rows.append(
             {
-                "engine": engine.name,
+                "engine": rec.engine,
                 # Normalise window bytes to a per-minute rate.
                 "mean_mib_per_min": float(arr.mean()) / 2**20 * (60.0 / window_s),
                 "zero_fraction": float((arr == 0).mean()),
@@ -97,6 +106,10 @@ def run(scale: str = "small") -> Fig13Result:
             }
         )
     return result
+
+
+def run(scale: str = "small", jobs: int | None = 1) -> Fig13Result:
+    return assemble(run_cells(cells(scale), jobs=jobs))
 
 
 def main() -> None:  # pragma: no cover - CLI entry

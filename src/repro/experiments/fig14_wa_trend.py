@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.systems import (
+    SystemRecord,
+    SystemSpec,
+    nemo_system,
+    system,
+    system_cell,
+)
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 #: (display name, FW log_fraction, FW op_ratio); None = Nemo.
 SYSTEMS = [
@@ -63,38 +66,31 @@ def _first_knee(series: list[tuple[float, float]], threshold: float = 2.0) -> fl
     return float("nan")
 
 
-def _system_cell(
-    scale: str, name: str, log_fraction: float | None, op_ratio: float | None
-) -> dict:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
+def _spec(scale: str, log_fraction: float | None, op_ratio: float | None) -> SystemSpec:
     if log_fraction is None:
-        engine = NemoCache(geometry, nemo_config())
-    else:
-        engine = FairyWrenCache(
-            geometry, log_fraction=log_fraction, op_ratio=op_ratio
-        )
-    r = replay(engine, trace, sample_every=max(1, num_requests // 256))
+        return nemo_system(scale)
+    return system("fw", scale, log_fraction=log_fraction, op_ratio=op_ratio)
+
+
+def _system_payload(name: str, rec: SystemRecord) -> dict:
     return {
         "name": name,
-        "series": r.series["wa"].as_rows(),
-        "final_wa": engine.write_amplification,
+        "series": rec.series("wa", 256),
+        "final_wa": rec.final["wa"],
     }
 
 
 def cells(scale: str) -> list[Cell]:
-    return [
-        Cell(f"fig14/{name}", _system_cell, (scale, name, lf, op))
-        for name, lf, op in SYSTEMS
-    ]
+    return [system_cell(_spec(scale, lf, op)) for _, lf, op in SYSTEMS]
 
 
-def assemble(payloads: list[dict]) -> Fig14Result:
+def assemble(records: list[SystemRecord]) -> Fig14Result:
     result = Fig14Result()
-    for p in payloads:
-        result.wa_series[p["name"]] = p["series"]
-        result.final_wa[p["name"]] = p["final_wa"]
-        result.first_knee_ops[p["name"]] = _first_knee(p["series"])
+    for (name, _, _), rec in zip(SYSTEMS, records):
+        p = _system_payload(name, rec)
+        result.wa_series[name] = p["series"]
+        result.final_wa[name] = p["final_wa"]
+        result.first_knee_ops[name] = _first_knee(p["series"])
     return result
 
 

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.systems import SystemRecord, nemo_system, system, system_cell
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 #: The two systems the figure compares, in presentation order.
 SYSTEMS = ("Nemo", "FW")
@@ -43,49 +40,37 @@ class Fig16Result:
         return "Figure 16: miss-ratio trend (Nemo vs FW)\n" + table
 
 
-def _system_cell(scale: str, name: str) -> dict:
-    """Replay one system with miss-ratio sampling (spawn-safe)."""
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    if name == "Nemo":
-        engine = NemoCache(geometry, nemo_config())
-    elif name == "FW":
-        engine = FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05)
-    else:
-        raise KeyError(f"unknown fig16 system {name!r}")
-    r = replay(
-        engine,
-        trace,
-        sampled_metrics=("miss_ratio", "hits", "lookups"),
-        sample_every=max(1, num_requests // 128),
-    )
+def _system_payload(name: str, rec: SystemRecord) -> dict:
+    """One system's miss-ratio rows, sampled every ``n // 128``."""
     # Steady state: misses over the last quarter, from the hit and
     # lookup deltas (cumulative miss ratio hides late behaviour).
-    hits = r.series["hits"].as_rows()
-    lookups = r.series["lookups"].as_rows()
+    hits = rec.series("hits", 128)
+    lookups = rec.series("lookups", 128)
     q = 3 * len(hits) // 4
     dh = hits[-1][1] - hits[q][1]
     dl = lookups[-1][1] - lookups[q][1]
     return {
         "name": name,
-        "series": r.series["miss_ratio"].as_rows(),
-        "final_miss": r.miss_ratio,
+        "series": rec.series("miss_ratio", 128),
+        "final_miss": rec.final["miss_ratio"],
         "steady_miss": 1.0 - dh / dl if dl else float("nan"),
     }
 
 
 def cells(scale: str) -> list[Cell]:
     return [
-        Cell(f"fig16/{name}", _system_cell, (scale, name)) for name in SYSTEMS
+        system_cell(nemo_system(scale)),
+        system_cell(system("fw", scale, log_fraction=0.05, op_ratio=0.05)),
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig16Result:
+def assemble(records: list[SystemRecord]) -> Fig16Result:
     result = Fig16Result()
-    for p in payloads:
-        result.miss_series[p["name"]] = [tuple(row) for row in p["series"]]
-        result.final_miss[p["name"]] = p["final_miss"]
-        result.steady_miss[p["name"]] = p["steady_miss"]
+    for name, rec in zip(SYSTEMS, records):
+        p = _system_payload(name, rec)
+        result.miss_series[name] = p["series"]
+        result.final_miss[name] = p["final_miss"]
+        result.steady_miss[name] = p["steady_miss"]
     return result
 
 

@@ -20,15 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import NemoConfig
-from repro.core.nemo import NemoCache
-from repro.experiments.common import (
-    SIM_FLUSH_THRESHOLD,
-    SIM_SGS_PER_INDEX_GROUP,
-    scale_params,
-    twitter_trace,
-)
+from repro.experiments.common import SIM_FLUSH_THRESHOLD, SIM_SGS_PER_INDEX_GROUP
+from repro.experiments.systems import SystemRecord, nemo_system, system_cell
+from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 PAPER_FILL = {
     "naive": 0.0678,
@@ -76,26 +71,29 @@ def variant_configs() -> list[tuple[str, NemoConfig]]:
     ]
 
 
-def run(scale: str = "small") -> Fig17Result:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    result = Fig17Result()
+def cells(scale: str) -> list[Cell]:
+    return [system_cell(nemo_system(scale, config)) for _, config in variant_configs()]
 
-    for variant, config in variant_configs():
-        engine = NemoCache(geometry, config)
-        replay(engine, trace)
-        new_fill = engine.mean_new_fill_rate()
+
+def assemble(records: list[SystemRecord]) -> Fig17Result:
+    result = Fig17Result()
+    for (variant, _), rec in zip(variant_configs(), records):
+        new_fill = rec.final["mean_new_fill_rate"]
         result.rows.append(
             {
                 "variant": variant,
-                "fill": engine.mean_fill_rate(),
+                "fill": rec.final["mean_fill_rate"],
                 "new_fill": new_fill,
-                "wa": engine.write_amplification,
+                "wa": rec.final["wa"],
                 "inv_new_fill": 1.0 / new_fill if new_fill else float("nan"),
                 "paper_fill": PAPER_FILL[variant],
             }
         )
     return result
+
+
+def run(scale: str = "small", jobs: int | None = 1) -> Fig17Result:
+    return assemble(run_cells(cells(scale), jobs=jobs))
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.common import nemo_config
+from repro.experiments.systems import SystemRecord, nemo_system, system_cell
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 THRESHOLDS = [1, 8, 64, 256, 1024, 4096]
 
@@ -54,33 +53,32 @@ class Fig18Result:
         return "Figure 18: flush-threshold (p_th) sensitivity\n" + table
 
 
-def _pth_cell(scale: str, pth: int) -> dict:
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = NemoCache(geometry, nemo_config(flush_threshold=pth))
-    r = replay(engine, trace)
-    flushes = max(1, len(engine.fill_rates))
-    new_objs = engine.counters.inserts - engine.writeback_objects
-    evicted = engine.early_evicted_objects
-    return {
-        "pth": pth,
-        "fill": engine.mean_fill_rate(),
-        "wa": engine.write_amplification,
-        "new_per_flush": new_objs / flushes,
-        "evicted_per_flush": evicted / flushes,
-        "profit": new_objs / evicted if evicted else float("inf"),
-        "miss": r.miss_ratio,
-    }
-
-
 def cells(scale: str) -> list[Cell]:
     return [
-        Cell(f"fig18/pth{pth}", _pth_cell, (scale, pth)) for pth in THRESHOLDS
+        system_cell(nemo_system(scale, nemo_config(flush_threshold=pth)))
+        for pth in THRESHOLDS
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig18Result:
-    return Fig18Result(rows=list(payloads))
+def assemble(records: list[SystemRecord]) -> Fig18Result:
+    result = Fig18Result()
+    for pth, rec in zip(THRESHOLDS, records):
+        f = rec.final
+        flushes = max(1, rec.extras["flushes"])
+        new_objs = f["inserts"] - f["writeback_objects"]
+        evicted = f["early_evicted_objects"]
+        result.rows.append(
+            {
+                "pth": pth,
+                "fill": f["mean_fill_rate"],
+                "wa": f["wa"],
+                "new_per_flush": new_objs / flushes,
+                "evicted_per_flush": evicted / flushes,
+                "profit": new_objs / evicted if evicted else float("inf"),
+                "miss": f["miss_ratio"],
+            }
+        )
+    return result
 
 
 def run(scale: str = "small", jobs: int | None = 1) -> Fig18Result:

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.common import nemo_config, scale_params
+from repro.experiments.systems import nemo_system, system_cell
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 from repro.hashing import splitmix64_array
 from repro.workloads.twitter import TWITTER_CLUSTERS, generate_cluster_trace
 
@@ -76,32 +75,22 @@ def _cluster_cell(scale: str, name: str) -> dict:
     return {"cluster": name, "share": set_access_top_share(t.keys)}
 
 
-def _ratio_cell(scale: str, ratio: float) -> dict:
-    """(b) index-pool retrieval ratio at one cached-PBFG share."""
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = NemoCache(geometry, nemo_config(cached_index_ratio=ratio))
-    replay(engine, trace)
-    return {"ratio": ratio, "pool": engine.pbfg_request_pool_ratio()}
-
-
 def cells(scale: str) -> list[Cell]:
     return [
         Cell(f"fig19a/{name}", _cluster_cell, (scale, name))
         for name in sorted(TWITTER_CLUSTERS)
     ] + [
-        Cell(f"fig19b/cached{ratio:.0%}", _ratio_cell, (scale, ratio))
+        system_cell(nemo_system(scale, nemo_config(cached_index_ratio=ratio)))
         for ratio in CACHED_RATIOS
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig19Result:
+def assemble(payloads: list) -> Fig19Result:
     result = Fig19Result()
-    for p in payloads:
-        if "cluster" in p:
-            result.top30_share[p["cluster"]] = p["share"]
-        else:
-            result.pool_ratio[p["ratio"]] = p["pool"]
+    for p in payloads[: len(TWITTER_CLUSTERS)]:
+        result.top30_share[p["cluster"]] = p["share"]
+    for ratio, rec in zip(CACHED_RATIOS, payloads[len(TWITTER_CLUSTERS) :]):
+        result.pool_ratio[ratio] = rec.extras["pbfg_pool_ratio"]
     return result
 
 

@@ -11,15 +11,23 @@ Experiments whose sweeps are embarrassingly parallel expose a
 into one process pool, so independent experiments run concurrently and
 their internal sweeps interleave — with results collected in a fixed
 order so the output is identical to a serial run.
+
+Most cells are *system runs* (:mod:`repro.experiments.systems`): one
+engine configuration replaying one trace.  The paper's figures reuse
+the same Table 4 systems, so the pool runs each distinct cell once and
+fans its record out to every experiment that asked for it — at micro
+scale the whole registry replays 23 systems, not 39.  Unknown ids fail
+with one ``KeyError`` (listing the known ids) on every path.
 """
 
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable
 
+from repro.errors import ConfigError
 from repro.harness.parallel import Cell, run_cells
 
 #: exp id -> (module, description).  Modules are imported lazily so that
@@ -99,28 +107,38 @@ class Experiment:
     run: Callable
 
 
-def get_experiment(exp_id: str) -> Experiment:
+def _module(exp_id: str) -> ModuleType:
+    """The one id lookup: unknown ids raise a ``KeyError`` listing the
+    known ones, on every path (registry API and CLI alike)."""
     try:
-        module_name, description = _SPECS[exp_id]
+        module_name, _ = _SPECS[exp_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {sorted(_SPECS)}"
         ) from None
-    module = importlib.import_module(module_name)
-    return Experiment(exp_id=exp_id, description=description, run=module.run)
+    return importlib.import_module(module_name)
+
+
+def get_experiment(exp_id: str) -> Experiment:
+    module = _module(exp_id)
+    return Experiment(exp_id=exp_id, description=_SPECS[exp_id][1], run=module.run)
 
 
 def run_experiment(exp_id: str, *, scale: str = "small", jobs: int | None = 1):
     """Run one experiment; ``jobs`` fans its cells out when supported."""
-    run = get_experiment(exp_id).run
-    if jobs != 1 and "jobs" in inspect.signature(run).parameters:
-        return run(scale=scale, jobs=jobs)
-    return run(scale=scale)
+    return run_experiments([exp_id], scale=scale, jobs=jobs)[0]
 
 
 def _whole_experiment_cell(exp_id: str, scale: str):
     """Pool job for experiments without a ``cells``/``assemble`` split."""
     return get_experiment(exp_id).run(scale=scale)
+
+
+def _experiment_cells(exp_id: str, scale: str) -> tuple[ModuleType | None, list[Cell]]:
+    module = _module(exp_id)
+    if hasattr(module, "cells") and hasattr(module, "assemble"):
+        return module, module.cells(scale)
+    return None, [Cell(exp_id, _whole_experiment_cell, (exp_id, scale))]
 
 
 def run_experiments(
@@ -131,30 +149,38 @@ def run_experiments(
     Returns the result objects in ``exp_ids`` order.  Experiments that
     expose ``cells``/``assemble`` contribute their individual cells to
     one shared pool; the rest run as single whole-experiment cells.
-    Output is deterministic: identical to running each experiment
-    serially with ``jobs=1``.
+    Each distinct ``(fn, args, kwargs)`` runs once and its payload goes
+    to every experiment that listed it — a system run (``systems.py``)
+    shared by several figures replays once.  Two different cells under
+    one id are a :class:`ConfigError`, never a silent share.  Output is
+    deterministic: identical to running each experiment serially with
+    ``jobs=1``.
     """
-    pool_cells: list[Cell] = []
-    plans: list[tuple[str, object, int]] = []  # (exp_id, module|None, #cells)
+    pool: list[Cell] = []
+    index: dict[tuple, int] = {}
+    keys_by_id: dict[str, tuple] = {}
+    plans: list[tuple[ModuleType | None, list[int]]] = []
     for exp_id in exp_ids:
-        module_name, _ = _SPECS[exp_id]
-        module = importlib.import_module(module_name)
-        if hasattr(module, "cells") and hasattr(module, "assemble"):
-            exp_cells = module.cells(scale)
-            plans.append((exp_id, module, len(exp_cells)))
-            pool_cells.extend(exp_cells)
-        else:
-            plans.append((exp_id, None, 1))
-            pool_cells.append(
-                Cell(exp_id, _whole_experiment_cell, (exp_id, scale))
-            )
-    payloads = run_cells(pool_cells, jobs=jobs)
-    results, pos = [], 0
-    for _exp_id, module, count in plans:
-        chunk = payloads[pos : pos + count]
-        pos += count
-        results.append(module.assemble(chunk) if module else chunk[0])
-    return results
+        module, exp_cells = _experiment_cells(exp_id, scale)
+        positions = []
+        for cell in exp_cells:
+            key = (cell.fn, cell.args, tuple(sorted(cell.kwargs.items())))
+            if keys_by_id.setdefault(cell.cell_id, key) != key:
+                raise ConfigError(
+                    f"cell id {cell.cell_id!r} names two different cells"
+                )
+            if key not in index:
+                index[key] = len(pool)
+                pool.append(cell)
+            positions.append(index[key])
+        plans.append((module, positions))
+    payloads = run_cells(pool, jobs=jobs)
+    return [
+        module.assemble([payloads[i] for i in positions])
+        if module
+        else payloads[positions[0]]
+        for module, positions in plans
+    ]
 
 
 EXPERIMENTS: tuple[str, ...] = tuple(_SPECS)

@@ -18,10 +18,10 @@ from repro.analysis.memory_model import (
     naive_nemo_bits_per_object,
     nemo_bits_per_object,
 )
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.common import scale_params
+from repro.experiments.systems import SystemRecord, nemo_system, system_cell
+from repro.harness.parallel import Cell, run_cells
 from repro.harness.report import format_table
-from repro.harness.runner import replay
 
 PAPER = {"FairyWREN": 9.9, "naive Nemo": 30.4, "Nemo": 8.3}
 
@@ -50,7 +50,17 @@ class Table6Result:
         )
 
 
-def run(scale: str = "small") -> Table6Result:
+#: The measured engine replays at most this many requests.
+MAX_REQUESTS = 200_000
+
+
+def cells(scale: str) -> list[Cell]:
+    num_requests = min(scale_params(scale)[1], MAX_REQUESTS)
+    return [system_cell(nemo_system(scale, num_requests=num_requests))]
+
+
+def assemble(records: list[SystemRecord]) -> Table6Result:
+    (rec,) = records
     result = Table6Result()
     result.analytic = {
         "FairyWREN": fairywren_bits_per_object(log_fraction=0.05),
@@ -61,13 +71,13 @@ def run(scale: str = "small") -> Table6Result:
             mean_object_size=200.0,
         ),
     }
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(min(num_requests, 200_000))
-    engine = NemoCache(geometry, nemo_config())
-    replay(engine, trace)
-    result.measured_nemo = engine.memory_overhead_bits_per_object()
-    result.measured_breakdown = engine.memory_overhead_breakdown()
+    result.measured_nemo = rec.mem_bits
+    result.measured_breakdown = rec.extras["mem_breakdown"]
     return result
+
+
+def run(scale: str = "small", jobs: int | None = 1) -> Table6Result:
+    return assemble(run_cells(cells(scale), jobs=jobs))
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -22,19 +22,22 @@ out over.  Design constraints honoured here:
   seeds its own generators, so ``jobs=N`` output is byte-identical to
   ``jobs=1`` output.
 - **Graceful degradation**: ``jobs=1`` (or a dead/unavailable pool)
-  falls back to plain in-process execution with identical results.
+  falls back to plain in-process execution with identical results; a
+  pool that had to be abandoned says so with a
+  :class:`~repro.errors.PoolFallbackWarning`.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ReproError
+from repro.errors import PoolFallbackWarning, ReproError
 
 
 class CellFailure(ReproError):
@@ -94,6 +97,15 @@ def _run_serial(cells: list[Cell]) -> list[Any]:
     return results
 
 
+def _serial_fallback(cells: list[Cell], cause: BaseException) -> list[Any]:
+    warnings.warn(
+        f"worker pool unusable ({cause!r}); re-running {len(cells)} cells serially",
+        PoolFallbackWarning,
+        stacklevel=3,
+    )
+    return _run_serial(cells)
+
+
 def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     """Run ``cells`` and return their results in cell order.
 
@@ -101,7 +113,8 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     cell) runs serially in-process.  A worker exception surfaces as
     :class:`CellFailure` naming the cell; a *pool* failure (worker
     killed, pickling breakage, fork not available) falls back to a
-    serial re-run — cells are pure, so re-running is safe.
+    serial re-run — cells are pure, so re-running is safe — and emits
+    one :class:`~repro.errors.PoolFallbackWarning` naming the cause.
     """
     cells = list(cells)
     if jobs is None:
@@ -118,8 +131,8 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     # Audited worker-boundary degrade: pickling probes raise anything
     # (PicklingError, TypeError, RecursionError, ...) and the contract
     # here is "cannot ship to workers => run serially, same answer".
-    except Exception:  # reprolint: disable=R006
-        return _run_serial(cells)
+    except Exception as exc:  # reprolint: disable=R006
+        return _serial_fallback(cells, exc)
 
     try:
         import multiprocessing as mp
@@ -145,5 +158,5 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     # Audited worker-boundary degrade: the pool itself died (worker
     # OOM-killed, spawn unavailable, unpicklable payload...).  Cells are
     # pure, so the serial re-run is slower but byte-identical.
-    except Exception:  # reprolint: disable=R006
-        return _run_serial(cells)
+    except Exception as exc:  # reprolint: disable=R006
+        return _serial_fallback(cells, exc)

@@ -33,6 +33,7 @@ byte-identical (the metric-parity goldens compare them):
 
 from __future__ import annotations
 
+import bisect
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -53,6 +54,11 @@ LATENCY_PERCENTILES = [50.0, 99.0, 99.99]
 
 #: Valid ``replay(kernel=...)`` lanes.
 REPLAY_KERNELS = ("batched", "columnar", "scalar")
+
+#: Requests the batched executor converts (and hashes) at once: large
+#: enough to amortise numpy call overhead over many short chunks, small
+#: enough that the block's Python lists stay well under 1 MB.
+_BLOCK = 1 << 12
 
 #: Environment override for the default lane (parity tests sweep it).
 KERNEL_ENV_VAR = "REPRO_REPLAY_KERNEL"
@@ -348,8 +354,16 @@ def replay(
 
     # Engines whose bulk paths accept precomputed placement offsets
     # (Nemo, FW/KG, Set) get them on every bulk lane: one vectorised
-    # hash per chunk here replaces one per same-op run in the engine.
+    # hash per block here replaces one per same-op run in the engine.
     placement = None if force_scalar else engine.columnar_spec()
+    # The batched executor's current block: trace[block_start:block_stop]
+    # as Python lists, with its run starts.
+    block_start = block_stop = 0
+    ops_arr = trace.ops[:0]
+    keys: list[int] = []
+    sizes: list[int] = []
+    offsets: list[int] | None = None
+    cuts: list[int] = []
 
     for stop in boundaries:
         if advance is not None:
@@ -367,21 +381,34 @@ def replay(
             # owns the per-request loop — engines with inlined fast
             # paths amortise hashing and counter updates across the run;
             # others (and the scalar executor) run the scalar defaults
-            # in :class:`CacheEngine`.  Chunks are converted to Python
-            # lists once — `int(keys[i])` per request boxes a fresh
-            # numpy scalar, which dominated the seed loop's profile.
-            ops_arr = trace.ops[start:stop]
-            keys = trace.keys[start:stop].tolist()
-            sizes = trace.sizes[start:stop].tolist()
-            offsets = (
-                trace.set_id_slice(*placement, start, stop).tolist()
-                if placement is not None
-                else None
-            )
+            # in :class:`CacheEngine`.  The trace is converted to Python
+            # lists once per block — whole chunks, up to _BLOCK requests
+            # unless one chunk is longer — because `int(keys[i])` per
+            # request boxes a fresh numpy scalar, which dominated the
+            # seed loop's profile, and per-chunk numpy passes dominate
+            # densely sampled replays (many short chunks).
+            if stop > block_stop:
+                # Up to the last boundary within _BLOCK of ``start``.
+                i = bisect.bisect_right(boundaries, start + _BLOCK)
+                block_start = start
+                block_stop = max(stop, boundaries[i - 1]) if i else stop
+                ops_arr = trace.ops[block_start:block_stop]
+                keys = trace.keys[block_start:block_stop].tolist()
+                sizes = trace.sizes[block_start:block_stop].tolist()
+                offsets = (
+                    trace.set_id_slice(*placement, block_start, block_stop).tolist()
+                    if placement is not None
+                    else None
+                )
+                # Run starts: block positions where the op code changes.
+                cuts = (np.flatnonzero(ops_arr[1:] != ops_arr[:-1]) + 1).tolist()
+            lo, hi = start - block_start, stop - block_start
             start = stop
-            # Run starts: positions where the op code changes.
-            cuts = np.flatnonzero(ops_arr[1:] != ops_arr[:-1]) + 1
-            bounds = [0, *cuts.tolist(), len(ops_arr)]
+            bounds = [
+                lo,
+                *cuts[bisect.bisect_right(cuts, lo) : bisect.bisect_left(cuts, hi)],
+                hi,
+            ]
             for a, b in zip(bounds, bounds[1:]):
                 op = ops_arr[a]
                 if op == OP_GET_:

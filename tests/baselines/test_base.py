@@ -1,6 +1,7 @@
 """Unit tests for the shared engine interface pieces."""
 
 import inspect
+import json
 import math
 
 import pytest
@@ -107,6 +108,19 @@ class TestRegisteredEngineProtocol:
     """Every engine the factory builds implements crash recovery (the
     base class refuses) and accepts every call the base signature
     allows on each request method."""
+
+    def test_snapshot_keys_leave_out_only_an_unnamed_object_count(self, name):
+        engine = make_engine(name, shard_geometry(8))
+        for key in range(200):
+            engine.insert(key, 100)
+            engine.lookup(key // 2, 100)
+        full = engine.metrics_snapshot()
+        lean = engine.metrics_snapshot(("wa", "hits"))
+        # JSON: NaN ratios compare equal to themselves.
+        assert json.dumps(lean) == json.dumps(
+            {k: v for k, v in full.items() if k != "object_count"}
+        )
+        assert json.dumps(engine.metrics_snapshot(("object_count",))) == json.dumps(full)
 
     def test_overrides_crash_and_recover(self, name):
         engine_type = type(make_engine(name, shard_geometry(8)))

@@ -7,15 +7,25 @@ checked where it is robust even at micro scale.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, run_experiment, systems
+from repro.experiments.registry import _experiment_cells, run_experiments
 
 
 @pytest.fixture(scope="module")
 def results():
     return {exp_id: run_experiment(exp_id, scale="micro") for exp_id in EXPERIMENTS}
+
+
+def _sim_output(exp_id, result):
+    """Everything an experiment reports that is not host time."""
+    if exp_id == "cluster":
+        # Its table prints critical-path capacity, a host-time number.
+        return {k: (v["wa"], v["miss"]) for k, v in result.grid.items()}
+    return result.format()
 
 
 class TestAllRunAndFormat:
@@ -124,3 +134,49 @@ class TestHeadlineShapes:
         assert rows[0.001]["index_pages"] == 7
         assert rows[0.0001]["index_pages"] == 9
         assert rows[0.0001]["total"] > rows[0.001]["total"]
+
+
+class TestSharedSystemRuns:
+    """The pooled suite replays each distinct system once and hands its
+    record to every consumer, with output identical to running each
+    experiment on its own."""
+
+    def test_pooled_suite_matches_single_runs(self, results):
+        pooled = run_experiments(list(EXPERIMENTS), scale="micro", jobs=2)
+        for exp_id, result in zip(EXPERIMENTS, pooled):
+            assert _sim_output(exp_id, result) == _sim_output(
+                exp_id, results[exp_id]
+            ), exp_id
+
+    def test_each_system_replays_once(self, monkeypatch, results):
+        calls = Counter()
+        real = systems.run_system
+
+        def counting(spec):
+            calls[spec] += 1
+            return real(spec)
+
+        monkeypatch.setattr(systems, "run_system", counting)
+        listed = Counter(
+            cell.args[0]
+            for exp_id in EXPERIMENTS
+            for cell in _experiment_cells(exp_id, "micro")[1]
+            if cell.fn is counting
+        )
+        pooled = run_experiments(list(EXPERIMENTS), scale="micro", jobs=1)
+        assert sum(listed.values()) == 39
+        assert sum(calls.values()) == 23
+        assert calls == Counter(set(listed))
+        fw = {"log_fraction": 0.05, "op_ratio": 0.05}
+        shared = {
+            systems.nemo_system("micro"): 8,
+            systems.system("fw", "micro", **fw): 6,
+            systems.system("fw", "micro", log_fraction=0.05, op_ratio=0.50): 3,
+            systems.system("fw", "micro", log_fraction=0.20, op_ratio=0.05): 2,
+            systems.system("kg", "micro", **fw): 2,
+        }
+        assert {spec: listed[spec] for spec in shared} == shared
+        for exp_id, result in zip(EXPERIMENTS, pooled):
+            assert _sim_output(exp_id, result) == _sim_output(
+                exp_id, results[exp_id]
+            ), exp_id

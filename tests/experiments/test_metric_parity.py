@@ -42,27 +42,34 @@ def _compute_cells(figs: tuple[str, ...] = _ALL_FIGS) -> dict:
     from repro.experiments import fig15_read_latency as f15
     from repro.experiments import fig16_miss_ratio as f16
 
+    # Figures share system runs exactly as ``run_experiments`` does:
+    # each distinct cell replays once.
+    records: dict = {}
+
+    def run(cells):
+        for c in cells:
+            if c.args not in records:
+                records[c.args] = c.run()
+        return [records[c.args] for c in cells]
+
     out: dict = {}
     if "fig12" in figs:
-        fig12 = [
-            f12._main_cell("micro", i) for i in range(len(f12.PAPER_WA))
-        ]
-        fig12 += [
-            f12._variant_cell("micro", label, kw["log_fraction"], kw["op_ratio"])
-            for label, kw in f12.VARIANTS
-        ]
-        out["fig12"] = fig12
+        fig12 = f12.assemble(run(f12.cells("micro")))
+        out["fig12"] = fig12.main_rows + fig12.variant_rows[: len(f12.VARIANTS)]
     if "fig14" in figs:
         out["fig14"] = [
-            f14._system_cell("micro", name, log_fraction, op_ratio)
-            for name, log_fraction, op_ratio in f14.SYSTEMS
+            f14._system_payload(name, rec)
+            for (name, _, _), rec in zip(f14.SYSTEMS, run(f14.cells("micro")))
         ]
     # fig15 exercises the latency-model datapath (record_latency +
     # window percentiles); fig16 the sampled-series datapath.
     if "fig15" in figs:
         out["fig15"] = [f15._system_cell("micro", name) for name in f15.SYSTEMS]
     if "fig16" in figs:
-        out["fig16"] = [f16._system_cell("micro", name) for name in f16.SYSTEMS]
+        out["fig16"] = [
+            f16._system_payload(name, rec)
+            for name, rec in zip(f16.SYSTEMS, run(f16.cells("micro")))
+        ]
     # Round-trip through JSON so tuples/lists and int/float widths
     # compare on equal footing with the stored golden file.
     return json.loads(json.dumps(out))
@@ -161,13 +168,13 @@ class TestKernelSweep:
         Nemo kernel (not silently fall back to batched dispatch) and
         still match its golden row."""
         from repro.experiments import fig12_wa_main as f12
+        from repro.experiments.systems import run_system
         from repro.harness.runner import KERNEL_ENV_VAR
 
         monkeypatch.setenv(KERNEL_ENV_VAR, "columnar")
         nemo_index = list(f12.PAPER_WA).index("Nemo")
-        cell = json.loads(
-            json.dumps(f12._main_cell("micro", nemo_index))
-        )
+        record = run_system(f12.table4_systems("micro")[nemo_index])
+        cell = json.loads(json.dumps(f12._main_row(record)))
         # One kernel was opened (stops only ever grow) and its chunk
         # executor replayed requests.
         stops = [stop for stop, _ in kernel_advances]

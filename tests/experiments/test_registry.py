@@ -1,9 +1,14 @@
 """Unit tests for the experiment registry and CLI."""
 
+import operator
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments import EXPERIMENTS, get_experiment
+from repro.errors import ConfigError
+from repro.experiments import EXPERIMENTS, get_experiment, registry
 from repro.experiments.__main__ import main as cli_main
+from repro.harness.parallel import Cell
 from repro.experiments.common import geometry, nemo_config, scale_params, twitter_trace
 
 
@@ -38,6 +43,54 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_experiment("fig99")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: registry.get_experiment("fig99"),
+            lambda: registry.run_experiment("fig99", scale="micro"),
+            lambda: registry.run_experiments(["table6", "fig99"], scale="micro"),
+        ],
+        ids=["get_experiment", "run_experiment", "run_experiments"],
+    )
+    def test_unknown_id_fails_the_same_way(self, call):
+        with pytest.raises(KeyError, match=r"unknown experiment 'fig99'; known: \[.*'fig12'"):
+            call()
+
+
+def _fake_experiments(monkeypatch, cells_by_id):
+    """Register fake experiments whose cells are ``cells_by_id[id]``."""
+    fakes = {
+        exp_id: SimpleNamespace(cells=lambda scale, c=cells: c, assemble=list)
+        for exp_id, cells in cells_by_id.items()
+    }
+    monkeypatch.setattr(registry, "_module", fakes.__getitem__)
+
+
+class TestCellSharing:
+    def test_equal_cells_run_once_and_fan_out(self, monkeypatch):
+        ran = []
+
+        def run_serially(cells, jobs):
+            ran.extend(cells)
+            return [c.run() for c in cells]
+
+        monkeypatch.setattr(registry, "run_cells", run_serially)
+        shared = Cell("add", operator.add, (1, 2))
+        _fake_experiments(
+            monkeypatch,
+            {"a": [shared], "b": [Cell("neg", operator.neg, (4,)), Cell("add", operator.add, (1, 2))]},
+        )
+        assert registry.run_experiments(["a", "b"]) == [[3], [-4, 3]]
+        assert [c.cell_id for c in ran] == ["add", "neg"]
+
+    def test_one_id_two_cells_is_an_error(self, monkeypatch):
+        _fake_experiments(
+            monkeypatch,
+            {"a": [Cell("add", operator.add, (1, 2))], "b": [Cell("add", operator.add, (1, 3))]},
+        )
+        with pytest.raises(ConfigError, match="'add'"):
+            registry.run_experiments(["a", "b"])
+
 
 class TestCommonConfig:
     def test_geometry_zones(self):
@@ -70,3 +123,14 @@ class TestCLI:
         assert cli_main(["appendixA"]) == 0
         out = capsys.readouterr().out
         assert "Appendix A" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig99"], ["fig99", "-j", "2"], ["table6", "fig99", "-j", "1"], ["table6", "fig99", "-j", "2"]],
+    )
+    def test_unknown_id_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'" in err and "'fig12'" in err

@@ -11,12 +11,22 @@ functions live at module level under ``repro.*``).
 
 from __future__ import annotations
 
+import multiprocessing
 import operator
+import os
 
 import pytest
 
+from repro.errors import PoolFallbackWarning
 from repro.experiments import fig12_wa_main
 from repro.harness.parallel import Cell, CellFailure, default_jobs, run_cells
+
+
+def _triple_unless_worker(x: int) -> int:
+    """Kills any spawn worker that runs it; fine in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return 3 * x
 
 
 class TestRunCells:
@@ -69,6 +79,12 @@ class TestFailurePropagation:
         # degrade to in-process execution rather than fail.
         cells = [Cell(f"lambda/{i}", lambda i=i: i * 2) for i in range(3)]
         assert run_cells(cells, jobs=2) == [0, 2, 4]
+
+    def test_dead_worker_is_recorded_and_rerun_serially(self):
+        cells = [Cell(f"triple/{i}", _triple_unless_worker, (i,)) for i in range(4)]
+        with pytest.warns(PoolFallbackWarning, match="BrokenProcessPool") as record:
+            assert run_cells(cells, jobs=2) == [0, 3, 6, 9]
+        assert len(record) == 1
 
 
 class TestExperimentCellParity:

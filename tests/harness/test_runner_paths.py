@@ -159,3 +159,28 @@ class TestOneHashPerChunk:
         warm = replay(self.build(name), trace, kernel="batched")
         assert hash_calls == []
         _assert_metrics_equal(warm, cold)
+
+
+@pytest.mark.parametrize("name", ["Log", "FW", "Nemo"])
+def test_blocks_span_whole_chunks(name, pressure_trace, hash_calls, monkeypatch):
+    """The batched executor prepares the trace a block of whole chunks at
+    a time: one hash per block, every request once, a chunk longer than
+    the block is its own block — and results equal the scalar lane on a
+    layout mixing long and very short chunks."""
+    import repro.harness.runner as runner
+
+    monkeypatch.setattr(runner, "_BLOCK", 1_000)
+    n = len(pressure_trace)
+    # One 2,500-request chunk, then chunks of 7 to 300 requests.
+    sample_at = [2_500, *range(2_507, n, 7 * 43), *range(n // 2, n, 300)]
+    engines = {e.name: e for e in build_engines(scale_params("micro")[0])}
+    batched = replay(engines[name], pressure_trace.slice(0, n), sample_at=sample_at)
+    if name == "Log":
+        assert hash_calls == []
+    else:
+        assert sum(hash_calls) == n
+        assert hash_calls[0] == 2_500
+        assert max(hash_calls[1:]) <= 1_000
+    rebuilt = {e.name: e for e in build_engines(scale_params("micro")[0])}
+    scalar = replay(rebuilt[name], pressure_trace, sample_at=sample_at, kernel="scalar")
+    _assert_metrics_equal(batched, scalar)
