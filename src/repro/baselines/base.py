@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Collection
 
 from repro.errors import EngineStateError
-from repro.faults.plan import FaultPlan
 from repro.flash.latency import LatencyModel
 from repro.flash.stats import FlashStats
 
@@ -147,47 +146,6 @@ class CacheEngine(abc.ABC):
     def latency_model(self) -> LatencyModel | None:
         """The currently attached device latency model (None when bare)."""
         return getattr(getattr(self, "device", None), "latency", None)
-
-    # ------------------------------------------------------------------
-    # Fault injection & crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Arm the engine's device stack with a fault plan.
-
-        Engines with more than one device override this; the default
-        forwards to ``self.device``.
-        """
-        device = getattr(self, "device", None)
-        if device is None:
-            raise EngineStateError(
-                f"{type(self).__name__} has no device to install a fault plan on"
-            )
-        device.install_fault_plan(plan)
-
-    def crash(self) -> None:
-        """Simulate power loss: drop all volatile (DRAM) state.
-
-        Durable state — NAND page payloads, zone write pointers/states,
-        and FTL mapping tables (journaled by real devices) — survives.
-        The engine is unusable until :meth:`recover` runs.  Every
-        registered engine overrides this pair; the default refuses so
-        an engine without a recovery story cannot silently "survive" a
-        crash untouched.
-        """
-        raise EngineStateError(
-            f"{type(self).__name__} does not implement the crash/recovery protocol"
-        )
-
-    def recover(self) -> None:
-        """Rebuild volatile state from a scan of the durable device.
-
-        The recovered cache may serve fewer objects than before the
-        crash (DRAM-buffered objects are lost) but must never serve a
-        value it did not durably hold at crash time.
-        """
-        raise EngineStateError(
-            f"{type(self).__name__} does not implement the crash/recovery protocol"
-        )
 
     # ------------------------------------------------------------------
     # Bulk operations (batched replay dispatch)

@@ -19,7 +19,6 @@ from collections.abc import Collection
 
 from repro.baselines.base import MEMORY_HIT, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError
-from repro.faults.plan import FaultPlan
 
 
 class DramCache:
@@ -131,19 +130,6 @@ class TieredCache(CacheEngine):
         if removed:
             self.counters.deletes += 1
         return removed
-
-    def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        self.flash.install_fault_plan(plan)
-
-    def crash(self) -> None:
-        """Power loss: the whole DRAM tier is gone; the flash tier
-        crashes through its own protocol."""
-        self.dram._objects.clear()
-        self.dram.used_bytes = 0
-        self.flash.crash()
-
-    def recover(self) -> None:
-        self.flash.recover()
 
     def object_count(self) -> int:
         # DRAM and flash may both hold a key (promotion); report the

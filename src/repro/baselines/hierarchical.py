@@ -182,8 +182,6 @@ class HierarchicalCacheBase(CacheEngine):
 
     def delete(self, key: int) -> bool:
         bucket_id = self.hlog.bucket_of(key)
-        # hlog.remove prunes the on-flash page image too, so the delete
-        # survives a crash (no resurrection from stale log pages).
         removed = self.hlog.remove(key, bucket=bucket_id) is not None
         found = self.hset.find(key, bucket_id)
         if found is not None:
@@ -382,27 +380,6 @@ class HierarchicalCacheBase(CacheEngine):
             + (1.0 - self.log_fraction) * set_bits
             + ADDITIONAL_BITS
         )
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: both tiers drop their volatile state; the 1-bit
-        hotness flags are DRAM-only and vanish with them."""
-        self.hot_keys.clear()
-        self.hlog.crash()
-        self.hset.crash()
-
-    def recover(self) -> None:
-        """Scan both regions and rebuild the tiers.
-
-        Log-buffered objects, staged promotions, and hotness flags are
-        lost (they were DRAM-only); everything on flash at crash time is
-        served again, and nothing deleted or drained resurrects (the
-        tiers prune their durable page images in place).
-        """
-        self.hlog.recover()
-        self.hset.recover()
 
     # ------------------------------------------------------------------
     # Internals

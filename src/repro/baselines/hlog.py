@@ -95,14 +95,6 @@ class HierarchicalLog:
 
         self._seq = 0
 
-        # Durability bookkeeping (DESIGN.md §7): each flushed page's
-        # payload is ``(page_seq, {key: (size, seq)})`` and
-        # ``_page_objs`` aliases the dict stored on flash, so pruning a
-        # key here edits the durable image in place — deletes, drains,
-        # and supersedes never resurrect after a crash.  The map itself
-        # is volatile and rebuilt by recover().
-        self._page_objs: dict[int, dict[int, tuple[int, int]]] = {}
-
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
@@ -143,13 +135,8 @@ class HierarchicalLog:
         ):
             return False
         b = self.bucket_of(key) if bucket is None else bucket
-        old = self.buckets[b].pop(key, None)
-        if old is not None:
+        if self.buckets[b].pop(key, None) is not None:
             self._object_count -= 1
-            if old.page >= 0:
-                objs = self._page_objs.get(old.page)
-                if objs is not None:
-                    objs.pop(key, None)
         self._seq += 1
         entry = LogEntry(key=key, size=size, seq=self._seq, page=-1)
         self.buckets[b][key] = entry
@@ -166,24 +153,22 @@ class HierarchicalLog:
         zone_id = self._writable_zone()
         if zone_id is None:
             return False
-        # The durable image is filled below, after the append: only
-        # records still current at flush time enter it (superseded and
-        # deleted-while-buffered copies must not survive a crash).  The
-        # NAND stores the reference, so populating the dict afterwards
-        # writes through to the flash payload.
+        # The page payload ``{key: (size, seq)}`` is what the victim
+        # scan of :meth:`reclaim_oldest_zone` reads back.  It is filled
+        # below, after the append, with the records still current at
+        # flush time; the NAND stores the reference, so populating the
+        # dict afterwards writes through to the flash payload.
         objs: dict[int, tuple[int, int]] = {}
-        payload = (self._seq, objs)
         if self.device.latency is None:
-            page = self.device.append_page(zone_id, payload)
+            page = self.device.append_page(zone_id, objs)
         else:
-            page, _ = self.device.append(zone_id, payload, now_us=now_us)
+            page, _ = self.device.append(zone_id, objs, now_us=now_us)
         buckets = self.buckets
         for e, b in zip(self._buffer, self._buffer_buckets):
             cur = buckets[b].get(e.key)
             if cur is not None and cur.seq == e.seq:
                 buckets[b][e.key] = LogEntry(e.key, e.size, e.seq, page)
                 objs[e.key] = (e.size, e.seq)
-        self._page_objs[page] = objs
         self._buffer.clear()
         self._buffer_buckets.clear()
         self._buffer_bytes = 0
@@ -231,13 +216,13 @@ class HierarchicalLog:
         wp = self.device.zones[victim].write_pointer
         stale_buckets: set[int] = set()
         for page in range(first, first + wp):
-            _, objs = self.device.read_page(page)
-            for key, (_size, seq) in objs.items():
+            # A record is current iff its bucket still holds the same
+            # seq: superseded, removed and drained copies all fail that.
+            for key, (_size, seq) in self.device.read_page(page).items():
                 b = self.bucket_of(key)
                 cur = self.buckets[b].get(key)
                 if cur is not None and cur.seq == seq:
                     stale_buckets.add(b)
-            self._page_objs.pop(page, None)
         self.device.reset_zone(victim, now_us=now_us)
         self._free_zones.append(victim)
         return sorted(stale_buckets)
@@ -251,98 +236,16 @@ class HierarchicalLog:
         bucket = self.buckets[bucket_id]
         objs = [(e.key, e.size) for e in bucket.values()]
         self._object_count -= len(bucket)
-        page_objs = self._page_objs
-        for e in bucket.values():
-            # Drained objects leave the log; prune the durable image so
-            # a crash cannot re-serve them from stale log pages.  The
-            # page may already be gone (reclaim drops the victim zone's
-            # entries before the buckets drain).
-            if e.page >= 0:
-                image = page_objs.get(e.page)
-                if image is not None:
-                    image.pop(e.key, None)
         bucket.clear()
         return objs
 
     def remove(self, key: int, *, bucket: int | None = None) -> LogEntry | None:
-        """Remove ``key`` from the log (user-driven delete).
-
-        Pops the bucket entry and prunes the on-flash page image, so the
-        removal is durable (no post-crash resurrection).
-        """
+        """Remove ``key`` from the log (user-driven delete)."""
         b = self.bucket_of(key) if bucket is None else bucket
         entry = self.buckets[b].pop(key, None)
-        if entry is None:
-            return None
-        self._object_count -= 1
-        if entry.page >= 0:
-            objs = self._page_objs.get(entry.page)
-            if objs is not None:
-                objs.pop(key, None)
+        if entry is not None:
+            self._object_count -= 1
         return entry
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: bucket table, write buffer, and zone FIFOs are
-        volatile and vanish; flash pages and zone states survive."""
-        for bucket in self.buckets:
-            bucket.clear()
-        self._object_count = 0
-        self._buffer.clear()
-        self._buffer_buckets.clear()
-        self._buffer_bytes = 0
-        self._zone_fifo.clear()
-        self._free_zones.clear()
-        self._open_zone = None
-        self._page_objs.clear()
-
-    def recover(self) -> None:
-        """Rebuild the bucket table from a scan of the log zones.
-
-        Pages are replayed oldest-first (ordered by their durable page
-        sequence stamp), so the newest copy of each key wins — exactly
-        the pre-crash current set minus whatever only lived in the write
-        buffer.
-        """
-        geo = self.device.geometry
-        written: list[tuple[int, int, int]] = []  # (first_page_seq, zone, wp)
-        for zone_id in self.zone_ids:
-            wp = self.device.zones[zone_id].write_pointer
-            if wp == 0:
-                self._free_zones.append(zone_id)
-                continue
-            first = geo.zone_first_page(zone_id)
-            seq0, _ = self.device.read_page(first)
-            written.append((seq0, zone_id, wp))
-        written.sort()
-        max_seq = 0
-        for _, zone_id, wp in written:
-            self._zone_fifo.append(zone_id)
-            first = geo.zone_first_page(zone_id)
-            for page in range(first, first + wp):
-                page_seq, objs = self.device.read_page(page)
-                max_seq = max(max_seq, page_seq)
-                self._page_objs[page] = objs
-                for key, (size, seq) in objs.items():
-                    b = self.bucket_of(key)
-                    cur = self.buckets[b].get(key)
-                    if cur is not None:
-                        # A newer copy of the key may sit on a later
-                        # page of the same scan; highest seq wins.
-                        if cur.seq >= seq:
-                            continue
-                        self._object_count -= 1
-                        if cur.page >= 0:
-                            self._page_objs[cur.page].pop(key, None)
-                    self.buckets[b][key] = LogEntry(key, size, seq, page)
-                    self._object_count += 1
-                    max_seq = max(max_seq, seq)
-            zone = self.device.zones[zone_id]
-            if zone.is_writable and zone.remaining_pages > 0:
-                self._open_zone = zone_id
-        self._seq = max_seq
 
     def bucket_len(self, bucket_id: int) -> int:
         return len(self.buckets[bucket_id])

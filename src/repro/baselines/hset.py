@@ -164,7 +164,7 @@ class HierarchicalSet:
         #: list-fast for the lookup paths, while GC gathers/scatters
         #: whole victims through numpy views built at the point of use
         #: (never stored: a ``deepcopy``/pickle would detach a stored
-        #: view from its buffer, and ``crash()`` replaces the arrays).
+        #: view from its buffer).
         self.location: array[int] = array("q", [-1]) * self.num_sets
         #: Resident objects (mirrors + promotion staging), maintained
         #: incrementally at every mutation site so the harness's
@@ -182,9 +182,6 @@ class HierarchicalSet:
         self._in_gc = False
         #: live (current-copy) pages per zone, for greedy victim choice.
         self._zone_valid: array[int] = array("q", [0]) * device.geometry.num_zones
-        #: Monotonic stamp on every set page written; recovery picks the
-        #: newest copy of each set by this stamp (DESIGN.md §7).
-        self._write_seq = 0
 
         # FW promotion staging: bucket -> {key: size}.
         self.pending_promotions: list[dict[int, int]] = [
@@ -400,12 +397,7 @@ class HierarchicalSet:
                     f"page {page} already programmed; erase its block first"
                 )
             target[:] = PAGE_PROGRAMMED
-            seq = self._write_seq
-            payload[base:stop] = [
-                (set_id, stamp, sets[set_id].objects)
-                for set_id, stamp in zip(run.tolist(), range(seq, seq + take))
-            ]
-            self._write_seq = seq + take
+            payload[base:stop] = [sets[set_id].objects for set_id in run.tolist()]
             owner[old_pages] = -1
             zone_valid -= np.bincount(old_pages // ppz, minlength=len(zone_valid))
             owner[base:stop] = run
@@ -458,18 +450,15 @@ class HierarchicalSet:
             self._page_owner[old_page] = -1
             zone_valid[old_page // self._pages_per_zone] -= 1
         # The flash page carries the live mirror dict itself (not a
-        # copy): the DRAM mirror stays authoritative during operation —
-        # RMW reads are accounting-only — while crash recovery can
-        # rebuild every mirror from the newest stamped page.  Aliasing
-        # the dict keeps later mutations (deletes, merges) durable in
-        # place without per-write snapshot churn.
+        # copy): the DRAM mirror stays authoritative — RMW reads are
+        # accounting-only — so snapshotting per write would be pure
+        # copy churn.
         device = self.device
-        stamp = (set_id, self._write_seq, self.sets[set_id].objects)
-        self._write_seq += 1
+        objs = self.sets[set_id].objects
         if device.latency is None:
-            page = device.append_page(zone_id, stamp)
+            page = device.append_page(zone_id, objs)
         else:
-            page, _ = device.append(zone_id, stamp, now_us=now_us)
+            page, _ = device.append(zone_id, objs, now_us=now_us)
         self.location[set_id] = page
         self._page_owner[page] = set_id
         zone_valid[zone_id] += 1
@@ -576,15 +565,9 @@ class HierarchicalSet:
         self, valid_sets: np.ndarray, max_relocate: int, *, now_us: float = 0.0
     ) -> None:
         if not self.merge_on_gc:
-            # Kangaroo mode: every kept set relocates verbatim.  The
-            # batch path pokes NAND internals directly, which would
-            # bypass fault injection; faulty runs take the per-set path
-            # so program/read failures fire on relocation too.
-            if (
-                max_relocate
-                and self.device.latency is None
-                and self.device.fault_plan is None
-            ):
+            # Kangaroo mode: every kept set relocates verbatim, in one
+            # batch unless a latency model must time each relocation.
+            if max_relocate and self.device.latency is None:
                 self._relocate_batch(valid_sets[:max_relocate])
             else:
                 for set_id in valid_sets[:max_relocate].tolist():
@@ -621,70 +604,6 @@ class HierarchicalSet:
             self._page_owner[old] = -1
             self._zone_valid[old // self._pages_per_zone] -= 1
         self.location[set_id] = -1
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: mirrors, placement maps, zone FIFOs, and the
-        promotion staging buffers are volatile and vanish.  The
-        instrumentation counters survive — they are measurement
-        apparatus, not cache state."""
-        self.sets = [_SetMirror() for _ in range(self.num_sets)]
-        self.location = array("q", [-1]) * self.num_sets
-        self._object_count = 0
-        self._page_owner = array("q", [-1]) * self.device.geometry.num_pages
-        self._free_zones.clear()
-        self._zone_fifo.clear()
-        self._open_zone = None
-        self._in_gc = False
-        self._zone_valid = array("q", [0]) * self.device.geometry.num_zones
-        self.pending_promotions = [dict() for _ in range(self.num_buckets)]
-
-    def recover(self) -> None:
-        """Rebuild mirrors and placement from a scan of the set zones.
-
-        Every written page carries ``(set_id, write_seq, objects)``; the
-        newest stamp per set wins, and the scan re-adopts the on-flash
-        dict as the live mirror (restoring the aliasing invariant).
-        Staged promotions are lost — they were DRAM-only.
-        """
-        geo = self.device.geometry
-        # set_id -> (write_seq, page, objects) of the newest copy seen.
-        best: dict[int, tuple[int, int, dict[int, int]]] = {}
-        zone_order: list[tuple[int, int]] = []  # (first-page stamp, zone)
-        for zone_id in self.zone_ids:
-            wp = self.device.zones[zone_id].write_pointer
-            if wp == 0:
-                self._free_zones.append(zone_id)
-                continue
-            first = geo.zone_first_page(zone_id)
-            first_stamp: int | None = None
-            for page in range(first, first + wp):
-                set_id, wseq, objs = self.device.read_page(page)
-                if first_stamp is None:
-                    first_stamp = wseq
-                cur = best.get(set_id)
-                if cur is None or wseq > cur[0]:
-                    best[set_id] = (wseq, page, objs)
-            zone_order.append((first_stamp if first_stamp is not None else 0, zone_id))
-        zone_order.sort()
-        for _, zone_id in zone_order:
-            self._zone_fifo.append(zone_id)
-            zone = self.device.zones[zone_id]
-            if zone.is_writable and zone.remaining_pages > 0:
-                self._open_zone = zone_id
-        max_seq = -1
-        for set_id, (wseq, page, objs) in best.items():
-            max_seq = max(max_seq, wseq)
-            mirror = self.sets[set_id]
-            mirror.objects = objs
-            mirror.used_bytes = sum(objs.values())
-            self.location[set_id] = page
-            self._page_owner[page] = set_id
-            self._zone_valid[page // self._pages_per_zone] += 1
-            self._object_count += len(objs)
-        self._write_seq = max_seq + 1
 
     # ------------------------------------------------------------------
     # Run-time audit

@@ -75,13 +75,6 @@ class LogStructuredCache(CacheEngine):
         self._open_zone: int | None = None
         # Keys per zone, for wholesale invalidation on zone reset.
         self._zone_keys: dict[int, list[int]] = {}
-        # Durability bookkeeping (DESIGN.md §7): each flushed page's
-        # payload is ``(flush_seq, objs)`` and ``_page_objs`` aliases the
-        # very dict stored on flash, so pruning a key here edits the
-        # durable image in place (deletes/updates never resurrect after
-        # a crash).  The map itself is volatile and rebuilt on recover().
-        self._page_objs: dict[int, dict[int, int]] = {}
-        self._flush_seq = 0
 
     # ------------------------------------------------------------------
     # CacheEngine API
@@ -114,14 +107,10 @@ class LogStructuredCache(CacheEngine):
                 f"object of {size} B (+{self.object_header_bytes} B header) "
                 f"exceeds the {page_size} B page"
             )
+        # Update: drop any stale copy from the index; the old flash
+        # bytes die in place and vanish when their zone is reset.
         index = self._index
-        old = index.get(key)
-        if old is not None:
-            # Update: drop the stale copy from the index; the old flash
-            # bytes die in place and vanish when their zone is reset.
-            del index[key]
-            if old[0] >= 0:
-                self._page_objs[old[0]].pop(key, None)
+        index.pop(key, None)
         self.record_admission(size)
         if self._buffer_bytes + stored > page_size:
             self._flush_buffer(now_us=now_us)
@@ -130,9 +119,10 @@ class LogStructuredCache(CacheEngine):
         index[key] = (-1, size)
 
     def delete(self, key: int) -> bool:
-        if key not in self._index:
+        # Stale references may linger in _zone_keys / _buffer; they are
+        # filtered against the index when the zone dies or flushes.
+        if self._index.pop(key, None) is None:
             return False
-        self._remove_index_entry(key)
         self.counters.deletes += 1
         return True
 
@@ -214,11 +204,7 @@ class LogStructuredCache(CacheEngine):
                     f"object of {size} B (+{header} B header) "
                     f"exceeds the {page_size} B page"
                 )
-            old = index.get(key)
-            if old is not None:
-                del index[key]
-                if old[0] >= 0:
-                    self._page_objs[old[0]].pop(key, None)
+            index.pop(key, None)
             inserts += 1
             insert_bytes += size
             if self._buffer_bytes + stored > page_size:
@@ -238,8 +224,6 @@ class LogStructuredCache(CacheEngine):
         keys: list[int],
         sizes: list[int],
         cuts: list[int],
-        prune: list[int],
-        prune_pages: list[int],
         pages: list[int],
         now_us: float = 0.0,
     ) -> None:
@@ -253,10 +237,6 @@ class LogStructuredCache(CacheEngine):
           the page buffer first (the exact ``_buffer_bytes`` recurrence,
           solved ahead of time) — events between two cuts form one page
           and are applied with bulk dict operations.
-        - ``prune`` / ``prune_pages``: run-relative positions whose key
-          has a live flash-resident prior copy, and the device page
-          holding that stale copy, which must leave its durable image
-          (the buffered-copy case needs no pruning).
         - ``pages``: per-event final placement — the device page each
           object occupies once every flush in this run has happened, or
           ``-1`` if it is still buffered at run end.  Valid because a
@@ -280,7 +260,6 @@ class LogStructuredCache(CacheEngine):
         nothing observes.
         """
         index = self._index
-        page_objs = self._page_objs
         device = self.device
         n_run = len(keys)
 
@@ -291,8 +270,6 @@ class LogStructuredCache(CacheEngine):
         self.stats.logical_write_bytes += total
 
         pos = 0
-        pi = 0
-        n_prune = len(prune)
         ci = 0
         if cuts and self._buffer:
             # Leftover buffer from before the run (possibly holding
@@ -303,9 +280,6 @@ class LogStructuredCache(CacheEngine):
             # before the buffer is written — so that copy must not reach
             # the page.
             cut = cuts[0]
-            while pi < n_prune and prune[pi] < cut:
-                page_objs[prune_pages[pi]].pop(keys[prune[pi]], None)
-                pi += 1
             seg_keys = keys[:cut]
             seg_sizes = sizes[:cut]
             index.update(zip(seg_keys, zip(repeat(-1), seg_sizes)))
@@ -327,45 +301,28 @@ class LogStructuredCache(CacheEngine):
         zones = device.zones
         append_page = device.append_page
         zone_keys_map = self._zone_keys
-        flush_seq = self._flush_seq
         zone_left = zones[zone_id].remaining_pages if zone_id is not None else 0
         zone_keys = zone_keys_map[zone_id] if zone_id is not None else []
         for cut in cuts[ci:]:
-            # Prune pass: drop superseded flash-resident copies from
-            # their durable page images (exactly what the per-event
-            # ``old[0] >= 0`` branch of insert_many does, with the page
-            # predicted instead of read from the index).
-            while pi < n_prune and prune[pi] < cut:
-                page_objs[prune_pages[pi]].pop(keys[prune[pi]], None)
-                pi += 1
             if zone_id is None:
                 zone_id = self._writable_zone(now_us=now_us)
                 zone_left = zones[zone_id].remaining_pages
                 zone_keys = zone_keys_map[zone_id]
             # Fast flush: the buffer is exactly this segment and every
-            # buffered key except a superseded trigger copy is live, so
-            # the page image collapses to bulk dict construction (last
-            # copy of a key wins, first-occurrence order — same as
-            # per-entry assignment).  A buffered trigger copy can only
-            # come from this segment (the buffer was empty when it
-            # started), so the index never saw it.
+            # buffered key except a superseded trigger copy is live.  A
+            # buffered trigger copy can only come from this segment (the
+            # buffer was empty when it started), so the index never saw
+            # it.
             seg_keys = keys[pos:cut]
-            objs = dict(zip(seg_keys, sizes[pos:cut]))
             trig_key = keys[cut]
-            if objs.pop(trig_key, None) is not None:
+            if trig_key in seg_keys:
                 seg_keys = [k for k in seg_keys if k != trig_key]
-            page = append_page(zone_id, (flush_seq, objs))
-            flush_seq += 1
-            page_objs[page] = objs
+            append_page(zone_id, None)
             zone_keys.extend(seg_keys)
             zone_left -= 1
             if not zone_left:
                 zone_id = self._open_zone = None
             pos = cut
-        self._flush_seq = flush_seq
-        while pi < n_prune:
-            page_objs[prune_pages[pi]].pop(keys[prune[pi]], None)
-            pi += 1
         if pos < n_run:
             # Trailing partial page: stays in the write buffer (its
             # index entries are the ``-1`` placements written above).
@@ -386,35 +343,19 @@ class LogStructuredCache(CacheEngine):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _remove_index_entry(self, key: int) -> None:
-        page, _ = self._index.pop(key)
-        if page >= 0:
-            # Prune the durable page image so the key cannot come back
-            # after a crash.  Stale (key) references may still linger in
-            # _zone_keys / _buffer; they are filtered against the index
-            # when the zone dies.
-            self._page_objs[page].pop(key, None)
-
     def _flush_buffer(self, *, now_us: float = 0.0) -> None:
         if not self._buffer:
             return
         zone_id = self._writable_zone(now_us=now_us)
         index = self._index
-        # Append an empty dict first, then fill it during the rebind
-        # pass: deleted-while-buffered keys never enter the durable
-        # image, and a superseded buffered copy is overwritten by its
+        # Only the DRAM index is ever read back, so the page carries no
+        # payload.  A superseded buffered copy is overwritten by its
         # newer one (the buffer preserves insertion order).
-        objs: dict[int, int] = {}
-        page, _ = self.device.append(
-            zone_id, (self._flush_seq, objs), now_us=now_us
-        )
-        self._flush_seq += 1
-        self._page_objs[page] = objs
+        page, _ = self.device.append(zone_id, None, now_us=now_us)
         zone_keys = self._zone_keys[zone_id]
         for k, s in self._buffer:
             if k in index:  # not deleted while buffered
                 index[k] = (page, s)
-                objs[k] = s
                 zone_keys.append(k)
         self._buffer.clear()
         self._buffer_bytes = 0
@@ -442,62 +383,5 @@ class LogStructuredCache(CacheEngine):
                 del self._index[key]
                 self.counters.evicted_objects += 1
                 self.counters.evicted_bytes += entry[1]
-        first = self.geometry.zone_first_page(victim)
-        for page in range(first, first + self.geometry.pages_per_zone):
-            self._page_objs.pop(page, None)
         self.device.reset_zone(victim, now_us=now_us)
         return victim
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: index, write buffer, and zone bookkeeping are
-        DRAM and vanish; flash pages and zone write pointers survive."""
-        self._index.clear()
-        self._buffer.clear()
-        self._buffer_bytes = 0
-        self._zone_fifo.clear()
-        self._zone_keys.clear()
-        self._page_objs.clear()
-        self._open_zone = None
-
-    def recover(self) -> None:
-        """Rebuild the exact index from a log scan.
-
-        Every written page is read back (counted as host reads, as a
-        real recovery scan would be); zones re-enter the FIFO ordered by
-        their first page's flush sequence number, which is the original
-        append order.
-        """
-        geometry = self.geometry
-        ppz = geometry.pages_per_zone
-        scanned: list[tuple[int, int, list[tuple[int, dict[int, int]]]]] = []
-        max_seq = -1
-        for zone in self.device.zones:
-            wp = zone.write_pointer
-            if wp == 0:
-                continue
-            first = geometry.zone_first_page(zone.zone_id)
-            pages = []
-            first_seq = -1
-            for page in range(first, first + wp):
-                seq, objs = self.device.read_page(page)
-                if first_seq < 0:
-                    first_seq = seq
-                max_seq = max(max_seq, seq)
-                pages.append((page, objs))
-            scanned.append((first_seq, zone.zone_id, pages))
-        scanned.sort()
-        for _, zone_id, pages in scanned:
-            self._zone_fifo.append(zone_id)
-            keys = self._zone_keys.setdefault(zone_id, [])
-            for page, objs in pages:
-                self._page_objs[page] = objs
-                for k, s in objs.items():
-                    self._index[k] = (page, s)
-                    keys.append(k)
-            zone = self.device.zones[zone_id]
-            if zone.is_writable and zone.remaining_pages > 0:
-                self._open_zone = zone_id
-        self._flush_seq = max_seq + 1

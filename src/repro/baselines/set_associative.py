@@ -141,11 +141,9 @@ class SetAssociativeCache(CacheEngine):
         sset.used_bytes += size
         self._object_count += 1
         # The flash page carries the live membership dict itself (not a
-        # copy): the DRAM mirror stays authoritative during operation —
-        # set pages are never read back for content — while crash
-        # recovery can rebuild every mirror from the FTL-mapped pages.
-        # Aliasing the dict keeps later mutations durable in place, so
-        # snapshotting per insert stays pure copy churn we avoid.
+        # copy): the DRAM mirror stays authoritative — set pages are
+        # never read back for content — so snapshotting per insert
+        # would be pure copy churn.
         self.device.write(sid, sset.objects, now_us=now_us)
 
     # ------------------------------------------------------------------
@@ -171,9 +169,9 @@ class SetAssociativeCache(CacheEngine):
             offsets = self._set_column(keys)
         insert_in = self._insert_in
         device = self.device
-        if device.latency is not None or device.fault_plan is not None:
-            # Timed or faulty device: every read goes through the device
-            # stack (``_lookup_in``), the scalar reference.
+        if device.latency is not None:
+            # Timed device: every read goes through the device stack
+            # (``_lookup_in``), the scalar reference.
             lookup_in = self._lookup_in
             for key, size, sid in zip(keys, sizes, offsets):
                 result = lookup_in(sid, key, now_us)
@@ -183,7 +181,7 @@ class SetAssociativeCache(CacheEngine):
                     insert_in(sid, key, size, now_us)
                 now_us += step_us
             return now_us
-        # Latency-free, fault-free run loop (the lane FW/KG/Nemo already
+        # Latency-free run loop (the lane FW/KG/Nemo already
         # have): the set mirror is probed directly, the FTL-read
         # validation (mapped LBA, programmed page) stays inline, and the
         # read counters flush once per run — nothing observes them
@@ -250,34 +248,6 @@ class SetAssociativeCache(CacheEngine):
 
     def object_count(self) -> int:
         return self._object_count
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: the DRAM set mirrors (the "bloom filters" and
-        membership tables) vanish; the FTL mapping and set pages
-        survive (a real device journals its L2P table)."""
-        self._sets = [_Set() for _ in range(self.num_sets)]
-        self._object_count = 0
-
-    def recover(self) -> None:
-        """Rebuild every set mirror by reading mapped set pages back.
-
-        The scan re-adopts each on-flash membership dict as the live
-        mirror, restoring the aliasing invariant (mirror is flash
-        payload), so post-recovery mutations stay durable in place.
-        """
-        count = 0
-        for sid in range(self.num_sets):
-            if not self.device.is_mapped(sid):
-                continue
-            objs, _ = self.device.read(sid)
-            sset = self._sets[sid]
-            sset.objects = objs
-            sset.used_bytes = sum(objs.values())
-            count += len(objs)
-        self._object_count = count
 
     def memory_overhead_bits_per_object(self) -> float:
         return BLOOM_BITS_PER_OBJECT

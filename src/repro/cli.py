@@ -87,135 +87,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def faults_main(argv: list[str]) -> int:
-    """``python -m repro faults``: fault-sweep replay experiments.
-
-    Replays the synthetic mix against each engine under a seeded
-    :class:`~repro.faults.plan.FaultPlan` and reports the fault
-    counters: read retries, ECC rescues, program/erase failures, and
-    retired blocks, plus mid-replay crash/recover cycles.
-    """
-    from repro.faults.plan import FaultConfig, FaultPlan
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Replay a workload under deterministic fault injection.",
-    )
-    parser.add_argument(
-        "--engine", default="all", choices=ENGINE_NAMES + ("all",)
-    )
-    parser.add_argument("--requests", type=int, default=50_000)
-    parser.add_argument("--zones", type=int, default=16)
-    parser.add_argument("--wss-scale", type=float, default=1 / 128)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--read-error-rate", type=float, default=1e-4,
-        help="probability a page read needs retries",
-    )
-    parser.add_argument(
-        "--program-error-rate", type=float, default=1e-5,
-        help="probability a page program fails and retires its block",
-    )
-    parser.add_argument(
-        "--erase-error-rate", type=float, default=1e-4,
-        help="probability a block erase fails and retires the block",
-    )
-    parser.add_argument("--max-read-retries", type=int, default=3)
-    parser.add_argument("--spare-blocks", type=int, default=16)
-    parser.add_argument(
-        "--crash-at", type=int, nargs="*", default=[],
-        help="request indices at which to crash and recover the engine",
-    )
-    parser.add_argument("--flush-threshold", type=int, default=8)
-    parser.add_argument("--sgs-per-index-group", type=int, default=4)
-    parser.add_argument("--cached-index-ratio", type=float, default=0.5)
-    from repro.flash.devsim import LATENCY_LANES
-
-    parser.add_argument(
-        "--latency-lane",
-        default=None,
-        choices=LATENCY_LANES,
-        help="device timing lane for the faulty replay (default: "
-        "$REPRO_LATENCY_LANE or no timing model)",
-    )
-    args = parser.parse_args(argv)
-
-    geometry = FlashGeometry(
-        page_size=4096,
-        pages_per_block=64,
-        num_blocks=args.zones * 4,
-        blocks_per_zone=4,
-    )
-    trace = merged_twitter_trace(
-        num_requests=args.requests, wss_scale=args.wss_scale, seed=args.seed
-    )
-    config = FaultConfig(
-        seed=args.seed,
-        read_error_rate=args.read_error_rate,
-        program_error_rate=args.program_error_rate,
-        erase_error_rate=args.erase_error_rate,
-        max_read_retries=args.max_read_retries,
-        spare_blocks=args.spare_blocks,
-        crash_at=tuple(args.crash_at),
-    )
-    print(f"device: {geometry.describe()}")
-    print(trace.describe())
-    print(
-        f"faults: read={config.read_error_rate:g} "
-        f"program={config.program_error_rate:g} "
-        f"erase={config.erase_error_rate:g} "
-        f"spares={config.spare_blocks} crash_at={list(config.crash_at)}"
-    )
-
-    from repro.errors import DeviceRetiredError
-
-    names = list(ENGINE_NAMES) if args.engine == "all" else [args.engine]
-    rows = []
-    for name in names:
-        engine = build_engine(name, geometry, args)
-        note = ""
-        try:
-            result = replay(
-                engine,
-                trace,
-                faults=FaultPlan(config),
-                latency_lane=args.latency_lane,
-            )
-            miss = result.miss_ratio
-            crashes = result.crashes
-        except DeviceRetiredError:
-            # Spare pool exhausted mid-replay: the device reached end
-            # of life.  Report what the engine accumulated up to there.
-            note = " (EOL)"
-            miss = float("nan")
-            crashes = 0
-        fc = engine.stats.fault_snapshot()
-        rows.append(
-            [
-                engine.name + note,
-                engine.write_amplification,
-                miss,
-                fc.get("read_retries", 0),
-                fc.get("ecc_rescued_reads", 0),
-                fc.get("program_failures", 0),
-                fc.get("erase_failures", 0),
-                fc.get("blocks_retired", 0),
-                crashes,
-            ]
-        )
-    print()
-    print(
-        format_table(
-            [
-                "engine", "WA", "miss", "retries", "ecc",
-                "prog fail", "erase fail", "retired", "crashes",
-            ],
-            rows,
-        )
-    )
-    return 0
-
-
 def replay_main(argv: list[str]) -> int:
     """``python -m repro replay``: explicit kernel and latency lanes.
 
@@ -528,8 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         return replay_main(argv[1:])
     if argv and argv[0] == "profile":
         return profile_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return faults_main(argv[1:])
     if argv and argv[0] == "cluster":
         return cluster_main(argv[1:])
     if argv and argv[0] == "lint":

@@ -333,7 +333,7 @@ class CacheCluster:
         # end-of-trace point is always *computed* (the merged final
         # snapshot lives there) but only *recorded* into the series
         # when the sampling plan includes it.
-        points, requested, _, _ = replay_plan(n, sample_every, sample_at)
+        points, requested, _ = replay_plan(n, sample_every, sample_at)
         points_arr = np.asarray(points, dtype=np.int64)
 
         shard_indices = self.route_trace(trace)

@@ -245,82 +245,6 @@ class IndexPool:
         self._free_zones.append(victim)
 
     # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def _parse_page(self, payload: object) -> tuple[list[int], int]:
-        """``(member_sg_ids, page_idx)`` of one on-flash index page.
-
-        Statistical pages are ``("pbfg-page", member_ids, j)``; real-
-        filter pages map ``(sg_id, offset) -> filter``, from which both
-        facts are derived (offsets of page ``j`` start at
-        ``j * offsets_per_page``).
-        """
-        if isinstance(payload, tuple) and payload and payload[0] == "pbfg-page":
-            _, member_ids, j = payload
-            return list(member_ids), j
-        if isinstance(payload, dict):
-            members = sorted({sg for sg, _ in payload})
-            j = min(o for _, o in payload) // self.layout.offsets_per_page
-            return members, j
-        raise EngineStateError(f"unrecognised index-page payload: {payload!r}")
-
-    def recover(self, live_sg_ids: set[int]) -> None:
-        """Rebuild group placement from a scan of the index zones.
-
-        Must run on a freshly-constructed (empty) pool.  Groups are
-        reassembled from their contiguous page runs (a page with
-        ``page_idx == 0`` starts a group), re-numbered in original write
-        order (ascending min member sg_id — SGs flush FIFO, so group ids
-        were assigned in that order), and their liveness recomputed
-        against the recovered SG pool.
-        """
-        device = self.device
-        geo = device.geometry
-        # (min_member_sg, zone_id, member_ids, physical_pages)
-        found: list[tuple[int, int, list[int], list[int]]] = []
-        for zone_id in self.zone_ids:
-            wp = device.zones[zone_id].write_pointer
-            if wp == 0:
-                self._free_zones.append(zone_id)
-                continue
-            first = geo.zone_first_page(zone_id)
-            members: list[int] | None = None
-            pages: list[int] = []
-            for page in range(first, first + wp):
-                page_members, j = self._parse_page(device.read_page(page))
-                if j == 0:
-                    if members is not None:
-                        found.append((min(members), zone_id, members, pages))
-                    members = page_members
-                    pages = [page]
-                else:
-                    pages.append(page)
-            if members is not None:
-                found.append((min(members), zone_id, members, pages))
-            zone = device.zones[zone_id]
-            if zone.is_writable and zone.remaining_pages > 0:
-                self._open_zone = zone_id
-        found.sort()
-        self._free_zones = deque(
-            z for z in self.zone_ids if device.zones[z].write_pointer == 0
-        )
-        zone_order: list[int] = []
-        for gid, (_, zone_id, member_ids, pages) in enumerate(found):
-            group = _Group(gid, set(member_ids), pages, zone_id)
-            group.live_members = sum(1 for sg in member_ids if sg in live_sg_ids)
-            self.groups[gid] = group
-            self._zone_groups.setdefault(zone_id, []).append(gid)
-            for sg in member_ids:
-                if sg in live_sg_ids:
-                    self._sg_to_group[sg] = gid
-            if zone_id not in zone_order:
-                zone_order.append(zone_id)
-        self._zone_fifo = deque(zone_order)
-        self._next_group_id = len(found)
-        self._live_groups = self._scan_live_groups()
-        self._generation += 1
-
-    # ------------------------------------------------------------------
     # Retrieval / liveness
     # ------------------------------------------------------------------
     def pages_for_offset(self, offset: int) -> list[tuple[PageKey, int]]:

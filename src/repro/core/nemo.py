@@ -662,17 +662,11 @@ class NemoCache(CacheEngine):
         payloads = front.take_payloads()
         ppz = self.geometry.pages_per_zone
         page_bases: list[int] = []
-        sg_id = front.sg_id
         for i, zone_id in enumerate(zone_ids):
+            # Each page carries its set dict, the live object aliased
+            # into FlashSG.sets.
             chunk = payloads[i * ppz : (i + 1) * ppz]
-            # Each page is stamped self-describing for crash recovery:
-            # (sg_id, member-zone index, fill rates, set dict).  The set
-            # dict is the live object (aliased into FlashSG.sets), so
-            # later deletes edit the durable image in place.
-            stamped = [
-                (sg_id, i, fill_rate, new_fill_rate, objs) for objs in chunk
-            ]
-            pages, _ = self.device.append_many(zone_id, stamped, now_us=now_us)
+            pages, _ = self.device.append_many(zone_id, chunk, now_us=now_us)
             page_bases.append(pages[0])
         filters = self.index_builder.build_filters(payloads)
         fsg = FlashSG(
@@ -749,110 +743,6 @@ class NemoCache(CacheEngine):
                 if front.try_insert(offset, key, size, writeback=True):
                     self.writeback_objects += 1
                     self.writeback_bytes += size
-
-    # ------------------------------------------------------------------
-    # Crash recovery (DESIGN.md §7)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power loss: the SG queue, exact lookup maps, index cache,
-        in-memory index group, and hotness counters vanish.  The SG pool
-        zones and index pool pages survive on flash; telemetry counters
-        survive too (they are measurement apparatus, not cache state)."""
-        cfg = self.config
-        self.queue = SetGroupQueue(
-            cfg.effective_inmem_sgs, self.sets_per_sg, self.set_size
-        )
-        self.pool = deque()
-        self._pool_map = {}
-        self._flash_index = {}
-        self._flash_copies = {}
-        self._free_sg_zones = deque()
-        self.index_builder = IndexGroupBuilder(
-            self.layout, real_filters=cfg.use_real_filters
-        )
-        self.index_pool = IndexPool(
-            self.device, self.index_pool.zone_ids, self.layout
-        )
-        self.index_cache = IndexCache(
-            self.index_cache.capacity,
-            num_page_indices=self.layout.pages_per_group,
-        )
-        self.index_pool.on_group_dead = self.index_cache.drop_group
-        self.hotness = HotnessTracker(
-            cfg.hotness_window_fraction,
-            page_idx_cached=self.index_cache.page_idx_cached,
-            page_of_offset=self.layout.page_of_offset,
-            num_offsets=self.sets_per_sg,
-        )
-
-    def recover(self) -> None:
-        """Rebuild the volatile state from a flash scan.
-
-        The SG-zone scan reassembles the FIFO pool from the stamped
-        pages (re-adopting the on-flash set dicts as the live mirrors),
-        the exact key maps are replayed oldest-to-newest so the newest
-        holder wins, and the index pool recovers its group placement
-        from its own zones.  Pool SGs whose index group was still
-        in-memory at crash time are re-buffered into a fresh index-group
-        builder.  Queue contents, staged index filters, hotness bits,
-        and the index cache are lost — they were DRAM-only.
-        """
-        geo = self.geometry
-        device = self.device
-        ppz = geo.pages_per_zone
-        # --- SG pool: reassemble SGs from their stamped member zones --
-        # sg_id -> chunk_idx -> (zone_id, fill_rate, new_fill_rate)
-        chunks: dict[int, dict[int, tuple[int, float, float]]] = {}
-        for zone_id in range(self.sg_zone_count):
-            if device.zones[zone_id].write_pointer == 0:
-                self._free_sg_zones.append(zone_id)
-                continue
-            first = geo.zone_first_page(zone_id)
-            sg_id, chunk_idx, fill, new_fill, _ = device.read_page(first)
-            chunks.setdefault(sg_id, {})[chunk_idx] = (zone_id, fill, new_fill)
-        max_sg_id = -1
-        for sg_id in sorted(chunks):  # FIFO order == ascending sg_id
-            max_sg_id = max(max_sg_id, sg_id)
-            parts = chunks[sg_id]
-            zone_ids = [parts[i][0] for i in range(len(parts))]
-            page_bases = [geo.zone_first_page(z) for z in zone_ids]
-            sets: list[dict[int, int]] = []
-            for base in page_bases:
-                for page in range(base, base + ppz):
-                    _, _, _, _, objs = device.read_page(page)
-                    sets.append(objs)
-            filters = self.index_builder.build_filters(sets)
-            fsg = FlashSG(
-                sg_id=sg_id,
-                zone_ids=zone_ids,
-                page_bases=page_bases,
-                pages_per_zone=ppz,
-                sets=sets,
-                fill_rate=parts[0][1],
-                new_fill_rate=parts[0][2],
-                filters=filters,
-            )
-            self.pool.append(fsg)
-            self._pool_map[sg_id] = fsg
-            for objs in sets:
-                for key, _size in objs.items():
-                    self._flash_copies[key] = self._flash_copies.get(key, 0) + 1
-                    self._flash_index[key] = sg_id
-        self.queue = SetGroupQueue(
-            self.config.effective_inmem_sgs,
-            self.sets_per_sg,
-            self.set_size,
-            start_id=max_sg_id + 1,
-        )
-        # --- Index pool: recover group placement, re-buffer strays ----
-        self.index_pool.recover(set(self._pool_map))
-        for fsg in self.pool:
-            if self.index_pool.group_of_sg(fsg.sg_id) is None:
-                self.index_builder.add_sg(fsg.sg_id, fsg.filters)
-                if self.index_builder.is_full:
-                    members, group_pages = self.index_builder.take_group()
-                    self.index_pool.write_group(members, group_pages)
-        self._bytes_at_last_cooling = self.stats.host_write_bytes
 
     def _maybe_cool(self) -> None:
         capacity = self.pool_capacity_sgs * self.sets_per_sg * self.set_size

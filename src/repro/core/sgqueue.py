@@ -21,17 +21,13 @@ from repro.errors import ConfigError, EngineStateError
 class SetGroupQueue:
     """FIFO queue of mutable in-memory SGs (front = oldest = next flush)."""
 
-    def __init__(
-        self, depth: int, sets_per_sg: int, set_size: int, *, start_id: int = 0
-    ) -> None:
+    def __init__(self, depth: int, sets_per_sg: int, set_size: int) -> None:
         if depth < 1:
             raise ConfigError("queue depth must be >= 1")
         self.depth = depth
         self.sets_per_sg = sets_per_sg
         self.set_size = set_size
-        # start_id > 0 after crash recovery: fresh SGs must not collide
-        # with sg_ids still live in the recovered on-flash pool.
-        self._next_id = start_id
+        self._next_id = 0
         self._queue: deque[SetGroup] = deque()
         for _ in range(depth):
             self._push_new()

@@ -52,24 +52,6 @@ class ReadError(DeviceError):
     """A read targeted an unwritten, trimmed, or erased page."""
 
 
-class UncorrectableReadError(ReadError):
-    """A read kept failing after the bounded retry budget was exhausted.
-
-    Only raised when the installed fault plan marks read failures as
-    fatal; by default an exhausted retry budget escalates to the ECC /
-    parity rescue path and the read succeeds (at extra accounting cost).
-    """
-
-
-class DeviceRetiredError(DeviceError):
-    """The device ran out of spare blocks for bad-block remapping.
-
-    Grown bad blocks (program/erase failures) are remapped to a hidden
-    spare pool; once the pool is exhausted the device has reached end of
-    life and further block retirements are unrecoverable.
-    """
-
-
 class FTLError(DeviceError):
     """The flash translation layer reached an inconsistent state."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.faults.plan import FaultPlan
 from repro.flash.ftl import PageMapFTL
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -44,10 +43,6 @@ class ConventionalSSD:
             latency=latency,
         )
 
-    def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Arm (or, with ``None``, disarm) fault injection on the FTL."""
-        self.ftl.install_fault_plan(plan)
-
     @property
     def latency(self) -> LatencyModel | None:
         """The FTL's latency model (settable: lane swaps forward here)."""
@@ -56,10 +51,6 @@ class ConventionalSSD:
     @latency.setter
     def latency(self, model: LatencyModel | None) -> None:
         self.ftl.latency = model
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        return self.ftl.fault_plan
 
     @property
     def num_lbas(self) -> int:

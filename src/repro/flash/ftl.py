@@ -40,7 +40,6 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import ConfigError, FTLError, OutOfSpaceError, ReadError
-from repro.faults.plan import FaultPlan
 from repro.flash.device import NandArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -133,26 +132,6 @@ class PageMapFTL:
         self._free_blocks: deque[int] = deque(range(geometry.num_blocks))
         self._active_block = self._free_blocks.popleft()
         self._active_offset = 0
-        self.fault_plan: FaultPlan | None = None
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Arm (or, with ``None``, disarm) fault injection on the NAND.
-
-        Host writes, host reads, and GC relocations then run through the
-        NAND retry/retirement paths.  Retired blocks are transparently
-        remapped to spares, so the mapping tables, victim index, and
-        LBA space are unaffected while the spare pool shrinks (grown bad
-        blocks eating effective over-provisioning).
-        """
-        self.fault_plan = plan
-        self.nand.install_fault_plan(plan, self.stats)
-
-    @property
-    def retired_block_count(self) -> int:
-        return len(self.nand.retired_blocks)
 
     # ------------------------------------------------------------------
     # Host interface

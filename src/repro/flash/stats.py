@@ -49,16 +49,6 @@ class FlashStats:
     gc_runs: int = 0
     gc_relocated_pages: int = 0
 
-    # Fault-injection accounting (DESIGN.md §7).  Zero unless a fault
-    # plan is installed and firing; kept out of snapshot() so the
-    # metric key set (and the golden parity files derived from it)
-    # is untouched by the fault layer — see fault_snapshot().
-    read_retries: int = 0
-    ecc_rescued_reads: int = 0
-    program_failures: int = 0
-    erase_failures: int = 0
-    blocks_retired: int = 0
-
     # Optional time series support: (timestamp, host_write_bytes) samples
     # appended by the harness, kept here so one object travels with the
     # device.
@@ -118,32 +108,6 @@ class FlashStats:
         self.erase_ops += count
 
     # ------------------------------------------------------------------
-    # Fault-injection recording (no-ops unless a FaultPlan is firing)
-    # ------------------------------------------------------------------
-    def record_read_retry(self, page_size: int) -> None:
-        """One transient read failure: the page is re-read internally."""
-        self.read_retries += 1
-        self.flash_read_bytes += page_size
-
-    def record_ecc_rescue(self) -> None:
-        """A read exhausted its retry budget and was rebuilt via ECC."""
-        self.ecc_rescued_reads += 1
-
-    def record_program_failure(self, page_size: int) -> None:
-        """One failed program attempt (burned a cycle on a bad block)."""
-        self.program_failures += 1
-        self.flash_write_bytes += page_size
-
-    def record_erase_failure(self) -> None:
-        """One failed erase attempt on a block about to be retired."""
-        self.erase_failures += 1
-        self.erase_ops += 1
-
-    def record_block_retired(self) -> None:
-        """A grown bad block was remapped to the spare pool."""
-        self.blocks_retired += 1
-
-    # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
     @property
@@ -195,21 +159,6 @@ class FlashStats:
             "alwa": self.alwa,
             "dlwa": self.dlwa,
             "total_wa": self.total_wa,
-        }
-
-    def fault_snapshot(self) -> dict[str, int]:
-        """Fault-layer counters, separate from :meth:`snapshot`.
-
-        Kept out of the main snapshot so installing an (empty) fault
-        plan cannot change the metric key set consumed by experiments
-        and golden parity tests.
-        """
-        return {
-            "read_retries": self.read_retries,
-            "ecc_rescued_reads": self.ecc_rescued_reads,
-            "program_failures": self.program_failures,
-            "erase_failures": self.erase_failures,
-            "blocks_retired": self.blocks_retired,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import DeviceError, ZoneStateError
-from repro.faults.plan import FaultPlan
 from repro.flash.device import PAGE_PROGRAMMED, NandArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -60,20 +59,6 @@ class ZNSDevice:
             Zone(zone_id=z, capacity_pages=geometry.pages_per_zone)
             for z in range(geometry.num_zones)
         ]
-        self.fault_plan: FaultPlan | None = None
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Arm (or, with ``None``, disarm) fault injection on the NAND.
-
-        Zone appends and reads then run through the NAND layer's
-        retry/retirement paths; a failed program or erase retires the
-        affected block to a spare without changing zone capacity.
-        """
-        self.fault_plan = plan
-        self.nand.install_fault_plan(plan, self.stats)
 
     # ------------------------------------------------------------------
     # Zone discovery
@@ -128,21 +113,18 @@ class ZNSDevice:
             else ZoneState.OPEN
         )
         page = zone_id * self.geometry.pages_per_zone + offset
+        # NANDArray.program inlined: the zone state machine above
+        # already bounds the page, so only the double-program check
+        # remains.
         nand = self.nand
-        if nand._fault_plan is None:
-            # NANDArray.program inlined (fault-free case): the zone
-            # state machine above already bounds the page, so only the
-            # double-program check remains.
-            state = nand._state
-            if state[page] == PAGE_PROGRAMMED:
-                raise DeviceError(
-                    f"page {page} already programmed; erase its block first"
-                )
-            state[page] = PAGE_PROGRAMMED
-            nand._payload[page] = payload
-            nand.program_count += 1
-        else:
-            nand.program(page, payload)
+        state = nand._state
+        if state[page] == PAGE_PROGRAMMED:
+            raise DeviceError(
+                f"page {page} already programmed; erase its block first"
+            )
+        state[page] = PAGE_PROGRAMMED
+        nand._payload[page] = payload
+        nand.program_count += 1
         stats = self.stats
         nbytes = self.geometry.page_size
         stats.host_write_bytes += nbytes

@@ -33,8 +33,8 @@ lanes).
 
 Correctness boundaries (the kernels *refuse* rather than approximate):
 
-- Only a virgin engine on a latency-free device, with no fault plan and
-  no oversized objects, is eligible (:func:`kernel_ineligible_reason`
+- Only a virgin engine on a latency-free device, with no oversized
+  objects, is eligible (:func:`kernel_ineligible_reason`
   consults the per-engine :data:`KERNEL_REGISTRY`); anything else
   replays on the batched lane.
 - The Log decision pass assumes no engine-driven eviction: evicting a
@@ -70,7 +70,6 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.core.flusher import FlushDecision
 from repro.core.nemo import NemoCache
 from repro.errors import EngineStateError, ReadError
-from repro.faults.plan import FaultPlan
 from repro.flash.zone import ZoneState
 from repro.harness.percentile import LatencyRecorder
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
@@ -90,17 +89,13 @@ _NOT_VIRGIN = (
 )
 
 
-def _shared_ineligible_reason(
-    engine: CacheEngine, trace: Trace, faults: FaultPlan | None
-) -> str | None:
+def _shared_ineligible_reason(engine: CacheEngine, trace: Trace) -> str | None:
     """The refusals every whole-trace kernel shares.
 
     A decision pass assumes it observes every state change, so the
-    engine must start empty; latency models and fault plans need
-    per-request treatment and stay on the batched lane.
+    engine must start empty; latency models need per-request timing
+    and stay on the batched lane.
     """
-    if faults is not None:
-        return "fault plans need per-request NAND hooks"
     if engine.latency_model() is not None:
         return "latency models need per-request timing"
     counters = engine.counters
@@ -118,16 +113,14 @@ def _shared_ineligible_reason(
     return None
 
 
-def log_kernel_ineligible_reason(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> str | None:
+def log_kernel_ineligible_reason(engine: object, trace: Trace) -> str | None:
     """Why the whole-trace Log kernel may *not* replay this combination.
 
     Returns None when the kernel is eligible.
     """
     if type(engine) is not LogStructuredCache:
         return f"the Log kernel only replays LogStructuredCache, not {type(engine).__name__}"
-    reason = _shared_ineligible_reason(engine, trace, faults)
+    reason = _shared_ineligible_reason(engine, trace)
     if reason is not None:
         return reason
     if engine._buffer_bytes:
@@ -177,7 +170,6 @@ class _TraceLinks:
     leading zero, so the per-chunk settle is a pair of O(1) lookups.
     """
 
-    prev_pos: np.ndarray
     hit: np.ndarray
     is_ins_event: np.ndarray
     ins_pos: np.ndarray
@@ -257,7 +249,6 @@ def _trace_links(trace: Trace) -> _TraceLinks:
     np.cumsum(np.where(is_ins_event, sizes, 0), out=cum_ins_bytes[1:])
 
     links = _TraceLinks(
-        prev_pos=prev_pos,
         hit=hit,
         is_ins_event=is_ins_event,
         ins_pos=ins_pos,
@@ -291,8 +282,6 @@ class _FlushPlan:
 
     flush_list: list[int]
     pages: list[int]
-    prune_list: list[int]
-    prune_pages: list[int]
     cum_flash: np.ndarray
 
 
@@ -303,12 +292,10 @@ def _flush_plan(
     cached = trace._kernel_cache.get(cache_key)
     if cached is not None:
         return cast(_FlushPlan, cached)
-    ops = trace.ops
     sizes = trace.sizes
     n = len(trace)
     ins_pos = links.ins_pos
     last_ev = links.last_ev
-    prev_pos = links.prev_pos
 
     flush_evt = _flush_schedule(sizes[ins_pos] + header, page_size)
     n_flush = len(flush_evt)
@@ -321,24 +308,6 @@ def _flush_plan(
     # event belongs to the next page).
     cov = np.searchsorted(flush_evt, np.arange(len(ins_pos)), side="right")
     pages = np.where(cov < n_flush, cov, -1)
-
-    # Superseded-copy pruning (the ``old[0] >= 0`` branch of insert):
-    # insert events whose key has a live prior copy that reached flash —
-    # the copy was placed at the prior occurrence's last insert event,
-    # and it is on flash iff a flush happened after that placement and
-    # at-or-before this event (a flush *at* this event writes the buffer
-    # out before the re-insert).  ``prune_pages`` is the page holding
-    # the stale copy: the ordinal of the flush covering its placement.
-    prev_of_ins = prev_pos[ins_pos]
-    live_idx = np.flatnonzero(prev_of_ins >= 0)
-    live_idx = live_idx[ops[prev_of_ins[live_idx]] != OP_DELETE]
-    placed_prev = last_ev[prev_of_ins[live_idx]]
-    on_flash = np.searchsorted(
-        flush_positions, ins_pos[live_idx], side="right"
-    ) > np.searchsorted(flush_positions, placed_prev, side="right")
-    prune_evt = live_idx[on_flash]
-    placed_evt = np.searchsorted(ins_pos, placed_prev[on_flash])
-    prune_pages = np.searchsorted(flush_evt, placed_evt, side="right")
 
     # Flash-hit indicator per request (hit iff a flush separates the
     # placing insert from the GET), folded into a padded prefix sum so
@@ -356,8 +325,6 @@ def _flush_plan(
     plan = _FlushPlan(
         flush_list=flush_evt.tolist(),
         pages=pages.tolist(),
-        prune_list=prune_evt.tolist(),
-        prune_pages=prune_pages.tolist(),
         cum_flash=cum_flash,
     )
     trace._kernel_cache[cache_key] = plan
@@ -426,9 +393,6 @@ def replay_log_columnar(
     flush_list = plan.flush_list
     n_flush = len(flush_list)
     pages = plan.pages
-    prune_list = plan.prune_list
-    prune_pages = plan.prune_pages
-    n_prune = len(prune_list)
 
     counters = engine.counters
     stats = engine.stats
@@ -480,12 +444,11 @@ def replay_log_columnar(
     ii = 0  # next insert event
     di = 0  # next delete event
     fi = 0  # next flush (monotone pointer into flush_list)
-    pi = 0  # next prune event (monotone pointer into prune_list)
     pos = 0  # requests below it are applied and settled
     bailed = False
 
     def advance(stop: int) -> int:
-        nonlocal ii, di, fi, pi, pos, bailed
+        nonlocal ii, di, fi, pos, bailed
         if bailed:
             # The evicting request can be the last of its chunk: that
             # advance reached its ``stop``, this one reports the bail.
@@ -518,13 +481,10 @@ def replay_log_columnar(
                     jj = flush_list[nf] + 1
                     check_evictions = True
             f_lo = fi
-            # Monotone pointer advances: one step per flush/prune
-            # event across the whole trace, not per request.
+            # Monotone pointer advance: one step per flush across the
+            # whole trace, not per request.
             while fi < n_flush and flush_list[fi] < jj:
                 fi += 1
-            p_lo = pi
-            while pi < n_prune and prune_list[pi] < jj:
-                pi += 1
             if check_evictions or f_lo >= first_evicting_flush:
                 # The device may recycle zones from here on: page
                 # predictions are stale, so replay the run through
@@ -548,8 +508,6 @@ def replay_log_columnar(
                     ins_keys[ii:jj],
                     ins_sizes[ii:jj],
                     [t - ii for t in flush_list[f_lo:fi]],
-                    [t - ii for t in prune_list[p_lo:pi]],
-                    prune_pages[p_lo:pi],
                     run_pages,
                     now_chunk,
                 )
@@ -633,16 +591,14 @@ def _nemo_ins_offsets(
     return offs
 
 
-def nemo_kernel_ineligible_reason(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> str | None:
+def nemo_kernel_ineligible_reason(engine: object, trace: Trace) -> str | None:
     """Why the whole-trace Nemo kernel may *not* replay this combination.
 
     Returns None when the kernel is eligible.
     """
     if type(engine) is not NemoCache:
         return f"the Nemo kernel only replays NemoCache, not {type(engine).__name__}"
-    reason = _shared_ineligible_reason(engine, trace, faults)
+    reason = _shared_ineligible_reason(engine, trace)
     if reason is not None:
         return reason
     if engine.pool or engine.flush_policy.blocked_inserts:
@@ -1131,7 +1087,7 @@ class KernelSpec:
     """
 
     name: str
-    ineligible_reason: Callable[[object, Trace, FaultPlan | None], str | None]
+    ineligible_reason: Callable[[object, Trace], str | None]
     replay: Callable[..., Advance]
 
 
@@ -1157,9 +1113,7 @@ def kernel_for(engine: object) -> KernelSpec | None:
     return KERNEL_REGISTRY.get(type(engine))
 
 
-def kernel_ineligible_reason(
-    engine: object, trace: Trace, faults: FaultPlan | None
-) -> str | None:
+def kernel_ineligible_reason(engine: object, trace: Trace) -> str | None:
     """Why no whole-trace kernel will replay this combination (or None).
 
     Unregistered engine types get a registry-level reason; registered
@@ -1174,4 +1128,4 @@ def kernel_ineligible_reason(
             f"{type(engine).__name__} has no whole-trace columnar kernel "
             f"(registered: {registered})"
         )
-    return spec.ineligible_reason(engine, trace, faults)
+    return spec.ineligible_reason(engine, trace)

@@ -14,9 +14,9 @@ inter-arrival gaps; "flash writes per minute" uses this clock.
 
 One loop replays every lane: :func:`replay_plan` cuts the trace into
 chunks that end at sample boundaries, and an *executor* advances the
-engine to each boundary before the loop's crash / window-mark / sample
-epilogue runs.  The three executors share these semantics and are
-byte-identical (the metric-parity goldens compare them):
+engine to each boundary before the loop's window-mark / sample epilogue
+runs.  The three executors share these semantics and are byte-identical
+(the metric-parity goldens compare them):
 
 - ``kernel="batched"`` (default): each chunk is pre-sliced into same-op
   runs handed to the engines' bulk fast paths, with the placement hash
@@ -28,7 +28,8 @@ byte-identical (the metric-parity goldens compare them):
   that bails (first eviction) returns a position short of the boundary
   and the batched executor finishes that chunk and the rest.
 - ``kernel="scalar"``: the :class:`CacheEngine` scalar-loop fallbacks —
-  the slowest lane, kept as the semantic reference.
+  the slowest lane, kept only as the semantic reference the parity
+  goldens compare the other two against.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from __future__ import annotations
 import bisect
 import os
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError
-from repro.faults.plan import FaultPlan
 from repro.flash.devsim.factory import LATENCY_LANES, make_latency_model
 from repro.harness.metrics import MetricSeries, WindowedRate
 from repro.harness.percentile import LatencyRecorder
@@ -113,9 +113,6 @@ class ReplayResult:
     write_rate: WindowedRate | None = None
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    #: Fault-injection outcome (None when no fault plan was supplied).
-    fault_counters: dict[str, int] | None = None
-    crashes: int = 0
     #: Which replay lane produced this result (metrics are lane-invariant).
     kernel: str = "batched"
     #: Which latency lane timed the devices (None: whatever model — or
@@ -155,18 +152,17 @@ def replay_plan(
     sample_every: int | None = None,
     sample_at: Sequence[int] | None = None,
     mark_window_at: int | None = None,
-    crash_points: Iterable[int] = (),
-) -> tuple[list[int], set[int], set[int], int | None]:
+) -> tuple[list[int], set[int], int | None]:
     """The chunk layout of one ``n``-request replay.
 
-    Returns ``(boundaries, sample_points, crash_points, mark)``: the
-    sorted positions a chunk ends at, and which of them sample, crash
-    and place the Fig. 15 window mark.  The default sampling layout is
+    Returns ``(boundaries, sample_points, mark)``: the sorted positions
+    a chunk ends at, and which of them sample and place the Fig. 15
+    window mark.  The default sampling layout is
     every ``sample_every`` requests (None = 64 samples) plus the end of
     a non-empty trace; ``sample_at`` replaces it, and position 0 is
     honoured there (a cluster shard samples its empty prefix).  The end
     of the trace is always a boundary, so a replay runs every request
-    whether or not its last sample sits there.  Sample, mark and crash
+    whether or not its last sample sits there.  Sample and mark
     positions beyond the trace are never reached and drop out; a
     non-positive stride or a negative position is a
     :class:`ConfigError`.
@@ -189,11 +185,10 @@ def replay_plan(
         if mark_window_at is not None and 1 <= mark_window_at <= n
         else None
     )
-    crashes = {c for c in crash_points if 1 <= c <= n}
-    boundaries = sample_points | crashes | {n}
+    boundaries = sample_points | {n}
     if mark is not None:
         boundaries.add(mark)
-    return sorted(boundaries), sample_points, crashes, mark
+    return sorted(boundaries), sample_points, mark
 
 
 def replay(
@@ -208,7 +203,6 @@ def replay(
     mark_window_at: int | None = None,
     sampled_metrics: tuple[str, ...] = ("wa", "miss_ratio", "host_write_bytes"),
     progress: bool = False,
-    faults: FaultPlan | None = None,
     kernel: str | None = None,
     latency_lane: str | None = None,
 ) -> ReplayResult:
@@ -240,18 +234,13 @@ def replay(
         dashed line).
     progress:
         Print a one-line progress note every ~10 % of the trace.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` armed on the
-        engine's device stack before replay.  Crash points in the plan
-        become chunk boundaries where the engine crashes and recovers
-        mid-replay.  An empty plan is byte-identical to ``faults=None``.
     kernel:
         Replay lane: ``"batched"`` (default), ``"columnar"``, or
         ``"scalar"``.  ``None`` reads the ``REPRO_REPLAY_KERNEL``
         environment variable.  All lanes produce byte-identical metrics;
         the columnar lane falls back to batched dispatch wherever its
-        whole-trace kernel is not applicable (latency models, fault
-        plans, pre-warmed engines, device wrap-around).
+        whole-trace kernel is not applicable (latency models,
+        pre-warmed engines, device wrap-around).
     latency_lane:
         Device timing lane: ``"analytic"`` (per-channel horizons) or
         ``"event"`` (discrete-event devsim, DESIGN.md §9).  ``None``
@@ -281,16 +270,10 @@ def replay(
     step_us = 1e6 / arrival_rate
 
     # The trace is pre-sliced into chunks that end exactly at a sample
-    # boundary, the Fig. 15 window mark or a crash point, so no
-    # per-request sampling/marking branches survive in any executor.
-    if faults is not None:
-        engine.install_fault_plan(faults)
-    boundaries, sample_points, crash_points, mark = replay_plan(
-        n,
-        sample_every,
-        sample_at,
-        mark_window_at,
-        faults.crash_points if faults is not None else (),
+    # boundary or the Fig. 15 window mark, so no per-request
+    # sampling/marking branches survive in any executor.
+    boundaries, sample_points, mark = replay_plan(
+        n, sample_every, sample_at, mark_window_at
     )
 
     # Only latency recording needs per-GET instrumentation; everything
@@ -298,16 +281,10 @@ def replay(
     # boundaries on every executor.
     record = latency.record if record_latency else None
 
-    force_scalar = kernel == "scalar" or (
-        faults is not None and faults.is_device_faulty
-    )
-    if force_scalar:
-        # Device faults fire inside the NAND hooks; the engines' bulk
-        # fast paths bypass those on purpose (deferred accounting), so
-        # faulty replays funnel every request through the scalar-default
-        # run loops instead.  With an empty plan the bulk paths stay on
-        # (they are byte-identical anyway).  kernel="scalar" forces the
-        # same reference loops unconditionally.
+    scalar = kernel == "scalar"
+    if scalar:
+        # The reference lane: every request goes through the
+        # scalar-default run loops instead of the engines' bulk paths.
         lookup_many = CacheEngine.lookup_many.__get__(engine)
         insert_many = CacheEngine.insert_many.__get__(engine)
         delete_many = CacheEngine.delete_many.__get__(engine)
@@ -327,14 +304,14 @@ def replay(
     # ``stop`` and returns the position it reached.
     advance: Callable[[int], int] | None = None
     notes: list[str] = []
-    if kernel == "columnar" and not force_scalar:
+    if kernel == "columnar":
         from repro.harness.columnar import (
             kernel_for,
             kernel_ineligible_reason,
             sim_clock,
         )
 
-        reason = kernel_ineligible_reason(engine, trace, faults)
+        reason = kernel_ineligible_reason(engine, trace)
         if reason is None:
             spec = kernel_for(engine)
             assert spec is not None  # eligible implies registered
@@ -355,7 +332,7 @@ def replay(
     # Engines whose bulk paths accept precomputed placement offsets
     # (Nemo, FW/KG, Set) get them on every bulk lane: one vectorised
     # hash per block here replaces one per same-op run in the engine.
-    placement = None if force_scalar else engine.columnar_spec()
+    placement = None if scalar else engine.columnar_spec()
     # The batched executor's current block: trace[block_start:block_stop]
     # as Python lists, with its run starts.
     block_start = block_stop = 0
@@ -437,9 +414,6 @@ def replay(
                     for _ in range(b - a):
                         now_us += step_us
 
-        if stop in crash_points:
-            engine.crash()
-            engine.recover()
         if stop == mark:
             latency.mark_window()
         if stop in sample_points:
@@ -470,10 +444,6 @@ def replay(
         write_rate=write_rate,
         wall_seconds=time.perf_counter() - t0,
         sim_seconds=now_us / 1e6,
-        fault_counters=(
-            engine.stats.fault_snapshot() if faults is not None else None
-        ),
-        crashes=len(crash_points),
         kernel=kernel,
         latency_lane=latency_lane,
         notes=notes,

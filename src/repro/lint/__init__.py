@@ -8,9 +8,8 @@ fact; this package enforces it at lint time, before a single experiment
 runs, by refusing the code patterns that historically break it:
 wall-clock reads inside the simulation, unseeded randomness,
 set-iteration-order dependence, float contamination of integer device
-counters, silent broad excepts, and fault randomness outside the fault
-plan.  Every rule sees one file at a time; contracts that span files
-(flash accounting conservation, the engines' crash protocol and
+counters and silent broad excepts.  Every rule sees one file at a time;
+contracts that span files (flash accounting conservation, the engines'
 request signatures) are checked by runtime tests instead.
 
 Run it as ``python -m repro lint`` (or ``tools/reprolint`` in CI).

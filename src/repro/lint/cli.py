@@ -32,7 +32,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "reprolint: determinism & accounting static analysis for the "
-            "simulator (per-file rules R001-R007; see DESIGN.md §6)."
+            "simulator (per-file rules R001-R006; see DESIGN.md §6)."
         ),
     )
     parser.add_argument(

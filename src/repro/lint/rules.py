@@ -1,4 +1,4 @@
-"""reprolint rules R001–R007.
+"""reprolint rules R001–R006.
 
 Each rule guards one clause of the simulator's byte-identity /
 determinism contract (DESIGN.md §6).  Rules are AST-based and
@@ -633,65 +633,6 @@ class BroadExceptRule(Rule):
         return False
 
 
-class FaultRandomnessRule(Rule):
-    """R007: fault paths draw randomness only from a FaultPlan stream.
-
-    Injected faults must be replayable from (trace, FaultConfig, seed)
-    alone — the zero-fault byte-identity contract (DESIGN.md §7) falls
-    apart the moment the fault layer or the flash substrate owns a
-    second RNG stream.  The only place allowed to construct or hold one
-    is the ``FaultPlan`` class itself; device code asks the installed
-    plan (``should_fail_read()`` & co.) instead of rolling its own dice.
-    R002 already bans *global-state* draws everywhere; this rule bans
-    even seeded stream construction in the fault/flash zones.
-    """
-
-    code = "R007"
-    name = "fault-randomness-outside-plan"
-    zones = frozenset({"faults", "flash"})
-
-    RNG_CONSTRUCTORS = frozenset(
-        {
-            "random.Random",
-            "random.SystemRandom",
-            "numpy.random.default_rng",
-            "numpy.random.RandomState",
-            "numpy.random.Generator",
-        }
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        aliases = _qualname_map(ctx.tree)
-        yield from self._visit(ctx, ctx.tree, aliases, in_plan=False)
-
-    def _visit(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        aliases: dict[str, str],
-        in_plan: bool,
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            child_in_plan = in_plan or (
-                isinstance(child, ast.ClassDef) and child.name == "FaultPlan"
-            )
-            if (
-                not in_plan
-                and isinstance(child, (ast.Attribute, ast.Name))
-                and isinstance(getattr(child, "ctx", None), ast.Load)
-            ):
-                qual = _resolve(child, aliases)
-                if qual in self.RNG_CONSTRUCTORS:
-                    yield self.violation(
-                        ctx,
-                        child,
-                        f"RNG stream `{qual}` constructed outside FaultPlan "
-                        "in fault zone — route all fault randomness through "
-                        "the installed FaultPlan",
-                    )
-            yield from self._visit(ctx, child, aliases, child_in_plan)
-
-
 #: Registration order == reporting order for same-line findings.
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
@@ -699,7 +640,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SetOrderRule(),
     FloatIntoIntCounterRule(),
     BroadExceptRule(),
-    FaultRandomnessRule(),
 )
 
 

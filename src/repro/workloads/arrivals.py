@@ -1,8 +1,7 @@
 """Seeded arrival processes for the event-driven device lane.
 
-The devsim event loop (:mod:`repro.flash.devsim`) is RNG-free by
-contract — the determinism lint (R007) bans stream construction in the
-flash zone — so all arrival randomness is precomputed here, in the
+The devsim device lane (:mod:`repro.flash.devsim`) is RNG-free by
+design, so all arrival randomness is precomputed here, in the
 workloads zone, as plain absolute-microsecond arrays from seeded
 generators.  Identical seeds produce identical arrays, which is what
 makes identical seeds produce identical *event sequences* downstream.

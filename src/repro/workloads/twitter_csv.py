@@ -118,14 +118,22 @@ def load_twitter_csv(
             op = _OP_MAP.get(op_name.strip().lower())
             if op is None:
                 raise TraceError(f"line {lineno}: unknown operation {op_name!r}")
+            # Both size fields are checked on every row, not only on a
+            # key's first one, so a malformed repeat row cannot load.
+            try:
+                k_size, v_size = int(key_size), int(value_size)
+            except ValueError as exc:
+                raise TraceError(
+                    f"line {lineno}: non-numeric size {key_size!r}, {value_size!r}"
+                ) from exc
+            if k_size < 0 or v_size < 0:
+                raise TraceError(
+                    f"line {lineno}: negative size {k_size}, {v_size}"
+                )
             key = _key_id(raw_key)
             size = size_of_key.get(key)
             if size is None:
-                try:
-                    raw = int(key_size) + int(value_size)
-                except ValueError as exc:
-                    raise TraceError(f"line {lineno}: bad sizes") from exc
-                size = max(min_object_size, round(raw / size_scale))
+                size = max(min_object_size, round((k_size + v_size) / size_scale))
                 size_of_key[key] = size
             ops.append(op)
             keys.append(key)

@@ -105,9 +105,8 @@ class TestEngineHelpers:
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)
 class TestRegisteredEngineProtocol:
-    """Every engine the factory builds implements crash recovery (the
-    base class refuses) and accepts every call the base signature
-    allows on each request method."""
+    """Every engine the factory builds accepts every call the base
+    signature allows on each request method."""
 
     def test_snapshot_keys_leave_out_only_an_unnamed_object_count(self, name):
         engine = make_engine(name, shard_geometry(8))
@@ -121,11 +120,6 @@ class TestRegisteredEngineProtocol:
             {k: v for k, v in full.items() if k != "object_count"}
         )
         assert json.dumps(engine.metrics_snapshot(("object_count",))) == json.dumps(full)
-
-    def test_overrides_crash_and_recover(self, name):
-        engine_type = type(make_engine(name, shard_geometry(8)))
-        assert engine_type.crash is not CacheEngine.crash
-        assert engine_type.recover is not CacheEngine.recover
 
     @pytest.mark.parametrize("method", REQUEST_METHODS)
     def test_request_signature_extends_the_base(self, name, method):

@@ -3,7 +3,7 @@
 ``HierarchicalSet._relocate_batch`` relocates a whole victim's valid
 sets by gather/slice/scatter over the placement maps and the NAND state;
 ``_relocate_set`` is the per-set path that stays in charge under a
-latency model or a fault plan and is the reference here.  Twin HSets
+latency model and is the reference here.  Twin HSets
 (Kangaroo mode) take identical writes, one relocating through the array
 path and one through the per-set path, and every piece of state the two
 touch must end up identical.
@@ -11,13 +11,13 @@ touch must end up identical.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.hset import CASE_PASSIVE, CASE_RELOCATE, HierarchicalSet
 from repro.errors import DeviceError, EngineStateError, ReadError
-from repro.faults.plan import FaultPlan
 from repro.flash.device import PAGE_ERASED, PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.zns import ZNSDevice
@@ -30,8 +30,9 @@ def make_hset(blocks_per_zone, victim_policy="fifo", *, per_set=False):
     """A Kangaroo-mode HSet whose sets leave 1.5 zones of spare pages,
     so GC victims run from nearly to fully valid.
 
-    ``per_set`` installs an inert fault plan: it never fires, but it
-    keeps every GC relocation on ``_relocate_set``.
+    ``per_set`` routes every GC relocation through ``_relocate_set``:
+    the batch entry point is replaced by a loop of per-set calls over
+    the same victim scan, so both twins relocate identical victims.
     """
     geo = FlashGeometry(
         page_size=4096,
@@ -40,8 +41,6 @@ def make_hset(blocks_per_zone, victim_policy="fifo", *, per_set=False):
         blocks_per_zone=blocks_per_zone,
     )
     device = ZNSDevice(geo)
-    if per_set:
-        device.install_fault_plan(FaultPlan.none())
     ppz = geo.pages_per_zone
     evicted = []
     hset = HierarchicalSet(
@@ -55,6 +54,13 @@ def make_hset(blocks_per_zone, victim_policy="fifo", *, per_set=False):
         on_evict=lambda k, s: evicted.append((k, s)),
         victim_policy=victim_policy,
     )
+    if per_set:
+
+        def relocate_each(set_ids):
+            for set_id in np.asarray(set_ids).tolist():
+                hset._relocate_set(set_id)
+
+        hset._relocate_batch = relocate_each
     return hset, evicted
 
 
@@ -67,12 +73,11 @@ def apply_writes(hset, buckets):
 
 
 def placement_state(hset):
-    """The HSet's volatile maps: what ``recover()`` must rebuild."""
+    """The HSet's placement maps and zone bookkeeping."""
     return {
         "location": list(hset.location),
         "page_owner": list(hset._page_owner),
         "zone_valid": list(hset._zone_valid),
-        "write_seq": hset._write_seq,
         "object_count": hset.object_count(),
         "open_zone": hset._open_zone,
         "free_zones": list(hset._free_zones),
@@ -206,20 +211,6 @@ class TestRelocateBatchParity:
         assert batch.case_writes[CASE_RELOCATE] == ppz
         assert_same_state(full_state(batch), full_state(ref))
         batch.check_invariants()
-
-    def test_crash_recover_round_trip_after_batch(self, blocks_per_zone):
-        hset, _ = make_hset(blocks_per_zone)
-        ppz = hset.device.geometry.pages_per_zone
-        apply_writes(hset, list(range(ppz + 3)))
-        hset._in_gc = True
-        hset._relocate_batch(list(range(0, ppz, 2)))
-        hset._in_gc = False
-        before = placement_state(hset)
-        hset.crash()
-        hset.recover()
-        hset.check_invariants()
-        # Newest stamp wins per set, zones re-queue by first stamp.
-        assert_same_state(before, placement_state(hset))
 
 
 class TestRelocateBatchValidation:

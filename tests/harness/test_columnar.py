@@ -202,33 +202,25 @@ class TestKernelCache:
 class TestEligibility:
     def test_virgin_log_engine_eligible(self, small_geometry):
         assert log_kernel_ineligible_reason(
-            LogStructuredCache(small_geometry), _mixed_trace(), None
+            LogStructuredCache(small_geometry), _mixed_trace()
         ) is None
 
     def test_non_log_engine_ineligible(self, small_geometry):
         reason = log_kernel_ineligible_reason(
-            SetAssociativeCache(small_geometry), _mixed_trace(), None
+            SetAssociativeCache(small_geometry), _mixed_trace()
         )
         assert reason is not None and "only replays LogStructuredCache" in reason
 
     def test_warm_engine_ineligible(self, small_geometry):
         engine = LogStructuredCache(small_geometry)
         engine.insert(1, 100)
-        reason = log_kernel_ineligible_reason(engine, _mixed_trace(), None)
+        reason = log_kernel_ineligible_reason(engine, _mixed_trace())
         assert reason is not None and "not virgin" in reason
 
     def test_latency_model_ineligible(self, small_geometry):
         engine = LogStructuredCache(small_geometry, latency=LatencyModel())
-        reason = log_kernel_ineligible_reason(engine, _mixed_trace(), None)
+        reason = log_kernel_ineligible_reason(engine, _mixed_trace())
         assert reason is not None and "latency models" in reason
-
-    def test_fault_plan_ineligible(self, small_geometry):
-        from repro.faults.plan import FaultPlan
-
-        reason = log_kernel_ineligible_reason(
-            LogStructuredCache(small_geometry), _mixed_trace(), FaultPlan()
-        )
-        assert reason is not None and "fault plans" in reason
 
     def test_oversized_object_ineligible(self, small_geometry):
         trace = Trace(
@@ -237,7 +229,7 @@ class TestEligibility:
             sizes=np.array([small_geometry.page_size]),
         )
         reason = log_kernel_ineligible_reason(
-            LogStructuredCache(small_geometry), trace, None
+            LogStructuredCache(small_geometry), trace
         )
         assert reason is not None and "oversized object" in reason
 
@@ -248,7 +240,7 @@ class TestEligibility:
             sizes=np.zeros(0, dtype=np.int64),
         )
         reason = log_kernel_ineligible_reason(
-            LogStructuredCache(small_geometry), trace, None
+            LogStructuredCache(small_geometry), trace
         )
         assert reason is not None and "empty trace" in reason
 

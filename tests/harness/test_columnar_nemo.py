@@ -287,38 +287,27 @@ class TestNemoEligibility:
     def test_virgin_nemo_engine_eligible(self, small_geometry):
         assert nemo_kernel_ineligible_reason(
             NemoCache(small_geometry, _config("statistical")),
-            _flush_trace(),
-            None,
+            _flush_trace()
         ) is None
 
     def test_non_nemo_engine_ineligible(self, small_geometry):
         reason = nemo_kernel_ineligible_reason(
-            SetAssociativeCache(small_geometry), _flush_trace(), None
+            SetAssociativeCache(small_geometry), _flush_trace()
         )
         assert reason is not None and "NemoCache" in reason
 
     def test_warm_engine_ineligible(self, small_geometry):
         engine = NemoCache(small_geometry, _config("statistical"))
         engine.insert(1, 100)
-        reason = nemo_kernel_ineligible_reason(engine, _flush_trace(), None)
+        reason = nemo_kernel_ineligible_reason(engine, _flush_trace())
         assert reason is not None and "not virgin" in reason
 
     def test_latency_model_ineligible(self, small_geometry):
         engine = NemoCache(
             small_geometry, _config("statistical"), latency=LatencyModel()
         )
-        reason = nemo_kernel_ineligible_reason(engine, _flush_trace(), None)
+        reason = nemo_kernel_ineligible_reason(engine, _flush_trace())
         assert reason is not None and "latency models" in reason
-
-    def test_fault_plan_ineligible(self, small_geometry):
-        from repro.faults.plan import FaultPlan
-
-        reason = nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")),
-            _flush_trace(),
-            FaultPlan(),
-        )
-        assert reason is not None and "fault plans" in reason
 
     def test_oversized_object_ineligible(self, small_geometry):
         trace = Trace(
@@ -327,7 +316,7 @@ class TestNemoEligibility:
             sizes=np.array([small_geometry.page_size + 1]),
         )
         reason = nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace, None
+            NemoCache(small_geometry, _config("statistical")), trace
         )
         assert reason is not None and "oversized object" in reason
 
@@ -338,7 +327,7 @@ class TestNemoEligibility:
             sizes=np.zeros(0, dtype=np.int64),
         )
         reason = nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace, None
+            NemoCache(small_geometry, _config("statistical")), trace
         )
         assert reason is not None and "empty trace" in reason
 
@@ -358,15 +347,15 @@ class TestKernelRegistry:
     def test_registered_engines_eligible(self, small_geometry):
         trace = _flush_trace()
         assert kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace, None
+            NemoCache(small_geometry, _config("statistical")), trace
         ) is None
         assert kernel_ineligible_reason(
-            LogStructuredCache(small_geometry), trace, None
+            LogStructuredCache(small_geometry), trace
         ) is None
 
     def test_unregistered_engine_reason_lists_registry(self, small_geometry):
         reason = kernel_ineligible_reason(
-            SetAssociativeCache(small_geometry), _flush_trace(), None
+            SetAssociativeCache(small_geometry), _flush_trace()
         )
         assert reason is not None
         assert "has no whole-trace columnar kernel" in reason

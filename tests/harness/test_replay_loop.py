@@ -99,29 +99,29 @@ ENGINES = ["Log", "Nemo"]
 
 class TestReplayPlan:
     def test_default_layout(self):
-        boundaries, samples, crashes, mark = replay_plan(1000)
+        boundaries, samples, mark = replay_plan(1000)
         assert boundaries == sorted(samples) and boundaries[-1] == 1000
         assert boundaries[:3] == [15, 30, 45]  # 1000 // 64
-        assert crashes == set() and mark is None
+        assert mark is None
 
-    def test_mark_and_crash_points_are_boundaries_not_samples(self):
-        boundaries, samples, crashes, mark = replay_plan(
-            100, sample_every=40, mark_window_at=50, crash_points=(7, 40, 0, 101)
+    def test_mark_is_a_boundary_not_a_sample(self):
+        boundaries, samples, mark = replay_plan(
+            100, sample_every=40, mark_window_at=50
         )
         assert samples == {40, 80, 100}
-        assert crashes == {7, 40} and mark == 50
-        assert boundaries == [7, 40, 50, 80, 100]
+        assert mark == 50
+        assert boundaries == [40, 50, 80, 100]
 
     def test_explicit_positions_keep_zero_and_the_end(self):
         # A cluster shard samples its empty prefix at local position 0;
         # the end of the trace is replayed to even when not sampled.
-        boundaries, samples, _, _ = replay_plan(10, sample_at=[0, 4, 11])
+        boundaries, samples, _ = replay_plan(10, sample_at=[0, 4, 11])
         assert samples == {0, 4}
         assert boundaries == [0, 4, 10]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_lengths(self, n):
-        boundaries, samples, _, mark = replay_plan(n, mark_window_at=n // 2)
+        boundaries, samples, mark = replay_plan(n, mark_window_at=n // 2)
         assert samples == ({1} if n else set())
         assert boundaries == [n] and mark is None
 

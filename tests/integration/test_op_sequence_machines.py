@@ -1,0 +1,128 @@
+"""Stateful op-sequence machines: one per registered engine.
+
+One Hypothesis rule-based machine per engine (Log, Set, FW, KG, Nemo)
+interleaves inserts, GETs (a lookup, then admission on a miss, as the
+replay harness does) and deletes on a tiny device that fills, evicts
+and garbage-collects within a few dozen steps, checking after every
+step that
+
+- a hit implies the key was inserted and not deleted since (eviction
+  may turn a live key into a miss, never the reverse);
+- a lookup right after a delete misses;
+- the engine holds no more objects than the model has live keys;
+- the byte counters stay non-negative and NAND never receives less
+  than the host wrote;
+- ``HierarchicalSet.check_invariants()`` (FW, KG) and
+  ``IndexPool.check_invariants()`` (Nemo) pass.
+
+``OP_MACHINE_EXAMPLES`` scales the example count: CI sets it to 200
+per engine; the local default keeps the suite fast.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.baselines.fairywren import FairyWrenCache
+from repro.baselines.hierarchical import HierarchicalCacheBase
+from repro.baselines.kangaroo import KangarooCache
+from repro.baselines.log_structured import LogStructuredCache
+from repro.baselines.set_associative import SetAssociativeCache
+from repro.core.config import NemoConfig
+from repro.core.nemo import NemoCache
+from repro.flash.geometry import FlashGeometry
+
+EXAMPLES = int(os.environ.get("OP_MACHINE_EXAMPLES", "10"))
+
+KEYS = st.integers(0, 250)
+SIZES = st.integers(40, 900)
+
+
+def tiny_geometry():
+    return FlashGeometry(
+        page_size=4096, pages_per_block=16, num_blocks=8, blocks_per_zone=1
+    )
+
+
+ENGINE_FACTORIES = {
+    "log": lambda: LogStructuredCache(tiny_geometry()),
+    "set": lambda: SetAssociativeCache(tiny_geometry(), op_ratio=0.5),
+    "fw": lambda: FairyWrenCache(tiny_geometry(), log_fraction=0.15, op_ratio=0.1),
+    "kg": lambda: KangarooCache(tiny_geometry(), log_fraction=0.15, op_ratio=0.1),
+    "nemo": lambda: NemoCache(
+        tiny_geometry(),
+        NemoConfig(flush_threshold=3, sgs_per_index_group=2, bf_capacity_per_set=20),
+    ),
+}
+
+
+def make_op_machine(engine_name: str) -> type[RuleBasedStateMachine]:
+    class OpSequenceMachine(RuleBasedStateMachine):
+        @initialize()
+        def setup(self):
+            self.engine = ENGINE_FACTORIES[engine_name]()
+            # Keys inserted and not deleted since.  Eviction silently
+            # drops members, which only turns a would-be hit into a
+            # miss, so "hit => key in live" stays the soundness check.
+            self.live: set[int] = set()
+
+        def _check_hit(self, key, result):
+            if result.hit:
+                assert key in self.live, (
+                    f"{engine_name} served key {key}, which is not live"
+                )
+
+        @rule(key=KEYS, size=SIZES)
+        def insert(self, key, size):
+            self.engine.insert(key, size)
+            self.live.add(key)
+
+        @rule(key=KEYS, size=SIZES)
+        def get(self, key, size):
+            result = self.engine.lookup(key, size)
+            self._check_hit(key, result)
+            if not result.hit:
+                self.engine.insert(key, size)
+                self.live.add(key)
+
+        @rule(key=KEYS, size=SIZES)
+        def delete(self, key, size):
+            self.engine.delete(key)
+            self.live.discard(key)
+            assert not self.engine.lookup(key, size).hit, (
+                f"{engine_name} served key {key} right after deleting it"
+            )
+
+        @invariant()
+        def consistent(self):
+            if not hasattr(self, "engine"):
+                return
+            engine = self.engine
+            assert engine.object_count() <= len(self.live)
+            assert engine.counters.hits <= engine.counters.lookups
+            snap = engine.stats.snapshot()
+            for key, value in snap.items():
+                assert isinstance(value, (int, float)), key
+                assert math.isnan(value) or value >= 0, (key, value)
+            assert snap["flash_write_bytes"] >= snap["host_write_bytes"]
+            if isinstance(engine, NemoCache):
+                engine.index_pool.check_invariants()
+            if isinstance(engine, HierarchicalCacheBase):
+                engine.hset.check_invariants()
+
+    OpSequenceMachine.__name__ = f"OpSequenceMachine_{engine_name}"
+    return OpSequenceMachine
+
+
+_SETTINGS = settings(max_examples=EXAMPLES, stateful_step_count=50, deadline=None)
+
+for _name in sorted(ENGINE_FACTORIES):
+    _case = make_op_machine(_name).TestCase
+    _case.settings = _SETTINGS
+    globals()[f"TestOpSequence_{_name}"] = _case
+del _name, _case

@@ -99,15 +99,6 @@ class NemoMachine(RuleBasedStateMachine):
             # but never the reverse).
             assert key in self.live
 
-    @rule()
-    def crash_and_recover(self):
-        # Fault-free power loss: DRAM-buffered objects may be lost
-        # (turning live keys into misses — allowed) but deletes are
-        # durable, so `live` stays a sound upper bound and every
-        # invariant below must hold on the rebuilt structures too.
-        self.cache.crash()
-        self.cache.recover()
-
     @invariant()
     def structures_consistent(self):
         if not hasattr(self, "cache"):

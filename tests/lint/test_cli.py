@@ -57,7 +57,7 @@ class TestMain:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line[:1].strip()]
-        assert listed == ["R001", "R002", "R003", "R005", "R006", "R007", "W001"]
+        assert listed == ["R001", "R002", "R003", "R005", "R006", "W001"]
 
     @pytest.mark.parametrize("flag", [["--deep"], ["--format", "json"]])
     def test_retired_flags_are_usage_errors(self, flag, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for reprolint rules R001–R007.
+"""Unit tests for reprolint rules R001–R006.
 
 Every rule gets the same treatment: a fixture snippet that must fire, a
 snippet in an allowlisted zone (or an allowed pattern) that must stay
@@ -33,7 +33,7 @@ class TestRuleRegistry:
     def test_rules_by_code_covers_r001_to_r007(self):
         table = rules_by_code()
         # Code 4 is retired: bulk/scalar signatures are a runtime test.
-        assert sorted(table) == [f"R00{i}" for i in range(1, 8) if i != 4]
+        assert sorted(table) == [f"R00{i}" for i in range(1, 7) if i != 4]
 
 
 class TestWallClockR001:
@@ -427,80 +427,6 @@ class TestBroadExceptR006:
         assert found == []
 
 
-class TestFaultRandomnessR007:
-    def test_flags_rng_construction_in_fault_zone(self):
-        found = lint(
-            """
-            import random
-            class RetryJitter:
-                def __init__(self, seed):
-                    self.rng = random.Random(seed)
-            """,
-            zone="faults",
-        )
-        assert codes(found) == ["R007"]
-        assert "FaultPlan" in found[0].message
-
-    def test_flags_numpy_generator_in_flash_zone(self):
-        found = lint(
-            """
-            import numpy as np
-            def jitter(seed):
-                return np.random.default_rng(seed)
-            """,
-            zone="flash",
-        )
-        assert codes(found) == ["R007"]
-
-    def test_fault_plan_class_is_the_allowed_home(self):
-        found = lint(
-            """
-            import random
-            class FaultPlan:
-                def __init__(self, seed):
-                    self._rng = random.Random(seed)
-            """,
-            zone="faults",
-        )
-        assert found == []
-
-    def test_other_zones_unaffected(self):
-        found = lint(
-            """
-            import random
-            rng = random.Random(0)
-            """,
-            zone="workloads",
-        )
-        assert found == []
-
-    def test_suppression_honoured(self):
-        found = lint(
-            """
-            import random
-            # reprolint: disable=R007
-            AUDITED = random.Random(0)
-            """,
-            zone="faults",
-        )
-        assert found == []
-
-    def test_shipped_fault_layer_is_clean(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--select", "R007",
-             "src/repro/faults", "src/repro/flash"],
-            cwd=repo,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 class TestEngineHelpers:
     def test_zone_classification(self):
         assert classify_zone("src/repro/core/nemo.py") == "core"
@@ -515,7 +441,7 @@ class TestEngineHelpers:
         """The event-driven device lane (DESIGN.md §9) lives under
         ``src/repro/flash/devsim/`` and must classify into the ``flash``
         zone so the simulated-zone determinism contracts (R001
-        wall-clock, R007 fault randomness) apply to it."""
+        wall-clock, R003 set order) apply to it."""
         for module in ("nand", "model", "frontend", "factory"):
             path = f"src/repro/flash/devsim/{module}.py"
             assert classify_zone(path) == "flash", path

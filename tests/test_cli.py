@@ -118,46 +118,3 @@ class TestLatencyLaneFlag:
     def test_lane_choices(self):
         with pytest.raises(SystemExit):
             main(["replay", "--latency-lane", "bogus"])
-
-    def test_faults_replay_accepts_a_lane(self, capsys):
-        rc = main(
-            ["faults", "--engine", "log", "--requests", "4000", "--zones", "4",
-             "--wss-scale", "0.0002", "--read-error-rate", "0",
-             "--program-error-rate", "0", "--erase-error-rate", "0",
-             "--latency-lane", "event"]
-        )
-        assert rc == 0
-        assert "Log" in capsys.readouterr().out
-
-
-class TestFaultsSubcommand:
-    def test_fault_sweep_reports_counters(self, capsys):
-        rc = main(
-            ["faults", "--engine", "set", "--requests", "8000", "--zones", "4",
-             "--wss-scale", "0.0002", "--read-error-rate", "0.01",
-             "--erase-error-rate", "0.01", "--spare-blocks", "1000",
-             "--crash-at", "3000"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "retries" in out and "retired" in out
-        assert "crash_at=[3000]" in out
-
-    def test_spare_exhaustion_reported_as_eol(self, capsys):
-        rc = main(
-            ["faults", "--engine", "set", "--requests", "8000", "--zones", "4",
-             "--wss-scale", "0.0002", "--program-error-rate", "0.05",
-             "--spare-blocks", "2"]
-        )
-        assert rc == 0
-        assert "(EOL)" in capsys.readouterr().out
-
-    def test_zero_rates_run_clean(self, capsys):
-        rc = main(
-            ["faults", "--engine", "log", "--requests", "4000", "--zones", "4",
-             "--wss-scale", "0.0002", "--read-error-rate", "0",
-             "--program-error-rate", "0", "--erase-error-rate", "0"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Log" in out

@@ -85,6 +85,15 @@ class TestErrors:
         with pytest.raises(TraceError):
             load_twitter_csv(io.StringIO("0,k,xx,200,1,get,0\n"))
 
+    def test_non_numeric_size_on_a_repeat_row(self):
+        rows = "0,k,20,200,1,get,0\n1,k,abc,200,1,get,0\n"
+        with pytest.raises(TraceError, match="line 2: non-numeric size"):
+            load_twitter_csv(io.StringIO(rows))
+
+    def test_negative_size(self):
+        with pytest.raises(TraceError, match="line 1: negative size"):
+            load_twitter_csv(io.StringIO("0,k,20,-300,1,get,0\n"))
+
     def test_empty_file(self):
         with pytest.raises(TraceError):
             load_twitter_csv(io.StringIO(""))
