@@ -332,10 +332,7 @@ class HierarchicalCacheBase(CacheEngine):
         stats.logical_write_bytes += insert_bytes
         if flash_reads:
             device.nand.read_count += flash_reads
-            nbytes = self.geometry.page_size * flash_reads
-            stats.host_read_bytes += nbytes
-            stats.host_read_ops += flash_reads
-            stats.flash_read_bytes += nbytes
+            stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 
     def insert_many(

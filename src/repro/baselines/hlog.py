@@ -22,26 +22,35 @@ Life cycle:
 
 Sequence numbers disambiguate superseded copies: a bucket entry and its
 log-page record carry the same ``seq``; only a matching pair is current.
+A log page's payload is ``{key: (size, seq, bucket)}``: the record keeps
+its bucket, so reclaiming a zone never re-hashes a key.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
 from repro.flash.zns import ZNSDevice
 from repro.hashing import bucket_of
 
 
-@dataclass(frozen=True)
 class LogEntry:
-    """One object resident in the HLog."""
+    """One object resident in the HLog.
 
-    key: int
-    size: int
-    seq: int
-    page: int  # physical flash page; -1 while still in the write buffer
+    Mutable: the page flush sets ``page`` on the buffered entry in place.
+    """
+
+    __slots__ = ("key", "size", "seq", "page")
+
+    def __init__(self, key: int, size: int, seq: int, page: int = -1) -> None:
+        self.key = key
+        self.size = size
+        self.seq = seq
+        self.page = page  # physical flash page; -1 while still in the write buffer
+
+    def __repr__(self) -> str:
+        return f"LogEntry(key={self.key}, size={self.size}, seq={self.seq}, page={self.page})"
 
 
 class HierarchicalLog:
@@ -135,15 +144,14 @@ class HierarchicalLog:
         ):
             return False
         b = self.bucket_of(key) if bucket is None else bucket
-        if self.buckets[b].pop(key, None) is not None:
-            self._object_count -= 1
+        entries = self.buckets[b]
+        if entries.pop(key, None) is None:
+            self._object_count += 1
         self._seq += 1
-        entry = LogEntry(key=key, size=size, seq=self._seq, page=-1)
-        self.buckets[b][key] = entry
+        entry = entries[key] = LogEntry(key, size, self._seq)
         self._buffer.append(entry)
         self._buffer_buckets.append(b)
         self._buffer_bytes += size
-        self._object_count += 1
         return True
 
     def _flush_buffer(self, *, now_us: float = 0.0) -> bool:
@@ -153,22 +161,25 @@ class HierarchicalLog:
         zone_id = self._writable_zone()
         if zone_id is None:
             return False
-        # The page payload ``{key: (size, seq)}`` is what the victim
-        # scan of :meth:`reclaim_oldest_zone` reads back.  It is filled
-        # below, after the append, with the records still current at
-        # flush time; the NAND stores the reference, so populating the
-        # dict afterwards writes through to the flash payload.
-        objs: dict[int, tuple[int, int]] = {}
+        # The page payload ``{key: (size, seq, bucket)}`` is what the
+        # victim scan of :meth:`reclaim_oldest_zone` reads back; the
+        # bucket rides along so the scan never re-hashes a key.  It is
+        # filled below, after the append, with the records still current
+        # at flush time; the NAND stores the reference, so populating
+        # the dict afterwards writes through to the flash payload.
+        objs: dict[int, tuple[int, int, int]] = {}
         if self.device.latency is None:
             page = self.device.append_page(zone_id, objs)
         else:
             page, _ = self.device.append(zone_id, objs, now_us=now_us)
         buckets = self.buckets
         for e, b in zip(self._buffer, self._buffer_buckets):
-            cur = buckets[b].get(e.key)
-            if cur is not None and cur.seq == e.seq:
-                buckets[b][e.key] = LogEntry(e.key, e.size, e.seq, page)
-                objs[e.key] = (e.size, e.seq)
+            # Current iff the bucket still holds this very entry: a
+            # superseded, removed or drained one has been replaced or
+            # dropped.
+            if buckets[b].get(e.key) is e:
+                e.page = page
+                objs[e.key] = (e.size, e.seq, b)
         self._buffer.clear()
         self._buffer_buckets.clear()
         self._buffer_bytes = 0
@@ -201,10 +212,11 @@ class HierarchicalLog:
     def reclaim_oldest_zone(self, *, now_us: float = 0.0) -> list[int]:
         """Reclaim the oldest log zone (passive-migration trigger).
 
-        Returns the bucket ids whose objects were resident in the zone
-        and are still current — the caller must flush each of those
-        buckets into the back tier (:meth:`drain_bucket`) *before* the
-        next insert, because this method drops the flash copies.
+        Returns the bucket ids (read from the page records) whose
+        objects were resident in the zone and are still current — the
+        caller must flush each of those buckets into the back tier
+        (:meth:`drain_bucket`) *before* the next insert, because this
+        method drops the flash copies.
         """
         if not self._zone_fifo:
             raise EngineStateError("no log zone to reclaim")
@@ -214,13 +226,13 @@ class HierarchicalLog:
         geo = self.device.geometry
         first = geo.zone_first_page(victim)
         wp = self.device.zones[victim].write_pointer
+        buckets = self.buckets
         stale_buckets: set[int] = set()
         for page in range(first, first + wp):
             # A record is current iff its bucket still holds the same
             # seq: superseded, removed and drained copies all fail that.
-            for key, (_size, seq) in self.device.read_page(page).items():
-                b = self.bucket_of(key)
-                cur = self.buckets[b].get(key)
+            for key, (_size, seq, b) in self.device.read_page(page).items():
+                cur = buckets[b].get(key)
                 if cur is not None and cur.seq == seq:
                     stale_buckets.add(b)
         self.device.reset_zone(victim, now_us=now_us)

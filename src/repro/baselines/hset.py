@@ -414,9 +414,7 @@ class HierarchicalSet:
         nand.program_count += total
         stats = device.stats
         nbytes = device.geometry.page_size * total
-        stats.host_read_bytes += nbytes
-        stats.host_read_ops += total
-        stats.flash_read_bytes += nbytes
+        stats.record_page_reads(total, device.geometry.page_size)
         stats.host_write_bytes += nbytes
         stats.host_write_ops += total
         stats.flash_write_bytes += nbytes

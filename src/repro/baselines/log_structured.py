@@ -181,11 +181,7 @@ class LogStructuredCache(CacheEngine):
         self.stats.logical_read_bytes += read_bytes
         if flash_reads:
             device.nand.read_count += flash_reads
-            nbytes = self.geometry.page_size * flash_reads
-            stats = self.stats
-            stats.host_read_bytes += nbytes
-            stats.host_read_ops += flash_reads
-            stats.flash_read_bytes += nbytes
+            self.stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 
     def insert_many(

@@ -211,10 +211,7 @@ class SetAssociativeCache(CacheEngine):
         stats.logical_read_bytes += read_bytes
         if hits:
             device.ftl.nand.read_count += hits
-            nbytes = self.geometry.page_size * hits
-            stats.host_read_bytes += nbytes
-            stats.host_read_ops += hits
-            stats.flash_read_bytes += nbytes
+            stats.record_page_reads(hits, self.geometry.page_size)
         return now_us
 
     def insert_many(

@@ -43,7 +43,14 @@ from repro.core.hotness import HotnessTracker
 from repro.core.index_cache import IndexCache, IndexPool
 from repro.core.pbfg import IndexGroupBuilder, IndexLayout
 from repro.core.sgqueue import SetGroupQueue
-from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
+from repro.errors import (
+    AlignmentError,
+    ConfigError,
+    EngineStateError,
+    ObjectTooLargeError,
+    ReadError,
+)
+from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
@@ -405,6 +412,15 @@ class NemoCache(CacheEngine):
         counters are accumulated locally and flushed once per run
         (nothing observes them mid-run — the harness samples only at
         chunk boundaries).
+
+        In statistical-filter mode on a latency-free device the flash
+        consult is settled inline too: the all-resident index test
+        (a non-resident consult still goes through
+        :meth:`_consult_index`), :meth:`_candidates`' draws in order,
+        the holder and false-positive page reads with
+        ``NandArray.read_pages``' checks, and the hotness bit; the
+        read, PBFG and index-cache counters add up once per run.
+        Every other mode takes :meth:`_flash_lookup`, the reference.
         """
         counters = self.counters
         queue_dq = self.queue._queue
@@ -412,11 +428,26 @@ class NemoCache(CacheEngine):
         set_size = self.set_size
         try_insert = self.queue.try_insert
         flash_lookup = self._flash_lookup
-        record_access = self.hotness.record_access
+        hotness = self.hotness
         window_sgs = self._window_sgs
+        inline = self.device.latency is None and not self.config.use_real_filters
+        consult = self._consult_index
+        index_pool = self.index_pool
+        page_counts = self.index_cache._page_idx_counts
+        opp = self._offsets_per_page
+        flash_index = self._flash_index
+        pool_map = self._pool_map
+        rng_random = self._rng.random
+        randrange = self._rng.randrange
+        fp_rate = self.config.bf_false_positive_rate
+        ppz = self.geometry.pages_per_zone
+        nand = self.device.nand
+        state = nand._state
+        num_pages = nand._num_pages
         if offsets is None:
             offsets = self._offset_column(keys)
         lookups = hits = inserts = insert_bytes = read_bytes = 0
+        resident = touches = n_fp = page_reads = 0
         for key, size, offset in zip(keys, sizes, offsets):
             lookups += 1
             mem_size = None
@@ -432,17 +463,47 @@ class NemoCache(CacheEngine):
                 now_us += step_us
                 continue
             if pool:
-                holder, _reads, latency = flash_lookup(key, offset, now_us)
+                if inline:
+                    n_live = index_pool._live_groups
+                    if page_counts[offset // opp] == n_live:
+                        resident += 1
+                        touches += n_live
+                    else:
+                        consult(offset, now_us)
+                    holder_id = flash_index.get(key)
+                    holder = None if holder_id is None else pool_map[holder_id]
+                    n_pool = len(pool)
+                    n_scanned = (
+                        n_pool
+                        if holder is None
+                        else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
+                    )
+                    read: tuple[FlashSG, ...] = ()
+                    if n_scanned > 0 and rng_random() < n_scanned * fp_rate:
+                        n_fp += 1
+                        read = (pool[randrange(n_pool)],)
+                    if holder is not None:
+                        read += (holder,)
+                    for fsg in read:
+                        zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
+                        page = fsg.page_bases[zone_idx] + page_idx
+                        if not 0 <= page < num_pages:
+                            raise AlignmentError(
+                                f"page {page} out of range [0, {num_pages})"
+                            )
+                        if state[page] != PAGE_PROGRAMMED:
+                            raise ReadError(f"page {page} is not programmed")
+                    page_reads += len(read)
+                    latency = 0.0
+                else:
+                    holder, _reads, latency = flash_lookup(key, offset, now_us)
                 if record is not None:
                     record(latency)
                 if holder is not None:
                     hits += 1
                     read_bytes += holder.sets[offset][key]
-                    record_access(
-                        key,
-                        offset,
-                        in_window=(holder.sg_id - pool[0].sg_id) < window_sgs,
-                    )
+                    if (holder.sg_id - pool[0].sg_id) < window_sgs:
+                        hotness._bits[key] = offset  # record_access inlined
                     now_us += step_us
                     continue
             elif record is not None:
@@ -464,6 +525,13 @@ class NemoCache(CacheEngine):
         stats = self.stats
         stats.logical_write_bytes += insert_bytes
         stats.logical_read_bytes += read_bytes
+        self.pbfg_lookups += resident
+        self.pbfg_touches += touches
+        self.index_cache.hits += touches
+        self.false_positive_reads += n_fp
+        if page_reads:
+            nand.read_count += page_reads
+            stats.record_page_reads(page_reads, self.geometry.page_size)
         return now_us
 
     def insert_many(

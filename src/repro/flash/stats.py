@@ -95,6 +95,14 @@ class FlashStats:
         self.host_read_ops += 1
         self.flash_read_bytes += nbytes
 
+    def record_page_reads(self, n: int, page_size: int) -> None:
+        """Record ``n`` host page reads of ``page_size`` bytes each (one
+        op per page): the batched form of :meth:`record_host_read`."""
+        nbytes = page_size * n
+        self.host_read_bytes += nbytes
+        self.host_read_ops += n
+        self.flash_read_bytes += nbytes
+
     def record_gc(self, relocated_pages: int, page_size: int) -> None:
         """Record one GC run that relocated ``relocated_pages`` pages."""
         if relocated_pages < 0:

@@ -198,12 +198,7 @@ class ZNSDevice:
         batched — identical counter totals, no payload list.
         """
         self.nand.read_pages(pages)
-        n = len(pages)
-        nbytes = self.geometry.page_size * n
-        stats = self.stats
-        stats.host_read_bytes += nbytes
-        stats.host_read_ops += n
-        stats.flash_read_bytes += nbytes
+        self.stats.record_page_reads(len(pages), self.geometry.page_size)
 
     def read_many(self, pages: list[int], *, now_us: float = 0.0) -> tuple[list[Any], float]:
         """Parallel page reads; latency is that of the slowest read."""

@@ -433,10 +433,7 @@ def replay_log_columnar(
         flash_reads = int(cum_flash[b] - cum_flash[a])
         if flash_reads:
             device.nand.read_count += flash_reads
-            nbytes = page_size * flash_reads
-            stats.host_read_bytes += nbytes
-            stats.host_read_ops += flash_reads
-            stats.flash_read_bytes += nbytes
+            stats.record_page_reads(flash_reads, page_size)
 
     # ------------------------------------------------------------------
     # Mutation loop: apply events in request order, one chunk per advance
@@ -862,10 +859,7 @@ def replay_nemo_columnar(
             ):
                 raise ReadError("an SG-pool zone is not fully programmed")
             device.nand.read_count += pages_read
-            nbytes = page_size * pages_read
-            stats.host_read_bytes += nbytes
-            stats.host_read_ops += pages_read
-            stats.flash_read_bytes += nbytes
+            stats.record_page_reads(pages_read, page_size)
         if n_flash_hits:
             assert hp is not None and sg is not None and mem is not None
             fh = hp[~mem]

@@ -1,5 +1,7 @@
 """Unit tests for the hierarchical-cache front tier (HLog)."""
 
+import random
+
 import pytest
 
 from repro.baselines.hlog import HierarchicalLog
@@ -112,3 +114,78 @@ class TestFlushingAndCapacity:
         # Every key's current copy is newer than anything in zone 0, so
         # the reclaim finds only stale records and flushes nothing.
         assert log.reclaim_oldest_zone() == []
+
+
+def churn(log, seed=5, steps=2000):
+    """Inserts, updates, removes and drains over a small key space; a
+    full log is reclaimed and its stale buckets drained, as the engines
+    do on passive migration."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        key = rng.randrange(300)
+        roll = rng.random()
+        if roll < 0.1:
+            log.remove(key)
+        elif roll < 0.12:
+            log.drain_bucket(log.bucket_of(key))
+        else:
+            size = rng.randrange(40, 900)
+            while not log.insert(key, size):
+                for b in log.reclaim_oldest_zone():
+                    log.drain_bucket(b)
+
+
+def flushed_pages(log):
+    """Payloads of every flushed page still on the log's zones."""
+    geo = log.device.geometry
+    payloads = []
+    for zone in log._zone_fifo:
+        first = geo.zone_first_page(zone)
+        wp = log.device.zones[zone].write_pointer
+        payloads.extend(log.device.nand._payload[first : first + wp])
+    return payloads
+
+
+class TestPayloadCarriesBucket:
+    def test_every_flushed_record_carries_its_bucket(self):
+        log, _ = make_log(num_zones=3)
+        churn(log)
+        records = [rec for page in flushed_pages(log) for rec in page.items()]
+        assert records
+        for key, (_size, _seq, bucket) in records:
+            assert bucket == log.bucket_of(key)
+
+    def test_reclaim_matches_a_rehashing_reference(self):
+        log, _ = make_log(num_zones=3)
+        for seed in range(4):
+            churn(log, seed=seed, steps=500)
+            geo = log.device.geometry
+            victim = log._zone_fifo[0]
+            first = geo.zone_first_page(victim)
+            wp = log.device.zones[victim].write_pointer
+            expected = set()
+            for page in log.device.nand._payload[first : first + wp]:
+                for key, (_size, seq, _bucket) in page.items():
+                    b = log.bucket_of(key)
+                    cur = log.buckets[b].get(key)
+                    if cur is not None and cur.seq == seq:
+                        expected.add(b)
+            buckets = log.reclaim_oldest_zone()
+            assert buckets == sorted(expected)
+            for b in buckets:
+                log.drain_bucket(b)
+
+    def test_buffered_entry_is_flushed_in_place(self):
+        log, _ = make_log(num_zones=3)
+        churn(log, steps=300)
+        for b in log.reclaim_oldest_zone():  # room for the flushes below
+            log.drain_bucket(b)
+        assert log.insert(10_000, 100)
+        entry = log.find(10_000)
+        assert entry.page == -1
+        key = 20_000
+        while entry.page == -1:
+            assert log.insert(key, 300)
+            key += 1
+        assert log.find(10_000) is entry
+        assert entry.page >= 0

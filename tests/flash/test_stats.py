@@ -1,5 +1,6 @@
 """Unit tests for write/read accounting and amplification metrics."""
 
+import dataclasses
 import math
 
 import pytest
@@ -58,6 +59,14 @@ class TestRecording:
         s.record_logical_read(100)
         s.record_host_read(4096)
         assert s.read_amplification == pytest.approx(40.96)
+
+    def test_page_reads_equal_single_reads(self):
+        batched, single = FlashStats(), FlashStats()
+        batched.record_page_reads(3, 4096)
+        for _ in range(3):
+            single.record_host_read(4096)
+        assert dataclasses.asdict(batched) == dataclasses.asdict(single)
+        assert batched.host_read_ops == 3
 
     def test_negative_bytes_rejected(self):
         s = FlashStats()

@@ -40,14 +40,14 @@ def make_engine(name):
     return build_engine(name, geometry, args)
 
 
-def make_runs(seed=7, num_runs=80):
+def make_runs(seed=7, num_runs=80, key_space=400):
     """Consecutive same-op runs, the shape the harness dispatches."""
     rng = np.random.default_rng(seed)
     runs = []
     for _ in range(num_runs):
         op = rng.choice(["get", "set", "delete"], p=[0.6, 0.3, 0.1])
         length = int(rng.integers(1, 24))
-        keys = [int(k) for k in rng.integers(0, 400, size=length)]
+        keys = [int(k) for k in rng.integers(0, key_space, size=length)]
         sizes = [int(s) for s in rng.integers(40, 900, size=length)]
         runs.append((op, keys, sizes))
     return runs
@@ -118,6 +118,61 @@ class TestBulkScalarAgreement:
         gets = sum(len(keys) for op, keys, _ in runs if op == "get")
         assert len(lat_bulk) == gets
         assert lat_bulk == lat_scalar
+
+
+def make_long_runs():
+    """Enough distinct bytes to fill the device: Nemo flushes and evicts
+    SGs, the HLog reclaims zones."""
+    return make_runs(num_runs=600, key_space=3000)
+
+
+@pytest.mark.parametrize("name", ["fw", "kg", "nemo"])
+def test_long_run_reaches_the_inline_lanes(name):
+    """The bulk run agrees with the scalar loop *and* gets to the code
+    its inline lanes replace: Nemo's flash hits, false-positive reads
+    and non-resident index consults; FW/KG's HLog zone reclaims."""
+    bulk_engine = make_engine(name)
+    scalar_engine = make_engine(name)
+    runs = make_long_runs()
+
+    assert drive_bulk(bulk_engine, runs) == drive_scalar(scalar_engine, runs)
+    assert_snapshots_identical(
+        bulk_engine.metrics_snapshot(), scalar_engine.metrics_snapshot()
+    )
+    nand = bulk_engine.device.nand
+    if name == "nemo":
+        # Every NAND read is an index-pool page, a false positive, a
+        # writeback or a flash hit's holder page.
+        flash_hits = (
+            nand.read_count
+            - bulk_engine.pbfg_pool_reads
+            - bulk_engine.false_positive_reads
+            - bulk_engine.writeback_reads
+        )
+        assert flash_hits > 0
+        assert bulk_engine.false_positive_reads > 0
+        assert bulk_engine.pbfg_lookups_from_pool > 0
+    else:
+        bpz = bulk_engine.geometry.blocks_per_zone
+        assert any(nand.block_erases[z * bpz] for z in bulk_engine.hlog.zone_ids)
+
+
+class TestNemoLatencyFreeLane:
+    """Nemo's bulk GET loop settles the flash consult inline on a
+    latency-free device; the holder-page read keeps NAND's checks."""
+
+    def test_unprogrammed_holder_page_raises_read_error(self):
+        engine = make_engine("nemo")
+        drive_bulk(engine, [run for run in make_long_runs() if run[0] == "set"])
+        key = next(
+            k
+            for k in engine._flash_index
+            if engine.queue.find(engine._offset(k), k) is None
+        )
+        holder = engine._pool_map[engine._flash_index[key]]
+        engine.device.nand._state[holder.page_of(engine._offset(key))] = PAGE_ERASED
+        with pytest.raises(ReadError, match="not programmed"):
+            engine.lookup_many([key], [100], 0.0, STEP_US)
 
 
 class TestSetLatencyFreeLane:

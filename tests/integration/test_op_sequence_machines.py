@@ -2,13 +2,16 @@
 
 One Hypothesis rule-based machine per engine (Log, Set, FW, KG, Nemo)
 interleaves inserts, GETs (a lookup, then admission on a miss, as the
-replay harness does) and deletes on a tiny device that fills, evicts
+replay harness does), bulk GET runs (``lookup_many``) and deletes on a
+tiny device that fills, evicts
 and garbage-collects within a few dozen steps, checking after every
 step that
 
 - a hit implies the key was inserted and not deleted since (eviction
   may turn a live key into a miss, never the reverse);
 - a lookup right after a delete misses;
+- a GET run gains no more hits than it has keys that were live before
+  it or appeared earlier in it, and its last key is held afterwards;
 - the engine holds no more objects than the model has live keys;
 - the byte counters stay non-negative and NAND never receives less
   than the host wrote;
@@ -89,6 +92,28 @@ def make_op_machine(engine_name: str) -> type[RuleBasedStateMachine]:
             if not result.hit:
                 self.engine.insert(key, size)
                 self.live.add(key)
+
+        @rule(run=st.lists(st.tuples(KEYS, SIZES), min_size=1, max_size=8))
+        def get_run(self, run):
+            """One bulk GET run through ``lookup_many`` (the batched lane)."""
+            keys = [key for key, _ in run]
+            engine = self.engine
+            # A run key can hit only if it was live before the run or
+            # appeared earlier in it (a miss admits it).
+            may_hit = sum(
+                1 for i, key in enumerate(keys) if key in self.live or key in keys[:i]
+            )
+            hits_before = engine.counters.hits
+            engine.lookup_many(keys, [size for _, size in run], 0.0, 1.0)
+            assert engine.counters.hits - hits_before <= may_hit, (
+                f"{engine_name} served more run keys than were live"
+            )
+            # Every run key hit or was admitted: all are live now, and
+            # the last one is still held (nothing ran after it).
+            self.live.update(keys)
+            assert engine.lookup(keys[-1], run[-1][1]).hit, (
+                f"{engine_name} lost key {keys[-1]} at the end of its GET run"
+            )
 
         @rule(key=KEYS, size=SIZES)
         def delete(self, key, size):
