@@ -23,11 +23,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Collection
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.errors import EngineStateError
 from repro.flash.latency import LatencyModel
 from repro.flash.stats import FlashStats
+from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
+
+if TYPE_CHECKING:
+    from repro.flash.devsim.frontend import ServiceFn
+    from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,6 +209,37 @@ class CacheEngine(abc.ABC):
             delete(key)
             now_us += step_us
         return now_us
+
+    # ------------------------------------------------------------------
+    # Closed-loop service (DESIGN.md §9)
+    # ------------------------------------------------------------------
+    def service_fn(self, trace: Trace) -> ServiceFn:
+        """``(index, now_us) -> latency_us``: run request ``index`` of
+        ``trace`` as the scalar loop does — GET = ``lookup`` + read-through
+        ``insert`` on a miss, SET = ``insert``, DELETE = ``delete`` (both
+        host-acked, 0).  An override must give the same latencies,
+        counters and RNG draws, and may bind only state never rebound."""
+        ops = trace.ops.tolist()
+        keys = trace.keys.tolist()
+        sizes = trace.sizes.tolist()
+        lookup = self.lookup
+        insert = self.insert
+        delete = self.delete
+
+        def service(index: int, now_us: float) -> float:
+            op = ops[index]
+            if op == OP_GET:
+                result = lookup(keys[index], sizes[index], now_us)
+                if not result.hit:
+                    insert(keys[index], sizes[index], now_us)
+                return result.latency_us
+            if op == OP_SET:
+                insert(keys[index], sizes[index], now_us)
+            elif op == OP_DELETE:
+                delete(keys[index])
+            return 0.0
+
+        return service
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,8 +25,9 @@ back tier's overflow policy.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Collection
-from typing import cast
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -39,6 +40,11 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
 from repro.hashing import splitmix64_array
+from repro.workloads.trace import OP_DELETE, OP_GET
+
+if TYPE_CHECKING:
+    from repro.flash.devsim.frontend import ServiceFn
+    from repro.workloads.trace import Trace
 
 #: Table 6 metadata widths (bits per object).
 LOG_BITS_PER_OBJECT = 48.0
@@ -137,10 +143,15 @@ class HierarchicalCacheBase(CacheEngine):
     # ------------------------------------------------------------------
     def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
         self.record_admission(size)
-        if self.hlog.insert(key, size, now_us=now_us):
-            return
-        self._passive_migration_round(now_us=now_us)
         if not self.hlog.insert(key, size, now_us=now_us):
+            self._reclaim_and_insert(key, size, now_us)
+
+    def _reclaim_and_insert(
+        self, key: int, size: int, now_us: float, bucket: int | None = None
+    ) -> None:
+        """The log is full: one passive-migration round, then the retry."""
+        self._passive_migration_round(now_us=now_us)
+        if not self.hlog.insert(key, size, now_us=now_us, bucket=bucket):
             raise ConfigError(
                 "HLog cannot absorb the object even after reclaim; "
                 "the log region is too small for this object size"
@@ -317,12 +328,7 @@ class HierarchicalCacheBase(CacheEngine):
             inserts += 1
             insert_bytes += size
             if not self.hlog.insert(key, size, now_us=now_us, bucket=b):
-                self._passive_migration_round(now_us=now_us)
-                if not self.hlog.insert(key, size, now_us=now_us, bucket=b):
-                    raise ConfigError(
-                        "HLog cannot absorb the object even after reclaim; "
-                        "the log region is too small for this object size"
-                    )
+                self._reclaim_and_insert(key, size, now_us, b)
             now_us += step_us
         counters.lookups += len(keys)
         counters.hits += hits
@@ -354,17 +360,63 @@ class HierarchicalCacheBase(CacheEngine):
             inserts += 1
             insert_bytes += size
             if not hlog_insert(key, size, now_us=now_us, bucket=b):
-                self._passive_migration_round(now_us=now_us)
-                if not hlog_insert(key, size, now_us=now_us, bucket=b):
-                    raise ConfigError(
-                        "HLog cannot absorb the object even after reclaim; "
-                        "the log region is too small for this object size"
-                    )
+                self._reclaim_and_insert(key, size, now_us, b)
             now_us += step_us
         counters.inserts += inserts
         counters.insert_bytes += insert_bytes
         self.stats.logical_write_bytes += insert_bytes
         return now_us
+
+    def service_fn(self, trace: Trace) -> ServiceFn:
+        """:meth:`lookup_many`'s GET body for one closed-loop request, on
+        a bucket column hashed once (reused by both tier probes and every
+        admission) and on any latency lane; counters bumped per request."""
+        ops = trace.ops.tolist()
+        keys = trace.keys.tolist()
+        sizes = trace.sizes.tolist()
+        column = trace.set_id_slice(*self.columnar_spec(), 0, len(trace))
+        bucket_col = array("i", column.astype(np.int32).tobytes())  # hashed once, 4 B each
+        buckets = self.hlog.buckets
+        hlog_insert = self.hlog.insert
+        hset_find = self.hset.find
+        location = self.hset.location
+        hot_add = self.hot_keys.add
+        read = self.device.read  # latency-free: read_page's accounting, 0.0
+        counters = self.counters
+        stats = self.stats
+
+        def service(index: int, now_us: float) -> float:
+            op = ops[index]
+            if op == OP_DELETE:
+                self.delete(keys[index])
+                return 0.0
+            key = keys[index]
+            b = bucket_col[index]
+            if op == OP_GET:
+                counters.lookups += 1
+                entry = buckets[b].get(key)
+                if entry is not None:
+                    counters.hits += 1
+                    hot_add(key)
+                    stats.logical_read_bytes += entry.size
+                    page = entry.page  # -1: still in the write buffer (DRAM)
+                    return 0.0 if page < 0 else read(page, now_us=now_us)[1]
+                found = hset_find(key, b)
+                if found is not None:
+                    set_id, obj_size = found
+                    counters.hits += 1
+                    hot_add(key)
+                    stats.logical_read_bytes += obj_size
+                    # set_id -1: the promotion staging buffer (DRAM).
+                    return 0.0 if set_id < 0 else read(location[set_id], now_us=now_us)[1]
+            # SET or GET miss: read-through admission.
+            size = sizes[index]
+            self.record_admission(size)
+            if not hlog_insert(key, size, now_us=now_us, bucket=b):
+                self._reclaim_and_insert(key, size, now_us, b)
+            return 0.0
+
+        return service
 
     def object_count(self) -> int:
         return self.hlog.object_count() + self.hset.object_count()

@@ -31,9 +31,10 @@ false positives from the configured rate — page-level index traffic
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.core.bloom import BloomFilter, bloom_bits_per_object
@@ -57,6 +58,11 @@ from repro.flash.zns import ZNSDevice
 import numpy as np
 
 from repro.hashing import hash64, splitmix64_array
+from repro.workloads.trace import OP_DELETE, OP_GET
+
+if TYPE_CHECKING:
+    from repro.flash.devsim.frontend import ServiceFn
+    from repro.workloads.trace import Trace
 
 
 @dataclass
@@ -249,12 +255,15 @@ class NemoCache(CacheEngine):
     # CacheEngine API
     # ------------------------------------------------------------------
     def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+        self._admit(self._offset(key), key, size, now_us)
+
+    def _admit(self, offset: int, key: int, size: int, now_us: float) -> None:
+        """Admit ``key`` at its already hashed set ``offset``."""
         if size > self.set_size:
             raise ObjectTooLargeError(
                 f"object of {size} B exceeds the {self.set_size} B set"
             )
         self.record_admission(size)
-        offset = self._offset(key)
         if self.queue.try_insert(offset, key, size):
             return
         self._insert_blocked(offset, key, size, now_us)
@@ -327,13 +336,12 @@ class NemoCache(CacheEngine):
         return holder, flash_reads, latency
 
     def _read_pages(self, pages: list[int], now_us: float) -> float:
-        """Read ``pages`` in parallel; returns the latency (0.0 on the
-        device's batched latency-free lane)."""
+        """Read ``pages`` in parallel (payloads unused); returns the
+        slowest read's latency, 0.0 on a latency-free device."""
         device = self.device
-        if device.latency is None:
-            device.read_pages(pages)
-            return 0.0
-        return device.read_many(pages, now_us=now_us)[1]
+        device.read_pages(pages)
+        latency = device.latency
+        return 0.0 if latency is None else latency.read_many(pages, now_us)
 
     # ------------------------------------------------------------------
     # Index side: one PBFG page per live index group
@@ -564,6 +572,91 @@ class NemoCache(CacheEngine):
         counters.insert_bytes += insert_bytes
         self.stats.logical_write_bytes += insert_bytes
         return now_us
+
+    def service_fn(self, trace: Trace) -> ServiceFn:
+        """:meth:`lookup_many`'s GET body for one closed-loop request, on
+        an offset column hashed once and on any latency lane.  Counters
+        are bumped per request; ``hotness._bits`` is looked up per hit,
+        since ``cool()`` rebinds it."""
+        ops = trace.ops.tolist()
+        keys = trace.keys.tolist()
+        sizes = trace.sizes.tolist()
+        column = trace.set_id_slice(*self.columnar_spec(), 0, len(trace))
+        offsets = array("i", column.astype(np.int32).tobytes())  # hashed once, 4 B each
+        counters = self.counters
+        stats = self.stats
+        queue_dq = self.queue._queue
+        admit = self._admit
+        pool = self.pool
+        window_sgs = self._window_sgs
+        index_pool = self.index_pool
+        index_cache = self.index_cache
+        page_counts = index_cache._page_idx_counts
+        opp = self._offsets_per_page
+        real_filters = self.config.use_real_filters
+        flash_index = self._flash_index
+        pool_map = self._pool_map
+        rng_random = self._rng.random
+        randrange = self._rng.randrange
+        fp_rate = self.config.bf_false_positive_rate
+        ppz = self.geometry.pages_per_zone
+
+        def service(index: int, now_us: float) -> float:
+            op = ops[index]
+            if op == OP_DELETE:
+                self.delete(keys[index])
+                return 0.0
+            key = keys[index]
+            offset = offsets[index]
+            if op != OP_GET:
+                admit(offset, key, sizes[index], now_us)
+                return 0.0
+            counters.lookups += 1
+            for sg in queue_dq:
+                mem_size = sg.sets[offset].objects.get(key)
+                if mem_size is not None:
+                    counters.hits += 1
+                    stats.logical_read_bytes += mem_size
+                    return 0.0
+            if not pool:
+                admit(offset, key, sizes[index], now_us)
+                return 0.0
+            n_live = index_pool._live_groups
+            if page_counts[offset // opp] == n_live:
+                self.pbfg_lookups += 1
+                self.pbfg_touches += n_live
+                index_cache.hits += n_live
+                latency = 0.0
+            else:
+                latency = self._consult_index(offset, now_us)[1]
+            if real_filters:
+                pages, holder = self._candidates(key, offset)
+            else:  # _candidates' statistical draws, inlined
+                holder_id = flash_index.get(key)
+                holder = None if holder_id is None else pool_map[holder_id]
+                n_pool = len(pool)
+                n_scanned = (
+                    n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
+                )
+                zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
+                pages = []
+                if n_scanned > 0 and rng_random() < n_scanned * fp_rate:
+                    self.false_positive_reads += 1
+                    pages.append(pool[randrange(n_pool)].page_bases[zone_idx] + page_idx)
+                if holder is not None:
+                    pages.append(holder.page_bases[zone_idx] + page_idx)
+            if pages:
+                latency = max(latency, self._read_pages(pages, now_us))
+            if holder is None:
+                admit(offset, key, sizes[index], now_us)
+                return latency
+            counters.hits += 1
+            stats.logical_read_bytes += holder.sets[offset][key]
+            if (holder.sg_id - pool[0].sg_id) < window_sgs:
+                self.hotness._bits[key] = offset  # record_access inlined
+            return latency
+
+        return service
 
     def delete(self, key: int) -> bool:
         offset = self._offset(key)

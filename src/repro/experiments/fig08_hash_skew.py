@@ -27,6 +27,7 @@ from repro.experiments.common import twitter_trace
 from repro.harness.report import format_table
 from repro.hashing import splitmix64_array
 from repro.workloads.sizes import NormalSizeModel
+from repro.workloads.trace import Trace
 
 #: Sets per SG to probe (the paper probes SG bytes; sets = bytes/4 KiB).
 SET_COUNTS = [256, 1024, 4096, 16384]
@@ -55,14 +56,16 @@ class Fig08Result:
         return "Figure 8: fill of remaining sets when the first set fills\n" + table
 
 
-def _twitter_stream(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _twitter_stream(n: int, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     # Deduplicate request keys: an SG stores one copy per key, so the
     # population stream is first-occurrence keys only.  Zipf reuse means
-    # ~8 requests per fresh key, hence the oversized trace.
-    trace = twitter_trace(max(8 * n, 200_000), wss_scale=1.0 / 32)
-    _, first_idx = np.unique(trace.keys, return_index=True)
+    # ~8 requests per fresh key, hence the oversized trace: a prefix of
+    # the run's longest one (a merged trace of 4k requests is a prefix
+    # of every longer one).
+    keys = trace.keys[: max(8 * n, 200_000)]
+    _, first_idx = np.unique(keys, return_index=True)
     order = np.sort(first_idx)[:n]
-    return trace.keys[order], trace.sizes[order]
+    return keys[order], trace.sizes[order]
 
 
 def _synthetic_stream(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -75,12 +78,18 @@ def _synthetic_stream(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
 def run(scale: str = "small") -> Fig08Result:
     result = Fig08Result()
     set_counts = SET_COUNTS if scale == "full" else SET_COUNTS[:2]
-    for workload, stream_fn in [("twitter", _twitter_stream), ("synthetic", _synthetic_stream)]:
+    longest = max(set_counts) * (max(SET_SIZES) // 200 + 2)
+    trace = twitter_trace(max(8 * longest, 200_000), wss_scale=1.0 / 32)
+    for workload in ("twitter", "synthetic"):
         for num_sets in set_counts:
             for set_size in SET_SIZES:
                 # Enough objects to certainly fill some set.
                 budget = num_sets * (set_size // 200 + 2)
-                keys, sizes = stream_fn(budget)
+                keys, sizes = (
+                    _twitter_stream(budget, trace)
+                    if workload == "twitter"
+                    else _synthetic_stream(budget)
+                )
                 offsets = (splitmix64_array(keys, seed=7) % np.uint64(num_sets)).astype(
                     np.int64
                 )

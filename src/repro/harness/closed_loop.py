@@ -11,12 +11,14 @@ mechanism — FW's continuous small writes versus Nemo's occasional
 batched flushes — turns into visibly different p99/p9999 tails, which
 the ``fig15_tail`` experiment reports per engine and priority class.
 
-Request semantics per index are exactly the scalar replay loop's:
-GET = lookup + read-through insert on a miss, SET = insert (host-acked
-from the DRAM buffer, service 0 — flash interference still happens via
-the device model), DELETE = delete.  Aggregate engine counters are
-therefore the open-loop replay's counters whenever the request *order*
-matches; only the timestamps differ.
+Each request is served by the engine's own closure
+(:meth:`~repro.baselines.base.CacheEngine.service_fn`), whose semantics
+per index are exactly the scalar replay loop's: GET = lookup +
+read-through insert on a miss, SET = insert (host-acked from the DRAM
+buffer, service 0 — flash interference still happens via the device
+model), DELETE = delete.  Aggregate engine counters are therefore the
+open-loop replay's counters whenever the request *order* matches; only
+the timestamps differ.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError
 from repro.flash.devsim.frontend import FrontendScheduler
-from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
+from repro.workloads.trace import OP_GET, Trace
 
 
 @dataclass
@@ -126,28 +128,6 @@ def replay_closed_loop(
             f"class_ids has {len(class_ids)} entries for {n} requests"
         )
 
-    ops = trace.ops.tolist()
-    keys = trace.keys.tolist()
-    sizes = trace.sizes.tolist()
-    lookup = engine.lookup
-    insert = engine.insert
-    delete = engine.delete
-    OP_GET_, OP_SET_, OP_DELETE_ = OP_GET, OP_SET, OP_DELETE
-
-    def service(index: int, now_us: float) -> float:
-        op = ops[index]
-        if op == OP_GET_:
-            result = lookup(keys[index], sizes[index], now_us)
-            if not result.hit:
-                insert(keys[index], sizes[index], now_us)
-            return result.latency_us
-        if op == OP_SET_:
-            insert(keys[index], sizes[index], now_us)
-            return 0.0
-        if op == OP_DELETE_:
-            delete(keys[index])
-        return 0.0
-
     frontend = FrontendScheduler(
         arrival_us,
         class_ids=class_ids,
@@ -155,7 +135,7 @@ def replay_closed_loop(
         queue_depth=queue_depth,
     )
     t0 = time.perf_counter()
-    fired = frontend.run(service)
+    fired = frontend.run(engine.service_fn(trace))
     wall = time.perf_counter() - t0
 
     return ClosedLoopResult(

@@ -69,7 +69,9 @@ class NormalSizeModel(SizeModel):
 
     def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         sizes = rng.normal(self.mean, self.std, size=num_keys)
-        return np.maximum(np.rint(sizes), self.minimum).astype(np.int64)
+        np.rint(sizes, out=sizes)
+        np.maximum(sizes, self.minimum, out=sizes)
+        return sizes.astype(np.int64)
 
     @property
     def mean_size(self) -> float:
@@ -101,7 +103,9 @@ class LogNormalSizeModel(SizeModel):
 
     def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         sizes = rng.lognormal(self._mu, self.sigma, size=num_keys)
-        return np.maximum(np.rint(sizes), self.minimum).astype(np.int64)
+        np.rint(sizes, out=sizes)
+        np.maximum(sizes, self.minimum, out=sizes)
+        return sizes.astype(np.int64)
 
     @property
     def mean_size(self) -> float:

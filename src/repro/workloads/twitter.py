@@ -115,14 +115,22 @@ def generate_cluster_trace(
     # Per-key sizes: fixed key size + lognormal value size, then the §5.1
     # downscale applied to the whole object.
     value_model = LogNormalSizeModel(spec.value_size, sigma=sigma, minimum=8)
+    # The table is built in place: at 1/32 scale the key universe is
+    # ~10M keys, so every whole-universe temporary costs ~80 MB of peak.
     values = value_model.build_table(num_keys, rng)
-    sizes_table = np.maximum(
-        np.rint((spec.key_size + values) / spec.size_scale), 16
-    ).astype(np.int64)
+    values += spec.key_size
+    table = np.divide(values, spec.size_scale)
+    del values
+    np.rint(table, out=table)
+    np.maximum(table, 16, out=table)
+    sizes_table = table.astype(np.int64)
+    del table
 
     zipf = ZipfGenerator(num_keys, spec.zipf_alpha, seed=seed)
     keys = zipf.sample(num_requests)
+    del zipf
     sizes = sizes_table[keys]
+    del sizes_table
 
     ops = np.where(rng.random(num_requests) < get_fraction, OP_GET, OP_SET).astype(
         np.uint8

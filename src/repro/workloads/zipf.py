@@ -30,9 +30,11 @@ def zipf_probabilities(num_keys: int, alpha: float) -> np.ndarray:
         raise TraceError("num_keys must be positive")
     if alpha < 0:
         raise TraceError("alpha must be non-negative")
-    ranks = np.arange(1, num_keys + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    return weights / weights.sum()
+    # In place: one key-universe-sized array, no temporaries.
+    weights = np.arange(1, num_keys + 1, dtype=np.float64)
+    np.power(weights, -alpha, out=weights)
+    weights /= weights.sum()
+    return weights
 
 
 class ZipfGenerator:
@@ -63,8 +65,7 @@ class ZipfGenerator:
         self.num_keys = num_keys
         self.alpha = alpha
         self._rng = np.random.default_rng(seed)
-        probs = zipf_probabilities(num_keys, alpha)
-        self._cdf = np.cumsum(probs)
+        self._cdf = np.cumsum(zipf_probabilities(num_keys, alpha))
         # Guard against floating-point drift: force the last CDF bin to 1.
         self._cdf[-1] = 1.0
         if shuffle:

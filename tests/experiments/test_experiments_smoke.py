@@ -6,6 +6,7 @@ use larger scales — but each experiment's *headline relation* is still
 checked where it is robust even at micro scale.
 """
 
+import hashlib
 import math
 from collections import Counter
 
@@ -68,6 +69,14 @@ class TestHeadlineShapes:
             for r in rows
         }
         assert by_key[("synthetic", 1024, 4096)] < by_key[("synthetic", 256, 4096)] + 0.1
+
+    def test_fig08_table_pinned(self, results):
+        """fig08 slices every budget's trace from its longest one; the
+        table is the one per-budget generation printed."""
+        text = results["fig08"].format()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "437bd577a2b3c6a1df946cbe3043eff08831e2af0a11711fede3031f2865da3c"
+        )
 
     def test_fig12_nemo_beats_fw(self, results):
         wa = {r["engine"]: r["wa"] for r in results["fig12"].main_rows}

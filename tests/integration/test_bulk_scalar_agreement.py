@@ -11,7 +11,10 @@ simulated-clock accumulation order, so metrics stay byte-identical.
 Two identically-configured instances of each registered engine replay
 the same short mixed GET/SET/DELETE trace, one through its (possibly
 overridden) bulk methods and one through the unbound base-class
-defaults, then their metric snapshots must match exactly.
+defaults, then their metric snapshots must match exactly.  The
+closed-loop ``service_fn`` closures are held to the same contract
+against ``CacheEngine.service_fn``, the scalar lookup / insert / delete
+closure, on every latency lane.
 """
 
 import argparse
@@ -23,21 +26,27 @@ import pytest
 
 from repro.baselines.base import CacheEngine
 from repro.cli import ENGINE_NAMES, build_engine
+from repro.cluster.factory import make_engine as cluster_make_engine
 from repro.errors import ReadError
+from repro.flash.devsim import make_latency_model
 from repro.flash.device import PAGE_ERASED
 from repro.flash.geometry import FlashGeometry
+from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
 STEP_US = 37.0
 
 
-def make_engine(name):
-    geometry = FlashGeometry(
+def make_geometry():
+    return FlashGeometry(
         page_size=4096, pages_per_block=16, num_blocks=16, blocks_per_zone=2
     )
+
+
+def make_engine(name):
     args = argparse.Namespace(
         flush_threshold=4, sgs_per_index_group=2, cached_index_ratio=0.5
     )
-    return build_engine(name, geometry, args)
+    return build_engine(name, make_geometry(), args)
 
 
 def make_runs(seed=7, num_runs=80, key_space=400):
@@ -216,3 +225,98 @@ class TestSetLatencyFreeLane:
         ftl.nand._state[ftl._l2p[engine._set_of(5)]] = PAGE_ERASED
         with pytest.raises(ReadError, match="not programmed"):
             engine.lookup_many([5], [100], 0.0, STEP_US)
+
+
+def runs_to_trace(runs):
+    """One request trace in run order (the closed loop's input shape)."""
+    op_codes = {"get": OP_GET, "set": OP_SET, "delete": OP_DELETE}
+    return Trace(
+        ops=[op_codes[op] for op, keys, _ in runs for _ in keys],
+        keys=[k for _, keys, _ in runs for k in keys],
+        sizes=[s for _, _, sizes in runs for s in sizes],
+        name="service-mix",
+    )
+
+
+def drive_service(service, n, seed=5):
+    """Call ``service`` for every request on a non-decreasing clock
+    (repeated timestamps included); returns the per-request latencies."""
+    gaps = np.random.default_rng(seed).choice([0.0, 3.0, 41.0, 250.0], size=n)
+    return [service(i, now_us) for i, now_us in enumerate(np.cumsum(gaps).tolist())]
+
+
+def assert_service_agrees(fast, reference, lane):
+    """``fast.service_fn`` vs the scalar ``CacheEngine.service_fn`` on a
+    twin engine: equal per-request latencies and final snapshots."""
+    for engine in (fast, reference):
+        if lane is not None:
+            engine.install_latency_model(make_latency_model(lane, num_channels=4))
+    trace = runs_to_trace(make_long_runs())
+    lat_fast = drive_service(fast.service_fn(trace), len(trace))
+    lat_reference = drive_service(CacheEngine.service_fn(reference, trace), len(trace))
+    assert lat_fast == lat_reference
+    if lane is not None:
+        assert max(lat_fast) > 0.0
+    assert_snapshots_identical(fast.metrics_snapshot(), reference.metrics_snapshot())
+
+
+def assert_nemo_lanes_reached(engine):
+    """Flash hits, false positives, index-pool reads and hotness
+    writeback (which a closure binding ``hotness._bits`` loses)."""
+    flash_hits = (
+        engine.device.nand.read_count
+        - engine.pbfg_pool_reads
+        - engine.false_positive_reads
+        - engine.writeback_reads
+    )
+    assert flash_hits > 0
+    assert engine.false_positive_reads > 0
+    assert engine.pbfg_lookups_from_pool > 0
+    assert engine.writeback_objects > 0
+
+
+@pytest.mark.parametrize("lane", [None, "analytic", "event"])
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_service_fn_matches_the_scalar_closure(name, lane):
+    """Every engine's closed-loop closure agrees with the scalar one, and
+    the overrides (Nemo, FW, KG) reach the lanes they inline."""
+    fast, reference = make_engine(name), make_engine(name)
+    assert_service_agrees(fast, reference, lane)
+    if name == "nemo":
+        assert_nemo_lanes_reached(fast)
+    elif name in ("fw", "kg"):
+        bpz = fast.geometry.blocks_per_zone
+        nand = fast.device.nand
+        assert any(nand.block_erases[z * bpz] for z in fast.hlog.zone_ids)
+
+
+def test_service_fn_matches_the_scalar_closure_with_real_filters():
+    def build():
+        return cluster_make_engine(
+            "nemo",
+            make_geometry(),
+            use_real_filters=True,
+            flush_threshold=4,
+            sgs_per_index_group=2,
+            cached_index_ratio=0.5,
+        )
+
+    fast = build()
+    assert_service_agrees(fast, build(), "analytic")
+    assert_nemo_lanes_reached(fast)
+
+
+def test_service_fn_unprogrammed_holder_page_raises_read_error():
+    engine = make_engine("nemo")
+    engine.install_latency_model(make_latency_model("analytic", num_channels=4))
+    drive_bulk(engine, [run for run in make_long_runs() if run[0] == "set"])
+    key = next(
+        k
+        for k in engine._flash_index
+        if engine.queue.find(engine._offset(k), k) is None
+    )
+    holder = engine._pool_map[engine._flash_index[key]]
+    engine.device.nand._state[holder.page_of(engine._offset(key))] = PAGE_ERASED
+    service = engine.service_fn(Trace(ops=[OP_GET], keys=[key], sizes=[100]))
+    with pytest.raises(ReadError, match="not programmed"):
+        service(0, 0.0)

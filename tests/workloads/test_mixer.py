@@ -1,5 +1,8 @@
 """Unit tests for trace merging (§5.1 protocol)."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,3 +96,39 @@ class TestMergedTwitter:
             # With 4 interleaved clusters, any contiguous quarter spans
             # a wide range of key ids across the stacked key spaces.
             assert keys[q].max() - keys[q].min() > mix.num_keys * 0.3
+
+
+@functools.lru_cache(maxsize=None)
+def merged(num_requests, wss_scale):
+    return merged_twitter_trace(num_requests=num_requests, wss_scale=wss_scale)
+
+
+class TestMergedTwitterBytes:
+    """Generation is pinned byte for byte: experiments, goldens and
+    fig08's prefix slicing all rest on the exact arrays."""
+
+    @pytest.mark.parametrize(
+        "num_requests, wss_scale, digest",
+        [
+            (60_000, 1 / 128, "62452f029e45"),
+            (250_000, 1 / 128, "c82ed6da7c8b"),
+            (344_064, 1 / 32, "a6931c234553"),
+        ],
+    )
+    def test_sha256_of_ops_keys_sizes(self, num_requests, wss_scale, digest):
+        trace = merged(num_requests, wss_scale)
+        h = hashlib.sha256()
+        for column in (trace.ops, trace.keys, trace.sizes):
+            h.update(column.tobytes())
+        assert h.hexdigest()[:12] == digest
+
+    @pytest.mark.parametrize(
+        "short, long, wss_scale",
+        [(60_000, 250_000, 1 / 128), (200_000, 344_064, 1 / 32)],
+    )
+    def test_shorter_trace_is_a_prefix(self, short, long, wss_scale):
+        """With ``num_requests % 4 == 0`` (four clusters, equal slices)
+        a trace is an exact prefix of any longer one."""
+        a, b = merged(short, wss_scale), merged(long, wss_scale)
+        for column in ("ops", "keys", "sizes"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)[:short])
