@@ -26,6 +26,7 @@ back tier's overflow policy.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Callable, Collection
 from typing import TYPE_CHECKING, cast
 
@@ -137,6 +138,10 @@ class HierarchicalCacheBase(CacheEngine):
             promote_batch_bytes=promote_batch_bytes,
             victim_policy=victim_policy,
         )
+        #: ``hset.passive_hist`` as it stood after the first request
+        #: that ran set-region GC (Fig. 4's "Early" phase); None until
+        #: GC runs.
+        self.early_passive_hist: Counter[int] | None = None
 
     # ------------------------------------------------------------------
     # CacheEngine API
@@ -434,12 +439,20 @@ class HierarchicalCacheBase(CacheEngine):
     # Internals
     # ------------------------------------------------------------------
     def _passive_migration_round(self, *, now_us: float = 0.0) -> None:
-        """Reclaim the oldest log zone and flush its buckets (Case 2)."""
+        """Reclaim the oldest log zone and flush its buckets (Case 2).
+
+        Every set write, so every set-region GC, starts here, and the
+        rest of the request (the HLog retry) never touches
+        ``passive_hist``: the end of the first round that ran GC is the
+        end of the first request that did.
+        """
         buckets = self.hlog.reclaim_oldest_zone(now_us=now_us)
         for b in buckets:
             objs = self.hlog.drain_bucket(b)
             if objs:
                 self.hset.install_bucket(b, objs, case=CASE_PASSIVE, now_us=now_us)
+        if self.early_passive_hist is None and self.hset.gc_runs:
+            self.early_passive_hist = Counter(self.hset.passive_hist)
 
     def _on_evict(self, key: int, size: int) -> None:
         self.hot_keys.discard(key)

@@ -12,33 +12,26 @@ set write plus measured-vs-modelled L2SWA(P):
 - **Log5-OP50** — halving usable sets does the same, at the cost of
   half the flash (Observation 2).
 
+All three are shared system runs (``experiments/systems.py``): the
+*Early* histogram is the record's ``early_passive_hist``.
+
 Paper reference points (Log5-OP5): 71 % of set writes carry ≤3 new
 objects, 91 % carry ≤4; measured L2SWA(P) 8.5 vs theory ≈9 (Eq. 6).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.experiments.common import scale_params, twitter_trace
+from repro.experiments.systems import SystemRecord, system, system_cell
 from repro.harness.parallel import Cell, run_cells
-from repro.harness.report import cdf_from_counter, format_table
-from repro.workloads.trace import OP_GET, OP_SET
+from repro.harness.report import cdf_from_counter, format_table, mean_from_counter
 
-
-@dataclass
-class Fig04Config:
-    label: str
-    log_fraction: float
-    op_ratio: float
-
-
+#: (label, log_fraction, op_ratio) of the three configurations.
 CONFIGS = [
-    Fig04Config("Log5-OP5", 0.05, 0.05),
-    Fig04Config("Log20-OP5", 0.20, 0.05),
-    Fig04Config("Log5-OP50", 0.05, 0.50),
+    ("Log5-OP5", 0.05, 0.05),
+    ("Log20-OP5", 0.20, 0.05),
+    ("Log5-OP50", 0.05, 0.50),
 ]
 
 
@@ -74,80 +67,32 @@ class Fig04Result:
         return "Figure 4: passive object migration\n" + table
 
 
-def _replay_with_early_snapshot(engine, trace) -> Counter:
-    """Replay; return a copy of passive_hist at the first GC (Early)."""
-    early: Counter | None = None
-    ops, keys, sizes = trace.ops, trace.keys, trace.sizes
-    for i in range(len(trace)):
-        key = int(keys[i])
-        size = int(sizes[i])
-        if ops[i] == OP_GET:
-            if not engine.lookup(key, size).hit:
-                engine.insert(key, size)
-        elif ops[i] == OP_SET:
-            engine.insert(key, size)
-        if early is None and engine.hset.gc_runs > 0:
-            early = Counter(engine.hset.passive_hist)
-    return early if early is not None else Counter(engine.hset.passive_hist)
-
-
-def _config_cell(
-    scale: str, label: str, log_fraction: float, op_ratio: float
-) -> dict:
-    """Replay one FW configuration; return histograms + model numbers."""
-    geometry, num_requests = scale_params(scale)
-    trace = twitter_trace(num_requests)
-    engine = FairyWrenCache(
-        geometry, log_fraction=log_fraction, op_ratio=op_ratio
-    )
-    early_hist = _replay_with_early_snapshot(engine, trace)
-    model = engine.model(trace.mean_request_size)
-    return {
-        "label": label,
-        "early_hist": early_hist,
-        "steady_hist": Counter(engine.hset.passive_hist),
-        "l2swa_p_measured": engine.hset.l2swa("passive"),
-        "l2swa_p_model": model.l2swa_passive,
-    }
-
-
 def cells(scale: str) -> list[Cell]:
     return [
-        Cell(
-            f"fig04/{cfg.label}",
-            _config_cell,
-            (scale, cfg.label, cfg.log_fraction, cfg.op_ratio),
-        )
-        for cfg in CONFIGS
+        system_cell(system("fw", scale, log_fraction=log_fraction, op_ratio=op_ratio))
+        for _, log_fraction, op_ratio in CONFIGS
     ]
 
 
-def assemble(payloads: list[dict]) -> Fig04Result:
+def assemble(records: list[SystemRecord]) -> Fig04Result:
     result = Fig04Result()
-    for p in payloads:
-        phases = [("early", p["early_hist"]), ("steady", p["steady_hist"])]
-        if p["label"] != "Log5-OP5":
+    for (label, _, _), rec in zip(CONFIGS, records):
+        x = rec.extras
+        phases = [("early", x["early_passive_hist"]), ("steady", x["passive_hist"])]
+        if label != "Log5-OP5":
             phases = phases[1:]  # the paper splits phases only for the default
         for phase, hist in phases:
             cdf = cdf_from_counter(hist)
-            total = sum(hist.values())
-            mean = (
-                sum(k * v for k, v in hist.items()) / total if total else float("nan")
-            )
-            result.cdfs[f"{p['label']}/{phase}"] = cdf
+            result.cdfs[f"{label}/{phase}"] = cdf
             result.rows.append(
                 {
-                    "config": p["label"],
+                    "config": label,
                     "phase": phase,
-                    "p_le3": max(
-                        (pp for v, pp in cdf if v <= 3), default=0.0
-                    ),
-                    "p_le4": max(
-                        (pp for v, pp in cdf if v <= 4), default=0.0
-                    ),
-                    "mean_objs": mean,
-                    "l2swa_p_measured": p["l2swa_p_measured"],
-                    "l2swa_p_model": p["l2swa_p_model"],
+                    "p_le3": max((pp for v, pp in cdf if v <= 3), default=0.0),
+                    "p_le4": max((pp for v, pp in cdf if v <= 4), default=0.0),
+                    "mean_objs": mean_from_counter(hist),
+                    "l2swa_p_measured": x["l2swa_p"],
+                    "l2swa_p_model": x["model_l2swa_p"],
                 }
             )
     return result

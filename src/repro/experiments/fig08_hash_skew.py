@@ -56,16 +56,18 @@ class Fig08Result:
         return "Figure 8: fill of remaining sets when the first set fills\n" + table
 
 
-def _twitter_stream(n: int, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+def _twitter_stream(
+    n: int, trace: Trace, first_seen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     # Deduplicate request keys: an SG stores one copy per key, so the
     # population stream is first-occurrence keys only.  Zipf reuse means
     # ~8 requests per fresh key, hence the oversized trace: a prefix of
     # the run's longest one (a merged trace of 4k requests is a prefix
-    # of every longer one).
-    keys = trace.keys[: max(8 * n, 200_000)]
-    _, first_idx = np.unique(keys, return_index=True)
-    order = np.sort(first_idx)[:n]
-    return keys[order], trace.sizes[order]
+    # of every longer one), whose first occurrences are the longest
+    # prefix's ``first_seen`` positions below its length.
+    prefix = max(8 * n, 200_000)
+    order = first_seen[: np.searchsorted(first_seen, prefix)][:n]
+    return trace.keys[order], trace.sizes[order]
 
 
 def _synthetic_stream(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -80,13 +82,14 @@ def run(scale: str = "small") -> Fig08Result:
     set_counts = SET_COUNTS if scale == "full" else SET_COUNTS[:2]
     longest = max(set_counts) * (max(SET_SIZES) // 200 + 2)
     trace = twitter_trace(max(8 * longest, 200_000), wss_scale=1.0 / 32)
+    first_seen = np.sort(np.unique(trace.keys, return_index=True)[1])
     for workload in ("twitter", "synthetic"):
         for num_sets in set_counts:
             for set_size in SET_SIZES:
                 # Enough objects to certainly fill some set.
                 budget = num_sets * (set_size // 200 + 2)
                 keys, sizes = (
-                    _twitter_stream(budget, trace)
+                    _twitter_stream(budget, trace, first_seen)
                     if workload == "twitter"
                     else _synthetic_stream(budget)
                 )

@@ -2,7 +2,7 @@
 
 The paper measures the same Table 4 configurations figure after figure,
 and so do the experiments here: default Nemo feeds eight of them, FW
-Log5-OP5 six.  A :class:`SystemSpec` names one such run — engine kind,
+Log5-OP5 seven.  A :class:`SystemSpec` names one such run — engine kind,
 constructor parameters, scale and trace length — and
 :func:`run_system` replays it once and returns a compact
 :class:`SystemRecord` holding everything any experiment reads from it.
@@ -112,8 +112,10 @@ class SystemRecord:
     union sample positions and ``samples`` each sampled metric's values
     there.  ``extras`` carries engine-specific results: for Nemo
     ``mem_breakdown``, ``flushes`` and ``pbfg_pool_ratio``; for FW/KG
-    ``passive_hist``, ``active_hist``, ``l2swa_p``, ``l2swa_a``,
-    ``model_p_mean`` and ``model_a_mean``.
+    ``passive_hist``, ``early_passive_hist`` (``passive_hist`` after
+    the first request that ran set-region GC; the steady one if none
+    did), ``active_hist``, ``l2swa_p``, ``l2swa_a``, ``model_p_mean``,
+    ``model_a_mean`` and ``model_l2swa_p``.
     """
 
     spec: SystemSpec
@@ -155,13 +157,17 @@ def _extras(engine: CacheEngine, mean_request_size: float) -> dict[str, Any]:
         }
     if isinstance(engine, HierarchicalCacheBase):
         model = engine.model(mean_request_size)
+        steady = engine.hset.passive_hist
+        early = engine.early_passive_hist
         return {
-            "passive_hist": Counter(engine.hset.passive_hist),
+            "passive_hist": Counter(steady),
+            "early_passive_hist": Counter(steady if early is None else early),
             "active_hist": Counter(engine.hset.active_hist),
             "l2swa_p": engine.l2swa("passive"),
             "l2swa_a": engine.l2swa("active"),
             "model_p_mean": model.measured_passive_mean_objects,
             "model_a_mean": model.measured_active_mean_objects,
+            "model_l2swa_p": model.l2swa_passive,
         }
     return {}
 

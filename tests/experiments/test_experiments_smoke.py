@@ -45,6 +45,14 @@ class TestHeadlineShapes:
             assert r["l2swa_p_measured"] > 1.0
             assert r["l2swa_p_model"] > 1.0
 
+    def test_fig04_table_pinned(self, results):
+        """fig04 reads its early histogram from the shared FW records;
+        the table is the one the per-request scalar replay printed."""
+        text = results["fig04"].format()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "af8bd196b24c6292cf942abeac36d1914410e8f7b53c0175c9bd54b1363e9335"
+        )
+
     def test_fig05_reports_both_paths(self, results):
         for r in results["fig05"].rows:
             assert r["mean_passive"] > 0
@@ -173,15 +181,15 @@ class TestSharedSystemRuns:
             if cell.fn is counting
         )
         pooled = run_experiments(list(EXPERIMENTS), scale="micro", jobs=1)
-        assert sum(listed.values()) == 39
+        assert sum(listed.values()) == 42
         assert sum(calls.values()) == 23
         assert calls == Counter(set(listed))
         fw = {"log_fraction": 0.05, "op_ratio": 0.05}
         shared = {
             systems.nemo_system("micro"): 8,
-            systems.system("fw", "micro", **fw): 6,
-            systems.system("fw", "micro", log_fraction=0.05, op_ratio=0.50): 3,
-            systems.system("fw", "micro", log_fraction=0.20, op_ratio=0.05): 2,
+            systems.system("fw", "micro", **fw): 7,
+            systems.system("fw", "micro", log_fraction=0.05, op_ratio=0.50): 4,
+            systems.system("fw", "micro", log_fraction=0.20, op_ratio=0.05): 3,
             systems.system("kg", "micro", **fw): 2,
         }
         assert {spec: listed[spec] for spec in shared} == shared

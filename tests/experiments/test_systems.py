@@ -1,9 +1,11 @@
-"""System runs: spec identity, the union sample layout, and fig13's
-window rebuild all reproduce what a dedicated replay records."""
+"""System runs: spec identity, the union sample layout, fig13's window
+rebuild and fig04's first-GC snapshot all reproduce what a dedicated
+replay records."""
 
 import json
 import math
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.experiments.systems import (
     system,
 )
 from repro.harness.runner import replay
+from repro.workloads.trace import OP_GET, OP_SET
 
 #: Short enough to replay in well under a second at micro geometry.
 N = 20_000
@@ -128,3 +131,57 @@ class TestRecord:
             sample_every=max(1, N // 512),
         )
         assert f13.write_rates(fw_record, window_s) == r.write_rate.rates
+
+
+def _scalar_early_snapshot(engine, trace) -> Counter:
+    """Oracle: replay request by request; return a copy of passive_hist
+    after the first request that ran set-region GC (steady if none did)."""
+    early: Counter | None = None
+    ops, keys, sizes = trace.ops, trace.keys, trace.sizes
+    for i in range(len(trace)):
+        key = int(keys[i])
+        size = int(sizes[i])
+        if ops[i] == OP_GET:
+            if not engine.lookup(key, size).hit:
+                engine.insert(key, size)
+        elif ops[i] == OP_SET:
+            engine.insert(key, size)
+        if early is None and engine.hset.gc_runs > 0:
+            early = Counter(engine.hset.passive_hist)
+    return early if early is not None else Counter(engine.hset.passive_hist)
+
+
+class TestEarlyPassiveSnapshot:
+    """The record's end-of-round snapshot equals the per-request one."""
+
+    @staticmethod
+    def _check(spec):
+        geometry, _ = scale_params(spec.scale)
+        trace = twitter_trace(spec.num_requests)
+        engine = spec.build(geometry)
+        early = _scalar_early_snapshot(engine, trace)
+        x = run_system(spec).extras
+        assert x["early_passive_hist"] == early
+        assert x["passive_hist"] == engine.hset.passive_hist
+        # L2SWA(P) is NaN until a set is rewritten.
+        assert json.dumps(x["l2swa_p"]) == json.dumps(engine.l2swa("passive"))
+        assert x["model_l2swa_p"] == engine.model(trace.mean_request_size).l2swa_passive
+        return engine
+
+    @pytest.mark.parametrize(
+        "kind,log_fraction,op_ratio",
+        [
+            ("fw", 0.05, 0.05),
+            ("fw", 0.20, 0.05),
+            ("fw", 0.05, 0.50),
+            ("kg", 0.05, 0.05),
+        ],
+    )
+    def test_matches_the_scalar_loop(self, kind, log_fraction, op_ratio):
+        spec = system(kind, "micro", log_fraction=log_fraction, op_ratio=op_ratio)
+        assert self._check(spec).hset.gc_runs > 0
+
+    def test_no_gc_falls_back_to_steady(self, fw_spec):
+        engine = self._check(fw_spec)
+        assert engine.hset.gc_runs == 0 and engine.early_passive_hist is None
+        assert sum(engine.hset.passive_hist.values()) > 0
