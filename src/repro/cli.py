@@ -401,10 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         return profile_main(argv[1:])
     if argv and argv[0] == "cluster":
         return cluster_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
     args = make_parser().parse_args(argv)
     geometry = FlashGeometry(
         page_size=4096,

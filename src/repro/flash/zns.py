@@ -191,23 +191,14 @@ class ZNSDevice:
     def read_pages(self, pages: list[int]) -> None:
         """Latency-free batched read for hot paths that discard payloads.
 
-        Equivalent to ``read_many(pages)`` with no latency model when the
-        caller ignores the payloads (e.g. Nemo's PBFG consults and
-        candidate-set probes, which resolve membership through in-memory
-        maps): the per-page NAND reads and host-read accounting are
-        batched — identical counter totals, no payload list.
+        Counts the same NAND reads and host-read accounting as one
+        :meth:`read` per page, batched and without a payload list: for
+        callers that resolve membership through in-memory maps (e.g.
+        Nemo's PBFG consults and candidate-set probes).  A caller that
+        needs timing asks the latency model itself.
         """
         self.nand.read_pages(pages)
         self.stats.record_page_reads(len(pages), self.geometry.page_size)
-
-    def read_many(self, pages: list[int], *, now_us: float = 0.0) -> tuple[list[Any], float]:
-        """Parallel page reads; latency is that of the slowest read."""
-        payloads: list[Any] = []
-        for page in pages:
-            payloads.append(self.nand.read(page))
-            self.stats.record_host_read(self.geometry.page_size)
-        lat = self.latency.read_many(pages, now_us) if self.latency else 0.0
-        return payloads, lat
 
     def reset_zone(self, zone_id: int, *, now_us: float = 0.0) -> float:
         """Reset (erase) a zone; invalidates all of its pages."""

@@ -128,10 +128,11 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
     try:
         for cell in cells:
             pickle.dumps((cell.fn, cell.args, cell.kwargs))
-    # Audited worker-boundary degrade: pickling probes raise anything
+    # Audited worker-boundary degrade (listed in
+    # tests/lint/test_broad_except.py): pickling probes raise anything
     # (PicklingError, TypeError, RecursionError, ...) and the contract
     # here is "cannot ship to workers => run serially, same answer".
-    except Exception as exc:  # reprolint: disable=R006
+    except Exception as exc:
         return _serial_fallback(cells, exc)
 
     try:
@@ -155,8 +156,9 @@ def run_cells(cells: list[Cell], jobs: int | None = None) -> list[Any]:
             return results
     except CellFailure:
         raise
-    # Audited worker-boundary degrade: the pool itself died (worker
+    # Audited worker-boundary degrade (listed in
+    # tests/lint/test_broad_except.py): the pool itself died (worker
     # OOM-killed, spawn unavailable, unpicklable payload...).  Cells are
     # pure, so the serial re-run is slower but byte-identical.
-    except Exception as exc:  # reprolint: disable=R006
+    except Exception as exc:
         return _serial_fallback(cells, exc)

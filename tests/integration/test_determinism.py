@@ -5,14 +5,45 @@ random choice (workload generation, Nemo's statistical false positives,
 the probabilistic flush policy) flows from explicit seeds, so two
 replays with the same configuration must agree bit-for-bit on every
 counter.
+
+:class:`TestHashSeedDifferential` checks the whole program at once: two
+fresh interpreters with different ``PYTHONHASHSEED`` values must print
+the same figures.  A wall-clock read, an unseeded random draw or a
+``set`` / ``str``-hash order that reaches a printed or simulated value
+makes the two runs differ.  Run this file as a script to print the
+fingerprint it compares.
 """
 
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.baselines.fairywren import FairyWrenCache
+from repro.cluster.factory import ENGINE_NAMES, make_engine
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
+from repro.experiments.registry import EXPERIMENTS, run_experiments
 from repro.flash.geometry import FlashGeometry
-from repro.harness.runner import replay
+from repro.harness.runner import LATENCY_PERCENTILES, replay
 from repro.workloads.mixer import merged_twitter_trace
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The lanes no micro experiment selects: one batched replay per
+#: engine, Log and Nemo on the columnar lane, Nemo on the event lane.
+DIFFERENTIAL_REPLAYS = (
+    *((name, "batched", None) for name in ENGINE_NAMES),
+    ("log", "columnar", None),
+    ("nemo", "columnar", None),
+    ("nemo", "batched", "event"),
+)
+
+#: The cluster table's capacity column is host time (``0.14M`` req/s).
+_CAPACITY_COLUMN = re.compile(r" +[0-9.]+M$", re.MULTILINE)
 
 
 def geometry():
@@ -83,3 +114,56 @@ class TestWearSpread:
         ]
         if max(erases) >= 3:
             assert max(erases) - min(erases) <= max(erases) / 2 + 1
+
+
+def fingerprint() -> dict[str, str]:
+    """sha256 of each micro experiment's table, plus every simulated
+    value of each :data:`DIFFERENTIAL_REPLAYS` replay."""
+    out = {}
+    results = run_experiments(list(EXPERIMENTS), scale="micro", jobs=1)
+    for exp_id, result in zip(EXPERIMENTS, results):
+        text = result.format()
+        if exp_id == "cluster":
+            text = _CAPACITY_COLUMN.sub("", text)
+        out[exp_id] = hashlib.sha256(text.encode()).hexdigest()
+    geo = FlashGeometry(page_size=4096, pages_per_block=64, num_blocks=32, blocks_per_zone=4)
+    trace = merged_twitter_trace(num_requests=100_000, wss_scale=1 / 128, seed=0)
+    for name, kernel, lane in DIFFERENTIAL_REPLAYS:
+        result = replay(
+            make_engine(name, geo),
+            trace,
+            kernel=kernel,
+            latency_lane=lane,
+            record_latency=lane is not None,
+        )
+        values = {**result.final, "sim_seconds": result.sim_seconds}
+        if lane is not None:
+            values.update(result.latency.percentiles(LATENCY_PERCENTILES))
+        for key, value in values.items():
+            out[f"{name}/{kernel}/{lane}/{key}"] = repr(value)
+    return out
+
+
+class TestHashSeedDifferential:
+    def test_hash_seed_changes_no_output(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, __file__],
+                env={**env, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("1", "12345")
+        ]
+        outputs = [child.communicate(timeout=600)[0] for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        a, b = (json.loads(output) for output in outputs)
+        assert set(EXPERIMENTS) <= a.keys()
+        assert len(a) > len(EXPERIMENTS) + len(DIFFERENTIAL_REPLAYS)
+        assert a == b
+
+
+if __name__ == "__main__":
+    json.dump(fingerprint(), sys.stdout, indent=0, sort_keys=True)
