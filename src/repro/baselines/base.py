@@ -22,12 +22,16 @@ Semantics shared by all engines:
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
+
+import numpy as np
 
 from repro.errors import EngineStateError
 from repro.flash.latency import LatencyModel
 from repro.flash.stats import FlashStats
+from repro.hashing import splitmix64_array
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
 
 if TYPE_CHECKING:
@@ -128,6 +132,18 @@ class CacheEngine(abc.ABC):
         produce byte-identical metrics with or without it."""
         return None
 
+    def _placement_column(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``hash64(key, seed) % modulus`` of :meth:`columnar_spec` over
+        a key batch: one ``splitmix64_array`` sweep, element-wise equal
+        to the engine's scalar placement hash."""
+        spec = self.columnar_spec()
+        if spec is None:
+            raise EngineStateError(f"{type(self).__name__} has no placement hash")
+        seed, modulus = spec
+        hashed = splitmix64_array(np.asarray(keys, dtype=np.uint64), seed)
+        column: np.ndarray = hashed % np.uint64(modulus)
+        return column
+
     # ------------------------------------------------------------------
     # Latency lanes (DESIGN.md §9)
     # ------------------------------------------------------------------
@@ -176,18 +192,13 @@ class CacheEngine(abc.ABC):
         request's service latency in order."""
         lookup = self.lookup
         insert = self.insert
-        if record is None:
-            for key, size in zip(keys, sizes):
-                if not lookup(key, size, now_us).hit:
-                    insert(key, size, now_us)
-                now_us += step_us
-        else:
-            for key, size in zip(keys, sizes):
-                result = lookup(key, size, now_us)
+        for key, size in zip(keys, sizes):
+            result = lookup(key, size, now_us)
+            if record is not None:
                 record(result.latency_us)
-                if not result.hit:
-                    insert(key, size, now_us)
-                now_us += step_us
+            if not result.hit:
+                insert(key, size, now_us)
+            now_us += step_us
         return now_us
 
     def insert_many(
@@ -211,30 +222,65 @@ class CacheEngine(abc.ABC):
         return now_us
 
     # ------------------------------------------------------------------
-    # Closed-loop service (DESIGN.md §9)
+    # One request at a hashed placement (DESIGN.md §9)
     # ------------------------------------------------------------------
+    # ``placement`` is the request's ``columnar_spec()`` hash, or the key
+    # itself on an engine without one.  ``_get`` is one GET with
+    # read-through admission and returns its service latency; every
+    # timed or latency-recording GET run and the closed loop go through
+    # it.  The defaults are the scalar ops; engines with a placement
+    # hash override them so the key is hashed once.
+
+    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
+        result = self.lookup(key, size, now_us)
+        if not result.hit:
+            self._insert_at(key, size, placement, now_us)
+        return result.latency_us
+
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
+        self.insert(key, size, now_us)
+
+    def _get_many(
+        self,
+        keys: list[int],
+        sizes: list[int],
+        placements: Sequence[int],
+        now_us: float,
+        step_us: float,
+        record: Callable[[float], None] | None,
+    ) -> float:
+        """A GET run as one :meth:`_get` per request: the lane every
+        engine's inline ``lookup_many`` loop leaves to it."""
+        get = self._get
+        for key, size, placement in zip(keys, sizes, placements):
+            latency = get(key, size, placement, now_us)
+            if record is not None:
+                record(latency)
+            now_us += step_us
+        return now_us
+
     def service_fn(self, trace: Trace) -> ServiceFn:
         """``(index, now_us) -> latency_us``: run request ``index`` of
-        ``trace`` as the scalar loop does — GET = ``lookup`` + read-through
-        ``insert`` on a miss, SET = ``insert``, DELETE = ``delete`` (both
-        host-acked, 0).  An override must give the same latencies,
-        counters and RNG draws, and may bind only state never rebound."""
+        ``trace`` — GET = :meth:`_get`, SET = :meth:`_insert_at`, DELETE =
+        ``delete`` (both host-acked, 0) — on a placement column hashed
+        once per trace and kept as a 4-byte ``array``."""
         ops = trace.ops.tolist()
         keys = trace.keys.tolist()
         sizes = trace.sizes.tolist()
-        lookup = self.lookup
-        insert = self.insert
+        placements: Sequence[int] = keys
+        if self.columnar_spec() is not None:
+            column = self._placement_column(trace.keys).astype(np.int32)
+            placements = array("i", column.tobytes())
+        get = self._get
+        insert_at = self._insert_at
         delete = self.delete
 
         def service(index: int, now_us: float) -> float:
             op = ops[index]
             if op == OP_GET:
-                result = lookup(keys[index], sizes[index], now_us)
-                if not result.hit:
-                    insert(keys[index], sizes[index], now_us)
-                return result.latency_us
+                return get(keys[index], sizes[index], placements[index], now_us)
             if op == OP_SET:
-                insert(keys[index], sizes[index], now_us)
+                insert_at(keys[index], sizes[index], placements[index], now_us)
             elif op == OP_DELETE:
                 delete(keys[index])
             return 0.0

@@ -25,12 +25,8 @@ back tier's overflow policy.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Callable, Collection
-from typing import TYPE_CHECKING, cast
-
-import numpy as np
 
 from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.baselines.hlog import HierarchicalLog
@@ -40,12 +36,6 @@ from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
-from repro.hashing import splitmix64_array
-from repro.workloads.trace import OP_DELETE, OP_GET
-
-if TYPE_CHECKING:
-    from repro.flash.devsim.frontend import ServiceFn
-    from repro.workloads.trace import Trace
 
 #: Table 6 metadata widths (bits per object).
 LOG_BITS_PER_OBJECT = 48.0
@@ -117,8 +107,8 @@ class HierarchicalCacheBase(CacheEngine):
             raise ConfigError("op_ratio leaves no usable sets")
 
         self.hot_keys: set[int] = set()
-        #: Seed of the key→bucket hash, for the bulk paths' vectorised
-        #: column and ``columnar_spec`` (must match ``hlog.bucket_of``).
+        #: Seed of the key→bucket hash, for ``columnar_spec`` (must
+        #: match ``hlog.bucket_of``).
         self._hash_seed = hash_seed
         self.hlog = HierarchicalLog(
             self.device,
@@ -147,12 +137,16 @@ class HierarchicalCacheBase(CacheEngine):
     # CacheEngine API
     # ------------------------------------------------------------------
     def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+        self._insert_at(key, size, self.hlog.bucket_of(key), now_us)
+
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
+        """Admit ``key`` into its already hashed HLog bucket."""
         self.record_admission(size)
-        if not self.hlog.insert(key, size, now_us=now_us):
-            self._reclaim_and_insert(key, size, now_us)
+        if not self.hlog.insert(key, size, now_us=now_us, bucket=placement):
+            self._reclaim_and_insert(key, size, now_us, placement)
 
     def _reclaim_and_insert(
-        self, key: int, size: int, now_us: float, bucket: int | None = None
+        self, key: int, size: int, now_us: float, bucket: int
     ) -> None:
         """The log is full: one passive-migration round, then the retry."""
         self._passive_migration_round(now_us=now_us)
@@ -224,18 +218,12 @@ class HierarchicalCacheBase(CacheEngine):
     # hashes twice per request, ``hlog.find`` internally and
     # ``bucket_of`` for the HSet probe), the HLog bucket dict and
     # HSet mirrors are probed directly, and on a latency-free device
-    # the per-read NAND validation stays inline while the read
-    # *counters* accumulate in locals and flush once per run.  Nothing
-    # reads the engine counters or device stats mid-run (sampling only
-    # happens at chunk boundaries), so the deferred accounting is
-    # observationally identical to the scalar loop.
-
-    def _bucket_column(self, keys: list[int]) -> list[int]:
-        """Vectorised ``hlog.bucket_of`` over a key batch (exact)."""
-        hashed = splitmix64_array(
-            np.asarray(keys, dtype=np.uint64), self._hash_seed
-        )
-        return cast("list[int]", (hashed % np.uint64(self.hlog.num_buckets)).tolist())
+    # with no latency recorded the per-read NAND validation stays
+    # inline while the read *counters* accumulate in locals and flush
+    # once per run; every other GET run goes through :meth:`_get`.
+    # Nothing reads the engine counters or device stats mid-run
+    # (sampling only happens at chunk boundaries), so the deferred
+    # accounting is observationally identical to the scalar loop.
 
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_buckets``."""
@@ -251,6 +239,11 @@ class HierarchicalCacheBase(CacheEngine):
         *,
         offsets: list[int] | None = None,
     ) -> float:
+        if offsets is None:
+            offsets = self._placement_column(keys).tolist()
+        device = self.device
+        if record is not None or device.latency is not None:
+            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
         nb = self.hlog.num_buckets
         hot_cold = self.hset.hot_cold
         buckets = self.hlog.buckets
@@ -259,8 +252,6 @@ class HierarchicalCacheBase(CacheEngine):
         pending = hset.pending_promotions
         location = hset.location
         hot_add = self.hot_keys.add
-        device = self.device
-        fast_dev = device.latency is None
         state = device.nand._state
         counters = self.counters
         stats = self.stats
@@ -269,8 +260,6 @@ class HierarchicalCacheBase(CacheEngine):
         flash_reads = 0
         inserts = 0
         insert_bytes = 0
-        if offsets is None:
-            offsets = self._bucket_column(keys)
         for key, size, b in zip(keys, sizes, offsets):
             entry = buckets[b].get(key)
             if entry is not None:
@@ -278,19 +267,10 @@ class HierarchicalCacheBase(CacheEngine):
                 hot_add(key)
                 read_bytes += entry.size
                 page = entry.page
-                if page < 0:  # still in the write buffer (DRAM)
-                    if record is not None:
-                        record(0.0)
-                elif fast_dev:
+                if page >= 0:  # else still in the write buffer (DRAM)
                     if state[page] != PAGE_PROGRAMMED:
                         raise ReadError(f"page {page} is not programmed")
                     flash_reads += 1
-                    if record is not None:
-                        record(0.0)
-                else:
-                    _, lat = device.read(page, now_us=now_us)
-                    if record is not None:
-                        record(lat)
                 now_us += step_us
                 continue
             # HSet probe (hset.find inlined).
@@ -310,26 +290,15 @@ class HierarchicalCacheBase(CacheEngine):
                 hits += 1
                 hot_add(key)
                 read_bytes += obj_size
-                if set_id < 0:  # promotion staging buffer (DRAM)
-                    if record is not None:
-                        record(0.0)
-                elif fast_dev:
+                if set_id >= 0:  # else the promotion staging buffer (DRAM)
                     page = location[set_id]
                     if state[page] != PAGE_PROGRAMMED:
                         raise ReadError(f"page {page} is not programmed")
                     flash_reads += 1
-                    if record is not None:
-                        record(0.0)
-                else:
-                    _, lat = device.read(location[set_id], now_us=now_us)
-                    if record is not None:
-                        record(lat)
                 now_us += step_us
                 continue
             # Miss: read-through admission (``insert`` inlined, bucket
             # reused so the HLog doesn't re-hash the key).
-            if record is not None:
-                record(0.0)
             inserts += 1
             insert_bytes += size
             if not self.hlog.insert(key, size, now_us=now_us, bucket=b):
@@ -346,6 +315,32 @@ class HierarchicalCacheBase(CacheEngine):
             stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 
+    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
+        """One GET at bucket ``placement`` on any lane: the HLog probe,
+        the HSet probe and read-through admission all reuse the bucket;
+        a flash hit reads its page through ``device.read`` (NAND checks
+        and latency model kept); counters are bumped per call."""
+        counters = self.counters
+        counters.lookups += 1
+        entry = self.hlog.buckets[placement].get(key)
+        if entry is not None:
+            counters.hits += 1
+            self.hot_keys.add(key)
+            self.stats.logical_read_bytes += entry.size
+            page = entry.page  # -1: still in the write buffer (DRAM)
+            return 0.0 if page < 0 else self.device.read(page, now_us=now_us)[1]
+        found = self.hset.find(key, placement)
+        if found is None:
+            self._insert_at(key, size, placement, now_us)
+            return 0.0
+        set_id, obj_size = found
+        counters.hits += 1
+        self.hot_keys.add(key)
+        self.stats.logical_read_bytes += obj_size
+        if set_id < 0:  # the promotion staging buffer (DRAM)
+            return 0.0
+        return self.device.read(self.hset.location[set_id], now_us=now_us)[1]
+
     def insert_many(
         self,
         keys: list[int],
@@ -360,7 +355,7 @@ class HierarchicalCacheBase(CacheEngine):
         inserts = 0
         insert_bytes = 0
         if offsets is None:
-            offsets = self._bucket_column(keys)
+            offsets = self._placement_column(keys).tolist()
         for key, size, b in zip(keys, sizes, offsets):
             inserts += 1
             insert_bytes += size
@@ -371,57 +366,6 @@ class HierarchicalCacheBase(CacheEngine):
         counters.insert_bytes += insert_bytes
         self.stats.logical_write_bytes += insert_bytes
         return now_us
-
-    def service_fn(self, trace: Trace) -> ServiceFn:
-        """:meth:`lookup_many`'s GET body for one closed-loop request, on
-        a bucket column hashed once (reused by both tier probes and every
-        admission) and on any latency lane; counters bumped per request."""
-        ops = trace.ops.tolist()
-        keys = trace.keys.tolist()
-        sizes = trace.sizes.tolist()
-        column = trace.set_id_slice(*self.columnar_spec(), 0, len(trace))
-        bucket_col = array("i", column.astype(np.int32).tobytes())  # hashed once, 4 B each
-        buckets = self.hlog.buckets
-        hlog_insert = self.hlog.insert
-        hset_find = self.hset.find
-        location = self.hset.location
-        hot_add = self.hot_keys.add
-        read = self.device.read  # latency-free: read_page's accounting, 0.0
-        counters = self.counters
-        stats = self.stats
-
-        def service(index: int, now_us: float) -> float:
-            op = ops[index]
-            if op == OP_DELETE:
-                self.delete(keys[index])
-                return 0.0
-            key = keys[index]
-            b = bucket_col[index]
-            if op == OP_GET:
-                counters.lookups += 1
-                entry = buckets[b].get(key)
-                if entry is not None:
-                    counters.hits += 1
-                    hot_add(key)
-                    stats.logical_read_bytes += entry.size
-                    page = entry.page  # -1: still in the write buffer (DRAM)
-                    return 0.0 if page < 0 else read(page, now_us=now_us)[1]
-                found = hset_find(key, b)
-                if found is not None:
-                    set_id, obj_size = found
-                    counters.hits += 1
-                    hot_add(key)
-                    stats.logical_read_bytes += obj_size
-                    # set_id -1: the promotion staging buffer (DRAM).
-                    return 0.0 if set_id < 0 else read(location[set_id], now_us=now_us)[1]
-            # SET or GET miss: read-through admission.
-            size = sizes[index]
-            self.record_admission(size)
-            if not hlog_insert(key, size, now_us=now_us, bucket=b):
-                self._reclaim_and_insert(key, size, now_us, b)
-            return 0.0
-
-        return service
 
     def object_count(self) -> int:
         return self.hlog.object_count() + self.hset.object_count()

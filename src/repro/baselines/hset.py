@@ -221,12 +221,13 @@ class HierarchicalSet:
             size = self.pending_promotions[bucket].get(key)
             if size is not None:
                 return (-1, size)
-        cold = self.cold_set_of(bucket)
-        size = self.sets[cold].objects.get(key)
+        # cold_set_of / hot_set_of inlined: find runs on every GET
+        # that misses the HLog.
+        size = self.sets[bucket].objects.get(key)
         if size is not None:
-            return (cold, size)
+            return (bucket, size)
         if self.hot_cold:
-            hot = self.hot_set_of(bucket)
+            hot = self.num_buckets + bucket
             size = self.sets[hot].objects.get(key)
             if size is not None:
                 return (hot, size)

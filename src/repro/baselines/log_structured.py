@@ -142,10 +142,12 @@ class LogStructuredCache(CacheEngine):
         step_us: float,
         record: Callable[[float], None] | None = None,
     ) -> float:
+        device = self.device
+        if record is not None or device.latency is not None:
+            # No placement hash: the key stands in (``_get`` ignores it).
+            return self._get_many(keys, sizes, keys, now_us, step_us, record)
         index_get = self._index.get
         insert = self.insert
-        device = self.device
-        fast_dev = device.latency is None
         state = device.nand._state
         hits = 0
         read_bytes = 0
@@ -153,27 +155,16 @@ class LogStructuredCache(CacheEngine):
         for key, size in zip(keys, sizes):
             entry = index_get(key)
             if entry is None:
-                if record is not None:
-                    record(0.0)
                 insert(key, size, now_us)
                 now_us += step_us
                 continue
             page, obj_size = entry
             hits += 1
             read_bytes += obj_size
-            if page < 0:  # still in the write buffer
-                if record is not None:
-                    record(0.0)
-            elif fast_dev:
+            if page >= 0:  # else still in the write buffer
                 if state[page] != PAGE_PROGRAMMED:
                     raise ReadError(f"page {page} is not programmed")
                 flash_reads += 1
-                if record is not None:
-                    record(0.0)
-            else:
-                _, lat = device.read(page, now_us=now_us)
-                if record is not None:
-                    record(lat)
             now_us += step_us
         counters = self.counters
         counters.lookups += len(keys)

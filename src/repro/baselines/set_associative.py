@@ -17,9 +17,7 @@ cost analytically.
 
 from __future__ import annotations
 
-from typing import Callable, cast
-
-import numpy as np
+from typing import Callable
 
 from repro.baselines.base import MISS, CacheEngine, LookupResult
 from repro.errors import ConfigError, ObjectTooLargeError, ReadError
@@ -28,7 +26,7 @@ from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.ftl import UNMAPPED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
-from repro.hashing import bucket_of, splitmix64_array
+from repro.hashing import bucket_of
 
 #: CacheLib's per-set negative-lookup bloom filter budget (paper: "the
 #: lowest memory cost (4 bits/obj)").
@@ -81,13 +79,6 @@ class SetAssociativeCache(CacheEngine):
     def _set_of(self, key: int) -> int:
         return bucket_of(key, self.num_sets, seed=self.hash_seed)
 
-    def _set_column(self, keys: list[int]) -> list[int]:
-        """Vectorised :meth:`_set_of` over a key batch (exact)."""
-        hashed = splitmix64_array(
-            np.asarray(keys, dtype=np.uint64), self.hash_seed
-        )
-        return cast("list[int]", (hashed % np.uint64(self.num_sets)).tolist())
-
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_sets``."""
         return (self.hash_seed, self.num_sets)
@@ -107,11 +98,18 @@ class SetAssociativeCache(CacheEngine):
         self.stats.record_logical_read(sset.objects[key])
         return LookupResult(hit=True, latency_us=lat, flash_reads=1, source="flash")
 
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
-        self._insert_in(self._set_of(key), key, size, now_us)
+    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
+        result = self._lookup_in(placement, key, now_us)
+        if not result.hit:
+            self._insert_at(key, size, placement, now_us)
+        return result.latency_us
 
-    def _insert_in(self, sid: int, key: int, size: int, now_us: float) -> None:
+    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+        self._insert_at(key, size, self._set_of(key), now_us)
+
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         """Scalar insert body with the set id already resolved."""
+        sid = placement
         if size > self.geometry.page_size:
             raise ObjectTooLargeError(
                 f"object of {size} B exceeds the {self.geometry.page_size} B set"
@@ -166,26 +164,18 @@ class SetAssociativeCache(CacheEngine):
         offsets: list[int] | None = None,
     ) -> float:
         if offsets is None:
-            offsets = self._set_column(keys)
-        insert_in = self._insert_in
+            offsets = self._placement_column(keys).tolist()
         device = self.device
-        if device.latency is not None:
-            # Timed device: every read goes through the device stack
-            # (``_lookup_in``), the scalar reference.
-            lookup_in = self._lookup_in
-            for key, size, sid in zip(keys, sizes, offsets):
-                result = lookup_in(sid, key, now_us)
-                if record is not None:
-                    record(result.latency_us)
-                if not result.hit:
-                    insert_in(sid, key, size, now_us)
-                now_us += step_us
-            return now_us
-        # Latency-free run loop (the lane FW/KG/Nemo already
-        # have): the set mirror is probed directly, the FTL-read
-        # validation (mapped LBA, programmed page) stays inline, and the
-        # read counters flush once per run — nothing observes them
-        # mid-run, the harness samples only at chunk boundaries.
+        if record is not None or device.latency is not None:
+            # Timed or recorded: every read goes through the device
+            # stack (``_lookup_in``), the scalar reference.
+            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
+        # Latency-free run loop: the set mirror is probed directly, the
+        # FTL-read validation (mapped LBA, programmed page) stays
+        # inline, and the read counters flush once per run — nothing
+        # observes them mid-run, the harness samples only at chunk
+        # boundaries.
+        insert_at = self._insert_at
         sets = self._sets
         l2p = device.ftl._l2p
         state = device.ftl.nand._state
@@ -193,7 +183,7 @@ class SetAssociativeCache(CacheEngine):
         for key, size, sid in zip(keys, sizes, offsets):
             obj_size = sets[sid].objects.get(key)
             if obj_size is None:
-                insert_in(sid, key, size, now_us)
+                insert_at(key, size, sid, now_us)
             else:
                 ppn = l2p[sid]
                 if ppn == UNMAPPED:
@@ -202,8 +192,6 @@ class SetAssociativeCache(CacheEngine):
                     raise ReadError(f"page {ppn} is not programmed")
                 hits += 1
                 read_bytes += obj_size
-            if record is not None:
-                record(0.0)
             now_us += step_us
         self.counters.lookups += len(keys)
         self.counters.hits += hits
@@ -224,10 +212,10 @@ class SetAssociativeCache(CacheEngine):
         offsets: list[int] | None = None,
     ) -> float:
         if offsets is None:
-            offsets = self._set_column(keys)
-        insert_in = self._insert_in
+            offsets = self._placement_column(keys).tolist()
+        insert_at = self._insert_at
         for key, size, sid in zip(keys, sizes, offsets):
-            insert_in(sid, key, size, now_us)
+            insert_at(key, size, sid, now_us)
             now_us += step_us
         return now_us
 

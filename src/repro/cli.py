@@ -124,8 +124,7 @@ def replay_main(argv: list[str]) -> int:
         default=None,
         choices=LATENCY_LANES,
         help="device timing lane: analytic (per-channel horizons) or "
-        "event (discrete-event devsim); default: $REPRO_LATENCY_LANE "
-        "or no timing model",
+        "event (discrete-event devsim); default: no timing model",
     )
     parser.add_argument("--sample-every", type=int, default=None)
     parser.add_argument("--flush-threshold", type=int, default=8)

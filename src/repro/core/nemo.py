@@ -31,10 +31,9 @@ false positives from the configured rate — page-level index traffic
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection
+from typing import Callable, Collection
 
 from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
 from repro.core.bloom import BloomFilter, bloom_bits_per_object
@@ -57,12 +56,7 @@ from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
 import numpy as np
 
-from repro.hashing import hash64, splitmix64_array
-from repro.workloads.trace import OP_DELETE, OP_GET
-
-if TYPE_CHECKING:
-    from repro.flash.devsim.frontend import ServiceFn
-    from repro.workloads.trace import Trace
+from repro.hashing import hash64
 
 
 @dataclass
@@ -236,17 +230,6 @@ class NemoCache(CacheEngine):
     def _offset(self, key: int) -> int:
         return hash64(key, self.config.hash_seed) % self.sets_per_sg
 
-    def _offset_column(self, keys: list[int]) -> list[int]:
-        """Vectorised :meth:`_offset` over a key batch.
-
-        One splitmix64 sweep replaces the per-key hash chain; element-
-        wise equal to the scalar hash (``splitmix64_array`` is exact).
-        """
-        hashed = splitmix64_array(
-            np.asarray(keys, dtype=np.uint64), self.config.hash_seed
-        )
-        return (hashed % np.uint64(self.sets_per_sg)).tolist()
-
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % sets_per_sg``."""
         return (self.config.hash_seed, self.sets_per_sg)
@@ -255,18 +238,18 @@ class NemoCache(CacheEngine):
     # CacheEngine API
     # ------------------------------------------------------------------
     def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
-        self._admit(self._offset(key), key, size, now_us)
+        self._insert_at(key, size, self._offset(key), now_us)
 
-    def _admit(self, offset: int, key: int, size: int, now_us: float) -> None:
-        """Admit ``key`` at its already hashed set ``offset``."""
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
+        """Admit ``key`` at its already hashed set offset."""
         if size > self.set_size:
             raise ObjectTooLargeError(
                 f"object of {size} B exceeds the {self.set_size} B set"
             )
         self.record_admission(size)
-        if self.queue.try_insert(offset, key, size):
+        if self.queue.try_insert(placement, key, size):
             return
-        self._insert_blocked(offset, key, size, now_us)
+        self._insert_blocked(placement, key, size, now_us)
 
     def _insert_blocked(
         self, offset: int, key: int, size: int, now_us: float
@@ -415,30 +398,34 @@ class NemoCache(CacheEngine):
         identical to scalar ``lookup`` + ``insert``-on-miss; the key
         hash is consumed as a precomputed column (``offsets``, hashed
         per chunk by the replay runner; a direct caller that passes
-        none gets one vectorised sweep here), the in-memory
-        probe walks the SG-queue set dicts directly, and request
-        counters are accumulated locally and flushed once per run
-        (nothing observes them mid-run — the harness samples only at
-        chunk boundaries).
+        none gets one vectorised sweep here).
 
-        In statistical-filter mode on a latency-free device the flash
-        consult is settled inline too: the all-resident index test
-        (a non-resident consult still goes through
-        :meth:`_consult_index`), :meth:`_candidates`' draws in order,
-        the holder and false-positive page reads with
-        ``NandArray.read_pages``' checks, and the hotness bit; the
-        read, PBFG and index-cache counters add up once per run.
-        Every other mode takes :meth:`_flash_lookup`, the reference.
+        In statistical-filter mode on a latency-free device, with no
+        latency recorded, the run is one inline loop: the in-memory
+        probe walks the SG-queue set dicts directly, then the
+        all-resident index test (a non-resident consult still goes
+        through :meth:`_consult_index`), :meth:`_candidates`' draws in
+        order, the holder and false-positive page reads with
+        ``NandArray.read_pages``' checks, and the hotness bit.  Request,
+        read, PBFG and index-cache counters add up once per run
+        (nothing observes them mid-run — the harness samples only at
+        chunk boundaries).  Every other mode runs :meth:`_get`.
         """
+        if offsets is None:
+            offsets = self._placement_column(keys).tolist()
+        if (
+            record is not None
+            or self.device.latency is not None
+            or self.config.use_real_filters
+        ):
+            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
         counters = self.counters
         queue_dq = self.queue._queue
         pool = self.pool
         set_size = self.set_size
         try_insert = self.queue.try_insert
-        flash_lookup = self._flash_lookup
         hotness = self.hotness
         window_sgs = self._window_sgs
-        inline = self.device.latency is None and not self.config.use_real_filters
         consult = self._consult_index
         index_pool = self.index_pool
         page_counts = self.index_cache._page_idx_counts
@@ -452,8 +439,6 @@ class NemoCache(CacheEngine):
         nand = self.device.nand
         state = nand._state
         num_pages = nand._num_pages
-        if offsets is None:
-            offsets = self._offset_column(keys)
         lookups = hits = inserts = insert_bytes = read_bytes = 0
         resident = touches = n_fp = page_reads = 0
         for key, size, offset in zip(keys, sizes, offsets):
@@ -466,47 +451,39 @@ class NemoCache(CacheEngine):
             if mem_size is not None:
                 hits += 1
                 read_bytes += mem_size
-                if record is not None:
-                    record(0.0)
                 now_us += step_us
                 continue
             if pool:
-                if inline:
-                    n_live = index_pool._live_groups
-                    if page_counts[offset // opp] == n_live:
-                        resident += 1
-                        touches += n_live
-                    else:
-                        consult(offset, now_us)
-                    holder_id = flash_index.get(key)
-                    holder = None if holder_id is None else pool_map[holder_id]
-                    n_pool = len(pool)
-                    n_scanned = (
-                        n_pool
-                        if holder is None
-                        else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
-                    )
-                    read: tuple[FlashSG, ...] = ()
-                    if n_scanned > 0 and rng_random() < n_scanned * fp_rate:
-                        n_fp += 1
-                        read = (pool[randrange(n_pool)],)
-                    if holder is not None:
-                        read += (holder,)
-                    for fsg in read:
-                        zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
-                        page = fsg.page_bases[zone_idx] + page_idx
-                        if not 0 <= page < num_pages:
-                            raise AlignmentError(
-                                f"page {page} out of range [0, {num_pages})"
-                            )
-                        if state[page] != PAGE_PROGRAMMED:
-                            raise ReadError(f"page {page} is not programmed")
-                    page_reads += len(read)
-                    latency = 0.0
+                n_live = index_pool._live_groups
+                if page_counts[offset // opp] == n_live:
+                    resident += 1
+                    touches += n_live
                 else:
-                    holder, _reads, latency = flash_lookup(key, offset, now_us)
-                if record is not None:
-                    record(latency)
+                    consult(offset, now_us)
+                holder_id = flash_index.get(key)
+                holder = None if holder_id is None else pool_map[holder_id]
+                n_pool = len(pool)
+                n_scanned = (
+                    n_pool
+                    if holder is None
+                    else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
+                )
+                read: tuple[FlashSG, ...] = ()
+                if n_scanned > 0 and rng_random() < n_scanned * fp_rate:
+                    n_fp += 1
+                    read = (pool[randrange(n_pool)],)
+                if holder is not None:
+                    read += (holder,)
+                for fsg in read:
+                    zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
+                    page = fsg.page_bases[zone_idx] + page_idx
+                    if not 0 <= page < num_pages:
+                        raise AlignmentError(
+                            f"page {page} out of range [0, {num_pages})"
+                        )
+                    if state[page] != PAGE_PROGRAMMED:
+                        raise ReadError(f"page {page} is not programmed")
+                page_reads += len(read)
                 if holder is not None:
                     hits += 1
                     read_bytes += holder.sets[offset][key]
@@ -514,8 +491,6 @@ class NemoCache(CacheEngine):
                         hotness._bits[key] = offset  # record_access inlined
                     now_us += step_us
                     continue
-            elif record is not None:
-                record(0.0)
             # Miss: read-through admission (offset hash reused).
             if size > set_size:
                 raise ObjectTooLargeError(
@@ -542,6 +517,64 @@ class NemoCache(CacheEngine):
             stats.record_page_reads(page_reads, self.geometry.page_size)
         return now_us
 
+    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
+        """One GET at set offset ``placement`` on any lane: the memory
+        probe, the all-resident index test (a non-resident consult calls
+        :meth:`_consult_index` and takes its latency), :meth:`_candidates`'
+        draws in order (inlined in statistical-filter mode), the page
+        reads through :meth:`_read_pages` (NAND checks and latency model
+        kept), the hotness bit and read-through admission.  Counters are
+        bumped per call, and ``hotness._bits`` is looked up per hit,
+        since ``cool()`` rebinds it."""
+        offset = placement
+        counters = self.counters
+        counters.lookups += 1
+        for sg in self.queue._queue:
+            mem_size = sg.sets[offset].objects.get(key)
+            if mem_size is not None:
+                counters.hits += 1
+                self.stats.logical_read_bytes += mem_size
+                return 0.0
+        pool = self.pool
+        if not pool:
+            self._insert_at(key, size, offset, now_us)
+            return 0.0
+        n_live = self.index_pool._live_groups
+        if self.index_cache._page_idx_counts[offset // self._offsets_per_page] == n_live:
+            self.pbfg_lookups += 1
+            self.pbfg_touches += n_live
+            self.index_cache.hits += n_live
+            latency = 0.0
+        else:
+            latency = self._consult_index(offset, now_us)[1]
+        if self.config.use_real_filters:
+            pages, holder = self._candidates(key, offset)
+        else:  # _candidates' statistical draws, inlined
+            holder_id = self._flash_index.get(key)
+            holder = None if holder_id is None else self._pool_map[holder_id]
+            n_pool = len(pool)
+            n_scanned = (
+                n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
+            )
+            zone_idx, page_idx = divmod(offset, self.geometry.pages_per_zone)
+            pages = []
+            rng = self._rng
+            if n_scanned > 0 and rng.random() < n_scanned * self.config.bf_false_positive_rate:
+                self.false_positive_reads += 1
+                pages.append(pool[rng.randrange(n_pool)].page_bases[zone_idx] + page_idx)
+            if holder is not None:
+                pages.append(holder.page_bases[zone_idx] + page_idx)
+        if pages:
+            latency = max(latency, self._read_pages(pages, now_us))
+        if holder is None:
+            self._insert_at(key, size, offset, now_us)
+            return latency
+        counters.hits += 1
+        self.stats.logical_read_bytes += holder.sets[offset][key]
+        if (holder.sg_id - pool[0].sg_id) < self._window_sgs:
+            self.hotness._bits[key] = offset  # record_access inlined
+        return latency
+
     def insert_many(
         self,
         keys: list[int],
@@ -556,7 +589,7 @@ class NemoCache(CacheEngine):
         set_size = self.set_size
         try_insert = self.queue.try_insert
         if offsets is None:
-            offsets = self._offset_column(keys)
+            offsets = self._placement_column(keys).tolist()
         inserts = insert_bytes = 0
         for key, size, offset in zip(keys, sizes, offsets):
             if size > set_size:
@@ -572,91 +605,6 @@ class NemoCache(CacheEngine):
         counters.insert_bytes += insert_bytes
         self.stats.logical_write_bytes += insert_bytes
         return now_us
-
-    def service_fn(self, trace: Trace) -> ServiceFn:
-        """:meth:`lookup_many`'s GET body for one closed-loop request, on
-        an offset column hashed once and on any latency lane.  Counters
-        are bumped per request; ``hotness._bits`` is looked up per hit,
-        since ``cool()`` rebinds it."""
-        ops = trace.ops.tolist()
-        keys = trace.keys.tolist()
-        sizes = trace.sizes.tolist()
-        column = trace.set_id_slice(*self.columnar_spec(), 0, len(trace))
-        offsets = array("i", column.astype(np.int32).tobytes())  # hashed once, 4 B each
-        counters = self.counters
-        stats = self.stats
-        queue_dq = self.queue._queue
-        admit = self._admit
-        pool = self.pool
-        window_sgs = self._window_sgs
-        index_pool = self.index_pool
-        index_cache = self.index_cache
-        page_counts = index_cache._page_idx_counts
-        opp = self._offsets_per_page
-        real_filters = self.config.use_real_filters
-        flash_index = self._flash_index
-        pool_map = self._pool_map
-        rng_random = self._rng.random
-        randrange = self._rng.randrange
-        fp_rate = self.config.bf_false_positive_rate
-        ppz = self.geometry.pages_per_zone
-
-        def service(index: int, now_us: float) -> float:
-            op = ops[index]
-            if op == OP_DELETE:
-                self.delete(keys[index])
-                return 0.0
-            key = keys[index]
-            offset = offsets[index]
-            if op != OP_GET:
-                admit(offset, key, sizes[index], now_us)
-                return 0.0
-            counters.lookups += 1
-            for sg in queue_dq:
-                mem_size = sg.sets[offset].objects.get(key)
-                if mem_size is not None:
-                    counters.hits += 1
-                    stats.logical_read_bytes += mem_size
-                    return 0.0
-            if not pool:
-                admit(offset, key, sizes[index], now_us)
-                return 0.0
-            n_live = index_pool._live_groups
-            if page_counts[offset // opp] == n_live:
-                self.pbfg_lookups += 1
-                self.pbfg_touches += n_live
-                index_cache.hits += n_live
-                latency = 0.0
-            else:
-                latency = self._consult_index(offset, now_us)[1]
-            if real_filters:
-                pages, holder = self._candidates(key, offset)
-            else:  # _candidates' statistical draws, inlined
-                holder_id = flash_index.get(key)
-                holder = None if holder_id is None else pool_map[holder_id]
-                n_pool = len(pool)
-                n_scanned = (
-                    n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
-                )
-                zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
-                pages = []
-                if n_scanned > 0 and rng_random() < n_scanned * fp_rate:
-                    self.false_positive_reads += 1
-                    pages.append(pool[randrange(n_pool)].page_bases[zone_idx] + page_idx)
-                if holder is not None:
-                    pages.append(holder.page_bases[zone_idx] + page_idx)
-            if pages:
-                latency = max(latency, self._read_pages(pages, now_us))
-            if holder is None:
-                admit(offset, key, sizes[index], now_us)
-                return latency
-            counters.hits += 1
-            stats.logical_read_bytes += holder.sets[offset][key]
-            if (holder.sg_id - pool[0].sg_id) < window_sgs:
-                self.hotness._bits[key] = offset  # record_access inlined
-            return latency
-
-        return service
 
     def delete(self, key: int) -> bool:
         offset = self._offset(key)

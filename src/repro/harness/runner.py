@@ -63,11 +63,6 @@ _BLOCK = 1 << 12
 #: Environment override for the default lane (parity tests sweep it).
 KERNEL_ENV_VAR = "REPRO_REPLAY_KERNEL"
 
-#: Environment override for ``replay(latency_lane=...)`` (parity tests
-#: sweep it like the kernel override; unset means "leave the engine's
-#: model alone").
-LATENCY_LANE_ENV_VAR = "REPRO_LATENCY_LANE"
-
 
 def resolve_kernel(kernel: str | None) -> str:
     """Pick the replay lane: explicit argument, else env, else batched."""
@@ -81,7 +76,7 @@ def resolve_kernel(kernel: str | None) -> str:
 
 
 def resolve_latency_lane(lane: str | None) -> str | None:
-    """Pick the latency lane: explicit argument, else env, else None.
+    """Validate the latency lane; ``None`` passes through.
 
     ``None`` means the replay leaves the engine's device timing alone
     (engines built without a model stay latency-free — the analytic
@@ -89,11 +84,7 @@ def resolve_latency_lane(lane: str | None) -> str | None:
     that lane before replay, cloning the device parameters of whatever
     model the engine already carries.
     """
-    if lane is None:
-        lane = os.environ.get(LATENCY_LANE_ENV_VAR) or None
-    if lane is None:
-        return None
-    if lane not in LATENCY_LANES:
+    if lane is not None and lane not in LATENCY_LANES:
         raise ConfigError(
             f"unknown latency lane {lane!r}; expected one of {LATENCY_LANES}"
         )
@@ -244,11 +235,10 @@ def replay(
     latency_lane:
         Device timing lane: ``"analytic"`` (per-channel horizons) or
         ``"event"`` (discrete-event devsim, DESIGN.md §9).  ``None``
-        reads ``REPRO_LATENCY_LANE``; unset leaves the engine's current
-        model (or absence of one) untouched.  A named lane installs a
-        fresh model cloned from the engine's existing device parameters
-        before replay.  Aggregate metrics are lane-invariant; recorded
-        latencies are not.
+        leaves the engine's current model (or absence of one)
+        untouched.  A named lane installs a fresh model cloned from the
+        engine's existing device parameters before replay.  Aggregate
+        metrics are lane-invariant; recorded latencies are not.
     """
     if arrival_rate <= 0:
         raise ConfigError("arrival_rate must be positive")

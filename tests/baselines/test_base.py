@@ -11,7 +11,8 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.cluster.factory import ENGINE_NAMES, make_engine, shard_geometry
 from repro.flash.geometry import FlashGeometry
 
-#: The request methods the replay runner calls through the base signature.
+#: The request methods the replay runner and the closed-loop closure
+#: call through the base signature.
 REQUEST_METHODS = (
     "lookup",
     "insert",
@@ -19,6 +20,8 @@ REQUEST_METHODS = (
     "lookup_many",
     "insert_many",
     "delete_many",
+    "_get",
+    "_insert_at",
 )
 
 

@@ -36,29 +36,42 @@ def pytest_report_header(config: pytest.Config) -> str:
     return f"test order: shuffled with --order-seed {seed}"
 
 
+def module_and_class(item: pytest.Item) -> tuple[str, str]:
+    """``(module, outermost class)`` of a test from its node id; the
+    class is ``""`` for a module-level test function."""
+    parts = item.nodeid.split("[", 1)[0].split("::")
+    return parts[0], parts[1] if len(parts) > 2 else ""
+
+
 def pytest_collection_modifyitems(
     config: pytest.Config, items: list[pytest.Item]
 ) -> None:
-    """Shuffle test order, keeping each module's tests contiguous.
+    """Shuffle test order, keeping each module and each class contiguous.
 
-    Module-level locality is preserved (module-scoped fixtures set up
-    once) while both the module order and the order within every module
-    are randomized by the seed.
+    Module and class locality are preserved (module- and class-scoped
+    fixtures set up once) while the module order, the order of the
+    classes (and the module-level functions, as one group) inside each
+    module and the order within every group are randomized by the seed.
     """
     seed = config.getoption("--order-seed")
     if seed == -1:
         return
     rng = random.Random(seed)
-    by_module: defaultdict[str, list[pytest.Item]] = defaultdict(list)
+    by_module: defaultdict[str, defaultdict[str, list[pytest.Item]]] = defaultdict(
+        lambda: defaultdict(list)
+    )
     for item in items:
-        by_module[item.nodeid.rsplit("::", 1)[0]].append(item)
-    modules = list(by_module)
+        module, cls = module_and_class(item)
+        by_module[module][cls].append(item)
+    modules = list(by_module.values())
     rng.shuffle(modules)
-    items[:] = [
-        item
-        for module in modules
-        for item in rng.sample(by_module[module], len(by_module[module]))
-    ]
+    shuffled: list[pytest.Item] = []
+    for groups in modules:
+        group_list = list(groups.values())
+        rng.shuffle(group_list)
+        for group in group_list:
+            shuffled.extend(rng.sample(group, len(group)))
+    items[:] = shuffled
 
 
 @pytest.fixture

@@ -11,10 +11,11 @@ simulated-clock accumulation order, so metrics stay byte-identical.
 Two identically-configured instances of each registered engine replay
 the same short mixed GET/SET/DELETE trace, one through its (possibly
 overridden) bulk methods and one through the unbound base-class
-defaults, then their metric snapshots must match exactly.  The
-closed-loop ``service_fn`` closures are held to the same contract
-against ``CacheEngine.service_fn``, the scalar lookup / insert / delete
-closure, on every latency lane.
+defaults, then their metric snapshots must match exactly, and so must
+the latencies a GET run records on every latency lane.  The closed-loop
+``service_fn`` closure is held to the same contract against
+:func:`scalar_service_fn`, the scalar lookup / insert / delete closure
+kept here as the oracle, on every latency lane.
 """
 
 import argparse
@@ -115,18 +116,50 @@ class TestBulkScalarAgreement:
         )
         assert bulk_engine.object_count() == scalar_engine.object_count()
 
-    def test_recorded_latencies_identical(self, name):
-        bulk_engine = make_engine(name)
-        scalar_engine = make_engine(name)
-        runs = make_runs(seed=13, num_runs=40)
+    @pytest.mark.parametrize("lane", [None, "analytic", "event"])
+    def test_recorded_latencies_identical(self, name, lane):
+        assert_recorded_latencies_agree(make_engine(name), make_engine(name), lane)
 
-        lat_bulk, lat_scalar = [], []
-        drive_bulk(bulk_engine, runs, record=lat_bulk.append)
-        drive_scalar(scalar_engine, runs, record=lat_scalar.append)
 
-        gets = sum(len(keys) for op, keys, _ in runs if op == "get")
-        assert len(lat_bulk) == gets
-        assert lat_bulk == lat_scalar
+def assert_recorded_latencies_agree(bulk_engine, scalar_engine, lane):
+    """A recorded GET run (``_get`` per request) vs the scalar loop on a
+    twin engine: equal per-request latencies and final snapshots; on a
+    timed lane, some GET pays a flash read."""
+    for engine in (bulk_engine, scalar_engine):
+        if lane is not None:
+            engine.install_latency_model(make_latency_model(lane, num_channels=4))
+    runs = make_runs(seed=13, num_runs=600, key_space=3000)
+
+    lat_bulk, lat_scalar = [], []
+    clock_bulk = drive_bulk(bulk_engine, runs, record=lat_bulk.append)
+    clock_scalar = drive_scalar(scalar_engine, runs, record=lat_scalar.append)
+
+    gets = sum(len(keys) for op, keys, _ in runs if op == "get")
+    assert len(lat_bulk) == gets
+    assert lat_bulk == lat_scalar
+    if lane is not None:
+        assert max(lat_bulk) > 0.0
+    assert clock_bulk == clock_scalar
+    assert_snapshots_identical(
+        bulk_engine.metrics_snapshot(), scalar_engine.metrics_snapshot()
+    )
+
+
+def make_real_filter_nemo():
+    return cluster_make_engine(
+        "nemo",
+        make_geometry(),
+        use_real_filters=True,
+        flush_threshold=4,
+        sgs_per_index_group=2,
+        cached_index_ratio=0.5,
+    )
+
+
+def test_recorded_latencies_identical_with_real_filters():
+    assert_recorded_latencies_agree(
+        make_real_filter_nemo(), make_real_filter_nemo(), "analytic"
+    )
 
 
 def make_long_runs():
@@ -245,15 +278,36 @@ def drive_service(service, n, seed=5):
     return [service(i, now_us) for i, now_us in enumerate(np.cumsum(gaps).tolist())]
 
 
+def scalar_service_fn(engine, trace):
+    """The oracle closure: GET = ``lookup`` + read-through ``insert`` on
+    a miss, SET = ``insert``, DELETE = ``delete`` (both host-acked, 0)."""
+    ops, keys, sizes = trace.ops.tolist(), trace.keys.tolist(), trace.sizes.tolist()
+
+    def service(index, now_us):
+        op = ops[index]
+        if op == OP_GET:
+            result = engine.lookup(keys[index], sizes[index], now_us)
+            if not result.hit:
+                engine.insert(keys[index], sizes[index], now_us)
+            return result.latency_us
+        if op == OP_SET:
+            engine.insert(keys[index], sizes[index], now_us)
+        elif op == OP_DELETE:
+            engine.delete(keys[index])
+        return 0.0
+
+    return service
+
+
 def assert_service_agrees(fast, reference, lane):
-    """``fast.service_fn`` vs the scalar ``CacheEngine.service_fn`` on a
-    twin engine: equal per-request latencies and final snapshots."""
+    """``fast.service_fn`` vs :func:`scalar_service_fn` on a twin engine:
+    equal per-request latencies and final snapshots."""
     for engine in (fast, reference):
         if lane is not None:
             engine.install_latency_model(make_latency_model(lane, num_channels=4))
     trace = runs_to_trace(make_long_runs())
     lat_fast = drive_service(fast.service_fn(trace), len(trace))
-    lat_reference = drive_service(CacheEngine.service_fn(reference, trace), len(trace))
+    lat_reference = drive_service(scalar_service_fn(reference, trace), len(trace))
     assert lat_fast == lat_reference
     if lane is not None:
         assert max(lat_fast) > 0.0
@@ -279,7 +333,7 @@ def assert_nemo_lanes_reached(engine):
 @pytest.mark.parametrize("name", ENGINE_NAMES)
 def test_service_fn_matches_the_scalar_closure(name, lane):
     """Every engine's closed-loop closure agrees with the scalar one, and
-    the overrides (Nemo, FW, KG) reach the lanes they inline."""
+    Nemo's and FW/KG's ``_get`` reach the lanes they inline."""
     fast, reference = make_engine(name), make_engine(name)
     assert_service_agrees(fast, reference, lane)
     if name == "nemo":
@@ -291,18 +345,8 @@ def test_service_fn_matches_the_scalar_closure(name, lane):
 
 
 def test_service_fn_matches_the_scalar_closure_with_real_filters():
-    def build():
-        return cluster_make_engine(
-            "nemo",
-            make_geometry(),
-            use_real_filters=True,
-            flush_threshold=4,
-            sgs_per_index_group=2,
-            cached_index_ratio=0.5,
-        )
-
-    fast = build()
-    assert_service_agrees(fast, build(), "analytic")
+    fast = make_real_filter_nemo()
+    assert_service_agrees(fast, make_real_filter_nemo(), "analytic")
     assert_nemo_lanes_reached(fast)
 
 
