@@ -7,6 +7,11 @@ artifact.
 
 Semantics shared by all engines:
 
+- Each engine writes one GET probe, ``_lookup_at(key, size, placement,
+  now_us) -> (hit, latency_us)``, and one admission, ``_insert_at(key,
+  size, placement, now_us)``; ``placement`` is the key's
+  :meth:`~CacheEngine.columnar_spec` hash, or the key itself.  Every
+  other request method is derived from these two here.
 - ``lookup(key, size)`` returns a :class:`LookupResult`; on a miss the
   harness normally calls ``insert`` (read-through admission — a cache,
   unlike a store, chooses what to keep, §2.1).
@@ -24,14 +29,14 @@ from __future__ import annotations
 import abc
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import EngineStateError
 from repro.flash.latency import LatencyModel
 from repro.flash.stats import FlashStats
-from repro.hashing import splitmix64_array
+from repro.hashing import hash64, splitmix64_array
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
 
 if TYPE_CHECKING:
@@ -39,32 +44,13 @@ if TYPE_CHECKING:
     from repro.workloads.trace import Trace
 
 
-@dataclass(frozen=True, slots=True)
-class LookupResult:
-    """Outcome of one lookup.
-
-    Attributes
-    ----------
-    hit:
-        Whether the object was served from the cache (memory or flash).
-    latency_us:
-        Simulated service latency (0.0 when no latency model attached).
-    flash_reads:
-        Flash pages read to serve this lookup (read amplification probe).
-    source:
-        Where the hit came from: ``"memory"``, ``"flash"``, or ``"miss"``.
-    """
+class LookupResult(NamedTuple):
+    """Outcome of one lookup: whether the object was served from the
+    cache (memory or flash), and the simulated service latency (0.0
+    when no latency model is attached)."""
 
     hit: bool
     latency_us: float = 0.0
-    flash_reads: int = 0
-    source: str = "miss"
-
-
-#: LookupResult is frozen, so the constant outcomes are shared instances
-#: instead of per-lookup allocations (lookup is the replay hot path).
-MISS = LookupResult(hit=False)
-MEMORY_HIT = LookupResult(hit=True, source="memory")
 
 
 @dataclass
@@ -105,13 +91,37 @@ class CacheEngine(abc.ABC):
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
-        """Look ``key`` up; never mutates flash placement."""
+    # ``placement`` is the request's ``columnar_spec()`` hash, or the key
+    # itself on an engine without one.  The two abstract methods are an
+    # engine's only GET probe and only admission; every scalar, bulk and
+    # closed-loop request method below is derived from them.
 
     @abc.abstractmethod
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
+        """Probe for ``key`` at ``placement``: ``(hit, latency_us)``.
+        Never admits and never mutates flash placement."""
+
+    @abc.abstractmethod
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
+        """Admit object ``key`` of ``size`` bytes at ``placement``."""
+
+    def _placement_of(self, key: int) -> int:
+        """``hash64(key, seed) % modulus`` of :meth:`columnar_spec`, or
+        the key itself on an engine without a placement hash."""
+        spec = self.columnar_spec()
+        if spec is None:
+            return key
+        return hash64(key, spec[0]) % spec[1]
+
+    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
+        """Look ``key`` up; never mutates flash placement."""
+        return LookupResult(*self._lookup_at(key, size, self._placement_of(key), now_us))
+
     def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
         """Admit object ``key`` of ``size`` bytes."""
+        self._insert_at(key, size, self._placement_of(key), now_us)
 
     def delete(self, key: int) -> bool:
         """User-driven removal.  Default: engines without cheap deletion
@@ -123,19 +133,18 @@ class CacheEngine(abc.ABC):
     # Columnar replay support (DESIGN.md §5)
     # ------------------------------------------------------------------
     def columnar_spec(self) -> tuple[int, int] | None:
-        """``(hash_seed, modulus)`` of the placement hash this engine's
-        bulk paths can consume as a precomputed ``offsets=`` column
+        """``(hash_seed, modulus)`` of this engine's placement hash, or
+        None when the key itself is the placement.  The bulk paths take
+        it as a precomputed ``offsets=`` column
         (``Trace.columns(seed, modulus).set_ids``; the replay runner
-        supplies it chunk by chunk on every bulk lane), or None when
-        the engine has no such column.  Engines that return a spec must
-        accept ``offsets=`` in ``lookup_many``/``insert_many`` and
-        produce byte-identical metrics with or without it."""
+        supplies it chunk by chunk on every bulk lane) and produce
+        byte-identical metrics with or without it."""
         return None
 
     def _placement_column(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """``hash64(key, seed) % modulus`` of :meth:`columnar_spec` over
         a key batch: one ``splitmix64_array`` sweep, element-wise equal
-        to the engine's scalar placement hash."""
+        to :meth:`_placement_of`."""
         spec = self.columnar_spec()
         if spec is None:
             raise EngineStateError(f"{type(self).__name__} has no placement hash")
@@ -143,6 +152,14 @@ class CacheEngine(abc.ABC):
         hashed = splitmix64_array(np.asarray(keys, dtype=np.uint64), seed)
         column: np.ndarray = hashed % np.uint64(modulus)
         return column
+
+    def _placements(self, keys: list[int]) -> list[int]:
+        """Placement column of a key batch: :meth:`_placement_column` as
+        a list, or the keys themselves on an engine without a hash."""
+        if self.columnar_spec() is None:
+            return keys
+        placements: list[int] = self._placement_column(keys).tolist()
+        return placements
 
     # ------------------------------------------------------------------
     # Latency lanes (DESIGN.md §9)
@@ -172,13 +189,15 @@ class CacheEngine(abc.ABC):
     # Bulk operations (batched replay dispatch)
     # ------------------------------------------------------------------
     # The harness slices the trace into same-op runs and hands each run
-    # to one of these.  The contract per request is exactly the scalar
-    # loop's: GET = lookup + read-through insert on miss, SET = insert,
-    # DELETE = delete, and the simulated clock advances by ``step_us``
-    # *after* each request (same float accumulation order, so metrics
-    # are byte-identical to per-request dispatch).  Each returns the
-    # advanced clock.  Engines override these with inlined fast paths;
-    # the defaults fall back to the scalar methods.
+    # to one of these, with the run's placement column as ``offsets``
+    # (derived here when a direct caller passes none).  Per request: GET
+    # = ``_lookup_at`` + read-through ``_insert_at`` on a miss, SET =
+    # ``_insert_at``, DELETE = ``delete``, and the simulated clock
+    # advances by ``step_us`` *after* each request (same float
+    # accumulation order on every lane, so metrics are byte-identical).
+    # Each returns the advanced clock.  An engine may override
+    # ``lookup_many`` with an inlined latency-free loop that must be
+    # observationally identical to the default.
 
     def lookup_many(
         self,
@@ -187,27 +206,30 @@ class CacheEngine(abc.ABC):
         now_us: float,
         step_us: float,
         record: Callable[[float], None] | None = None,
+        *,
+        offsets: list[int] | None = None,
     ) -> float:
         """Process one GET run; ``record`` (if given) receives each
         request's service latency in order."""
-        lookup = self.lookup
-        insert = self.insert
-        for key, size in zip(keys, sizes):
-            result = lookup(key, size, now_us)
-            if record is not None:
-                record(result.latency_us)
-            if not result.hit:
-                insert(key, size, now_us)
-            now_us += step_us
-        return now_us
+        if offsets is None:
+            offsets = self._placements(keys)
+        return self._get_many(keys, sizes, offsets, now_us, step_us, record)
 
     def insert_many(
-        self, keys: list[int], sizes: list[int], now_us: float, step_us: float
+        self,
+        keys: list[int],
+        sizes: list[int],
+        now_us: float,
+        step_us: float,
+        *,
+        offsets: list[int] | None = None,
     ) -> float:
         """Process one SET run."""
-        insert = self.insert
-        for key, size in zip(keys, sizes):
-            insert(key, size, now_us)
+        if offsets is None:
+            offsets = self._placements(keys)
+        insert_at = self._insert_at
+        for key, size, placement in zip(keys, sizes, offsets):
+            insert_at(key, size, placement, now_us)
             now_us += step_us
         return now_us
 
@@ -221,25 +243,6 @@ class CacheEngine(abc.ABC):
             now_us += step_us
         return now_us
 
-    # ------------------------------------------------------------------
-    # One request at a hashed placement (DESIGN.md §9)
-    # ------------------------------------------------------------------
-    # ``placement`` is the request's ``columnar_spec()`` hash, or the key
-    # itself on an engine without one.  ``_get`` is one GET with
-    # read-through admission and returns its service latency; every
-    # timed or latency-recording GET run and the closed loop go through
-    # it.  The defaults are the scalar ops; engines with a placement
-    # hash override them so the key is hashed once.
-
-    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
-        result = self.lookup(key, size, now_us)
-        if not result.hit:
-            self._insert_at(key, size, placement, now_us)
-        return result.latency_us
-
-    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
-        self.insert(key, size, now_us)
-
     def _get_many(
         self,
         keys: list[int],
@@ -249,11 +252,15 @@ class CacheEngine(abc.ABC):
         step_us: float,
         record: Callable[[float], None] | None,
     ) -> float:
-        """A GET run as one :meth:`_get` per request: the lane every
-        engine's inline ``lookup_many`` loop leaves to it."""
-        get = self._get
+        """A GET run as :meth:`_lookup_at`, then :meth:`_insert_at` on a
+        miss, per request: the default ``lookup_many`` and the lane every
+        engine's inline loop leaves to it."""
+        lookup_at = self._lookup_at
+        insert_at = self._insert_at
         for key, size, placement in zip(keys, sizes, placements):
-            latency = get(key, size, placement, now_us)
+            hit, latency = lookup_at(key, size, placement, now_us)
+            if not hit:
+                insert_at(key, size, placement, now_us)
             if record is not None:
                 record(latency)
             now_us += step_us
@@ -261,9 +268,10 @@ class CacheEngine(abc.ABC):
 
     def service_fn(self, trace: Trace) -> ServiceFn:
         """``(index, now_us) -> latency_us``: run request ``index`` of
-        ``trace`` — GET = :meth:`_get`, SET = :meth:`_insert_at`, DELETE =
-        ``delete`` (both host-acked, 0) — on a placement column hashed
-        once per trace and kept as a 4-byte ``array``."""
+        ``trace`` — GET = :meth:`_lookup_at` + :meth:`_insert_at` on a
+        miss, SET = :meth:`_insert_at`, DELETE = ``delete`` (both
+        host-acked, 0) — on a placement column hashed once per trace and
+        kept as a 4-byte ``array``."""
         ops = trace.ops.tolist()
         keys = trace.keys.tolist()
         sizes = trace.sizes.tolist()
@@ -271,14 +279,18 @@ class CacheEngine(abc.ABC):
         if self.columnar_spec() is not None:
             column = self._placement_column(trace.keys).astype(np.int32)
             placements = array("i", column.tobytes())
-        get = self._get
+        lookup_at = self._lookup_at
         insert_at = self._insert_at
         delete = self.delete
 
         def service(index: int, now_us: float) -> float:
             op = ops[index]
             if op == OP_GET:
-                return get(keys[index], sizes[index], placements[index], now_us)
+                key, size, placement = keys[index], sizes[index], placements[index]
+                hit, latency = lookup_at(key, size, placement, now_us)
+                if not hit:
+                    insert_at(key, size, placement, now_us)
+                return latency
             if op == OP_SET:
                 insert_at(keys[index], sizes[index], placements[index], now_us)
             elif op == OP_DELETE:

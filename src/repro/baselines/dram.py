@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Collection
 
-from repro.baselines.base import MEMORY_HIT, CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError, ObjectTooLargeError
 
 
@@ -88,9 +88,9 @@ class DramCache:
 class TieredCache(CacheEngine):
     """CacheLib-style DRAM + flash composition.
 
-    - ``lookup``: DRAM first; a DRAM miss consults the flash engine and,
+    - GET probe: DRAM first; a DRAM miss consults the flash engine and,
       on a flash hit, promotes the object back into DRAM.
-    - ``insert``: new objects land in DRAM; LRU victims spill to the
+    - Admission: new objects land in DRAM; LRU victims spill to the
       flash engine (flash-as-victim-cache, the CacheLib model).
     - Metrics: this wrapper's ``counters`` describe the end-to-end
       cache; ``flash.stats``/``flash.counters`` keep describing the
@@ -103,19 +103,22 @@ class TieredCache(CacheEngine):
         self.flash = flash
         self.name = f"DRAM+{flash.name}"
 
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
+    # No placement hash: ``placement`` is the key itself; the flash
+    # tier hashes it in its own ``lookup`` / ``insert``.
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
         self.counters.lookups += 1
-        cached = self.dram.get(key)
-        if cached is not None:
+        if self.dram.get(key) is not None:
             self.counters.hits += 1
-            return MEMORY_HIT
-        result = self.flash.lookup(key, size, now_us=now_us)
-        if result.hit:
+            return True, 0.0
+        hit, latency = self.flash.lookup(key, size, now_us=now_us)
+        if hit:
             self.counters.hits += 1
             self._admit_to_dram(key, size, now_us=now_us)
-        return result
+        return hit, latency
 
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         self.record_admission(size)
         self._admit_to_dram(key, size, now_us=now_us)
 

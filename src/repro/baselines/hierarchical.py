@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Collection
 
-from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.baselines.hlog import HierarchicalLog
 from repro.baselines.hset import CASE_PASSIVE, HierarchicalSet
 from repro.errors import ConfigError, ReadError
@@ -136,9 +136,6 @@ class HierarchicalCacheBase(CacheEngine):
     # ------------------------------------------------------------------
     # CacheEngine API
     # ------------------------------------------------------------------
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
-        self._insert_at(key, size, self.hlog.bucket_of(key), now_us)
-
     def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         """Admit ``key`` into its already hashed HLog bucket."""
         self.record_admission(size)
@@ -155,40 +152,6 @@ class HierarchicalCacheBase(CacheEngine):
                 "HLog cannot absorb the object even after reclaim; "
                 "the log region is too small for this object size"
             )
-
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
-        self.counters.lookups += 1
-        entry = self.hlog.find(key)
-        if entry is not None:
-            self.counters.hits += 1
-            self.hot_keys.add(key)
-            self.stats.record_logical_read(entry.size)
-            if entry.page < 0:
-                return MEMORY_HIT
-            if self.device.latency is None:
-                self.device.read_page(entry.page)
-                lat = 0.0
-            else:
-                _, lat = self.device.read(entry.page, now_us=now_us)
-            return LookupResult(
-                hit=True, latency_us=lat, flash_reads=1, source="flash"
-            )
-        bucket = self.hlog.bucket_of(key)
-        found = self.hset.find(key, bucket)
-        if found is None:
-            return MISS
-        set_id, obj_size = found
-        self.counters.hits += 1
-        self.hot_keys.add(key)
-        self.stats.record_logical_read(obj_size)
-        if set_id < 0:  # promotion staging buffer (DRAM)
-            return MEMORY_HIT
-        if self.device.latency is None:
-            self.device.read_page(self.hset.location[set_id])
-            lat = 0.0
-        else:
-            _, lat = self.device.read(self.hset.location[set_id], now_us=now_us)
-        return LookupResult(hit=True, latency_us=lat, flash_reads=1, source="flash")
 
     def delete(self, key: int) -> bool:
         bucket_id = self.hlog.bucket_of(key)
@@ -209,21 +172,19 @@ class HierarchicalCacheBase(CacheEngine):
         return removed
 
     # ------------------------------------------------------------------
-    # Bulk request paths (batched replay dispatch)
+    # Bulk GET path (batched replay dispatch)
     # ------------------------------------------------------------------
-    # Inlined run loops for the harness's same-op dispatch: the
+    # Inlined run loop for the harness's same-op dispatch: the
     # key→bucket hash arrives as a precomputed column (``offsets=``,
     # hashed per chunk by the replay runner; a direct caller that
-    # passes none gets one vectorised sweep per run — the scalar path
-    # hashes twice per request, ``hlog.find`` internally and
-    # ``bucket_of`` for the HSet probe), the HLog bucket dict and
-    # HSet mirrors are probed directly, and on a latency-free device
-    # with no latency recorded the per-read NAND validation stays
-    # inline while the read *counters* accumulate in locals and flush
-    # once per run; every other GET run goes through :meth:`_get`.
-    # Nothing reads the engine counters or device stats mid-run
-    # (sampling only happens at chunk boundaries), so the deferred
-    # accounting is observationally identical to the scalar loop.
+    # passes none gets one vectorised sweep per run), the HLog bucket
+    # dict and HSet mirrors are probed directly, and on a latency-free
+    # device with no latency recorded the per-read NAND validation
+    # stays inline while the read *counters* accumulate in locals and
+    # flush once per run; every other GET run goes through
+    # :meth:`_lookup_at`.  Nothing reads the engine counters or device
+    # stats mid-run (sampling only happens at chunk boundaries), so the
+    # deferred accounting is observationally identical to ``_get_many``.
 
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_buckets``."""
@@ -315,11 +276,13 @@ class HierarchicalCacheBase(CacheEngine):
             stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 
-    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
-        """One GET at bucket ``placement`` on any lane: the HLog probe,
-        the HSet probe and read-through admission all reuse the bucket;
-        a flash hit reads its page through ``device.read`` (NAND checks
-        and latency model kept); counters are bumped per call."""
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
+        """One GET probe at bucket ``placement`` on any lane: the HLog
+        probe, then the HSet probe, both on the one bucket; a flash hit
+        reads its page through ``device.read`` (NAND checks and latency
+        model kept); counters are bumped per call."""
         counters = self.counters
         counters.lookups += 1
         entry = self.hlog.buckets[placement].get(key)
@@ -328,44 +291,17 @@ class HierarchicalCacheBase(CacheEngine):
             self.hot_keys.add(key)
             self.stats.logical_read_bytes += entry.size
             page = entry.page  # -1: still in the write buffer (DRAM)
-            return 0.0 if page < 0 else self.device.read(page, now_us=now_us)[1]
+            return True, 0.0 if page < 0 else self.device.read(page, now_us=now_us)[1]
         found = self.hset.find(key, placement)
         if found is None:
-            self._insert_at(key, size, placement, now_us)
-            return 0.0
+            return False, 0.0
         set_id, obj_size = found
         counters.hits += 1
         self.hot_keys.add(key)
         self.stats.logical_read_bytes += obj_size
         if set_id < 0:  # the promotion staging buffer (DRAM)
-            return 0.0
-        return self.device.read(self.hset.location[set_id], now_us=now_us)[1]
-
-    def insert_many(
-        self,
-        keys: list[int],
-        sizes: list[int],
-        now_us: float,
-        step_us: float,
-        *,
-        offsets: list[int] | None = None,
-    ) -> float:
-        hlog_insert = self.hlog.insert
-        counters = self.counters
-        inserts = 0
-        insert_bytes = 0
-        if offsets is None:
-            offsets = self._placement_column(keys).tolist()
-        for key, size, b in zip(keys, sizes, offsets):
-            inserts += 1
-            insert_bytes += size
-            if not hlog_insert(key, size, now_us=now_us, bucket=b):
-                self._reclaim_and_insert(key, size, now_us, b)
-            now_us += step_us
-        counters.inserts += inserts
-        counters.insert_bytes += insert_bytes
-        self.stats.logical_write_bytes += insert_bytes
-        return now_us
+            return True, 0.0
+        return True, self.device.read(self.hset.location[set_id], now_us=now_us)[1]
 
     def object_count(self) -> int:
         return self.hlog.object_count() + self.hset.object_count()

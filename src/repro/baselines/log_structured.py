@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Callable
 from itertools import repeat
 
-from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
@@ -29,9 +29,6 @@ from repro.flash.zns import ZNSDevice
 #: Paper §2.3 index entry: flash offset (29 b) + tag (29 b) + next pointer
 #: (64 b); hotness is optional and omitted here.
 INDEX_BITS_PER_OBJECT = 29 + 29 + 64
-
-#: Shared like ``MISS``/``MEMORY_HIT``: a flash hit with no latency model.
-_FLASH_HIT_NO_LATENCY = LookupResult(hit=True, flash_reads=1, source="flash")
 
 
 class LogStructuredCache(CacheEngine):
@@ -79,27 +76,23 @@ class LogStructuredCache(CacheEngine):
     # ------------------------------------------------------------------
     # CacheEngine API
     # ------------------------------------------------------------------
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
+    # No placement hash: ``placement`` is the key itself, and unused.
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
         counters = self.counters
         counters.lookups += 1
         entry = self._index.get(key)
         if entry is None:
-            return MISS
+            return False, 0.0
         page, obj_size = entry
         counters.hits += 1
-        # Inlined stats.record_logical_read (sizes are validated positive
-        # at trace construction; this runs once per hit).
         self.stats.logical_read_bytes += obj_size
         if page < 0:  # still in the write buffer
-            return MEMORY_HIT
-        device = self.device
-        if device.latency is None:
-            device.read_page(page)
-            return _FLASH_HIT_NO_LATENCY
-        _, lat = device.read(page, now_us=now_us)
-        return LookupResult(hit=True, latency_us=lat, flash_reads=1, source="flash")
+            return True, 0.0
+        return True, self.device.read(page, now_us=now_us)[1]
 
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         page_size = self.geometry.page_size
         stored = size + self.object_header_bytes
         if stored > page_size:
@@ -127,12 +120,12 @@ class LogStructuredCache(CacheEngine):
         return True
 
     # ------------------------------------------------------------------
-    # Bulk request paths (batched replay dispatch)
+    # Bulk GET path (batched replay dispatch)
     # ------------------------------------------------------------------
-    # Inlined run loops with the index dict and counters bound to
+    # Inlined run loop with the index dict and counters bound to
     # locals; request/stat counters accumulate per run and flush once
     # (nothing samples them mid-run — see ``baselines/base.py`` for the
-    # bulk contract).  Semantics are identical to the scalar methods.
+    # bulk contract).  Semantics are identical to ``_get_many``.
 
     def lookup_many(
         self,
@@ -141,13 +134,15 @@ class LogStructuredCache(CacheEngine):
         now_us: float,
         step_us: float,
         record: Callable[[float], None] | None = None,
+        *,
+        offsets: list[int] | None = None,
     ) -> float:
         device = self.device
         if record is not None or device.latency is not None:
-            # No placement hash: the key stands in (``_get`` ignores it).
+            # No placement hash: the keys are the placement column.
             return self._get_many(keys, sizes, keys, now_us, step_us, record)
         index_get = self._index.get
-        insert = self.insert
+        insert_at = self._insert_at
         state = device.nand._state
         hits = 0
         read_bytes = 0
@@ -155,7 +150,7 @@ class LogStructuredCache(CacheEngine):
         for key, size in zip(keys, sizes):
             entry = index_get(key)
             if entry is None:
-                insert(key, size, now_us)
+                insert_at(key, size, key, now_us)
                 now_us += step_us
                 continue
             page, obj_size = entry
@@ -173,37 +168,6 @@ class LogStructuredCache(CacheEngine):
         if flash_reads:
             device.nand.read_count += flash_reads
             self.stats.record_page_reads(flash_reads, self.geometry.page_size)
-        return now_us
-
-    def insert_many(
-        self, keys: list[int], sizes: list[int], now_us: float, step_us: float
-    ) -> float:
-        page_size = self.geometry.page_size
-        header = self.object_header_bytes
-        index = self._index
-        buffer_append = self._buffer.append
-        inserts = 0
-        insert_bytes = 0
-        for key, size in zip(keys, sizes):
-            stored = size + header
-            if stored > page_size:
-                raise ObjectTooLargeError(
-                    f"object of {size} B (+{header} B header) "
-                    f"exceeds the {page_size} B page"
-                )
-            index.pop(key, None)
-            inserts += 1
-            insert_bytes += size
-            if self._buffer_bytes + stored > page_size:
-                self._flush_buffer(now_us=now_us)
-            buffer_append((key, size))
-            self._buffer_bytes += stored
-            index[key] = (-1, size)
-            now_us += step_us
-        counters = self.counters
-        counters.inserts += inserts
-        counters.insert_bytes += insert_bytes
-        self.stats.logical_write_bytes += insert_bytes
         return now_us
 
     def insert_column(

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.baselines.base import MISS, CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.conventional import ConventionalSSD
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.ftl import UNMAPPED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
-from repro.hashing import bucket_of
 
 #: CacheLib's per-set negative-lookup bloom filter budget (paper: "the
 #: lowest memory cost (4 bits/obj)").
@@ -76,39 +75,26 @@ class SetAssociativeCache(CacheEngine):
         self._object_count = 0
 
     # ------------------------------------------------------------------
-    def _set_of(self, key: int) -> int:
-        return bucket_of(key, self.num_sets, seed=self.hash_seed)
-
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_sets``."""
         return (self.hash_seed, self.num_sets)
 
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
-        return self._lookup_in(self._set_of(key), key, now_us)
-
-    def _lookup_in(self, sid: int, key: int, now_us: float) -> LookupResult:
-        """Scalar lookup body with the set id already resolved."""
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
+        """Probe set ``placement`` through the device stack."""
         self.counters.lookups += 1
-        sset = self._sets[sid]
-        if key not in sset.objects:
+        obj_size = self._sets[placement].objects.get(key)
+        if obj_size is None:
             # The per-set bloom filter rejects the key without flash I/O.
-            return MISS
-        _, lat = self.device.read(sid, now_us=now_us)
+            return False, 0.0
+        _, lat = self.device.read(placement, now_us=now_us)
         self.counters.hits += 1
-        self.stats.record_logical_read(sset.objects[key])
-        return LookupResult(hit=True, latency_us=lat, flash_reads=1, source="flash")
-
-    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
-        result = self._lookup_in(placement, key, now_us)
-        if not result.hit:
-            self._insert_at(key, size, placement, now_us)
-        return result.latency_us
-
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
-        self._insert_at(key, size, self._set_of(key), now_us)
+        self.stats.logical_read_bytes += obj_size
+        return True, lat
 
     def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
-        """Scalar insert body with the set id already resolved."""
+        """Admit ``key`` into set ``placement`` (read-modify-write)."""
         sid = placement
         if size > self.geometry.page_size:
             raise ObjectTooLargeError(
@@ -145,13 +131,12 @@ class SetAssociativeCache(CacheEngine):
         self.device.write(sid, sset.objects, now_us=now_us)
 
     # ------------------------------------------------------------------
-    # Bulk request paths (batched replay dispatch)
+    # Bulk GET path (batched replay dispatch)
     # ------------------------------------------------------------------
-    # Same per-request semantics as the base-class fallbacks, but the
-    # key→set hash is consumed as a precomputed column (``offsets``,
-    # hashed per chunk by the replay runner; a direct caller that passes
-    # none gets one vectorised sweep here) instead of being re-derived
-    # per request — twice per miss in the scalar loop.
+    # Same per-request semantics as the base-class ``_get_many``, on the
+    # precomputed key→set column (``offsets``, hashed per chunk by the
+    # replay runner; a direct caller that passes none gets one
+    # vectorised sweep here).
 
     def lookup_many(
         self,
@@ -168,7 +153,7 @@ class SetAssociativeCache(CacheEngine):
         device = self.device
         if record is not None or device.latency is not None:
             # Timed or recorded: every read goes through the device
-            # stack (``_lookup_in``), the scalar reference.
+            # stack (``_lookup_at``), the per-request reference.
             return self._get_many(keys, sizes, offsets, now_us, step_us, record)
         # Latency-free run loop: the set mirror is probed directly, the
         # FTL-read validation (mapped LBA, programmed page) stays
@@ -202,26 +187,8 @@ class SetAssociativeCache(CacheEngine):
             stats.record_page_reads(hits, self.geometry.page_size)
         return now_us
 
-    def insert_many(
-        self,
-        keys: list[int],
-        sizes: list[int],
-        now_us: float,
-        step_us: float,
-        *,
-        offsets: list[int] | None = None,
-    ) -> float:
-        if offsets is None:
-            offsets = self._placement_column(keys).tolist()
-        insert_at = self._insert_at
-        for key, size, sid in zip(keys, sizes, offsets):
-            insert_at(key, size, sid, now_us)
-            now_us += step_us
-        return now_us
-
     def delete(self, key: int) -> bool:
-        sid = self._set_of(key)
-        sset = self._sets[sid]
+        sset = self._sets[self._placement_of(key)]
         if key not in sset.objects:
             return False
         sset.used_bytes -= sset.objects.pop(key)

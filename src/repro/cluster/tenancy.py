@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.baselines.base import CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError
 
 #: Bits of local key space per tenant (and the namespacing shift).
@@ -120,11 +120,12 @@ class TenantAccount:
 class TenantMeterEngine(CacheEngine):
     """Wrap one shard's engine with per-tenant metering and quotas.
 
-    Only the scalar operations are overridden; the inherited bulk
-    defaults (``lookup_many`` / ``insert_many`` / ``delete_many``) loop
-    them, so every replay lane drives quota enforcement and metering
-    through the same code path — the bulk/scalar byte-identity contract
-    the engines honour extends to the meter for free.
+    Only the per-request probe and admission are overridden; the
+    inherited bulk defaults (``lookup_many`` / ``insert_many`` /
+    ``delete_many``) loop them, so every replay lane drives quota
+    enforcement and metering through the same code path.  The meter
+    reports the inner engine's ``columnar_spec``, so the runner's
+    placement column reaches the inner engine unchanged.
 
     The wrapper shares the inner engine's ``stats``/``counters``
     objects, so harness sampling (``metrics_snapshot``) reports the
@@ -161,15 +162,22 @@ class TenantMeterEngine(CacheEngine):
     # ------------------------------------------------------------------
     # Core operations (metered)
     # ------------------------------------------------------------------
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
-        result = self.inner.lookup(key, size, now_us)
+    def columnar_spec(self) -> tuple[int, int] | None:
+        """The inner engine's placement hash: ``placement`` is handed
+        through unchanged, so a key is hashed once."""
+        return self.inner.columnar_spec()
+
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
+        hit, latency = self.inner._lookup_at(key, size, placement, now_us)
         acct = self._account(tenant_of(key))
         acct.lookups += 1
-        if result.hit:
+        if hit:
             acct.hits += 1
-        return result
+        return hit, latency
 
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
+    def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         tid = tenant_of(key)
         acct = self._account(tid)
         budget = self.quotas.get(tid)
@@ -179,7 +187,7 @@ class TenantMeterEngine(CacheEngine):
             return
         acct.inserts += 1
         acct.insert_bytes += size
-        self.inner.insert(key, size, now_us)
+        self.inner._insert_at(key, size, placement, now_us)
 
     def delete(self, key: int) -> bool:
         self._account(tenant_of(key)).deletes += 1

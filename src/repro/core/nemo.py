@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Collection
 
-from repro.baselines.base import MEMORY_HIT, MISS, CacheEngine, LookupResult
+from repro.baselines.base import CacheEngine
 from repro.core.bloom import BloomFilter, bloom_bits_per_object
 from repro.core.config import NemoConfig
 from repro.core.flusher import FlushDecision, FlushPolicy
@@ -55,8 +55,6 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
 import numpy as np
-
-from repro.hashing import hash64
 
 
 @dataclass
@@ -227,9 +225,6 @@ class NemoCache(CacheEngine):
             index_zones = need_zones
         raise ConfigError("zone split did not converge; check the geometry")
 
-    def _offset(self, key: int) -> int:
-        return hash64(key, self.config.hash_seed) % self.sets_per_sg
-
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % sets_per_sg``."""
         return (self.config.hash_seed, self.sets_per_sg)
@@ -237,9 +232,6 @@ class NemoCache(CacheEngine):
     # ------------------------------------------------------------------
     # CacheEngine API
     # ------------------------------------------------------------------
-    def insert(self, key: int, size: int, now_us: float = 0.0) -> None:
-        self._insert_at(key, size, self._offset(key), now_us)
-
     def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         """Admit ``key`` at its already hashed set offset."""
         if size > self.set_size:
@@ -269,54 +261,6 @@ class NemoCache(CacheEngine):
         self._flush_front(now_us=now_us)
         if not self.queue.try_insert(offset, key, size):
             raise EngineStateError("insert failed after flushing the front SG")
-
-    def lookup(self, key: int, size: int, now_us: float = 0.0) -> LookupResult:
-        self.counters.lookups += 1
-        offset = self._offset(key)
-
-        mem_size = self.queue.find(offset, key)
-        if mem_size is not None:
-            self.counters.hits += 1
-            self.stats.record_logical_read(mem_size)
-            return MEMORY_HIT
-
-        if not self.pool:
-            return MISS
-
-        holder, flash_reads, latency = self._flash_lookup(key, offset, now_us)
-
-        if holder is None:
-            return LookupResult(
-                hit=False, latency_us=latency, flash_reads=flash_reads
-            )
-
-        obj_size = holder.sets[offset][key]
-        self.counters.hits += 1
-        self.stats.record_logical_read(obj_size)
-        self.hotness.record_access(
-            key, offset, in_window=self._in_window(holder.sg_id)
-        )
-        return LookupResult(
-            hit=True, latency_us=latency, flash_reads=flash_reads, source="flash"
-        )
-
-    def _flash_lookup(
-        self, key: int, offset: int, now_us: float
-    ) -> tuple[FlashSG | None, int, float]:
-        """PBFG consult + candidate reads for a memory-miss lookup.
-
-        Two independent halves: the **index side** touches PBFG pages
-        (:meth:`_consult_index`) and the **candidate side** identifies
-        and reads candidate SGs (:meth:`_candidates`).  Returns
-        ``(holder, flash_reads, latency_us)``; the caller does the hit
-        accounting.
-        """
-        flash_reads, latency = self._consult_index(offset, now_us)
-        candidate_pages, holder = self._candidates(key, offset)
-        if candidate_pages:
-            latency = max(latency, self._read_pages(candidate_pages, now_us))
-            flash_reads += len(candidate_pages)
-        return holder, flash_reads, latency
 
     def _read_pages(self, pages: list[int], now_us: float) -> float:
         """Read ``pages`` in parallel (payloads unused); returns the
@@ -395,7 +339,7 @@ class NemoCache(CacheEngine):
         """Batched GET run with read-through admission.
 
         Per-request semantics, counter totals and RNG draw sequence are
-        identical to scalar ``lookup`` + ``insert``-on-miss; the key
+        identical to :meth:`_lookup_at` + ``_insert_at``-on-miss; the key
         hash is consumed as a precomputed column (``offsets``, hashed
         per chunk by the replay runner; a direct caller that passes
         none gets one vectorised sweep here).
@@ -409,7 +353,7 @@ class NemoCache(CacheEngine):
         ``NandArray.read_pages``' checks, and the hotness bit.  Request,
         read, PBFG and index-cache counters add up once per run
         (nothing observes them mid-run — the harness samples only at
-        chunk boundaries).  Every other mode runs :meth:`_get`.
+        chunk boundaries).  Every other mode runs :meth:`_lookup_at`.
         """
         if offsets is None:
             offsets = self._placement_column(keys).tolist()
@@ -517,15 +461,18 @@ class NemoCache(CacheEngine):
             stats.record_page_reads(page_reads, self.geometry.page_size)
         return now_us
 
-    def _get(self, key: int, size: int, placement: int, now_us: float) -> float:
-        """One GET at set offset ``placement`` on any lane: the memory
-        probe, the all-resident index test (a non-resident consult calls
-        :meth:`_consult_index` and takes its latency), :meth:`_candidates`'
-        draws in order (inlined in statistical-filter mode), the page
-        reads through :meth:`_read_pages` (NAND checks and latency model
-        kept), the hotness bit and read-through admission.  Counters are
-        bumped per call, and ``hotness._bits`` is looked up per hit,
-        since ``cool()`` rebinds it."""
+    def _lookup_at(
+        self, key: int, size: int, placement: int, now_us: float
+    ) -> tuple[bool, float]:
+        """One GET probe at set offset ``placement`` on any lane: the
+        memory probe, the all-resident index test (a non-resident consult
+        calls :meth:`_consult_index` and takes its latency),
+        :meth:`_candidates`' draws in order (inlined in
+        statistical-filter mode), the page reads through
+        :meth:`_read_pages` (NAND checks and latency model kept) and the
+        hotness bit.  Counters are bumped per call, and
+        ``hotness._bits`` is looked up per hit, since ``cool()`` rebinds
+        it."""
         offset = placement
         counters = self.counters
         counters.lookups += 1
@@ -534,11 +481,10 @@ class NemoCache(CacheEngine):
             if mem_size is not None:
                 counters.hits += 1
                 self.stats.logical_read_bytes += mem_size
-                return 0.0
+                return True, 0.0
         pool = self.pool
         if not pool:
-            self._insert_at(key, size, offset, now_us)
-            return 0.0
+            return False, 0.0
         n_live = self.index_pool._live_groups
         if self.index_cache._page_idx_counts[offset // self._offsets_per_page] == n_live:
             self.pbfg_lookups += 1
@@ -567,47 +513,15 @@ class NemoCache(CacheEngine):
         if pages:
             latency = max(latency, self._read_pages(pages, now_us))
         if holder is None:
-            self._insert_at(key, size, offset, now_us)
-            return latency
+            return False, latency
         counters.hits += 1
         self.stats.logical_read_bytes += holder.sets[offset][key]
         if (holder.sg_id - pool[0].sg_id) < self._window_sgs:
             self.hotness._bits[key] = offset  # record_access inlined
-        return latency
-
-    def insert_many(
-        self,
-        keys: list[int],
-        sizes: list[int],
-        now_us: float,
-        step_us: float,
-        *,
-        offsets: list[int] | None = None,
-    ) -> float:
-        """Batched SET run: scalar ``insert`` semantics, hash columnised."""
-        counters = self.counters
-        set_size = self.set_size
-        try_insert = self.queue.try_insert
-        if offsets is None:
-            offsets = self._placement_column(keys).tolist()
-        inserts = insert_bytes = 0
-        for key, size, offset in zip(keys, sizes, offsets):
-            if size > set_size:
-                raise ObjectTooLargeError(
-                    f"object of {size} B exceeds the {set_size} B set"
-                )
-            inserts += 1
-            insert_bytes += size
-            if not try_insert(offset, key, size):
-                self._insert_blocked(offset, key, size, now_us)
-            now_us += step_us
-        counters.inserts += inserts
-        counters.insert_bytes += insert_bytes
-        self.stats.logical_write_bytes += insert_bytes
-        return now_us
+        return True, latency
 
     def delete(self, key: int) -> bool:
-        offset = self._offset(key)
+        offset = self._placement_of(key)
         removed = self.queue.remove(offset, key)
         if self._flash_copies.pop(key, 0):
             self._flash_index.pop(key, None)
@@ -737,7 +651,7 @@ class NemoCache(CacheEngine):
         Real-filter candidates depend on each key's bloom membership, so
         this mode has no array form: every consult identifies and reads
         its candidate pages and records a flash hit's hotness, exactly
-        as the scalar lookup does after its index side.
+        as :meth:`_lookup_at` does after its index side.
         """
         device = self.device
         record_access = self.hotness.record_access

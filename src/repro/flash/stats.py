@@ -63,11 +63,6 @@ class FlashStats:
             raise ValueError("nbytes must be non-negative")
         self.logical_write_bytes += nbytes
 
-    def record_logical_read(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.logical_read_bytes += nbytes
-
     def record_host_write(
         self, nbytes: int, *, also_flash: bool = True, ops: int = 1
     ) -> None:

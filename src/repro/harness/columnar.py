@@ -993,7 +993,7 @@ def replay_nemo_columnar(
             else:
                 # Injection: this position was classified a hit but
                 # the key was evicted with no surviving flash copy —
-                # run the one request scalar (real lookup, manual
+                # run the one request scalar (``_lookup_at``, manual
                 # read-through accounting) and exclude it from the
                 # vector settle.
                 heappop(sched)
@@ -1015,15 +1015,15 @@ def replay_nemo_columnar(
                 read_settle(t)
                 seg_start = t + 1  # this request settles scalar
                 rpos = t + 1  # the real lookup consults for itself
-                res = engine.lookup(
-                    key, size, float(clock[t - 1]) if t else 0.0
+                hit, lat = engine._lookup_at(
+                    key, size, off, float(clock[t - 1]) if t else 0.0
                 )
-                if res.hit:
+                if hit:
                     raise EngineStateError(
                         "injected lookup unexpectedly hit"
                     )
                 if latency is not None:
-                    latency.record(res.latency_us)
+                    latency.record(lat)
                 counters.inserts += 1
                 counters.insert_bytes += size
                 stats.logical_write_bytes += size

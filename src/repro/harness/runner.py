@@ -27,9 +27,11 @@ runs.  The three executors share these semantics and are byte-identical
   advance it chunk by chunk, other engines replay batched.  A kernel
   that bails (first eviction) returns a position short of the boundary
   and the batched executor finishes that chunk and the rest.
-- ``kernel="scalar"``: the :class:`CacheEngine` scalar-loop fallbacks —
-  the slowest lane, kept only as the semantic reference the parity
-  goldens compare the other two against.
+- ``kernel="scalar"``: the :class:`CacheEngine` run loops, one
+  ``_lookup_at`` (+ ``_insert_at`` on a miss), ``_insert_at`` or
+  ``delete`` per request on the same placement column — the slowest
+  lane, kept only as the semantic reference the parity goldens compare
+  the other two against.
 """
 
 from __future__ import annotations
@@ -271,10 +273,10 @@ def replay(
     # boundaries on every executor.
     record = latency.record if record_latency else None
 
-    scalar = kernel == "scalar"
-    if scalar:
-        # The reference lane: every request goes through the
-        # scalar-default run loops instead of the engines' bulk paths.
+    if kernel == "scalar":
+        # The reference lane: every request goes through the base-class
+        # run loops (``_lookup_at`` / ``_insert_at`` / ``delete`` per
+        # request) instead of the engines' inlined bulk paths.
         lookup_many = CacheEngine.lookup_many.__get__(engine)
         insert_many = CacheEngine.insert_many.__get__(engine)
         delete_many = CacheEngine.delete_many.__get__(engine)
@@ -319,17 +321,17 @@ def replay(
                 f"dispatch: {reason}"
             )
 
-    # Engines whose bulk paths accept precomputed placement offsets
-    # (Nemo, FW/KG, Set) get them on every bulk lane: one vectorised
-    # hash per block here replaces one per same-op run in the engine.
-    placement = None if scalar else engine.columnar_spec()
+    # Every bulk call gets the block's placement column as ``offsets``:
+    # one vectorised hash per block here for engines with a placement
+    # hash (Nemo, FW/KG, Set), the keys themselves for the others.
+    placement = engine.columnar_spec()
     # The batched executor's current block: trace[block_start:block_stop]
     # as Python lists, with its run starts.
     block_start = block_stop = 0
     ops_arr = trace.ops[:0]
     keys: list[int] = []
     sizes: list[int] = []
-    offsets: list[int] | None = None
+    offsets: list[int] = []
     cuts: list[int] = []
 
     for stop in boundaries:
@@ -345,15 +347,15 @@ def replay(
             # Batched executor: the chunk is segmented into runs of the
             # same op and handed to the engine's bulk API
             # (``lookup_many``/``insert_many``/``delete_many``), which
-            # owns the per-request loop — engines with inlined fast
-            # paths amortise hashing and counter updates across the run;
-            # others (and the scalar executor) run the scalar defaults
-            # in :class:`CacheEngine`.  The trace is converted to Python
-            # lists once per block — whole chunks, up to _BLOCK requests
-            # unless one chunk is longer — because `int(keys[i])` per
-            # request boxes a fresh numpy scalar, which dominated the
-            # seed loop's profile, and per-chunk numpy passes dominate
-            # densely sampled replays (many short chunks).
+            # owns the per-request loop — engines with inlined GET loops
+            # amortise counter updates across the run; others (and the
+            # scalar executor) run the :class:`CacheEngine` defaults.
+            # The trace is converted to Python lists once per block —
+            # whole chunks, up to _BLOCK requests unless one chunk is
+            # longer — because `int(keys[i])` per request boxes a fresh
+            # numpy scalar, which dominated the seed loop's profile, and
+            # per-chunk numpy passes dominate densely sampled replays
+            # (many short chunks).
             if stop > block_stop:
                 # Up to the last boundary within _BLOCK of ``start``.
                 i = bisect.bisect_right(boundaries, start + _BLOCK)
@@ -365,7 +367,7 @@ def replay(
                 offsets = (
                     trace.set_id_slice(*placement, block_start, block_stop).tolist()
                     if placement is not None
-                    else None
+                    else keys
                 )
                 # Run starts: block positions where the op code changes.
                 cuts = (np.flatnonzero(ops_arr[1:] != ops_arr[:-1]) + 1).tolist()
@@ -379,25 +381,15 @@ def replay(
             for a, b in zip(bounds, bounds[1:]):
                 op = ops_arr[a]
                 if op == OP_GET_:
-                    if offsets is not None:
-                        now_us = lookup_many(
-                            keys[a:b], sizes[a:b], now_us, step_us, record,
-                            offsets=offsets[a:b],
-                        )
-                    else:
-                        now_us = lookup_many(
-                            keys[a:b], sizes[a:b], now_us, step_us, record
-                        )
+                    now_us = lookup_many(
+                        keys[a:b], sizes[a:b], now_us, step_us, record,
+                        offsets=offsets[a:b],
+                    )
                 elif op == OP_SET_:
-                    if offsets is not None:
-                        now_us = insert_many(
-                            keys[a:b], sizes[a:b], now_us, step_us,
-                            offsets=offsets[a:b],
-                        )
-                    else:
-                        now_us = insert_many(
-                            keys[a:b], sizes[a:b], now_us, step_us
-                        )
+                    now_us = insert_many(
+                        keys[a:b], sizes[a:b], now_us, step_us,
+                        offsets=offsets[a:b],
+                    )
                 elif op == OP_DELETE_:
                     now_us = delete_many(keys[a:b], now_us, step_us)
                 else:  # unknown op: clock advances, nothing else

@@ -20,17 +20,21 @@ REQUEST_METHODS = (
     "lookup_many",
     "insert_many",
     "delete_many",
-    "_get",
+    "_lookup_at",
     "_insert_at",
 )
+
+#: Derived once in :class:`CacheEngine` from ``_lookup_at`` /
+#: ``_insert_at``; no engine writes its own.
+DERIVED_METHODS = ("lookup", "insert", "insert_many", "_get")
 
 
 class TestLookupResult:
     def test_defaults(self):
         r = LookupResult(hit=False)
         assert r.latency_us == 0.0
-        assert r.flash_reads == 0
-        assert r.source == "miss"
+        assert r == (False, 0.0)
+        assert LookupResult._fields == ("hit", "latency_us")
 
     def test_frozen(self):
         r = LookupResult(hit=True)
@@ -84,10 +88,10 @@ class TestEngineHelpers:
         class Minimal(CacheEngine):
             name = "min"
 
-            def lookup(self, key, size, *, now_us=0.0):
-                return LookupResult(hit=False)
+            def _lookup_at(self, key, size, placement, now_us):
+                return False, 0.0
 
-            def insert(self, key, size, *, now_us=0.0):
+            def _insert_at(self, key, size, placement, now_us):
                 self.record_admission(size)
 
             def object_count(self):
@@ -123,6 +127,15 @@ class TestRegisteredEngineProtocol:
             {k: v for k, v in full.items() if k != "object_count"}
         )
         assert json.dumps(engine.metrics_snapshot(("object_count",))) == json.dumps(full)
+
+    def test_only_the_probe_and_the_admission_are_engine_written(self, name):
+        engine_type = type(make_engine(name, shard_geometry(8)))
+        own = engine_type.__mro__[: engine_type.__mro__.index(CacheEngine)]
+        for cls in own:
+            written = set(DERIVED_METHODS) & set(vars(cls))
+            assert not written, f"{cls.__name__} defines {sorted(written)}"
+        for method in ("_lookup_at", "_insert_at"):
+            assert any(method in vars(cls) for cls in own), method
 
     @pytest.mark.parametrize("method", REQUEST_METHODS)
     def test_request_signature_extends_the_base(self, name, method):

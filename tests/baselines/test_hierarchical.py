@@ -65,8 +65,9 @@ class TestDataPath:
     def test_fresh_insert_hits_from_log(self, geometry):
         fw = FairyWrenCache(geometry)
         fw.insert(1, 200)
-        r = fw.lookup(1, 200)
-        assert r.hit and r.source == "memory"  # still in the page buffer
+        reads = fw.device.nand.read_count
+        assert fw.lookup(1, 200).hit
+        assert fw.device.nand.read_count == reads  # still in the page buffer
 
     def test_migrated_objects_hit_from_sets(self, geometry):
         fw = FairyWrenCache(geometry)
@@ -77,8 +78,9 @@ class TestDataPath:
             if fw.hset.sets[b].objects:
                 key = next(iter(fw.hset.sets[b].objects))
                 if fw.hlog.find(key) is None:
-                    r = fw.lookup(key, 200)
-                    assert r.hit and r.source == "flash"
+                    reads = fw.device.nand.read_count
+                    assert fw.lookup(key, 200).hit
+                    assert fw.device.nand.read_count == reads + 1
                     return
         pytest.fail("no migrated object found")
 

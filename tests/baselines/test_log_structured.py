@@ -18,15 +18,17 @@ class TestBasics:
     def test_insert_lookup_memory(self):
         cache = make_cache()
         cache.insert(1, 100)
-        r = cache.lookup(1, 100)
-        assert r.hit and r.source == "memory"
+        reads = cache.device.nand.read_count
+        assert cache.lookup(1, 100).hit
+        assert cache.device.nand.read_count == reads  # still buffered
 
     def test_flushed_objects_hit_from_flash(self):
         cache = make_cache()
         for key in range(100):
             cache.insert(key, 300)
-        r = cache.lookup(0, 300)
-        assert r.hit and r.source == "flash" and r.flash_reads == 1
+        reads = cache.device.nand.read_count
+        assert cache.lookup(0, 300).hit
+        assert cache.device.nand.read_count == reads + 1
 
     def test_miss(self):
         cache = make_cache()

@@ -32,10 +32,9 @@ class TestBasicOps:
     def test_insert_then_memory_hit(self):
         cache = tiny_nemo()
         cache.insert(1, 100)
-        result = cache.lookup(1, 100)
-        assert result.hit
-        assert result.source == "memory"
-        assert result.flash_reads == 0
+        reads = cache.device.nand.read_count
+        assert cache.lookup(1, 100).hit
+        assert cache.device.nand.read_count == reads
 
     def test_object_count(self):
         cache = tiny_nemo()
@@ -79,10 +78,9 @@ class TestFlushPath:
         cache = fill_to_flash(tiny_nemo())
         flash_keys = [k for k in range(4000) if cache._flash_index.get(k) is not None]
         assert flash_keys
-        result = cache.lookup(flash_keys[0], 200)
-        assert result.hit
-        assert result.source == "flash"
-        assert result.flash_reads >= 1
+        reads = cache.device.nand.read_count
+        assert cache.lookup(flash_keys[0], 200).hit
+        assert cache.device.nand.read_count >= reads + 1
 
     def test_fill_rates_recorded(self):
         cache = fill_to_flash(tiny_nemo())

@@ -56,7 +56,7 @@ class TestRecording:
 
     def test_read_amplification(self):
         s = FlashStats()
-        s.record_logical_read(100)
+        s.logical_read_bytes += 100
         s.record_host_read(4096)
         assert s.read_amplification == pytest.approx(40.96)
 
@@ -72,7 +72,6 @@ class TestRecording:
         s = FlashStats()
         for method in (
             s.record_logical,
-            s.record_logical_read,
             s.record_host_write,
             s.record_host_read,
         ):

@@ -122,7 +122,7 @@ class TestBulkScalarAgreement:
 
 
 def assert_recorded_latencies_agree(bulk_engine, scalar_engine, lane):
-    """A recorded GET run (``_get`` per request) vs the scalar loop on a
+    """A recorded GET run (``_lookup_at`` per request) vs the scalar loop on a
     twin engine: equal per-request latencies and final snapshots; on a
     timed lane, some GET pays a flash read."""
     for engine in (bulk_engine, scalar_engine):
@@ -209,17 +209,17 @@ class TestNemoLatencyFreeLane:
         key = next(
             k
             for k in engine._flash_index
-            if engine.queue.find(engine._offset(k), k) is None
+            if engine.queue.find(engine._placement_of(k), k) is None
         )
         holder = engine._pool_map[engine._flash_index[key]]
-        engine.device.nand._state[holder.page_of(engine._offset(key))] = PAGE_ERASED
+        engine.device.nand._state[holder.page_of(engine._placement_of(key))] = PAGE_ERASED
         with pytest.raises(ReadError, match="not programmed"):
             engine.lookup_many([key], [100], 0.0, STEP_US)
 
 
 class TestSetLatencyFreeLane:
     """Set's bulk GET loop validates and counts flash reads inline on a
-    latency-free, fault-free device; ``_lookup_in`` (the device-stack
+    latency-free, fault-free device; ``_lookup_at`` (the device-stack
     chain) stays the reference."""
 
     def test_read_accounting_identical_after_hits(self):
@@ -247,7 +247,7 @@ class TestSetLatencyFreeLane:
     def test_unmapped_lba_hit_raises_read_error(self):
         engine = make_engine("set")
         engine.insert_many([5], [100], 0.0, STEP_US)
-        engine.device.trim(engine._set_of(5))
+        engine.device.trim(engine._placement_of(5))
         with pytest.raises(ReadError, match="unmapped"):
             engine.lookup_many([5], [100], 0.0, STEP_US)
 
@@ -255,7 +255,7 @@ class TestSetLatencyFreeLane:
         engine = make_engine("set")
         engine.insert_many([5], [100], 0.0, STEP_US)
         ftl = engine.device.ftl
-        ftl.nand._state[ftl._l2p[engine._set_of(5)]] = PAGE_ERASED
+        ftl.nand._state[ftl._l2p[engine._placement_of(5)]] = PAGE_ERASED
         with pytest.raises(ReadError, match="not programmed"):
             engine.lookup_many([5], [100], 0.0, STEP_US)
 
@@ -333,7 +333,7 @@ def assert_nemo_lanes_reached(engine):
 @pytest.mark.parametrize("name", ENGINE_NAMES)
 def test_service_fn_matches_the_scalar_closure(name, lane):
     """Every engine's closed-loop closure agrees with the scalar one, and
-    Nemo's and FW/KG's ``_get`` reach the lanes they inline."""
+    Nemo's and FW/KG's ``_lookup_at`` reach the lanes they inline."""
     fast, reference = make_engine(name), make_engine(name)
     assert_service_agrees(fast, reference, lane)
     if name == "nemo":
@@ -357,10 +357,10 @@ def test_service_fn_unprogrammed_holder_page_raises_read_error():
     key = next(
         k
         for k in engine._flash_index
-        if engine.queue.find(engine._offset(k), k) is None
+        if engine.queue.find(engine._placement_of(k), k) is None
     )
     holder = engine._pool_map[engine._flash_index[key]]
-    engine.device.nand._state[holder.page_of(engine._offset(key))] = PAGE_ERASED
+    engine.device.nand._state[holder.page_of(engine._placement_of(key))] = PAGE_ERASED
     service = engine.service_fn(Trace(ops=[OP_GET], keys=[key], sizes=[100]))
     with pytest.raises(ReadError, match="not programmed"):
         service(0, 0.0)
