@@ -23,9 +23,9 @@ from repro.analysis.fill_model import (
     expected_fill_when_first_set_full,
     fill_at_first_full_simulated,
 )
-from repro.experiments.common import twitter_trace
 from repro.harness.report import format_table
 from repro.hashing import splitmix64_array
+from repro.workloads.mixer import merged_twitter_trace
 from repro.workloads.sizes import NormalSizeModel
 from repro.workloads.trace import Trace
 
@@ -81,7 +81,11 @@ def run(scale: str = "small") -> Fig08Result:
     result = Fig08Result()
     set_counts = SET_COUNTS if scale == "full" else SET_COUNTS[:2]
     longest = max(set_counts) * (max(SET_SIZES) // 200 + 2)
-    trace = twitter_trace(max(8 * longest, 200_000), wss_scale=1.0 / 32)
+    # Not the memoised ``common.twitter_trace``: no other experiment reads
+    # a 1/32-scale trace, so the cache would only keep it alive.
+    trace = merged_twitter_trace(
+        num_requests=max(8 * longest, 200_000), wss_scale=1.0 / 32
+    )
     first_seen = np.sort(np.unique(trace.keys, return_index=True)[1])
     for workload in ("twitter", "synthetic"):
         for num_sets in set_counts:

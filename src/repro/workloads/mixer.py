@@ -17,45 +17,89 @@ from repro.workloads.trace import Trace
 from repro.workloads.twitter import TWITTER_CLUSTERS, generate_cluster_trace
 
 
+#: Merged requests placed per step of :func:`proportional_interleave`.
+_WINDOW = 1 << 16
+
+
+def _positions(k: np.ndarray, n: int, j: int) -> np.ndarray:
+    """Virtual positions of requests ``k`` of input ``j`` (length ``n``)."""
+    # The tiny per-input offset breaks ties deterministically without
+    # disturbing the stratification.
+    return (k + 0.5) / n + j * 1e-12
+
+
+def _count_below(cuts: np.ndarray, n: int, j: int) -> np.ndarray:
+    """Per cut value, how many requests of input ``j`` lie below it."""
+    if n == 0:
+        return np.zeros(len(cuts), dtype=np.int64)
+    count = np.clip(np.ceil((cuts - j * 1e-12) * n - 0.5), 0, n).astype(np.int64)
+    # The closed-form estimate can miss by one where rounding lands on a
+    # cut; step it onto the exact count under the float positions.
+    while True:
+        down = (count > 0) & (_positions(count - 1, n, j) >= cuts)
+        up = (count < n) & (_positions(count, n, j) < cuts)
+        if not (down.any() or up.any()):
+            return count
+        count += up
+        count -= down
+
+
 def proportional_interleave(traces: list[Trace], *, name: str = "mix") -> Trace:
     """Merge traces so each contributes at its own steady proportion.
 
     Deterministic low-discrepancy interleave: request *k* of input *j*
     (of length ``n_j``) is placed at virtual position ``(k + 0.5) / n_j``
-    on a common [0, 1) axis, and the merged order is the sort of all
-    virtual positions (a stratified merge).  Every input is spread evenly
-    across the whole merged trace — no RNG noise, no long
+    on a common [0, 1) axis, and the merged order is the stable sort of
+    all virtual positions (a stratified merge).  Every input is spread
+    evenly across the whole merged trace — no RNG noise, no long
     single-workload runs (the paper's stated goal).
+
+    The order depends on the input lengths alone, so it is computed one
+    window of the axis at a time: each input's requests inside the
+    window are a contiguous slice, their positions are sorted, and the
+    slices' columns are written straight into the merged arrays.  Beyond
+    the inputs and the result, memory is O(window).
     """
     if not traces:
         raise TraceError("need at least one trace")
-    total = sum(len(t) for t in traces)
+    lengths = [len(t) for t in traces]
+    total = sum(lengths)
     if total == 0:
         raise TraceError("traces are empty")
 
-    positions = np.empty(total, dtype=np.float64)
+    windows = -(-total // _WINDOW)
+    cuts = np.arange(1, windows) / windows
+    bounds = [
+        np.concatenate(([0], _count_below(cuts, n, j), [n]))
+        for j, n in enumerate(lengths)
+    ]
     ops = np.empty(total, dtype=np.uint8)
     keys = np.empty(total, dtype=np.int64)
     sizes = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for j, t in enumerate(traces):
-        n = len(t)
-        if n == 0:
+    start = 0
+    for w in range(windows):
+        parts = [
+            (j, int(b[w]), int(b[w + 1]))
+            for j, b in enumerate(bounds)
+            if b[w + 1] > b[w]
+        ]
+        if not parts:
             continue
-        sl = slice(cursor, cursor + n)
-        # The tiny per-input offset breaks ties deterministically without
-        # disturbing the stratification.
-        positions[sl] = (np.arange(n) + 0.5) / n + j * 1e-12
-        ops[sl] = t.ops
-        keys[sl] = t.keys
-        sizes[sl] = t.sizes
-        cursor += n
-
-    order = np.argsort(positions, kind="stable")
+        positions = np.concatenate(
+            [_positions(np.arange(lo, hi), lengths[j], j) for j, lo, hi in parts]
+        )
+        order = np.argsort(positions, kind="stable")
+        stop = start + len(order)
+        for out, column in ((ops, "ops"), (keys, "keys"), (sizes, "sizes")):
+            window = np.concatenate(
+                [getattr(traces[j], column)[lo:hi] for j, lo, hi in parts]
+            )
+            np.take(window, order, out=out[start:stop])
+        start = stop
     return Trace(
-        ops=ops[order],
-        keys=keys[order],
-        sizes=sizes[order],
+        ops=ops,
+        keys=keys,
+        sizes=sizes,
         name=name,
         num_keys=max(t.num_keys for t in traces),
         meta={"components": [t.name for t in traces]},

@@ -124,15 +124,16 @@ def multi_tenant_trace(
         tenant_id = i + 1
         tenant_ids[spec.name] = tenant_id
         tenant_seed = seed + tenant_id * 1_000_003
+        # Keys before sizes, as in ``generate_cluster_trace``: the Zipf
+        # draw's universe arrays are gone before the size table is drawn.
+        local_keys = ZipfGenerator(
+            spec.num_keys, spec.zipf_alpha, seed=tenant_seed
+        ).sample(int(count))
         rng = np.random.default_rng(tenant_seed)
         value_model = LogNormalSizeModel(
             spec.mean_value_size, sigma=spec.size_sigma, minimum=8
         )
-        sizes_table = (
-            value_model.build_table(spec.num_keys, rng) + spec.key_size
-        )
-        zipf = ZipfGenerator(spec.num_keys, spec.zipf_alpha, seed=tenant_seed)
-        local_keys = zipf.sample(int(count))
+        sizes = value_model.sizes_of(local_keys, spec.num_keys, rng) + spec.key_size
         ops = np.where(
             rng.random(int(count)) < spec.get_fraction, OP_GET, OP_SET
         ).astype(np.uint8)
@@ -140,7 +141,7 @@ def multi_tenant_trace(
             Trace(
                 ops=ops,
                 keys=namespace_keys(local_keys, tenant_id),
-                sizes=sizes_table[local_keys],
+                sizes=sizes,
                 name=f"{name}/{spec.name}",
                 num_keys=spec.num_keys,
                 meta={

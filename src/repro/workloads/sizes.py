@@ -1,9 +1,10 @@
 """Per-key object-size models.
 
-Sizes are assigned per *key*, not per request: the generators build one
-size table over the key universe and index it with sampled keys, so a
-key always presents the same object size (a property every cache engine
-here relies on when accounting bytes).
+Sizes are assigned per *key*, not per request: the generators draw one
+size table over the key universe and index it with sampled keys
+(:meth:`SizeModel.sizes_of`), so a key always presents the same object
+size (a property every cache engine here relies on when accounting
+bytes).
 
 Three models cover the paper's needs:
 
@@ -30,8 +31,20 @@ class SizeModel(abc.ABC):
     """Deterministic per-key size table factory."""
 
     @abc.abstractmethod
+    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
+        """The per-key sizes as a ``float64`` array of whole numbers."""
+
     def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         """Return an ``int64`` array of per-key object sizes."""
+        return self._draw(num_keys, rng).astype(np.int64)
+
+    def sizes_of(
+        self, keys: np.ndarray, num_keys: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``build_table(num_keys, rng)[keys]``, leaving ``rng`` in the same
+        state, while holding one 8-byte-per-key array instead of two: only
+        the sampled keys' sizes are converted to ``int64``."""
+        return self._draw(num_keys, rng)[keys].astype(np.int64)
 
     @property
     @abc.abstractmethod
@@ -47,8 +60,8 @@ class FixedSizeModel(SizeModel):
             raise TraceError("size must be positive")
         self.size = size
 
-    def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(num_keys, self.size, dtype=np.int64)
+    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
+        return np.full(num_keys, self.size, dtype=np.float64)
 
     @property
     def mean_size(self) -> float:
@@ -67,11 +80,11 @@ class NormalSizeModel(SizeModel):
         self.std = std
         self.minimum = minimum
 
-    def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         sizes = rng.normal(self.mean, self.std, size=num_keys)
         np.rint(sizes, out=sizes)
         np.maximum(sizes, self.minimum, out=sizes)
-        return sizes.astype(np.int64)
+        return sizes
 
     @property
     def mean_size(self) -> float:
@@ -101,11 +114,11 @@ class LogNormalSizeModel(SizeModel):
         self.minimum = minimum
         self._mu = np.log(mean) - sigma * sigma / 2.0
 
-    def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         sizes = rng.lognormal(self._mu, self.sigma, size=num_keys)
         np.rint(sizes, out=sizes)
         np.maximum(sizes, self.minimum, out=sizes)
-        return sizes.astype(np.int64)
+        return sizes
 
     @property
     def mean_size(self) -> float:

@@ -111,33 +111,31 @@ def generate_cluster_trace(
     wss_bytes = spec.wss_mb * MIB * wss_scale
     num_keys = max(64, int(round(wss_bytes / mean_obj)))
 
+    # Keys first: the Zipf draw uses its own generators, so its CDF and
+    # permutation are gone before the size table is drawn.  One cluster
+    # thus holds at most one 8-byte-per-key array (cluster_29's 4.77M
+    # keys at fig08's 1/32 scale: 38 MB) plus O(num_requests).
+    keys = ZipfGenerator(num_keys, spec.zipf_alpha, seed=seed).sample(num_requests)
     rng = np.random.default_rng(seed)
     # Per-key sizes: fixed key size + lognormal value size, then the §5.1
-    # downscale applied to the whole object.
+    # downscale applied to the whole object.  Every step is elementwise,
+    # so it runs on the sampled keys' sizes, not on the whole table.
     value_model = LogNormalSizeModel(spec.value_size, sigma=sigma, minimum=8)
-    # The table is built in place: at 1/32 scale the key universe is
-    # ~10M keys, so every whole-universe temporary costs ~80 MB of peak.
-    values = value_model.build_table(num_keys, rng)
+    values = value_model.sizes_of(keys, num_keys, rng)
     values += spec.key_size
-    table = np.divide(values, spec.size_scale)
-    del values
-    np.rint(table, out=table)
-    np.maximum(table, 16, out=table)
-    sizes_table = table.astype(np.int64)
-    del table
-
-    zipf = ZipfGenerator(num_keys, spec.zipf_alpha, seed=seed)
-    keys = zipf.sample(num_requests)
-    del zipf
-    sizes = sizes_table[keys]
-    del sizes_table
+    scaled = np.divide(values, spec.size_scale)
+    np.rint(scaled, out=scaled)
+    np.maximum(scaled, 16, out=scaled)
+    sizes = scaled.astype(np.int64)
+    del values, scaled
 
     ops = np.where(rng.random(num_requests) < get_fraction, OP_GET, OP_SET).astype(
         np.uint8
     )
+    keys += key_base
     return Trace(
         ops=ops,
-        keys=keys + key_base,
+        keys=keys,
         sizes=sizes,
         name=spec.name,
         num_keys=key_base + num_keys,

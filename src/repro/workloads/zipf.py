@@ -2,10 +2,14 @@
 
 Twitter cache workloads are Zipfian with α ≈ 1.1–1.3 (Table 5; §5.1:
 "α = 1 represents the classic 80/20 Pareto distribution").  The sampler
-here draws millions of keys per second by precomputing the CDF over the
+here draws millions of keys per second by building the CDF over the
 (finite) key universe and inverting it with ``searchsorted`` on uniform
 randoms — exact finite-N Zipf, not the rejection approximation of
 ``numpy.random.zipf`` (which models an unbounded support).
+
+Peak rule: a draw holds at most one 8-byte-per-key array of the universe
+(the CDF, released before the 4-byte-per-key permutation is built) plus
+O(count); nothing universe-sized outlives the call.
 
 Rank-to-key mapping: ranks are shuffled into key ids with a seeded
 permutation so the hottest keys are scattered across the id space the
@@ -16,9 +20,18 @@ set-access histogram) honest.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.errors import TraceError
+
+
+def _check(num_keys: int, alpha: float) -> None:
+    if num_keys <= 0:
+        raise TraceError("num_keys must be positive")
+    if alpha < 0:
+        raise TraceError("alpha must be non-negative")
 
 
 def zipf_probabilities(num_keys: int, alpha: float) -> np.ndarray:
@@ -26,15 +39,18 @@ def zipf_probabilities(num_keys: int, alpha: float) -> np.ndarray:
 
     ``alpha=0`` degenerates to the uniform distribution.
     """
-    if num_keys <= 0:
-        raise TraceError("num_keys must be positive")
-    if alpha < 0:
-        raise TraceError("alpha must be non-negative")
+    _check(num_keys, alpha)
     # In place: one key-universe-sized array, no temporaries.
     weights = np.arange(1, num_keys + 1, dtype=np.float64)
     np.power(weights, -alpha, out=weights)
     weights /= weights.sum()
     return weights
+
+
+def rank_dtype(num_keys: int) -> type[np.signedinteger[Any]]:
+    """Dtype of the rank-to-key permutation: ``int32`` below 2**31 keys
+    (4 B per key), ``int64`` from there on."""
+    return np.int32 if num_keys < 2**31 else np.int64
 
 
 class ZipfGenerator:
@@ -52,6 +68,13 @@ class ZipfGenerator:
     shuffle:
         When True (default), rank *r* maps to a pseudo-random key id
         instead of ``r-1``.
+
+    Memory: the generator keeps no key-universe-sized array between
+    calls.  A draw builds the CDF (8 B per key), inverts it, releases it,
+    and only then builds the rank-to-key permutation (4 B per key below
+    2**31 keys), so it never holds more than one 8-byte-per-key array plus
+    O(count).  Each call rebuilds both, so draw a large universe in one
+    call.
     """
 
     def __init__(
@@ -62,36 +85,43 @@ class ZipfGenerator:
         seed: int = 0,
         shuffle: bool = True,
     ) -> None:
+        _check(num_keys, alpha)
         self.num_keys = num_keys
         self.alpha = alpha
+        self.seed = seed
+        self.shuffle = shuffle
         self._rng = np.random.default_rng(seed)
-        self._cdf = np.cumsum(zipf_probabilities(num_keys, alpha))
+
+    def _cdf(self) -> np.ndarray:
+        cdf = zipf_probabilities(self.num_keys, self.alpha)
+        np.cumsum(cdf, out=cdf)
         # Guard against floating-point drift: force the last CDF bin to 1.
-        self._cdf[-1] = 1.0
-        if shuffle:
-            perm_rng = np.random.default_rng(seed ^ 0x5EED)
-            self._rank_to_key = perm_rng.permutation(num_keys)
-        else:
-            self._rank_to_key = None
+        cdf[-1] = 1.0
+        return cdf
+
+    def _rank_to_key(self) -> np.ndarray:
+        # Equal to ``default_rng(...).permutation(num_keys)``, which
+        # shuffles an int64 ``arange`` the same way, at half the bytes.
+        perm = np.arange(self.num_keys, dtype=rank_dtype(self.num_keys))
+        np.random.default_rng(self.seed ^ 0x5EED).shuffle(perm)
+        return perm
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` key ids as an ``int64`` array."""
         if count < 0:
             raise TraceError("count must be non-negative")
-        u = self._rng.random(count)
-        ranks = np.searchsorted(self._cdf, u, side="left")
-        if self._rank_to_key is not None:
-            return self._rank_to_key[ranks].astype(np.int64)
-        return ranks.astype(np.int64)
+        ranks = np.searchsorted(self._cdf(), self._rng.random(count), side="left")
+        if not self.shuffle:
+            return ranks.astype(np.int64, copy=False)
+        return self._rank_to_key()[ranks].astype(np.int64)
 
     def rank_of_key(self, key: int) -> int:
         """Popularity rank (0 = hottest) of ``key``; O(num_keys) scan."""
-        if self._rank_to_key is None:
-            return int(key)
-        matches = np.nonzero(self._rank_to_key == key)[0]
-        if matches.size == 0:
+        if not 0 <= key < self.num_keys:
             raise TraceError(f"key {key} is not in the universe")
-        return int(matches[0])
+        if not self.shuffle:
+            return int(key)
+        return int(np.flatnonzero(self._rank_to_key() == key)[0])
 
     def expected_top_share(self, top_fraction: float) -> float:
         """Expected request share captured by the hottest ``top_fraction``
@@ -100,4 +130,4 @@ class ZipfGenerator:
         if not 0.0 < top_fraction <= 1.0:
             raise TraceError("top_fraction must be in (0, 1]")
         k = max(1, int(round(self.num_keys * top_fraction)))
-        return float(self._cdf[k - 1])
+        return float(self._cdf()[k - 1])

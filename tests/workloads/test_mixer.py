@@ -2,11 +2,16 @@
 
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import TraceError
+from repro.workloads import mixer
 from repro.workloads.mixer import merged_twitter_trace, proportional_interleave
 from repro.workloads.trace import OP_GET, Trace
 
@@ -66,6 +71,65 @@ class TestInterleave:
         assert b_positions[-1] > len(mix) - 10
 
 
+def assert_whole_sort_order(mix, traces):
+    """``mix`` is the merge written out whole: one stable sort of every
+    virtual position."""
+    positions = [
+        (np.arange(len(t)) + 0.5) / len(t) + j * 1e-12
+        for j, t in enumerate(traces)
+        if len(t)
+    ]
+    order = np.argsort(np.concatenate(positions), kind="stable")
+    for column in ("ops", "keys", "sizes"):
+        want = np.concatenate([getattr(t, column) for t in traces])[order]
+        assert np.array_equal(getattr(mix, column), want)
+
+
+def numbered_trace(j, n):
+    return Trace(
+        ops=np.arange(n) % 2,
+        keys=j * 1_000_000 + np.arange(n),
+        sizes=1 + np.arange(n) % 7,
+        name=f"t{j}",
+    )
+
+
+class TestWindowedInterleave:
+    """The merge runs one window of the position axis at a time; it must
+    give the order of one whole sort for any lengths and window size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 300), min_size=1, max_size=6).filter(any),
+        window=st.integers(1, 64),
+    )
+    def test_matches_whole_sort(self, lengths, window):
+        traces = [numbered_trace(j, n) for j, n in enumerate(lengths)]
+        old, mixer._WINDOW = mixer._WINDOW, window
+        try:
+            mix = proportional_interleave(traces)
+        finally:
+            mixer._WINDOW = old
+        assert_whole_sort_order(mix, traces)
+
+    def test_unequal_lengths_across_many_windows(self):
+        lengths = [150_001, 3, 99_999, 70_000]
+        traces = [numbered_trace(j, n) for j, n in enumerate(lengths)]
+        assert_whole_sort_order(proportional_interleave(traces), traces)
+
+    def test_traced_peak_is_result_plus_one_window(self):
+        traces = [numbered_trace(j, n) for j, n in enumerate([100_000] * 3 + [99_999])]
+        total = sum(len(t) for t in traces)
+        tracemalloc.start()
+        try:
+            proportional_interleave(traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 17 B per merged request is the result itself (ops + keys + sizes).
+        assert peak <= 17 * total + 64 * mixer._WINDOW
+
+
 class TestMergedTwitter:
     def test_disjoint_key_spaces(self):
         mix = merged_twitter_trace(num_requests=8000, wss_scale=1 / 4096)
@@ -98,7 +162,9 @@ class TestMergedTwitter:
             assert keys[q].max() - keys[q].min() > mix.num_keys * 0.3
 
 
-@functools.lru_cache(maxsize=None)
+# Two entries: the 5.5M-request trace is ~94 MB and must not outlive
+# the tests that read it.
+@functools.lru_cache(maxsize=2)
 def merged(num_requests, wss_scale):
     return merged_twitter_trace(num_requests=num_requests, wss_scale=wss_scale)
 
@@ -113,6 +179,8 @@ class TestMergedTwitterBytes:
             (60_000, 1 / 128, "62452f029e45"),
             (250_000, 1 / 128, "c82ed6da7c8b"),
             (344_064, 1 / 32, "a6931c234553"),
+            # fig08's trace at --scale full: 1.38M requests per cluster.
+            (5_505_024, 1 / 32, "d73ba7f9fcc2"),
         ],
     )
     def test_sha256_of_ops_keys_sizes(self, num_requests, wss_scale, digest):

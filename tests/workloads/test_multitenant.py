@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,28 @@ class TestGeneration:
     def test_empty_specs_rejected(self):
         with pytest.raises(TraceError):
             multi_tenant_trace([], num_requests=100)
+
+
+def test_sha256_of_three_tenant_mix():
+    """Pinned byte for byte: unequal universes, shares (30,001 requests
+    split by largest remainder), sigmas, key sizes and GET fractions."""
+    specs = [
+        TenantSpec(name="hot", zipf_alpha=1.3, num_keys=5_000, quota_bytes=1 << 20),
+        TenantSpec(
+            name="warm",
+            zipf_alpha=0.9,
+            num_keys=20_000,
+            mean_value_size=500,
+            size_sigma=0.8,
+            get_fraction=0.9,
+            request_share=3.0,
+        ),
+        TenantSpec(
+            name="cold", zipf_alpha=0.6, num_keys=40_000, key_size=16, request_share=0.5
+        ),
+    ]
+    trace = multi_tenant_trace(specs, num_requests=30_001, seed=3)
+    h = hashlib.sha256()
+    for column in (trace.ops, trace.keys, trace.sizes):
+        h.update(column.tobytes())
+    assert h.hexdigest()[:12] == "2abefc4074cc"

@@ -1,5 +1,8 @@
 """Unit tests for the synthetic Twitter cluster generators (Table 5)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,39 @@ class TestGeneration:
     def test_ops_are_gets_and_sets_only(self):
         t = generate_cluster_trace("cluster_14", num_requests=5000, seed=6)
         assert set(np.unique(t.ops)) <= {OP_GET, OP_SET}
+
+
+def test_sha256_at_non_default_seed_and_sigma():
+    """One cluster is pinned byte for byte away from the defaults the
+    merged-trace pins use: seed, sigma, key base and a size downscale."""
+    t = generate_cluster_trace(
+        "cluster_29",
+        num_requests=40_000,
+        wss_scale=1 / 512,
+        seed=17,
+        sigma=0.7,
+        key_base=1000,
+    )
+    assert t.num_keys == 299_150
+    h = hashlib.sha256()
+    for column in (t.ops, t.keys, t.sizes):
+        h.update(column.tobytes())
+    assert h.hexdigest()[:12] == "3245a9864c39"
+
+
+def test_traced_peak_is_one_8_byte_array_per_key():
+    """Generation holds at most one 8-byte-per-key array of the key
+    universe (the Zipf CDF, later the float size table) plus
+    O(num_requests); three live universe arrays would be ~25 B per key."""
+    num_requests = 20_000
+    tracemalloc.start()
+    try:
+        t = generate_cluster_trace(
+            "cluster_29", num_requests=num_requests, wss_scale=1 / 256
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    num_keys = t.meta["cluster_num_keys"]
+    assert num_keys > 25 * num_requests
+    assert peak <= 8 * num_keys + 64 * num_requests

@@ -1,12 +1,14 @@
 """Unit + property tests for the Zipf key sampler."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.workloads.zipf import ZipfGenerator, zipf_probabilities
+from repro.workloads.zipf import ZipfGenerator, rank_dtype, zipf_probabilities
 
 
 class TestProbabilities:
@@ -79,6 +81,40 @@ class TestSampling:
         gen = ZipfGenerator(10, 1.0, seed=0)
         with pytest.raises(TraceError):
             gen.rank_of_key(10**9)
+
+
+class TestSampleBytes:
+    """Two draws in a row are pinned byte for byte: every trace
+    generator builds on them, and a draw must continue where the last
+    one stopped."""
+
+    @pytest.mark.parametrize(
+        "shuffle, digest", [(True, "9e042e03079f"), (False, "06142e4c3372")]
+    )
+    def test_sha256_of_two_draws(self, shuffle, digest):
+        gen = ZipfGenerator(50_000, 1.1, seed=5, shuffle=shuffle)
+        first, second = gen.sample(3000), gen.sample(7000)
+        assert first.dtype == second.dtype == np.int64
+        h = hashlib.sha256()
+        for draw in (first, second):
+            h.update(draw.tobytes())
+        assert h.hexdigest()[:12] == digest
+
+
+class TestRankToKeyPermutation:
+    def test_int32_below_2_pow_31_keys(self):
+        assert rank_dtype(1) is np.int32
+        assert rank_dtype(2**31 - 1) is np.int32
+        assert rank_dtype(2**31) is np.int64
+        assert rank_dtype(2**40) is np.int64
+
+    @pytest.mark.parametrize("num_keys", [1, 2, 7, 1000, 65_537])
+    def test_equals_numpy_permutation(self, num_keys):
+        """The narrow permutation is the one ``Generator.permutation``
+        draws from the same seed, so keys stay byte-identical."""
+        gen = ZipfGenerator(num_keys, 1.0, seed=11)
+        expected = np.random.default_rng(11 ^ 0x5EED).permutation(num_keys)
+        assert np.array_equal(gen._rank_to_key(), expected)
 
 
 @settings(max_examples=20, deadline=None)
