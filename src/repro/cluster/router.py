@@ -31,8 +31,8 @@ from repro.errors import ConfigError
 from repro.hashing import splitmix64_array
 
 #: Seed salts deriving the two independent hash functions the ring uses.
-#: Distinct from every engine placement seed (0, 0x9E37, 0x85EB) so
-#: cluster routing never correlates with intra-shard set placement.
+#: Distinct from every engine placement seed so cluster routing never
+#: correlates with intra-shard set placement.
 _RING_SALT = 0xC1F7_51A3
 _KEY_SALT = 0x7E46_9D0B
 

@@ -18,7 +18,7 @@ Public entry point: :class:`~repro.core.nemo.NemoCache` configured by
 :class:`~repro.core.config.NemoConfig`.
 """
 
-from repro.core.bloom import BloomFilter, bloom_bits_per_object, bloom_num_hashes
+from repro.core.bloom import bloom_bits_per_object, bloom_num_hashes
 from repro.core.config import FlushPolicyKind, NemoConfig
 from repro.core.setgroup import InMemorySet, SetGroup
 from repro.core.sgqueue import SetGroupQueue
@@ -29,7 +29,6 @@ from repro.core.index_cache import IndexCache, IndexPool
 from repro.core.nemo import NemoCache
 
 __all__ = [
-    "BloomFilter",
     "bloom_bits_per_object",
     "bloom_num_hashes",
     "NemoConfig",

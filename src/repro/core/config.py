@@ -74,9 +74,6 @@ class NemoConfig:
     sgs_per_index_group: int = 16
     #: Fraction of index pages kept in the in-memory index cache.
     cached_index_ratio: float = 0.5
-    #: Maintain real per-set bloom filters (exact false positives) vs
-    #: the calibrated statistical model (fast, for long replays).
-    use_real_filters: bool = False
 
     # --- §4.4: hybrid hotness tracking --------------------------------
     #: Track hotness only for objects in this oldest fraction of the

@@ -21,22 +21,23 @@ objects are **not** logical writes; the WA denominator is the bytes of
 objects newly written by the first two techniques, *including* objects
 evicted early by the delayed-flush technique.
 
-Index modelling: with ``use_real_filters=True`` every set has a real
-:class:`~repro.core.bloom.BloomFilter` and false positives happen for
-real; the default statistical mode resolves membership exactly and draws
-false positives from the configured rate — page-level index traffic
-(the part Figures 19a/19b measure) is identical in both modes.
+Index modelling: membership is resolved exactly (``_flash_index``) and
+false positives are drawn from the configured filter rate.  The index
+pool writes and reads the pages real set-level PBFGs would occupy
+(with placeholder payloads), so page-level index traffic (the part
+Figures 19a/19b measure) is that of real filters.  The test suite keeps
+a real-filter engine as the oracle (``tests/core/reference``).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection
 
 from repro.baselines.base import CacheEngine
-from repro.core.bloom import BloomFilter, bloom_bits_per_object
+from repro.core.bloom import bloom_bits_per_object
 from repro.core.config import NemoConfig
 from repro.core.flusher import FlushDecision, FlushPolicy
 from repro.core.hotness import HotnessTracker
@@ -74,7 +75,6 @@ class FlashSG:
     sets: list[dict[int, int]]
     fill_rate: float
     new_fill_rate: float
-    filters: list[BloomFilter] | None = field(default=None, repr=False)
 
     def page_of(self, offset: int) -> int:
         """Physical page holding set ``offset``."""
@@ -132,9 +132,7 @@ class NemoCache(CacheEngine):
         )
         self.flush_policy = FlushPolicy(self.config)
 
-        self.index_builder = IndexGroupBuilder(
-            self.layout, real_filters=self.config.use_real_filters
-        )
+        self.index_builder = IndexGroupBuilder(self.layout)
         self.index_pool = IndexPool(
             self.device,
             list(range(sg_zone_count, sg_zone_count + index_zone_count)),
@@ -344,24 +342,21 @@ class NemoCache(CacheEngine):
         per chunk by the replay runner; a direct caller that passes
         none gets one vectorised sweep here).
 
-        In statistical-filter mode on a latency-free device, with no
-        latency recorded, the run is one inline loop: the in-memory
-        probe walks the SG-queue set dicts directly, then the
-        all-resident index test (a non-resident consult still goes
-        through :meth:`_consult_index`), :meth:`_candidates`' draws in
-        order, the holder and false-positive page reads with
+        On a latency-free device, with no latency recorded, the run is
+        one inline loop: the in-memory probe walks the SG-queue set
+        dicts directly, then the all-resident index test (a
+        non-resident consult still goes through :meth:`_consult_index`),
+        the false-positive draws of :meth:`_lookup_at` in order, the
+        holder and false-positive page reads with
         ``NandArray.read_pages``' checks, and the hotness bit.  Request,
         read, PBFG and index-cache counters add up once per run
         (nothing observes them mid-run — the harness samples only at
-        chunk boundaries).  Every other mode runs :meth:`_lookup_at`.
+        chunk boundaries).  A timed or recorded run takes
+        :meth:`_lookup_at`.
         """
         if offsets is None:
             offsets = self._placement_column(keys).tolist()
-        if (
-            record is not None
-            or self.device.latency is not None
-            or self.config.use_real_filters
-        ):
+        if record is not None or self.device.latency is not None:
             return self._get_many(keys, sizes, offsets, now_us, step_us, record)
         counters = self.counters
         queue_dq = self.queue._queue
@@ -466,13 +461,20 @@ class NemoCache(CacheEngine):
     ) -> tuple[bool, float]:
         """One GET probe at set offset ``placement`` on any lane: the
         memory probe, the all-resident index test (a non-resident consult
-        calls :meth:`_consult_index` and takes its latency),
-        :meth:`_candidates`' draws in order (inlined in
-        statistical-filter mode), the page reads through
+        calls :meth:`_consult_index` and takes its latency), the
+        statistical candidate scan, the page reads through
         :meth:`_read_pages` (NAND checks and latency model kept) and the
         hotness bit.  Counters are bumped per call, and
         ``hotness._bits`` is looked up per hit, since ``cool()`` rebinds
-        it."""
+        it.
+
+        The candidate scan runs newest-first and stops at the first
+        verified hit: stale copies sit in *older* SGs and are never
+        read, so only false positives among the ``n_scanned`` SGs newer
+        than the holder (all SGs on a miss) cost a read.  One
+        ``random()`` draw decides whether any of them fired
+        (P ≈ n_scanned · fp at the small rates used here) and a
+        ``randrange`` picks the pool SG read for it."""
         offset = placement
         counters = self.counters
         counters.lookups += 1
@@ -493,23 +495,20 @@ class NemoCache(CacheEngine):
             latency = 0.0
         else:
             latency = self._consult_index(offset, now_us)[1]
-        if self.config.use_real_filters:
-            pages, holder = self._candidates(key, offset)
-        else:  # _candidates' statistical draws, inlined
-            holder_id = self._flash_index.get(key)
-            holder = None if holder_id is None else self._pool_map[holder_id]
-            n_pool = len(pool)
-            n_scanned = (
-                n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
-            )
-            zone_idx, page_idx = divmod(offset, self.geometry.pages_per_zone)
-            pages = []
-            rng = self._rng
-            if n_scanned > 0 and rng.random() < n_scanned * self.config.bf_false_positive_rate:
-                self.false_positive_reads += 1
-                pages.append(pool[rng.randrange(n_pool)].page_bases[zone_idx] + page_idx)
-            if holder is not None:
-                pages.append(holder.page_bases[zone_idx] + page_idx)
+        holder_id = self._flash_index.get(key)
+        holder = None if holder_id is None else self._pool_map[holder_id]
+        n_pool = len(pool)
+        n_scanned = (
+            n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
+        )
+        zone_idx, page_idx = divmod(offset, self.geometry.pages_per_zone)
+        pages: list[int] = []
+        rng = self._rng
+        if n_scanned > 0 and rng.random() < n_scanned * self.config.bf_false_positive_rate:
+            self.false_positive_reads += 1
+            pages.append(pool[rng.randrange(n_pool)].page_bases[zone_idx] + page_idx)
+        if holder is not None:
+            pages.append(holder.page_bases[zone_idx] + page_idx)
         if pages:
             latency = max(latency, self._read_pages(pages, now_us))
         if holder is None:
@@ -571,68 +570,15 @@ class NemoCache(CacheEngine):
         return sum(self.memory_overhead_breakdown().values())
 
     # ------------------------------------------------------------------
-    # Candidate identification
+    # Candidate side, in bulk (columnar kernel)
     # ------------------------------------------------------------------
-    def _candidates(
-        self, key: int, offset: int
-    ) -> tuple[list[int], FlashSG | None]:
-        """Pages to read and the newest true holder (or None).
-
-        The PBFG query yields candidate SGs; the pool's FIFO order is
-        known, so the engine scans candidates **newest-first and stops
-        at the first verified hit** — stale copies left behind by
-        updates sit in *older* SGs and are never read.  A hit therefore
-        pays for false positives among SGs newer than the holder plus
-        the holder itself; a miss pays only for false positives.
-        """
-        holder_id = self._flash_index.get(key)
-        pages: list[int] = []
-        holder: FlashSG | None = None
-
-        if self.config.use_real_filters:
-            hits: list[FlashSG] = []
-            for fsg in self.pool:
-                if fsg.filters is None:
-                    raise EngineStateError("real-filter mode lost its filters")
-                if key in fsg.filters[offset]:
-                    hits.append(fsg)
-            for fsg in reversed(hits):  # newest first, stop on a hit
-                pages.append(fsg.page_of(offset))
-                if key in fsg.sets[offset]:
-                    break
-                self.false_positive_reads += 1
-            if holder_id is not None:
-                holder = self._pool_map[holder_id]
-            return pages, holder
-
-        if holder_id is not None:
-            holder = self._pool_map[holder_id]
-            # Only false positives in SGs *newer* than the holder are
-            # read before the scan stops at the holder.
-            n_scanned = len(self.pool) - 1 - (holder.sg_id - self.pool[0].sg_id)
-        else:
-            n_scanned = len(self.pool)
-        if n_scanned > 0:
-            # P(at least one FP among the scanned SGs) ≈ n · fp for the
-            # small rates used here; simultaneous FPs are negligible.
-            if self._rng.random() < n_scanned * self.config.bf_false_positive_rate:
-                pages.append(self._random_pool_page(offset))
-                self.false_positive_reads += 1
-        if holder is not None:
-            pages.append(holder.page_of(offset))
-        return pages, holder
-
-    def _random_pool_page(self, offset: int) -> int:
-        fsg = self.pool[self._rng.randrange(len(self.pool))]
-        return fsg.page_of(offset)
-
     def _draw_false_positives(self, n_scanned: np.ndarray) -> int:
         """Statistical FP draws for a run of consults; returns the FPs.
 
         One linear pass over the consults that scan at least one SG, in
         request order: the ``random()`` per consult and the
-        ``randrange`` per false positive that :meth:`_candidates` and
-        :meth:`_random_pool_page` consume, draw for draw.
+        ``randrange`` per false positive that :meth:`_lookup_at`'s
+        candidate scan consumes, draw for draw.
         """
         rng_random = self._rng.random
         randrange = self._rng.randrange
@@ -644,31 +590,6 @@ class NemoCache(CacheEngine):
                 n_fp += 1
         self.false_positive_reads += n_fp
         return n_fp
-
-    def _probe_candidates_many(self, keys: list[int], offsets: list[int]) -> None:
-        """Candidate side of a run of consults, one by one.
-
-        Real-filter candidates depend on each key's bloom membership, so
-        this mode has no array form: every consult identifies and reads
-        its candidate pages and records a flash hit's hotness, exactly
-        as :meth:`_lookup_at` does after its index side.
-        """
-        device = self.device
-        record_access = self.hotness.record_access
-        for key, offset in zip(keys, offsets):
-            pages, holder = self._candidates(key, offset)
-            if pages:
-                device.read_pages(pages)
-            if holder is not None:
-                record_access(
-                    key, offset, in_window=self._in_window(holder.sg_id)
-                )
-
-    def _in_window(self, sg_id: int) -> bool:
-        """Is this SG in the oldest ``hotness_window_fraction`` of the pool?"""
-        if not self.pool:
-            return False
-        return (sg_id - self.pool[0].sg_id) < self._window_sgs
 
     # ------------------------------------------------------------------
     # Flush + eviction
@@ -691,7 +612,6 @@ class NemoCache(CacheEngine):
             chunk = payloads[i * ppz : (i + 1) * ppz]
             pages, _ = self.device.append_many(zone_id, chunk, now_us=now_us)
             page_bases.append(pages[0])
-        filters = self.index_builder.build_filters(payloads)
         fsg = FlashSG(
             sg_id=front.sg_id,
             zone_ids=zone_ids,
@@ -700,7 +620,6 @@ class NemoCache(CacheEngine):
             sets=payloads,
             fill_rate=fill_rate,
             new_fill_rate=new_fill_rate,
-            filters=filters,
         )
         self.pool.append(fsg)
         self._pool_map[fsg.sg_id] = fsg
@@ -712,7 +631,7 @@ class NemoCache(CacheEngine):
                 self._flash_copies[key] = self._flash_copies.get(key, 0) + 1
                 self._flash_index[key] = fsg.sg_id
 
-        self.index_builder.add_sg(fsg.sg_id, filters)
+        self.index_builder.add_sg(fsg.sg_id)
         if self.index_builder.is_full:
             members, group_pages = self.index_builder.take_group()
             self.index_pool.write_group(members, group_pages, now_us=now_us)

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from repro.core.bloom import BloomFilter, bloom_filter_bits, bloom_num_hashes
+from repro.core.bloom import bloom_filter_bits
 from repro.errors import ConfigError
 
 
@@ -71,10 +69,6 @@ class IndexLayout:
     @cached_property
     def filter_bytes(self) -> int:
         return self.filter_bits // 8
-
-    @cached_property
-    def num_hashes(self) -> int:
-        return bloom_num_hashes(self.bf_false_positive_rate)
 
     @cached_property
     def pbfg_bytes(self) -> int:
@@ -125,85 +119,37 @@ class IndexLayout:
 class IndexGroupBuilder:
     """In-memory index-group buffer (the "in-memory index group").
 
-    Accumulates per-SG filter arrays as SGs flush; when
-    ``sgs_per_group`` members are buffered, :meth:`take_group` emits the
-    page payloads for the on-flash index pool.  In statistical mode
-    (``real_filters=False``) the filters are placeholders — membership
-    is resolved exactly by the engine and false positives are drawn from
-    the calibrated rate — but the layout, page counts, and write traffic
-    are identical.
+    Buffers the ids of flushed SGs; when ``sgs_per_group`` members are
+    buffered, :meth:`take_group` emits the page payloads for the
+    on-flash index pool.  The engine resolves membership exactly and
+    draws false positives from the filter rate, so a page carries a
+    placeholder, but the layout, page counts and write traffic are
+    those of real filters.
     """
 
-    def __init__(self, layout: IndexLayout, *, real_filters: bool) -> None:
+    def __init__(self, layout: IndexLayout) -> None:
         self.layout = layout
-        self.real_filters = real_filters
-        #: sg_id -> list of per-offset filters (or None placeholders).
-        self.members: dict[int, list[BloomFilter] | None] = {}
+        self.members: list[int] = []
 
-    def build_filters(
-        self, payloads: list[dict[int, int]]
-    ) -> list[BloomFilter] | None:
-        """Build one SG's set-level filters from its page payloads."""
-        if not self.real_filters:
-            return None
-        filters: list[BloomFilter] = []
-        filter_bits = self.layout.filter_bits
-        num_hashes = self.layout.num_hashes
-        for objs in payloads:
-            bf = BloomFilter(filter_bits, num_hashes)
-            # Array kernel: same bits/count as ``add_many``, one sweep.
-            bf.add_array(np.fromiter(objs, dtype=np.uint64, count=len(objs)))
-            filters.append(bf)
-        return filters
-
-    def add_sg(self, sg_id: int, filters: list[BloomFilter] | None) -> None:
-        if self.real_filters and (
-            filters is None or len(filters) != self.layout.sets_per_sg
-        ):
-            raise ConfigError("expected one filter per set")
-        self.members[sg_id] = filters
+    def add_sg(self, sg_id: int) -> None:
+        self.members.append(sg_id)
 
     @property
     def is_full(self) -> bool:
         return len(self.members) >= self.layout.sgs_per_group
 
-    def member_ids(self) -> list[int]:
-        return sorted(self.members)
-
-    def query_buffered(self, offset: int, key: int) -> list[int]:
-        """SG ids among buffered members whose filter admits ``key``.
-
-        Only meaningful with real filters; statistical mode resolves the
-        buffered members through the engine's exact map.
-        """
-        hits: list[int] = []
-        for sg_id, filters in self.members.items():
-            if filters is not None and key in filters[offset]:
-                hits.append(sg_id)
-        return hits
-
     def take_group(self) -> tuple[list[int], list[object]]:
         """Emit the buffered group: ``(member_sg_ids, page_payloads)``.
 
-        Page ``j`` carries the PBFGs of ``layout.offsets_of_page(j)``:
-        a mapping ``(sg_id, offset) -> filter`` (or a placeholder tuple
-        in statistical mode).  The builder is reset afterwards.
+        Page ``j`` carries the placeholder of the PBFGs of
+        ``layout.offsets_of_page(j)``.  The builder is reset afterwards.
         """
         if not self.members:
             raise ConfigError("no buffered SGs to emit")
-        member_ids = self.member_ids()
-        pages: list[object] = []
-        for j in range(self.layout.pages_per_group):
-            offsets = self.layout.offsets_of_page(j)
-            payload: object
-            if self.real_filters:
-                payload = {
-                    (sg_id, o): self.members[sg_id][o]  # type: ignore[index]
-                    for sg_id in member_ids
-                    for o in offsets
-                }
-            else:
-                payload = ("pbfg-page", tuple(member_ids), j)
-            pages.append(payload)
+        member_ids = sorted(self.members)
+        pages: list[object] = [
+            ("pbfg-page", tuple(member_ids), j)
+            for j in range(self.layout.pages_per_group)
+        ]
         self.members.clear()
         return member_ids, pages

@@ -705,7 +705,6 @@ def replay_nemo_columnar(
     set_size = engine.set_size
     page_size = engine.geometry.page_size
     window_sgs = engine._window_sgs
-    use_real_filters = config.use_real_filters
     OP_GET_ = OP_GET
 
     sgs = list(queue._queue)
@@ -818,8 +817,8 @@ def replay_nemo_columnar(
         n_hit = int(cum_hit[b] - cum_hit[a])
         hp = sg = mem = None
         # Consulting GETs: every miss, plus flash hits.  n_scanned per
-        # consult matches _candidates: F for a miss, F-1-holder for a
-        # flash hit, -1 marks memory hits (no consult).
+        # consult matches _lookup_at's candidate scan: F for a miss,
+        # F-1-holder for a flash hit, -1 marks memory hits (no consult).
         glo = int(np.searchsorted(get_pos, a, side="left"))
         gp = get_pos[glo : glo + n_get]
         ns = np.full(n_get, F, dtype=np.int64)
@@ -830,20 +829,12 @@ def replay_nemo_columnar(
             mem = sg >= F
             ns[np.searchsorted(gp, hp)] = np.where(mem, -1, F - 1 - sg)
         consult = gp[ns >= 0]
-        consult_offs = col[consult]
         # Index side: one PBFG page per live group and consult.  Within
         # an epoch the index-cache FIFO, the FP RNG stream and the
         # hotness bits do not read each other, so each settles in bulk.
-        engine._consult_index_many(consult_offs)
-        if use_real_filters:
-            # Real bloom membership decides the candidates per key: the
-            # candidate side has no array form in this mode.
-            engine._probe_candidates_many(
-                keys_arr[consult].tolist(), consult_offs.tolist()
-            )
-            return
-        # Candidate side (statistical filters): one FP draw per consult
-        # that scans an SG, one page read per flash hit and per FP.
+        engine._consult_index_many(col[consult])
+        # Candidate side: one FP draw per consult that scans an SG, one
+        # page read per flash hit and per FP.
         n_fp = engine._draw_false_positives(ns[ns > 0])
         n_flash_hits = int((~mem).sum()) if n_hit else 0
         pages_read = n_flash_hits + n_fp

@@ -6,9 +6,9 @@ runs and platforms (Python's builtin ``hash`` is salted per process).
 
 ``splitmix64`` is the standard 64-bit finaliser (Steele et al.); it is a
 bijection on 64-bit integers with excellent avalanche behaviour, which is
-exactly what set-associative placement needs.  Seeded variants derive
-independent hash functions for bloom filters (Kirsch–Mitzenmacher double
-hashing uses two of them).
+exactly what set-associative placement needs.  Seeded variants
+(:func:`hash64`) derive independent hash functions: each engine's
+placement and the cluster router use their own seed.
 """
 
 from __future__ import annotations
@@ -41,32 +41,6 @@ def hash64(key: int, seed: int = 0) -> int:
     return splitmix64((key & _MASK) ^ mixed_seed)
 
 
-#: ``hash_pair`` always uses the same two seeds, so their mixes are
-#: module-level constants rather than per-call dict lookups.
-_PAIR_MIX_A = splitmix64(0x9E37)
-_PAIR_MIX_B = splitmix64(0x85EB)
-
-
-def hash_pair(key: int) -> tuple[int, int]:
-    """Two independent 64-bit hashes of ``key`` for double hashing.
-
-    Equivalent to ``(hash64(key, 0x9E37), hash64(key, 0x85EB))`` with the
-    seed mixing hoisted to import time and the splitmix rounds inlined —
-    this sits on the bloom-filter hot path (two calls per membership
-    test), where avoiding the function-call + dict-lookup overhead of
-    two ``hash64`` calls is measurable.
-    """
-    masked = key & _MASK
-    z = (masked ^ _PAIR_MIX_A) + 0x9E3779B97F4A7C15 & _MASK
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    a = z ^ (z >> 31)
-    z = (masked ^ _PAIR_MIX_B) + 0x9E3779B97F4A7C15 & _MASK
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return a, z ^ (z >> 31)
-
-
 def bucket_of(key: int, num_buckets: int, seed: int = 0) -> int:
     """Uniform bucket assignment in ``[0, num_buckets)``."""
     if num_buckets <= 0:
@@ -83,16 +57,3 @@ def splitmix64_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-
-def hash_pair_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`hash_pair`: two uint64 hash arrays over ``keys``.
-
-    Element-wise equal to ``hash_pair(int(k))`` — the array kernels in
-    ``core/bloom.py`` derive the same Kirsch–Mitzenmacher probe
-    sequences as the scalar loops.
-    """
-    return (
-        splitmix64_array(keys, 0x9E37),
-        splitmix64_array(keys, 0x85EB),
-    )

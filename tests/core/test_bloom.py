@@ -1,16 +1,22 @@
-"""Unit + property tests for bloom filters and their sizing math."""
+"""Unit + property tests for the bloom-filter sizing math and the real
+filter the test suite keeps as the oracle of Nemo's index."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import (
-    BloomFilter,
     bloom_bits_per_object,
     bloom_filter_bits,
     bloom_num_hashes,
 )
 from repro.errors import ConfigError
+from tests.core.reference import BloomFilter
+
+
+def fill_fraction(bf):
+    """Fraction of the filter's bits set."""
+    return bin(bf._bits).count("1") / bf.num_bits
 
 
 class TestSizingMath:
@@ -51,8 +57,7 @@ class TestFilterBehaviour:
 
     def test_empty_filter_rejects_everything(self):
         bf = BloomFilter.for_capacity(10, 0.01)
-        assert 42 not in bf
-        assert bf.count == 0
+        assert not any(key in bf for key in range(1000))
 
     def test_false_positive_rate_near_target(self):
         bf = BloomFilter.for_capacity(200, 0.01)
@@ -61,35 +66,18 @@ class TestFilterBehaviour:
         false_hits = sum(1 for key in range(10_000, 40_000) if key in bf)
         assert false_hits / 30_000 < 0.03  # target 1 %, allow 3x head-room
 
-    def test_clear(self):
-        bf = BloomFilter.for_capacity(10, 0.01)
-        bf.add(1)
-        bf.clear()
-        assert 1 not in bf
-        assert bf.count == 0
-
     def test_fill_fraction_grows(self):
         bf = BloomFilter.for_capacity(50, 0.01)
-        assert bf.fill_fraction() == 0.0
+        assert fill_fraction(bf) == 0.0
         bf.add(1)
-        assert bf.fill_fraction() > 0.0
+        assert fill_fraction(bf) > 0.0
 
     def test_expected_fp_rate_tracks_load(self):
+        """At capacity, fill ** k (the predicted FP rate) is near target."""
         bf = BloomFilter.for_capacity(50, 0.01)
         for key in range(50):
             bf.add(key)
-        assert 0.0 < bf.expected_fp_rate() < 0.05
-
-    def test_serialisation_roundtrip(self):
-        bf = BloomFilter.for_capacity(40, 0.001)
-        for key in (5, 17, 998877):
-            bf.add(key)
-        data = bf.to_bytes()
-        assert len(data) == bf.size_bytes == 72
-        clone = BloomFilter.from_bytes(data, bf.num_hashes)
-        for key in (5, 17, 998877):
-            assert key in clone
-        assert 31337 in clone if 31337 in bf else 31337 not in clone
+        assert 0.0 < fill_fraction(bf) ** bf.num_hashes < 0.05
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,11 +4,8 @@ The vectorized request pipeline and the columnar replay lane lean on
 bulk primitives whose results must be bit-for-bit identical to the
 scalar paths they replace:
 
-- :meth:`BloomFilter.add_many` / :meth:`BloomFilter.contains_many`
-  versus per-key ``add`` / ``__contains__``;
-- the array kernels (:meth:`BloomFilter.add_array`,
-  :meth:`HotnessTracker.record_access_array`) versus their scalar
-  loops;
+- the array kernel :meth:`HotnessTracker.record_access_array` versus
+  its scalar loop;
 - :meth:`IndexCache.resident`, the O(1) all-resident test, versus a
   membership sweep over the live groups' pages;
 - :meth:`ZipfGenerator.sample` drawing one batch versus the same seeded
@@ -24,75 +21,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bloom import BloomFilter
 from repro.core.hotness import HotnessTracker
 from repro.core.index_cache import IndexCache
 from repro.workloads.zipf import ZipfGenerator
-
-_keys = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=60)
-
-
-class TestBloomBulkEquivalence:
-    @given(
-        keys=_keys,
-        num_bits=st.integers(min_value=8, max_value=1024),
-        num_hashes=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_add_many_matches_scalar_add(self, keys, num_bits, num_hashes):
-        scalar = BloomFilter(num_bits, num_hashes)
-        bulk = BloomFilter(num_bits, num_hashes)
-        for key in keys:
-            scalar.add(key)
-        bulk.add_many(keys)
-        assert bulk._bits == scalar._bits
-        assert bulk.count == scalar.count
-
-    @given(
-        added=_keys,
-        queried=_keys,
-        num_bits=st.integers(min_value=8, max_value=1024),
-        num_hashes=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_contains_many_matches_scalar_contains(
-        self, added, queried, num_bits, num_hashes
-    ):
-        bf = BloomFilter(num_bits, num_hashes)
-        bf.add_many(added)
-        # Query a mix of members and non-members.
-        queries = added + queried
-        assert bf.contains_many(queries) == [key in bf for key in queries]
-
-
-class TestBloomArrayKernelEquivalence:
-    @given(
-        keys=_keys,
-        num_bits=st.integers(min_value=8, max_value=1024),
-        num_hashes=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_add_array_matches_scalar_add(self, keys, num_bits, num_hashes):
-        scalar = BloomFilter(num_bits, num_hashes)
-        bulk = BloomFilter(num_bits, num_hashes)
-        for key in keys:
-            scalar.add(key)
-        bulk.add_array(np.asarray(keys, dtype=np.uint64))
-        assert bulk._bits == scalar._bits
-        assert bulk.count == scalar.count
-        assert all(key in bulk for key in keys)
-
-    def test_non_byte_aligned_num_bits(self):
-        """Exactness when num_bits is not a multiple of 8 (packbits pad)."""
-        keys = list(range(200))
-        scalar = BloomFilter(577, 5)
-        bulk = BloomFilter(577, 5)
-        for key in keys:
-            scalar.add(key)
-        bulk.add_array(np.asarray(keys, dtype=np.uint64))
-        assert bulk._bits == scalar._bits
-        assert all(key in bulk for key in keys)
-
 
 class TestHotnessArrayKernelEquivalence:
     @staticmethod

@@ -1,5 +1,7 @@
 """Unit + integration + property tests for the Nemo engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
 from repro.errors import ObjectTooLargeError
 from repro.flash.geometry import FlashGeometry
+from tests.core.reference import RealFilterNemo
 
 
 def tiny_nemo(**config_overrides) -> NemoCache:
@@ -59,6 +62,24 @@ class TestBasicOps:
         assert cache.delete(1)
         assert not cache.lookup(1, 100).hit
         assert not cache.delete(1)
+
+
+def tiny_real_nemo(**config_overrides) -> RealFilterNemo:
+    cache = tiny_nemo(**config_overrides)
+    return RealFilterNemo(cache.geometry, cache.config)
+
+
+def oracle_ops(n=20_000, seed=3):
+    """Mixed GET/SET/DELETE ops: a hot key set that writeback keeps, over
+    a cold stream that wraps the tiny SG pool several times."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(n):
+        op = rng.choices(("get", "set", "delete"), weights=(6, 3, 1))[0]
+        hot = rng.random() < 0.3
+        key = rng.randrange(40) if hot else rng.randrange(40, 3000)
+        ops.append((op, key, rng.randrange(60, 400)))
+    return ops
 
 
 def fill_to_flash(cache, n=4000, size=200, start=0):
@@ -151,19 +172,49 @@ class TestIndexBehaviour:
         assert cache.pbfg_touches >= cache.pbfg_lookups
 
     def test_real_filters_mode_agrees_with_statistical(self):
-        """Same trace, both index modes: identical hit decisions and WA."""
-        a = fill_to_flash(tiny_nemo(use_real_filters=False), n=6000)
-        b = fill_to_flash(tiny_nemo(use_real_filters=True), n=6000)
-        for key in range(0, 6000, 11):
-            assert a.lookup(key, 200).hit == b.lookup(key, 200).hit
-        assert a.write_amplification == pytest.approx(
-            b.write_amplification, abs=0.05
-        )
+        """Real per-set filters vs the statistical model on one mixed
+        trace: every hit decision, the miss ratio, WA, the object count
+        and the pages written are exactly equal (false positives only
+        ever add reads)."""
+        stat, real = tiny_nemo(), tiny_real_nemo()
+        for op, key, size in oracle_ops():
+            if op == "get":
+                hit = stat.lookup(key, size).hit
+                assert real.lookup(key, size).hit == hit, key
+                if not hit:
+                    stat.insert(key, size)
+                    real.insert(key, size)
+            elif op == "set":
+                stat.insert(key, size)
+                real.insert(key, size)
+            else:
+                stat.delete(key)
+                real.delete(key)
+        assert stat.counters.miss_ratio == real.counters.miss_ratio
+        assert stat.write_amplification == real.write_amplification
+        assert stat.object_count() == real.object_count()
+        assert stat.device.nand.program_count == real.device.nand.program_count
+        assert stat.stats.flash_write_bytes == real.stats.flash_write_bytes
+        # The trace reaches what could split the twins: flash hits,
+        # deletes, SG evictions and writeback.
+        assert stat.counters.deletes > 0
+        assert stat.counters.evicted_objects > 0
+        assert stat.pool[0].sg_id > 0
+        assert stat.writeback_objects > 0
+        assert real.false_positive_reads > 0
 
     def test_real_filters_have_no_false_negatives(self):
-        cache = fill_to_flash(tiny_nemo(use_real_filters=True), n=6000)
-        for key, sg_id in list(cache._flash_index.items())[:200]:
+        cache = fill_to_flash(tiny_real_nemo(), n=6000)
+        reads = cache.device.nand.read_count
+        flash_keys = [
+            key
+            for key in cache._flash_index
+            if cache.queue.find(cache._placement_of(key), key) is None
+        ]
+        assert len(flash_keys) >= 200
+        for key in flash_keys[:200]:
             assert cache.lookup(key, 200).hit
+        assert cache.device.nand.read_count >= reads + 200
 
 
 class TestWriteback:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bloom import BloomFilter
 from repro.core.pbfg import IndexGroupBuilder, IndexLayout
 from repro.errors import ConfigError
 
@@ -63,54 +62,20 @@ class TestLayoutArithmetic:
 class TestBuilder:
     def test_statistical_mode_placeholders(self):
         layout = make_layout(sets_per_sg=8, sgs_per_group=2)
-        builder = IndexGroupBuilder(layout, real_filters=False)
-        assert builder.build_filters([{} for _ in range(8)]) is None
-        builder.add_sg(0, None)
+        builder = IndexGroupBuilder(layout)
+        builder.add_sg(0)
         assert not builder.is_full
-        builder.add_sg(1, None)
+        builder.add_sg(1)
         assert builder.is_full
         members, pages = builder.take_group()
         assert members == [0, 1]
-        assert len(pages) == layout.pages_per_group
+        assert pages == [
+            ("pbfg-page", (0, 1), j) for j in range(layout.pages_per_group)
+        ]
         assert not builder.members  # reset after take
-
-    def test_real_mode_builds_queryable_filters(self):
-        layout = make_layout(sets_per_sg=4, sgs_per_group=2)
-        builder = IndexGroupBuilder(layout, real_filters=True)
-        payloads = [{10: 100}, {}, {30: 100}, {}]
-        filters = builder.build_filters(payloads)
-        assert len(filters) == 4
-        assert 10 in filters[0]
-        assert 30 in filters[2]
-        assert 10 not in filters[1]
-
-    def test_real_mode_rejects_wrong_filter_count(self):
-        layout = make_layout(sets_per_sg=4, sgs_per_group=2)
-        builder = IndexGroupBuilder(layout, real_filters=True)
-        with pytest.raises(ConfigError):
-            builder.add_sg(0, None)
-
-    def test_query_buffered(self):
-        layout = make_layout(sets_per_sg=4, sgs_per_group=3)
-        builder = IndexGroupBuilder(layout, real_filters=True)
-        builder.add_sg(7, builder.build_filters([{1: 50}, {}, {}, {}]))
-        assert builder.query_buffered(0, 1) == [7]
-        assert builder.query_buffered(1, 1) == []
 
     def test_take_empty_rejected(self):
         layout = make_layout()
-        builder = IndexGroupBuilder(layout, real_filters=False)
+        builder = IndexGroupBuilder(layout)
         with pytest.raises(ConfigError):
             builder.take_group()
-
-    def test_real_mode_page_payload_maps_sg_offset(self):
-        layout = make_layout(sets_per_sg=4, sgs_per_group=2)
-        builder = IndexGroupBuilder(layout, real_filters=True)
-        for sg_id in (0, 1):
-            builder.add_sg(sg_id, builder.build_filters([{}, {}, {}, {}]))
-        _, pages = builder.take_group()
-        first = pages[0]
-        assert isinstance(first, dict)
-        assert all(isinstance(bf, BloomFilter) for bf in first.values())
-        offsets = {o for (_sg, o) in first}
-        assert offsets == set(layout.offsets_of_page(0))

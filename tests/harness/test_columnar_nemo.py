@@ -2,8 +2,7 @@
 
 Mirrors ``test_columnar.py`` for the Nemo entry of ``KERNEL_REGISTRY``:
 the kernel must be indistinguishable from the batched lane in every
-observable, in *both* filter modes (the calibrated statistical PBFG
-model and ``use_real_filters=True``), across the flush-free fast case,
+observable, across the flush-free fast case,
 the flush-heavy completed case, and the pool-exhaustion bail (columnar
 prefix + batched suffix).  Also pins the registry dispatch itself:
 ``kernel_for`` / ``kernel_ineligible_reason`` and the fallback note the
@@ -103,25 +102,25 @@ def _eviction_trace():
     return _mixed_trace(n=12_000, num_keys=2_000, seed=3)
 
 
-FILTER_MODES = ["statistical", "real"]
-
-
-def _config(mode: str) -> NemoConfig:
-    cfg = NemoConfig(
+def _config() -> NemoConfig:
+    return NemoConfig(
         flush_threshold=4, sgs_per_index_group=3, bf_capacity_per_set=20
     )
-    if mode == "real":
-        cfg = dataclasses.replace(cfg, use_real_filters=True)
-    return cfg
 
 
-@pytest.mark.parametrize("mode", FILTER_MODES)
+@pytest.fixture(params=["statistical"])
+def config(request):
+    """Nemo's config; the id names its filter model (the real-filter
+    oracle is ``tests/core/reference``, which the kernel never runs)."""
+    return _config()
+
+
 class TestNemoColumnarParity:
-    def test_flush_heavy_replay(self, small_geometry, mode):
+    def test_flush_heavy_replay(self, small_geometry, config):
         trace = _flush_trace()
-        batched = replay(NemoCache(small_geometry, _config(mode)), trace)
+        batched = replay(NemoCache(small_geometry, config), trace)
         columnar = replay(
-            NemoCache(small_geometry, _config(mode)),
+            NemoCache(small_geometry, config),
             trace,
             kernel="columnar",
         )
@@ -132,7 +131,7 @@ class TestNemoColumnarParity:
         assert batched.final["wa"] > 0
         _assert_results_identical(columnar, batched)
 
-    def test_instrumented_replay(self, small_geometry, mode):
+    def test_instrumented_replay(self, small_geometry, config):
         trace = _flush_trace()
         kwargs = dict(
             sample_every=517,
@@ -141,17 +140,17 @@ class TestNemoColumnarParity:
             write_rate_window_s=0.01,
         )
         batched = replay(
-            NemoCache(small_geometry, _config(mode)), trace, **kwargs
+            NemoCache(small_geometry, config), trace, **kwargs
         )
         columnar = replay(
-            NemoCache(small_geometry, _config(mode)),
+            NemoCache(small_geometry, config),
             trace,
             kernel="columnar",
             **kwargs,
         )
         _assert_results_identical(columnar, batched)
 
-    def test_read_side_metrics_sampled(self, small_geometry, mode):
+    def test_read_side_metrics_sampled(self, small_geometry, config):
         """Sampling consult-side metrics forces the kernel's read
         settlement at every boundary (the deferral gate switches off)."""
         kwargs = dict(
@@ -165,20 +164,20 @@ class TestNemoColumnarParity:
         )
         trace = _flush_trace()
         batched = replay(
-            NemoCache(small_geometry, _config(mode)), trace, **kwargs
+            NemoCache(small_geometry, config), trace, **kwargs
         )
         columnar = replay(
-            NemoCache(small_geometry, _config(mode)),
+            NemoCache(small_geometry, config),
             trace,
             kernel="columnar",
             **kwargs,
         )
         _assert_results_identical(columnar, batched)
 
-    def test_engine_end_state_identical(self, small_geometry, mode):
+    def test_engine_end_state_identical(self, small_geometry, config):
         trace = _flush_trace()
-        eng_b = NemoCache(small_geometry, _config(mode))
-        eng_c = NemoCache(small_geometry, _config(mode))
+        eng_b = NemoCache(small_geometry, config)
+        eng_c = NemoCache(small_geometry, config)
         replay(eng_b, trace)
         replay(eng_c, trace, kernel="columnar")
         _assert_finals_identical(
@@ -188,12 +187,12 @@ class TestNemoColumnarParity:
         assert len(eng_c.pool) == len(eng_b.pool)
 
     def test_pool_exhaustion_bails_to_batched_suffix(
-        self, tiny_geometry, mode
+        self, tiny_geometry, config
     ):
         trace = _eviction_trace()
-        batched = replay(NemoCache(tiny_geometry, _config(mode)), trace)
+        batched = replay(NemoCache(tiny_geometry, config), trace)
         columnar = replay(
-            NemoCache(tiny_geometry, _config(mode)),
+            NemoCache(tiny_geometry, config),
             trace,
             kernel="columnar",
         )
@@ -202,16 +201,16 @@ class TestNemoColumnarParity:
         assert batched.final["writeback_objects"] > 0
         _assert_results_identical(columnar, batched)
 
-    def test_bail_instrumented(self, tiny_geometry, mode):
+    def test_bail_instrumented(self, tiny_geometry, config):
         trace = _eviction_trace()
         kwargs = dict(
             record_latency=True, mark_window_at=6_000, sample_every=997
         )
         batched = replay(
-            NemoCache(tiny_geometry, _config(mode)), trace, **kwargs
+            NemoCache(tiny_geometry, config), trace, **kwargs
         )
         columnar = replay(
-            NemoCache(tiny_geometry, _config(mode)),
+            NemoCache(tiny_geometry, config),
             trace,
             kernel="columnar",
             **kwargs,
@@ -228,16 +227,13 @@ class TestNemoRandomTraces:
         ),
         seed=st.integers(0, 2**31 - 1),
         num_keys=st.integers(1, 30),
-        real_filters=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_traces_identical(
-        self, ops, seed, num_keys, real_filters
-    ):
+    def test_random_traces_identical(self, ops, seed, num_keys):
         tiny_geometry = FlashGeometry(
             page_size=4096, pages_per_block=16, num_blocks=8, blocks_per_zone=1
         )
-        config = _config("real" if real_filters else "statistical")
+        config = _config()
         rng = np.random.default_rng(seed)
         n = len(ops)
         trace = Trace(
@@ -262,7 +258,7 @@ class TestNemoKernelCache:
         trace = _flush_trace()
         assert trace._kernel_cache == {}
         replay(
-            NemoCache(small_geometry, _config("statistical")),
+            NemoCache(small_geometry, _config()),
             trace,
             kernel="columnar",
         )
@@ -273,20 +269,20 @@ class TestNemoKernelCache:
         )
         chain = trace._kernel_cache["nemo-chain"]
         second = replay(
-            NemoCache(small_geometry, _config("statistical")),
+            NemoCache(small_geometry, _config()),
             trace,
             kernel="columnar",
         )
         # Reused, not recomputed — and the replay stays identical.
         assert trace._kernel_cache["nemo-chain"] is chain
-        first = replay(NemoCache(small_geometry, _config("statistical")), trace)
+        first = replay(NemoCache(small_geometry, _config()), trace)
         _assert_results_identical(second, first)
 
 
 class TestNemoEligibility:
     def test_virgin_nemo_engine_eligible(self, small_geometry):
         assert nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")),
+            NemoCache(small_geometry, _config()),
             _flush_trace()
         ) is None
 
@@ -297,14 +293,14 @@ class TestNemoEligibility:
         assert reason is not None and "NemoCache" in reason
 
     def test_warm_engine_ineligible(self, small_geometry):
-        engine = NemoCache(small_geometry, _config("statistical"))
+        engine = NemoCache(small_geometry, _config())
         engine.insert(1, 100)
         reason = nemo_kernel_ineligible_reason(engine, _flush_trace())
         assert reason is not None and "not virgin" in reason
 
     def test_latency_model_ineligible(self, small_geometry):
         engine = NemoCache(
-            small_geometry, _config("statistical"), latency=LatencyModel()
+            small_geometry, _config(), latency=LatencyModel()
         )
         reason = nemo_kernel_ineligible_reason(engine, _flush_trace())
         assert reason is not None and "latency models" in reason
@@ -316,7 +312,7 @@ class TestNemoEligibility:
             sizes=np.array([small_geometry.page_size + 1]),
         )
         reason = nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace
+            NemoCache(small_geometry, _config()), trace
         )
         assert reason is not None and "oversized object" in reason
 
@@ -327,7 +323,7 @@ class TestNemoEligibility:
             sizes=np.zeros(0, dtype=np.int64),
         )
         reason = nemo_kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace
+            NemoCache(small_geometry, _config()), trace
         )
         assert reason is not None and "empty trace" in reason
 
@@ -340,14 +336,14 @@ class TestKernelRegistry:
         assert KERNEL_REGISTRY[LogStructuredCache].name == "log"
 
     def test_kernel_for_dispatches_by_type(self, small_geometry):
-        nemo = NemoCache(small_geometry, _config("statistical"))
+        nemo = NemoCache(small_geometry, _config())
         assert kernel_for(nemo) is KERNEL_REGISTRY[NemoCache]
         assert kernel_for(SetAssociativeCache(small_geometry)) is None
 
     def test_registered_engines_eligible(self, small_geometry):
         trace = _flush_trace()
         assert kernel_ineligible_reason(
-            NemoCache(small_geometry, _config("statistical")), trace
+            NemoCache(small_geometry, _config()), trace
         ) is None
         assert kernel_ineligible_reason(
             LogStructuredCache(small_geometry), trace
@@ -375,7 +371,7 @@ class TestKernelRegistry:
         """A registered engine that fails eligibility (warm state) also
         demotes to batched dispatch with the reason in the note."""
         trace = _flush_trace()
-        warm = NemoCache(small_geometry, _config("statistical"))
+        warm = NemoCache(small_geometry, _config())
         warm.insert(1, 100)
         result = replay(warm, trace, kernel="columnar")
         assert len(result.notes) == 1
@@ -392,11 +388,11 @@ def _scale_geometry() -> FlashGeometry:
     )
 
 
-def _scale_config(mode: str) -> NemoConfig:
+def _scale_config() -> NemoConfig:
     """Four index pages per group, and an index cache smaller than the
     live index so PBFG consults keep missing into the index pool."""
     return dataclasses.replace(
-        _config(mode), bf_capacity_per_set=40, cached_index_ratio=0.25
+        _config(), bf_capacity_per_set=40, cached_index_ratio=0.25
     )
 
 
@@ -435,22 +431,18 @@ def _deep_state(engine: NemoCache) -> dict[str, object]:
 
 
 class TestNemoScaleRegime:
-    @pytest.mark.parametrize(
-        "mode, n", [("statistical", 60_000), ("real", 20_000)]
-    )
-    def test_live_groups_end_state_identical(self, mode, n):
+    @pytest.mark.parametrize("n", [60_000], ids=["statistical-60000"])
+    def test_live_groups_end_state_identical(self, n):
         trace = _scale_trace(n)
-        eng_b = NemoCache(_scale_geometry(), _scale_config(mode))
-        eng_c = NemoCache(_scale_geometry(), _scale_config(mode))
+        eng_b = NemoCache(_scale_geometry(), _scale_config())
+        eng_c = NemoCache(_scale_geometry(), _scale_config())
         batched = replay(eng_b, trace)
         columnar = replay(eng_c, trace, kernel="columnar")
         assert columnar.kernel == "columnar" and columnar.notes == []
         # The point of this cell: consults walk live index groups and
         # some of them miss the index cache into the index pool.
         eng_b.index_pool.check_invariants()
-        assert eng_b.index_pool.live_group_count() >= (
-            2 if mode == "statistical" else 1
-        )
+        assert eng_b.index_pool.live_group_count() >= 2
         assert eng_b.pbfg_pool_reads >= 1
         assert eng_b.index_cache.hits > eng_b.index_cache.misses
         _assert_results_identical(columnar, batched)
@@ -461,7 +453,7 @@ class TestNemoScaleRegime:
         lane's series — the kernel may defer read-side work only past
         boundaries where no sampled key can observe it."""
         trace = _scale_trace(20_000)
-        probe = NemoCache(_scale_geometry(), _scale_config("statistical"))
+        probe = NemoCache(_scale_geometry(), _scale_config())
         metric_keys = tuple(probe.metrics_snapshot())
         assert NemoCache.CONSULT_METRICS <= set(metric_keys)
         batched = replay(
@@ -469,7 +461,7 @@ class TestNemoScaleRegime:
         )
         for key in metric_keys:
             columnar = replay(
-                NemoCache(_scale_geometry(), _scale_config("statistical")),
+                NemoCache(_scale_geometry(), _scale_config()),
                 trace,
                 kernel="columnar",
                 sampled_metrics=(key,),
@@ -526,7 +518,7 @@ class TestNemoDrawCount:
         trace = _scale_trace(60_000)
         engines = {}
         for kernel in ("batched", "columnar"):
-            engine = NemoCache(_scale_geometry(), _scale_config("statistical"))
+            engine = NemoCache(_scale_geometry(), _scale_config())
             engine._rng = _CountingRandom(engine.config.rng_seed)
             assert replay(engine, trace, kernel=kernel).kernel == kernel
             engines[kernel] = engine
@@ -542,7 +534,7 @@ class TestNemoKernelReadValidation:
         """The kernel batches candidate/FP page reads without touching
         the NAND page states; its per-span stand-in is that every pool
         SG's zones are FULL, and a violation is a ``ReadError``."""
-        engine = NemoCache(small_geometry, _config("statistical"))
+        engine = NemoCache(small_geometry, _config())
         flush = engine._flush_front
 
         def flush_then_reopen(*, now_us: float = 0.0) -> None:

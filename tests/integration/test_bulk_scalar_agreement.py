@@ -16,6 +16,11 @@ the latencies a GET run records on every latency lane.  The closed-loop
 ``service_fn`` closure is held to the same contract against
 :func:`scalar_service_fn`, the scalar lookup / insert / delete closure
 kept here as the oracle, on every latency lane.
+
+The base-class default GET run is itself the engine's ``_lookup_at``
+probe, so Nemo's three GET bodies (the inline ``lookup_many``,
+``_lookup_at`` and the test-side :func:`reference_get`, one helper call
+per step) are also compared three ways.
 """
 
 import argparse
@@ -27,12 +32,12 @@ import pytest
 
 from repro.baselines.base import CacheEngine
 from repro.cli import ENGINE_NAMES, build_engine
-from repro.cluster.factory import make_engine as cluster_make_engine
 from repro.errors import ReadError
 from repro.flash.devsim import make_latency_model
 from repro.flash.device import PAGE_ERASED
 from repro.flash.geometry import FlashGeometry
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
+from tests.core.reference import reference_get
 
 STEP_US = 37.0
 
@@ -76,7 +81,8 @@ def drive_bulk(engine, runs, record=None):
 
 
 def drive_scalar(engine, runs, record=None):
-    """Same runs through the base-class defaults: the scalar loops."""
+    """Same runs through the base-class defaults: the scalar loops (a GET
+    run is ``_lookup_at`` then ``_insert_at`` on a miss, per request)."""
     now_us = 0.0
     for op, keys, sizes in runs:
         if op == "get":
@@ -145,23 +151,6 @@ def assert_recorded_latencies_agree(bulk_engine, scalar_engine, lane):
     )
 
 
-def make_real_filter_nemo():
-    return cluster_make_engine(
-        "nemo",
-        make_geometry(),
-        use_real_filters=True,
-        flush_threshold=4,
-        sgs_per_index_group=2,
-        cached_index_ratio=0.5,
-    )
-
-
-def test_recorded_latencies_identical_with_real_filters():
-    assert_recorded_latencies_agree(
-        make_real_filter_nemo(), make_real_filter_nemo(), "analytic"
-    )
-
-
 def make_long_runs():
     """Enough distinct bytes to fill the device: Nemo flushes and evicts
     SGs, the HLog reclaims zones."""
@@ -197,6 +186,37 @@ def test_long_run_reaches_the_inline_lanes(name):
     else:
         bpz = bulk_engine.geometry.blocks_per_zone
         assert any(nand.block_erases[z * bpz] for z in bulk_engine.hlog.zone_ids)
+
+
+def drive_reference(engine, runs):
+    """Same runs with every GET through :func:`reference_get`."""
+    now_us = 0.0
+    for op, keys, sizes in runs:
+        if op == "get":
+            for key, size in zip(keys, sizes):
+                reference_get(engine, key, size, now_us)
+                now_us += STEP_US
+        elif op == "set":
+            now_us = CacheEngine.insert_many(engine, keys, sizes, now_us, STEP_US)
+        else:
+            now_us = CacheEngine.delete_many(engine, keys, now_us, STEP_US)
+    return now_us
+
+
+def test_nemo_get_bodies_agree_with_the_reference():
+    """Nemo's inline ``lookup_many``, its ``_lookup_at`` run and the
+    scalar reference GET end in the same clock, snapshot and object
+    count, over a run that reaches flash hits, false positives,
+    non-resident index consults and writeback."""
+    runs = make_runs(seed=13, num_runs=600, key_space=3000)
+    inline, probe, reference = (make_engine("nemo") for _ in range(3))
+    clock = drive_bulk(inline, runs)
+    assert drive_scalar(probe, runs) == clock
+    assert drive_reference(reference, runs) == clock
+    for other in (probe, reference):
+        assert_snapshots_identical(inline.metrics_snapshot(), other.metrics_snapshot())
+        assert other.object_count() == inline.object_count()
+    assert_nemo_lanes_reached(inline)
 
 
 class TestNemoLatencyFreeLane:
@@ -342,12 +362,6 @@ def test_service_fn_matches_the_scalar_closure(name, lane):
         bpz = fast.geometry.blocks_per_zone
         nand = fast.device.nand
         assert any(nand.block_erases[z * bpz] for z in fast.hlog.zone_ids)
-
-
-def test_service_fn_matches_the_scalar_closure_with_real_filters():
-    fast = make_real_filter_nemo()
-    assert_service_agrees(fast, make_real_filter_nemo(), "analytic")
-    assert_nemo_lanes_reached(fast)
 
 
 def test_service_fn_unprogrammed_holder_page_raises_read_error():

@@ -18,6 +18,11 @@ step that
 - ``HierarchicalSet.check_invariants()`` (FW, KG) and
   ``IndexPool.check_invariants()`` (Nemo) pass.
 
+Nemo's machine also drives a twin, the real-filter
+:class:`~tests.core.reference.RealFilterNemo`, through the same ops:
+every GET's hit, the hit count and ``object_count()`` must agree after
+every step.
+
 ``OP_MACHINE_EXAMPLES`` scales the example count: CI sets it to 200
 per engine; the local default keeps the suite fast.
 """
@@ -39,6 +44,7 @@ from repro.baselines.set_associative import SetAssociativeCache
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
 from repro.flash.geometry import FlashGeometry
+from tests.core.reference import RealFilterNemo
 
 EXAMPLES = int(os.environ.get("OP_MACHINE_EXAMPLES", "10"))
 
@@ -52,15 +58,30 @@ def tiny_geometry():
     )
 
 
+def nemo_geometry():
+    """Four 1 KiB sets per SG and eight zones: Nemo flushes within a few
+    steps and wraps its SG pool within a machine run (on
+    :func:`tiny_geometry` no SG ever reaches flash)."""
+    return FlashGeometry(
+        page_size=1024, pages_per_block=4, num_blocks=8, blocks_per_zone=1
+    )
+
+
+def nemo_config():
+    return NemoConfig(flush_threshold=3, sgs_per_index_group=2, bf_capacity_per_set=20)
+
+
 ENGINE_FACTORIES = {
     "log": lambda: LogStructuredCache(tiny_geometry()),
     "set": lambda: SetAssociativeCache(tiny_geometry(), op_ratio=0.5),
     "fw": lambda: FairyWrenCache(tiny_geometry(), log_fraction=0.15, op_ratio=0.1),
     "kg": lambda: KangarooCache(tiny_geometry(), log_fraction=0.15, op_ratio=0.1),
-    "nemo": lambda: NemoCache(
-        tiny_geometry(),
-        NemoConfig(flush_threshold=3, sgs_per_index_group=2, bf_capacity_per_set=20),
-    ),
+    "nemo": lambda: NemoCache(nemo_geometry(), nemo_config()),
+}
+
+#: Engines whose twin receives the same ops and must agree on every hit.
+TWIN_FACTORIES = {
+    "nemo": lambda: RealFilterNemo(nemo_geometry(), nemo_config()),
 }
 
 
@@ -69,28 +90,34 @@ def make_op_machine(engine_name: str) -> type[RuleBasedStateMachine]:
         @initialize()
         def setup(self):
             self.engine = ENGINE_FACTORIES[engine_name]()
+            twin = TWIN_FACTORIES.get(engine_name)
+            self.engines = (self.engine,) if twin is None else (self.engine, twin())
             # Keys inserted and not deleted since.  Eviction silently
             # drops members, which only turns a would-be hit into a
             # miss, so "hit => key in live" stays the soundness check.
             self.live: set[int] = set()
 
-        def _check_hit(self, key, result):
-            if result.hit:
-                assert key in self.live, (
-                    f"{engine_name} served key {key}, which is not live"
-                )
+        def _lookup(self, key, size):
+            """Look ``key`` up on every engine; the hits must agree."""
+            hits = [engine.lookup(key, size).hit for engine in self.engines]
+            assert len(set(hits)) == 1, f"{engine_name} twin disagrees on {key}"
+            return hits[0]
 
         @rule(key=KEYS, size=SIZES)
         def insert(self, key, size):
-            self.engine.insert(key, size)
+            for engine in self.engines:
+                engine.insert(key, size)
             self.live.add(key)
 
         @rule(key=KEYS, size=SIZES)
         def get(self, key, size):
-            result = self.engine.lookup(key, size)
-            self._check_hit(key, result)
-            if not result.hit:
-                self.engine.insert(key, size)
+            if self._lookup(key, size):
+                assert key in self.live, (
+                    f"{engine_name} served key {key}, which is not live"
+                )
+            else:
+                for engine in self.engines:
+                    engine.insert(key, size)
                 self.live.add(key)
 
         @rule(run=st.lists(st.tuples(KEYS, SIZES), min_size=1, max_size=8))
@@ -104,22 +131,24 @@ def make_op_machine(engine_name: str) -> type[RuleBasedStateMachine]:
                 1 for i, key in enumerate(keys) if key in self.live or key in keys[:i]
             )
             hits_before = engine.counters.hits
-            engine.lookup_many(keys, [size for _, size in run], 0.0, 1.0)
+            for each in self.engines:
+                each.lookup_many(keys, [size for _, size in run], 0.0, 1.0)
             assert engine.counters.hits - hits_before <= may_hit, (
                 f"{engine_name} served more run keys than were live"
             )
             # Every run key hit or was admitted: all are live now, and
             # the last one is still held (nothing ran after it).
             self.live.update(keys)
-            assert engine.lookup(keys[-1], run[-1][1]).hit, (
+            assert self._lookup(keys[-1], run[-1][1]), (
                 f"{engine_name} lost key {keys[-1]} at the end of its GET run"
             )
 
         @rule(key=KEYS, size=SIZES)
         def delete(self, key, size):
-            self.engine.delete(key)
+            for engine in self.engines:
+                engine.delete(key)
             self.live.discard(key)
-            assert not self.engine.lookup(key, size).hit, (
+            assert not self._lookup(key, size), (
                 f"{engine_name} served key {key} right after deleting it"
             )
 
@@ -130,6 +159,9 @@ def make_op_machine(engine_name: str) -> type[RuleBasedStateMachine]:
             engine = self.engine
             assert engine.object_count() <= len(self.live)
             assert engine.counters.hits <= engine.counters.lookups
+            for twin in self.engines[1:]:
+                assert twin.object_count() == engine.object_count()
+                assert twin.counters.hits == engine.counters.hits
             snap = engine.stats.snapshot()
             for key, value in snap.items():
                 assert isinstance(value, (int, float)), key

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.hashing import (
     bucket_of,
     hash64,
-    hash_pair,
     splitmix64,
     splitmix64_array,
 )
@@ -27,10 +26,6 @@ class TestSplitmix:
 
     def test_seeded_hashes_differ(self):
         assert hash64(123, seed=0) != hash64(123, seed=1)
-
-    def test_hash_pair_is_two_distinct_functions(self):
-        h1, h2 = hash_pair(99)
-        assert h1 != h2
 
 
 class TestBuckets:
