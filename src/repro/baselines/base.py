@@ -27,7 +27,6 @@ Semantics shared by all engines:
 from __future__ import annotations
 
 import abc
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
@@ -42,6 +41,11 @@ from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
 if TYPE_CHECKING:
     from repro.flash.devsim.frontend import ServiceFn
     from repro.workloads.trace import Trace
+
+#: Keys hashed per vectorised pass when :meth:`CacheEngine.service_fn`
+#: builds a whole-trace placement column: bounds the hash's temporaries
+#: to a block instead of several 8-byte arrays the length of the trace.
+_HASH_BLOCK = 1 << 14
 
 
 class LookupResult(NamedTuple):
@@ -270,15 +274,20 @@ class CacheEngine(abc.ABC):
         """``(index, now_us) -> latency_us``: run request ``index`` of
         ``trace`` — GET = :meth:`_lookup_at` + :meth:`_insert_at` on a
         miss, SET = :meth:`_insert_at`, DELETE = ``delete`` (both
-        host-acked, 0) — on a placement column hashed once per trace and
-        kept as a 4-byte ``array``."""
-        ops = trace.ops.tolist()
-        keys = trace.keys.tolist()
-        sizes = trace.sizes.tolist()
-        placements: Sequence[int] = keys
+        host-acked, 0).  It indexes the trace's own ``ops`` / ``keys`` /
+        ``sizes`` columns and one ``int32`` placement column, hashed once
+        per trace in blocks, through ``memoryview``s: no Python object
+        per request."""
+        ops = memoryview(trace.ops)
+        keys = memoryview(trace.keys)
+        sizes = memoryview(trace.sizes)
+        placements = keys
         if self.columnar_spec() is not None:
-            column = self._placement_column(trace.keys).astype(np.int32)
-            placements = array("i", column.tobytes())
+            column = np.empty(len(trace), dtype=np.int32)
+            for lo in range(0, len(trace), _HASH_BLOCK):
+                hi = lo + _HASH_BLOCK
+                column[lo:hi] = self._placement_column(trace.keys[lo:hi])
+            placements = memoryview(column)
         lookup_at = self._lookup_at
         insert_at = self._insert_at
         delete = self.delete

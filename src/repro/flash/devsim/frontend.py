@@ -28,10 +28,19 @@ Arrival times and class ids come in as plain arrays precomputed by
 :mod:`repro.workloads.arrivals` from seeded streams; the frontend
 itself is RNG-free, so identical inputs replay identical event
 sequences (the determinism property test relies on this).
+
+Per-request state is flat 8-byte buffers, never one Python object per
+request: the constructor copies the arrivals (plus an ``inf`` sentinel
+past the last one, so the merge reads the next arrival without an
+``i < n`` test) and the class ids into contiguous ``float64`` /
+``int64`` numpy arrays read through ``memoryview``s, and :meth:`run`
+writes ``issue_us`` / ``complete_us`` into preallocated ``array('d')``
+buffers — 32 B per request in all, where ``float`` lists cost about 80.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from collections import deque
 from collections.abc import Sequence
@@ -76,13 +85,18 @@ class FrontendScheduler:
         bad = classes[(classes < 0) | (classes >= num_classes)]
         if bad.size:
             raise ConfigError(f"class id {bad[0]} outside [0, {num_classes})")
-        self.arrival_us: list[float] = arrivals.tolist()
-        self.class_ids: list[int] = classes.tolist()
+        padded = np.empty(n + 1, dtype=np.float64)
+        padded[:n] = arrivals
+        padded[n] = inf  # the merge's end-of-arrivals sentinel
+        self._arrivals = memoryview(padded).toreadonly()
+        #: Read-only views of private copies of the validated inputs.
+        self.arrival_us = self._arrivals[:n]
+        self.class_ids = memoryview(np.array(classes, dtype=np.int64)).toreadonly()
         self.num_classes = num_classes
         self.queue_depth = queue_depth
         #: Filled by :meth:`run`: per-request issue/completion times.
-        self.issue_us = [0.0] * n
-        self.complete_us = [0.0] * n
+        self.issue_us = array("d", [0.0]) * n
+        self.complete_us = array("d", [0.0]) * n
         self.outstanding = self.max_outstanding = 0
         self._trace: list[tuple[float, int, str]] | None = None
 
@@ -99,28 +113,33 @@ class FrontendScheduler:
     def run(self, service: ServiceFn) -> int:
         """Drive every request through ``service``; returns events fired.
 
-        After the run, :attr:`issue_us` and :attr:`complete_us` hold
-        each request's issue and completion timestamps (µs); sojourn
-        time is ``complete_us[i] - arrival_us[i]``.  Calling it again
-        replays all arrivals from an empty queue and overwrites them.
+        After the run, the ``array('d')`` buffers :attr:`issue_us` and
+        :attr:`complete_us` hold each request's issue and completion
+        timestamps (µs); sojourn time is ``complete_us[i] -
+        arrival_us[i]``.  Calling it again replays all arrivals from an
+        empty queue and overwrites them in place.
         """
-        arrivals, classes, trace = self.arrival_us, self.class_ids, self._trace
-        issue_us, complete_us, n = self.issue_us, self.complete_us, len(arrivals)
+        arrivals, classes, trace = self._arrivals, self.class_ids, self._trace
+        issue_us, complete_us, n = self.issue_us, self.complete_us, len(classes)
         # Open loop: at most n requests are ever in flight.
         depth = n if self.queue_depth is None else self.queue_depth
         pending: list[deque[int]] = [deque() for _ in range(self.num_classes)]
         in_flight: list[tuple[float, int]] = []  # sorted (complete_time, seq)
         if trace is not None:
             trace.clear()
+        # ``arrival`` is arrival ``i``'s time, read once; ``inf`` (the
+        # sentinel) once every arrival has fired.
         i, next_seq, waiting, peak = 0, n, 0, 0
-        while i < n or in_flight:
-            if i < n and (not in_flight or arrivals[i] <= in_flight[0][0]):
-                now = arrivals[i]
+        arrival: float = arrivals[0]
+        while arrival < inf or in_flight:
+            if not in_flight or arrival <= in_flight[0][0]:
+                now = arrival
                 pending[classes[i]].append(i)
                 waiting += 1
                 if trace is not None:
                     trace.append((now, i, EVENT_ARRIVAL))
                 i += 1
+                arrival = arrivals[i]
             else:
                 now, seq = in_flight.pop(0)
                 if trace is not None:

@@ -145,8 +145,9 @@ def replay_closed_loop(
         queue_depth=queue_depth,
         final=engine.metrics_snapshot(),
         arrival_us=np.asarray(arrival_us, dtype=np.float64),
-        issue_us=np.asarray(frontend.issue_us, dtype=np.float64),
-        complete_us=np.asarray(frontend.complete_us, dtype=np.float64),
+        # The frontend's own buffers, shared rather than copied.
+        issue_us=np.frombuffer(frontend.issue_us, dtype=np.float64),
+        complete_us=np.frombuffer(frontend.complete_us, dtype=np.float64),
         class_ids=np.asarray(class_ids, dtype=np.int64),
         class_names=class_names,
         max_outstanding=frontend.max_outstanding,

@@ -4,13 +4,19 @@ Two implementations with different trade-offs:
 
 - :class:`LatencyRecorder` — stores every sample and computes exact
   percentiles (numpy).  Fine at simulator scale (10⁵–10⁷ samples) and
-  used by the replay harness so p9999 is exact.
+  used by the replay harness so p9999 is exact.  Samples live in one
+  flat ``array('d')``, 8 B each (a list of ``float`` objects costs 32), and
+  numpy reads that buffer in place through ``np.frombuffer``.
 - :class:`StreamingQuantile` — the P² algorithm (Jain & Chlamtac 1985):
   O(1) memory single-quantile estimation, for callers embedding the
   harness in long-running loops.  Property-tested against numpy.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections.abc import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -26,13 +32,14 @@ class LatencyRecorder:
     """
 
     def __init__(self) -> None:
-        self._values: list[float] = []
+        self._values: array[float] = array("d")
         self._window_bounds: list[int] = [0]
+        #: Append one sample.  It is the buffer's own bound ``append``
+        #: (one C call, no Python frame per GET); :meth:`merge` refills
+        #: the buffer in place, so a caller may bind it once.
+        self.record: Callable[[float], None] = self._values.append
 
-    def record(self, value: float) -> None:
-        self._values.append(value)
-
-    def record_many(self, values: list[float]) -> None:
+    def record_many(self, values: Iterable[float]) -> None:
         """Append a run of samples in order (bulk-lane fast path).
 
         Equivalent to calling :meth:`record` once per element; the
@@ -40,6 +47,14 @@ class LatencyRecorder:
         one C-level extend.
         """
         self._values.extend(values)
+
+    def _samples(self) -> np.ndarray:
+        """Every sample as a float64 view of the buffer (no copy).
+
+        Callers drop the view before the next append: an ``array`` that
+        exports its buffer cannot grow.
+        """
+        return np.frombuffer(self._values, dtype=np.float64)
 
     def merge(self, other: "LatencyRecorder") -> None:
         """Absorb ``other``'s samples *window-wise*.
@@ -56,23 +71,16 @@ class LatencyRecorder:
         mine = self._window_bounds + [len(self._values)]
         theirs = other._window_bounds + [len(other._values)]
         n_windows = max(len(mine), len(theirs)) - 1
-        merged: list[list[float]] = []
+        values: array[float] = array("d")
+        starts = [0]
         for w in range(n_windows):
-            chunk: list[float] = []
             if w + 1 < len(mine):
-                chunk.extend(self._values[mine[w] : mine[w + 1]])
+                values.extend(self._values[mine[w] : mine[w + 1]])
             if w + 1 < len(theirs):
-                chunk.extend(other._values[theirs[w] : theirs[w + 1]])
-            merged.append(chunk)
-        values: list[float] = []
-        bounds = [0]
-        for chunk in merged[:-1] if merged else []:
-            values.extend(chunk)
-            bounds.append(len(values))
-        if merged:
-            values.extend(merged[-1])
-        self._values = values
-        self._window_bounds = bounds
+                values.extend(other._values[theirs[w] : theirs[w + 1]])
+            starts.append(len(values))
+        self._values[:] = values  # in place: a bound ``record`` stays valid
+        self._window_bounds = starts[:-1]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -85,23 +93,22 @@ class LatencyRecorder:
         """Exact percentile over all samples; q in [0, 100]."""
         if not self._values:
             return float("nan")
-        return float(np.percentile(np.asarray(self._values), q))
+        return float(np.percentile(self._samples(), q))
 
     def percentiles(self, qs: list[float]) -> dict[float, float]:
         if not self._values:
             return {q: float("nan") for q in qs}
-        arr = np.asarray(self._values)
-        return {q: float(v) for q, v in zip(qs, np.percentile(arr, qs))}
+        return {q: float(v) for q, v in zip(qs, np.percentile(self._samples(), qs))}
 
     def window_percentiles(self, qs: list[float]) -> list[dict[float, float]]:
         """Per-window percentiles (windows delimited by mark_window)."""
         bounds = self._window_bounds + [len(self._values)]
+        samples = self._samples()
         out: list[dict[float, float]] = []
         for lo, hi in zip(bounds, bounds[1:]):
-            chunk = self._values[lo:hi]
-            if chunk:
-                arr = np.asarray(chunk)
-                out.append({q: float(v) for q, v in zip(qs, np.percentile(arr, qs))})
+            if hi > lo:
+                chunk = np.percentile(samples[lo:hi], qs)
+                out.append({q: float(v) for q, v in zip(qs, chunk)})
             else:
                 out.append({q: float("nan") for q in qs})
         return out
@@ -109,7 +116,7 @@ class LatencyRecorder:
     def mean(self) -> float:
         if not self._values:
             return float("nan")
-        return float(np.mean(self._values))
+        return float(np.mean(self._samples()))
 
 
 class StreamingQuantile:

@@ -3,19 +3,24 @@
 The engine resolves membership exactly and draws false positives at the
 configured rate; this filter is what those draws stand in for.  It is
 sized by the library's own math (``bloom_filter_bits`` /
-``bloom_num_hashes``) and probes with Kirsch–Mitzenmacher double hashing
-over two seeded ``hash64`` functions.  The bit array is one Python int.
+``bloom_num_hashes``) and probes with ``num_hashes`` independent seeded
+hashes, ``hash64(key, SEED + i) % num_bits``, so its false-positive rate
+is the textbook (1 − e^{−kn/m})^k.  Double hashing, ``(h1 + i·h2) % m``,
+revisits bits whenever gcd(h2, m) > 1, and the sizing math gives m =
+2⁵·9 or 2⁶·9 bits at capacities 20 and 40: it measured 0.75 % / 0.40 %
+false positives at 0.1 % target.  The bit array is one Python int.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.core.bloom import bloom_filter_bits, bloom_num_hashes
 from repro.errors import ConfigError
 from repro.hashing import hash64
 
-#: Seeds of the two hash functions double hashing combines.
-SEED_A = 0x9E37
-SEED_B = 0x85EB
+#: Probe ``i`` hashes with seed ``SEED + i``.
+SEED = 0x9E37
 
 
 class BloomFilter:
@@ -38,10 +43,11 @@ class BloomFilter:
             bloom_num_hashes(false_positive_rate),
         )
 
-    def _probes(self, key: int) -> list[int]:
-        h1, h2 = hash64(key, SEED_A), hash64(key, SEED_B)
+    def _probes(self, key: int) -> Iterator[int]:
+        """The key's bit positions, lazily: a miss stops at its first
+        clear bit."""
         m = self.num_bits
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
+        return (hash64(key, SEED + i) % m for i in range(self.num_hashes))
 
     def add(self, key: int) -> None:
         for bit in self._probes(key):

@@ -1,6 +1,8 @@
 """Unit + property tests for the bloom-filter sizing math and the real
 filter the test suite keeps as the oracle of Nemo's index."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,27 @@ class TestFilterBehaviour:
             bf.add(key)
         false_hits = sum(1 for key in range(10_000, 40_000) if key in bf)
         assert false_hits / 30_000 < 0.03  # target 1 %, allow 3x head-room
+
+    @pytest.mark.parametrize("capacity", [20, 40])
+    def test_measured_rate_at_capacity_matches_the_sizing_math(self, capacity):
+        """100 full filters × 2,000 non-member queries: the measured rate
+        is within [0.6, 1.5] × (1 − e^{−kn/m})^k (≈ 0.1 %, ~200 expected
+        hits, so each edge is > 5 σ away).  Probes that revisit bits, such
+        as double hashing over these m = 2ᵃ·9 sizes, measure 4-8 × that."""
+        filters, queries = 100, 2_000
+        false_hits = 0
+        for f in range(filters):
+            bf = BloomFilter.for_capacity(capacity, 0.001)
+            base = f * 1_000_000
+            for key in range(base, base + capacity):
+                bf.add(key)
+            false_hits += sum(
+                key in bf for key in range(base + capacity, base + capacity + queries)
+            )
+        k, m = bf.num_hashes, bf.num_bits
+        expected = (1.0 - math.exp(-k * capacity / m)) ** k
+        measured = false_hits / (filters * queries)
+        assert 0.6 * expected <= measured <= 1.5 * expected, (measured, expected)
 
     def test_fill_fraction_grows(self):
         bf = BloomFilter.for_capacity(50, 0.01)

@@ -92,8 +92,8 @@ def _drive(scheduler, trace, latencies):
     fired = scheduler.run(service)
     return (
         fired,
-        scheduler.issue_us,
-        scheduler.complete_us,
+        list(scheduler.issue_us),
+        list(scheduler.complete_us),
         scheduler.max_outstanding,
         scheduler.outstanding,
         calls,
@@ -167,12 +167,12 @@ class TestEdges:
     def test_empty_and_single_request(self, queue_depth):
         empty = FrontendScheduler([], queue_depth=queue_depth)
         assert empty.run(_latency) == 0
-        assert empty.issue_us == [] and empty.complete_us == []
+        assert list(empty.issue_us) == [] and list(empty.complete_us) == []
         assert empty.max_outstanding == 0
 
         one = FrontendScheduler([3.0], queue_depth=queue_depth)
         assert one.run(lambda index, now: 4.0) == 2
-        assert (one.issue_us, one.complete_us) == ([3.0], [7.0])
+        assert (list(one.issue_us), list(one.complete_us)) == ([3.0], [7.0])
         assert (one.max_outstanding, one.outstanding) == (1, 0)
 
     def test_simultaneous_arrivals_issue_by_class_then_fifo(self):
@@ -190,7 +190,7 @@ class TestEdges:
         # Index 0 takes the free slot on arrival; the rest queue and
         # drain class 0 -> 1 -> 2, FIFO within a class.
         assert order == [0, 2, 5, 6, 1, 4, 3]
-        assert frontend.issue_us == [0.0, 40.0, 10.0, 60.0, 50.0, 20.0, 30.0]
+        assert list(frontend.issue_us) == [0.0, 40.0, 10.0, 60.0, 50.0, 20.0, 30.0]
 
     def test_run_is_repeatable(self):
         arrivals, classes = _bursty()

@@ -168,15 +168,15 @@ class TestFrontendGoldens:
             queue_depth=1,
         )
         frontend.run(lambda index, now: 10.0)
-        assert frontend.issue_us == [0.0, 10.0, 30.0, 20.0]
-        assert frontend.complete_us == [10.0, 20.0, 40.0, 30.0]
+        assert list(frontend.issue_us) == [0.0, 10.0, 30.0, 20.0]
+        assert list(frontend.complete_us) == [10.0, 20.0, 40.0, 30.0]
         assert frontend.max_outstanding == 1
 
     def test_open_loop_issues_at_arrival(self):
         arrivals = [0.0, 5.0, 6.0, 50.0]
         frontend = FrontendScheduler(arrivals, queue_depth=None)
         frontend.run(lambda index, now: 100.0)
-        assert frontend.issue_us == arrivals
+        assert list(frontend.issue_us) == arrivals
         # All four overlap: the last arrival (t=50) lands while the
         # first three (completing at 100/105/106) are still in flight.
         assert frontend.max_outstanding == 4
@@ -185,8 +185,8 @@ class TestFrontendGoldens:
         frontend = FrontendScheduler([0.0, 0.0], queue_depth=1)
         frontend.run(lambda index, now: 10.0)
         # Second request waited a full service time before issuing.
-        assert frontend.issue_us == [0.0, 10.0]
-        assert frontend.complete_us == [10.0, 20.0]
+        assert list(frontend.issue_us) == [0.0, 10.0]
+        assert list(frontend.complete_us) == [10.0, 20.0]
 
     def test_rejects_bad_configs(self):
         with pytest.raises(ConfigError):

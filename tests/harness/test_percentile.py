@@ -76,7 +76,7 @@ class TestLatencyRecorderMerge:
         b.mark_window()
         b.record_many([20.0, 30.0])
         a.merge(b)
-        assert a._values == [1.0, 2.0, 10.0, 3.0, 20.0, 30.0]
+        assert list(a._values) == [1.0, 2.0, 10.0, 3.0, 20.0, 30.0]
         assert a._window_bounds == [0, 3]
 
     def test_merge_with_missing_windows(self):
@@ -89,7 +89,7 @@ class TestLatencyRecorderMerge:
         a.merge(b)
         # a has one window, b two: window 0 merges both first windows,
         # window 1 holds only b's tail.
-        assert a._values == [1.0, 2.0, 3.0]
+        assert list(a._values) == [1.0, 2.0, 3.0]
         assert a._window_bounds == [0, 2]
 
     def test_merge_empty_into_empty(self):
