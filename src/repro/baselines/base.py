@@ -200,8 +200,9 @@ class CacheEngine(abc.ABC):
     # advances by ``step_us`` *after* each request (same float
     # accumulation order on every lane, so metrics are byte-identical).
     # Each returns the advanced clock.  An engine may override
-    # ``lookup_many`` with an inlined latency-free loop that must be
-    # observationally identical to the default.
+    # ``lookup_many`` with an inlined loop that serves every lane, timed
+    # and recorded runs included: it must be observationally identical
+    # to the default, latency-model calls and recorded latencies too.
 
     def lookup_many(
         self,
@@ -257,8 +258,9 @@ class CacheEngine(abc.ABC):
         record: Callable[[float], None] | None,
     ) -> float:
         """A GET run as :meth:`_lookup_at`, then :meth:`_insert_at` on a
-        miss, per request: the default ``lookup_many`` and the lane every
-        engine's inline loop leaves to it."""
+        miss, per request: the default ``lookup_many``, which serves the
+        ``kernel="scalar"`` reference lane and engines with no inline
+        loop."""
         lookup_at = self._lookup_at
         insert_at = self._insert_at
         for key, size, placement in zip(keys, sizes, placements):

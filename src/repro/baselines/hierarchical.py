@@ -31,7 +31,7 @@ from collections.abc import Callable, Collection
 from repro.baselines.base import CacheEngine
 from repro.baselines.hlog import HierarchicalLog
 from repro.baselines.hset import CASE_PASSIVE, HierarchicalSet
-from repro.errors import ConfigError, ReadError
+from repro.errors import AlignmentError, ConfigError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -178,13 +178,13 @@ class HierarchicalCacheBase(CacheEngine):
     # key→bucket hash arrives as a precomputed column (``offsets=``,
     # hashed per chunk by the replay runner; a direct caller that
     # passes none gets one vectorised sweep per run), the HLog bucket
-    # dict and HSet mirrors are probed directly, and on a latency-free
-    # device with no latency recorded the per-read NAND validation
-    # stays inline while the read *counters* accumulate in locals and
-    # flush once per run; every other GET run goes through
-    # :meth:`_lookup_at`.  Nothing reads the engine counters or device
-    # stats mid-run (sampling only happens at chunk boundaries), so the
-    # deferred accounting is observationally identical to ``_get_many``.
+    # dict and HSet mirrors are probed directly, each flash read keeps
+    # ``NandArray.read``'s checks inline and, on a timed device, asks
+    # the latency model in request order, while the read *counters*
+    # accumulate in locals and flush once per run.  Nothing reads the
+    # engine counters or device stats mid-run (sampling only happens at
+    # chunk boundaries), so the deferred accounting is observationally
+    # identical to ``_get_many``.
 
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_buckets``."""
@@ -203,8 +203,7 @@ class HierarchicalCacheBase(CacheEngine):
         if offsets is None:
             offsets = self._placement_column(keys).tolist()
         device = self.device
-        if record is not None or device.latency is not None:
-            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
+        latency = device.latency
         nb = self.hlog.num_buckets
         hot_cold = self.hset.hot_cold
         buckets = self.hlog.buckets
@@ -213,7 +212,9 @@ class HierarchicalCacheBase(CacheEngine):
         pending = hset.pending_promotions
         location = hset.location
         hot_add = self.hot_keys.add
-        state = device.nand._state
+        nand = device.nand
+        state = nand._state
+        num_pages = nand._num_pages
         counters = self.counters
         stats = self.stats
         hits = 0
@@ -228,10 +229,19 @@ class HierarchicalCacheBase(CacheEngine):
                 hot_add(key)
                 read_bytes += entry.size
                 page = entry.page
+                lat = 0.0
                 if page >= 0:  # else still in the write buffer (DRAM)
+                    if page >= num_pages:
+                        raise AlignmentError(
+                            f"page {page} out of range [0, {num_pages})"
+                        )
                     if state[page] != PAGE_PROGRAMMED:
                         raise ReadError(f"page {page} is not programmed")
                     flash_reads += 1
+                    if latency is not None:
+                        lat = latency.read(page, now_us)
+                if record is not None:
+                    record(lat)
                 now_us += step_us
                 continue
             # HSet probe (hset.find inlined).
@@ -251,11 +261,20 @@ class HierarchicalCacheBase(CacheEngine):
                 hits += 1
                 hot_add(key)
                 read_bytes += obj_size
+                lat = 0.0
                 if set_id >= 0:  # else the promotion staging buffer (DRAM)
                     page = location[set_id]
+                    if not 0 <= page < num_pages:
+                        raise AlignmentError(
+                            f"page {page} out of range [0, {num_pages})"
+                        )
                     if state[page] != PAGE_PROGRAMMED:
                         raise ReadError(f"page {page} is not programmed")
                     flash_reads += 1
+                    if latency is not None:
+                        lat = latency.read(page, now_us)
+                if record is not None:
+                    record(lat)
                 now_us += step_us
                 continue
             # Miss: read-through admission (``insert`` inlined, bucket
@@ -264,6 +283,8 @@ class HierarchicalCacheBase(CacheEngine):
             insert_bytes += size
             if not self.hlog.insert(key, size, now_us=now_us, bucket=b):
                 self._reclaim_and_insert(key, size, now_us, b)
+            if record is not None:
+                record(0.0)
             now_us += step_us
         counters.lookups += len(keys)
         counters.hits += hits
@@ -272,7 +293,7 @@ class HierarchicalCacheBase(CacheEngine):
         stats.logical_read_bytes += read_bytes
         stats.logical_write_bytes += insert_bytes
         if flash_reads:
-            device.nand.read_count += flash_reads
+            nand.read_count += flash_reads
             stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 

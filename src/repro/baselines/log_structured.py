@@ -20,7 +20,7 @@ from collections.abc import Callable
 from itertools import repeat
 
 from repro.baselines.base import CacheEngine
-from repro.errors import ConfigError, ObjectTooLargeError, ReadError
+from repro.errors import AlignmentError, ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -125,7 +125,9 @@ class LogStructuredCache(CacheEngine):
     # Inlined run loop with the index dict and counters bound to
     # locals; request/stat counters accumulate per run and flush once
     # (nothing samples them mid-run — see ``baselines/base.py`` for the
-    # bulk contract).  Semantics are identical to ``_get_many``.
+    # bulk contract).  Each flash read keeps ``NandArray.read``'s checks
+    # and, on a timed device, asks the latency model in request order.
+    # Semantics are identical to ``_get_many``.
 
     def lookup_many(
         self,
@@ -138,35 +140,45 @@ class LogStructuredCache(CacheEngine):
         offsets: list[int] | None = None,
     ) -> float:
         device = self.device
-        if record is not None or device.latency is not None:
-            # No placement hash: the keys are the placement column.
-            return self._get_many(keys, sizes, keys, now_us, step_us, record)
+        latency = device.latency
         index_get = self._index.get
         insert_at = self._insert_at
-        state = device.nand._state
+        nand = device.nand
+        state = nand._state
+        num_pages = nand._num_pages
         hits = 0
         read_bytes = 0
         flash_reads = 0
         for key, size in zip(keys, sizes):
             entry = index_get(key)
             if entry is None:
+                # No placement hash: the key is the placement.
                 insert_at(key, size, key, now_us)
+                if record is not None:
+                    record(0.0)
                 now_us += step_us
                 continue
             page, obj_size = entry
             hits += 1
             read_bytes += obj_size
+            lat = 0.0
             if page >= 0:  # else still in the write buffer
+                if page >= num_pages:
+                    raise AlignmentError(f"page {page} out of range [0, {num_pages})")
                 if state[page] != PAGE_PROGRAMMED:
                     raise ReadError(f"page {page} is not programmed")
                 flash_reads += 1
+                if latency is not None:
+                    lat = latency.read(page, now_us)
+            if record is not None:
+                record(lat)
             now_us += step_us
         counters = self.counters
         counters.lookups += len(keys)
         counters.hits += hits
         self.stats.logical_read_bytes += read_bytes
         if flash_reads:
-            device.nand.read_count += flash_reads
+            nand.read_count += flash_reads
             self.stats.record_page_reads(flash_reads, self.geometry.page_size)
         return now_us
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.baselines.base import CacheEngine
-from repro.errors import ConfigError, ObjectTooLargeError, ReadError
+from repro.errors import AlignmentError, ConfigError, ObjectTooLargeError, ReadError
 from repro.flash.conventional import ConventionalSSD
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.ftl import UNMAPPED
@@ -136,7 +136,12 @@ class SetAssociativeCache(CacheEngine):
     # Same per-request semantics as the base-class ``_get_many``, on the
     # precomputed key→set column (``offsets``, hashed per chunk by the
     # replay runner; a direct caller that passes none gets one
-    # vectorised sweep here).
+    # vectorised sweep here).  The set mirror is probed directly, the
+    # FTL-read validation (mapped LBA, physical page in range and
+    # programmed) stays inline, a timed device's latency model is asked
+    # per flash hit in request order, and the read counters flush once
+    # per run — nothing observes them mid-run, the harness samples only
+    # at chunk boundaries.
 
     def lookup_many(
         self,
@@ -151,39 +156,41 @@ class SetAssociativeCache(CacheEngine):
         if offsets is None:
             offsets = self._placement_column(keys).tolist()
         device = self.device
-        if record is not None or device.latency is not None:
-            # Timed or recorded: every read goes through the device
-            # stack (``_lookup_at``), the per-request reference.
-            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
-        # Latency-free run loop: the set mirror is probed directly, the
-        # FTL-read validation (mapped LBA, programmed page) stays
-        # inline, and the read counters flush once per run — nothing
-        # observes them mid-run, the harness samples only at chunk
-        # boundaries.
+        latency = device.latency
         insert_at = self._insert_at
         sets = self._sets
-        l2p = device.ftl._l2p
-        state = device.ftl.nand._state
+        ftl = device.ftl
+        l2p = ftl._l2p
+        nand = ftl.nand
+        state = nand._state
+        num_pages = nand._num_pages
         hits = read_bytes = 0
         for key, size, sid in zip(keys, sizes, offsets):
             obj_size = sets[sid].objects.get(key)
+            lat = 0.0
             if obj_size is None:
                 insert_at(key, size, sid, now_us)
             else:
                 ppn = l2p[sid]
                 if ppn == UNMAPPED:
                     raise ReadError(f"LBA {sid} is unmapped")
+                if not 0 <= ppn < num_pages:
+                    raise AlignmentError(f"page {ppn} out of range [0, {num_pages})")
                 if state[ppn] != PAGE_PROGRAMMED:
                     raise ReadError(f"page {ppn} is not programmed")
                 hits += 1
                 read_bytes += obj_size
+                if latency is not None:
+                    lat = latency.read(ppn, now_us)
+            if record is not None:
+                record(lat)
             now_us += step_us
         self.counters.lookups += len(keys)
         self.counters.hits += hits
         stats = self.stats
         stats.logical_read_bytes += read_bytes
         if hits:
-            device.ftl.nand.read_count += hits
+            nand.read_count += hits
             stats.record_page_reads(hits, self.geometry.page_size)
         return now_us
 

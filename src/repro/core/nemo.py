@@ -342,22 +342,23 @@ class NemoCache(CacheEngine):
         per chunk by the replay runner; a direct caller that passes
         none gets one vectorised sweep here).
 
-        On a latency-free device, with no latency recorded, the run is
-        one inline loop: the in-memory probe walks the SG-queue set
-        dicts directly, then the all-resident index test (a
-        non-resident consult still goes through :meth:`_consult_index`),
-        the false-positive draws of :meth:`_lookup_at` in order, the
-        holder and false-positive page reads with
-        ``NandArray.read_pages``' checks, and the hotness bit.  Request,
-        read, PBFG and index-cache counters add up once per run
+        The run is one inline loop on every lane: the in-memory probe
+        walks the SG-queue set dicts directly, then the all-resident
+        index test (a non-resident consult still goes through
+        :meth:`_consult_index` and takes its latency), the
+        false-positive draws of :meth:`_lookup_at` in order, the
+        false-positive and holder page reads with
+        ``NandArray.read_pages``' checks — on a timed device one
+        ``read_many`` of them, in that order — and the hotness bit.
+        ``record`` gets each GET's latency as :meth:`_get_many` gives it.
+        Request, read, PBFG and index-cache counters add up once per run
         (nothing observes them mid-run — the harness samples only at
-        chunk boundaries).  A timed or recorded run takes
-        :meth:`_lookup_at`.
+        chunk boundaries).
         """
         if offsets is None:
             offsets = self._placement_column(keys).tolist()
-        if record is not None or self.device.latency is not None:
-            return self._get_many(keys, sizes, offsets, now_us, step_us, record)
+        latency = self.device.latency
+        read_many = None if latency is None else latency.read_many
         counters = self.counters
         queue_dq = self.queue._queue
         pool = self.pool
@@ -390,15 +391,18 @@ class NemoCache(CacheEngine):
             if mem_size is not None:
                 hits += 1
                 read_bytes += mem_size
+                if record is not None:
+                    record(0.0)
                 now_us += step_us
                 continue
+            lat = 0.0
             if pool:
                 n_live = index_pool._live_groups
                 if page_counts[offset // opp] == n_live:
                     resident += 1
                     touches += n_live
                 else:
-                    consult(offset, now_us)
+                    lat = consult(offset, now_us)[1]
                 holder_id = flash_index.get(key)
                 holder = None if holder_id is None else pool_map[holder_id]
                 n_pool = len(pool)
@@ -423,11 +427,20 @@ class NemoCache(CacheEngine):
                     if state[page] != PAGE_PROGRAMMED:
                         raise ReadError(f"page {page} is not programmed")
                 page_reads += len(read)
+                if read_many is not None and read:
+                    # One timed read of the pages just checked, in order.
+                    read_lat = read_many(
+                        [fsg.page_bases[zone_idx] + page_idx for fsg in read], now_us
+                    )
+                    if read_lat > lat:
+                        lat = read_lat
                 if holder is not None:
                     hits += 1
                     read_bytes += holder.sets[offset][key]
                     if (holder.sg_id - pool[0].sg_id) < window_sgs:
                         hotness._bits[key] = offset  # record_access inlined
+                    if record is not None:
+                        record(lat)
                     now_us += step_us
                     continue
             # Miss: read-through admission (offset hash reused).
@@ -439,6 +452,8 @@ class NemoCache(CacheEngine):
             insert_bytes += size
             if not try_insert(offset, key, size):
                 self._insert_blocked(offset, key, size, now_us)
+            if record is not None:
+                record(lat)
             now_us += step_us
         counters.lookups += lookups
         counters.hits += hits

@@ -58,19 +58,6 @@ class EventLatencyModel(LatencyModel):
         self.now = 0.0
         self.dies = [Die(i, self.timings) for i in range(self.num_channels)]
 
-    # -- cache probe (inherited LRU, identical to the analytic lane) ---
-    def _cache_hit(self, page: int) -> bool:
-        if not self.read_cache_pages:
-            return False
-        cache = self._read_cache
-        if page in cache:
-            cache.move_to_end(page)
-            return True
-        cache[page] = None
-        while len(cache) > self.read_cache_pages:
-            cache.popitem(last=False)
-        return False
-
     def _die_at(self, page: int, now_us: float) -> Die:
         """The die serving ``page``, advanced to ``now_us``."""
         die = self.dies[page % self.num_channels]
@@ -88,45 +75,97 @@ class EventLatencyModel(LatencyModel):
             die.advance(now_us)
         return batch
 
+    def _behind(self, now_us: float) -> ConfigError:
+        return ConfigError(
+            f"op submitted at {now_us:g}us behind the device clock {self.now:g}us"
+        )
+
     def _submit(
-        self, die: Die, kind: str, page: int, service_us: float, now_us: float,
-        background: bool = False,
+        self, die: Die, kind: str, page: int, service_us: float, now_us: float
     ) -> NandOp:
         if now_us < self.now:
-            raise ConfigError(
-                f"op submitted at {now_us:g}us behind the device clock "
-                f"{self.now:g}us"
-            )
-        op = NandOp(kind, page, service_us, background=background)
+            raise self._behind(now_us)
+        op = NandOp(kind, page, service_us)
         die.submit(op, now_us)
         return op
 
     # -- LatencyModel surface ------------------------------------------
+    # Reads take one inlined pass per page, as the analytic lane's
+    # ``read_many`` does: the controller-cache probe (the inherited LRU;
+    # a hit costs ``transfer_us`` and touches no die), the die advanced
+    # to ``now_us`` only when it has an event due by then, the submit.
+
     def read(self, page: int, now_us: float, *, background: bool = False) -> float:
         if now_us > self.now:
             self.now = now_us
-        if self._cache_hit(page):
-            return self.timings.transfer_us
-        die = self._die_at(page, now_us)
-        op = self._submit(die, OP_READ, page, self.timings.read_us, now_us, background)
-        return op.projected_end - now_us + self.timings.transfer_us
+        transfer_us = self.timings.transfer_us
+        cap = self.read_cache_pages
+        if cap:
+            cache = self._read_cache
+            if page in cache:
+                cache.move_to_end(page)
+                return transfer_us
+            cache[page] = None
+            while len(cache) > cap:
+                cache.popitem(last=False)
+        if now_us < self.now:
+            raise self._behind(now_us)
+        die = self.dies[page % self.num_channels]
+        # The die's next event: a planned suspend always precedes the
+        # in-flight op's completion.
+        due = die._suspend_at
+        if due is None:
+            due = die._complete_at
+        if due is not None and due <= now_us:
+            die.advance(now_us)
+        op = NandOp(OP_READ, page, self.timings.read_us, background=background)
+        die.submit(op, now_us)
+        return op.projected_end - now_us + transfer_us
 
     def read_many(
         self, pages: list[int], now_us: float, *, background: bool = False
     ) -> float:
+        """:meth:`read` per page, returning the slowest; a die is advanced
+        at most once per call, so all the batch's submits happen at
+        ``now_us`` with nothing fired in between."""
         if not pages:
             return 0.0
         if now_us > self.now:
             self.now = now_us
-        transfer_us = self.timings.transfer_us
-        read_us = self.timings.read_us
+        behind = now_us < self.now
+        t = self.timings
+        read_us = t.read_us
+        transfer_us = t.transfer_us
+        dies = self.dies
+        nch = self.num_channels
+        cap = self.read_cache_pages
+        cache = self._read_cache
+        advanced = 0  # bitmask of the dies this call has looked at
         worst = 0.0
-        for page, die in zip(pages, self._batch_dies(pages, now_us)):
-            if self._cache_hit(page):
-                lat = transfer_us
-            else:
-                op = self._submit(die, OP_READ, page, read_us, now_us, background)
-                lat = op.projected_end - now_us + transfer_us
+        for page in pages:
+            if cap:
+                if page in cache:
+                    cache.move_to_end(page)
+                    if transfer_us > worst:
+                        worst = transfer_us
+                    continue
+                cache[page] = None
+                while len(cache) > cap:
+                    cache.popitem(last=False)
+            if behind:
+                raise self._behind(now_us)
+            ch = page % nch
+            die = dies[ch]
+            if not advanced >> ch & 1:
+                advanced |= 1 << ch
+                due = die._suspend_at
+                if due is None:
+                    due = die._complete_at
+                if due is not None and due <= now_us:
+                    die.advance(now_us)
+            op = NandOp(OP_READ, page, read_us, background=background)
+            die.submit(op, now_us)
+            lat = op.projected_end - now_us + transfer_us
             if lat > worst:
                 worst = lat
         return worst

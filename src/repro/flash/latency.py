@@ -137,22 +137,35 @@ class LatencyModel:
         implementation): it occupies the channel but stays suspendable,
         so foreground reads are not stuck behind it.
         """
-        if self.read_cache_pages:
-            if page in self._read_cache:
-                self._read_cache.move_to_end(page)
-                return self.timings.transfer_us
-            self._read_cache[page] = None
-            while len(self._read_cache) > self.read_cache_pages:
-                self._read_cache.popitem(last=False)
+        t = self.timings
+        cap = self.read_cache_pages
+        if cap:
+            cache = self._read_cache
+            if page in cache:
+                cache.move_to_end(page)
+                return t.transfer_us
+            cache[page] = None
+            while len(cache) > cap:
+                cache.popitem(last=False)
+        # ``_start_time`` inlined: this is every timed GET's flash read.
         ch = page % self.num_channels
-        start = self._start_time(ch, now_us, is_read=True)
-        finish = start + self.timings.read_us
+        busy = self._busy_until
+        b = busy[ch]
+        if b <= now_us:
+            start = now_us
+        elif self._busy_is_program[ch]:
+            # Program/erase-suspend with read priority (see _start_time).
+            preempt_at = now_us + t.suspend_floor_us
+            start = b if b < preempt_at else preempt_at
+        else:
+            start = b
+        finish = start + t.read_us
         # Reads do not extend a suspended program's horizon beyond the
         # read itself (the program resumes and re-occupies its remainder).
-        if finish >= self._busy_until[ch]:
-            self._busy_until[ch] = finish
+        if finish >= b:
+            busy[ch] = finish
             self._busy_is_program[ch] = background
-        return finish - now_us + self.timings.transfer_us
+        return finish - now_us + t.transfer_us
 
     def read_many(
         self, pages: list[int], now_us: float, *, background: bool = False

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import DeviceError, ZoneStateError
+from repro.errors import AlignmentError, DeviceError, ReadError, ZoneStateError
 from repro.flash.device import PAGE_PROGRAMMED, NandArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -165,13 +165,26 @@ class ZNSDevice:
 
         ``background`` marks asynchronous engine work (writeback,
         migration scans) that should not stall foreground reads in the
-        latency model.
+        latency model.  ``NandArray.read``'s checks and the host-read
+        accounting are inlined (as :meth:`read_page` inlines the latter):
+        this is the closed-loop GET probe's route to flash on FW and Log,
+        and Nemo's writeback read.
         """
-        payload = self.nand.read(page)
-        self.stats.record_host_read(self.geometry.page_size)
-        if self.latency is None:
-            return payload, 0.0
-        return payload, self.latency.read(page, now_us, background=background)
+        nand = self.nand
+        if not 0 <= page < nand._num_pages:
+            raise AlignmentError(f"page {page} out of range [0, {nand._num_pages})")
+        if nand._state[page] != PAGE_PROGRAMMED:
+            raise ReadError(f"page {page} is not programmed")
+        nand.read_count += 1
+        stats = self.stats
+        nbytes = self.geometry.page_size
+        stats.host_read_bytes += nbytes
+        stats.host_read_ops += 1
+        stats.flash_read_bytes += nbytes
+        latency = self.latency
+        if latency is None:
+            return nand._payload[page], 0.0
+        return nand._payload[page], latency.read(page, now_us, background=background)
 
     def read_page(self, page: int) -> Any:
         """Latency-free single-page read for engine hot paths.

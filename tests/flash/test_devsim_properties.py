@@ -67,17 +67,28 @@ def _op_state(op: NandOp) -> tuple:
     )
 
 
-class _RecordingModel(EventLatencyModel):
-    """The library model, keeping every op it submits."""
+class _RecordingDie(Die):
+    """A library die that appends every op it accepts to ``ops``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.ops: list[NandOp] = []
+    def __init__(self, index: int, timings: NandTimings, ops: list[NandOp]) -> None:
+        super().__init__(index, timings)
+        self.ops = ops
 
-    def _submit(self, *args, **kwargs) -> NandOp:
-        op = super()._submit(*args, **kwargs)
+    def submit(self, op: NandOp, now_us: float) -> None:
+        super().submit(op, now_us)
         self.ops.append(op)
-        return op
+
+
+class _RecordingModel(EventLatencyModel):
+    """The library model, keeping every op it submits, in submit order:
+    its dies record them, since reads build their ops inline."""
+
+    def _build(self) -> None:
+        super()._build()
+        self.ops: list[NandOp] = []
+        self.dies = [
+            _RecordingDie(i, self.timings, self.ops) for i in range(self.num_channels)
+        ]
 
 
 _CALLS = ["read", "bg_read", "program", "erase", "read_many", "bg_read_many", "program_many"]

@@ -12,7 +12,9 @@ Two identically-configured instances of each registered engine replay
 the same short mixed GET/SET/DELETE trace, one through its (possibly
 overridden) bulk methods and one through the unbound base-class
 defaults, then their metric snapshots must match exactly, and so must
-the latencies a GET run records on every latency lane.  The closed-loop
+the latencies a GET run records on every latency lane: the inline
+loops serve timed and recorded runs too, and a flash hit on a bad
+page raises the scalar lane's typed error.  The closed-loop
 ``service_fn`` closure is held to the same contract against
 :func:`scalar_service_fn`, the scalar lookup / insert / delete closure
 kept here as the oracle, on every latency lane.
@@ -32,10 +34,11 @@ import pytest
 
 from repro.baselines.base import CacheEngine
 from repro.cli import ENGINE_NAMES, build_engine
-from repro.errors import ReadError
+from repro.errors import AlignmentError, ReadError
 from repro.flash.devsim import make_latency_model
 from repro.flash.device import PAGE_ERASED
 from repro.flash.geometry import FlashGeometry
+from repro.harness.runner import replay
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 from tests.core.reference import reference_get
 
@@ -162,11 +165,35 @@ def test_long_run_reaches_the_inline_lanes(name):
     """The bulk run agrees with the scalar loop *and* gets to the code
     its inline lanes replace: Nemo's flash hits, false-positive reads
     and non-resident index consults; FW/KG's HLog zone reclaims."""
+    assert_long_run_reaches_the_inline_lanes(name, lane=None)
+
+
+@pytest.mark.parametrize("lane", ["analytic", "event"])
+@pytest.mark.parametrize("name", ["fw", "kg", "nemo"])
+def test_recorded_long_run_reaches_the_inline_lanes(name, lane):
+    """The same long run, timed and recorded: the inline loops serve it,
+    and every GET's latency equals the scalar loop's."""
+    assert_long_run_reaches_the_inline_lanes(name, lane=lane)
+
+
+def assert_long_run_reaches_the_inline_lanes(name, lane):
     bulk_engine = make_engine(name)
     scalar_engine = make_engine(name)
     runs = make_long_runs()
+    lat_bulk, lat_scalar = [], []
+    record_bulk = record_scalar = None
+    if lane is not None:
+        for engine in (bulk_engine, scalar_engine):
+            engine.install_latency_model(make_latency_model(lane, num_channels=4))
+        record_bulk, record_scalar = lat_bulk.append, lat_scalar.append
 
-    assert drive_bulk(bulk_engine, runs) == drive_scalar(scalar_engine, runs)
+    assert drive_bulk(bulk_engine, runs, record_bulk) == drive_scalar(
+        scalar_engine, runs, record_scalar
+    )
+    assert lat_bulk == lat_scalar
+    if lane is not None:
+        assert len(lat_bulk) == sum(len(keys) for op, keys, _ in runs if op == "get")
+        assert max(lat_bulk) > 0.0
     assert_snapshots_identical(
         bulk_engine.metrics_snapshot(), scalar_engine.metrics_snapshot()
     )
@@ -186,6 +213,68 @@ def test_long_run_reaches_the_inline_lanes(name):
     else:
         bpz = bulk_engine.geometry.blocks_per_zone
         assert any(nand.block_erases[z * bpz] for z in bulk_engine.hlog.zone_ids)
+
+
+@pytest.mark.parametrize("lane", ["analytic", "event"])
+def test_recorded_batched_replay_never_takes_get_many(monkeypatch, lane):
+    """A batched replay that records latencies on a timed lane runs every
+    engine's inline GET loop: ``_get_many`` is left to the scalar lane."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched GET run fell back to _get_many")
+
+    monkeypatch.setattr(CacheEngine, "_get_many", refuse)
+    runs = make_long_runs()
+    trace = runs_to_trace(runs)
+    gets = sum(len(keys) for op, keys, _ in runs if op == "get")
+    for name in ENGINE_NAMES:
+        result = replay(
+            make_engine(name), trace, record_latency=True, latency_lane=lane,
+            kernel="batched",
+        )
+        assert len(result.latency) == gets, name
+        assert result.latency.percentile(100.0) > 0.0, name
+
+
+def corrupt_a_flash_hit(case):
+    """An engine holding one key whose flash copy claims the page one past
+    the device's last: ``(engine, key)``.  ``case`` is an engine name, or
+    ``fw/hlog`` / ``fw/hset`` / ``kg/hset`` for the FW/KG tier read."""
+    name, _, tier = case.partition("/")
+    engine = make_engine(name)
+    if name == "log":
+        engine._index[5] = (engine.device.nand._num_pages, 100)
+        return engine, 5
+    if name == "set":
+        engine.insert_many([5], [100], 0.0, STEP_US)
+        ftl = engine.device.ftl
+        ftl._l2p[engine._placement_of(5)] = ftl.nand._num_pages
+        return engine, 5
+    if tier == "hlog":
+        engine.insert_many([5], [100], 0.0, STEP_US)
+        engine.hlog.buckets[engine._placement_of(5)][5].page = engine.device.nand._num_pages
+        return engine, 5
+    # A key in the set tier (HSet), read through ``location``.
+    drive_bulk(engine, [run for run in make_long_runs() if run[0] == "set"])
+    for key in range(3000):
+        bucket = engine._placement_of(key)
+        found = engine.hset.find(key, bucket)
+        if engine.hlog.buckets[bucket].get(key) is None and found and found[0] >= 0:
+            engine.hset.location[found[0]] = engine.device.nand._num_pages
+            return engine, key
+    raise AssertionError("no key reached the set tier")
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar"])
+@pytest.mark.parametrize("case", ["fw/hlog", "fw/hset", "kg/hset", "log", "set"])
+def test_out_of_range_flash_page_raises_alignment_error(case, scalar):
+    """A flash hit on a page past the device is the typed ``AlignmentError``
+    that ``NandArray.read`` raises, on the inline loop as on the scalar
+    lane — not a bare ``IndexError`` from the page-state array."""
+    engine, key = corrupt_a_flash_hit(case)
+    lookup_many = CacheEngine.lookup_many if scalar else type(engine).lookup_many
+    with pytest.raises(AlignmentError, match="out of range"):
+        lookup_many(engine, [key], [100], 0.0, STEP_US)
 
 
 def drive_reference(engine, runs):
