@@ -12,9 +12,10 @@ Layers (bottom-up):
 - :mod:`repro.core` — Nemo itself.
 - :mod:`repro.analysis` — the paper's analytic models (Eqs. 1–11).
 - :mod:`repro.harness` — trace replay, metric sampling, reporting.
-- :mod:`repro.cluster` — sharded multi-tenant cache cluster: the
-  consistent-hash router, tenant quotas, and concurrent per-shard
-  replay with exact metric merges.
+- :mod:`repro.engines` — the engine registry: ``make_engine(name)``
+  for every engine the CLI and the experiments name.
+- :mod:`repro.cluster` — sharded cache cluster: the consistent-hash
+  router and concurrent per-shard replay with exact metric merges.
 - :mod:`repro.experiments` — one module per paper table/figure.
 
 Quickstart::

@@ -1,14 +1,10 @@
-"""Sharded multi-tenant cache cluster (DESIGN.md §8).
+"""Sharded cache cluster (DESIGN.md §8).
 
 Public surface:
 
 - :class:`ConsistentHashRouter` — seeded splitmix consistent-hash ring.
 - :class:`ClusterConfig` / :class:`CacheCluster` — N registered engines
   behind the router, replayed concurrently with exact metric merges.
-- :class:`TenantMeterEngine` and the tenancy helpers — namespaced key
-  spaces, admission quotas, per-tenant isolation accounting.
-- :func:`make_engine` / :func:`shard_geometry` — the engine/device
-  factory shared by the CLI and the cluster workers.
 """
 
 from repro.cluster.cluster import (
@@ -16,37 +12,11 @@ from repro.cluster.cluster import (
     ClusterConfig,
     ClusterReplayResult,
 )
-from repro.cluster.factory import ENGINE_NAMES, make_engine, shard_geometry
 from repro.cluster.router import ConsistentHashRouter
-from repro.cluster.tenancy import (
-    MAX_TENANT_ID,
-    TENANT_KEY_BITS,
-    TenantAccount,
-    TenantInterference,
-    TenantMeterEngine,
-    TenantRollup,
-    local_key,
-    namespace_keys,
-    tenant_of,
-    tenant_of_array,
-)
 
 __all__ = [
     "CacheCluster",
     "ClusterConfig",
     "ClusterReplayResult",
     "ConsistentHashRouter",
-    "ENGINE_NAMES",
-    "MAX_TENANT_ID",
-    "TENANT_KEY_BITS",
-    "TenantAccount",
-    "TenantInterference",
-    "TenantMeterEngine",
-    "TenantRollup",
-    "local_key",
-    "make_engine",
-    "namespace_keys",
-    "shard_geometry",
-    "tenant_of",
-    "tenant_of_array",
 ]

@@ -1,4 +1,4 @@
-"""A sharded, multi-tenant cache cluster over the engine registry.
+"""A sharded cache cluster over the engine registry.
 
 :class:`CacheCluster` fronts N shards — each a registered engine on its
 own flash device — behind the seeded consistent-hash router.  One
@@ -14,13 +14,12 @@ replay proceeds in three deterministic steps:
    :class:`~repro.harness.parallel.Cell` shipped to a worker process
    (``run_cells`` fan-out, spawn-safe): the worker rebuilds its engine
    from a descriptor, adopts the shipped hash columns (no per-worker
-   rehash), wraps it with the tenant meter, and runs the ordinary
-   serial :func:`~repro.harness.runner.replay` over its sub-trace —
-   which dispatches to the engine's registered whole-trace columnar
-   kernel (``KERNEL_REGISTRY``: Log, Nemo) when the shard is eligible,
-   so ``kernel="columnar"`` with ``meter=False`` runs Nemo shards on
-   the fast lane — sampling *raw integer counters* at the shard-local
-   image of every global sample boundary.
+   rehash), and runs the ordinary serial
+   :func:`~repro.harness.runner.replay` over its sub-trace — which
+   dispatches to the engine's registered whole-trace columnar kernel
+   (``KERNEL_REGISTRY``: Log, Nemo) when the shard is eligible —
+   sampling *raw integer counters* at the shard-local image of every
+   global sample boundary.
 3. **Merge exactly** — the parent folds per-shard counters in shard
    order (independent of ``jobs``), rebuilds every derived ratio
    through the real ``FlashStats`` / ``EngineCounters`` arithmetic
@@ -33,35 +32,19 @@ Shards share no state, so the merged metrics are a pure function of
 replay's critical path (slowest shard's in-replay wall) shrinks
 near-linearly with the shard count — the scaling the cluster benchmark
 ratchets.
-
-Isolation accounting: the per-shard tenant meters roll up into
-cluster-wide :class:`~repro.cluster.tenancy.TenantRollup` rows
-(per-tenant miss ratio, attributed WA, bytes written, quota rejects),
-and :meth:`CacheCluster.replay_with_isolation` attaches each tenant's
-*interference* — its shared-run metrics minus a solo-run reference
-where a fresh, identically-configured cluster replays only that
-tenant's requests.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.baselines.base import CacheEngine, EngineCounters
-from repro.cluster.factory import ENGINE_NAMES, make_engine, shard_geometry
 from repro.cluster.router import ConsistentHashRouter
-from repro.cluster.tenancy import (
-    TenantAccount,
-    TenantInterference,
-    TenantMeterEngine,
-    TenantRollup,
-    rollup_tenants,
-    tenant_of_array,
-)
+from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
 from repro.errors import ConfigError
 from repro.flash.stats import FlashStats
 from repro.harness.metrics import MetricSeries
@@ -94,12 +77,7 @@ _RAW_METRICS = (
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything needed to (re)build one cluster deterministically.
-
-    ``quotas`` maps tenant id -> cluster-wide admitted-byte budget;
-    each shard enforces ``ceil(quota / num_shards)`` locally (tenant
-    keys spread uniformly, so the local shares are near-equal).
-    """
+    """Everything needed to (re)build one cluster deterministically."""
 
     num_shards: int = 4
     engine: str = "log"
@@ -107,7 +85,6 @@ class ClusterConfig:
     seed: int = 0
     vnodes: int = 128
     engine_params: dict[str, Any] = field(default_factory=dict)
-    quotas: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -135,7 +112,6 @@ class ClusterReplayResult:
     shard_finals: list[dict[str, float]] = field(default_factory=list)
     shard_requests: list[int] = field(default_factory=list)
     shard_wall_seconds: list[float] = field(default_factory=list)
-    tenants: dict[int, TenantRollup] = field(default_factory=dict)
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
 
@@ -169,8 +145,7 @@ class ClusterReplayResult:
             f"{self.engine_name} x{self.num_shards} on {self.trace_name}: "
             f"{self.num_requests:,} reqs, WA={self.wa:.2f}, "
             f"miss={self.miss_ratio:.3f}, "
-            f"capacity={self.capacity_requests_per_sec / 1e6:.2f}M req/s, "
-            f"{len(self.tenants)} tenant(s)"
+            f"capacity={self.capacity_requests_per_sec / 1e6:.2f}M req/s"
         )
 
 
@@ -184,7 +159,6 @@ class _ShardOutcome:
     #: (shard-local position, {raw metric: value}) samples, ascending.
     points: list[tuple[int, dict[str, float]]]
     latency: LatencyRecorder
-    accounts: dict[int, TenantAccount]
     wall_seconds: float
     sim_seconds: float
 
@@ -200,8 +174,6 @@ def _replay_shard(
     trace_name: str,
     sample_at: list[int],
     record_latency: bool,
-    quotas: dict[int, int],
-    meter: bool,
     arrival_rate: float,
     kernel: str | None,
     columns: TraceColumns | None,
@@ -216,13 +188,9 @@ def _replay_shard(
     rebuilt sub-trace adopts them so neither the batched bulk paths nor
     a whole-trace kernel rehashes the keys.
     """
-    engine: CacheEngine = make_engine(
+    engine = make_engine(
         engine_name, shard_geometry(zones_per_shard), **engine_params
     )
-    meter_engine: TenantMeterEngine | None = None
-    if meter:
-        meter_engine = TenantMeterEngine(engine, quotas)
-        engine = meter_engine
     trace = Trace(ops=ops, keys=keys, sizes=sizes, name=trace_name)
     if columns is not None:
         trace.adopt_columns(columns)
@@ -251,7 +219,6 @@ def _replay_shard(
         final=result.final,
         points=points,
         latency=result.latency,
-        accounts=meter_engine.tenant_accounts() if meter_engine else {},
         wall_seconds=result.wall_seconds,
         sim_seconds=result.sim_seconds,
     )
@@ -267,17 +234,6 @@ class CacheCluster:
             seed=config.seed,
             vnodes=config.vnodes,
         )
-
-    # ------------------------------------------------------------------
-    # Tenant quota policy
-    # ------------------------------------------------------------------
-    def shard_quotas(self) -> dict[int, int]:
-        """Per-shard admitted-byte budgets: ``ceil(quota / shards)``."""
-        n = self.config.num_shards
-        return {
-            tid: -(-budget // n)
-            for tid, budget in sorted(self.config.quotas.items())
-        }
 
     # ------------------------------------------------------------------
     # Routing
@@ -311,19 +267,13 @@ class CacheCluster:
             "miss_ratio",
             "host_write_bytes",
         ),
-        meter: bool = True,
         kernel: str | None = None,
     ) -> ClusterReplayResult:
         """Replay ``trace`` across the cluster's shards concurrently.
 
-        ``meter=False`` skips the tenant wrapper (no accounts, no
-        quotas) so each shard runs its engine's fastest replay lane —
-        the configuration the scaling benchmark measures.  Metrics are
-        byte-identical for any ``jobs`` either way: workers are pure
+        Metrics are byte-identical for any ``jobs``: workers are pure
         and the merge folds shards in shard order.
         """
-        if not meter and self.config.quotas:
-            raise ConfigError("quotas require meter=True")
         if arrival_rate <= 0:
             raise ConfigError("arrival_rate must be positive")
         t0 = time.perf_counter()
@@ -337,7 +287,6 @@ class CacheCluster:
         points_arr = np.asarray(points, dtype=np.int64)
 
         shard_indices = self.route_trace(trace)
-        quotas = self.shard_quotas()
 
         # Hash the whole key column once on the parent.  Every shard
         # engine shares one configuration, hence one placement-hash
@@ -384,8 +333,6 @@ class CacheCluster:
                         f"{trace.name}/shard{sid}",
                         [int(p) for p in np.unique(local)],
                         record_latency,
-                        quotas,
-                        meter,
                         arrival_rate,
                         kernel,
                         shard_cols,
@@ -421,12 +368,6 @@ class CacheCluster:
             for oc in outcomes:
                 latency.merge(oc.latency)
 
-        rollups = rollup_tenants(
-            [oc.accounts for oc in outcomes],
-            [int(oc.final["host_write_bytes"]) for oc in outcomes],
-            [int(oc.final["flash_write_bytes"]) for oc in outcomes],
-        )
-
         return ClusterReplayResult(
             engine_name=probe.name,
             trace_name=trace.name,
@@ -438,75 +379,9 @@ class CacheCluster:
             shard_finals=[oc.final for oc in outcomes],
             shard_requests=[oc.num_requests for oc in outcomes],
             shard_wall_seconds=[oc.wall_seconds for oc in outcomes],
-            tenants=rollups,
             wall_seconds=time.perf_counter() - t0,
             sim_seconds=n / arrival_rate,
         )
-
-    # ------------------------------------------------------------------
-    # Isolation accounting
-    # ------------------------------------------------------------------
-    def replay_with_isolation(
-        self,
-        trace: Trace,
-        *,
-        jobs: int | None = None,
-        sample_every: int | None = None,
-        record_latency: bool = False,
-        arrival_rate: float = 50_000.0,
-        kernel: str | None = None,
-    ) -> ClusterReplayResult:
-        """Shared replay plus a solo-run reference per tenant.
-
-        For every tenant in the trace, a *fresh* cluster with this
-        cluster's exact configuration replays only that tenant's
-        requests; the tenant's interference is its shared-run miss
-        ratio / WA minus the solo run's.  Solo references are replayed
-        sequentially after the shared run (each solo replay fans its
-        own shards out over ``jobs``), so the whole procedure stays
-        deterministic.
-        """
-        shared = self.replay(
-            trace,
-            jobs=jobs,
-            sample_every=sample_every,
-            record_latency=record_latency,
-            arrival_rate=arrival_rate,
-            kernel=kernel,
-        )
-        tenant_col = tenant_of_array(trace.keys)
-        for tid in sorted(shared.tenants):
-            mask = tenant_col == tid
-            solo_trace = Trace(
-                ops=trace.ops[mask],
-                keys=trace.keys[mask],
-                sizes=trace.sizes[mask],
-                name=f"{trace.name}/solo-t{tid}",
-            )
-            solo_cluster = CacheCluster(self.config)
-            solo = solo_cluster.replay(
-                solo_trace,
-                jobs=jobs,
-                sample_every=sample_every,
-                arrival_rate=arrival_rate,
-                kernel=kernel,
-            )
-            solo_roll = solo.tenants.get(tid)
-            if solo_roll is None:  # tenant issued no metered requests
-                continue
-            shared_roll = shared.tenants[tid]
-            interference = TenantInterference(
-                solo_miss_ratio=solo_roll.miss_ratio,
-                solo_write_amplification=solo_roll.write_amplification,
-                delta_miss_ratio=shared_roll.miss_ratio
-                - solo_roll.miss_ratio,
-                delta_write_amplification=shared_roll.write_amplification
-                - solo_roll.write_amplification,
-            )
-            shared.tenants[tid] = replace(
-                shared_roll, interference=interference
-            )
-        return shared
 
 
 def _merged_snapshot(

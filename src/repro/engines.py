@@ -1,10 +1,10 @@
-"""Engine/device construction shared by the CLI and cluster workers.
+"""The engine registry: what ``--engine kg`` means, defined once.
 
-Cluster shard workers are spawned processes: they receive a *name* and
-a parameter dict over the pipe and rebuild the engine in-process (the
-engines themselves hold numpy state and device objects that are cheaper
-to reconstruct than to pickle).  The CLI delegates here too, so "what
-does ``--engine kg`` mean" has exactly one definition.
+The CLI, the experiments' system runs and the cluster's shard workers
+all build engines by *name* here.  Shard workers are spawned processes:
+they receive a name and a parameter dict over the pipe and rebuild the
+engine in-process (the engines hold numpy state and device objects that
+are cheaper to reconstruct than to pickle).
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from typing import Any
 
 from repro.baselines.base import CacheEngine
 from repro.baselines.hierarchical import HierarchicalCacheBase
-from repro.cluster.factory import ENGINE_NAMES, make_engine
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
+from repro.engines import ENGINE_NAMES, make_engine
 from repro.errors import ConfigError
 from repro.experiments.common import nemo_config, scale_params, twitter_trace
 from repro.flash.geometry import FlashGeometry

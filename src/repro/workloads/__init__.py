@@ -27,11 +27,7 @@ from repro.workloads.twitter import (
     generate_cluster_trace,
 )
 from repro.workloads.mixer import merged_twitter_trace, proportional_interleave
-from repro.workloads.multitenant import (
-    TenantSpec,
-    multi_tenant_trace,
-    tenant_quotas,
-)
+from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
 from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.twitter_csv import load_twitter_csv
 
@@ -53,7 +49,6 @@ __all__ = [
     "merged_twitter_trace",
     "TenantSpec",
     "multi_tenant_trace",
-    "tenant_quotas",
     "save_trace",
     "load_trace",
     "load_twitter_csv",

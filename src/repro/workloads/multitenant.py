@@ -1,20 +1,17 @@
 """Tenant-interleaved multi-tenant workload generation.
 
-The cluster layer studies what happens when tenants with different
-skews and object-size profiles share flash (Flashield's motivating
-question; Allison et al.'s isolation metrics).  A
-:class:`TenantSpec` describes one tenant's workload — Zipf skew,
-per-key lognormal sizes, GET fraction, traffic share, and an optional
-admission quota — and :func:`multi_tenant_trace` generates each
-tenant's sub-trace over its own *namespaced* key space
+The cluster experiment replays tenants with different skews and
+object-size profiles on sharded flash.  A :class:`TenantSpec`
+describes one tenant's workload — Zipf skew, per-key lognormal sizes,
+GET fraction and traffic share — and :func:`multi_tenant_trace`
+generates each tenant's sub-trace over its own *namespaced* key space
 (``tenant_id << 48 | local_key``) before merging them with the
 deterministic stratified interleave the Twitter mixer uses, so no
 stretch of the merged trace is dominated by a single tenant.
 
 The result is an ordinary :class:`~repro.workloads.trace.Trace`; the
-tenant of any request is recovered from its key with one shift, which
-is how the cluster meter accounts per-tenant traffic without any
-side-channel request metadata.
+tenant of any request is its key shifted right by
+:data:`TENANT_KEY_BITS`, so no side-channel request metadata is needed.
 """
 
 from __future__ import annotations
@@ -23,12 +20,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.tenancy import namespace_keys
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.workloads.mixer import proportional_interleave
 from repro.workloads.sizes import LogNormalSizeModel
 from repro.workloads.trace import OP_GET, OP_SET, Trace
 from repro.workloads.zipf import ZipfGenerator
+
+#: Bits of local key space per tenant (and the namespacing shift).
+TENANT_KEY_BITS = 48
+#: Highest usable tenant id: the packed key must stay a positive int64.
+MAX_TENANT_ID = (1 << (63 - TENANT_KEY_BITS)) - 1
+_LOCAL_MASK = (1 << TENANT_KEY_BITS) - 1
+
+
+def namespace_keys(keys: np.ndarray, tenant_id: int) -> np.ndarray:
+    """Pack ``tenant_id`` into the top bits of a local key column."""
+    if not 0 <= tenant_id <= MAX_TENANT_ID:
+        raise ConfigError(
+            f"tenant_id must be in [0, {MAX_TENANT_ID}], got {tenant_id}"
+        )
+    local = np.asarray(keys, dtype=np.int64)
+    if len(local) and int(local.min()) < 0:
+        raise ConfigError("local keys must be non-negative")
+    if len(local) and int(local.max()) > _LOCAL_MASK:
+        raise ConfigError(
+            f"local keys must fit in {TENANT_KEY_BITS} bits"
+        )
+    return local | np.int64(tenant_id << TENANT_KEY_BITS)
 
 
 @dataclass(frozen=True)
@@ -36,9 +54,7 @@ class TenantSpec:
     """One tenant's workload profile.
 
     ``request_share`` is a relative weight: a tenant with share 2 sends
-    twice the requests of a tenant with share 1.  ``quota_bytes`` is the
-    cluster-wide admitted-byte budget the cluster's meters enforce
-    (None = unlimited).
+    twice the requests of a tenant with share 1.
     """
 
     name: str
@@ -49,7 +65,6 @@ class TenantSpec:
     size_sigma: float = 0.45
     get_fraction: float = 0.97
     request_share: float = 1.0
-    quota_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -64,22 +79,6 @@ class TenantSpec:
             raise TraceError("get_fraction must be in [0, 1]")
         if self.request_share <= 0:
             raise TraceError("request_share must be positive")
-        if self.quota_bytes is not None and self.quota_bytes < 0:
-            raise TraceError("quota_bytes must be non-negative")
-
-
-def tenant_quotas(specs: list[TenantSpec]) -> dict[int, int]:
-    """Tenant-id -> cluster quota map for :class:`ClusterConfig`.
-
-    Tenant ids are assigned exactly as :func:`multi_tenant_trace`
-    assigns them: position in the spec list, starting at 1 (id 0 is
-    left to un-namespaced "plain" keys).
-    """
-    return {
-        i + 1: spec.quota_bytes
-        for i, spec in enumerate(specs)
-        if spec.quota_bytes is not None
-    }
 
 
 def multi_tenant_trace(

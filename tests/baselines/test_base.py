@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines.base import CacheEngine, EngineCounters, LookupResult
 from repro.baselines.log_structured import LogStructuredCache
-from repro.cluster.factory import ENGINE_NAMES, make_engine, shard_geometry
+from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
 from repro.flash.geometry import FlashGeometry
 
 #: The request methods the replay runner and the closed-loop closure

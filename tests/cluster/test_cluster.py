@@ -1,4 +1,4 @@
-"""Cluster replay: determinism, merge exactness, isolation accounting.
+"""Cluster replay: determinism and merge exactness.
 
 The contracts pinned here:
 
@@ -6,10 +6,8 @@ The contracts pinned here:
   identical for any ``jobs`` (the 2-job runs exercise the real spawn
   pool, which is why these tests live in a file, not a REPL);
 - a 1-shard cluster is *exactly* a serial replay of the same engine on
-  the same device (the merge arithmetic adds nothing);
-- tenant accounts partition the cluster totals, quotas are enforced,
-  and the solo-run interference references match independently
-  replayed solo clusters.
+  the same device (the merge arithmetic adds nothing), for every
+  registered engine.
 """
 
 from __future__ import annotations
@@ -19,21 +17,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    CacheCluster,
-    ClusterConfig,
-    make_engine,
-    shard_geometry,
-    tenant_of_array,
-)
+from repro.cluster import CacheCluster, ClusterConfig
+from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
 from repro.errors import ConfigError
 from repro.harness.runner import replay
 from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
-from repro.workloads.trace import Trace
 
 
-def _assert_finals_identical(fa, fb):
-    assert fa.keys() == fb.keys()
+def _assert_finals_identical(fa, fb, label=""):
+    assert fa.keys() == fb.keys(), label
     for key in fa:
         va, vb = fa[key], fb[key]
         assert va == vb or (
@@ -41,7 +33,7 @@ def _assert_finals_identical(fa, fb):
             and isinstance(vb, float)
             and math.isnan(va)
             and math.isnan(vb)
-        ), f"{key}: {va!r} != {vb!r}"
+        ), f"{label}{key}: {va!r} != {vb!r}"
 
 
 def _assert_results_identical(a, b):
@@ -57,17 +49,11 @@ def _assert_results_identical(a, b):
     assert a.latency._values == b.latency._values
     assert a.num_requests == b.num_requests
     assert a.sim_seconds == b.sim_seconds
-    assert sorted(a.tenants) == sorted(b.tenants)
-    for tid in a.tenants:
-        assert (
-            a.tenants[tid].account.as_dict()
-            == b.tenants[tid].account.as_dict()
-        )
 
 
-def _trace(num_requests=8_000, seed=0, quota=None):
+def _trace(num_requests=8_000, seed=0):
     specs = [
-        TenantSpec(name="a", zipf_alpha=0.9, num_keys=800, quota_bytes=quota),
+        TenantSpec(name="a", zipf_alpha=0.9, num_keys=800),
         TenantSpec(name="b", zipf_alpha=1.2, num_keys=600, request_share=2.0),
     ]
     return multi_tenant_trace(specs, num_requests=num_requests, seed=seed)
@@ -122,7 +108,7 @@ class TestColumnShipping:
         monkeypatch.setattr(trace_mod, "splitmix64_array", counting)
         config = ClusterConfig(num_shards=4, engine="nemo", zones_per_shard=8)
         result = CacheCluster(config).replay(
-            trace, jobs=1, kernel="columnar", meter=False
+            trace, jobs=1, kernel="columnar"
         )
         assert result.num_requests == 4_000
         # One pass, over the whole trace — not one per shard.
@@ -134,10 +120,10 @@ class TestColumnShipping:
         trace = _trace(num_requests=6_000)
         config = ClusterConfig(num_shards=4, engine="nemo", zones_per_shard=8)
         columnar = CacheCluster(config).replay(
-            trace, jobs=1, kernel="columnar", meter=False, record_latency=True
+            trace, jobs=1, kernel="columnar", record_latency=True
         )
         batched = CacheCluster(config).replay(
-            trace, jobs=1, kernel="batched", meter=False, record_latency=True
+            trace, jobs=1, kernel="batched", record_latency=True
         )
         _assert_results_identical(columnar, batched)
         for fa, fb in zip(columnar.shard_finals, batched.shard_finals):
@@ -146,20 +132,36 @@ class TestColumnShipping:
 
 class TestOneShardIsSerial:
     def test_final_matches_serial_replay(self):
-        """One shard + meter off == plain serial replay, bit for bit."""
-        trace = _trace()
-        config = ClusterConfig(num_shards=1, engine="log", zones_per_shard=8)
-        cluster = CacheCluster(config).replay(
-            trace, jobs=1, sample_every=2_000, meter=False
-        )
-        engine = make_engine("log", shard_geometry(8))
-        serial = replay(engine, trace, sample_every=2_000)
-        _assert_finals_identical(cluster.final, serial.final)
-        for name in cluster.series:
-            assert (
-                cluster.series[name].as_rows()
-                == serial.series[name].as_rows()
+        """One shard == plain serial replay of the bare engine, bit for
+        bit, on every key the merge reports and for every engine.  The
+        trace is big enough for FW's and KG's set regions to collect,
+        so their ``gc_runs`` (read from the set region, not the device)
+        is a real number on both sides."""
+        specs = [
+            TenantSpec(name="a", zipf_alpha=0.8, num_keys=8_000),
+            TenantSpec(name="b", zipf_alpha=0.9, num_keys=8_000),
+        ]
+        trace = multi_tenant_trace(specs, num_requests=20_000)
+        for name in ENGINE_NAMES:
+            config = ClusterConfig(num_shards=1, engine=name, zones_per_shard=4)
+            cluster = CacheCluster(config).replay(
+                trace, jobs=1, sample_every=5_000
             )
+            serial = replay(
+                make_engine(name, shard_geometry(4)), trace, sample_every=5_000
+            )
+            if name in ("fw", "kg"):
+                assert serial.final["gc_runs"] > 0, name
+            _assert_finals_identical(
+                cluster.final,
+                {key: serial.final[key] for key in cluster.final},
+                label=f"{name}: ",
+            )
+            for metric in cluster.series:
+                assert (
+                    cluster.series[metric].as_rows()
+                    == serial.series[metric].as_rows()
+                ), (name, metric)
 
     def test_wa_convention_matches_engine(self):
         """The merged 'wa' uses each engine's own reporting convention
@@ -167,9 +169,7 @@ class TestOneShardIsSerial:
         trace = _trace(num_requests=4_000)
         for engine_name in ("log", "set"):
             config = ClusterConfig(num_shards=1, engine=engine_name)
-            cluster = CacheCluster(config).replay(
-                trace, jobs=1, meter=False
-            )
+            cluster = CacheCluster(config).replay(trace, jobs=1)
             engine = make_engine(engine_name, shard_geometry(8))
             serial = replay(engine, trace)
             assert cluster.wa == serial.final["wa"]
@@ -192,110 +192,6 @@ class TestRoutingInvariants:
         assert result.shard_requests == [
             profile[s] for s in cluster.router.shard_ids
         ]
-
-
-class TestTenantAccounting:
-    def test_accounts_partition_totals(self):
-        trace = _trace()
-        result = CacheCluster(ClusterConfig(num_shards=4)).replay(
-            trace, jobs=1
-        )
-        assert sorted(result.tenants) == [1, 2]
-        assert sum(
-            r.account.lookups for r in result.tenants.values()
-        ) == int(result.final["lookups"])
-        assert sum(
-            r.account.hits for r in result.tenants.values()
-        ) == int(result.final["hits"])
-        assert sum(
-            r.account.inserts for r in result.tenants.values()
-        ) == int(result.final["inserts"])
-        assert sum(
-            r.account.insert_bytes for r in result.tenants.values()
-        ) == int(result.final["logical_write_bytes"])
-
-    def test_attribution_partitions_flash_writes(self):
-        trace = _trace()
-        result = CacheCluster(ClusterConfig(num_shards=3)).replay(
-            trace, jobs=1
-        )
-        assert sum(
-            r.attributed_flash_write_bytes for r in result.tenants.values()
-        ) == pytest.approx(result.final["flash_write_bytes"])
-        assert sum(
-            r.attributed_host_write_bytes for r in result.tenants.values()
-        ) == pytest.approx(result.final["host_write_bytes"])
-
-    def test_quota_enforced(self):
-        quota = 64 * 1024
-        trace = _trace(quota=quota)
-        config = ClusterConfig(
-            num_shards=4, engine="log", quotas={1: quota}
-        )
-        result = CacheCluster(config).replay(trace, jobs=1)
-        limited = result.tenants[1]
-        unlimited = result.tenants[2]
-        assert limited.account.rejected_inserts > 0
-        # Each shard grants ceil(quota / num_shards); the cluster-wide
-        # admitted total cannot exceed the sum of the shard grants.
-        assert limited.account.insert_bytes <= -(-quota // 4) * 4
-        assert unlimited.account.rejected_inserts == 0
-
-    def test_meter_off_with_quotas_rejected(self):
-        config = ClusterConfig(num_shards=2, quotas={1: 1 << 20})
-        with pytest.raises(ConfigError):
-            CacheCluster(config).replay(_trace(), jobs=1, meter=False)
-
-
-class TestIsolation:
-    def test_single_tenant_interference_is_zero(self):
-        """With one tenant, shared == solo: deltas are exactly 0.0."""
-        specs = [TenantSpec(name="only", zipf_alpha=1.0, num_keys=500)]
-        trace = multi_tenant_trace(specs, num_requests=4_000)
-        config = ClusterConfig(num_shards=2, engine="log")
-        result = CacheCluster(config).replay_with_isolation(trace, jobs=1)
-        roll = result.tenants[1]
-        assert roll.interference is not None
-        assert roll.interference.delta_miss_ratio == 0.0
-        assert roll.interference.delta_write_amplification == 0.0
-
-    def test_solo_reference_matches_fresh_solo_run(self):
-        """The solo reference is a real replay of the tenant's requests
-        on a fresh identical cluster — reproducible independently."""
-        trace = _trace(num_requests=6_000)
-        config = ClusterConfig(num_shards=2, engine="log")
-        result = CacheCluster(config).replay_with_isolation(trace, jobs=1)
-        for tid, roll in result.tenants.items():
-            mask = tenant_of_array(trace.keys) == tid
-            solo_trace = Trace(
-                ops=trace.ops[mask],
-                keys=trace.keys[mask],
-                sizes=trace.sizes[mask],
-                name=f"solo-check/{tid}",
-            )
-            solo = CacheCluster(config).replay(solo_trace, jobs=1)
-            assert roll.interference is not None
-            assert (
-                roll.interference.solo_miss_ratio
-                == solo.tenants[tid].miss_ratio
-            )
-            expected_delta = (
-                roll.miss_ratio - roll.interference.solo_miss_ratio
-            )
-            assert roll.interference.delta_miss_ratio == expected_delta
-
-    def test_interference_nonnegative_for_contended_cache(self):
-        """Sharing a small cache cannot *improve* a tenant's miss ratio
-        (disjoint key spaces: the co-tenant only evicts, never
-        prefetches)."""
-        trace = _trace(num_requests=10_000)
-        config = ClusterConfig(
-            num_shards=2, engine="log", zones_per_shard=2
-        )
-        result = CacheCluster(config).replay_with_isolation(trace, jobs=1)
-        for roll in result.tenants.values():
-            assert roll.interference is not None
-            assert roll.interference.delta_miss_ratio >= -1e-12
 
 
 class TestConfigValidation:

@@ -1,34 +1,25 @@
-"""Tenant namespacing, metering, quotas, and rollup arithmetic."""
+"""Tenant key namespacing: ``tenant_id << 48 | local_key``."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.cluster.factory import make_engine, shard_geometry
-from repro.cluster.tenancy import (
+from repro.errors import ConfigError
+from repro.workloads.multitenant import (
     MAX_TENANT_ID,
     TENANT_KEY_BITS,
-    TenantAccount,
-    TenantMeterEngine,
-    local_key,
     namespace_keys,
-    rollup_tenants,
-    tenant_of,
-    tenant_of_array,
 )
-from repro.errors import ConfigError
 
 
 class TestNamespacing:
     def test_roundtrip(self):
         keys = np.arange(100, dtype=np.int64)
         spaced = namespace_keys(keys, 7)
-        assert list(tenant_of_array(spaced)) == [7] * 100
-        assert [local_key(int(k)) for k in spaced] == list(range(100))
-        assert tenant_of(int(spaced[3])) == 7
+        assert list(spaced >> TENANT_KEY_BITS) == [7] * 100
+        local_mask = (1 << TENANT_KEY_BITS) - 1
+        assert list(spaced & local_mask) == list(range(100))
 
     def test_distinct_tenants_never_collide(self):
         keys = np.arange(50, dtype=np.int64)
@@ -51,101 +42,3 @@ class TestNamespacing:
         keys = np.asarray([1 << TENANT_KEY_BITS], dtype=np.int64)
         with pytest.raises(ConfigError):
             namespace_keys(keys, 1)
-
-
-class TestTenantAccount:
-    def test_miss_ratio(self):
-        acct = TenantAccount(lookups=10, hits=7)
-        assert acct.miss_ratio == pytest.approx(0.3)
-        assert math.isnan(TenantAccount().miss_ratio)
-
-    def test_merge_adds_counters(self):
-        a = TenantAccount(lookups=2, hits=1, inserts=3, insert_bytes=300)
-        b = TenantAccount(lookups=5, hits=4, rejected_inserts=2)
-        a.merge(b)
-        assert a.lookups == 7 and a.hits == 5
-        assert a.inserts == 3 and a.rejected_inserts == 2
-
-    def test_as_dict_roundtrips_fields(self):
-        acct = TenantAccount(lookups=1, rejected_bytes=9)
-        d = acct.as_dict()
-        assert d["lookups"] == 1 and d["rejected_bytes"] == 9
-
-
-class TestMeterEngine:
-    def _metered(self, quotas=None):
-        inner = make_engine("log", shard_geometry(4))
-        return TenantMeterEngine(inner, quotas=quotas), inner
-
-    def test_shares_inner_accounting(self):
-        meter, inner = self._metered()
-        key = int(namespace_keys(np.asarray([3], dtype=np.int64), 1)[0])
-        meter.insert(key, 100)
-        assert inner.stats.logical_write_bytes == 100
-        mine, theirs = meter.metrics_snapshot(), inner.metrics_snapshot()
-        assert mine.keys() == theirs.keys()
-        for name in mine:
-            a, b = mine[name], theirs[name]
-            assert a == b or (math.isnan(a) and math.isnan(b)), name
-
-    def test_accounts_by_tenant(self):
-        meter, _ = self._metered()
-        k1 = int(namespace_keys(np.asarray([3], dtype=np.int64), 1)[0])
-        k2 = int(namespace_keys(np.asarray([3], dtype=np.int64), 2)[0])
-        meter.insert(k1, 100)
-        meter.insert(k2, 80)
-        meter.lookup(k1, 100)
-        accounts = meter.tenant_accounts()
-        assert accounts[1].inserts == 1 and accounts[1].insert_bytes == 100
-        assert accounts[2].inserts == 1 and accounts[2].insert_bytes == 80
-        assert accounts[1].lookups == 1 and accounts[1].hits == 1
-
-    def test_quota_rejects_over_budget(self):
-        meter, inner = self._metered(quotas={1: 150})
-        keys = namespace_keys(np.arange(3, dtype=np.int64), 1)
-        meter.insert(int(keys[0]), 100)
-        meter.insert(int(keys[1]), 100)  # over budget: rejected
-        meter.insert(int(keys[2]), 50)  # fits the remainder
-        acct = meter.tenant_accounts()[1]
-        assert acct.inserts == 2 and acct.insert_bytes == 150
-        assert acct.rejected_inserts == 1 and acct.rejected_bytes == 100
-        assert inner.object_count() == 2
-
-    def test_negative_quota_rejected(self):
-        with pytest.raises(ConfigError):
-            self._metered(quotas={1: -1})
-
-
-class TestRollup:
-    def test_proportional_attribution(self):
-        """Two shards, two tenants: flash bytes attribute by each
-        tenant's admitted-byte share per shard, then sum."""
-        shard0 = {
-            1: TenantAccount(inserts=1, insert_bytes=300),
-            2: TenantAccount(inserts=1, insert_bytes=100),
-        }
-        shard1 = {1: TenantAccount(inserts=1, insert_bytes=200)}
-        rollups = rollup_tenants(
-            [shard0, shard1],
-            shard_host_write_bytes=[4_000, 1_000],
-            shard_flash_write_bytes=[8_000, 2_000],
-        )
-        assert rollups[1].attributed_flash_write_bytes == pytest.approx(
-            8_000 * 0.75 + 2_000 * 1.0
-        )
-        assert rollups[2].attributed_flash_write_bytes == pytest.approx(
-            8_000 * 0.25
-        )
-        # WA = attributed flash bytes / tenant logical bytes.
-        assert rollups[1].write_amplification == pytest.approx(
-            (8_000 * 0.75 + 2_000) / 500
-        )
-
-    def test_tenants_reported_in_id_order(self):
-        rollups = rollup_tenants(
-            [{3: TenantAccount(inserts=1, insert_bytes=10),
-              1: TenantAccount(inserts=1, insert_bytes=10)}],
-            shard_host_write_bytes=[100],
-            shard_flash_write_bytes=[100],
-        )
-        assert list(rollups) == [1, 3]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.factory import ENGINE_NAMES, make_engine
+from repro.engines import ENGINE_NAMES, make_engine
 from repro.harness.runner import REPLAY_KERNELS, replay
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 

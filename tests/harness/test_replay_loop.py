@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.log_structured import LogStructuredCache
-from repro.cluster import CacheCluster, ClusterConfig, make_engine, shard_geometry
+from repro.cluster import CacheCluster, ClusterConfig
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
+from repro.engines import make_engine, shard_geometry
 from repro.errors import ConfigError
 from repro.flash.devsim import make_latency_model
 from repro.harness.closed_loop import replay_closed_loop

@@ -23,9 +23,9 @@ import sys
 from pathlib import Path
 
 from repro.baselines.fairywren import FairyWrenCache
-from repro.cluster.factory import ENGINE_NAMES, make_engine
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
+from repro.engines import ENGINE_NAMES, make_engine
 from repro.experiments.registry import EXPERIMENTS, run_experiments
 from repro.flash.geometry import FlashGeometry
 from repro.harness.runner import LATENCY_PERCENTILES, replay

@@ -78,8 +78,8 @@ class TestReplaySubcommand:
         assert "columnar" in out and "Log" in out
 
     def test_shards_flag_is_rejected(self, capsys):
-        """``repro replay`` has no shard flag (``repro cluster`` owns
-        shard parallelism): passing one is a usage error, not silently
+        """``repro replay`` has no shard flag (shards exist only in
+        ``CacheCluster``): passing one is a usage error, not silently
         ignored."""
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--engine", "log", "--shards", "2"])
@@ -89,6 +89,25 @@ class TestReplaySubcommand:
     def test_kernel_choices(self):
         with pytest.raises(SystemExit):
             main(["replay", "--kernel", "bogus"])
+
+
+class TestReplayShardGuard:
+    """``repro replay`` never fails over a kernel it cannot engage: the
+    harness demotes and the CLI prints why."""
+
+    def test_serial_fallback_prints_warning(self, capsys):
+        """An engine with no registered kernel falls back to batched
+        dispatch with a warning, not an error."""
+        rc = main(
+            [
+                "replay", "--engine", "set", "--kernel", "columnar",
+                "--requests", "3000",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "warning: Set: columnar kernel unavailable" in out
+        assert "falling back to batched dispatch" in out
 
 
 class TestLatencyLaneFlag:

@@ -21,6 +21,7 @@ class TestExports:
             "repro.core",
             "repro.analysis",
             "repro.harness",
+            "repro.engines",
             "repro.cluster",
             "repro.experiments",
         ):

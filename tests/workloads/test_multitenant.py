@@ -7,12 +7,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster.tenancy import tenant_of_array
 from repro.errors import TraceError
 from repro.workloads.multitenant import (
+    TENANT_KEY_BITS,
     TenantSpec,
     multi_tenant_trace,
-    tenant_quotas,
 )
 from repro.workloads.trace import OP_GET
 
@@ -25,7 +24,6 @@ def _specs():
             zipf_alpha=0.9,
             num_keys=1_000,
             request_share=3.0,
-            quota_bytes=1 << 20,
         ),
     ]
 
@@ -39,19 +37,9 @@ class TestSpecValidation:
         with pytest.raises(TraceError):
             TenantSpec(name="t", request_share=0)
 
-    def test_rejects_negative_quota(self):
-        with pytest.raises(TraceError):
-            TenantSpec(name="t", quota_bytes=-5)
-
     def test_rejects_bad_get_fraction(self):
         with pytest.raises(TraceError):
             TenantSpec(name="t", get_fraction=1.5)
-
-
-class TestQuotaMap:
-    def test_only_quotaed_tenants_listed(self):
-        quotas = tenant_quotas(_specs())
-        assert quotas == {2: 1 << 20}
 
 
 class TestGeneration:
@@ -69,7 +57,7 @@ class TestGeneration:
 
     def test_request_share_split(self):
         trace = multi_tenant_trace(_specs(), num_requests=4_000)
-        tenants = tenant_of_array(trace.keys)
+        tenants = trace.keys >> TENANT_KEY_BITS
         assert int(np.count_nonzero(tenants == 1)) == 1_000
         assert int(np.count_nonzero(tenants == 2)) == 3_000
         assert trace.meta["tenant_requests"] == {"hot": 1_000, "warm": 3_000}
@@ -77,7 +65,7 @@ class TestGeneration:
     def test_keys_namespaced_by_position(self):
         trace = multi_tenant_trace(_specs(), num_requests=2_000)
         assert trace.meta["tenants"] == {"hot": 1, "warm": 2}
-        assert set(np.unique(tenant_of_array(trace.keys))) == {1, 2}
+        assert set(np.unique(trace.keys >> TENANT_KEY_BITS)) == {1, 2}
 
     def test_get_fraction_respected(self):
         specs = [TenantSpec(name="ro", get_fraction=1.0, num_keys=100)]
@@ -106,7 +94,7 @@ def test_sha256_of_three_tenant_mix():
     """Pinned byte for byte: unequal universes, shares (30,001 requests
     split by largest remainder), sigmas, key sizes and GET fractions."""
     specs = [
-        TenantSpec(name="hot", zipf_alpha=1.3, num_keys=5_000, quota_bytes=1 << 20),
+        TenantSpec(name="hot", zipf_alpha=1.3, num_keys=5_000),
         TenantSpec(
             name="warm",
             zipf_alpha=0.9,
