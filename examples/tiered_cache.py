@@ -1,25 +1,17 @@
 #!/usr/bin/env python3
-"""DRAM + flash tiering, and what WA buys you in device lifetime.
+"""DRAM + flash tiering.
 
 CacheLib deployments (the paper's context) always pair a DRAM cache
 with the flash cache: DRAM absorbs the hottest traffic and its LRU
-victims become flash admissions.  This example:
+victims become flash admissions.  This example runs the same workload
+through DRAM+Nemo and DRAM+FairyWREN and shows the end-to-end miss
+ratio, the DRAM hit ratio and the flash-tier metrics the paper reports
+(WA, flash writes).
 
-1. runs the same workload through DRAM+Nemo and DRAM+FairyWREN,
-2. shows the flash-tier metrics the paper reports (WA, flash writes),
-3. converts the WA gap into endurance terms with the paper's
-   motivation in mind ("Nemo cuts flash writes by up to 90 %").
-
-Run:  python examples/tiered_cache_endurance.py
+Run:  python examples/tiered_cache.py
 """
 
 from repro import FairyWrenCache, FlashGeometry, NemoCache, NemoConfig, replay
-from repro.analysis.endurance import (
-    TLC_PE_CYCLES,
-    DeviceEndurance,
-    device_lifetime_years,
-    lifetime_extension,
-)
 from repro.baselines.dram import DramCache, TieredCache
 from repro.harness.report import format_table
 from repro.workloads.mixer import merged_twitter_trace
@@ -45,10 +37,8 @@ def main() -> None:
     ]
 
     rows = []
-    results = {}
     for tier in tiers:
         result = replay(tier, trace)
-        results[tier.name] = tier
         rows.append(
             [
                 tier.name,
@@ -64,23 +54,6 @@ def main() -> None:
             ["tier", "e2e miss", "DRAM hit", "flash WA", "flash MiB written"],
             rows,
         )
-    )
-
-    nemo = results["DRAM+Nemo"].write_amplification
-    fw = results["DRAM+FW"].write_amplification
-    # Endurance translation at a deployment-like write rate.
-    device = DeviceEndurance(capacity_bytes=360 << 30, pe_cycles=TLC_PE_CYCLES)
-    rate = 2e6  # 2 MB/s of client object writes
-    print()
-    print("endurance at 2 MB/s client writes on a 360 GB TLC device:")
-    for name, wa in [("Nemo", nemo), ("FW", fw)]:
-        years = device_lifetime_years(
-            device, client_write_rate_bps=rate, write_amplification=max(wa, 1.0)
-        )
-        print(f"  {name:4s} WA={wa:6.2f}  ->  ~{years:.1f} years to wear-out")
-    print(
-        f"  lifetime extension Nemo vs FW: "
-        f"{lifetime_extension(max(fw, 1.0), max(nemo, 1.0)):.1f}x"
     )
 
 

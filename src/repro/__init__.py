@@ -15,7 +15,8 @@ Layers (bottom-up):
 - :mod:`repro.engines` — the engine registry: ``make_engine(name)``
   for every engine the CLI and the experiments name.
 - :mod:`repro.cluster` — sharded cache cluster: the consistent-hash
-  router and concurrent per-shard replay with exact metric merges.
+  router and concurrent per-shard replay whose final counters merge
+  exactly.
 - :mod:`repro.experiments` — one module per paper table/figure.
 
 Quickstart::

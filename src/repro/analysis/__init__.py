@@ -29,12 +29,6 @@ from repro.analysis.memory_model import (
     naive_nemo_bits_per_object,
     nemo_bits_per_object,
 )
-from repro.analysis.endurance import (
-    DeviceEndurance,
-    device_lifetime_years,
-    drive_writes_per_day,
-    lifetime_extension,
-)
 
 __all__ = [
     "HierarchicalModel",
@@ -50,8 +44,4 @@ __all__ = [
     "fairywren_bits_per_object",
     "naive_nemo_bits_per_object",
     "nemo_bits_per_object",
-    "DeviceEndurance",
-    "device_lifetime_years",
-    "drive_writes_per_day",
-    "lifetime_extension",
 ]

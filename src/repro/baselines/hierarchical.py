@@ -325,7 +325,16 @@ class HierarchicalCacheBase(CacheEngine):
         return True, self.device.read(self.hset.location[set_id], now_us=now_us)[1]
 
     def object_count(self) -> int:
-        return self.hlog.object_count() + self.hset.object_count()
+        """Distinct resident keys.  A key can sit in its HLog bucket and
+        in the bucket's cold set, hot set and promotion buffer at once
+        (each a hit for ``lookup``), so the tiers' counts are not added."""
+        keys: set[int] = set()
+        for tier in (self.hlog.buckets, self.hset.pending_promotions):
+            for entries in tier:
+                keys.update(entries)
+        for mirror in self.hset.sets:
+            keys.update(mirror.objects)
+        return len(keys)
 
     def memory_overhead_bits_per_object(self) -> float:
         """Table 6 accounting, weighted by the log/set capacity split."""
@@ -401,7 +410,7 @@ class HierarchicalCacheBase(CacheEngine):
                 "p_fraction": self.hset.p_fraction,
                 "passive_rmw": self.hset.passive_rmw_count,
                 "active_rmw": self.hset.active_rmw_count,
-                "gc_runs": self.hset.gc_runs,
+                "set_gc_runs": self.hset.gc_runs,
                 "log_objects": self.hlog.object_count(),
                 "set_objects": self.hset.object_count(),
             }

@@ -261,7 +261,3 @@ class HierarchicalLog:
 
     def bucket_len(self, bucket_id: int) -> int:
         return len(self.buckets[bucket_id])
-
-    def mean_bucket_len(self) -> float:
-        """Mean objects per bucket — E(L_i) of Eq. 5."""
-        return self._object_count / self.num_buckets

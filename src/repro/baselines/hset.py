@@ -694,10 +694,3 @@ class HierarchicalSet:
         if new_bytes == 0:
             return float("nan")
         return writes * self.page_size / new_bytes
-
-    def mean_new_objects(self, case: str) -> float:
-        hist = self.passive_hist if case == CASE_PASSIVE else self.active_hist
-        total_writes = sum(hist.values())
-        if total_writes == 0:
-            return float("nan")
-        return sum(k * v for k, v in hist.items()) / total_writes

@@ -46,17 +46,3 @@ class KangarooCache(HierarchicalCacheBase):
             # it finds victims near the paper's 50-80 % valid band.
             victim_policy="greedy",
         )
-
-    @property
-    def gc_overhead(self) -> float:
-        """Mean per-erase-unit relocation factor 1/(1-valid_fraction).
-
-        The paper observes victims 50–80 % valid → 2–5× per erased unit.
-        """
-        fractions = self.hset.gc_valid_fractions
-        if not fractions:
-            return float("nan")
-        mean_valid = sum(fractions) / len(fractions)
-        if mean_valid >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - mean_valid)

@@ -3,9 +3,10 @@
 Runs any engine against a synthetic Twitter mix (or a real
 twitter/cache-trace CSV) on a configurable simulated device and prints
 one table of the paper's headline metrics.  ``--kernel`` selects the
-replay kernel and ``--latency-lane`` the device timing lane; metrics
-are byte-identical across kernels (DESIGN.md §5), and a lane adds one
-``latency[...]`` percentile line per engine.  Examples::
+replay kernel; metrics are byte-identical across kernels (DESIGN.md
+§5).  ``--latency-lane`` installs a fresh device timing model of that
+lane on each engine before its replay and adds one ``latency[...]``
+percentile line per engine.  Examples::
 
     python -m repro --engine nemo --requests 300000
     python -m repro --engine fw --zones 24 --requests 500000
@@ -30,7 +31,7 @@ import argparse
 import sys
 
 from repro.engines import ENGINE_NAMES, make_engine
-from repro.flash.devsim import LATENCY_LANES
+from repro.flash.devsim import LATENCY_LANES, make_latency_model
 from repro.flash.geometry import FlashGeometry
 from repro.harness.report import format_table
 from repro.harness.runner import LATENCY_PERCENTILES, REPLAY_KERNELS, replay
@@ -153,12 +154,15 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for name in names:
         engine = build_engine(name, geometry, args)
+        if args.latency_lane is not None:
+            # Before replay: a latency model demotes the columnar
+            # kernels, and the demotion shows in ``result.notes``.
+            engine.install_latency_model(make_latency_model(args.latency_lane))
         result = replay(
             engine,
             trace,
             sample_every=args.sample_every,
             kernel=args.kernel,
-            latency_lane=args.latency_lane,
             record_latency=args.latency_lane is not None,
             progress=args.progress,
         )
@@ -166,10 +170,10 @@ def main(argv: list[str] | None = None) -> int:
         # this engine, a latency model under --kernel columnar) is shown.
         for note in result.notes:
             print(f"warning: {engine.name}: {note}")
-        if result.latency_lane is not None and len(result.latency):
+        if args.latency_lane is not None and len(result.latency):
             p = result.latency.percentiles(LATENCY_PERCENTILES)
             print(
-                f"latency[{result.latency_lane}] {engine.name}: "
+                f"latency[{args.latency_lane}] {engine.name}: "
                 + " ".join(
                     f"p{q:g}={p[q]:.0f}us" for q in LATENCY_PERCENTILES
                 )

@@ -4,7 +4,8 @@ Public surface:
 
 - :class:`ConsistentHashRouter` — seeded splitmix consistent-hash ring.
 - :class:`ClusterConfig` / :class:`CacheCluster` — N registered engines
-  behind the router, replayed concurrently with exact metric merges.
+  behind the router, replayed concurrently; the shards' final counters
+  merge exactly.
 """
 
 from repro.cluster.cluster import (

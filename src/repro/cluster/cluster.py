@@ -15,30 +15,26 @@ replay proceeds in three deterministic steps:
    (``run_cells`` fan-out, spawn-safe): the worker rebuilds its engine
    from a descriptor, adopts the shipped hash columns (no per-worker
    rehash), and runs the ordinary serial
-   :func:`~repro.harness.runner.replay` over its sub-trace — which
-   dispatches to the engine's registered whole-trace columnar kernel
-   (``KERNEL_REGISTRY``: Log, Nemo) when the shard is eligible —
-   sampling *raw integer counters* at the shard-local image of every
-   global sample boundary.
-3. **Merge exactly** — the parent folds per-shard counters in shard
-   order (independent of ``jobs``), rebuilds every derived ratio
-   through the real ``FlashStats`` / ``EngineCounters`` arithmetic
-   (``_merged_snapshot``), and merges latency recorders via
-   ``LatencyRecorder.merge``.  Ratios are *never* summed
-   across shards — only the integer components are.
+   :func:`~repro.harness.runner.replay` over its sub-trace, sampling
+   nothing — the lane is the runner's default (``REPRO_REPLAY_KERNEL``
+   or batched).
+3. **Merge exactly** — the parent sums each shard's final *raw integer
+   counters* in shard order (independent of ``jobs``) and rebuilds
+   every derived ratio through the real ``FlashStats`` /
+   ``EngineCounters`` arithmetic (``_merged_snapshot``).  Ratios are
+   *never* summed across shards — only the integer components are.
 
 Shards share no state, so the merged metrics are a pure function of
-``(config, trace)``: byte-identical for any ``jobs``, and the 8-shard
-replay's critical path (slowest shard's in-replay wall) shrinks
-near-linearly with the shard count — the scaling the cluster benchmark
-ratchets.
+``(config, trace)``: byte-identical for any ``jobs``, and the replay's
+critical path (slowest shard's in-replay wall) shrinks near-linearly
+with the shard count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -47,13 +43,11 @@ from repro.cluster.router import ConsistentHashRouter
 from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
 from repro.errors import ConfigError
 from repro.flash.stats import FlashStats
-from repro.harness.metrics import MetricSeries
 from repro.harness.parallel import Cell, run_cells
-from repro.harness.percentile import LatencyRecorder
-from repro.harness.runner import replay, replay_plan
+from repro.harness.runner import replay
 from repro.workloads.trace import Trace, TraceColumns
 
-#: Raw integer metrics each shard samples; every derived ratio the
+#: Raw integer metrics summed across shards; every derived ratio the
 #: merged snapshot reports is rebuilt from these (never averaged).
 _RAW_METRICS = (
     "lookups",
@@ -83,8 +77,6 @@ class ClusterConfig:
     engine: str = "log"
     zones_per_shard: int = 8
     seed: int = 0
-    vnodes: int = 128
-    engine_params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -107,13 +99,10 @@ class ClusterReplayResult:
     num_requests: int
     num_shards: int
     final: dict[str, float]
-    series: dict[str, MetricSeries] = field(default_factory=dict)
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     shard_finals: list[dict[str, float]] = field(default_factory=list)
     shard_requests: list[int] = field(default_factory=list)
     shard_wall_seconds: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
-    sim_seconds: float = 0.0
 
     @property
     def wa(self) -> float:
@@ -133,8 +122,7 @@ class ClusterReplayResult:
         """Throughput along the critical path: total requests over the
         slowest shard's in-replay wall.  This is the cluster's capacity
         with one core per shard — independent of how many cores the
-        *measuring* box has, which is what lets CI ratchet shard
-        scaling on small runners."""
+        *measuring* box has."""
         cp = self.critical_path_seconds
         if cp <= 0.0:
             return float("nan")
@@ -149,36 +137,17 @@ class ClusterReplayResult:
         )
 
 
-@dataclass(frozen=True)
-class _ShardOutcome:
-    """What one shard worker ships back (small and picklable)."""
-
-    shard_id: int
-    num_requests: int
-    final: dict[str, float]
-    #: (shard-local position, {raw metric: value}) samples, ascending.
-    points: list[tuple[int, dict[str, float]]]
-    latency: LatencyRecorder
-    wall_seconds: float
-    sim_seconds: float
-
-
 def _replay_shard(
-    shard_id: int,
     engine_name: str,
-    engine_params: dict[str, Any],
     zones_per_shard: int,
     ops: np.ndarray,
     keys: np.ndarray,
     sizes: np.ndarray,
     trace_name: str,
-    sample_at: list[int],
-    record_latency: bool,
-    arrival_rate: float,
-    kernel: str | None,
     columns: TraceColumns | None,
-) -> _ShardOutcome:
-    """Shard worker: rebuild the engine, replay the sub-trace serially.
+) -> tuple[dict[str, float], float]:
+    """Shard worker: rebuild the engine, replay the sub-trace serially,
+    return ``(final snapshot, in-replay wall seconds)``.
 
     Module-level and argument-picklable, so ``run_cells`` can ship it
     to spawn workers; a pure function of its arguments, so results are
@@ -188,40 +157,12 @@ def _replay_shard(
     rebuilt sub-trace adopts them so neither the batched bulk paths nor
     a whole-trace kernel rehashes the keys.
     """
-    engine = make_engine(
-        engine_name, shard_geometry(zones_per_shard), **engine_params
-    )
+    engine = make_engine(engine_name, shard_geometry(zones_per_shard))
     trace = Trace(ops=ops, keys=keys, sizes=sizes, name=trace_name)
     if columns is not None:
         trace.adopt_columns(columns)
-    result = replay(
-        engine,
-        trace,
-        sample_at=sample_at,
-        sampled_metrics=_RAW_METRICS,
-        record_latency=record_latency,
-        arrival_rate=arrival_rate,
-        kernel=kernel,
-    )
-    # Re-shape the raw-metric series into per-position component dicts.
-    rows = {m: result.series[m].as_rows() for m in _RAW_METRICS}
-    positions = [x for x, _ in rows[_RAW_METRICS[0]]]
-    points = [
-        (
-            int(pos),
-            {m: float(rows[m][i][1]) for m in _RAW_METRICS},
-        )
-        for i, pos in enumerate(positions)
-    ]
-    return _ShardOutcome(
-        shard_id=shard_id,
-        num_requests=len(trace),
-        final=result.final,
-        points=points,
-        latency=result.latency,
-        wall_seconds=result.wall_seconds,
-        sim_seconds=result.sim_seconds,
-    )
+    result = replay(engine, trace, sample_at=())
+    return result.final, result.wall_seconds
 
 
 class CacheCluster:
@@ -229,11 +170,7 @@ class CacheCluster:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.router = ConsistentHashRouter(
-            range(config.num_shards),
-            seed=config.seed,
-            vnodes=config.vnodes,
-        )
+        self.router = ConsistentHashRouter(range(config.num_shards), seed=config.seed)
 
     # ------------------------------------------------------------------
     # Routing
@@ -253,39 +190,13 @@ class CacheCluster:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def replay(
-        self,
-        trace: Trace,
-        *,
-        jobs: int | None = None,
-        sample_every: int | None = None,
-        sample_at: Sequence[int] | None = None,
-        record_latency: bool = False,
-        arrival_rate: float = 50_000.0,
-        sampled_metrics: tuple[str, ...] = (
-            "wa",
-            "miss_ratio",
-            "host_write_bytes",
-        ),
-        kernel: str | None = None,
-    ) -> ClusterReplayResult:
+    def replay(self, trace: Trace, *, jobs: int | None = None) -> ClusterReplayResult:
         """Replay ``trace`` across the cluster's shards concurrently.
 
         Metrics are byte-identical for any ``jobs``: workers are pure
         and the merge folds shards in shard order.
         """
-        if arrival_rate <= 0:
-            raise ConfigError("arrival_rate must be positive")
         t0 = time.perf_counter()
-        n = len(trace)
-
-        # Global sample boundaries: the runner's layout.  The
-        # end-of-trace point is always *computed* (the merged final
-        # snapshot lives there) but only *recorded* into the series
-        # when the sampling plan includes it.
-        points, requested, _ = replay_plan(n, sample_every, sample_at)
-        points_arr = np.asarray(points, dtype=np.int64)
-
         shard_indices = self.route_trace(trace)
 
         # Hash the whole key column once on the parent.  Every shard
@@ -294,9 +205,7 @@ class CacheCluster:
         # them in the cell payload replaces num_shards worker-side
         # splitmix passes with this single one.
         probe = make_engine(
-            self.config.engine,
-            shard_geometry(self.config.zones_per_shard),
-            **dict(self.config.engine_params),
+            self.config.engine, shard_geometry(self.config.zones_per_shard)
         )
         spec = probe.columnar_spec()
         parent_cols = (
@@ -304,12 +213,7 @@ class CacheCluster:
         )
 
         cells: list[Cell] = []
-        local_points: list[np.ndarray] = []
         for sid, idx in zip(self.router.shard_ids, shard_indices):
-            # Shard-local image of each global boundary: the number of
-            # this shard's requests strictly before the boundary.
-            local = np.searchsorted(idx, points_arr, side="left")
-            local_points.append(local)
             shard_cols = None
             if parent_cols is not None:
                 shard_cols = TraceColumns(
@@ -323,64 +227,32 @@ class CacheCluster:
                     cell_id=f"{trace.name}:cluster-shard{sid}",
                     fn=_replay_shard,
                     args=(
-                        sid,
                         self.config.engine,
-                        dict(self.config.engine_params),
                         self.config.zones_per_shard,
                         trace.ops[idx],
                         trace.keys[idx],
                         trace.sizes[idx],
                         f"{trace.name}/shard{sid}",
-                        [int(p) for p in np.unique(local)],
-                        record_latency,
-                        arrival_rate,
-                        kernel,
                         shard_cols,
                     ),
                 )
             )
-        outcomes: list[_ShardOutcome] = run_cells(cells, jobs=jobs)
+        outcomes: list[tuple[dict[str, float], float]] = run_cells(cells, jobs=jobs)
 
-        # --------------------------------------------------------------
-        # Exact merge (shard order; independent of jobs)
-        # --------------------------------------------------------------
-        shard_samples: list[dict[int, dict[str, float]]] = [
-            dict(oc.points) for oc in outcomes
-        ]
-        series = {m: MetricSeries(name=m) for m in sampled_metrics}
-        merged_final: dict[str, float] = {}
-        for j, p in enumerate(points):
-            comps = dict.fromkeys(_RAW_METRICS, 0)
-            for k in range(len(outcomes)):
-                local = int(local_points[k][j])
-                sample = shard_samples[k][local]
-                for m in _RAW_METRICS:
-                    comps[m] += int(sample[m])
-            snap = _merged_snapshot(comps, probe)
-            if p in requested:
-                for m in sampled_metrics:
-                    series[m].record(p, snap.get(m, float("nan")))
-            if p == n:
-                merged_final = snap
-
-        latency = LatencyRecorder()
-        if record_latency:
-            for oc in outcomes:
-                latency.merge(oc.latency)
-
+        # Exact merge: integer components summed in shard order.
+        comps = {
+            m: sum(int(final[m]) for final, _ in outcomes) for m in _RAW_METRICS
+        }
         return ClusterReplayResult(
             engine_name=probe.name,
             trace_name=trace.name,
-            num_requests=n,
+            num_requests=len(trace),
             num_shards=self.config.num_shards,
-            final=merged_final,
-            series=series,
-            latency=latency,
-            shard_finals=[oc.final for oc in outcomes],
-            shard_requests=[oc.num_requests for oc in outcomes],
-            shard_wall_seconds=[oc.wall_seconds for oc in outcomes],
+            final=_merged_snapshot(comps, probe),
+            shard_finals=[final for final, _ in outcomes],
+            shard_requests=[len(idx) for idx in shard_indices],
+            shard_wall_seconds=[wall for _, wall in outcomes],
             wall_seconds=time.perf_counter() - t0,
-            sim_seconds=n / arrival_rate,
         )
 
 

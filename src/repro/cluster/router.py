@@ -1,19 +1,19 @@
 """Deterministic consistent-hash request router.
 
 Shards a namespaced key space across N cache shards with a classic
-consistent-hash ring (Karger et al.): every shard owns ``vnodes``
+consistent-hash ring (Karger et al.): every shard owns 128 (``_VNODES``)
 pseudo-random points on a 64-bit circle, and a key belongs to the shard
 owning the first ring point at or after the key's hash (wrapping at the
 top).  Both the ring points and the key hashes come from the repo-wide
 seeded ``splitmix64`` primitives (``hashing.py``), so placement is a
-pure function of ``(shard_ids, vnodes, seed, key)`` — stable across
-processes, platforms, and Python hash randomisation.
+pure function of ``(shard_ids, seed, key)`` — stable across processes,
+platforms, and Python hash randomisation.
 
 Why consistent hashing rather than ``hash(key) % N``: the ring is
-*stable across shard-count changes*.  Removing one shard reassigns only
-the keys that shard owned (its arcs fall to their successors); every
-other key keeps its placement — the property the rebalance experiments
-and the hypothesis tests pin down.
+*stable across shard-count changes*.  A ring built without one shard
+reassigns only the keys that shard owned (its arcs fall to their
+successors); every other key keeps its placement — the property the
+hypothesis tests pin down.
 
 The router is read-only after construction and routes whole key columns
 vectorised (one ``splitmix64_array`` pass + one ``searchsorted``), which
@@ -36,8 +36,13 @@ from repro.hashing import splitmix64_array
 _RING_SALT = 0xC1F7_51A3
 _KEY_SALT = 0x7E46_9D0B
 
-#: Ring tokens are ``shard_id * stride + replica``; the stride bounds
-#: ``vnodes`` and keeps tokens collision-free across shards.
+#: Virtual nodes per shard.  More vnodes -> better balance (relative
+#: load spread shrinks roughly with ``1/sqrt(_VNODES)``) at a one-off
+#: ring-build cost of ``len(shard_ids) * _VNODES`` hashes.
+_VNODES = 128
+
+#: Ring tokens are ``shard_id * stride + replica``; the stride exceeds
+#: ``_VNODES`` and keeps tokens collision-free across shards.
 _TOKEN_STRIDE = 1 << 20
 
 
@@ -51,20 +56,9 @@ class ConsistentHashRouter:
         contiguous — a removed shard leaves a gap, which is the point).
     seed:
         Ring seed; different seeds give independent placements.
-    vnodes:
-        Virtual nodes per shard.  More vnodes -> better balance
-        (relative load spread shrinks roughly with ``1/sqrt(vnodes)``)
-        at a one-off ring-build cost of ``len(shard_ids) * vnodes``
-        hashes.
     """
 
-    def __init__(
-        self,
-        shard_ids: Sequence[int],
-        *,
-        seed: int = 0,
-        vnodes: int = 128,
-    ) -> None:
+    def __init__(self, shard_ids: Sequence[int], *, seed: int = 0) -> None:
         ids = [int(s) for s in shard_ids]
         if not ids:
             raise ConfigError("need at least one shard")
@@ -72,22 +66,15 @@ class ConsistentHashRouter:
             raise ConfigError(f"duplicate shard ids: {sorted(ids)}")
         if any(s < 0 for s in ids):
             raise ConfigError("shard ids must be non-negative")
-        if not 1 <= vnodes < _TOKEN_STRIDE:
-            raise ConfigError(f"vnodes must be in [1, {_TOKEN_STRIDE})")
         self.shard_ids: tuple[int, ...] = tuple(sorted(ids))
         self.seed = int(seed)
-        self.vnodes = int(vnodes)
 
         # Build the ring vectorised: one token per (shard, replica),
         # hashed with the ring-salted seed, then sorted.  Ties (hash
         # collisions between tokens) break on (shard, replica) so the
         # ring order itself is deterministic.
-        id_arr = np.repeat(
-            np.asarray(self.shard_ids, dtype=np.int64), self.vnodes
-        )
-        replicas = np.tile(
-            np.arange(self.vnodes, dtype=np.int64), len(self.shard_ids)
-        )
+        id_arr = np.repeat(np.asarray(self.shard_ids, dtype=np.int64), _VNODES)
+        replicas = np.tile(np.arange(_VNODES, dtype=np.int64), len(self.shard_ids))
         tokens = id_arr * _TOKEN_STRIDE + replicas
         points = splitmix64_array(tokens, self.seed ^ _RING_SALT)
         order = np.lexsort((replicas, id_arr, points))
@@ -114,36 +101,8 @@ class ConsistentHashRouter:
         owners: np.ndarray = self._ring_owners[idx]
         return owners
 
-    def route(self, key: int) -> int:
-        """Owning shard id for one key (matches :meth:`route_array`)."""
-        return int(self.route_array(np.asarray([key], dtype=np.int64))[0])
-
-    def load_profile(self, keys: np.ndarray) -> dict[int, int]:
-        """Request count per shard id for a key column (diagnostics)."""
-        owners = self.route_array(keys)
-        return {
-            s: int(np.count_nonzero(owners == s)) for s in self.shard_ids
-        }
-
-    # ------------------------------------------------------------------
-    # Rebalance views
-    # ------------------------------------------------------------------
-    def without(self, shard_id: int) -> "ConsistentHashRouter":
-        """A router with ``shard_id`` removed and everything else kept.
-
-        Same seed and vnodes, so all surviving ring points are
-        identical: only keys previously owned by ``shard_id`` change
-        owner (consistent hashing's minimal-disruption property).
-        """
-        if shard_id not in self.shard_ids:
-            raise ConfigError(f"shard {shard_id} not in {self.shard_ids}")
-        remaining = [s for s in self.shard_ids if s != shard_id]
-        return ConsistentHashRouter(
-            remaining, seed=self.seed, vnodes=self.vnodes
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ConsistentHashRouter(shards={self.shard_ids}, "
-            f"seed={self.seed}, vnodes={self.vnodes})"
+            f"seed={self.seed})"
         )

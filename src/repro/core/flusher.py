@@ -70,12 +70,3 @@ class FlushPolicy:
             return FlushDecision.FLUSH
         self.deferrals += 1
         return FlushDecision.MAKE_ROOM
-
-    def notify_forced_flush(self) -> None:
-        """An out-of-band flush happened; restart the deferral window."""
-        self._blocked_since_flush = 0
-
-    @property
-    def profit_denominator(self) -> int:
-        """Objects evicted by deferrals (Fig. 18's 'profit' denominator)."""
-        return self.deferrals

@@ -281,11 +281,6 @@ class IndexPool:
             if self.on_group_dead is not None:
                 self.on_group_dead(gid)
 
-    def live_page_count(self) -> int:
-        return sum(
-            len(g.pages) for g in self.groups.values() if g.live_members > 0
-        )
-
     def live_group_count(self) -> int:
         return self._live_groups
 

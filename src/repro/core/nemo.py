@@ -548,10 +548,14 @@ class NemoCache(CacheEngine):
         return removed
 
     def object_count(self) -> int:
-        count = self.queue.object_count()
-        for fsg in self.pool:
-            # Flash sets are plain dicts: sum(map(len, ...)) stays in C.
-            count += sum(map(len, fsg.sets))
+        """Distinct resident keys: every key with a flash copy (stale
+        copies in older SGs are not counted again) plus the in-memory
+        keys that have none."""
+        in_flash = self._flash_index.__contains__
+        count = len(self._flash_index)
+        for sg in self.queue:
+            for s in sg.sets:
+                count += len(s.objects) - sum(map(in_flash, s.objects))
         return count
 
     def memory_overhead_breakdown(self) -> dict[str, float]:

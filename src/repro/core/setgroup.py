@@ -128,11 +128,6 @@ class SetGroup:
     def used_bytes(self) -> int:
         return sum(s.used_bytes for s in self.sets)
 
-    def object_count(self) -> int:
-        # Bypass InMemorySet.__len__ dispatch: metric snapshots call
-        # this once per sample point over every set.
-        return sum(len(s.objects) for s in self.sets)
-
     def fill_rate(self) -> float:
         """Aggregate fill of all constituent sets (the paper's FR_SG)."""
         return self.used_bytes / self.capacity_bytes

@@ -101,8 +101,5 @@ class SetGroupQueue:
         self._push_new()
         return sg
 
-    def object_count(self) -> int:
-        return sum(sg.object_count() for sg in self._queue)
-
     def used_bytes(self) -> int:
         return sum(sg.used_bytes for sg in self._queue)

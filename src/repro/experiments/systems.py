@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Any
 
 from repro.baselines.base import CacheEngine
@@ -180,13 +179,8 @@ def run_system(spec: SystemSpec) -> SystemRecord:
     n = len(trace)
     xs = sorted(set().union(*(sample_layout(n, d) for d in SAMPLE_DIVISORS)))
     engine = spec.build(geometry)
-    # The replay loop samples through the instance's snapshot hook; at
-    # every union point, skip what no sample reads (Nemo's set-walking
-    # object_count is most of a Nemo snapshot).
-    snapshot = engine.metrics_snapshot
-    engine.metrics_snapshot = partial(snapshot, SAMPLED_METRICS)  # type: ignore[method-assign]
     r = replay(engine, trace, sample_at=xs, sampled_metrics=SAMPLED_METRICS)
-    final = snapshot()
+    final = r.final
     return SystemRecord(
         spec=spec,
         engine=engine.name,

@@ -57,10 +57,6 @@ class ConventionalSSD:
         """Host-visible logical blocks (each one flash page)."""
         return self.ftl.num_lbas
 
-    @property
-    def usable_bytes(self) -> int:
-        return self.num_lbas * self.geometry.page_size
-
     def write(self, lba: int, payload: Any, *, now_us: float = 0.0) -> float:
         """Overwrite logical block ``lba``; returns latency µs."""
         return self.ftl.write(lba, payload, now_us=now_us)

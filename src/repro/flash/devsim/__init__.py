@@ -13,8 +13,9 @@ behind the same surface:
   pending suspend and completions in time order, with no event queue
   shared between dies.
 - :class:`~repro.flash.devsim.model.EventLatencyModel` — the
-  ``LatencyModel``-compatible facade engines and the replay harness
-  attach via ``latency_lane="event"``; it keeps the device clock and
+  ``LatencyModel``-compatible facade an engine carries as its device
+  timing (``make_latency_model("event")``, passed as ``latency=`` or
+  through ``install_latency_model``); it keeps the device clock and
   advances only the dies a call touches.
 - :class:`~repro.flash.devsim.frontend.FrontendScheduler` — open-loop
   and QD-limited closed-loop issue with priority classes, driving any

@@ -4,8 +4,7 @@ The replay harness, CLIs, and experiments select device timing models
 by name — ``"analytic"`` (the default per-channel horizon model, with
 its byte-identity contract and benchmark floors) or ``"event"`` (the
 discrete-event lane).  ``make_latency_model`` is the one constructor
-they all share, and ``like=`` clones the configuration of an existing
-model so lane comparisons run on identical device parameters.
+they all share.
 """
 
 from __future__ import annotations
@@ -14,33 +13,22 @@ from repro.errors import ConfigError
 from repro.flash.devsim.model import EventLatencyModel
 from repro.flash.latency import LatencyModel, NandTimings
 
-#: Valid ``latency_lane=`` values, analytic first (the default lane).
+#: Valid lane names, analytic first (the default lane).
 LATENCY_LANES = ("analytic", "event")
 
 
 def make_latency_model(
     lane: str,
     *,
-    like: LatencyModel | None = None,
     num_channels: int = 8,
     timings: NandTimings | None = None,
     read_cache_pages: int = 64,
 ) -> LatencyModel:
-    """Build a fresh latency model for ``lane``.
-
-    ``like`` clones another model's device parameters (channel count,
-    NAND timings, read-buffer size), overriding the keyword defaults;
-    the harness uses it to swap lanes on an engine without changing the
-    simulated device.
-    """
+    """Build a fresh latency model for ``lane``."""
     if lane not in LATENCY_LANES:
         raise ConfigError(
             f"unknown latency lane {lane!r}; expected one of {LATENCY_LANES}"
         )
-    if like is not None:
-        num_channels = like.num_channels
-        timings = like.timings
-        read_cache_pages = like.read_cache_pages
     model = EventLatencyModel if lane == "event" else LatencyModel
     return model(
         num_channels=num_channels,

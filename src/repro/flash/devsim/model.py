@@ -43,7 +43,7 @@ from repro.flash.latency import LatencyModel
 
 @dataclass
 class EventLatencyModel(LatencyModel):
-    """Discrete-event device lane (``latency_lane="event"``).
+    """Discrete-event device lane (``make_latency_model("event")``).
 
     Parameters are the analytic model's; page ``p`` is served by die
     ``p % num_channels``, the analytic ``channel_of``.

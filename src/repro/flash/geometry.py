@@ -97,11 +97,6 @@ class FlashGeometry:
     # ------------------------------------------------------------------
     # Address arithmetic
     # ------------------------------------------------------------------
-    def page_to_block(self, page: int) -> int:
-        """Erase block containing physical page ``page``."""
-        self.check_page(page)
-        return page // self.pages_per_block
-
     def page_to_zone(self, page: int) -> int:
         """Zone containing physical page ``page``."""
         self.check_page(page)

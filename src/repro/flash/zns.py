@@ -70,9 +70,6 @@ class ZNSDevice:
     def zone_state(self, zone_id: int) -> ZoneState:
         return self.zones[zone_id].state
 
-    def empty_zones(self) -> list[int]:
-        return [z.zone_id for z in self.zones if z.state is ZoneState.EMPTY]
-
     def find_empty_zone(self) -> int | None:
         """Lowest-numbered EMPTY zone, or ``None`` when all are in use."""
         for z in self.zones:
@@ -225,16 +222,7 @@ class ZNSDevice:
             return self.latency.erase(self.geometry.zone_first_page(zone_id), now_us)
         return 0.0
 
-    def finish_zone(self, zone_id: int) -> None:
-        """Mark a zone FULL without writing (NVMe Zone Finish)."""
-        self.zones[zone_id].finish()
-
     # ------------------------------------------------------------------
-    def utilization(self) -> float:
-        """Fraction of device pages currently written."""
-        written = sum(z.write_pointer for z in self.zones)
-        return written / self.geometry.num_pages
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = {s: 0 for s in ZoneState}
         for z in self.zones:

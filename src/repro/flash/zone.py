@@ -40,10 +40,6 @@ class Zone:
     def remaining_pages(self) -> int:
         return self.capacity_pages - self.write_pointer
 
-    @property
-    def is_writable(self) -> bool:
-        return self.state is not ZoneState.FULL
-
     def advance(self, pages: int = 1) -> int:
         """Advance the write pointer by ``pages``; return its old value.
 
@@ -70,10 +66,3 @@ class Zone:
         """Reset the zone to EMPTY (host-directed erase)."""
         self.write_pointer = 0
         self.state = ZoneState.EMPTY
-
-    def finish(self) -> None:
-        """Transition the zone to FULL without writing (NVMe Zone Finish)."""
-        if self.state is ZoneState.FULL:
-            return
-        self.write_pointer = self.capacity_pages
-        self.state = ZoneState.FULL

@@ -9,7 +9,7 @@ metrics periodically for the trend figures (WA vs ops, miss-ratio
 trend, flash writes per minute).
 """
 
-from repro.harness.percentile import LatencyRecorder, StreamingQuantile
+from repro.harness.percentile import LatencyRecorder
 from repro.harness.metrics import MetricSeries, WindowedRate
 from repro.harness.parallel import (
     Cell,
@@ -22,7 +22,6 @@ from repro.harness.report import cdf_from_counter, format_table
 
 __all__ = [
     "LatencyRecorder",
-    "StreamingQuantile",
     "MetricSeries",
     "WindowedRate",
     "ReplayResult",

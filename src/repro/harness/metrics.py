@@ -2,9 +2,7 @@
 
 Two small containers the runner and experiments share:
 
-- :class:`MetricSeries` — (x, value) samples of any scalar metric,
-  with interval (delta) views for figures like "flash writes per
-  minute" (Fig. 13);
+- :class:`MetricSeries` — (x, value) samples of any scalar metric;
 - :class:`WindowedRate` — converts a monotonically increasing counter
   into a per-fixed-window rate series.
 """
@@ -35,13 +33,6 @@ class MetricSeries:
 
     def last(self) -> float:
         return self.values[-1] if self.values else float("nan")
-
-    def deltas(self) -> "MetricSeries":
-        """Per-interval increments of a cumulative counter series."""
-        out = MetricSeries(name=f"{self.name}.delta")
-        for i in range(1, len(self.xs)):
-            out.record(self.xs[i], self.values[i] - self.values[i - 1])
-        return out
 
     def as_rows(self) -> list[tuple[float, float]]:
         return list(zip(self.xs, self.values))

@@ -57,26 +57,8 @@ def cdf_from_counter(hist: Counter[int]) -> list[tuple[int, float]]:
     return out
 
 
-def cdf_value_at(cdf: list[tuple[int, float]], value: int) -> float:
-    """P[X <= value] from a CDF point list (0.0 below the support)."""
-    best = 0.0
-    for v, p in cdf:
-        if v <= value:
-            best = p
-        else:
-            break
-    return best
-
-
 def mean_from_counter(hist: Counter[int]) -> float:
     total = sum(hist.values())
     if total == 0:
         return float("nan")
     return sum(k * v for k, v in hist.items()) / total
-
-
-def format_series(
-    xs: Sequence[float], ys: Sequence[float], *, x_label: str, y_label: str
-) -> str:
-    """Two-column series rendering for trend figures."""
-    return format_table([x_label, y_label], list(zip(xs, ys)), float_fmt="{:.4g}")

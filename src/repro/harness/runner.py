@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError
-from repro.flash.devsim.factory import LATENCY_LANES, make_latency_model
 from repro.harness.metrics import MetricSeries, WindowedRate
 from repro.harness.percentile import LatencyRecorder
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
@@ -77,22 +76,6 @@ def resolve_kernel(kernel: str | None) -> str:
     return kernel
 
 
-def resolve_latency_lane(lane: str | None) -> str | None:
-    """Validate the latency lane; ``None`` passes through.
-
-    ``None`` means the replay leaves the engine's device timing alone
-    (engines built without a model stay latency-free — the analytic
-    lane's zero-cost bypass).  A named lane installs a fresh model of
-    that lane before replay, cloning the device parameters of whatever
-    model the engine already carries.
-    """
-    if lane is not None and lane not in LATENCY_LANES:
-        raise ConfigError(
-            f"unknown latency lane {lane!r}; expected one of {LATENCY_LANES}"
-        )
-    return lane
-
-
 @dataclass
 class ReplayResult:
     """Everything one replay produced."""
@@ -108,10 +91,6 @@ class ReplayResult:
     sim_seconds: float = 0.0
     #: Which replay lane produced this result (metrics are lane-invariant).
     kernel: str = "batched"
-    #: Which latency lane timed the devices (None: whatever model — or
-    #: no model — the engine already carried).  Latencies are
-    #: lane-specific; aggregate counters are lane-invariant.
-    latency_lane: str | None = None
     #: Human-readable dispatch notes (e.g. why the columnar lane fell
     #: back to batched dispatch for this engine/trace combination).
     notes: list[str] = field(default_factory=list)
@@ -152,10 +131,10 @@ def replay_plan(
     a chunk ends at, and which of them sample and place the Fig. 15
     window mark.  The default sampling layout is
     every ``sample_every`` requests (None = 64 samples) plus the end of
-    a non-empty trace; ``sample_at`` replaces it, and position 0 is
-    honoured there (a cluster shard samples its empty prefix).  The end
-    of the trace is always a boundary, so a replay runs every request
-    whether or not its last sample sits there.  Sample and mark
+    a non-empty trace; ``sample_at`` replaces it (position 0 included;
+    an empty ``sample_at`` samples nothing, as a cluster shard does).
+    The end of the trace is always a boundary, so a replay runs every
+    request whether or not its last sample sits there.  Sample and mark
     positions beyond the trace are never reached and drop out; a
     non-positive stride or a negative position is a
     :class:`ConfigError`.
@@ -197,7 +176,6 @@ def replay(
     sampled_metrics: tuple[str, ...] = ("wa", "miss_ratio", "host_write_bytes"),
     progress: bool = False,
     kernel: str | None = None,
-    latency_lane: str | None = None,
 ) -> ReplayResult:
     """Replay ``trace`` against ``engine`` and collect metrics.
 
@@ -209,10 +187,11 @@ def replay(
         The request stream.
     sample_every:
         Record ``sampled_metrics`` every N requests (None = 64 samples).
+        A sample computes only the snapshot entries it records
+        (``metrics_snapshot(sampled_metrics)``).
     sample_at:
-        Explicit sample positions (overrides ``sample_every``); cluster
-        shard workers use it to sample at the shard-local image of every
-        global boundary.
+        Explicit sample positions (overrides ``sample_every``); the
+        system runs sample the union of every figure's layout with it.
     arrival_rate:
         Requests per simulated second (drives the latency clock).
     record_latency:
@@ -234,26 +213,13 @@ def replay(
         the columnar lane falls back to batched dispatch wherever its
         whole-trace kernel is not applicable (latency models,
         pre-warmed engines, device wrap-around).
-    latency_lane:
-        Device timing lane: ``"analytic"`` (per-channel horizons) or
-        ``"event"`` (discrete-event devsim, DESIGN.md §9).  ``None``
-        leaves the engine's current model (or absence of one)
-        untouched.  A named lane installs a fresh model cloned from the
-        engine's existing device parameters before replay.  Aggregate
-        metrics are lane-invariant; recorded latencies are not.
+
+    Device timing is the engine's own: build it with ``latency=`` or
+    call ``engine.install_latency_model`` before replay.
     """
     if arrival_rate <= 0:
         raise ConfigError("arrival_rate must be positive")
     kernel = resolve_kernel(kernel)
-    latency_lane = resolve_latency_lane(latency_lane)
-    if latency_lane is not None:
-        # Installed before kernel eligibility runs: a latency model
-        # demotes the columnar whole-trace kernels (they need
-        # per-request timing), and that demotion must be visible in the
-        # dispatch notes below.
-        engine.install_latency_model(
-            make_latency_model(latency_lane, like=engine.latency_model())
-        )
     n = len(trace)
     series = {m: MetricSeries(name=m) for m in sampled_metrics}
     latency = LatencyRecorder()
@@ -401,7 +367,7 @@ def replay(
         if stop == mark:
             latency.mark_window()
         if stop in sample_points:
-            snap = engine.metrics_snapshot()
+            snap = engine.metrics_snapshot(sampled_metrics)
             for m in sampled_metrics:
                 series[m].record(stop, snap.get(m, float("nan")))
             if write_rate is not None:
@@ -429,6 +395,5 @@ def replay(
         wall_seconds=time.perf_counter() - t0,
         sim_seconds=now_us / 1e6,
         kernel=kernel,
-        latency_lane=latency_lane,
         notes=notes,
     )

@@ -16,7 +16,6 @@ per-request Python object overhead.
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 from repro.workloads.zipf import ZipfGenerator, zipf_probabilities
 from repro.workloads.sizes import (
-    FixedSizeModel,
     LogNormalSizeModel,
     NormalSizeModel,
     SizeModel,
@@ -28,7 +27,6 @@ from repro.workloads.twitter import (
 )
 from repro.workloads.mixer import merged_twitter_trace, proportional_interleave
 from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
-from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.twitter_csv import load_twitter_csv
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "ZipfGenerator",
     "zipf_probabilities",
     "SizeModel",
-    "FixedSizeModel",
     "NormalSizeModel",
     "LogNormalSizeModel",
     "TwitterClusterSpec",
@@ -49,7 +46,5 @@ __all__ = [
     "merged_twitter_trace",
     "TenantSpec",
     "multi_tenant_trace",
-    "save_trace",
-    "load_trace",
     "load_twitter_csv",
 ]

@@ -6,10 +6,8 @@ size table over the key universe and index it with sampled keys
 size (a property every cache engine here relies on when accounting
 bytes).
 
-Three models cover the paper's needs:
+Two models cover the paper's needs:
 
-- :class:`FixedSizeModel` — every object the same size (unit tests,
-  analytic cross-checks).
 - :class:`NormalSizeModel` — the paper's synthetic workload for Fig. 8:
   "data sizes following a normal distribution, mean = 250 B,
   std = 200 B", truncated to a sane minimum.
@@ -50,22 +48,6 @@ class SizeModel(abc.ABC):
     @abc.abstractmethod
     def mean_size(self) -> float:
         """Expected object size in bytes."""
-
-
-class FixedSizeModel(SizeModel):
-    """Every object has the same size."""
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise TraceError("size must be positive")
-        self.size = size
-
-    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(num_keys, self.size, dtype=np.float64)
-
-    @property
-    def mean_size(self) -> float:
-        return float(self.size)
 
 
 class NormalSizeModel(SizeModel):

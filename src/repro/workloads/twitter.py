@@ -54,12 +54,6 @@ TWITTER_CLUSTERS: dict[str, TwitterClusterSpec] = {
 }
 
 
-def average_mixed_object_size() -> float:
-    """Mean object size across the four scaled clusters (paper: 246 B)."""
-    specs = TWITTER_CLUSTERS.values()
-    return sum(s.scaled_object_size for s in specs) / len(TWITTER_CLUSTERS)
-
-
 def generate_cluster_trace(
     spec: TwitterClusterSpec | str,
     *,

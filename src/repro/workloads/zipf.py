@@ -114,20 +114,3 @@ class ZipfGenerator:
         if not self.shuffle:
             return ranks.astype(np.int64, copy=False)
         return self._rank_to_key()[ranks].astype(np.int64)
-
-    def rank_of_key(self, key: int) -> int:
-        """Popularity rank (0 = hottest) of ``key``; O(num_keys) scan."""
-        if not 0 <= key < self.num_keys:
-            raise TraceError(f"key {key} is not in the universe")
-        if not self.shuffle:
-            return int(key)
-        return int(np.flatnonzero(self._rank_to_key() == key)[0])
-
-    def expected_top_share(self, top_fraction: float) -> float:
-        """Expected request share captured by the hottest ``top_fraction``
-        of keys — e.g. ≈0.8 at ``top_fraction=0.2`` for α≈1 (the 80/20
-        rule the paper cites)."""
-        if not 0.0 < top_fraction <= 1.0:
-            raise TraceError("top_fraction must be in (0, 1]")
-        k = max(1, int(round(self.num_keys * top_fraction)))
-        return float(self._cdf()[k - 1])

@@ -17,6 +17,12 @@ def _keys(n=20_000, seed=0):
     return rng.integers(0, 2**62, size=n, dtype=np.int64)
 
 
+def _load_profile(router, keys):
+    """Request count per shard, in ``router.shard_ids`` order."""
+    owners = router.route_array(keys)
+    return [int(np.count_nonzero(owners == s)) for s in router.shard_ids]
+
+
 @functools.cache
 def _tenant_mix_keys():
     """Request keys of a moderately skewed three-tenant mix (alpha <=
@@ -42,10 +48,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ConsistentHashRouter([-1, 0])
 
-    def test_rejects_bad_vnodes(self):
-        with pytest.raises(ConfigError):
-            ConsistentHashRouter([0, 1], vnodes=0)
-
     def test_shard_ids_sorted(self):
         router = ConsistentHashRouter([3, 0, 2])
         assert router.shard_ids == (0, 2, 3)
@@ -53,23 +55,10 @@ class TestConstruction:
 
 
 class TestRouting:
-    def test_scalar_matches_array(self):
-        router = ConsistentHashRouter(range(4), seed=7)
-        keys = _keys(500)
-        owners = router.route_array(keys)
-        assert [router.route(int(k)) for k in keys] == list(owners)
-
     def test_all_owners_valid(self):
         router = ConsistentHashRouter(range(5), seed=3)
         owners = router.route_array(_keys())
         assert set(np.unique(owners)) <= set(router.shard_ids)
-
-    def test_load_profile_counts(self):
-        router = ConsistentHashRouter(range(4))
-        keys = _keys(8_000)
-        profile = router.load_profile(keys)
-        assert sum(profile.values()) == len(keys)
-        assert sorted(profile) == list(router.shard_ids)
 
 
 class TestProperties:
@@ -78,7 +67,7 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), num_shards=st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
     def test_placement_stable_under_fixed_seed(self, seed, num_shards):
-        """Same (shard set, seed, vnodes) -> identical placement."""
+        """Same (shard set, seed) -> identical placement."""
         keys = _keys(2_000, seed=1)
         a = ConsistentHashRouter(range(num_shards), seed=seed)
         b = ConsistentHashRouter(range(num_shards), seed=seed)
@@ -100,13 +89,13 @@ class TestProperties:
         """
         keys = _keys(num_shards * 4_000, seed=2)
         router = ConsistentHashRouter(range(num_shards), seed=seed)
-        profile = router.load_profile(keys)
+        profile = _load_profile(router, keys)
         fair = len(keys) / num_shards
-        assert max(profile.values()) < 2.0 * fair
-        assert min(profile.values()) > 0
+        assert max(profile) < 2.0 * fair
+        assert min(profile) > 0
 
         mix = _tenant_mix_keys()
-        busiest = max(router.load_profile(mix).values())
+        busiest = max(_load_profile(router, mix))
         assert len(mix) / busiest >= 3 / 8 * num_shards
 
     @given(
@@ -122,16 +111,11 @@ class TestProperties:
         removed = removed_index % num_shards
         keys = _keys(5_000, seed=3)
         router = ConsistentHashRouter(range(num_shards), seed=seed)
-        shrunk = router.without(removed)
-        assert shrunk.shard_ids == tuple(
-            s for s in router.shard_ids if s != removed
+        shrunk = ConsistentHashRouter(
+            [s for s in range(num_shards) if s != removed], seed=seed
         )
         before = router.route_array(keys)
         after = shrunk.route_array(keys)
         surviving = before != removed
         assert np.array_equal(before[surviving], after[surviving])
         assert not np.any(after == removed)
-
-    def test_without_unknown_shard(self):
-        with pytest.raises(ConfigError):
-            ConsistentHashRouter(range(3)).without(9)

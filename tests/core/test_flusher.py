@@ -35,14 +35,6 @@ class TestCount:
         assert policy.blocked_inserts == 7
         assert policy.flushes == 2
         assert policy.deferrals == 5
-        assert policy.profit_denominator == 5
-
-    def test_forced_flush_resets_window(self):
-        policy = make_policy(flush_policy=FlushPolicyKind.COUNT, flush_threshold=3)
-        policy.decide()
-        policy.decide()
-        policy.notify_forced_flush()
-        assert policy.decide() is FlushDecision.MAKE_ROOM
 
     def test_threshold_one_is_naive(self):
         policy = make_policy(flush_policy=FlushPolicyKind.COUNT, flush_threshold=1)

@@ -144,7 +144,6 @@ class TestIndexPool:
         pool, layout, _ = make_pool()
         pool.write_group([0, 1], group_payloads(layout))
         assert pool.live_group_count() == 1
-        assert pool.live_page_count() == layout.pages_per_group
         pool.on_sg_evicted(0)
         pool.on_sg_evicted(1)
         assert pool.live_group_count() == 0

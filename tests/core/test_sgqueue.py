@@ -63,7 +63,6 @@ class TestRotation:
     def test_counters(self, queue):
         queue.try_insert(0, 1, 100)
         queue.try_insert(1, 2, 200)
-        assert queue.object_count() == 2
         assert queue.used_bytes() == 300
 
     def test_depth_one_behaves(self):

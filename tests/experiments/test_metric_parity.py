@@ -225,7 +225,7 @@ _LANE_PARITY_CONFIGS = _lane_parity_configs()
 class TestLatencyLaneParity:
     """The event device lane is counter-invariant on the experiment
     cells (DESIGN.md §9 parity contract): replaying every fig12 / fig14
-    / fig15 micro configuration with ``latency_lane="event"`` must
+    / fig15 micro configuration on the ``"event"`` latency lane must
     yield the analytic lane's final snapshot exactly — WA, miss ratio
     and op counts included.  The devsim property suite covers random
     traces; this pins the exact paper configurations CI reports.
@@ -238,14 +238,16 @@ class TestLatencyLaneParity:
     )
     def test_event_lane_matches_analytic_counters(self, label, build):
         from repro.experiments.common import scale_params, twitter_trace
+        from repro.flash.devsim import make_latency_model
         from repro.harness.runner import replay
 
         geometry, num_requests = scale_params("micro")
         trace = twitter_trace(num_requests)
         finals = {}
         for lane in ("analytic", "event"):
-            result = replay(build(geometry), trace, latency_lane=lane)
-            assert result.latency_lane == lane
+            engine = build(geometry)
+            engine.install_latency_model(make_latency_model(lane))
+            result = replay(engine, trace)
             finals[lane] = json.loads(json.dumps(result.final))
         _assert_identical(finals["event"], finals["analytic"], label)
 

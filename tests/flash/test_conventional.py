@@ -17,7 +17,6 @@ def ssd():
 class TestInterface:
     def test_usable_space_respects_op(self, ssd):
         assert ssd.num_lbas == int(ssd.geometry.num_pages * 0.75)
-        assert ssd.usable_bytes == ssd.num_lbas * 4096
 
     def test_write_read_roundtrip(self, ssd):
         ssd.write(5, {"k": 9})

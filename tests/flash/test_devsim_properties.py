@@ -29,7 +29,7 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
-from repro.flash.devsim import EventLatencyModel
+from repro.flash.devsim import EventLatencyModel, make_latency_model
 from repro.flash.devsim.frontend import FrontendScheduler
 from repro.flash.devsim.nand import OP_ERASE, OP_PROGRAM, OP_READ, Die, NandOp
 from repro.flash.geometry import FlashGeometry
@@ -309,16 +309,9 @@ class TestLaneCounterParity:
             num_requests=n, wss_scale=1.0 / 2048, seed=seed
         )
         for index in range(5):
-            analytic = replay(
-                _parity_engines(_parity_geometry())[index],
-                trace,
-                latency_lane="analytic",
-            )
-            event = replay(
-                _parity_engines(_parity_geometry())[index],
-                trace,
-                latency_lane="event",
-            )
-            _assert_finals_identical(event.final, analytic.final)
-            assert event.latency_lane == "event"
-            assert analytic.latency_lane == "analytic"
+            finals = {}
+            for lane in ("analytic", "event"):
+                engine = _parity_engines(_parity_geometry())[index]
+                engine.install_latency_model(make_latency_model(lane))
+                finals[lane] = replay(engine, trace).final
+            _assert_finals_identical(finals["event"], finals["analytic"])

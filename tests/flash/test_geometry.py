@@ -46,11 +46,6 @@ class TestAddressing:
             page_size=4096, pages_per_block=16, num_blocks=8, blocks_per_zone=2
         )
 
-    def test_page_to_block(self, geo):
-        assert geo.page_to_block(0) == 0
-        assert geo.page_to_block(15) == 0
-        assert geo.page_to_block(16) == 1
-
     def test_page_to_zone(self, geo):
         assert geo.page_to_zone(0) == 0
         assert geo.page_to_zone(31) == 0
@@ -91,7 +86,7 @@ def test_address_roundtrip(pages_per_block, num_zones, blocks_per_zone):
         blocks_per_zone=blocks_per_zone,
     )
     for page in range(0, geo.num_pages, max(1, geo.num_pages // 50)):
-        block = geo.page_to_block(page)
+        block = page // pages_per_block
         zone = geo.page_to_zone(page)
         assert geo.block_first_page(block) <= page < geo.block_first_page(block) + pages_per_block
         first = geo.zone_first_page(zone)

@@ -44,14 +44,6 @@ class TestLifecycle:
         assert z.state is ZoneState.EMPTY
         assert z.write_pointer == 0
 
-    def test_finish_marks_full_without_writes(self):
-        z = Zone(0, 4)
-        z.advance(1)
-        z.finish()
-        assert z.state is ZoneState.FULL
-        z.finish()  # idempotent
-        assert z.state is ZoneState.FULL
-
     def test_advance_returns_old_pointer(self):
         z = Zone(0, 8)
         assert z.advance(3) == 0
@@ -65,9 +57,3 @@ class TestLifecycle:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ZoneStateError):
             Zone(0, 0)
-
-    def test_is_writable(self):
-        z = Zone(0, 1)
-        assert z.is_writable
-        z.advance(1)
-        assert not z.is_writable

@@ -21,13 +21,6 @@ class TestMetricSeries:
         with pytest.raises(ConfigError):
             s.record(4, 1.0)
 
-    def test_deltas(self):
-        s = MetricSeries("bytes")
-        for x, v in [(1, 10.0), (2, 30.0), (3, 35.0)]:
-            s.record(x, v)
-        d = s.deltas()
-        assert d.as_rows() == [(2, 20.0), (3, 5.0)]
-
     def test_empty_last_is_nan(self):
         import math
 

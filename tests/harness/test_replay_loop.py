@@ -182,17 +182,17 @@ class TestKernelHandOff:
     def test_every_lane_samples_through_the_instance_snapshot(
         self, name, lane, tiny_geometry, small_geometry, kernel_advances
     ):
-        """One ``metrics_snapshot`` per sample point plus the final one,
-        looked up on the engine *instance* (benchmarks/e2e shadows it
-        there to time it)."""
+        """One ``metrics_snapshot`` per sample point, asking only for the
+        sampled metrics, plus the full final one, looked up on the engine
+        *instance* (benchmarks/e2e shadows it there to time it)."""
         fits = lane == "columnar-fit"
         engine = _build(name, small_geometry if fits else tiny_geometry)
         inner = engine.metrics_snapshot
         snapshots = []
 
-        def counting():
-            snapshots.append(1)
-            return inner()
+        def counting(keys=None):
+            snapshots.append(keys)
+            return inner(keys)
 
         engine.metrics_snapshot = counting
         result = replay(
@@ -204,7 +204,8 @@ class TestKernelHandOff:
         bailed = any(reached < stop for stop, reached in kernel_advances)
         assert bailed == (lane == "columnar-bail")
         assert bool(kernel_advances) == lane.startswith("columnar")
-        assert len(snapshots) == len(result.series["wa"]) + 1
+        assert snapshots[:-1] == [tuple(result.series)] * len(result.series["wa"])
+        assert snapshots[-1] is None
 
 
 def _short_trace(n):
@@ -252,8 +253,6 @@ class TestDegenerateTraces:
         serial = replay(make_engine(engine, shard_geometry(4)), trace)
         assert merged.num_requests == n
         assert sum(merged.shard_requests) == n
-        # The runner's convention: no default sample on an empty trace.
-        assert len(merged.series["wa"]) == len(serial.series["wa"]) == n
         _assert_finals_identical(merged.final, serial.final, merged.final.keys())
 
     def test_closed_loop_matches_open_loop(self, n, small_geometry):
@@ -287,8 +286,3 @@ class TestDegenerateSampling:
                 engine, _short_trace(1), sample_every=sample_every, kernel=kernel
             )
         assert engine.counters.lookups == 0  # rejected before replaying
-
-    def test_cluster_rejects(self, sample_every):
-        cluster = CacheCluster(ClusterConfig(num_shards=2, engine="log"))
-        with pytest.raises(ConfigError, match="sample_every"):
-            cluster.replay(_short_trace(1), jobs=1, sample_every=sample_every)

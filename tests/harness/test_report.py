@@ -6,8 +6,6 @@ import math
 
 from repro.harness.report import (
     cdf_from_counter,
-    cdf_value_at,
-    format_series,
     format_table,
     mean_from_counter,
 )
@@ -39,21 +37,7 @@ class TestCDF:
     def test_empty(self):
         assert cdf_from_counter(Counter()) == []
 
-    def test_value_at(self):
-        cdf = [(1, 0.5), (3, 1.0)]
-        assert cdf_value_at(cdf, 0) == 0.0
-        assert cdf_value_at(cdf, 1) == 0.5
-        assert cdf_value_at(cdf, 2) == 0.5
-        assert cdf_value_at(cdf, 5) == 1.0
-
     def test_mean(self):
         hist = Counter({1: 1, 3: 1})
         assert mean_from_counter(hist) == 2.0
         assert math.isnan(mean_from_counter(Counter()))
-
-
-class TestSeries:
-    def test_format_series(self):
-        out = format_series([1, 2], [0.5, 0.6], x_label="ops", y_label="wa")
-        assert "ops" in out and "wa" in out
-        assert "0.5" in out

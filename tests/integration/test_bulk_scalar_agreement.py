@@ -228,10 +228,9 @@ def test_recorded_batched_replay_never_takes_get_many(monkeypatch, lane):
     trace = runs_to_trace(runs)
     gets = sum(len(keys) for op, keys, _ in runs if op == "get")
     for name in ENGINE_NAMES:
-        result = replay(
-            make_engine(name), trace, record_latency=True, latency_lane=lane,
-            kernel="batched",
-        )
+        engine = make_engine(name)
+        engine.install_latency_model(make_latency_model(lane))
+        result = replay(engine, trace, record_latency=True, kernel="batched")
         assert len(result.latency) == gets, name
         assert result.latency.percentile(100.0) > 0.0, name
 

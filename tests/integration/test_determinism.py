@@ -27,6 +27,7 @@ from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
 from repro.engines import ENGINE_NAMES, make_engine
 from repro.experiments.registry import EXPERIMENTS, run_experiments
+from repro.flash.devsim import make_latency_model
 from repro.flash.geometry import FlashGeometry
 from repro.harness.runner import LATENCY_PERCENTILES, replay
 from repro.workloads.mixer import merged_twitter_trace
@@ -129,13 +130,10 @@ def fingerprint() -> dict[str, str]:
     geo = FlashGeometry(page_size=4096, pages_per_block=64, num_blocks=32, blocks_per_zone=4)
     trace = merged_twitter_trace(num_requests=100_000, wss_scale=1 / 128, seed=0)
     for name, kernel, lane in DIFFERENTIAL_REPLAYS:
-        result = replay(
-            make_engine(name, geo),
-            trace,
-            kernel=kernel,
-            latency_lane=lane,
-            record_latency=lane is not None,
-        )
+        engine = make_engine(name, geo)
+        if lane is not None:
+            engine.install_latency_model(make_latency_model(lane))
+        result = replay(engine, trace, kernel=kernel, record_latency=lane is not None)
         values = {**result.final, "sim_seconds": result.sim_seconds}
         if lane is not None:
             values.update(result.latency.percentiles(LATENCY_PERCENTILES))

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import math
 import os
+import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -183,3 +185,54 @@ for _name in sorted(ENGINE_FACTORIES):
     _case.settings = _SETTINGS
     globals()[f"TestOpSequence_{_name}"] = _case
 del _name, _case
+
+
+def _resident(engine, keys):
+    """How many of ``keys`` a lookup still finds (lookups never admit)."""
+    return sum(engine.lookup(key, 100).hit for key in sorted(keys))
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
+def test_object_count_counts_each_resident_key_once(engine_name):
+    """After a run heavy in re-inserts, ``object_count()`` is the number
+    of live keys a lookup finds.  A re-inserted key leaves a stale copy
+    behind (in Nemo's SG pool, FW/KG's set tier, FW's hot set or
+    promotion buffer), and that copy must not count a second time."""
+    rng = random.Random(0)
+    engine = ENGINE_FACTORIES[engine_name]()
+    live = set()
+    for _ in range(300):
+        key = rng.randrange(60)
+        engine.insert(key, rng.randrange(40, 900))
+        live.add(key)
+    count = engine.object_count()
+    assert count == _resident(engine, live)
+
+
+def test_nemo_reinserts_over_stale_pool_copies_count_once():
+    """Keys 0, 1 and 2 are re-inserted after their first copies reached
+    the SG pool: 9 live keys, 7 of them resident, and each of those
+    counted once (copies counted 10)."""
+    engine = ENGINE_FACTORIES["nemo"]()
+    inserts = [
+        (84, 280), (1, 40), (36, 481), (45, 572), (0, 40), (82, 229),
+        (2, 224), (10, 423), (61, 338), (0, 40), (1, 40), (2, 40),
+    ]
+    for key, size in inserts:
+        engine.insert(key, size)
+    count = engine.object_count()
+    assert count == _resident(engine, {key for key, _ in inserts}) == 7
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
+def test_snapshot_gc_runs_is_the_device_counter(engine_name):
+    """``gc_runs`` means the device's ``FlashStats.gc_runs`` on every
+    engine; FW/KG report their set-region GC as ``set_gc_runs``."""
+    rng = random.Random(0)
+    engine = ENGINE_FACTORIES[engine_name]()
+    for _ in range(1000):
+        engine.insert(rng.randrange(250), rng.randrange(40, 900))
+    snap = engine.metrics_snapshot()
+    assert snap["gc_runs"] == engine.stats.gc_runs
+    if isinstance(engine, HierarchicalCacheBase):
+        assert snap["set_gc_runs"] == engine.hset.gc_runs > 0

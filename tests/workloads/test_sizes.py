@@ -6,20 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.workloads.sizes import FixedSizeModel, LogNormalSizeModel, NormalSizeModel
-
-
-class TestFixed:
-    def test_all_equal(self):
-        table = FixedSizeModel(250).build_table(100, np.random.default_rng(0))
-        assert np.all(table == 250)
-
-    def test_mean(self):
-        assert FixedSizeModel(99).mean_size == 99.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(TraceError):
-            FixedSizeModel(0)
+from repro.workloads.sizes import LogNormalSizeModel, NormalSizeModel
 
 
 class TestNormal:

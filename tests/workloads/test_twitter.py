@@ -10,7 +10,6 @@ from repro.errors import TraceError
 from repro.workloads.trace import OP_GET, OP_SET
 from repro.workloads.twitter import (
     TWITTER_CLUSTERS,
-    average_mixed_object_size,
     generate_cluster_trace,
 )
 
@@ -42,7 +41,9 @@ class TestSpecs:
 
     def test_average_mixed_size_is_tiny(self):
         """§5.1 targets ~246 B; the spec means land within ~25 %."""
-        assert 200 < average_mixed_object_size() < 320
+        specs = TWITTER_CLUSTERS.values()
+        mean = sum(s.scaled_object_size for s in specs) / len(specs)
+        assert 200 < mean < 320
 
 
 class TestGeneration:
