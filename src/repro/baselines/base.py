@@ -137,10 +137,10 @@ class CacheEngine(abc.ABC):
     # Columnar replay support (DESIGN.md §5)
     # ------------------------------------------------------------------
     def columnar_spec(self) -> tuple[int, int] | None:
-        """``(hash_seed, modulus)`` of this engine's placement hash, or
+        """``(seed, modulus)`` of this engine's placement hash, or
         None when the key itself is the placement.  The bulk paths take
         it as a precomputed ``offsets=`` column
-        (``Trace.columns(seed, modulus).set_ids``; the replay runner
+        (``Trace.columns(seed, modulus)``; the replay runner
         supplies it chunk by chunk on every bulk lane) and produce
         byte-identical metrics with or without it."""
         return None

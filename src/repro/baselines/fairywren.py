@@ -35,8 +35,6 @@ class FairyWrenCache(HierarchicalCacheBase):
         log_fraction: float = 0.05,
         op_ratio: float = 0.05,
         latency: LatencyModel | None = None,
-        hash_seed: int = 17,
-        promote_batch_bytes: int | None = None,
     ) -> None:
         super().__init__(
             geometry,
@@ -45,6 +43,4 @@ class FairyWrenCache(HierarchicalCacheBase):
             hot_cold=True,
             merge_on_gc=True,
             latency=latency,
-            hash_seed=hash_seed,
-            promote_batch_bytes=promote_batch_bytes,
         )

@@ -44,6 +44,9 @@ SET_OTHER_BITS = 3.0   # set bookkeeping
 EVICT_BITS = 1.0       # 1-bit access counters
 ADDITIONAL_BITS = 0.8  # buffers amortised over the object population
 
+#: Seed of the key → bucket hash the HLog and HSet share.
+PLACEMENT_SEED = 17
+
 
 class HierarchicalCacheBase(CacheEngine):
     """HLog + HSet engine; see the module docstring for the two modes.
@@ -61,7 +64,9 @@ class HierarchicalCacheBase(CacheEngine):
         with verbatim-relocation GC (``merge_on_gc=False``), of the
         region's pages less the one-zone GC reserve.
     hot_cold / merge_on_gc:
-        The two switches distinguishing FairyWREN from Kangaroo.
+        The two switches distinguishing FairyWREN from Kangaroo
+        (``merge_on_gc`` also picks the set region's GC victims; see
+        :meth:`HierarchicalSet._pick_victim`).
     """
 
     def __init__(
@@ -73,9 +78,6 @@ class HierarchicalCacheBase(CacheEngine):
         hot_cold: bool,
         merge_on_gc: bool,
         latency: LatencyModel | None = None,
-        hash_seed: int = 17,
-        promote_batch_bytes: int | None = None,
-        victim_policy: str = "fifo",
     ) -> None:
         super().__init__()
         if not 0.0 < log_fraction < 1.0:
@@ -107,14 +109,8 @@ class HierarchicalCacheBase(CacheEngine):
             raise ConfigError("op_ratio leaves no usable sets")
 
         self.hot_keys: set[int] = set()
-        #: Seed of the key→bucket hash, for ``columnar_spec`` (must
-        #: match ``hlog.bucket_of``).
-        self._hash_seed = hash_seed
         self.hlog = HierarchicalLog(
-            self.device,
-            list(range(log_zone_count)),
-            num_buckets,
-            hash_seed=hash_seed,
+            self.device, list(range(log_zone_count)), num_buckets
         )
         self.hset = HierarchicalSet(
             self.device,
@@ -125,8 +121,6 @@ class HierarchicalCacheBase(CacheEngine):
             bucket_drainer=self.hlog.drain_bucket,
             is_hot=self.hot_keys.__contains__,
             on_evict=self._on_evict,
-            promote_batch_bytes=promote_batch_bytes,
-            victim_policy=victim_policy,
         )
         #: ``hset.passive_hist`` as it stood after the first request
         #: that ran set-region GC (Fig. 4's "Early" phase); None until
@@ -154,7 +148,7 @@ class HierarchicalCacheBase(CacheEngine):
             )
 
     def delete(self, key: int) -> bool:
-        bucket_id = self.hlog.bucket_of(key)
+        bucket_id = self._placement_of(key)
         removed = self.hlog.remove(key, bucket=bucket_id) is not None
         found = self.hset.find(key, bucket_id)
         if found is not None:
@@ -188,7 +182,7 @@ class HierarchicalCacheBase(CacheEngine):
 
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_buckets``."""
-        return (self._hash_seed, self.hlog.num_buckets)
+        return (PLACEMENT_SEED, self.hlog.num_buckets)
 
     def lookup_many(
         self,

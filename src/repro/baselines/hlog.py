@@ -23,7 +23,9 @@ Life cycle:
 Sequence numbers disambiguate superseded copies: a bucket entry and its
 log-page record carry the same ``seq``; only a matching pair is current.
 A log page's payload is ``{key: (size, seq, bucket)}``: the record keeps
-its bucket, so reclaiming a zone never re-hashes a key.
+its bucket, so reclaiming a zone never re-hashes a key.  The log never
+hashes at all: the engine passes each key's bucket (its placement hash)
+on every call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from collections import deque
 
 from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
 from repro.flash.zns import ZNSDevice
-from repro.hashing import bucket_of
 
 
 class LogEntry:
@@ -64,9 +65,6 @@ class HierarchicalLog:
         Zones dedicated to the log region (FIFO-recycled).
     num_buckets:
         Hash-table buckets == number of migration-target sets.
-    hash_seed:
-        Seed for the key→bucket hash (shared with the back tier so both
-        agree on placement).
     """
 
     def __init__(
@@ -74,8 +72,6 @@ class HierarchicalLog:
         device: ZNSDevice,
         zone_ids: list[int],
         num_buckets: int,
-        *,
-        hash_seed: int = 17,
     ) -> None:
         if not zone_ids:
             raise ConfigError("HLog needs at least one zone")
@@ -84,7 +80,6 @@ class HierarchicalLog:
         self.device = device
         self.zone_ids = list(zone_ids)
         self.num_buckets = num_buckets
-        self.hash_seed = hash_seed
         self.page_size = device.geometry.page_size
 
         # bucket id -> {key: LogEntry}; insertion order preserved.
@@ -105,15 +100,6 @@ class HierarchicalLog:
         self._seq = 0
 
     # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-    def bucket_of(self, key: int) -> int:
-        return bucket_of(key, self.num_buckets, seed=self.hash_seed)
-
-    def find(self, key: int) -> LogEntry | None:
-        """Current log entry for ``key``, or None."""
-        return self.buckets[self.bucket_of(key)].get(key)
-
     def object_count(self) -> int:
         return self._object_count
 
@@ -125,15 +111,13 @@ class HierarchicalLog:
     # Insertion
     # ------------------------------------------------------------------
     def insert(
-        self, key: int, size: int, *, now_us: float = 0.0, bucket: int | None = None
+        self, key: int, size: int, *, bucket: int, now_us: float = 0.0
     ) -> bool:
-        """Buffer one object into the log.
+        """Buffer one object into bucket ``bucket`` of the log.
 
         Returns ``False`` when the log is out of space — the caller must
         run :meth:`reclaim_oldest_zone` (passive migration) and retry.
-        A superseded copy of ``key`` is invalidated in place.  Callers
-        that already hashed the key may pass ``bucket`` to skip the
-        redundant ``bucket_of``.
+        A superseded copy of ``key`` is invalidated in place.
         """
         if size > self.page_size:
             raise ObjectTooLargeError(
@@ -143,14 +127,13 @@ class HierarchicalLog:
             now_us=now_us
         ):
             return False
-        b = self.bucket_of(key) if bucket is None else bucket
-        entries = self.buckets[b]
+        entries = self.buckets[bucket]
         if entries.pop(key, None) is None:
             self._object_count += 1
         self._seq += 1
         entry = entries[key] = LogEntry(key, size, self._seq)
         self._buffer.append(entry)
-        self._buffer_buckets.append(b)
+        self._buffer_buckets.append(bucket)
         self._buffer_bytes += size
         return True
 
@@ -251,10 +234,9 @@ class HierarchicalLog:
         bucket.clear()
         return objs
 
-    def remove(self, key: int, *, bucket: int | None = None) -> LogEntry | None:
-        """Remove ``key`` from the log (user-driven delete)."""
-        b = self.bucket_of(key) if bucket is None else bucket
-        entry = self.buckets[b].pop(key, None)
+    def remove(self, key: int, *, bucket: int) -> LogEntry | None:
+        """Remove ``key`` from bucket ``bucket`` (user-driven delete)."""
+        entry = self.buckets[bucket].pop(key, None)
         if entry is not None:
             self._object_count -= 1
         return entry

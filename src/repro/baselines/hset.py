@@ -89,7 +89,7 @@ class _SetMirror:
 
 
 class HierarchicalSet:
-    """Log-structured set store with pluggable GC discipline.
+    """Log-structured set store with FairyWREN's or Kangaroo's GC discipline.
 
     Parameters
     ----------
@@ -103,7 +103,8 @@ class HierarchicalSet:
         bucket.
     merge_on_gc:
         FairyWREN mode: GC merges each valid cold set with its HLog
-        bucket (active migration).  Kangaroo mode: verbatim relocation.
+        bucket (active migration) and reclaims zones FIFO.  Kangaroo
+        mode: verbatim relocation from greedy (fewest-valid) victims.
     bucket_drainer:
         ``bucket_id -> list[(key, size)]`` callback into the HLog, used
         by active migration.
@@ -112,9 +113,10 @@ class HierarchicalSet:
     on_evict:
         ``(key, size) -> None`` callback for objects dropped from the
         cache (miss-ratio accounting and hot-bit cleanup).
-    promote_batch_bytes:
-        Hot promotions are staged in memory per bucket and flushed to
-        the hot set once the batch reaches this size.
+
+    Hot promotions are staged in memory per bucket and flushed to the
+    hot set once the batch reaches half a page
+    (:attr:`promote_batch_bytes`).
     """
 
     def __init__(
@@ -128,13 +130,9 @@ class HierarchicalSet:
         bucket_drainer: Callable[[int], list[tuple[int, int]]],
         is_hot: Callable[[int], bool],
         on_evict: Callable[[int, int], None],
-        promote_batch_bytes: int | None = None,
-        victim_policy: str = "fifo",
     ) -> None:
         if not zone_ids:
             raise ConfigError("HSet needs at least one zone")
-        if victim_policy not in ("fifo", "greedy"):
-            raise ConfigError("victim_policy must be 'fifo' or 'greedy'")
         if num_buckets <= 0:
             raise ConfigError("num_buckets must be positive")
         self.device = device
@@ -146,11 +144,7 @@ class HierarchicalSet:
         self.is_hot = is_hot
         self.on_evict = on_evict
         self.page_size = device.geometry.page_size
-        self.promote_batch_bytes = (
-            promote_batch_bytes
-            if promote_batch_bytes is not None
-            else self.page_size // 2
-        )
+        self.promote_batch_bytes = self.page_size // 2
 
         self.num_sets = num_buckets * (2 if hot_cold else 1)
         region_pages = len(zone_ids) * device.geometry.pages_per_zone
@@ -171,7 +165,6 @@ class HierarchicalSet:
         #: per-sample ``object_count`` probe never re-scans the sets.
         self._object_count = 0
 
-        self.victim_policy = victim_policy
         #: flash page -> owning set id (-1 = no current copy), flat
         #: array over the whole device so the GC scan is one slice.
         self._page_owner: array[int] = array("q", [-1]) * device.geometry.num_pages
@@ -505,18 +498,18 @@ class HierarchicalSet:
     def _pick_victim(self) -> int:
         """Choose the zone to reclaim.
 
-        ``fifo`` takes the oldest written zone (FairyWREN: its merged
-        GC turns old cold sets into useful active migrations).
-        ``greedy`` takes the zone with the fewest live pages (Kangaroo:
-        pure relocation cost, so minimise valid data — the standard
+        With ``merge_on_gc`` (FairyWREN) the oldest written zone: its
+        merged GC turns old cold sets into useful active migrations.
+        Without (Kangaroo) the zone with the fewest live pages: pure
+        relocation cost, so minimise valid data — the standard
         device-GC policy, and what keeps the paper's observed victim
         validity in the 50–80 % band instead of degenerating into
-        cold-data accumulation).
+        cold-data accumulation.
         """
         candidates = [z for z in self._zone_fifo if z != self._open_zone]
         if not candidates:
             raise EngineStateError("no GC victim available")
-        if self.victim_policy == "fifo":
+        if self.merge_on_gc:
             return candidates[0]
         return min(candidates, key=lambda z: self._zone_valid[z])
 

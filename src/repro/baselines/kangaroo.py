@@ -30,7 +30,6 @@ class KangarooCache(HierarchicalCacheBase):
         log_fraction: float = 0.05,
         op_ratio: float = 0.05,
         latency: LatencyModel | None = None,
-        hash_seed: int = 17,
     ) -> None:
         super().__init__(
             geometry,
@@ -39,10 +38,4 @@ class KangarooCache(HierarchicalCacheBase):
             hot_cold=False,
             merge_on_gc=False,
             latency=latency,
-            hash_seed=hash_seed,
-            # Kangaroo's device GC relocates valid sets without merging;
-            # greedy (fewest-valid) victim selection is the standard
-            # device policy, and with OP beyond the one-zone GC reserve
-            # it finds victims near the paper's 50-80 % valid band.
-            victim_policy="greedy",
         )

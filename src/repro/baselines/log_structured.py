@@ -20,7 +20,7 @@ from collections.abc import Callable
 from itertools import repeat
 
 from repro.baselines.base import CacheEngine
-from repro.errors import AlignmentError, ConfigError, ObjectTooLargeError, ReadError
+from repro.errors import AlignmentError, ObjectTooLargeError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
@@ -30,6 +30,11 @@ from repro.flash.zns import ZNSDevice
 #: (64 b); hotness is optional and omitted here.
 INDEX_BITS_PER_OBJECT = 29 + 29 + 64
 
+#: Per-object on-flash header (key, length, checksum).  Real log caches
+#: store ~12–24 B; this is the main source of the measured 1.08 ALWA
+#: beyond packing slack.
+OBJECT_HEADER_BYTES = 16
+
 
 class LogStructuredCache(CacheEngine):
     """Append-only flash cache with an exact DRAM index.
@@ -38,10 +43,6 @@ class LogStructuredCache(CacheEngine):
     ----------
     geometry:
         Flash layout; the whole device is the log.
-    object_header_bytes:
-        Per-object on-flash header (key, length, checksum).  Real
-        log caches store ~12–24 B; this is the main source of the
-        measured 1.08 ALWA beyond packing slack.
     latency:
         Optional latency model shared with the harness.
     """
@@ -52,14 +53,10 @@ class LogStructuredCache(CacheEngine):
         self,
         geometry: FlashGeometry,
         *,
-        object_header_bytes: int = 16,
         latency: LatencyModel | None = None,
     ) -> None:
         super().__init__()
-        if object_header_bytes < 0:
-            raise ConfigError("object_header_bytes must be non-negative")
         self.geometry = geometry
-        self.object_header_bytes = object_header_bytes
         self.device = ZNSDevice(geometry, stats=self.stats, latency=latency)
 
         # Exact index: key -> (physical page | -1 for "in write buffer", size).
@@ -94,10 +91,10 @@ class LogStructuredCache(CacheEngine):
 
     def _insert_at(self, key: int, size: int, placement: int, now_us: float) -> None:
         page_size = self.geometry.page_size
-        stored = size + self.object_header_bytes
+        stored = size + OBJECT_HEADER_BYTES
         if stored > page_size:
             raise ObjectTooLargeError(
-                f"object of {size} B (+{self.object_header_bytes} B header) "
+                f"object of {size} B (+{OBJECT_HEADER_BYTES} B header) "
                 f"exceeds the {page_size} B page"
             )
         # Update: drop any stale copy from the index; the old flash
@@ -293,7 +290,7 @@ class LogStructuredCache(CacheEngine):
             tail_sizes = sizes[pos:]
             self._buffer.extend(zip(tail_keys, tail_sizes))
             self._buffer_bytes += (
-                sum(tail_sizes) + self.object_header_bytes * len(tail_keys)
+                sum(tail_sizes) + OBJECT_HEADER_BYTES * len(tail_keys)
             )
 
     def object_count(self) -> int:

@@ -31,6 +31,9 @@ from repro.flash.latency import LatencyModel
 #: lowest memory cost (4 bits/obj)").
 BLOOM_BITS_PER_OBJECT = 4.0
 
+#: Seed of the key → set hash.
+PLACEMENT_SEED = 0
+
 
 class _Set:
     """In-DRAM mirror of one set's membership (key → size).
@@ -60,7 +63,6 @@ class SetAssociativeCache(CacheEngine):
         *,
         op_ratio: float = 0.5,
         latency: LatencyModel | None = None,
-        hash_seed: int = 0,
     ) -> None:
         super().__init__()
         self.geometry = geometry
@@ -70,14 +72,13 @@ class SetAssociativeCache(CacheEngine):
         self.num_sets = self.device.num_lbas
         if self.num_sets <= 0:
             raise ConfigError("geometry leaves no usable sets")
-        self.hash_seed = hash_seed
         self._sets: list[_Set] = [_Set() for _ in range(self.num_sets)]
         self._object_count = 0
 
     # ------------------------------------------------------------------
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % num_sets``."""
-        return (self.hash_seed, self.num_sets)
+        return (PLACEMENT_SEED, self.num_sets)
 
     def _lookup_at(
         self, key: int, size: int, placement: int, now_us: float

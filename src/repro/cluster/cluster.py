@@ -4,20 +4,17 @@
 own flash device — behind the seeded consistent-hash router.  One
 replay proceeds in three deterministic steps:
 
-1. **Route once, hash once** — the router maps the whole key column to
-   shard owners in one vectorised pass, the trace is split into
-   per-shard sub-traces that preserve the global request order within
-   each shard, and the parent runs the *single* placement-hash pass
-   (``Trace.columns`` for the shared shard-engine spec), shipping each
-   shard its pre-sliced :class:`~repro.workloads.trace.TraceColumns`.
+1. **Route once** — the router maps the whole key column to shard
+   owners in one vectorised pass, and the trace is split into per-shard
+   sub-traces that preserve the global request order within each shard.
 2. **Replay shards concurrently** — each shard is one
    :class:`~repro.harness.parallel.Cell` shipped to a worker process
    (``run_cells`` fan-out, spawn-safe): the worker rebuilds its engine
-   from a descriptor, adopts the shipped hash columns (no per-worker
-   rehash), and runs the ordinary serial
+   from a descriptor and runs the ordinary serial
    :func:`~repro.harness.runner.replay` over its sub-trace, sampling
    nothing — the lane is the runner's default (``REPRO_REPLAY_KERNEL``
-   or batched).
+   or batched).  Each shard hashes its own keys; the shards' sub-traces
+   are disjoint, so the placement hash runs once per request.
 3. **Merge exactly** — the parent sums each shard's final *raw integer
    counters* in shard order (independent of ``jobs``) and rebuilds
    every derived ratio through the real ``FlashStats`` /
@@ -32,7 +29,6 @@ with the shard count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,7 +41,7 @@ from repro.errors import ConfigError
 from repro.flash.stats import FlashStats
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.runner import replay
-from repro.workloads.trace import Trace, TraceColumns
+from repro.workloads.trace import Trace
 
 #: Raw integer metrics summed across shards; every derived ratio the
 #: merged snapshot reports is rebuilt from these (never averaged).
@@ -99,10 +95,8 @@ class ClusterReplayResult:
     num_requests: int
     num_shards: int
     final: dict[str, float]
-    shard_finals: list[dict[str, float]] = field(default_factory=list)
     shard_requests: list[int] = field(default_factory=list)
     shard_wall_seconds: list[float] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     @property
     def wa(self) -> float:
@@ -128,14 +122,6 @@ class ClusterReplayResult:
             return float("nan")
         return self.num_requests / cp
 
-    def summary(self) -> str:
-        return (
-            f"{self.engine_name} x{self.num_shards} on {self.trace_name}: "
-            f"{self.num_requests:,} reqs, WA={self.wa:.2f}, "
-            f"miss={self.miss_ratio:.3f}, "
-            f"capacity={self.capacity_requests_per_sec / 1e6:.2f}M req/s"
-        )
-
 
 def _replay_shard(
     engine_name: str,
@@ -144,23 +130,16 @@ def _replay_shard(
     keys: np.ndarray,
     sizes: np.ndarray,
     trace_name: str,
-    columns: TraceColumns | None,
 ) -> tuple[dict[str, float], float]:
     """Shard worker: rebuild the engine, replay the sub-trace serially,
     return ``(final snapshot, in-replay wall seconds)``.
 
     Module-level and argument-picklable, so ``run_cells`` can ship it
     to spawn workers; a pure function of its arguments, so results are
-    independent of job count and execution order.  ``columns`` is the
-    parent's pre-sliced placement-hash columns for this sub-trace (one
-    splitmix pass over the whole trace instead of one per shard); the
-    rebuilt sub-trace adopts them so neither the batched bulk paths nor
-    a whole-trace kernel rehashes the keys.
+    independent of job count and execution order.
     """
     engine = make_engine(engine_name, shard_geometry(zones_per_shard))
     trace = Trace(ops=ops, keys=keys, sizes=sizes, name=trace_name)
-    if columns is not None:
-        trace.adopt_columns(columns)
     result = replay(engine, trace, sample_at=())
     return result.final, result.wall_seconds
 
@@ -196,63 +175,39 @@ class CacheCluster:
         Metrics are byte-identical for any ``jobs``: workers are pure
         and the merge folds shards in shard order.
         """
-        t0 = time.perf_counter()
         shard_indices = self.route_trace(trace)
-
-        # Hash the whole key column once on the parent.  Every shard
-        # engine shares one configuration, hence one placement-hash
-        # spec; slicing the parent's columns per shard and shipping
-        # them in the cell payload replaces num_shards worker-side
-        # splitmix passes with this single one.
-        probe = make_engine(
-            self.config.engine, shard_geometry(self.config.zones_per_shard)
-        )
-        spec = probe.columnar_spec()
-        parent_cols = (
-            trace.columns(spec[0], spec[1]) if spec is not None else None
-        )
-
-        cells: list[Cell] = []
-        for sid, idx in zip(self.router.shard_ids, shard_indices):
-            shard_cols = None
-            if parent_cols is not None:
-                shard_cols = TraceColumns(
-                    seed=parent_cols.seed,
-                    num_sets=parent_cols.num_sets,
-                    hashes=parent_cols.hashes[idx],
-                    set_ids=parent_cols.set_ids[idx],
-                )
-            cells.append(
-                Cell(
-                    cell_id=f"{trace.name}:cluster-shard{sid}",
-                    fn=_replay_shard,
-                    args=(
-                        self.config.engine,
-                        self.config.zones_per_shard,
-                        trace.ops[idx],
-                        trace.keys[idx],
-                        trace.sizes[idx],
-                        f"{trace.name}/shard{sid}",
-                        shard_cols,
-                    ),
-                )
+        cells = [
+            Cell(
+                cell_id=f"{trace.name}:cluster-shard{sid}",
+                fn=_replay_shard,
+                args=(
+                    self.config.engine,
+                    self.config.zones_per_shard,
+                    trace.ops[idx],
+                    trace.keys[idx],
+                    trace.sizes[idx],
+                    f"{trace.name}/shard{sid}",
+                ),
             )
+            for sid, idx in zip(self.router.shard_ids, shard_indices)
+        ]
         outcomes: list[tuple[dict[str, float], float]] = run_cells(cells, jobs=jobs)
 
         # Exact merge: integer components summed in shard order.
         comps = {
             m: sum(int(final[m]) for final, _ in outcomes) for m in _RAW_METRICS
         }
+        probe = make_engine(
+            self.config.engine, shard_geometry(self.config.zones_per_shard)
+        )
         return ClusterReplayResult(
             engine_name=probe.name,
             trace_name=trace.name,
             num_requests=len(trace),
             num_shards=self.config.num_shards,
             final=_merged_snapshot(comps, probe),
-            shard_finals=[final for final, _ in outcomes],
             shard_requests=[len(idx) for idx in shard_indices],
             shard_wall_seconds=[wall for _, wall in outcomes],
-            wall_seconds=time.perf_counter() - t0,
         )
 
 

@@ -81,10 +81,6 @@ class ConsistentHashRouter:
         self._ring_points: np.ndarray = points[order]
         self._ring_owners: np.ndarray = id_arr[order]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_ids)
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------

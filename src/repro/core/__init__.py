@@ -6,7 +6,7 @@ device erase unit each) are the flush and eviction granularity, giving
 log-structured physical writes with set-associative logical placement.
 Its write amplification is ``1 / E(FR_SG)`` (Eq. 9) — the reciprocal of
 the SG fill rate — driven to ≈1.56 by three fill techniques (§4.2):
-buffered in-memory SGs, delayed (probabilistic/count-based) flushing,
+buffered in-memory SGs, delayed (count-based) flushing,
 and hotness-aware writeback.
 
 Memory efficiency comes from approximate indexing (§4.3): per-set bloom
@@ -19,7 +19,7 @@ Public entry point: :class:`~repro.core.nemo.NemoCache` configured by
 """
 
 from repro.core.bloom import bloom_bits_per_object, bloom_num_hashes
-from repro.core.config import FlushPolicyKind, NemoConfig
+from repro.core.config import NemoConfig
 from repro.core.setgroup import InMemorySet, SetGroup
 from repro.core.sgqueue import SetGroupQueue
 from repro.core.flusher import FlushDecision, FlushPolicy
@@ -32,7 +32,6 @@ __all__ = [
     "bloom_bits_per_object",
     "bloom_num_hashes",
     "NemoConfig",
-    "FlushPolicyKind",
     "InMemorySet",
     "SetGroup",
     "SetGroupQueue",

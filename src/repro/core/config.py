@@ -3,46 +3,43 @@
 The paper's deployment values and their simulator-scale defaults:
 
 =============================  ==================  =====================
-Parameter (Table 3)            Paper               Here (default)
+Parameter (Table 3)            Paper               Here
 =============================  ==================  =====================
 Set size                       4 KB                geometry.page_size
 Sets per SG                    275,712 (1 zone)    geometry.pages_per_zone
 PBFG false positive rate       0.1 %               0.1 %
 # SGs : # index groups         50 : 1              16 : 1 (configurable)
-# in-memory SGs                2                   2
+# in-memory SGs                2                   :data:`INMEM_SGS`
 Flushing threshold (count)     4,096               4,096
 Cached PBFG ratio              50 %                50 %
 Hotness tracking start         last 30 % of cache  last 30 %
 SG cooling period              every 10 % written  every 10 %
 =============================  ==================  =====================
 
+Two of the paper's values are constants, not fields: the in-memory SG
+count (:data:`INMEM_SGS`) and one SG per zone (the ZN540 mapping).  The
+key→set-offset hash seed is :data:`PLACEMENT_SEED`.  The flush threshold is count-based only, as the
+paper deploys it (Table 3's footnote: "The flushing threshold is
+count-based, not probabilistic").
+
 The three fill-rate techniques of §4.2 are individually toggleable
 (``enable_buffered_sgs`` / ``enable_delayed_flush`` /
 ``enable_writeback``) so the Figure 17 ablation can run every
-combination, and the flush policy supports both the count-based
-threshold the paper deploys (Table 3's footnote: "The flushing threshold
-is count-based, not probabilistic") and the probabilistic variant §4.2
-describes.
+combination.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError
 
+#: In-memory SGs in the circle queue (technique ①; Table 3: 2).
+INMEM_SGS = 2
 
-class FlushPolicyKind(enum.Enum):
-    """How a blocked insert decides between flushing and evicting."""
-
-    #: Flush the front SG on the first blocked insert (no delaying).
-    NAIVE = "naive"
-    #: Flush after every ``flush_threshold`` blocked inserts (Table 3).
-    COUNT = "count"
-    #: Flush with probability ``flush_probability`` per blocked insert.
-    PROBABILISTIC = "probabilistic"
+#: Seed of the key → intra-SG set offset hash.
+PLACEMENT_SEED = 7
 
 
 @dataclass
@@ -50,19 +47,14 @@ class NemoConfig:
     """Tunable parameters of :class:`~repro.core.nemo.NemoCache`."""
 
     # --- §4.2: preparing a "perfect" SG -------------------------------
-    #: In-memory SGs in the circle queue (technique ①; Table 3: 2).
-    num_inmem_sgs: int = 2
-    #: Technique ① switch; off = a single in-memory SG.
+    #: Technique ① switch: :data:`INMEM_SGS` queued SGs, off = one.
     enable_buffered_sgs: bool = True
     #: Technique ② switch; off = flush on the first blocked insert.
     enable_delayed_flush: bool = True
     #: Technique ③ switch; off = evicted SGs drop their hot objects.
     enable_writeback: bool = True
-    flush_policy: FlushPolicyKind = FlushPolicyKind.COUNT
     #: Blocked inserts absorbed (by per-set eviction) between flushes.
     flush_threshold: int = 4096
-    #: Per-blocked-insert flush probability for PROBABILISTIC mode.
-    flush_probability: float = 1.0 / 4096.0
 
     # --- §4.3: lightweight indexing -----------------------------------
     #: PBFG bloom-filter false-positive rate (Table 3: 0.1 %).
@@ -83,31 +75,16 @@ class NemoConfig:
     #: written (Table 3: every 10 %).
     cooling_interval_fraction: float = 0.1
 
-    # --- §6 device compatibility ----------------------------------------
-    #: Zones composing one SG.  1 matches large-zone devices (ZN540:
-    #: SG = zone).  Small-zone devices (e.g. Samsung PM1731a, 96 MB
-    #: zones) compose an SG from several zones ("on small-zone ZNS SSDs
-    #: an SG is composed of multiple zones", §6); FDP reclaim units
-    #: group several SGs, which is the same mapping from the device's
-    #: point of view.
-    zones_per_sg: int = 1
-
     # --- misc ----------------------------------------------------------
-    hash_seed: int = 7
-    #: RNG seed for the statistical false-positive model and the
-    #: probabilistic flush policy.
+    #: RNG seed for the statistical false-positive model.
     rng_seed: int = 1234
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        if self.num_inmem_sgs < 1:
-            raise ConfigError("num_inmem_sgs must be >= 1")
         if self.flush_threshold < 1:
             raise ConfigError("flush_threshold must be >= 1")
-        if not 0.0 < self.flush_probability <= 1.0:
-            raise ConfigError("flush_probability must be in (0, 1]")
         if not 0.0 < self.bf_false_positive_rate < 1.0:
             raise ConfigError("bf_false_positive_rate must be in (0, 1)")
         if self.bf_capacity_per_set < 1:
@@ -120,13 +97,11 @@ class NemoConfig:
             raise ConfigError("hotness_window_fraction must be in [0, 1]")
         if not 0.0 < self.cooling_interval_fraction <= 1.0:
             raise ConfigError("cooling_interval_fraction must be in (0, 1]")
-        if self.zones_per_sg < 1:
-            raise ConfigError("zones_per_sg must be >= 1")
 
     @property
     def effective_inmem_sgs(self) -> int:
         """Queue depth after the technique-① switch."""
-        return self.num_inmem_sgs if self.enable_buffered_sgs else 1
+        return INMEM_SGS if self.enable_buffered_sgs else 1
 
     @classmethod
     def ablation(

@@ -5,11 +5,10 @@ must either flush the front SG or make room by evicting from the target
 set.  Flushing early wastes fill; evicting costs a few objects.  The
 policy trades these off:
 
-- **naïve** — flush immediately (the 6.78 %-fill baseline of Fig. 17);
+- **naïve** (``enable_delayed_flush=False``) — flush immediately (the
+  6.78 %-fill baseline of Fig. 17);
 - **count-based** — flush on every ``threshold``-th blocked insert
-  (what the paper deploys, Table 3 footnote; threshold 4,096);
-- **probabilistic** — flush with probability ``p`` per blocked insert
-  (§4.2's description; E[deferrals] = 1/p).
+  (what the paper deploys, Table 3 footnote; threshold 4,096).
 
 The paper's favourable trade-off: "each immediate flush incurs the cost
 of evicting roughly 1,000 objects, while the benefit is the insertion of
@@ -21,10 +20,8 @@ shows the diminishing ``new objects / evicted objects`` profit, which
 from __future__ import annotations
 
 import enum
-import random
 
-from repro.core.config import FlushPolicyKind, NemoConfig
-from repro.errors import ConfigError
+from repro.core.config import NemoConfig
 
 
 class FlushDecision(enum.Enum):
@@ -38,14 +35,8 @@ class FlushPolicy:
     """Stateful blocked-insert arbiter."""
 
     def __init__(self, config: NemoConfig) -> None:
-        self.kind = (
-            FlushPolicyKind.NAIVE
-            if not config.enable_delayed_flush
-            else config.flush_policy
-        )
-        self.threshold = config.flush_threshold
-        self.probability = config.flush_probability
-        self._rng = random.Random(config.rng_seed ^ 0xF1054)
+        # The naïve flush is the count-based one at threshold 1.
+        self.threshold = config.flush_threshold if config.enable_delayed_flush else 1
         self._blocked_since_flush = 0
         # Lifetime telemetry (Figure 18).
         self.blocked_inserts = 0
@@ -55,16 +46,8 @@ class FlushPolicy:
     def decide(self) -> FlushDecision:
         """Called once per blocked insert; returns the action."""
         self.blocked_inserts += 1
-        if self.kind is FlushPolicyKind.NAIVE:
-            flush = True
-        elif self.kind is FlushPolicyKind.COUNT:
-            self._blocked_since_flush += 1
-            flush = self._blocked_since_flush >= self.threshold
-        elif self.kind is FlushPolicyKind.PROBABILISTIC:
-            flush = self._rng.random() < self.probability
-        else:  # pragma: no cover - enum is closed
-            raise ConfigError(f"unknown flush policy {self.kind}")
-        if flush:
+        self._blocked_since_flush += 1
+        if self._blocked_since_flush >= self.threshold:
             self._blocked_since_flush = 0
             self.flushes += 1
             return FlushDecision.FLUSH

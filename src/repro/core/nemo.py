@@ -38,7 +38,7 @@ from typing import Callable, Collection
 
 from repro.baselines.base import CacheEngine
 from repro.core.bloom import bloom_bits_per_object
-from repro.core.config import NemoConfig
+from repro.core.config import PLACEMENT_SEED, NemoConfig
 from repro.core.flusher import FlushDecision, FlushPolicy
 from repro.core.hotness import HotnessTracker
 from repro.core.index_cache import IndexCache, IndexPool
@@ -62,15 +62,14 @@ import numpy as np
 class FlashSG:
     """An immutable on-flash Set-Group in the FIFO pool.
 
-    An SG occupies one or more whole zones (§6: large-zone devices map
-    one SG per zone; small-zone devices compose an SG from several).
-    ``page_bases[i]`` is the first physical page of member zone ``i``.
+    An SG occupies one whole zone (§4.1, the ZN540 mapping), whose first
+    physical page is ``page_base``: set ``offset`` sits at
+    ``page_base + offset``.
     """
 
     sg_id: int
-    zone_ids: list[int]
-    page_bases: list[int]
-    pages_per_zone: int
+    zone_id: int
+    page_base: int
     #: Per-set membership mirrors (what the flash pages hold).
     sets: list[dict[int, int]]
     fill_rate: float
@@ -78,8 +77,7 @@ class FlashSG:
 
     def page_of(self, offset: int) -> int:
         """Physical page holding set ``offset``."""
-        zone_idx, page_idx = divmod(offset, self.pages_per_zone)
-        return self.page_bases[zone_idx] + page_idx
+        return self.page_base + offset
 
 
 class NemoCache(CacheEngine):
@@ -100,12 +98,9 @@ class NemoCache(CacheEngine):
         self.device = ZNSDevice(geometry, stats=self.stats, latency=latency)
         self._rng = random.Random(self.config.rng_seed)
 
-        ppz = geometry.pages_per_zone
         self.set_size = geometry.page_size
-        # One SG per erase unit (§4.1); on small-zone devices an erase
-        # unit is composed of several zones (§6).
-        self.zones_per_sg = self.config.zones_per_sg
-        self.sets_per_sg = ppz * self.zones_per_sg
+        # One SG per zone, the device's erase unit (§4.1).
+        self.sets_per_sg = geometry.pages_per_zone
 
         self.layout = IndexLayout(
             page_size=geometry.page_size,
@@ -116,16 +111,9 @@ class NemoCache(CacheEngine):
         )
 
         sg_zone_count, index_zone_count = self._split_zones()
-        # Whole SGs only: leftover zones (< zones_per_sg) stay unused.
-        sg_zone_count -= sg_zone_count % self.zones_per_sg
-        self.sg_zone_count = sg_zone_count
+        # One pool SG per zone: zones [0, pool_capacity_sgs) hold SGs.
+        self.pool_capacity_sgs = sg_zone_count
         self._free_sg_zones: deque[int] = deque(range(sg_zone_count))
-        self.pool_capacity_sgs = sg_zone_count // self.zones_per_sg
-        if self.pool_capacity_sgs < 2:
-            raise ConfigError(
-                "device too small: fewer than two SGs fit the pool "
-                f"({sg_zone_count} SG zones / {self.zones_per_sg} per SG)"
-            )
 
         self.queue = SetGroupQueue(
             self.config.effective_inmem_sgs, self.sets_per_sg, self.set_size
@@ -210,13 +198,12 @@ class NemoCache(CacheEngine):
         index_zones = 1
         for _ in range(12):
             sg_zones = total - index_zones
-            pool_sgs = sg_zones // self.zones_per_sg
-            if pool_sgs < 2:
+            if sg_zones < 2:
                 raise ConfigError(
                     f"device too small: {total} zones cannot host an SG "
                     "pool plus the index pool"
                 )
-            need_groups = -(-pool_sgs // self.layout.sgs_per_group) + 1
+            need_groups = -(-sg_zones // self.layout.sgs_per_group) + 1
             need_zones = -(-need_groups // groups_per_zone) + 1
             if need_zones <= index_zones:
                 return sg_zones, index_zones
@@ -225,7 +212,7 @@ class NemoCache(CacheEngine):
 
     def columnar_spec(self) -> tuple[int, int]:
         """Placement column spec: ``hash64(key, seed) % sets_per_sg``."""
-        return (self.config.hash_seed, self.sets_per_sg)
+        return (PLACEMENT_SEED, self.sets_per_sg)
 
     # ------------------------------------------------------------------
     # CacheEngine API
@@ -260,14 +247,6 @@ class NemoCache(CacheEngine):
         if not self.queue.try_insert(offset, key, size):
             raise EngineStateError("insert failed after flushing the front SG")
 
-    def _read_pages(self, pages: list[int], now_us: float) -> float:
-        """Read ``pages`` in parallel (payloads unused); returns the
-        slowest read's latency, 0.0 on a latency-free device."""
-        device = self.device
-        device.read_pages(pages)
-        latency = device.latency
-        return 0.0 if latency is None else latency.read_many(pages, now_us)
-
     # ------------------------------------------------------------------
     # Index side: one PBFG page per live index group
     # ------------------------------------------------------------------
@@ -292,7 +271,7 @@ class NemoCache(CacheEngine):
         miss_pages = [physical for page, physical in entries if not access(page)]
         self.pbfg_pool_reads += len(miss_pages)
         self.pbfg_lookups_from_pool += 1
-        return len(miss_pages), self._read_pages(miss_pages, now_us)
+        return len(miss_pages), self.device.read_many(miss_pages, now_us)
 
     def _consult_index_many(self, offsets: np.ndarray) -> None:
         """Index side of a run of consults, in request order.
@@ -348,8 +327,9 @@ class NemoCache(CacheEngine):
         :meth:`_consult_index` and takes its latency), the
         false-positive draws of :meth:`_lookup_at` in order, the
         false-positive and holder page reads with
-        ``NandArray.read_pages``' checks — on a timed device one
-        ``read_many`` of them, in that order — and the hotness bit.
+        ``ZNSDevice.read_many``'s checks — on a timed device one
+        latency-model ``read_many`` of them, in that order — and the
+        hotness bit.
         ``record`` gets each GET's latency as :meth:`_get_many` gives it.
         Request, read, PBFG and index-cache counters add up once per run
         (nothing observes them mid-run — the harness samples only at
@@ -375,7 +355,6 @@ class NemoCache(CacheEngine):
         rng_random = self._rng.random
         randrange = self._rng.randrange
         fp_rate = self.config.bf_false_positive_rate
-        ppz = self.geometry.pages_per_zone
         nand = self.device.nand
         state = nand._state
         num_pages = nand._num_pages
@@ -418,8 +397,7 @@ class NemoCache(CacheEngine):
                 if holder is not None:
                     read += (holder,)
                 for fsg in read:
-                    zone_idx, page_idx = divmod(offset, ppz)  # page_of inlined
-                    page = fsg.page_bases[zone_idx] + page_idx
+                    page = fsg.page_base + offset  # page_of inlined
                     if not 0 <= page < num_pages:
                         raise AlignmentError(
                             f"page {page} out of range [0, {num_pages})"
@@ -430,7 +408,7 @@ class NemoCache(CacheEngine):
                 if read_many is not None and read:
                     # One timed read of the pages just checked, in order.
                     read_lat = read_many(
-                        [fsg.page_bases[zone_idx] + page_idx for fsg in read], now_us
+                        [fsg.page_base + offset for fsg in read], now_us
                     )
                     if read_lat > lat:
                         lat = read_lat
@@ -478,7 +456,7 @@ class NemoCache(CacheEngine):
         memory probe, the all-resident index test (a non-resident consult
         calls :meth:`_consult_index` and takes its latency), the
         statistical candidate scan, the page reads through
-        :meth:`_read_pages` (NAND checks and latency model kept) and the
+        ``ZNSDevice.read_many`` (NAND checks and latency model kept) and the
         hotness bit.  Counters are bumped per call, and
         ``hotness._bits`` is looked up per hit, since ``cool()`` rebinds
         it.
@@ -516,16 +494,15 @@ class NemoCache(CacheEngine):
         n_scanned = (
             n_pool if holder is None else n_pool - 1 - (holder.sg_id - pool[0].sg_id)
         )
-        zone_idx, page_idx = divmod(offset, self.geometry.pages_per_zone)
         pages: list[int] = []
         rng = self._rng
         if n_scanned > 0 and rng.random() < n_scanned * self.config.bf_false_positive_rate:
             self.false_positive_reads += 1
-            pages.append(pool[rng.randrange(n_pool)].page_bases[zone_idx] + page_idx)
+            pages.append(pool[rng.randrange(n_pool)].page_base + offset)
         if holder is not None:
-            pages.append(holder.page_bases[zone_idx] + page_idx)
+            pages.append(holder.page_base + offset)
         if pages:
-            latency = max(latency, self._read_pages(pages, now_us))
+            latency = max(latency, self.device.read_many(pages, now_us))
         if holder is None:
             return False, latency
         counters.hits += 1
@@ -614,28 +591,22 @@ class NemoCache(CacheEngine):
     # Flush + eviction
     # ------------------------------------------------------------------
     def _flush_front(self, *, now_us: float = 0.0) -> None:
-        if len(self._free_sg_zones) < self.zones_per_sg:
+        if not self._free_sg_zones:
             self._evict_oldest_sg(now_us=now_us)
         front = self.queue.pop_front_for_flush()
-        zone_ids = [self._free_sg_zones.popleft() for _ in range(self.zones_per_sg)]
+        zone_id = self._free_sg_zones.popleft()
 
         # Fill rates first: the zero-copy handoff below empties the sets.
         fill_rate = front.fill_rate()
         new_fill_rate = front.new_fill_rate()
         payloads = front.take_payloads()
-        ppz = self.geometry.pages_per_zone
-        page_bases: list[int] = []
-        for i, zone_id in enumerate(zone_ids):
-            # Each page carries its set dict, the live object aliased
-            # into FlashSG.sets.
-            chunk = payloads[i * ppz : (i + 1) * ppz]
-            pages, _ = self.device.append_many(zone_id, chunk, now_us=now_us)
-            page_bases.append(pages[0])
+        # Each page carries its set dict, the live object aliased into
+        # FlashSG.sets.
+        pages, _ = self.device.append_many(zone_id, payloads, now_us=now_us)
         fsg = FlashSG(
             sg_id=front.sg_id,
-            zone_ids=zone_ids,
-            page_bases=page_bases,
-            pages_per_zone=ppz,
+            zone_id=zone_id,
+            page_base=pages[0],
             sets=payloads,
             fill_rate=fill_rate,
             new_fill_rate=new_fill_rate,
@@ -680,9 +651,8 @@ class NemoCache(CacheEngine):
                         self.counters.evicted_bytes += size
                 self.hotness.discard(key)
 
-        for zone_id in victim.zone_ids:
-            self.device.reset_zone(zone_id, now_us=now_us)
-            self._free_sg_zones.append(zone_id)
+        self.device.reset_zone(victim.zone_id, now_us=now_us)
+        self._free_sg_zones.append(victim.zone_id)
         self.index_pool.on_sg_evicted(victim.sg_id)
 
     def _writeback(self, victim: FlashSG, *, now_us: float = 0.0) -> None:

@@ -57,11 +57,3 @@ def run(scale: str = "small") -> AppendixResult:
         )
     result.optimum_fp = optimal_false_positive_rate(tradeoff)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(scale="full").format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

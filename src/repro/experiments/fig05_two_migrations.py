@@ -94,11 +94,3 @@ def assemble(records: list[SystemRecord]) -> Fig05Result:
 
 def run(scale: str = "small", jobs: int | None = 1) -> Fig05Result:
     return assemble(run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(scale="full").format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

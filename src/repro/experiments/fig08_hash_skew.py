@@ -117,11 +117,3 @@ def run(scale: str = "small") -> Fig08Result:
                     }
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(scale="full").format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -103,11 +103,3 @@ def assemble(payloads: list[dict]) -> Fig15Result:
 
 def run(scale: str = "small", jobs: int | None = 1) -> Fig15Result:
     return assemble(run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(scale="full").format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

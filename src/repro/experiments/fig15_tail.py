@@ -140,11 +140,3 @@ def assemble(payloads: list[dict]) -> Fig15TailResult:
 
 def run(scale: str = "small", jobs: int | None = 1) -> Fig15TailResult:
     return assemble(run_cells(cells(scale), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(scale="small").format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,24 +82,6 @@ class NandArray:
         self.read_count += 1
         return self._payload[page]
 
-    def read_pages(self, pages: list[int]) -> None:
-        """Count reads of many programmed pages without returning payloads.
-
-        The batched counterpart of :meth:`read` for callers that discard
-        the payloads: same validation and ``read_count`` accounting, one
-        call for the whole batch.
-        """
-        state = self._state
-        num_pages = self._num_pages
-        for page in pages:
-            if not 0 <= page < num_pages:
-                raise AlignmentError(
-                    f"page {page} out of range [0, {num_pages})"
-                )
-            if state[page] != PAGE_PROGRAMMED:
-                raise ReadError(f"page {page} is not programmed")
-        self.read_count += len(pages)
-
     def erase_block(self, block: int) -> None:
         """Erase every page in ``block``."""
         self.geometry.check_block(block)

@@ -30,14 +30,14 @@ Implementation notes
 - Over-provisioning is expressed exactly as in the paper's simplified
   form (§3.2): the host sees ``(1 - op_ratio)`` of raw pages as LBAs.
 - One active block receives all host and GC writes (single append
-  point); a ``gc_watermark`` of free blocks triggers collection.
+  point); :data:`GC_WATERMARK_BLOCKS` free blocks trigger collection.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ConfigError, FTLError, OutOfSpaceError, ReadError
 from repro.flash.device import NandArray
@@ -51,6 +51,9 @@ UNMAPPED = -1
 #: Sentinel for "block not in the victim-candidate index" (free/active).
 NOT_INDEXED = -1
 
+#: GC runs whenever the free-block count drops below this level.
+GC_WATERMARK_BLOCKS = 2
+
 
 class PageMapFTL:
     """Page-level LBA→PPN mapping with greedy GC.
@@ -63,12 +66,6 @@ class PageMapFTL:
         Fraction of raw pages reserved as over-provisioning (the paper's
         ``X``).  The host address space has
         ``floor(num_pages * (1 - op_ratio))`` LBAs.
-    gc_watermark_blocks:
-        Run GC whenever the free-block count drops to this level.
-    relocation_callback:
-        Optional hook ``(lba, old_ppn, new_ppn) -> None`` invoked for
-        every page GC relocates — FairyWREN-style host FTLs use this to
-        merge migration into GC, and tests use it to audit relocations.
     """
 
     def __init__(
@@ -76,31 +73,25 @@ class PageMapFTL:
         geometry: FlashGeometry,
         *,
         op_ratio: float = 0.07,
-        gc_watermark_blocks: int = 2,
         stats: FlashStats | None = None,
         latency: LatencyModel | None = None,
-        relocation_callback: Callable[[int, int, int], None] | None = None,
     ) -> None:
         if not 0.0 <= op_ratio < 1.0:
             raise ConfigError(f"op_ratio must be in [0, 1), got {op_ratio}")
-        if gc_watermark_blocks < 1:
-            raise ConfigError("gc_watermark_blocks must be >= 1")
-        if gc_watermark_blocks >= geometry.num_blocks:
-            raise ConfigError("gc_watermark_blocks must leave usable blocks")
+        if GC_WATERMARK_BLOCKS >= geometry.num_blocks:
+            raise ConfigError("the GC watermark must leave usable blocks")
 
         self.geometry = geometry
         self.op_ratio = op_ratio
-        self.gc_watermark_blocks = gc_watermark_blocks
         self.nand = NandArray(geometry)
         self.stats = stats if stats is not None else FlashStats()
         self.latency = latency
-        self.relocation_callback = relocation_callback
 
         self.num_lbas = int(geometry.num_pages * (1.0 - op_ratio))
         if self.num_lbas <= 0:
             raise ConfigError("op_ratio leaves no host-visible LBAs")
         op_pages = geometry.num_pages - self.num_lbas
-        min_op_pages = gc_watermark_blocks * geometry.pages_per_block
+        min_op_pages = GC_WATERMARK_BLOCKS * geometry.pages_per_block
         if op_pages < min_op_pages:
             raise ConfigError(
                 f"op_ratio={op_ratio} reserves {op_pages} pages but GC "
@@ -253,7 +244,7 @@ class PageMapFTL:
 
     def _maybe_gc(self, *, now_us: float = 0.0) -> None:
         ppb = self.geometry.pages_per_block
-        while self.free_block_count < self.gc_watermark_blocks:
+        while self.free_block_count < GC_WATERMARK_BLOCKS:
             victim = self._pick_victim()
             if victim is None:
                 break
@@ -285,8 +276,6 @@ class PageMapFTL:
             self.nand.program(new_ppn, payload)
             self._map(lba, new_ppn)
             relocated += 1
-            if self.relocation_callback is not None:
-                self.relocation_callback(lba, ppn, new_ppn)
         self.nand.erase_block(victim)
         self._free_blocks.append(victim)
         self.stats.record_gc(relocated, self.geometry.page_size)

@@ -36,7 +36,7 @@ no per-page method dispatch, no intermediate event objects — while
 computing exactly the same completion times as the scalar methods.
 Experiments that never consult timing do not pay for the model at all:
 engines constructed without a latency model use the devices' latency-free
-page lanes (e.g. ``ZNSDevice.read_pages``) and this module is bypassed
+page lanes (e.g. ``ZNSDevice.read_page``) and this module is bypassed
 entirely.
 """
 

@@ -198,17 +198,33 @@ class ZNSDevice:
         stats.flash_read_bytes += nbytes
         return payload
 
-    def read_pages(self, pages: list[int]) -> None:
-        """Latency-free batched read for hot paths that discard payloads.
+    def read_many(self, pages: list[int], now_us: float) -> float:
+        """Read ``pages`` in parallel, discarding the payloads; returns
+        the slowest read's latency (0.0 on a latency-free device).
 
-        Counts the same NAND reads and host-read accounting as one
-        :meth:`read` per page, batched and without a payload list: for
-        callers that resolve membership through in-memory maps (e.g.
-        Nemo's PBFG consults and candidate-set probes).  A caller that
-        needs timing asks the latency model itself.
+        ``NandArray.read``'s checks, the NAND read count and the
+        host-read accounting of one :meth:`read` per page, batched: for
+        callers that resolve membership through in-memory maps (Nemo's
+        PBFG consults and candidate-set probes).  A timed device asks
+        the latency model's ``read_many`` once, even for no pages.
         """
-        self.nand.read_pages(pages)
-        self.stats.record_page_reads(len(pages), self.geometry.page_size)
+        nand = self.nand
+        state = nand._state
+        num_pages = nand._num_pages
+        for page in pages:
+            if not 0 <= page < num_pages:
+                raise AlignmentError(f"page {page} out of range [0, {num_pages})")
+            if state[page] != PAGE_PROGRAMMED:
+                raise ReadError(f"page {page} is not programmed")
+        n = len(pages)
+        nand.read_count += n
+        stats = self.stats
+        nbytes = self.geometry.page_size * n
+        stats.host_read_bytes += nbytes
+        stats.host_read_ops += n
+        stats.flash_read_bytes += nbytes
+        latency = self.latency
+        return 0.0 if latency is None else latency.read_many(pages, now_us)
 
     def reset_zone(self, zone_id: int, *, now_us: float = 0.0) -> float:
         """Reset (erase) a zone; invalidates all of its pages."""

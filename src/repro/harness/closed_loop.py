@@ -23,7 +23,6 @@ the timestamps differ.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -54,7 +53,6 @@ class ClosedLoopResult:
     #: Peak in-flight requests observed (≤ queue_depth when bounded).
     max_outstanding: int = 0
     events_fired: int = 0
-    wall_seconds: float = 0.0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -134,9 +132,7 @@ def replay_closed_loop(
         num_classes=len(class_names),
         queue_depth=queue_depth,
     )
-    t0 = time.perf_counter()
     fired = frontend.run(engine.service_fn(trace))
-    wall = time.perf_counter() - t0
 
     return ClosedLoopResult(
         engine_name=engine.name,
@@ -152,5 +148,4 @@ def replay_closed_loop(
         class_names=class_names,
         max_outstanding=frontend.max_outstanding,
         events_fired=fired,
-        wall_seconds=wall,
     )

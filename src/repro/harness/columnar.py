@@ -66,7 +66,8 @@ from typing import Callable, cast
 import numpy as np
 
 from repro.baselines.base import CacheEngine
-from repro.baselines.log_structured import LogStructuredCache
+from repro.baselines.log_structured import OBJECT_HEADER_BYTES, LogStructuredCache
+from repro.core.config import PLACEMENT_SEED
 from repro.core.flusher import FlushDecision
 from repro.core.nemo import NemoCache
 from repro.errors import EngineStateError, ReadError
@@ -125,7 +126,7 @@ def log_kernel_ineligible_reason(engine: object, trace: Trace) -> str | None:
         return reason
     if engine._buffer_bytes:
         return _NOT_VIRGIN
-    max_stored = int(trace.sizes.max()) + engine.object_header_bytes
+    max_stored = int(trace.sizes.max()) + OBJECT_HEADER_BYTES
     if max_stored > engine.geometry.page_size:
         # An oversized object must raise at its exact request position;
         # only the per-request lanes can do that.
@@ -272,7 +273,7 @@ def _trace_links(trace: Trace) -> _TraceLinks:
 class _FlushPlan:
     """Geometry-dependent flush schedule and derived columns.
 
-    Cached per ``(page_size, object_header_bytes)``.  ``pages`` maps
+    Cached per ``(page_size, OBJECT_HEADER_BYTES)``.  ``pages`` maps
     each insert event to the device page its object will occupy — on a
     virgin device zones allocate in order and pages sequentially, so the
     page id *is* the global flush ordinal covering the event (``-1``
@@ -365,7 +366,7 @@ def replay_log_columnar(
     at the end of an advance.
     """
     n = len(trace)
-    header = engine.object_header_bytes
+    header = OBJECT_HEADER_BYTES
     page_size = engine.geometry.page_size
 
     # ------------------------------------------------------------------
@@ -582,7 +583,7 @@ def _nemo_ins_offsets(
     cached = trace._kernel_cache.get(cache_key)
     if cached is not None:
         return cast("list[int]", cached)
-    col = trace.columns(seed, sets_per_sg).set_ids
+    col = trace.columns(seed, sets_per_sg)
     offs = cast("list[int]", col[links.ins_pos].tolist())
     trace._kernel_cache[cache_key] = offs
     return offs
@@ -649,7 +650,6 @@ def replay_nemo_columnar(
     ops = trace.ops
     keys_arr = trace.keys
     sizes_arr = trace.sizes
-    config = engine.config
 
     # ------------------------------------------------------------------
     # Decision pass (vectorised; cached across replays)
@@ -657,7 +657,7 @@ def replay_nemo_columnar(
     links = _trace_links(trace)
     chain = _nemo_chain(trace, links)
     clock = sim_clock(trace, step_us)
-    col = trace.columns(config.hash_seed, engine.sets_per_sg).set_ids
+    col = trace.columns(PLACEMENT_SEED, engine.sets_per_sg)
 
     get_pos = chain.get_pos
     hit_pos = chain.hit_pos
@@ -673,7 +673,7 @@ def replay_nemo_columnar(
     ins_pos_list = links.ins_pos_list
     ins_keys = links.ins_keys
     ins_sizes = links.ins_sizes
-    ins_offs = _nemo_ins_offsets(trace, links, config.hash_seed, engine.sets_per_sg)
+    ins_offs = _nemo_ins_offsets(trace, links, PLACEMENT_SEED, engine.sets_per_sg)
     n_ins = len(ins_pos_list)
     del_pos_list = links.del_pos_list
     del_keys = links.del_keys
@@ -701,7 +701,6 @@ def replay_nemo_columnar(
     flash_index = engine._flash_index
     pool_map = engine._pool_map
     free_zones = engine._free_sg_zones
-    zones_per_sg = engine.zones_per_sg
     set_size = engine.set_size
     page_size = engine.geometry.page_size
     window_sgs = engine._window_sgs
@@ -839,15 +838,11 @@ def replay_nemo_columnar(
         n_flash_hits = int((~mem).sum()) if n_hit else 0
         pages_read = n_flash_hits + n_fp
         if pages_read:
-            # Candidate + FP page reads, batched like zns.read_pages.
+            # Candidate + FP page reads, batched like ZNSDevice.read_many.
             # Every such page lives in a pool SG, so "programmed" is
             # checked once per span: the pool's zones are all FULL.
             zones = device.zones
-            if any(
-                zones[z].state is not ZoneState.FULL
-                for fsg in pool_dq
-                for z in fsg.zone_ids
-            ):
+            if any(zones[fsg.zone_id].state is not ZoneState.FULL for fsg in pool_dq):
                 raise ReadError("an SG-pool zone is not fully programmed")
             device.nand.read_count += pages_read
             stats.record_page_reads(pages_read, page_size)
@@ -870,7 +865,7 @@ def replay_nemo_columnar(
         state, so nothing may mutate before the bail.
         """
         nonlocal F, sgs
-        if len(free_zones) < zones_per_sg:
+        if not free_zones:
             return None
         decision = flush_policy.decide()
         if decision is FlushDecision.MAKE_ROOM:
@@ -996,7 +991,7 @@ def replay_nemo_columnar(
                     if sg.sets[off].used_bytes + size <= set_size:
                         room = True
                         break
-                if not room and len(free_zones) < zones_per_sg:
+                if not room and not free_zones:
                     # The read-through insert would force an SG-pool
                     # eviction: bail before any state mutates.
                     settle(t)

@@ -31,9 +31,6 @@ class MetricSeries:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def last(self) -> float:
-        return self.values[-1] if self.values else float("nan")
-
     def as_rows(self) -> list[tuple[float, float]]:
         return list(zip(self.xs, self.values))
 

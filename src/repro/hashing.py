@@ -41,13 +41,6 @@ def hash64(key: int, seed: int = 0) -> int:
     return splitmix64((key & _MASK) ^ mixed_seed)
 
 
-def bucket_of(key: int, num_buckets: int, seed: int = 0) -> int:
-    """Uniform bucket assignment in ``[0, num_buckets)``."""
-    if num_buckets <= 0:
-        raise ValueError("num_buckets must be positive")
-    return hash64(key, seed) % num_buckets
-
-
 def splitmix64_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorised :func:`hash64` over an integer array (uint64 result)."""
     z = keys.astype(np.uint64)

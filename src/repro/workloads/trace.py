@@ -27,37 +27,12 @@ OP_DELETE = 2
 _OP_NAMES = {OP_GET: "get", OP_SET: "set", OP_DELETE: "delete"}
 
 
-def _placement(
-    keys: np.ndarray, seed: int, num_sets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(hash64(key, seed), hash64(key, seed) % num_sets)`` per key."""
+def _placement(keys: np.ndarray, seed: int, num_sets: int) -> np.ndarray:
+    """``hash64(key, seed) % num_sets`` per key (``int64``)."""
     if num_sets <= 0:
         raise TraceError("num_sets must be positive")
     hashes = splitmix64_array(keys, seed)
-    return hashes, (hashes % np.uint64(num_sets)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class TraceColumns:
-    """Whole-trace hash columns for one (seed, placement) combination.
-
-    The columnar replay lane hashes every key exactly once up front;
-    engines then consume these parallel arrays instead of re-running the
-    splitmix chain per request.  Element ``i`` describes request ``i``:
-
-    - ``hashes``: ``uint64`` seeded splitmix64 of the key (``hash64``).
-    - ``set_ids``: ``hashes % num_sets`` — the engine's placement unit
-      (Nemo's intra-SG set offset, Set's set id, FW/KG's log bucket).
-    - ``sg_ids``: ``set_ids // sets_per_sg`` when a set-group size is
-      given (``None`` otherwise) — the dependency-safe partition unit
-      used by intra-trace sharding.
-    """
-
-    seed: int
-    num_sets: int
-    hashes: np.ndarray
-    set_ids: np.ndarray
-    sg_ids: np.ndarray | None = None
+    return (hashes % np.uint64(num_sets)).astype(np.int64)
 
 
 @dataclass
@@ -91,7 +66,7 @@ class Trace:
         self.ops = np.asarray(self.ops, dtype=np.uint8)
         self.keys = np.asarray(self.keys, dtype=np.int64)
         self.sizes = np.asarray(self.sizes, dtype=np.int64)
-        self._column_cache: dict[tuple[int, int, int | None], TraceColumns] = {}
+        self._column_cache: dict[tuple[int, int], np.ndarray] = {}
         # Scratch cache for replay kernels (harness/columnar.py): holds
         # decision columns that are pure functions of this trace, keyed
         # by the kernel's own (name, params) tuples.  Sliced/repeated
@@ -113,72 +88,40 @@ class Trace:
     # ------------------------------------------------------------------
     # Columnar hash columns (computed once per placement, cached)
     # ------------------------------------------------------------------
-    def columns(
-        self, seed: int, num_sets: int, sets_per_sg: int | None = None
-    ) -> TraceColumns:
-        """Hash every key once into parallel placement columns.
+    def columns(self, seed: int, num_sets: int) -> np.ndarray:
+        """Hash every key once into a placement column.
 
-        Cached per ``(seed, num_sets, sets_per_sg)``: replaying the same
-        trace against several engines (or several shards) re-uses the
-        vectorised hash pass.  ``set_ids[i] == hash64(keys[i], seed) %
-        num_sets`` exactly, so engines consuming the column are
-        byte-identical to their inlined per-request splitmix chains.
+        Element ``i`` is ``hash64(keys[i], seed) % num_sets`` exactly:
+        the engine's placement unit (Nemo's intra-SG set offset, Set's
+        set id, FW/KG's log bucket), so engines consuming the column are
+        byte-identical to their per-request splitmix chains.  Cached per
+        ``(seed, num_sets)``: replaying the same trace against several
+        engines re-uses the vectorised hash pass.
         """
-        cache_key = (seed, num_sets, sets_per_sg)
+        cache_key = (seed, num_sets)
         cached = self._column_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        hashes, set_ids = _placement(self.keys, seed, num_sets)
-        sg_ids = None
-        if sets_per_sg is not None:
-            if sets_per_sg <= 0:
-                raise TraceError("sets_per_sg must be positive")
-            sg_ids = set_ids // sets_per_sg
-        cols = TraceColumns(
-            seed=seed,
-            num_sets=num_sets,
-            hashes=hashes,
-            set_ids=set_ids,
-            sg_ids=sg_ids,
-        )
-        self._column_cache[cache_key] = cols
-        return cols
+        if cached is None:
+            cached = self._column_cache[cache_key] = _placement(
+                self.keys, seed, num_sets
+            )
+        return cached
 
     def set_id_slice(
         self, seed: int, num_sets: int, start: int, stop: int
     ) -> np.ndarray:
-        """``columns(seed, num_sets).set_ids[start:stop]`` without the
+        """``columns(seed, num_sets)[start:stop]`` without the
         whole-trace pass.
 
         The replay dispatch loop asks chunk by chunk.  A column already
-        cached or adopted (a whole-trace kernel ran first, or a cluster
-        parent shipped it) is sliced; otherwise only the chunk's keys
-        are hashed and nothing is retained, so the column cache does
-        not grow on lanes that never need the whole column.
+        cached (a whole-trace kernel ran first) is sliced; otherwise
+        only the chunk's keys are hashed and nothing is retained, so the
+        column cache does not grow on lanes that never need the whole
+        column.
         """
-        cached = self._column_cache.get((seed, num_sets, None))
+        cached = self._column_cache.get((seed, num_sets))
         if cached is not None:
-            return cached.set_ids[start:stop]
-        return _placement(self.keys[start:stop], seed, num_sets)[1]
-
-    def adopt_columns(
-        self, cols: TraceColumns, sets_per_sg: int | None = None
-    ) -> None:
-        """Seed the column cache with externally computed hash columns.
-
-        Fan-out paths (the cluster's shard workers) rebuild sub-traces
-        from shipped arrays; adopting the parent's pre-sliced columns
-        means the whole replay runs one splitmix pass over the original
-        trace instead of one per shard.  The caller owns the contract
-        that ``cols`` really is ``columns(cols.seed, cols.num_sets,
-        sets_per_sg)`` of *this* trace — only the lengths are checked.
-        """
-        if len(cols.hashes) != len(self) or len(cols.set_ids) != len(self):
-            raise TraceError(
-                "adopted columns must match the trace length "
-                f"({len(cols.hashes)}/{len(cols.set_ids)} vs {len(self)})"
-            )
-        self._column_cache[(cols.seed, cols.num_sets, sets_per_sg)] = cols
+            return cached[start:stop]
+        return _placement(self.keys[start:stop], seed, num_sets)
 
     # ------------------------------------------------------------------
     def slice(self, start: int, stop: int) -> "Trace":

@@ -18,30 +18,46 @@ def make_log(num_zones=2, num_buckets=16):
     return HierarchicalLog(device, list(range(num_zones)), num_buckets), device
 
 
+# The log never hashes: an engine passes each key's bucket (its
+# placement hash).  These tests place key ``k`` in bucket ``k % n``.
+def bucket(log, key):
+    return key % log.num_buckets
+
+
+def insert(log, key, size):
+    return log.insert(key, size, bucket=bucket(log, key))
+
+
+def find(log, key):
+    return log.buckets[bucket(log, key)].get(key)
+
+
 class TestInsertFind:
     def test_insert_and_find(self):
         log, _ = make_log()
-        assert log.insert(1, 100)
-        entry = log.find(1)
+        assert insert(log, 1, 100)
+        entry = find(log, 1)
         assert entry is not None and entry.size == 100
         assert log.object_count() == 1
 
     def test_update_supersedes(self):
         log, _ = make_log()
-        log.insert(1, 100)
-        log.insert(1, 150)
-        assert log.find(1).size == 150
+        insert(log, 1, 100)
+        insert(log, 1, 150)
+        assert find(log, 1).size == 150
         assert log.object_count() == 1
 
     def test_bucket_mapping_stable(self):
+        """A key lives in the bucket the engine passes, across updates."""
         log, _ = make_log()
-        assert log.bucket_of(123) == log.bucket_of(123)
-        assert 0 <= log.bucket_of(123) < log.num_buckets
+        assert log.insert(123, 100, bucket=5)
+        assert log.insert(123, 120, bucket=5)
+        assert [b for b, entries in enumerate(log.buckets) if 123 in entries] == [5]
 
     def test_oversized_rejected(self):
         log, _ = make_log()
         with pytest.raises(ObjectTooLargeError):
-            log.insert(1, 5000)
+            insert(log, 1, 5000)
 
     def test_bad_construction(self):
         geo = FlashGeometry(
@@ -58,16 +74,16 @@ class TestFlushingAndCapacity:
     def test_buffer_flushes_to_flash(self):
         log, device = make_log()
         for key in range(50):
-            assert log.insert(key, 300)
+            assert insert(log, key, 300)
         assert device.stats.host_write_bytes > 0
         # Flushed entries carry a physical page.
-        flushed = [log.find(k) for k in range(20)]
+        flushed = [find(log, k) for k in range(20)]
         assert any(e.page >= 0 for e in flushed if e is not None)
 
     def test_insert_fails_when_full(self):
         log, _ = make_log(num_zones=1)
         key = 0
-        while log.insert(key, 300):
+        while insert(log, key, 300):
             key += 1
             assert key < 10_000, "log never filled"
         assert log.is_full
@@ -75,7 +91,7 @@ class TestFlushingAndCapacity:
     def test_reclaim_returns_stale_buckets(self):
         log, _ = make_log(num_zones=1)
         key = 0
-        while log.insert(key, 300):
+        while insert(log, key, 300):
             key += 1
         buckets = log.reclaim_oldest_zone()
         assert buckets
@@ -83,22 +99,22 @@ class TestFlushingAndCapacity:
         # After draining those buckets, inserts succeed again.
         for b in buckets:
             log.drain_bucket(b)
-        assert log.insert(key, 300)
+        assert insert(log, key, 300)
 
     def test_drain_bucket_empties_it(self):
         log, _ = make_log()
-        log.insert(5, 100)
-        b = log.bucket_of(5)
+        insert(log, 5, 100)
+        b = bucket(log, 5)
         objs = log.drain_bucket(b)
         assert (5, 100) in objs
-        assert log.find(5) is None
+        assert find(log, 5) is None
         assert log.bucket_len(b) == 0
         assert log.drain_bucket(b) == []
 
     def test_mean_bucket_len(self):
         log, _ = make_log(num_buckets=8)
         for key in range(16):
-            log.insert(key, 100)
+            insert(log, key, 100)
         mean_len = sum(log.bucket_len(b) for b in range(8)) / 8
         assert mean_len == pytest.approx(2.0)
 
@@ -111,7 +127,7 @@ class TestFlushingAndCapacity:
         pages = log.device.geometry.pages_per_zone
         per_page = 4096 // 300
         for i in range(pages * per_page):
-            log.insert(key_cycle[i % 4], 300)
+            insert(log, key_cycle[i % 4], 300)
         # Every key's current copy is newer than anything in zone 0, so
         # the reclaim finds only stale records and flushes nothing.
         assert log.reclaim_oldest_zone() == []
@@ -126,12 +142,12 @@ def churn(log, seed=5, steps=2000):
         key = rng.randrange(300)
         roll = rng.random()
         if roll < 0.1:
-            log.remove(key)
+            log.remove(key, bucket=bucket(log, key))
         elif roll < 0.12:
-            log.drain_bucket(log.bucket_of(key))
+            log.drain_bucket(bucket(log, key))
         else:
             size = rng.randrange(40, 900)
-            while not log.insert(key, size):
+            while not insert(log, key, size):
                 for b in log.reclaim_oldest_zone():
                     log.drain_bucket(b)
 
@@ -153,8 +169,8 @@ class TestPayloadCarriesBucket:
         churn(log)
         records = [rec for page in flushed_pages(log) for rec in page.items()]
         assert records
-        for key, (_size, _seq, bucket) in records:
-            assert bucket == log.bucket_of(key)
+        for key, (_size, _seq, b) in records:
+            assert b == bucket(log, key)
 
     def test_reclaim_matches_a_rehashing_reference(self):
         log, _ = make_log(num_zones=3)
@@ -167,7 +183,7 @@ class TestPayloadCarriesBucket:
             expected = set()
             for page in log.device.nand._payload[first : first + wp]:
                 for key, (_size, seq, _bucket) in page.items():
-                    b = log.bucket_of(key)
+                    b = bucket(log, key)
                     cur = log.buckets[b].get(key)
                     if cur is not None and cur.seq == seq:
                         expected.add(b)
@@ -181,12 +197,12 @@ class TestPayloadCarriesBucket:
         churn(log, steps=300)
         for b in log.reclaim_oldest_zone():  # room for the flushes below
             log.drain_bucket(b)
-        assert log.insert(10_000, 100)
-        entry = log.find(10_000)
+        assert insert(log, 10_000, 100)
+        entry = find(log, 10_000)
         assert entry.page == -1
         key = 20_000
         while entry.page == -1:
-            assert log.insert(key, 300)
+            assert insert(log, key, 300)
             key += 1
-        assert log.find(10_000) is entry
+        assert find(log, 10_000) is entry
         assert entry.page >= 0

@@ -19,7 +19,6 @@ def make_hset(
     num_buckets=8,
     hot_cold=False,
     merge_on_gc=False,
-    victim_policy="fifo",
     bucket_objs=None,
     hot_keys=None,
 ):
@@ -39,7 +38,6 @@ def make_hset(
         bucket_drainer=lambda b: bucket_objs.pop(b, []),
         is_hot=hot_keys.__contains__,
         on_evict=lambda k, s: evicted.append((k, s)),
-        victim_policy=victim_policy,
     )
     return hset, device, evicted, bucket_objs, hot_keys
 
@@ -102,13 +100,6 @@ class TestInstall:
                 bucket_drainer=lambda b: [], is_hot=lambda k: False,
                 on_evict=lambda k, s: None,
             )
-        with pytest.raises(ConfigError):
-            HierarchicalSet(
-                device, [0, 1], 4,
-                hot_cold=False, merge_on_gc=False,
-                bucket_drainer=lambda b: [], is_hot=lambda k: False,
-                on_evict=lambda k, s: None, victim_policy="bogus",
-            )
 
 
 def churn(hset, rounds=12, per_round=8):
@@ -131,7 +122,7 @@ class TestGC:
             assert found.used_bytes == sum(found.objects.values())
 
     def test_kangaroo_gc_relocates_without_merging(self):
-        hset, *_ = make_hset(merge_on_gc=False, victim_policy="greedy")
+        hset, *_ = make_hset(merge_on_gc=False)
         churn(hset)
         assert hset.case_writes["relocate"] >= 0
         assert hset.case_writes[CASE_ACTIVE] == 0
@@ -167,7 +158,8 @@ class TestGC:
         assert 0.0 <= p <= 1.0
 
     def test_greedy_picks_low_valid_zone(self):
-        hset, *_ = make_hset(victim_policy="greedy")
+        """Kangaroo mode (no merge on GC) picks greedy victims."""
+        hset, *_ = make_hset()
         churn(hset, rounds=20)
         assert hset.gc_runs > 0
         # Greedy victims should not all be fully valid.

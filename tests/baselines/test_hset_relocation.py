@@ -26,9 +26,10 @@ PAGES_PER_BLOCK = 4
 NUM_ZONES = 6
 
 
-def make_hset(blocks_per_zone, victim_policy="fifo", *, per_set=False):
-    """A Kangaroo-mode HSet whose sets leave 1.5 zones of spare pages,
-    so GC victims run from nearly to fully valid.
+def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
+    """A Kangaroo-mode HSet (greedy victims) whose sets leave
+    ``spare_zones`` zones of spare pages, so GC victims run from nearly
+    to fully valid.
 
     ``per_set`` routes every GC relocation through ``_relocate_set``:
     the batch entry point is replaced by a loop of per-set calls over
@@ -46,13 +47,12 @@ def make_hset(blocks_per_zone, victim_policy="fifo", *, per_set=False):
     hset = HierarchicalSet(
         device,
         list(range(NUM_ZONES)),
-        NUM_ZONES * ppz - ppz - ppz // 2,
+        NUM_ZONES * ppz - int(spare_zones * ppz),
         hot_cold=False,
         merge_on_gc=False,
         bucket_drainer=lambda b: [],
         is_hot=lambda k: False,
         on_evict=lambda k, s: evicted.append((k, s)),
-        victim_policy=victim_policy,
     )
     if per_set:
 
@@ -117,16 +117,13 @@ def assert_same_state(a, b):
 WRITES = st.lists(st.integers(0, 10_000), min_size=20, max_size=150)
 
 
-@pytest.mark.parametrize("victim_policy", ["fifo", "greedy"])
 @pytest.mark.parametrize("blocks_per_zone", [1, 4])
 class TestGcParity:
     @settings(max_examples=30, deadline=None)
     @given(buckets=WRITES)
-    def test_gc_rounds_match_per_set_path(
-        self, blocks_per_zone, victim_policy, buckets
-    ):
-        batch, batch_evicted = make_hset(blocks_per_zone, victim_policy)
-        ref, ref_evicted = make_hset(blocks_per_zone, victim_policy, per_set=True)
+    def test_gc_rounds_match_per_set_path(self, blocks_per_zone, buckets):
+        batch, batch_evicted = make_hset(blocks_per_zone)
+        ref, ref_evicted = make_hset(blocks_per_zone, per_set=True)
         # Every set written once, then the random rewrites: victims are
         # mostly valid from the first GC round on.
         prefill = list(range(batch.num_buckets))
@@ -145,10 +142,10 @@ class TestDropCase:
     def test_fully_valid_victim_drops_one_set(self, blocks_per_zone):
         """The ``wp - 1`` case: a fully valid victim relocates all but
         its last set, which is dropped so the reclaim nets a page."""
-        batch, batch_evicted = make_hset(blocks_per_zone)
-        ref, ref_evicted = make_hset(blocks_per_zone, per_set=True)
-        # After the prefill only the youngest set is rewritten, so the
-        # FIFO victims (the oldest zones) are still fully valid.
+        # One spare zone: once every set is written, every closed zone
+        # is fully valid, so the greedy victim is too.
+        batch, batch_evicted = make_hset(blocks_per_zone, spare_zones=1)
+        ref, ref_evicted = make_hset(blocks_per_zone, per_set=True, spare_zones=1)
         last = batch.num_buckets - 1
         writes = list(range(batch.num_buckets)) + [last] * (
             3 * batch.device.geometry.pages_per_zone

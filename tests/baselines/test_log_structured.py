@@ -47,7 +47,7 @@ class TestBasics:
         assert cache.object_count() == 1
 
     def test_oversized_rejected(self):
-        cache = make_cache(object_header_bytes=16)
+        cache = make_cache()
         with pytest.raises(ObjectTooLargeError):
             cache.insert(1, 4090)
 

@@ -40,8 +40,6 @@ def _assert_results_identical(a, b):
     _assert_finals_identical(a.final, b.final)
     assert a.num_requests == b.num_requests
     assert a.shard_requests == b.shard_requests
-    for fa, fb in zip(a.shard_finals, b.shard_finals, strict=True):
-        _assert_finals_identical(fa, fb)
 
 
 def _trace(num_requests=8_000, seed=0):
@@ -79,13 +77,12 @@ class TestDeterminism:
         assert sum(result.shard_requests) == 2_000
 
 
-class TestColumnShipping:
-    """The parent hashes the key column once; shard workers adopt the
-    pre-sliced columns instead of re-running the splitmix pass.  Shards
-    replay on the runner's default lane, so ``REPRO_REPLAY_KERNEL``
-    sends them down the columnar one."""
+class TestShardPlacementColumns:
+    """Each shard hashes its own sub-trace's keys.  Shards replay on the
+    runner's default lane, so ``REPRO_REPLAY_KERNEL`` sends them down
+    the columnar one."""
 
-    def test_one_splitmix_pass_per_replay(self, monkeypatch):
+    def test_shards_hash_disjoint_subtraces(self, monkeypatch):
         import repro.workloads.trace as trace_mod
 
         trace = _trace(num_requests=4_000)
@@ -101,8 +98,9 @@ class TestColumnShipping:
         config = ClusterConfig(num_shards=4, engine="nemo", zones_per_shard=8)
         result = CacheCluster(config).replay(trace, jobs=1)
         assert result.num_requests == 4_000
-        # One pass, over the whole trace — not one per shard.
-        assert calls == [4_000]
+        # One pass per shard over its own requests: every key of the
+        # trace is hashed once, as a serial replay would.
+        assert calls == result.shard_requests
 
     def test_nemo_columnar_cluster_matches_batched(self, monkeypatch):
         """Shard workers dispatching to the Nemo whole-trace kernel
@@ -179,11 +177,3 @@ class TestConfigValidation:
     def test_unknown_engine(self):
         with pytest.raises(ConfigError):
             ClusterConfig(engine="bogus")
-
-    def test_summary_mentions_shards(self):
-        trace = _trace(num_requests=2_000)
-        result = CacheCluster(ClusterConfig(num_shards=2)).replay(
-            trace, jobs=1
-        )
-        assert "x2" in result.summary()
-        assert result.capacity_requests_per_sec > 0

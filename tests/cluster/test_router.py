@@ -51,7 +51,6 @@ class TestConstruction:
     def test_shard_ids_sorted(self):
         router = ConsistentHashRouter([3, 0, 2])
         assert router.shard_ids == (0, 2, 3)
-        assert router.num_shards == 3
 
 
 class TestRouting:

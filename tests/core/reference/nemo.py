@@ -11,7 +11,8 @@ only in which pages a consult reads.
 :func:`reference_get` is the scalar GET the library's inline loops
 replace, one helper call per step: ``queue.find``, ``_consult_index``,
 :func:`statistical_candidates` (the engine's false-positive draws),
-``_read_pages``, ``hotness.record_access`` and ``_insert_at`` on a miss.
+``device.read_many``, ``hotness.record_access`` and ``_insert_at`` on a
+miss.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def probe(
     latency = engine._consult_index(offset, now_us)[1]
     pages, holder = candidates(engine, key, offset)
     if pages:
-        latency = max(latency, engine._read_pages(pages, now_us))
+        latency = max(latency, engine.device.read_many(pages, now_us))
     if holder is None:
         return False, latency
     counters.hits += 1

@@ -2,28 +2,24 @@
 
 import pytest
 
-from repro.core.config import FlushPolicyKind, NemoConfig
+from repro.core.config import INMEM_SGS, NemoConfig
 from repro.errors import ConfigError
 
 
 class TestValidation:
     def test_defaults_match_table3(self):
         cfg = NemoConfig()
-        assert cfg.num_inmem_sgs == 2
+        assert INMEM_SGS == cfg.effective_inmem_sgs == 2
         assert cfg.flush_threshold == 4096
         assert cfg.bf_false_positive_rate == 0.001
         assert cfg.cached_index_ratio == 0.5
         assert cfg.hotness_window_fraction == 0.3
         assert cfg.cooling_interval_fraction == 0.1
-        assert cfg.flush_policy is FlushPolicyKind.COUNT
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("num_inmem_sgs", 0),
             ("flush_threshold", 0),
-            ("flush_probability", 0.0),
-            ("flush_probability", 1.5),
             ("bf_false_positive_rate", 0.0),
             ("bf_false_positive_rate", 1.0),
             ("bf_capacity_per_set", 0),
@@ -41,11 +37,8 @@ class TestValidation:
 
 class TestAblation:
     def test_effective_queue_depth(self):
-        assert NemoConfig(num_inmem_sgs=3).effective_inmem_sgs == 3
-        assert (
-            NemoConfig(num_inmem_sgs=3, enable_buffered_sgs=False).effective_inmem_sgs
-            == 1
-        )
+        assert NemoConfig().effective_inmem_sgs == INMEM_SGS
+        assert NemoConfig(enable_buffered_sgs=False).effective_inmem_sgs == 1
 
     def test_ablation_grid(self):
         cfg = NemoConfig.ablation(buffered=False, delayed=True, writeback=False)

@@ -103,17 +103,6 @@ class TestGC:
 
         assert churn(0.5) < churn(0.15)
 
-    def test_relocation_callback_sees_moves(self):
-        moves = []
-        ftl = make_ftl(
-            op_ratio=0.25, relocation_callback=lambda lba, old, new: moves.append(lba)
-        )
-        for round_ in range(6):
-            for lba in range(ftl.num_lbas):
-                ftl.write(lba, round_)
-        if ftl.stats.gc_relocated_pages:
-            assert len(moves) == ftl.stats.gc_relocated_pages
-
 
 class _VictimRecorder(PageMapFTL):
     """Records the victim block id of every GC run, in order."""

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ZoneStateError
+from repro.errors import AlignmentError, ReadError, ZoneStateError
 from repro.flash.geometry import FlashGeometry
+from repro.flash.latency import LatencyModel
 from repro.flash.zns import ZNSDevice
 from repro.flash.zone import ZoneState
 
@@ -44,11 +45,36 @@ class TestAppend:
 
 
 class TestReads:
-    def test_read_pages_counts_all_pages(self, dev):
+    def test_read_many_counts_all_pages(self, dev):
         pages, _ = dev.append_many(0, list("abc"))
-        dev.read_pages(pages)
+        assert dev.read_many(pages, 0.0) == 0.0
         assert dev.stats.host_read_ops == 3
         assert dev.stats.host_read_bytes == 3 * dev.geometry.page_size
+        assert dev.stats.flash_read_bytes == 3 * dev.geometry.page_size
+        assert dev.nand.read_count == 3
+
+    def test_read_many_checks_every_page(self, dev):
+        pages, _ = dev.append_many(0, list("ab"))
+        with pytest.raises(ReadError):
+            dev.read_many([pages[0], pages[1] + 1], 0.0)
+        with pytest.raises(AlignmentError):
+            dev.read_many([dev.geometry.num_pages], 0.0)
+        assert dev.nand.read_count == 0
+        assert dev.stats.host_read_ops == 0
+
+    def test_read_many_asks_the_latency_model_once(self, dev):
+        calls = []
+
+        class Recording(LatencyModel):
+            def read_many(self, pages, now_us, *, background=False):
+                calls.append((list(pages), now_us))
+                return super().read_many(pages, now_us, background=background)
+
+        pages, _ = dev.append_many(0, list("ab"))
+        dev.latency = Recording()
+        assert dev.read_many(pages, 5.0) > 0.0
+        assert dev.read_many([], 6.0) == 0.0
+        assert calls == [(pages, 5.0), ([], 6.0)]
 
 
 class TestZoneManagement:

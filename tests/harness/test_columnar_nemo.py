@@ -539,7 +539,7 @@ class TestNemoKernelReadValidation:
 
         def flush_then_reopen(*, now_us: float = 0.0) -> None:
             flush(now_us=now_us)
-            zone = engine.device.zones[engine.pool[-1].zone_ids[0]]
+            zone = engine.device.zones[engine.pool[-1].zone_id]
             zone.state = ZoneState.OPEN
 
         engine._flush_front = flush_then_reopen

@@ -11,7 +11,6 @@ class TestMetricSeries:
         s = MetricSeries("wa")
         s.record(1, 2.0)
         s.record(2, 3.0)
-        assert s.last() == 3.0
         assert len(s) == 2
         assert s.as_rows() == [(1, 2.0), (2, 3.0)]
 
@@ -20,11 +19,6 @@ class TestMetricSeries:
         s.record(5, 1.0)
         with pytest.raises(ConfigError):
             s.record(4, 1.0)
-
-    def test_empty_last_is_nan(self):
-        import math
-
-        assert math.isnan(MetricSeries("x").last())
 
 
 class TestWindowedRate:

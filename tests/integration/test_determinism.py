@@ -111,7 +111,7 @@ class TestWearSpread:
                     z * geo.blocks_per_zone, (z + 1) * geo.blocks_per_zone
                 )
             )
-            for z in range(cache.sg_zone_count)
+            for z in range(cache.pool_capacity_sgs)
         ]
         if max(erases) >= 3:
             assert max(erases) - min(erases) <= max(erases) / 2 + 1

@@ -1,16 +1,10 @@
 """Unit + property tests for the shared hashing primitives."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hashing import (
-    bucket_of,
-    hash64,
-    splitmix64,
-    splitmix64_array,
-)
+from repro.hashing import hash64, splitmix64, splitmix64_array
 
 
 class TestSplitmix:
@@ -29,17 +23,15 @@ class TestSplitmix:
 
 
 class TestBuckets:
+    """Engines place a key at ``hash64(key, seed) % buckets``."""
+
     def test_bucket_in_range(self):
         for key in range(1000):
-            assert 0 <= bucket_of(key, 37) < 37
-
-    def test_bucket_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            bucket_of(1, 0)
+            assert 0 <= hash64(key) % 37 < 37
 
     def test_buckets_roughly_uniform(self):
         counts = np.bincount(
-            [bucket_of(k, 16) for k in range(16_000)], minlength=16
+            [hash64(k, 17) % 16 for k in range(16_000)], minlength=16
         )
         # Each bucket should get 1000 +- 15 %.
         assert counts.min() > 850
@@ -65,4 +57,4 @@ def test_splitmix_is_injective_locally(x):
 
 @given(st.integers(0, 2**62), st.integers(1, 10_000))
 def test_bucket_always_in_range(key, n):
-    assert 0 <= bucket_of(key, n) < n
+    assert 0 <= hash64(key) % n < n

@@ -1,6 +1,10 @@
 """The package root exports a stable, importable public API."""
 
 import importlib
+import inspect
+from dataclasses import fields
+
+import pytest
 
 import repro
 
@@ -58,3 +62,82 @@ class TestExports:
         result = replay(cache, trace)
         assert result.num_requests == 5_000
         assert "Nemo" in result.summary()
+
+
+#: Every settable value of the engines and the layers they build, by
+#: constructor.  Adding or removing one changes this table on purpose.
+CONSTRUCTOR_PARAMETERS = {
+    "repro.core.nemo.NemoCache": ["geometry", "config", "latency"],
+    "repro.baselines.log_structured.LogStructuredCache": ["geometry", "latency"],
+    "repro.baselines.set_associative.SetAssociativeCache": [
+        "geometry", "op_ratio", "latency",
+    ],
+    "repro.baselines.fairywren.FairyWrenCache": [
+        "geometry", "log_fraction", "op_ratio", "latency",
+    ],
+    "repro.baselines.kangaroo.KangarooCache": [
+        "geometry", "log_fraction", "op_ratio", "latency",
+    ],
+    "repro.baselines.hierarchical.HierarchicalCacheBase": [
+        "geometry", "log_fraction", "op_ratio", "hot_cold", "merge_on_gc", "latency",
+    ],
+    "repro.baselines.hset.HierarchicalSet": [
+        "device", "zone_ids", "num_buckets", "hot_cold", "merge_on_gc",
+        "bucket_drainer", "is_hot", "on_evict",
+    ],
+    "repro.baselines.hlog.HierarchicalLog": ["device", "zone_ids", "num_buckets"],
+    "repro.flash.ftl.PageMapFTL": ["geometry", "op_ratio", "stats", "latency"],
+}
+
+NEMO_CONFIG_FIELDS = [
+    "enable_buffered_sgs",
+    "enable_delayed_flush",
+    "enable_writeback",
+    "flush_threshold",
+    "bf_false_positive_rate",
+    "bf_capacity_per_set",
+    "sgs_per_index_group",
+    "cached_index_ratio",
+    "hotness_window_fraction",
+    "cooling_interval_fraction",
+    "rng_seed",
+]
+
+
+class TestSettableValues:
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTOR_PARAMETERS))
+    def test_constructor_keywords_pinned(self, path):
+        module, name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+        params = list(inspect.signature(cls).parameters)
+        assert params == CONSTRUCTOR_PARAMETERS[path]
+
+    def test_nemo_config_fields_pinned(self):
+        from repro.core.config import NemoConfig
+
+        assert [f.name for f in fields(NemoConfig)] == NEMO_CONFIG_FIELDS
+
+    @pytest.mark.parametrize(
+        "engine,param",
+        [
+            ("nemo", "bogus"),
+            ("nemo", "hash_seed"),
+            ("nemo", "flush_policy"),
+            ("nemo", "flush_probability"),
+            ("nemo", "zones_per_sg"),
+            ("nemo", "num_inmem_sgs"),
+            ("log", "object_header_bytes"),
+            ("set", "hash_seed"),
+            ("fw", "hash_seed"),
+            ("fw", "promote_batch_bytes"),
+            ("fw", "victim_policy"),
+            ("kg", "hash_seed"),
+            ("kg", "victim_policy"),
+        ],
+    )
+    def test_make_engine_rejects_unknown_parameters(self, tiny_geometry, engine, param):
+        from repro.engines import make_engine
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=param):
+            make_engine(engine, tiny_geometry, **{param: 1})

@@ -79,17 +79,9 @@ class TestColumns:
             keys=keys,
             sizes=np.full(5, 100),
         )
-        cols = t.columns(seed=3, num_sets=37)
-        assert cols.set_ids.tolist() == [
-            hash64(int(k), 3) % 37 for k in keys
-        ]
-        assert cols.hashes.tolist() == [hash64(int(k), 3) for k in keys]
-        assert cols.sg_ids is None
-
-    def test_sg_ids_partition_sets(self):
-        t = make_trace(20)
-        cols = t.columns(seed=0, num_sets=16, sets_per_sg=4)
-        assert cols.sg_ids.tolist() == (cols.set_ids // 4).tolist()
+        set_ids = t.columns(seed=3, num_sets=37)
+        assert set_ids.tolist() == [hash64(int(k), 3) % 37 for k in keys]
+        assert t.set_id_slice(3, 37, 1, 4).tolist() == set_ids[1:4].tolist()
 
     def test_columns_cached_per_spec(self):
         t = make_trace(10)
@@ -102,8 +94,6 @@ class TestColumns:
         t = make_trace(4)
         with pytest.raises(TraceError):
             t.columns(seed=0, num_sets=0)
-        with pytest.raises(TraceError):
-            t.columns(seed=0, num_sets=8, sets_per_sg=0)
 
     def test_views_start_with_fresh_kernel_cache(self):
         t = make_trace(10)
@@ -112,43 +102,6 @@ class TestColumns:
         s = t.slice(0, 5)
         assert s._kernel_cache == {}
         assert s._column_cache == {}
-
-    def test_adopt_columns_seeds_cache(self):
-        """A rebuilt sub-trace adopting the parent's pre-sliced columns
-        serves them from the cache instead of rehashing."""
-        parent = make_trace(10)
-        cols = parent.columns(seed=3, num_sets=8)
-        idx = np.array([1, 4, 7])
-        from repro.workloads.trace import TraceColumns
-
-        child = Trace(
-            ops=parent.ops[idx],
-            keys=parent.keys[idx],
-            sizes=parent.sizes[idx],
-        )
-        shipped = TraceColumns(
-            seed=3,
-            num_sets=8,
-            hashes=cols.hashes[idx],
-            set_ids=cols.set_ids[idx],
-        )
-        child.adopt_columns(shipped)
-        assert child.columns(seed=3, num_sets=8) is shipped
-        # The adopted values equal what the child would have computed.
-        fresh = Trace(
-            ops=parent.ops[idx],
-            keys=parent.keys[idx],
-            sizes=parent.sizes[idx],
-        ).columns(seed=3, num_sets=8)
-        assert np.array_equal(shipped.hashes, fresh.hashes)
-        assert np.array_equal(shipped.set_ids, fresh.set_ids)
-
-    def test_adopt_columns_rejects_length_mismatch(self):
-        parent = make_trace(10)
-        cols = parent.columns(seed=0, num_sets=8)
-        child = make_trace(5)
-        with pytest.raises(TraceError):
-            child.adopt_columns(cols)
 
 
 class TestViews:
