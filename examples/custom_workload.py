@@ -11,7 +11,8 @@ API composes beyond the four bundled Table 5 clusters.
 Run:  python examples/custom_workload.py
 """
 
-from repro import FairyWrenCache, FlashGeometry, NemoCache, NemoConfig, replay
+from repro import replay
+from repro.engines import geometry, make_engine
 from repro.harness.report import format_table
 from repro.workloads.mixer import proportional_interleave
 from repro.workloads.twitter import TwitterClusterSpec, generate_cluster_trace
@@ -49,14 +50,8 @@ def build_workload():
 def main() -> None:
     trace = build_workload()
     print(trace.describe())
-    geometry = FlashGeometry(
-        page_size=4096, pages_per_block=64, num_blocks=48, blocks_per_zone=4
-    )
-
-    engines = [
-        NemoCache(geometry, NemoConfig(flush_threshold=8, sgs_per_index_group=4)),
-        FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05),
-    ]
+    device = geometry(12)
+    engines = [make_engine(name, device) for name in ("nemo", "fw")]
     rows = []
     for engine in engines:
         result = replay(engine, trace)

@@ -11,25 +11,21 @@ model that predicts it:
 Run:  python examples/design_space_explorer.py
 """
 
-from repro import FlashGeometry, NemoCache, NemoConfig, merged_twitter_trace, replay
+from repro import merged_twitter_trace, replay
 from repro.analysis.pbfg_model import PBFGTradeoff, optimal_false_positive_rate
 from repro.analysis.wa_model import nemo_wa
+from repro.engines import geometry, make_engine
 from repro.harness.report import format_table
 
-
-def geometry() -> FlashGeometry:
-    return FlashGeometry(
-        page_size=4096, pages_per_block=64, num_blocks=48, blocks_per_zone=4
-    )
+#: A 12 MiB device of 1 MiB zones.
+NUM_ZONES = 12
 
 
 def sweep_flush_threshold(trace) -> None:
     print("=== 1. flush threshold (p_th): fill vs WA (cf. Fig. 18) ===")
     rows = []
     for pth in (1, 8, 64, 512):
-        cache = NemoCache(
-            geometry(), NemoConfig(flush_threshold=pth, sgs_per_index_group=4)
-        )
+        cache = make_engine("nemo", geometry(NUM_ZONES), flush_threshold=pth)
         result = replay(cache, trace)
         new_fill = cache.mean_new_fill_rate()
         rows.append(
@@ -49,12 +45,7 @@ def sweep_cached_ratio(trace) -> None:
     print("=== 2. cached-PBFG ratio vs index-pool reads (cf. Fig. 19b) ===")
     rows = []
     for ratio in (0.1, 0.5, 1.0):
-        cache = NemoCache(
-            geometry(),
-            NemoConfig(
-                flush_threshold=8, sgs_per_index_group=4, cached_index_ratio=ratio
-            ),
-        )
+        cache = make_engine("nemo", geometry(NUM_ZONES), cached_index_ratio=ratio)
         replay(cache, trace)
         rows.append(
             [

@@ -9,21 +9,19 @@ amplification, memory overhead, and miss ratio.
 Run:  python examples/quickstart.py
 """
 
-from repro import FlashGeometry, NemoCache, NemoConfig, merged_twitter_trace, replay
+from repro import merged_twitter_trace, replay
+from repro.engines import geometry, make_engine
 
 
 def main() -> None:
-    # A 12 MiB zoned device with 1 MiB zones; each zone hosts one
+    # A 10 MiB zoned device with 1 MiB zones; each zone hosts one
     # Set-Group of 256 four-KiB sets.  Deliberately smaller than the
     # workload's working set, so eviction and writeback engage.
-    geometry = FlashGeometry(
-        page_size=4096, pages_per_block=64, num_blocks=40, blocks_per_zone=4
-    )
-    print(f"device: {geometry.describe()}")
+    device = geometry(10)
+    print(f"device: {device.describe()}")
 
     # Nemo with its three fill techniques on (Table 3, scaled).
-    config = NemoConfig(flush_threshold=8, sgs_per_index_group=4)
-    cache = NemoCache(geometry, config)
+    cache = make_engine("nemo", device)
 
     # The paper's merged Twitter workload, scaled to the device.
     trace = merged_twitter_trace(num_requests=300_000, wss_scale=1 / 256)

@@ -11,29 +11,22 @@ ratio, the DRAM hit ratio and the flash-tier metrics the paper reports
 Run:  python examples/tiered_cache.py
 """
 
-from repro import FairyWrenCache, FlashGeometry, NemoCache, NemoConfig, replay
+from repro import replay
 from repro.baselines.dram import DramCache, TieredCache
+from repro.engines import geometry, make_engine
 from repro.harness.report import format_table
 from repro.workloads.mixer import merged_twitter_trace
 
 
 def main() -> None:
-    geometry = FlashGeometry(
-        page_size=4096, pages_per_block=64, num_blocks=48, blocks_per_zone=4
-    )
+    device = geometry(12)
     trace = merged_twitter_trace(num_requests=250_000, wss_scale=1 / 128)
     print(trace.describe())
     dram_bytes = 1 << 20  # 1 MiB DRAM tier (~8 % of flash)
 
     tiers = [
-        TieredCache(
-            DramCache(dram_bytes),
-            NemoCache(geometry, NemoConfig(flush_threshold=8, sgs_per_index_group=4)),
-        ),
-        TieredCache(
-            DramCache(dram_bytes),
-            FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        ),
+        TieredCache(DramCache(dram_bytes), make_engine(name, device))
+        for name in ("nemo", "fw")
     ]
 
     rows = []

@@ -11,17 +11,8 @@ Run:  python examples/twitter_replay.py [--requests N] [--zones Z]
 
 import argparse
 
-from repro import (
-    FairyWrenCache,
-    FlashGeometry,
-    KangarooCache,
-    LogStructuredCache,
-    NemoCache,
-    NemoConfig,
-    SetAssociativeCache,
-    merged_twitter_trace,
-    replay,
-)
+from repro import merged_twitter_trace, replay
+from repro.engines import geometry, make_engine
 from repro.harness.report import format_table
 
 PAPER_WA = {"Log": 1.08, "Set": 16.31, "FW": 15.2, "KG": 55.59, "Nemo": 1.56}
@@ -33,23 +24,15 @@ def main() -> None:
     parser.add_argument("--zones", type=int, default=16, help="1 MiB zones")
     args = parser.parse_args()
 
-    geometry = FlashGeometry(
-        page_size=4096,
-        pages_per_block=64,
-        num_blocks=args.zones * 4,
-        blocks_per_zone=4,
-    )
+    device = geometry(args.zones)
     trace = merged_twitter_trace(num_requests=args.requests, wss_scale=1 / 128)
-    print(f"device: {geometry.describe()}")
+    print(f"device: {device.describe()}")
     print(trace.describe())
     print()
 
+    # Table 4 configurations are make_engine's defaults.
     engines = [
-        LogStructuredCache(geometry),
-        SetAssociativeCache(geometry, op_ratio=0.5),
-        FairyWrenCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        KangarooCache(geometry, log_fraction=0.05, op_ratio=0.05),
-        NemoCache(geometry, NemoConfig(flush_threshold=8, sgs_per_index_group=4)),
+        make_engine(name, device) for name in ("log", "set", "fw", "kg", "nemo")
     ]
 
     rows = []

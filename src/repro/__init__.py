@@ -12,8 +12,9 @@ Layers (bottom-up):
 - :mod:`repro.core` — Nemo itself.
 - :mod:`repro.analysis` — the paper's analytic models (Eqs. 1–11).
 - :mod:`repro.harness` — trace replay, metric sampling, reporting.
-- :mod:`repro.engines` — the engine registry: ``make_engine(name)``
-  for every engine the CLI and the experiments name.
+- :mod:`repro.engines` — the engine registry: ``make_engine(name,
+  geometry(num_zones))`` builds every engine the CLI and the
+  experiments name, at its paper configuration, on 1 MiB zones.
 - :mod:`repro.cluster` — sharded cache cluster: the consistent-hash
   router and concurrent per-shard replay whose final counters merge
   exactly.
@@ -21,10 +22,10 @@ Layers (bottom-up):
 
 Quickstart::
 
-    from repro import NemoCache, FlashGeometry, merged_twitter_trace, replay
+    from repro import merged_twitter_trace, replay
+    from repro.engines import geometry, make_engine
 
-    geometry = FlashGeometry.from_capacity(64 << 20)  # 64 MiB device
-    cache = NemoCache(geometry)
+    cache = make_engine("nemo", geometry(64))  # 64 MiB device
     trace = merged_twitter_trace(num_requests=200_000)
     result = replay(cache, trace)
     print(result.summary())

@@ -42,33 +42,33 @@ def expected_bucket_len(
     return (w / s) * n_log / num_buckets
 
 
-def l2swa_passive(n_set: float, n_log: float, op_ratio: float, *, hot_cold: bool = True) -> float:
+def l2swa_passive(n_set: float, n_log: float, op_ratio: float, *, fairywren: bool = True) -> float:
     """Eq. 6: passive log-to-set WA.
 
-    ``hot_cold=True`` (FairyWREN) uses the ½·N'_Set hash range; False
-    (Kangaroo) uses the full range, doubling the result.
+    ``fairywren=True`` (hot/cold sets) uses the ½·N'_Set hash range;
+    False (Kangaroo) uses the full range, doubling the result.
     """
     if not 0.0 <= op_ratio < 1.0:
         raise ConfigError("op_ratio must be in [0, 1)")
     if n_log <= 0 or n_set <= 0:
         raise ConfigError("page counts must be positive")
     usable = (1.0 - op_ratio) * n_set
-    denom = 2.0 * n_log if hot_cold else n_log
+    denom = 2.0 * n_log if fairywren else n_log
     return usable / denom
 
 
-def l2swa_active(n_set: float, n_log: float, op_ratio: float, *, hot_cold: bool = True) -> float:
+def l2swa_active(n_set: float, n_log: float, op_ratio: float, *, fairywren: bool = True) -> float:
     """§3.2.2: active migration doubles passive WA (half the residence)."""
-    return 2.0 * l2swa_passive(n_set, n_log, op_ratio, hot_cold=hot_cold)
+    return 2.0 * l2swa_passive(n_set, n_log, op_ratio, fairywren=fairywren)
 
 
 def l2swa(
-    n_set: float, n_log: float, op_ratio: float, p: float, *, hot_cold: bool = True
+    n_set: float, n_log: float, op_ratio: float, p: float, *, fairywren: bool = True
 ) -> float:
     """Eq. 8: blended log-to-set WA, p = passive RMW fraction."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("p must be in [0, 1]")
-    return (2.0 - p) * l2swa_passive(n_set, n_log, op_ratio, hot_cold=hot_cold)
+    return (2.0 - p) * l2swa_passive(n_set, n_log, op_ratio, fairywren=fairywren)
 
 
 def fairywren_wa(
@@ -82,7 +82,7 @@ def fairywren_wa(
     """Eq. 1: WA(FW) = 1/E(FR_i) + L2SWA."""
     if not 0.0 < log_fill_rate <= 1.0:
         raise ConfigError("log_fill_rate must be in (0, 1]")
-    return 1.0 / log_fill_rate + l2swa(n_set, n_log, op_ratio, p, hot_cold=True)
+    return 1.0 / log_fill_rate + l2swa(n_set, n_log, op_ratio, p, fairywren=True)
 
 
 def nemo_wa(sg_fill_rate: float) -> float:
@@ -112,7 +112,7 @@ class HierarchicalModel:
     n_log_pages: int
     n_set_pages: int
     op_ratio: float
-    hot_cold: bool = True
+    fairywren: bool = True
 
     @property
     def usable_sets(self) -> float:
@@ -120,7 +120,7 @@ class HierarchicalModel:
 
     @property
     def num_buckets(self) -> float:
-        return self.usable_sets / 2.0 if self.hot_cold else self.usable_sets
+        return self.usable_sets / 2.0 if self.fairywren else self.usable_sets
 
     @property
     def expected_bucket_len(self) -> float:
@@ -131,7 +131,7 @@ class HierarchicalModel:
     @property
     def l2swa_passive(self) -> float:
         return l2swa_passive(
-            self.n_set_pages, self.n_log_pages, self.op_ratio, hot_cold=self.hot_cold
+            self.n_set_pages, self.n_log_pages, self.op_ratio, fairywren=self.fairywren
         )
 
     @property

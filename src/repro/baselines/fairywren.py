@@ -40,7 +40,6 @@ class FairyWrenCache(HierarchicalCacheBase):
             geometry,
             log_fraction=log_fraction,
             op_ratio=op_ratio,
-            hot_cold=True,
-            merge_on_gc=True,
+            fairywren=True,
             latency=latency,
         )

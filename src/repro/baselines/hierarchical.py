@@ -2,16 +2,18 @@
 
 Both engines are an :class:`~repro.baselines.hlog.HierarchicalLog` front
 tier plus an :class:`~repro.baselines.hset.HierarchicalSet` back tier on
-one ZNS device, and differ only in two structural switches (§3):
+one ZNS device, and differ in one structural switch, ``fairywren`` (§3):
 
-============  ==========  ===========  ==========================
-engine        hot_cold    merge_on_gc  GC discipline
-============  ==========  ===========  ==========================
-Kangaroo      no          no           Case 3.1 — verbatim set
-                                       relocation, WA multiplies
-FairyWREN     yes         yes          Case 3.2 — GC folded into
-                                       log-to-set migration
-============  ==========  ===========  ==========================
+============  =========  ==============  ==========================
+engine        fairywren  hot/cold sets   GC discipline
+============  =========  ==============  ==========================
+Kangaroo      False      no              Case 3.1 — verbatim set
+                                         relocation (greedy victims),
+                                         WA multiplies
+FairyWREN     True       yes             Case 3.2 — GC folded into
+                                         log-to-set migration (FIFO
+                                         victims)
+============  =========  ==============  ==========================
 
 The insert path: admit to HLog; when the log is out of space, reclaim
 its oldest zone and flush every bucket that still has objects in that
@@ -61,12 +63,11 @@ class HierarchicalCacheBase(CacheEngine):
     op_ratio:
         The paper's ``X``: fraction of the set region reserved for GC
         headroom; usable sets are ``(1 - X)`` of the region's pages —
-        with verbatim-relocation GC (``merge_on_gc=False``), of the
-        region's pages less the one-zone GC reserve.
-    hot_cold / merge_on_gc:
-        The two switches distinguishing FairyWREN from Kangaroo
-        (``merge_on_gc`` also picks the set region's GC victims; see
-        :meth:`HierarchicalSet._pick_victim`).
+        with Kangaroo's verbatim-relocation GC, of the region's pages
+        less the one-zone GC reserve.
+    fairywren:
+        FairyWREN's hot/cold sets and GC-merged migration; False is
+        Kangaroo (see :class:`HierarchicalSet`).
     """
 
     def __init__(
@@ -75,8 +76,7 @@ class HierarchicalCacheBase(CacheEngine):
         *,
         log_fraction: float = 0.05,
         op_ratio: float = 0.05,
-        hot_cold: bool,
-        merge_on_gc: bool,
+        fairywren: bool,
         latency: LatencyModel | None = None,
     ) -> None:
         super().__init__()
@@ -98,13 +98,14 @@ class HierarchicalCacheBase(CacheEngine):
                 "(need >= 3 for GC headroom)"
             )
         set_region_pages = set_zone_count * geometry.pages_per_zone
-        if not merge_on_gc:
-            # Verbatim-relocation GC needs one free zone to relocate a
-            # victim into (HSet._ensure_headroom's reserve); OP is taken
-            # from what is left, so spare pages always exceed a zone.
+        if not fairywren:
+            # Kangaroo's verbatim-relocation GC needs one free zone to
+            # relocate a victim into (HSet._ensure_headroom's reserve); OP
+            # is taken from what is left, so spare pages always exceed a
+            # zone.
             set_region_pages -= geometry.pages_per_zone
         usable_sets = int((1.0 - op_ratio) * set_region_pages)
-        num_buckets = usable_sets // 2 if hot_cold else usable_sets
+        num_buckets = usable_sets // 2 if fairywren else usable_sets
         if num_buckets <= 0:
             raise ConfigError("op_ratio leaves no usable sets")
 
@@ -116,8 +117,7 @@ class HierarchicalCacheBase(CacheEngine):
             self.device,
             list(range(log_zone_count, num_zones)),
             num_buckets,
-            hot_cold=hot_cold,
-            merge_on_gc=merge_on_gc,
+            fairywren=fairywren,
             bucket_drainer=self.hlog.drain_bucket,
             is_hot=self.hot_keys.__contains__,
             on_evict=self._on_evict,
@@ -199,7 +199,7 @@ class HierarchicalCacheBase(CacheEngine):
         device = self.device
         latency = device.latency
         nb = self.hlog.num_buckets
-        hot_cold = self.hset.hot_cold
+        fairywren = self.hset.fairywren
         buckets = self.hlog.buckets
         hset = self.hset
         hset_sets = hset.sets
@@ -241,13 +241,13 @@ class HierarchicalCacheBase(CacheEngine):
             # HSet probe (hset.find inlined).
             obj_size = None
             set_id = -1
-            if hot_cold:
+            if fairywren:
                 obj_size = pending[b].get(key)
             if obj_size is None:
                 obj_size = hset_sets[b].objects.get(key)
                 if obj_size is not None:
                     set_id = b
-                elif hot_cold:
+                elif fairywren:
                     obj_size = hset_sets[nb + b].objects.get(key)
                     if obj_size is not None:
                         set_id = nb + b
@@ -384,7 +384,7 @@ class HierarchicalCacheBase(CacheEngine):
             n_log_pages=self.n_log_pages,
             n_set_pages=self.n_set_pages,
             op_ratio=self.op_ratio,
-            hot_cold=self.hset.hot_cold,
+            fairywren=self.hset.fairywren,
         )
 
     @property

@@ -97,14 +97,12 @@ class HierarchicalSet:
         Shared ZNS device; the set region owns ``zone_ids``.
     num_buckets:
         Migration-target count (= HLog bucket count).
-    hot_cold:
+    fairywren:
         FairyWREN mode: each bucket gets a cold set and a hot partner
-        set (2 × num_buckets physical sets).  Kangaroo mode: one set per
-        bucket.
-    merge_on_gc:
-        FairyWREN mode: GC merges each valid cold set with its HLog
-        bucket (active migration) and reclaims zones FIFO.  Kangaroo
-        mode: verbatim relocation from greedy (fewest-valid) victims.
+        set (2 × num_buckets physical sets), and GC merges each valid
+        cold set with its HLog bucket (active migration) and reclaims
+        zones FIFO.  Kangaroo mode (False): one set per bucket, and
+        verbatim relocation from greedy (fewest-valid) victims.
     bucket_drainer:
         ``bucket_id -> list[(key, size)]`` callback into the HLog, used
         by active migration.
@@ -125,8 +123,7 @@ class HierarchicalSet:
         zone_ids: list[int],
         num_buckets: int,
         *,
-        hot_cold: bool,
-        merge_on_gc: bool,
+        fairywren: bool,
         bucket_drainer: Callable[[int], list[tuple[int, int]]],
         is_hot: Callable[[int], bool],
         on_evict: Callable[[int, int], None],
@@ -138,15 +135,14 @@ class HierarchicalSet:
         self.device = device
         self.zone_ids = list(zone_ids)
         self.num_buckets = num_buckets
-        self.hot_cold = hot_cold
-        self.merge_on_gc = merge_on_gc
+        self.fairywren = fairywren
         self.bucket_drainer = bucket_drainer
         self.is_hot = is_hot
         self.on_evict = on_evict
         self.page_size = device.geometry.page_size
         self.promote_batch_bytes = self.page_size // 2
 
-        self.num_sets = num_buckets * (2 if hot_cold else 1)
+        self.num_sets = num_buckets * (2 if fairywren else 1)
         region_pages = len(zone_ids) * device.geometry.pages_per_zone
         if self.num_sets > region_pages:
             raise ConfigError(
@@ -200,8 +196,8 @@ class HierarchicalSet:
         return bucket
 
     def hot_set_of(self, bucket: int) -> int:
-        if not self.hot_cold:
-            raise EngineStateError("hot sets only exist in hot/cold mode")
+        if not self.fairywren:
+            raise EngineStateError("hot sets only exist in FairyWREN mode")
         return self.num_buckets + bucket
 
     def find(self, key: int, bucket: int) -> tuple[int, int] | None:
@@ -210,7 +206,7 @@ class HierarchicalSet:
         Checks the promotion staging buffer first (objects there are in
         DRAM, flagged with set_id == -1).
         """
-        if self.hot_cold:
+        if self.fairywren:
             size = self.pending_promotions[bucket].get(key)
             if size is not None:
                 return (-1, size)
@@ -219,7 +215,7 @@ class HierarchicalSet:
         size = self.sets[bucket].objects.get(key)
         if size is not None:
             return (bucket, size)
-        if self.hot_cold:
+        if self.fairywren:
             hot = self.num_buckets + bucket
             size = self.sets[hot].objects.get(key)
             if size is not None:
@@ -231,7 +227,7 @@ class HierarchicalSet:
 
     def used_bytes(self) -> int:
         n = sum(s.used_bytes for s in self.sets)
-        if self.hot_cold:
+        if self.fairywren:
             n += sum(sum(p.values()) for p in self.pending_promotions)
         return n
 
@@ -253,7 +249,7 @@ class HierarchicalSet:
         hist = self.passive_hist if case == CASE_PASSIVE else self.active_hist
         hist[len(objs)] += 1
         self._write_set(set_id, objs, case=case, bucket=bucket, now_us=now_us)
-        if self.hot_cold:
+        if self.fairywren:
             self._maybe_flush_promotions(bucket, now_us=now_us)
 
     # ------------------------------------------------------------------
@@ -309,7 +305,7 @@ class HierarchicalSet:
     def _shrink_to_fit(self, set_id: int, bucket: int | None) -> None:
         """Evict (or stage for promotion) until the set fits its page."""
         mirror = self.sets[set_id]
-        is_cold = self.hot_cold and set_id < self.num_buckets
+        is_cold = self.fairywren and set_id < self.num_buckets
         while mirror.used_bytes > self.page_size:
             key, size = mirror.pop_oldest()
             self._object_count -= 1
@@ -498,7 +494,7 @@ class HierarchicalSet:
     def _pick_victim(self) -> int:
         """Choose the zone to reclaim.
 
-        With ``merge_on_gc`` (FairyWREN) the oldest written zone: its
+        In FairyWREN mode the oldest written zone: its
         merged GC turns old cold sets into useful active migrations.
         Without (Kangaroo) the zone with the fewest live pages: pure
         relocation cost, so minimise valid data — the standard
@@ -509,7 +505,7 @@ class HierarchicalSet:
         candidates = [z for z in self._zone_fifo if z != self._open_zone]
         if not candidates:
             raise EngineStateError("no GC victim available")
-        if self.merge_on_gc:
+        if self.fairywren:
             return candidates[0]
         return min(candidates, key=lambda z: self._zone_valid[z])
 
@@ -556,7 +552,7 @@ class HierarchicalSet:
     def _gc_install(
         self, valid_sets: np.ndarray, max_relocate: int, *, now_us: float = 0.0
     ) -> None:
-        if not self.merge_on_gc:
+        if not self.fairywren:
             # Kangaroo mode: every kept set relocates verbatim, in one
             # batch unless a latency model must time each relocation.
             if max_relocate and self.device.latency is None:
@@ -571,7 +567,7 @@ class HierarchicalSet:
             if idx >= max_relocate:
                 self._drop_set(set_id)
                 continue
-            if not self.hot_cold or set_id < self.num_buckets:
+            if set_id < self.num_buckets:
                 # Active migration (Case 3.2): merge the bucket in.
                 bucket = set_id
                 objs = self.bucket_drainer(bucket)

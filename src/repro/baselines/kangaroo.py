@@ -35,7 +35,6 @@ class KangarooCache(HierarchicalCacheBase):
             geometry,
             log_fraction=log_fraction,
             op_ratio=op_ratio,
-            hot_cold=False,
-            merge_on_gc=False,
+            fairywren=False,
             latency=latency,
         )

@@ -1,12 +1,13 @@
 """Command-line replay driver: ``python -m repro``.
 
-Runs any engine against a synthetic Twitter mix (or a real
-twitter/cache-trace CSV) on a configurable simulated device and prints
-one table of the paper's headline metrics.  ``--kernel`` selects the
-replay kernel; metrics are byte-identical across kernels (DESIGN.md
-§5).  ``--latency-lane`` installs a fresh device timing model of that
-lane on each engine before its replay and adds one ``latency[...]``
-percentile line per engine.  Examples::
+Runs any engine, at its paper configuration, against a synthetic
+Twitter mix (or a real twitter/cache-trace CSV) on a simulated device
+of ``--zones`` 1 MiB zones and prints one table of the paper's headline
+metrics.  ``--kernel`` selects the replay kernel; metrics are
+byte-identical across kernels (DESIGN.md §5).  ``--latency-lane``
+installs a fresh device timing model of that lane on each engine before
+its replay and adds one ``latency[...]`` percentile line per engine.
+Examples::
 
     python -m repro --engine nemo --requests 300000
     python -m repro --engine fw --zones 24 --requests 500000
@@ -30,25 +31,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.engines import ENGINE_NAMES, make_engine
+from repro.engines import ENGINE_NAMES, geometry, make_engine
 from repro.flash.devsim import LATENCY_LANES, make_latency_model
-from repro.flash.geometry import FlashGeometry
 from repro.harness.report import format_table
 from repro.harness.runner import LATENCY_PERCENTILES, REPLAY_KERNELS, replay
 from repro.workloads.mixer import merged_twitter_trace
 from repro.workloads.twitter_csv import load_twitter_csv
-
-
-def build_engine(name: str, geometry: FlashGeometry, args):
-    if name == "nemo":
-        return make_engine(
-            "nemo",
-            geometry,
-            flush_threshold=args.flush_threshold,
-            sgs_per_index_group=args.sgs_per_index_group,
-            cached_index_ratio=args.cached_index_ratio,
-        )
-    return make_engine(name, geometry)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -90,9 +78,6 @@ def make_parser() -> argparse.ArgumentParser:
         "event (discrete-event devsim); default: no timing model",
     )
     parser.add_argument("--sample-every", type=int, default=None)
-    parser.add_argument("--flush-threshold", type=int, default=8)
-    parser.add_argument("--sgs-per-index-group", type=int, default=4)
-    parser.add_argument("--cached-index-ratio", type=float, default=0.5)
     parser.add_argument("--progress", action="store_true")
     return parser
 
@@ -135,25 +120,20 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "replay":
         argv = argv[1:]
     args = make_parser().parse_args(argv)
-    geometry = FlashGeometry(
-        page_size=4096,
-        pages_per_block=64,
-        num_blocks=args.zones * 4,
-        blocks_per_zone=4,
-    )
+    device = geometry(args.zones)
     if args.trace_csv:
         trace = load_twitter_csv(args.trace_csv, max_requests=args.requests)
     else:
         trace = merged_twitter_trace(
             num_requests=args.requests, wss_scale=args.wss_scale, seed=args.seed
         )
-    print(f"device: {geometry.describe()}")
+    print(f"device: {device.describe()}")
     print(trace.describe())
 
     names = list(ENGINE_NAMES) if args.engine == "all" else [args.engine]
     rows = []
     for name in names:
-        engine = build_engine(name, geometry, args)
+        engine = make_engine(name, device)
         if args.latency_lane is not None:
             # Before replay: a latency model demotes the columnar
             # kernels, and the demotion shows in ``result.notes``.

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.baselines.base import CacheEngine, EngineCounters
 from repro.cluster.router import ConsistentHashRouter
-from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
+from repro.engines import ENGINE_NAMES, geometry, make_engine
 from repro.errors import ConfigError
 from repro.flash.stats import FlashStats
 from repro.harness.parallel import Cell, run_cells
@@ -138,7 +138,7 @@ def _replay_shard(
     to spawn workers; a pure function of its arguments, so results are
     independent of job count and execution order.
     """
-    engine = make_engine(engine_name, shard_geometry(zones_per_shard))
+    engine = make_engine(engine_name, geometry(zones_per_shard))
     trace = Trace(ops=ops, keys=keys, sizes=sizes, name=trace_name)
     result = replay(engine, trace, sample_at=())
     return result.final, result.wall_seconds
@@ -198,7 +198,7 @@ class CacheCluster:
             m: sum(int(final[m]) for final, _ in outcomes) for m in _RAW_METRICS
         }
         probe = make_engine(
-            self.config.engine, shard_geometry(self.config.zones_per_shard)
+            self.config.engine, geometry(self.config.zones_per_shard)
         )
         return ClusterReplayResult(
             engine_name=probe.name,

@@ -8,9 +8,9 @@ Parameter (Table 3)            Paper               Here
 Set size                       4 KB                geometry.page_size
 Sets per SG                    275,712 (1 zone)    geometry.pages_per_zone
 PBFG false positive rate       0.1 %               0.1 %
-# SGs : # index groups         50 : 1              16 : 1 (configurable)
+# SGs : # index groups         50 : 1              4 : 1
 # in-memory SGs                2                   :data:`INMEM_SGS`
-Flushing threshold (count)     4,096               4,096
+Flushing threshold (count)     4,096               8
 Cached PBFG ratio              50 %                50 %
 Hotness tracking start         last 30 % of cache  last 30 %
 SG cooling period              every 10 % written  every 10 %
@@ -21,6 +21,10 @@ count (:data:`INMEM_SGS`) and one SG per zone (the ZN540 mapping).  The
 key→set-offset hash seed is :data:`PLACEMENT_SEED`.  The flush threshold is count-based only, as the
 paper deploys it (Table 3's footnote: "The flushing threshold is
 count-based, not probabilistic").
+
+The two rescaled defaults (p_th and SGs per index group) are the
+values every experiment, the CLI and the benchmark run; each field's
+comment says why it differs from the paper.
 
 The three fill-rate techniques of §4.2 are individually toggleable
 (``enable_buffered_sgs`` / ``enable_delayed_flush`` /
@@ -54,16 +58,22 @@ class NemoConfig:
     #: Technique ③ switch; off = evicted SGs drop their hot objects.
     enable_writeback: bool = True
     #: Blocked inserts absorbed (by per-set eviction) between flushes.
-    flush_threshold: int = 4096
+    #: Table 3: 4,096, ≈0.1 % of the paper's 4.4 M-object SG.  Against
+    #: the simulator's ~3,500-object SGs the same operating point (a
+    #: deferral window long enough to fill, eviction volume small
+    #: against SG capacity, headroom left for writeback) is p_th ≈ 8;
+    #: Fig. 18 sweeps 1 to 4,096.
+    flush_threshold: int = 8
 
     # --- §4.3: lightweight indexing -----------------------------------
     #: PBFG bloom-filter false-positive rate (Table 3: 0.1 %).
     bf_false_positive_rate: float = 0.001
     #: Objects a set-level filter is sized for (paper: 40 → 72 B filter).
     bf_capacity_per_set: int = 40
-    #: SGs covered by one index group (Table 3: 50; smaller pools use
-    #: fewer so several groups exist and index-cache dynamics show).
-    sgs_per_index_group: int = 16
+    #: SGs covered by one index group (Table 3: 50).  A MiB-scale pool
+    #: holds a few dozen SGs, so groups of 4 keep several groups in it
+    #: and the index-cache dynamics of Fig. 19b visible.
+    sgs_per_index_group: int = 4
     #: Fraction of index pages kept in the in-memory index cache.
     cached_index_ratio: float = 0.5
 

@@ -1,10 +1,11 @@
 """The engine registry: what ``--engine kg`` means, defined once.
 
-The CLI, the experiments' system runs and the cluster's shard workers
-all build engines by *name* here.  Shard workers are spawned processes:
-they receive a name and a parameter dict over the pipe and rebuild the
-engine in-process (the engines hold numpy state and device objects that
-are cheaper to reconstruct than to pickle).
+The CLI, the experiments, the examples and the cluster's shard workers
+all build engines by *name* here, on the device :func:`geometry`
+describes.  Shard workers are spawned processes: they receive a name
+and a parameter dict over the pipe and rebuild the engine in-process
+(the engines hold numpy state and device objects that are cheaper to
+reconstruct than to pickle).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from repro.flash.geometry import FlashGeometry
 ENGINE_NAMES = ("nemo", "log", "set", "fw", "kg")
 
 
-def shard_geometry(num_zones: int, *, page_size: int = 4096) -> FlashGeometry:
-    """One shard's flash device: ``num_zones`` 1 MiB zones (the repo's
-    standard 4-blocks-of-64-pages zone layout)."""
+def geometry(num_zones: int) -> FlashGeometry:
+    """The repo's one device shape: ``num_zones`` 1 MiB zones, each four
+    erase blocks of 64 four-KiB pages (256 sets per Nemo SG)."""
     return FlashGeometry(
-        page_size=page_size,
+        page_size=4096,
         pages_per_block=64,
         num_blocks=num_zones * 4,
         blocks_per_zone=4,
@@ -37,11 +38,12 @@ def make_engine(
 ) -> CacheEngine:
     """Build a registered engine on ``geometry``.
 
-    ``params`` forwards engine-specific knobs (for Nemo, any
-    :class:`NemoConfig` field); unknown names raise so a typo cannot
-    silently fall back to a default configuration.  Defaults match the
-    paper's evaluation setup (Nemo's flush threshold 8, FW/KG's 5 % log
-    with 5 % overprovisioning).
+    ``params`` go straight to the engine's constructor (for Nemo, to
+    :class:`NemoConfig`); unknown names raise so a typo cannot silently
+    fall back to a default configuration.  The constructors' defaults
+    are the paper's evaluation setup (Table 4, with Nemo's rescaled
+    p_th).  Attach a device timing model with
+    :meth:`~repro.baselines.base.CacheEngine.install_latency_model`.
     """
     allowed = {
         "nemo": {f.name for f in fields(NemoConfig)},
@@ -62,17 +64,7 @@ def make_engine(
     if name == "nemo":
         from repro.core.nemo import NemoCache
 
-        return NemoCache(
-            geometry,
-            NemoConfig(
-                **{
-                    **params,
-                    "flush_threshold": int(params.get("flush_threshold", 8)),
-                    "sgs_per_index_group": int(params.get("sgs_per_index_group", 4)),
-                    "cached_index_ratio": float(params.get("cached_index_ratio", 0.5)),
-                }
-            ),
-        )
+        return NemoCache(geometry, NemoConfig(**params))
     if name == "log":
         from repro.baselines.log_structured import LogStructuredCache
 
@@ -80,21 +72,11 @@ def make_engine(
     if name == "set":
         from repro.baselines.set_associative import SetAssociativeCache
 
-        return SetAssociativeCache(
-            geometry, op_ratio=float(params.get("op_ratio", 0.5))
-        )
+        return SetAssociativeCache(geometry, **params)
     if name == "fw":
         from repro.baselines.fairywren import FairyWrenCache
 
-        return FairyWrenCache(
-            geometry,
-            log_fraction=float(params.get("log_fraction", 0.05)),
-            op_ratio=float(params.get("op_ratio", 0.05)),
-        )
+        return FairyWrenCache(geometry, **params)
     from repro.baselines.kangaroo import KangarooCache
 
-    return KangarooCache(
-        geometry,
-        log_fraction=float(params.get("log_fraction", 0.05)),
-        op_ratio=float(params.get("op_ratio", 0.05)),
-    )
+    return KangarooCache(geometry, **params)

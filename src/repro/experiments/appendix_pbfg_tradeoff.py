@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.pbfg_model import PBFGTradeoff, optimal_false_positive_rate
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 FP_SWEEP = [0.05, 0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00001]
@@ -42,8 +43,17 @@ class AppendixResult:
         )
 
 
-def run(scale: str = "small") -> AppendixResult:
-    del scale  # purely analytic; scale-independent
+def cells(scale: str) -> list[Cell]:
+    # Purely analytic: one scale-independent cell.
+    return [Cell("appendixA", _evaluate)]
+
+
+def assemble(payloads: list[AppendixResult]) -> AppendixResult:
+    (result,) = payloads
+    return result
+
+
+def _evaluate() -> AppendixResult:
     tradeoff = PBFGTradeoff(num_sgs=350, page_size=4096, object_size=246)
     result = AppendixResult()
     for fp in FP_SWEEP:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster import CacheCluster, ClusterConfig
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
 
@@ -159,7 +159,3 @@ def assemble(payloads: list[dict]) -> ClusterCrossoverResult:
             counts.append(p["shards"])
     result.shard_counts = tuple(sorted(counts))
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> ClusterCrossoverResult:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -1,4 +1,4 @@
-"""Shared experiment configuration: geometries, traces, Nemo tuning.
+"""Shared experiment configuration: scales and traces.
 
 Scale notes (also in DESIGN.md §2): the paper's 360 GB device and
 billion-request replays are out of reach for a pure-Python simulator, so
@@ -8,11 +8,9 @@ rates shift because an SG here has hundreds of sets instead of 275,712
 (extreme-value effects shrink with the set count — see
 ``analysis.fill_model``), which EXPERIMENTS.md quantifies per figure.
 
-The Nemo flush threshold also rescales: the paper's p_th = 4,096 is
-≈0.1 % of its 4.4 M-object SG; against our ~3,500-object SGs the same
-*operating point* (deferral window long enough to fill, eviction volume
-small against SG capacity, headroom left for writeback) is p_th ≈ 8,
-which ``nemo_config`` uses.  The fig18 sweep covers the full range.
+The Nemo flush threshold also rescales (p_th 8 instead of 4,096);
+:class:`~repro.core.config.NemoConfig` states the evaluated tuning and
+why, and the device shape is :func:`repro.engines.geometry`.
 """
 
 from __future__ import annotations
@@ -20,34 +18,10 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.core.config import NemoConfig
+from repro.engines import geometry
 from repro.flash.geometry import FlashGeometry
 from repro.workloads.mixer import merged_twitter_trace
 from repro.workloads.trace import Trace
-
-#: 1 MiB zones of 4 KiB pages: 256 sets per SG.
-_ZONE_BLOCKS = 4
-_PAGES_PER_BLOCK = 64
-
-#: Simulator-scale flush threshold (see module docstring).
-SIM_FLUSH_THRESHOLD = 8
-#: Smaller index groups than the paper's 50 so a MiB-scale pool still
-#: spans several groups (needed for index-cache dynamics, Fig. 19b).
-SIM_SGS_PER_INDEX_GROUP = 4
-
-
-def geometry(num_zones: int) -> FlashGeometry:
-    """A device of ``num_zones`` 1 MiB zones (4 KiB pages)."""
-    return FlashGeometry(
-        page_size=4096,
-        pages_per_block=_PAGES_PER_BLOCK,
-        num_blocks=num_zones * _ZONE_BLOCKS,
-        blocks_per_zone=_ZONE_BLOCKS,
-    )
-
-
-def small_geometry() -> FlashGeometry:
-    """12 MiB device: fast, pool wraps quickly (tests/benchmarks)."""
-    return geometry(12)
 
 
 def standard_geometry() -> FlashGeometry:
@@ -90,17 +64,12 @@ def scale_params(scale: str) -> tuple[FlashGeometry, int]:
     if scale == "micro":
         return geometry(8), 60_000
     if scale == "small":
-        return small_geometry(), 250_000
+        return geometry(12), 250_000
     if scale == "full":
         return standard_geometry(), 1_200_000
     raise ValueError(f"unknown scale {scale!r}; use 'micro', 'small' or 'full'")
 
 
-def nemo_config(**overrides) -> NemoConfig:
-    """Nemo tuned to the simulator scale (see module docstring)."""
-    params = {
-        "flush_threshold": SIM_FLUSH_THRESHOLD,
-        "sgs_per_index_group": SIM_SGS_PER_INDEX_GROUP,
-    }
-    params.update(overrides)
-    return NemoConfig(**params)
+#: The evaluated Nemo tuning is ``NemoConfig()``; the name stays
+#: because ``benchmarks/e2e`` imports it.
+nemo_config = NemoConfig

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.systems import SystemRecord, system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import cdf_from_counter, format_table, mean_from_counter
 
 #: (label, log_fraction, op_ratio) of the three configurations.
@@ -96,7 +96,3 @@ def assemble(records: list[SystemRecord]) -> Fig04Result:
                 }
             )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig04Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

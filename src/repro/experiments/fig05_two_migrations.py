@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.systems import SystemRecord, system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import cdf_from_counter, format_table, mean_from_counter
 
 #: (label, log_fraction) for the two configurations the figure compares.
@@ -90,7 +90,3 @@ def assemble(records: list[SystemRecord]) -> Fig05Result:
             }
         )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig05Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

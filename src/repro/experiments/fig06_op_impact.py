@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.systems import SystemRecord, system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 OP_RATIOS = [0.05, 0.20, 0.35, 0.50]
@@ -53,7 +53,3 @@ def assemble(records: list[SystemRecord]) -> Fig06Result:
         # The replay default layout: 64 samples.
         result.p_series[op] = rec.series("p_fraction", 64)
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig06Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -23,6 +23,7 @@ from repro.analysis.fill_model import (
     expected_fill_when_first_set_full,
     fill_at_first_full_simulated,
 )
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 from repro.hashing import splitmix64_array
 from repro.workloads.mixer import merged_twitter_trace
@@ -77,7 +78,16 @@ def _synthetic_stream(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return keys, sizes
 
 
-def run(scale: str = "small") -> Fig08Result:
+def cells(scale: str) -> list[Cell]:
+    return [Cell("fig08", _measure, (scale,))]
+
+
+def assemble(payloads: list[Fig08Result]) -> Fig08Result:
+    (result,) = payloads
+    return result
+
+
+def _measure(scale: str) -> Fig08Result:
     result = Fig08Result()
     set_counts = SET_COUNTS if scale == "full" else SET_COUNTS[:2]
     longest = max(set_counts) * (max(SET_SIZES) // 200 + 2)

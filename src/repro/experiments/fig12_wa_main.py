@@ -21,7 +21,7 @@ from repro.experiments.systems import (
     system,
     system_cell,
 )
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 PAPER_WA = {"Log": 1.08, "Set": 16.31, "FW": 15.2, "KG": 55.59, "Nemo": 1.56}
@@ -117,7 +117,3 @@ def assemble(records: list[SystemRecord]) -> Fig12Result:
         {"config": "Nemo", "wa": nemo_row["wa"], "paper_wa": PAPER_WA["Nemo"]}
     )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig12Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.experiments.systems import SystemRecord, nemo_system, system, system_cell
 from repro.harness.metrics import WindowedRate
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 
@@ -106,7 +106,3 @@ def assemble(records: list[SystemRecord]) -> Fig13Result:
             }
         )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig13Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

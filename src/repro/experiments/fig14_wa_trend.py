@@ -26,7 +26,7 @@ from repro.experiments.systems import (
     system,
     system_cell,
 )
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 #: (display name, FW log_fraction, FW op_ratio); None = Nemo.
@@ -92,7 +92,3 @@ def assemble(records: list[SystemRecord]) -> Fig14Result:
         result.final_wa[name] = p["final_wa"]
         result.first_knee_ops[name] = _first_knee(p["series"])
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig14Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

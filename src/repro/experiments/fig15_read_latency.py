@@ -15,16 +15,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.baselines.base import CacheEngine
+from repro.engines import make_engine
+from repro.experiments.common import scale_params, twitter_trace
 from repro.flash.latency import LatencyModel
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 from repro.harness.runner import LATENCY_PERCENTILES, replay
 
-#: The three systems of the figure, in presentation order.
-SYSTEMS = ("Nemo", "Nemo-fullidx", "FW")
+#: The three systems of the figure, in presentation order, as
+#: ``make_engine`` (name, parameters).  Nemo-fullidx is the same engine
+#: with the whole PBFG index cached: it isolates the paper's
+#: write-interference mechanism from index-pool reads, which at MiB
+#: scale miss far more often than the paper's <8 % (see Fig. 19b's
+#: scale discussion).
+_ENGINES = {
+    "Nemo": ("nemo", {}),
+    "Nemo-fullidx": ("nemo", {"cached_index_ratio": 1.0}),
+    "FW": ("fw", {}),
+}
+SYSTEMS = tuple(_ENGINES)
 
 
 @dataclass
@@ -49,22 +59,11 @@ class Fig15Result:
         return "Figure 15: read latency around the flash-full point\n" + table
 
 
-def _build_system(name: str, geometry, latency: LatencyModel):
-    if name == "Nemo":
-        return NemoCache(geometry, nemo_config(), latency=latency)
-    if name == "Nemo-fullidx":
-        # Same engine with the whole PBFG index cached: isolates the
-        # paper's write-interference mechanism from index-pool reads,
-        # which at MiB scale miss far more often than the paper's <8 %
-        # (see Fig. 19b's scale discussion).
-        return NemoCache(
-            geometry, nemo_config(cached_index_ratio=1.0), latency=latency
-        )
-    if name == "FW":
-        return FairyWrenCache(
-            geometry, log_fraction=0.05, op_ratio=0.05, latency=latency
-        )
-    raise KeyError(f"unknown fig15 system {name!r}")
+def _build_system(name: str, geometry, latency: LatencyModel) -> CacheEngine:
+    kind, params = _ENGINES[name]
+    engine = make_engine(kind, geometry, **params)
+    engine.install_latency_model(latency)
+    return engine
 
 
 def _system_cell(scale: str, name: str) -> dict:
@@ -99,7 +98,3 @@ def assemble(payloads: list[dict]) -> Fig15Result:
             for phase in ("before", "after")
         }
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig15Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -20,18 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.fairywren import FairyWrenCache
-from repro.core.nemo import NemoCache
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.baselines.base import CacheEngine
+from repro.engines import make_engine
+from repro.experiments.common import scale_params, twitter_trace
 from repro.flash.devsim import make_latency_model
 from repro.harness.closed_loop import replay_closed_loop
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 from repro.harness.runner import LATENCY_PERCENTILES
 from repro.workloads.arrivals import assign_classes, bursty_arrivals
 
-#: The two systems whose tails the paper contrasts.
-SYSTEMS = ("Nemo", "FW")
+#: The two systems whose tails the paper contrasts, and the
+#: ``make_engine`` name of each.
+_ENGINES = {"Nemo": "nemo", "FW": "fw"}
+SYSTEMS = tuple(_ENGINES)
 
 #: Priority classes: class 0 issues first when a QD slot frees.
 CLASS_NAMES = ("interactive", "batch")
@@ -72,15 +74,10 @@ class Fig15TailResult:
         )
 
 
-def _build_system(name: str, geometry):
-    latency = make_latency_model("event", num_channels=8)
-    if name == "Nemo":
-        return NemoCache(geometry, nemo_config(), latency=latency)
-    if name == "FW":
-        return FairyWrenCache(
-            geometry, log_fraction=0.05, op_ratio=0.05, latency=latency
-        )
-    raise KeyError(f"unknown fig15_tail system {name!r}")
+def _build_system(name: str, geometry) -> CacheEngine:
+    engine = make_engine(_ENGINES[name], geometry)
+    engine.install_latency_model(make_latency_model("event", num_channels=8))
+    return engine
 
 
 def _system_cell(scale: str, name: str) -> dict:
@@ -136,7 +133,3 @@ def assemble(payloads: list[dict]) -> Fig15TailResult:
             for cls, w in p["classes"].items()
         }
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig15TailResult:
-    return assemble(run_cells(cells(scale), jobs=jobs))

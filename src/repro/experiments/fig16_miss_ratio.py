@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.systems import SystemRecord, nemo_system, system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 #: The two systems the figure compares, in presentation order.
@@ -72,7 +72,3 @@ def assemble(records: list[SystemRecord]) -> Fig16Result:
         result.final_miss[name] = p["final_miss"]
         result.steady_miss[name] = p["steady_miss"]
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig16Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import NemoConfig
-from repro.experiments.common import SIM_FLUSH_THRESHOLD, SIM_SGS_PER_INDEX_GROUP
 from repro.experiments.systems import SystemRecord, nemo_system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 PAPER_FILL = {
@@ -58,16 +57,12 @@ class Fig17Result:
 
 
 def variant_configs() -> list[tuple[str, NemoConfig]]:
-    common = {
-        "flush_threshold": SIM_FLUSH_THRESHOLD,
-        "sgs_per_index_group": SIM_SGS_PER_INDEX_GROUP,
-    }
     return [
-        ("naive", NemoConfig.ablation(buffered=False, delayed=False, writeback=False, **common)),
-        ("B", NemoConfig.ablation(buffered=True, delayed=False, writeback=False, **common)),
-        ("P", NemoConfig.ablation(buffered=False, delayed=True, writeback=False, **common)),
-        ("B+P", NemoConfig.ablation(buffered=True, delayed=True, writeback=False, **common)),
-        ("B+P+W", NemoConfig.ablation(buffered=True, delayed=True, writeback=True, **common)),
+        ("naive", NemoConfig.ablation(buffered=False, delayed=False, writeback=False)),
+        ("B", NemoConfig.ablation(buffered=True, delayed=False, writeback=False)),
+        ("P", NemoConfig.ablation(buffered=False, delayed=True, writeback=False)),
+        ("B+P", NemoConfig.ablation(buffered=True, delayed=True, writeback=False)),
+        ("B+P+W", NemoConfig.ablation(buffered=True, delayed=True, writeback=True)),
     ]
 
 
@@ -90,7 +85,3 @@ def assemble(records: list[SystemRecord]) -> Fig17Result:
             }
         )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig17Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

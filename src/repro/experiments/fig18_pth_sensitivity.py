@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import nemo_config
+from repro.core.config import NemoConfig
 from repro.experiments.systems import SystemRecord, nemo_system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 THRESHOLDS = [1, 8, 64, 256, 1024, 4096]
@@ -55,7 +55,7 @@ class Fig18Result:
 
 def cells(scale: str) -> list[Cell]:
     return [
-        system_cell(nemo_system(scale, nemo_config(flush_threshold=pth)))
+        system_cell(nemo_system(scale, NemoConfig(flush_threshold=pth)))
         for pth in THRESHOLDS
     ]
 
@@ -79,7 +79,3 @@ def assemble(records: list[SystemRecord]) -> Fig18Result:
             }
         )
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig18Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.common import nemo_config, scale_params
+from repro.core.config import PLACEMENT_SEED, NemoConfig
+from repro.experiments.common import scale_params
 from repro.experiments.systems import nemo_system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 from repro.hashing import splitmix64_array
 from repro.workloads.twitter import TWITTER_CLUSTERS, generate_cluster_trace
 
 CACHED_RATIOS = [0.1, 0.25, 0.5, 0.75, 1.0]
-NUM_OFFSETS = 256  # sets per SG at the experiment geometry
 
 
 @dataclass
@@ -55,12 +55,13 @@ class Fig19Result:
 
 
 def set_access_top_share(
-    keys: np.ndarray, num_offsets: int = NUM_OFFSETS, top_fraction: float = 0.3
+    keys: np.ndarray, num_offsets: int, top_fraction: float = 0.3
 ) -> float:
-    """Access share captured by the hottest ``top_fraction`` of sets."""
-    offsets = (splitmix64_array(keys, seed=7) % np.uint64(num_offsets)).astype(
-        np.int64
-    )
+    """Access share captured by the hottest ``top_fraction`` of
+    ``num_offsets`` sets, under Nemo's key → set-offset hash."""
+    offsets = (
+        splitmix64_array(keys, seed=PLACEMENT_SEED) % np.uint64(num_offsets)
+    ).astype(np.int64)
     counts = np.bincount(offsets, minlength=num_offsets)
     counts.sort()
     top = counts[-max(1, int(round(top_fraction * num_offsets))) :]
@@ -69,10 +70,12 @@ def set_access_top_share(
 
 def _cluster_cell(scale: str, name: str) -> dict:
     """(a) hashed-offset skew of one Twitter cluster."""
-    _, num_requests = scale_params(scale)
+    geometry, num_requests = scale_params(scale)
     per_cluster = max(50_000, num_requests // 4)
     t = generate_cluster_trace(name, num_requests=per_cluster, seed=11)
-    return {"cluster": name, "share": set_access_top_share(t.keys)}
+    # One SG per zone, one set per page: Nemo's sets per SG.
+    share = set_access_top_share(t.keys, geometry.pages_per_zone)
+    return {"cluster": name, "share": share}
 
 
 def cells(scale: str) -> list[Cell]:
@@ -80,7 +83,7 @@ def cells(scale: str) -> list[Cell]:
         Cell(f"fig19a/{name}", _cluster_cell, (scale, name))
         for name in sorted(TWITTER_CLUSTERS)
     ] + [
-        system_cell(nemo_system(scale, nemo_config(cached_index_ratio=ratio)))
+        system_cell(nemo_system(scale, NemoConfig(cached_index_ratio=ratio)))
         for ratio in CACHED_RATIOS
     ]
 
@@ -92,7 +95,3 @@ def assemble(payloads: list) -> Fig19Result:
     for ratio, rec in zip(CACHED_RATIOS, payloads[len(TWITTER_CLUSTERS) :]):
         result.pool_ratio[ratio] = rec.extras["pbfg_pool_ratio"]
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Fig19Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -5,12 +5,13 @@ runs experiments and prints their formatted results; with no arguments
 it lists what exists.  ``benchmarks/e2e`` runs the same registry as
 its ``figures_micro`` workload.
 
-Experiments whose sweeps are embarrassingly parallel expose a
-``cells(scale)`` / ``assemble(payloads)`` pair next to ``run``;
-:func:`run_experiments` pools *all* cells of all requested experiments
-into one process pool, so independent experiments run concurrently and
-their internal sweeps interleave — with results collected in a fixed
-order so the output is identical to a serial run.
+Every experiment module exposes a ``cells(scale)`` /
+``assemble(payloads)`` pair (fig08 and appendixA are one-cell
+experiments); :func:`run_experiments` pools *all* cells of all
+requested experiments into one process pool, so independent
+experiments run concurrently and their internal sweeps interleave —
+with results collected in a fixed order so the output is identical to
+a serial run.
 
 Most cells are *system runs* (:mod:`repro.experiments.systems`): one
 engine configuration replaying one trace.  The paper's figures reuse
@@ -25,7 +26,6 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Callable
 
 from repro.errors import ConfigError
 from repro.harness.parallel import Cell, run_cells
@@ -104,7 +104,6 @@ _SPECS: dict[str, tuple[str, str]] = {
 class Experiment:
     exp_id: str
     description: str
-    run: Callable
 
 
 def _module(exp_id: str) -> ModuleType:
@@ -120,25 +119,13 @@ def _module(exp_id: str) -> ModuleType:
 
 
 def get_experiment(exp_id: str) -> Experiment:
-    module = _module(exp_id)
-    return Experiment(exp_id=exp_id, description=_SPECS[exp_id][1], run=module.run)
+    _module(exp_id)  # imports it, or raises the one unknown-id KeyError
+    return Experiment(exp_id=exp_id, description=_SPECS[exp_id][1])
 
 
 def run_experiment(exp_id: str, *, scale: str = "small", jobs: int | None = 1):
-    """Run one experiment; ``jobs`` fans its cells out when supported."""
+    """Run one experiment; ``jobs`` fans its cells out."""
     return run_experiments([exp_id], scale=scale, jobs=jobs)[0]
-
-
-def _whole_experiment_cell(exp_id: str, scale: str):
-    """Pool job for experiments without a ``cells``/``assemble`` split."""
-    return get_experiment(exp_id).run(scale=scale)
-
-
-def _experiment_cells(exp_id: str, scale: str) -> tuple[ModuleType | None, list[Cell]]:
-    module = _module(exp_id)
-    if hasattr(module, "cells") and hasattr(module, "assemble"):
-        return module, module.cells(scale)
-    return None, [Cell(exp_id, _whole_experiment_cell, (exp_id, scale))]
 
 
 def run_experiments(
@@ -146,11 +133,10 @@ def run_experiments(
 ) -> list:
     """Run several experiments, pooling every parallelisable cell.
 
-    Returns the result objects in ``exp_ids`` order.  Experiments that
-    expose ``cells``/``assemble`` contribute their individual cells to
-    one shared pool; the rest run as single whole-experiment cells.
-    Each distinct ``(fn, args, kwargs)`` runs once and its payload goes
-    to every experiment that listed it — a system run (``systems.py``)
+    Returns the result objects in ``exp_ids`` order.  Every experiment
+    contributes its cells to one shared pool.  Each distinct ``(fn,
+    args, kwargs)`` runs once and its payload goes to every experiment
+    that listed it — a system run (``systems.py``)
     shared by several figures replays once.  Two different cells under
     one id are a :class:`ConfigError`, never a silent share.  Output is
     deterministic: identical to running each experiment serially with
@@ -159,11 +145,11 @@ def run_experiments(
     pool: list[Cell] = []
     index: dict[tuple, int] = {}
     keys_by_id: dict[str, tuple] = {}
-    plans: list[tuple[ModuleType | None, list[int]]] = []
+    plans: list[tuple[ModuleType, list[int]]] = []
     for exp_id in exp_ids:
-        module, exp_cells = _experiment_cells(exp_id, scale)
+        module = _module(exp_id)
         positions = []
-        for cell in exp_cells:
+        for cell in module.cells(scale):
             key = (cell.fn, cell.args, tuple(sorted(cell.kwargs.items())))
             if keys_by_id.setdefault(cell.cell_id, key) != key:
                 raise ConfigError(
@@ -177,8 +163,6 @@ def run_experiments(
     payloads = run_cells(pool, jobs=jobs)
     return [
         module.assemble([payloads[i] for i in positions])
-        if module
-        else payloads[positions[0]]
         for module, positions in plans
     ]
 

@@ -31,7 +31,7 @@ from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
 from repro.engines import ENGINE_NAMES, make_engine
 from repro.errors import ConfigError
-from repro.experiments.common import nemo_config, scale_params, twitter_trace
+from repro.experiments.common import scale_params, twitter_trace
 from repro.flash.geometry import FlashGeometry
 from repro.harness.parallel import Cell
 from repro.harness.runner import replay, replay_plan
@@ -43,9 +43,6 @@ SAMPLE_DIVISORS = (64, 128, 256, 512)
 #: Metrics sampled at every union position (those a snapshot carries).
 SAMPLED_METRICS = ("wa", "miss_ratio", "host_write_bytes", "hits", "lookups", "p_fraction")
 
-#: The Nemo ``make_engine("nemo")`` builds when given no parameters.
-_NEMO_BASE = nemo_config()
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -54,8 +51,8 @@ class SystemSpec:
 
     Frozen and hashable, so equal runs are equal cells.  ``params`` is
     a sorted tuple of ``make_engine`` keywords; for Nemo it holds only
-    the :class:`NemoConfig` fields that differ from :func:`nemo_config`,
-    so configurations built different ways (``nemo_config()``, Fig. 17's
+    the :class:`NemoConfig` fields that differ from ``NemoConfig()``,
+    so configurations built different ways (``NemoConfig()``, Fig. 17's
     B+P+W ablation, Fig. 18's p_th = 8) name the same run.
     """
 
@@ -88,12 +85,13 @@ def system(
 def nemo_system(
     scale: str, config: NemoConfig | None = None, *, num_requests: int | None = None
 ) -> SystemSpec:
-    """Spec of a Nemo run (``config`` defaults to :func:`nemo_config`)."""
-    config = nemo_config() if config is None else config
+    """Spec of a Nemo run (``config`` defaults to ``NemoConfig()``)."""
+    base = NemoConfig()
+    config = base if config is None else config
     changed = {
         f.name: getattr(config, f.name)
         for f in fields(NemoConfig)
-        if getattr(config, f.name) != getattr(_NEMO_BASE, f.name)
+        if getattr(config, f.name) != getattr(base, f.name)
     }
     return system("nemo", scale, num_requests=num_requests, **changed)
 

@@ -20,7 +20,7 @@ from repro.analysis.memory_model import (
 )
 from repro.experiments.common import scale_params
 from repro.experiments.systems import SystemRecord, nemo_system, system_cell
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
 from repro.harness.report import format_table
 
 PAPER = {"FairyWREN": 9.9, "naive Nemo": 30.4, "Nemo": 8.3}
@@ -74,7 +74,3 @@ def assemble(records: list[SystemRecord]) -> Table6Result:
     result.measured_nemo = rec.mem_bits
     result.measured_breakdown = rec.extras["mem_breakdown"]
     return result
-
-
-def run(scale: str = "small", jobs: int | None = 1) -> Table6Result:
-    return assemble(run_cells(cells(scale), jobs=jobs))

@@ -11,9 +11,10 @@ The paper's geometry (for reference):
 - ZN540 zone capacity: 1077 MB → one Nemo Set-Group of 275,712 sets
 - total flash given to the cache: 360 GB
 
-A pure-Python simulator cannot replay that scale, so experiments default
-to MiB-scale devices; all WA quantities in the paper's model are ratios
-and therefore scale-free (see DESIGN.md §3).
+A pure-Python simulator cannot replay that scale, so experiments run on
+MiB-scale devices of 1 MiB zones (:func:`repro.engines.geometry`); all
+WA quantities in the paper's model are ratios and therefore scale-free
+(see DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -127,38 +128,6 @@ class FlashGeometry:
             raise AlignmentError(
                 f"zone {zone} out of range [0, {self.num_zones})"
             )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_capacity(
-        cls,
-        capacity_bytes: int,
-        *,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        pages_per_block: int = DEFAULT_PAGES_PER_BLOCK,
-        zone_size: int | None = None,
-    ) -> "FlashGeometry":
-        """Build a geometry with at least ``capacity_bytes`` of raw space.
-
-        ``zone_size`` (bytes) is rounded to whole erase blocks; the total
-        capacity is rounded up to whole zones.
-        """
-        if capacity_bytes <= 0:
-            raise ConfigError("capacity_bytes must be positive")
-        block_size = page_size * pages_per_block
-        if zone_size is None:
-            zone_size = 16 * block_size
-        blocks_per_zone = max(1, round(zone_size / block_size))
-        zone_bytes = blocks_per_zone * block_size
-        num_zones = max(1, -(-capacity_bytes // zone_bytes))  # ceil div
-        return cls(
-            page_size=page_size,
-            pages_per_block=pages_per_block,
-            num_blocks=num_zones * blocks_per_zone,
-            blocks_per_zone=blocks_per_zone,
-        )
 
     def describe(self) -> str:
         """Human-readable one-line summary of the layout."""

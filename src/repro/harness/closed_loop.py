@@ -24,7 +24,7 @@ the timestamps differ.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ClosedLoopResult:
     #: Peak in-flight requests observed (≤ queue_depth when bounded).
     max_outstanding: int = 0
     events_fired: int = 0
-    notes: list[str] = field(default_factory=list)
 
     @property
     def sojourn_us(self) -> np.ndarray:

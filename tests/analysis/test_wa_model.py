@@ -34,8 +34,8 @@ class TestPaperNumbers:
         )
 
     def test_kangaroo_hash_range_doubles_l2swa(self):
-        fw = l2swa_passive(0.95, 0.05, 0.05, hot_cold=True)
-        kg = l2swa_passive(0.95, 0.05, 0.05, hot_cold=False)
+        fw = l2swa_passive(0.95, 0.05, 0.05, fairywren=True)
+        kg = l2swa_passive(0.95, 0.05, 0.05, fairywren=False)
         assert kg == pytest.approx(2 * fw)
 
     def test_eq1_total(self):
@@ -93,7 +93,7 @@ class TestBundledModel:
             n_log_pages=1000,
             n_set_pages=19_000,
             op_ratio=0.05,
-            hot_cold=True,
+            fairywren=True,
         )
 
     def test_bucket_count(self, model):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines.base import CacheEngine, EngineCounters, LookupResult
 from repro.baselines.log_structured import LogStructuredCache
-from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
+from repro.engines import ENGINE_NAMES, geometry, make_engine
 from repro.flash.geometry import FlashGeometry
 
 #: The request methods the replay runner and the closed-loop closure
@@ -116,7 +116,7 @@ class TestRegisteredEngineProtocol:
     signature allows on each request method."""
 
     def test_snapshot_keys_leave_out_only_an_unnamed_object_count(self, name):
-        engine = make_engine(name, shard_geometry(8))
+        engine = make_engine(name, geometry(8))
         for key in range(200):
             engine.insert(key, 100)
             engine.lookup(key // 2, 100)
@@ -129,7 +129,7 @@ class TestRegisteredEngineProtocol:
         assert json.dumps(engine.metrics_snapshot(("object_count",))) == json.dumps(full)
 
     def test_only_the_probe_and_the_admission_are_engine_written(self, name):
-        engine_type = type(make_engine(name, shard_geometry(8)))
+        engine_type = type(make_engine(name, geometry(8)))
         own = engine_type.__mro__[: engine_type.__mro__.index(CacheEngine)]
         for cls in own:
             written = set(DERIVED_METHODS) & set(vars(cls))
@@ -139,7 +139,7 @@ class TestRegisteredEngineProtocol:
 
     @pytest.mark.parametrize("method", REQUEST_METHODS)
     def test_request_signature_extends_the_base(self, name, method):
-        engine_type = type(make_engine(name, shard_geometry(8)))
+        engine_type = type(make_engine(name, geometry(8)))
         base = list(inspect.signature(getattr(CacheEngine, method)).parameters.values())
         own = list(inspect.signature(getattr(engine_type, method)).parameters.values())
 

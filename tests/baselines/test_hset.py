@@ -17,8 +17,7 @@ from repro.flash.zns import ZNSDevice
 def make_hset(
     num_zones=4,
     num_buckets=8,
-    hot_cold=False,
-    merge_on_gc=False,
+    fairywren=False,
     bucket_objs=None,
     hot_keys=None,
 ):
@@ -33,8 +32,7 @@ def make_hset(
         device,
         list(range(num_zones)),
         num_buckets,
-        hot_cold=hot_cold,
-        merge_on_gc=merge_on_gc,
+        fairywren=fairywren,
         bucket_drainer=lambda b: bucket_objs.pop(b, []),
         is_hot=hot_keys.__contains__,
         on_evict=lambda k, s: evicted.append((k, s)),
@@ -89,14 +87,14 @@ class TestInstall:
         with pytest.raises(ConfigError):
             HierarchicalSet(
                 device, [0, 1], 0,
-                hot_cold=False, merge_on_gc=False,
+                fairywren=False,
                 bucket_drainer=lambda b: [], is_hot=lambda k: False,
                 on_evict=lambda k, s: None,
             )
         with pytest.raises(ConfigError):
             HierarchicalSet(
                 device, [0], 100,  # 100 sets > 8-page region
-                hot_cold=False, merge_on_gc=False,
+                fairywren=False,
                 bucket_drainer=lambda b: [], is_hot=lambda k: False,
                 on_evict=lambda k, s: None,
             )
@@ -122,7 +120,7 @@ class TestGC:
             assert found.used_bytes == sum(found.objects.values())
 
     def test_kangaroo_gc_relocates_without_merging(self):
-        hset, *_ = make_hset(merge_on_gc=False)
+        hset, *_ = make_hset(fairywren=False)
         churn(hset)
         assert hset.case_writes["relocate"] >= 0
         assert hset.case_writes[CASE_ACTIVE] == 0
@@ -133,7 +131,7 @@ class TestGC:
         # drainer keeps refilling, mimicking a live HLog.
         refill = {b: [(1000 + b, 200)] for b in range(8)}
         hset, _, _, objs, _ = make_hset(
-            merge_on_gc=True,
+            fairywren=True,
             bucket_objs=dict(refill),
         )
         original_drainer = hset.bucket_drainer
@@ -152,7 +150,7 @@ class TestGC:
 
     def test_p_fraction_range(self):
         bucket_objs = {b: [(2000 + b, 200)] for b in range(8)}
-        hset, *_ = make_hset(merge_on_gc=True, bucket_objs=bucket_objs)
+        hset, *_ = make_hset(fairywren=True, bucket_objs=bucket_objs)
         churn(hset)
         p = hset.p_fraction
         assert 0.0 <= p <= 1.0
@@ -168,13 +166,13 @@ class TestGC:
 
 class TestHotCold:
     def test_hot_cold_doubles_sets(self):
-        hset, *_ = make_hset(hot_cold=True, num_buckets=4)
+        hset, *_ = make_hset(fairywren=True, num_buckets=4)
         assert hset.num_sets == 8
         assert hset.hot_set_of(1) == 5
 
     def test_hot_overflow_goes_to_staging(self):
         hot_keys = {0, 1}
-        hset, _, evicted, _, _ = make_hset(hot_cold=True, num_buckets=4, hot_keys=hot_keys)
+        hset, _, evicted, _, _ = make_hset(fairywren=True, num_buckets=4, hot_keys=hot_keys)
         # Overflow cold set 0 with hot-marked keys first in FIFO order.
         # The hot overflow (keys 0 and 1) moves to the staging buffer and
         # then — once the batch threshold is reached — to the hot set.
@@ -189,7 +187,7 @@ class TestHotCold:
 
     def test_promotion_batch_flushes_to_hot_set(self):
         hot_keys = set(range(100))
-        hset, *_ = make_hset(hot_cold=True, num_buckets=4, hot_keys=hot_keys)
+        hset, *_ = make_hset(fairywren=True, num_buckets=4, hot_keys=hot_keys)
         key = 0
         for _ in range(12):
             hset.install_bucket(0, [(key, 1200), (key + 1, 1200)], case=CASE_PASSIVE)
@@ -200,7 +198,7 @@ class TestHotCold:
 
     def test_hot_set_not_merged_on_gc(self):
         hot_keys = set(range(1000))
-        hset, *_ = make_hset(hot_cold=True, num_buckets=2, merge_on_gc=True, hot_keys=hot_keys)
+        hset, *_ = make_hset(fairywren=True, num_buckets=2, hot_keys=hot_keys)
         churn(hset, rounds=30, per_round=2)
         # Hot sets are relocated verbatim, never actively merged.
         assert hset.case_writes[CASE_ACTIVE] >= 0

@@ -48,8 +48,7 @@ def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
         device,
         list(range(NUM_ZONES)),
         NUM_ZONES * ppz - int(spare_zones * ppz),
-        hot_cold=False,
-        merge_on_gc=False,
+        fairywren=False,
         bucket_drainer=lambda b: [],
         is_hot=lambda k: False,
         on_evict=lambda k, s: evicted.append((k, s)),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CacheCluster, ClusterConfig
-from repro.engines import ENGINE_NAMES, make_engine, shard_geometry
+from repro.engines import ENGINE_NAMES, geometry, make_engine
 from repro.errors import ConfigError
 from repro.harness.runner import KERNEL_ENV_VAR, replay
 from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
@@ -129,7 +129,7 @@ class TestOneShardIsSerial:
         for name in ENGINE_NAMES:
             config = ClusterConfig(num_shards=1, engine=name, zones_per_shard=4)
             cluster = CacheCluster(config).replay(trace, jobs=1)
-            serial = replay(make_engine(name, shard_geometry(4)), trace)
+            serial = replay(make_engine(name, geometry(4)), trace)
             if name in ("fw", "kg"):
                 assert serial.final["set_gc_runs"] > 0, name
             _assert_finals_identical(
@@ -145,7 +145,7 @@ class TestOneShardIsSerial:
         for engine_name in ("log", "set"):
             config = ClusterConfig(num_shards=1, engine=engine_name)
             cluster = CacheCluster(config).replay(trace, jobs=1)
-            engine = make_engine(engine_name, shard_geometry(8))
+            engine = make_engine(engine_name, geometry(8))
             serial = replay(engine, trace)
             assert cluster.wa == serial.final["wa"]
 

@@ -10,7 +10,9 @@ class TestValidation:
     def test_defaults_match_table3(self):
         cfg = NemoConfig()
         assert INMEM_SGS == cfg.effective_inmem_sgs == 2
-        assert cfg.flush_threshold == 4096
+        # Table 3's p_th (4,096) and 50 SGs per index group, rescaled to
+        # MiB-scale SGs and pools (see the field comments).
+        assert (cfg.flush_threshold, cfg.sgs_per_index_group) == (8, 4)
         assert cfg.bf_false_positive_rate == 0.001
         assert cfg.cached_index_ratio == 0.5
         assert cfg.hotness_window_fraction == 0.3

@@ -7,7 +7,7 @@ from repro.experiments.fig14_wa_trend import _first_knee
 from repro.experiments.fig19_pbfg import set_access_top_share
 from repro.experiments.fig12_wa_main import PAPER_WA, build_engines
 from repro.experiments.fig17_sg_breakdown import PAPER_FILL, variant_configs
-from repro.experiments.common import small_geometry
+from repro.experiments.common import geometry
 
 
 class TestFirstKnee:
@@ -43,7 +43,7 @@ class TestSetAccessShare:
 
 class TestExperimentTables:
     def test_fig12_engines_cover_table4(self):
-        engines = build_engines(small_geometry())
+        engines = build_engines(geometry(12))
         assert [e.name for e in engines] == ["Log", "Set", "FW", "KG", "Nemo"]
         assert set(PAPER_WA) == {e.name for e in engines}
 

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment, systems
-from repro.experiments.registry import _experiment_cells, run_experiments
+from repro.experiments.registry import _module, run_experiments
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ class TestSharedSystemRuns:
         listed = Counter(
             cell.args[0]
             for exp_id in EXPERIMENTS
-            for cell in _experiment_cells(exp_id, "micro")[1]
+            for cell in _module(exp_id).cells("micro")
             if cell.fn is counting
         )
         pooled = run_experiments(list(EXPERIMENTS), scale="micro", jobs=1)

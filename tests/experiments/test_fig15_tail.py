@@ -23,15 +23,15 @@ from repro.experiments.fig15_tail import (
     QUEUE_DEPTH,
     SYSTEMS,
     _build_system,
-    run,
 )
+from repro.experiments.registry import run_experiment
 from repro.harness.closed_loop import replay_closed_loop
 from repro.workloads.arrivals import assign_classes, bursty_arrivals
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(scale="micro")
+    return run_experiment("fig15_tail", scale="micro")
 
 
 class TestFig15Tail:

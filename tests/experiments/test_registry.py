@@ -36,7 +36,7 @@ class TestRegistry:
 
     def test_get_experiment_resolves(self):
         exp = get_experiment("appendixA")
-        assert callable(exp.run)
+        assert exp.exp_id == "appendixA"
         assert exp.description
 
     def test_unknown_experiment(self):

@@ -12,13 +12,7 @@ import pytest
 from repro.core.config import NemoConfig
 from repro.errors import ConfigError
 from repro.experiments import fig13_writes_per_minute as f13
-from repro.experiments.common import (
-    SIM_FLUSH_THRESHOLD,
-    SIM_SGS_PER_INDEX_GROUP,
-    nemo_config,
-    scale_params,
-    twitter_trace,
-)
+from repro.experiments.common import nemo_config, scale_params, twitter_trace
 from repro.experiments.systems import (
     SAMPLE_DIVISORS,
     nemo_system,
@@ -44,16 +38,11 @@ def fw_record(fw_spec):
 
 class TestSpec:
     def test_default_nemo_spellings_are_one_spec(self):
-        ablation = NemoConfig.ablation(
-            buffered=True,
-            delayed=True,
-            writeback=True,
-            flush_threshold=SIM_FLUSH_THRESHOLD,
-            sgs_per_index_group=SIM_SGS_PER_INDEX_GROUP,
-        )
+        ablation = NemoConfig.ablation(buffered=True, delayed=True, writeback=True)
         specs = {
             nemo_system("micro"),
-            nemo_system("micro", nemo_config(flush_threshold=SIM_FLUSH_THRESHOLD)),
+            nemo_system("micro", NemoConfig()),
+            nemo_system("micro", nemo_config(flush_threshold=8)),
             nemo_system("micro", nemo_config(cached_index_ratio=0.5)),
             nemo_system("micro", ablation),
         }
@@ -73,18 +62,12 @@ class TestSpec:
             system("lru", "micro")
 
     def test_default_nemo_builds_the_simulator_config(self):
-        # Nemo specs store their difference from nemo_config(); building
+        # Nemo specs store their difference from NemoConfig(); building
         # one must start from that same config.
         geometry, _ = scale_params("micro")
         assert nemo_system("micro").params == ()
         assert nemo_system("micro").build(geometry).config == nemo_config()
-        ablation = NemoConfig.ablation(
-            buffered=False,
-            delayed=True,
-            writeback=False,
-            flush_threshold=SIM_FLUSH_THRESHOLD,
-            sgs_per_index_group=SIM_SGS_PER_INDEX_GROUP,
-        )
+        ablation = NemoConfig.ablation(buffered=False, delayed=True, writeback=False)
         assert nemo_system("micro", ablation).build(geometry).config == ablation
 
 

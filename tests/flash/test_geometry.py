@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError, ConfigError
-from repro.flash.geometry import MIB, FlashGeometry
+from repro.flash.geometry import FlashGeometry
 
 
 class TestConstruction:
@@ -25,15 +25,6 @@ class TestConstruction:
     def test_rejects_blocks_not_multiple_of_zone(self):
         with pytest.raises(ConfigError):
             FlashGeometry(num_blocks=10, blocks_per_zone=4)
-
-    def test_from_capacity_rounds_up(self):
-        geo = FlashGeometry.from_capacity(10 * MIB, zone_size=MIB)
-        assert geo.capacity_bytes >= 10 * MIB
-        assert geo.zone_size == MIB
-
-    def test_from_capacity_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            FlashGeometry.from_capacity(0)
 
     def test_describe_mentions_zones(self):
         assert "zones" in FlashGeometry().describe()

@@ -20,7 +20,7 @@ from repro.baselines.log_structured import LogStructuredCache
 from repro.cluster import CacheCluster, ClusterConfig
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
-from repro.engines import make_engine, shard_geometry
+from repro.engines import geometry, make_engine
 from repro.errors import ConfigError
 from repro.flash.devsim import make_latency_model
 from repro.harness.closed_loop import replay_closed_loop
@@ -250,7 +250,7 @@ class TestDegenerateTraces:
             ClusterConfig(num_shards=shards, engine=engine, zones_per_shard=4)
         )
         merged = cluster.replay(trace, jobs=1)
-        serial = replay(make_engine(engine, shard_geometry(4)), trace)
+        serial = replay(make_engine(engine, geometry(4)), trace)
         assert merged.num_requests == n
         assert sum(merged.shard_requests) == n
         _assert_finals_identical(merged.final, serial.final, merged.final.keys())

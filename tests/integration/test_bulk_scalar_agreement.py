@@ -25,15 +25,15 @@ probe, so Nemo's three GET bodies (the inline ``lookup_many``,
 per step) are also compared three ways.
 """
 
-import argparse
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro import engines
 from repro.baselines.base import CacheEngine
-from repro.cli import ENGINE_NAMES, build_engine
+from repro.engines import ENGINE_NAMES
 from repro.errors import AlignmentError, ReadError
 from repro.flash.devsim import make_latency_model
 from repro.flash.device import PAGE_ERASED
@@ -52,10 +52,8 @@ def make_geometry():
 
 
 def make_engine(name):
-    args = argparse.Namespace(
-        flush_threshold=4, sgs_per_index_group=2, cached_index_ratio=0.5
-    )
-    return build_engine(name, make_geometry(), args)
+    params = {"flush_threshold": 4, "sgs_per_index_group": 2} if name == "nemo" else {}
+    return engines.make_engine(name, make_geometry(), **params)
 
 
 def make_runs(seed=7, num_runs=80, key_space=400):

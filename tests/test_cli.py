@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cli import build_engine, main, make_parser
-from repro.flash.geometry import FlashGeometry
+from repro.cli import main, make_parser
+from repro.engines import geometry, make_engine
 
 
 class TestParser:
@@ -18,20 +18,17 @@ class TestParser:
 
 
 class TestBuildEngine:
+    """``--engine NAME`` builds ``make_engine(NAME, geometry(--zones))``."""
+
     @pytest.mark.parametrize("name", ["nemo", "log", "set", "fw", "kg"])
     def test_all_engines_constructible(self, name):
-        geometry = FlashGeometry(
-            page_size=4096, pages_per_block=64, num_blocks=32, blocks_per_zone=4
-        )
-        args = make_parser().parse_args([])
-        engine = build_engine(name, geometry, args)
+        args = make_parser().parse_args(["--engine", name, "--zones", "8"])
+        engine = make_engine(args.engine, geometry(args.zones))
         assert engine.object_count() == 0
 
     def test_unknown_engine(self):
-        geometry = FlashGeometry()
-        args = make_parser().parse_args([])
         with pytest.raises(ValueError):
-            build_engine("bogus", geometry, args)
+            make_engine("bogus", geometry(8))
 
 
 class TestProfile:

@@ -79,10 +79,10 @@ CONSTRUCTOR_PARAMETERS = {
         "geometry", "log_fraction", "op_ratio", "latency",
     ],
     "repro.baselines.hierarchical.HierarchicalCacheBase": [
-        "geometry", "log_fraction", "op_ratio", "hot_cold", "merge_on_gc", "latency",
+        "geometry", "log_fraction", "op_ratio", "fairywren", "latency",
     ],
     "repro.baselines.hset.HierarchicalSet": [
-        "device", "zone_ids", "num_buckets", "hot_cold", "merge_on_gc",
+        "device", "zone_ids", "num_buckets", "fairywren",
         "bucket_drainer", "is_hot", "on_evict",
     ],
     "repro.baselines.hlog.HierarchicalLog": ["device", "zone_ids", "num_buckets"],
