@@ -13,7 +13,7 @@ analysis rests on:
 Run:  python examples/zns_device_tour.py
 """
 
-from repro import ConventionalSSD, FlashGeometry, LatencyModel, ZNSDevice
+from repro import FlashGeometry, LatencyModel, PageMapFTL, ZNSDevice
 from repro.harness.report import format_table
 
 
@@ -41,7 +41,7 @@ def conventional_demo() -> None:
         geo = FlashGeometry(
             page_size=4096, pages_per_block=32, num_blocks=32, blocks_per_zone=1
         )
-        ssd = ConventionalSSD(geo, op_ratio=op)
+        ssd = PageMapFTL(geo, op_ratio=op)
         # Uniform *random* overwrites: the workload shape that forces GC
         # to relocate valid pages (sequential overwrites are its best
         # case and would show DLWA = 1).

@@ -3,8 +3,11 @@ Cache for Tiny Objects on Log-Structured Flash Devices* (ASPLOS '26).
 
 Layers (bottom-up):
 
-- :mod:`repro.flash` — simulated flash devices: ZNS and conventional
-  (FTL + GC) SSDs, with byte-exact WA accounting and a latency model.
+- :mod:`repro.flash` — simulated flash devices: a ZNS SSD
+  (``ZNSDevice``) and a conventional one (``PageMapFTL``: FTL + GC),
+  with byte-exact WA accounting and a latency model.  Only these two
+  write NAND page state, zone state and the host/flash traffic
+  counters; engines go through their methods.
 - :mod:`repro.workloads` — synthetic Twitter-cluster traces (Table 5)
   and the paper's §5.1 merge protocol.
 - :mod:`repro.baselines` — the four comparison engines: Log, Set,
@@ -41,11 +44,11 @@ from repro.errors import (
     TraceError,
 )
 from repro.flash import (
-    ConventionalSSD,
     FlashGeometry,
     FlashStats,
     LatencyModel,
     NandTimings,
+    PageMapFTL,
     ZNSDevice,
 )
 from repro.workloads import (
@@ -87,7 +90,7 @@ __all__ = [
     "LatencyModel",
     "NandTimings",
     "ZNSDevice",
-    "ConventionalSSD",
+    "PageMapFTL",
     "Trace",
     "ZipfGenerator",
     "TWITTER_CLUSTERS",

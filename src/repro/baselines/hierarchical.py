@@ -206,9 +206,8 @@ class HierarchicalCacheBase(CacheEngine):
         pending = hset.pending_promotions
         location = hset.location
         hot_add = self.hot_keys.add
-        nand = device.nand
-        state = nand._state
-        num_pages = nand._num_pages
+        state = device.nand._state
+        num_pages = device.nand._num_pages
         counters = self.counters
         stats = self.stats
         hits = 0
@@ -286,9 +285,7 @@ class HierarchicalCacheBase(CacheEngine):
         counters.insert_bytes += insert_bytes
         stats.logical_read_bytes += read_bytes
         stats.logical_write_bytes += insert_bytes
-        if flash_reads:
-            nand.read_count += flash_reads
-            stats.record_page_reads(flash_reads, self.geometry.page_size)
+        device.record_reads(flash_reads)
         return now_us
 
     def _lookup_at(

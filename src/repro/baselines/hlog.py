@@ -151,10 +151,7 @@ class HierarchicalLog:
         # at flush time; the NAND stores the reference, so populating
         # the dict afterwards writes through to the flash payload.
         objs: dict[int, tuple[int, int, int]] = {}
-        if self.device.latency is None:
-            page = self.device.append_page(zone_id, objs)
-        else:
-            page, _ = self.device.append(zone_id, objs, now_us=now_us)
+        page, _ = self.device.append(zone_id, objs, now_us=now_us)
         buckets = self.buckets
         for e, b in zip(self._buffer, self._buffer_buckets):
             # Current iff the bucket still holds this very entry: a

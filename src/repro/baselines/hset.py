@@ -38,13 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import (
-    ConfigError,
-    DeviceError,
-    EngineStateError,
-    ObjectTooLargeError,
-    ReadError,
-)
+from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.zns import ZNSDevice
 from repro.flash.zone import ZoneState
@@ -275,12 +269,7 @@ class HierarchicalSet:
         # Migration is background work (async threads in the paper's
         # implementation), so it must not stall foreground reads.
         if not first_write:
-            if self.device.latency is None:
-                self.device.read_page(self.location[set_id])
-            else:
-                self.device.read(
-                    self.location[set_id], now_us=now_us, background=True
-                )
+            self.device.read(self.location[set_id], now_us=now_us, background=True)
 
         new_bytes = 0
         added = 0
@@ -318,44 +307,34 @@ class HierarchicalSet:
                 self.on_evict(key, size)
 
     def _relocate_set(self, set_id: int, *, now_us: float = 0.0) -> None:
-        """Verbatim GC relocation (Case 3.1) — ``_write_set`` fast path.
+        """Verbatim relocation of one set (FW's hot sets; the reference
+        :meth:`_relocate_batch` is tested against) — ``_write_set`` fast path.
 
         The mirror is unchanged by a relocation (no new objects, no
         overflow possible: the set already fit its page), so the general
         path's merge/shrink machinery is skipped; the RMW read, the
         appended page and the case accounting are identical.
         """
-        if self.device.latency is None:
-            self.device.read_page(self.location[set_id])
-        else:
-            self.device.read(
-                self.location[set_id], now_us=now_us, background=True
-            )
+        self.device.read(self.location[set_id], now_us=now_us, background=True)
         self._append_set_page(set_id, now_us=now_us)
         self.case_writes[CASE_RELOCATE] += 1
 
-    def _relocate_batch(self, set_ids: Sequence[int] | np.ndarray) -> None:
-        """Bulk latency-free relocation: ``_relocate_set`` over ``set_ids``.
+    def _relocate_batch(
+        self, set_ids: Sequence[int] | np.ndarray, *, now_us: float = 0.0
+    ) -> None:
+        """Bulk relocation: ``_relocate_set`` over ``set_ids``.
 
         Kangaroo GC relocates hundreds of sets per victim and those
         relocations dominate replay time, so each zone-sequential run is
-        one gather of the source pages, one slice of target pages and
-        one scatter into the placement maps, with ``_relocate_set``'s
-        validations expressed on the slice (every source page
-        programmed, every target page erased) and the (identical) stat
-        deltas applied once per batch.  ``set_ids`` must be distinct
-        sets with a flash copy — what a victim scan yields.  Nothing
-        observes device stats mid-GC — the whole batch runs inside one
-        engine ``insert`` — so the deferred accounting is
-        indistinguishable from the per-set path.
+        one ``ZNSDevice.copy_many`` (the device checks, programs, counts
+        and, with a latency model, times every read/program pair in
+        order) and one scatter into the placement maps.  ``set_ids``
+        must be distinct sets with a flash copy — what a victim scan
+        yields.
         """
         device = self.device
-        nand = device.nand
-        zones = device.zones
         ppz = self._pages_per_zone
-        payload = nand._payload
         sets = self.sets
-        state = np.frombuffer(nand._state, dtype=np.uint8)
         owner = np.frombuffer(self._page_owner, dtype=np.int64)
         location = np.frombuffer(self.location, dtype=np.int64)
         zone_valid = np.frombuffer(self._zone_valid, dtype=np.int64)
@@ -364,50 +343,24 @@ class HierarchicalSet:
         i = 0
         while i < total:
             zone_id = self._writable_zone()
-            zone = zones[zone_id]
-            wp = zone.write_pointer
-            cap = zone.capacity_pages
-            take = min(total - i, cap - wp)
-            base = zone_id * ppz + wp
-            stop = base + take
+            take = min(total - i, device.zones[zone_id].remaining_pages)
             run = ids[i : i + take]
             old_pages = location[run]
-            # RMW reads (accounting-only; the mirror is authoritative).
-            # A state byte is 0 (erased) or 1 (programmed), so all() /
-            # any() are the per-page tests taken over the slice.
-            source = state[old_pages]
-            if old_pages.min() < 0 or not source.all():
-                unreadable = (old_pages < 0) | (source != PAGE_PROGRAMMED)
-                page = int(old_pages[unreadable.argmax()])
-                raise ReadError(f"page {page} is not programmed")
-            target = state[base:stop]
-            if target.any():
-                page = base + int(target.argmax())
-                raise DeviceError(
-                    f"page {page} already programmed; erase its block first"
-                )
-            target[:] = PAGE_PROGRAMMED
-            payload[base:stop] = [sets[set_id].objects for set_id in run.tolist()]
+            base = device.copy_many(
+                old_pages,
+                zone_id,
+                [sets[set_id].objects for set_id in run.tolist()],
+                now_us,
+            )
+            stop = base + take
             owner[old_pages] = -1
             zone_valid -= np.bincount(old_pages // ppz, minlength=len(zone_valid))
             owner[base:stop] = run
             location[run] = np.arange(base, stop)
-            zone.write_pointer = wp + take
-            if wp + take == cap:
-                zone.state = ZoneState.FULL
-                self._open_zone = None
-            else:
-                zone.state = ZoneState.OPEN
             zone_valid[zone_id] += take
+            if device.zones[zone_id].state is ZoneState.FULL:
+                self._open_zone = None
             i += take
-        nand.read_count += total
-        nand.program_count += total
-        stats = device.stats
-        nbytes = device.geometry.page_size * total
-        stats.record_page_reads(total, device.geometry.page_size)
-        stats.host_write_bytes += nbytes
-        stats.host_write_ops += total
-        stats.flash_write_bytes += nbytes
         self.case_writes[CASE_RELOCATE] += total
 
     def _maybe_flush_promotions(self, bucket: int, *, now_us: float = 0.0) -> None:
@@ -442,11 +395,7 @@ class HierarchicalSet:
         # accounting-only — so snapshotting per write would be pure
         # copy churn.
         device = self.device
-        objs = self.sets[set_id].objects
-        if device.latency is None:
-            page = device.append_page(zone_id, objs)
-        else:
-            page, _ = device.append(zone_id, objs, now_us=now_us)
+        page, _ = device.append(zone_id, self.sets[set_id].objects, now_us=now_us)
         self.location[set_id] = page
         self._page_owner[page] = set_id
         zone_valid[zone_id] += 1
@@ -553,13 +502,9 @@ class HierarchicalSet:
         self, valid_sets: np.ndarray, max_relocate: int, *, now_us: float = 0.0
     ) -> None:
         if not self.fairywren:
-            # Kangaroo mode: every kept set relocates verbatim, in one
-            # batch unless a latency model must time each relocation.
-            if max_relocate and self.device.latency is None:
-                self._relocate_batch(valid_sets[:max_relocate])
-            else:
-                for set_id in valid_sets[:max_relocate].tolist():
-                    self._relocate_set(set_id, now_us=now_us)
+            # Kangaroo mode: every kept set relocates verbatim.
+            if max_relocate:
+                self._relocate_batch(valid_sets[:max_relocate], now_us=now_us)
             for set_id in valid_sets[max_relocate:].tolist():
                 self._drop_set(set_id)
             return

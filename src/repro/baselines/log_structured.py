@@ -140,9 +140,8 @@ class LogStructuredCache(CacheEngine):
         latency = device.latency
         index_get = self._index.get
         insert_at = self._insert_at
-        nand = device.nand
-        state = nand._state
-        num_pages = nand._num_pages
+        state = device.nand._state
+        num_pages = device.nand._num_pages
         hits = 0
         read_bytes = 0
         flash_reads = 0
@@ -174,9 +173,7 @@ class LogStructuredCache(CacheEngine):
         counters.lookups += len(keys)
         counters.hits += hits
         self.stats.logical_read_bytes += read_bytes
-        if flash_reads:
-            nand.read_count += flash_reads
-            self.stats.record_page_reads(flash_reads, self.geometry.page_size)
+        device.record_reads(flash_reads)
         return now_us
 
     def insert_column(

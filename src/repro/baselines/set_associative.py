@@ -6,8 +6,8 @@ DRAM — the memory floor of Table 1.  The price is write amplification:
 inserting one ~246 B object rewrites the whole 4 KiB set (read-modify-
 write), an ALWA of ~16×, and the scattered in-place overwrites force
 device GC, which Meta suppresses with 50 % over-provisioning in
-production (§2.3) — reproduced here by running on a
-:class:`~repro.flash.conventional.ConventionalSSD` with ``op_ratio=0.5``.
+production (§2.3) — reproduced here by running on a conventional SSD,
+:class:`~repro.flash.ftl.PageMapFTL`, with ``op_ratio=0.5``.
 
 DRAM cost is ~4 bits/object (the paper's figure): a small per-set bloom
 filter that lets misses skip the flash read.  The simulator models the
@@ -21,9 +21,8 @@ from typing import Callable
 
 from repro.baselines.base import CacheEngine
 from repro.errors import AlignmentError, ConfigError, ObjectTooLargeError, ReadError
-from repro.flash.conventional import ConventionalSSD
 from repro.flash.device import PAGE_PROGRAMMED
-from repro.flash.ftl import UNMAPPED
+from repro.flash.ftl import UNMAPPED, PageMapFTL
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 
@@ -66,7 +65,7 @@ class SetAssociativeCache(CacheEngine):
     ) -> None:
         super().__init__()
         self.geometry = geometry
-        self.device = ConventionalSSD(
+        self.device = PageMapFTL(
             geometry, op_ratio=op_ratio, stats=self.stats, latency=latency
         )
         self.num_sets = self.device.num_lbas
@@ -160,11 +159,9 @@ class SetAssociativeCache(CacheEngine):
         latency = device.latency
         insert_at = self._insert_at
         sets = self._sets
-        ftl = device.ftl
-        l2p = ftl._l2p
-        nand = ftl.nand
-        state = nand._state
-        num_pages = nand._num_pages
+        l2p = device._l2p
+        state = device.nand._state
+        num_pages = device.nand._num_pages
         hits = read_bytes = 0
         for key, size, sid in zip(keys, sizes, offsets):
             obj_size = sets[sid].objects.get(key)
@@ -188,11 +185,8 @@ class SetAssociativeCache(CacheEngine):
             now_us += step_us
         self.counters.lookups += len(keys)
         self.counters.hits += hits
-        stats = self.stats
-        stats.logical_read_bytes += read_bytes
-        if hits:
-            nand.read_count += hits
-            stats.record_page_reads(hits, self.geometry.page_size)
+        self.stats.logical_read_bytes += read_bytes
+        device.record_reads(hits)
         return now_us
 
     def delete(self, key: int) -> bool:

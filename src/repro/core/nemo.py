@@ -355,9 +355,8 @@ class NemoCache(CacheEngine):
         rng_random = self._rng.random
         randrange = self._rng.randrange
         fp_rate = self.config.bf_false_positive_rate
-        nand = self.device.nand
-        state = nand._state
-        num_pages = nand._num_pages
+        state = self.device.nand._state
+        num_pages = self.device.nand._num_pages
         lookups = hits = inserts = insert_bytes = read_bytes = 0
         resident = touches = n_fp = page_reads = 0
         for key, size, offset in zip(keys, sizes, offsets):
@@ -444,9 +443,7 @@ class NemoCache(CacheEngine):
         self.pbfg_touches += touches
         self.index_cache.hits += touches
         self.false_positive_reads += n_fp
-        if page_reads:
-            nand.read_count += page_reads
-            stats.record_page_reads(page_reads, self.geometry.page_size)
+        self.device.record_reads(page_reads)
         return now_us
 
     def _lookup_at(

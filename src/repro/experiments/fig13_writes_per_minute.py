@@ -21,6 +21,7 @@ import numpy as np
 from repro.experiments.systems import SystemRecord, nemo_system, system, system_cell
 from repro.harness.metrics import WindowedRate
 from repro.harness.parallel import Cell
+from repro.harness.runner import ARRIVAL_RATE
 from repro.harness.report import format_table
 
 
@@ -50,10 +51,6 @@ class Fig13Result:
             ],
         )
         return "Figure 13: flash writes per minute at steady state\n" + table
-
-
-#: Requests per simulated second: the replay default clock.
-ARRIVAL_RATE = 50_000.0
 
 
 def cells(scale: str) -> list[Cell]:

@@ -76,7 +76,6 @@ def _system_cell(scale: str, name: str) -> dict:
         trace,
         record_latency=True,
         mark_window_at=num_requests // 2,
-        arrival_rate=50_000.0,
     )
     before, after = r.latency.window_percentiles(LATENCY_PERCENTILES)
     return {"name": name, "before": before, "after": after}

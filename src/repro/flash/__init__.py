@@ -7,10 +7,9 @@ This subpackage provides discrete simulators for both device classes:
 - :class:`~repro.flash.zns.ZNSDevice` — zoned namespace device with
   sequential-write-required zones, zone append, and explicit reset.
   Device-level write amplification is 1 by construction.
-- :class:`~repro.flash.conventional.ConventionalSSD` — block-interface
-  device backed by a page-mapping FTL
-  (:class:`~repro.flash.ftl.PageMapFTL`) with greedy garbage collection
-  and configurable over-provisioning, so device-level write amplification
+- :class:`~repro.flash.ftl.PageMapFTL` — block-interface (conventional)
+  device: a page-mapping FTL with greedy garbage collection and
+  configurable over-provisioning, so device-level write amplification
   emerges from GC exactly as in the paper's Case 3.1 analysis.
 
 Both devices share :class:`~repro.flash.stats.FlashStats` accounting
@@ -18,6 +17,11 @@ Both devices share :class:`~repro.flash.stats.FlashStats` accounting
 amplification) and an optional :class:`~repro.flash.latency.LatencyModel`
 that models per-channel service times and read/program interference —
 the mechanism behind the paper's Figure 15 latency results.
+
+The two devices are the only writers of NAND page state, zone state and
+the host/flash traffic counters of :class:`~repro.flash.stats.FlashStats`;
+engines reach them through device methods (bulk GET loops flush their
+deferred read counts through ``record_reads``).
 """
 
 from repro.flash.geometry import FlashGeometry
@@ -27,7 +31,6 @@ from repro.flash.device import NandArray
 from repro.flash.zone import Zone, ZoneState
 from repro.flash.zns import ZNSDevice
 from repro.flash.ftl import PageMapFTL
-from repro.flash.conventional import ConventionalSSD
 
 __all__ = [
     "FlashGeometry",
@@ -39,5 +42,4 @@ __all__ = [
     "ZoneState",
     "ZNSDevice",
     "PageMapFTL",
-    "ConventionalSSD",
 ]

@@ -7,10 +7,11 @@ When free blocks run low, garbage collection picks a victim erase block,
 relocates its still-valid pages, and erases it — those relocations are
 device-level write amplification (DLWA, §2.2).
 
-This is the substrate for the paper's **Kangaroo** baseline (whose GC is
-independent of log-to-set migration, Case 3.1, multiplying its WA to
-55.6×) and for the **Set** baseline (which needs 50 % over-provisioning
-to keep DLWA near 1, halving usable flash — Table 4).
+:class:`PageMapFTL` *is* the simulated conventional SSD: the **Set**
+baseline runs on it directly (it needs 50 % over-provisioning to keep
+DLWA near 1, halving usable flash — Table 4).  The paper's **Kangaroo**
+ran on one too (GC independent of log-to-set migration, Case 3.1); here
+KG models that GC host-side on a ZNS device (DESIGN.md §1.3).
 
 Implementation notes
 --------------------
@@ -156,6 +157,16 @@ class PageMapFTL:
         self.stats.record_host_read(self.geometry.page_size)
         lat = self.latency.read(ppn, now_us) if self.latency else 0.0
         return payload, lat
+
+    def record_reads(self, n: int) -> None:
+        """Count ``n`` page reads whose checks the caller already made.
+
+        The NAND read counter and the host-read accounting of ``n``
+        :meth:`read` calls, for bulk GET loops that validate each page
+        inline and flush their read count once per run.
+        """
+        self.nand.read_count += n
+        self.stats.record_page_reads(n, self.geometry.page_size)
 
     def is_mapped(self, lba: int) -> bool:
         self._check_lba(lba)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.errors import AlignmentError, DeviceError, ReadError, ZoneStateError
 from repro.flash.device import PAGE_PROGRAMMED, NandArray
 from repro.flash.geometry import FlashGeometry
@@ -81,24 +83,13 @@ class ZNSDevice:
     # I/O
     # ------------------------------------------------------------------
     def append(self, zone_id: int, payload: Any, *, now_us: float = 0.0) -> tuple[int, float]:
-        """Zone-append one page; returns ``(physical_page, latency_us)``."""
-        zone = self.zones[zone_id]
-        offset = zone.advance(1)
-        page = self.geometry.zone_first_page(zone_id) + offset
-        self.nand.program(page, payload)
-        self.stats.record_host_write(self.geometry.page_size)
-        lat = self.latency.program(page, now_us) if self.latency else 0.0
-        return page, lat
+        """Zone-append one page; returns ``(physical_page, latency_us)``.
 
-    def append_page(self, zone_id: int, payload: Any) -> int:
-        """Latency-free single-page zone append for engine hot paths.
-
-        Equivalent to ``append(zone_id, payload)[0]`` when no latency
-        model is attached; the host-write accounting is inlined because
-        this is the single most-called write route through the device
-        during hierarchical (KG/FW) replay.
+        The single most-called write route through the device (every
+        HLog page and HSet set write): ``Zone.advance`` and
+        ``NandArray.program`` are inlined for the single-page case, and
+        the program is timed only when a latency model is attached.
         """
-        # Zone.advance inlined (single-page case of its state machine).
         zone = self.zones[zone_id]
         offset = zone.write_pointer
         if offset >= zone.capacity_pages:
@@ -110,9 +101,8 @@ class ZNSDevice:
             else ZoneState.OPEN
         )
         page = zone_id * self.geometry.pages_per_zone + offset
-        # NANDArray.program inlined: the zone state machine above
-        # already bounds the page, so only the double-program check
-        # remains.
+        # The zone state machine above already bounds the page, so only
+        # the double-program check remains.
         nand = self.nand
         state = nand._state
         if state[page] == PAGE_PROGRAMMED:
@@ -127,7 +117,14 @@ class ZNSDevice:
         stats.host_write_bytes += nbytes
         stats.host_write_ops += 1
         stats.flash_write_bytes += nbytes
-        return page
+        latency = self.latency
+        if latency is None:
+            return page, 0.0
+        return page, latency.program(page, now_us)
+
+    def append_page(self, zone_id: int, payload: Any) -> int:
+        """``append(zone_id, payload)[0]``: the appended page alone."""
+        return self.append(zone_id, payload)[0]
 
     def append_many(
         self, zone_id: int, payloads: list[Any], *, now_us: float = 0.0
@@ -163,9 +160,9 @@ class ZNSDevice:
         ``background`` marks asynchronous engine work (writeback,
         migration scans) that should not stall foreground reads in the
         latency model.  ``NandArray.read``'s checks and the host-read
-        accounting are inlined (as :meth:`read_page` inlines the latter):
-        this is the closed-loop GET probe's route to flash on FW and Log,
-        and Nemo's writeback read.
+        accounting are inlined: this is the closed-loop GET probe's
+        route to flash on FW and Log, HSet's RMW read and Nemo's
+        writeback read.
         """
         nand = self.nand
         if not 0 <= page < nand._num_pages:
@@ -184,11 +181,10 @@ class ZNSDevice:
         return nand._payload[page], latency.read(page, now_us, background=background)
 
     def read_page(self, page: int) -> Any:
-        """Latency-free single-page read for engine hot paths.
+        """``read(page)[0]``, never timed: the HLog's victim scan.
 
-        Equivalent to ``read(page)[0]`` when no latency model is
-        attached; the host-read accounting is inlined because this is
-        the single most-called route through the device during replay.
+        No latency model has ever timed those reads; timing them would
+        move FW's Fig. 15 latencies.
         """
         payload = self.nand.read(page)
         stats = self.stats
@@ -216,15 +212,80 @@ class ZNSDevice:
                 raise AlignmentError(f"page {page} out of range [0, {num_pages})")
             if state[page] != PAGE_PROGRAMMED:
                 raise ReadError(f"page {page} is not programmed")
-        n = len(pages)
-        nand.read_count += n
-        stats = self.stats
-        nbytes = self.geometry.page_size * n
-        stats.host_read_bytes += nbytes
-        stats.host_read_ops += n
-        stats.flash_read_bytes += nbytes
+        self.record_reads(len(pages))
         latency = self.latency
         return 0.0 if latency is None else latency.read_many(pages, now_us)
+
+    def record_reads(self, n: int) -> None:
+        """Count ``n`` page reads whose checks the caller already made.
+
+        The NAND read counter and the host-read accounting of ``n``
+        :meth:`read` calls, for bulk GET loops that validate each page
+        inline and flush their read count once per run.
+        """
+        self.nand.read_count += n
+        self.stats.record_page_reads(n, self.geometry.page_size)
+
+    def copy_many(
+        self,
+        src_pages: np.ndarray,
+        zone_id: int,
+        payloads: list[Any],
+        now_us: float = 0.0,
+    ) -> int:
+        """Copy ``src_pages`` to the next pages of ``zone_id`` (ZNS Simple
+        Copy); returns the first target page.
+
+        The copies land on consecutive pages from the write pointer and
+        carry ``payloads`` (one per source page).  Every source must be
+        programmed and every target erased, checked over the whole batch
+        before anything changes.  Accounting is that of one background
+        :meth:`read` and one :meth:`append` per page: a host read and a
+        host write op each.  With a latency model attached, each pair is
+        timed as a background read of its source, then a program of its
+        target, in order.
+        """
+        src = np.asarray(src_pages, dtype=np.int64)
+        n = len(src)
+        if len(payloads) != n:
+            raise DeviceError(f"copy of {n} pages got {len(payloads)} payloads")
+        nand = self.nand
+        state = np.frombuffer(nand._state, dtype=np.uint8)
+        # A state byte is 0 (erased) or 1 (programmed), so all() / any()
+        # are the per-page tests taken over the slice.
+        if n and src.max() >= nand._num_pages:
+            page = int(src.max())
+            raise AlignmentError(f"page {page} out of range [0, {nand._num_pages})")
+        if n and src.min() < 0:  # no flash copy
+            raise ReadError(f"page {int(src.min())} is not programmed")
+        source = state[src]
+        if not source.all():
+            page = int(src[source.argmin()])
+            raise ReadError(f"page {page} is not programmed")
+        zone = self.zones[zone_id]
+        if n > zone.remaining_pages:
+            raise ZoneStateError(
+                f"zone {zone_id}: copy of {n} pages exceeds "
+                f"remaining capacity {zone.remaining_pages}"
+            )
+        first = zone_id * self.geometry.pages_per_zone + zone.write_pointer
+        stop = first + n
+        target = state[first:stop]
+        if target.any():
+            page = first + int(target.argmax())
+            raise DeviceError(f"page {page} already programmed; erase its block first")
+        zone.advance(n)
+        target[:] = PAGE_PROGRAMMED
+        nand._payload[first:stop] = payloads
+        nand.program_count += n
+        self.record_reads(n)
+        self.stats.record_host_write(self.geometry.page_size * n, ops=n)
+        latency = self.latency
+        if latency is not None:
+            for page, dst in zip(src.tolist(), range(first, stop)):
+                latency.read(page, now_us, background=True)
+                latency.program(dst, now_us)
+        return first
 
     def reset_zone(self, zone_id: int, *, now_us: float = 0.0) -> float:
         """Reset (erase) a zone; invalidates all of its pages."""

@@ -169,8 +169,11 @@ class _TraceLinks:
     trace object (any geometry, any boundary layout) reuses them.
     ``cum_*`` arrays are length ``n + 1`` prefix sums padded with a
     leading zero, so the per-chunk settle is a pair of O(1) lookups.
+    ``sort_idx`` lists every request position stably sorted by key, so
+    one key's occurrences form a contiguous ascending run.
     """
 
+    sort_idx: np.ndarray
     hit: np.ndarray
     is_ins_event: np.ndarray
     ins_pos: np.ndarray
@@ -250,6 +253,7 @@ def _trace_links(trace: Trace) -> _TraceLinks:
     np.cumsum(np.where(is_ins_event, sizes, 0), out=cum_ins_bytes[1:])
 
     links = _TraceLinks(
+        sort_idx=sort_idx,
         hit=hit,
         is_ins_event=is_ins_event,
         ins_pos=ins_pos,
@@ -415,9 +419,9 @@ def replay_log_columnar(
 
         Exactly mirrors ``LogStructuredCache.lookup_many``'s deferred
         accounting: lookups/hits, logical read bytes, and — for hits
-        served from flash rather than the page buffer — the NAND read
-        counter plus host/flash read bytes (one page per hit).  O(1)
-        via the cached padded prefix sums.
+        served from flash rather than the page buffer — one device read
+        per hit (``ZNSDevice.record_reads``).  O(1) via the cached
+        padded prefix sums.
         """
         if b <= a:
             return
@@ -431,10 +435,7 @@ def replay_log_columnar(
         if not n_hit:
             return
         stats.logical_read_bytes += int(cum_read_bytes[b] - cum_read_bytes[a])
-        flash_reads = int(cum_flash[b] - cum_flash[a])
-        if flash_reads:
-            device.nand.read_count += flash_reads
-            stats.record_page_reads(flash_reads, page_size)
+        device.record_reads(int(cum_flash[b] - cum_flash[a]))
 
     # ------------------------------------------------------------------
     # Mutation loop: apply events in request order, one chunk per advance
@@ -531,45 +532,20 @@ def replay_log_columnar(
 
 @dataclass(frozen=True)
 class _NemoChain:
-    """Per-key occurrence chains, cached per trace (engine-independent).
-
-    ``occ_sorted`` lists every request position stably sorted by key,
-    so one key's occurrences form a contiguous ascending run;
-    ``run_bounds`` maps each key to its ``[lo, hi)`` rank slice.  The
-    Nemo kernel walks these chains to repair its decision columns when
-    a delayed-flush eviction invalidates the hit classification for one
-    key's future requests.
-    """
+    """GET and classified-hit positions, cached per trace
+    (engine-independent)."""
 
     get_pos: np.ndarray
     hit_pos: np.ndarray
-    occ_sorted: np.ndarray
-    run_bounds: dict[int, tuple[int, int]]
 
 
 def _nemo_chain(trace: Trace, links: _TraceLinks) -> _NemoChain:
     cached = trace._kernel_cache.get("nemo-chain")
     if cached is not None:
         return cast(_NemoChain, cached)
-    keys = trace.keys
-    n = len(trace)
-    sort_idx = np.argsort(keys, kind="stable").astype(np.int64)
-    sorted_keys = keys[sort_idx]
-    starts_mask = np.ones(n, dtype=bool)
-    starts_mask[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(starts_mask)
-    ends = np.append(starts[1:], n)
-    run_bounds = dict(
-        zip(
-            sorted_keys[starts].tolist(),
-            zip(starts.tolist(), ends.tolist()),
-        )
-    )
     chain = _NemoChain(
         get_pos=np.flatnonzero(trace.ops == OP_GET),
         hit_pos=np.flatnonzero(links.hit),
-        occ_sorted=sort_idx,
-        run_bounds=run_bounds,
     )
     trace._kernel_cache["nemo-chain"] = chain
     return chain
@@ -661,8 +637,10 @@ def replay_nemo_columnar(
 
     get_pos = chain.get_pos
     hit_pos = chain.hit_pos
-    occ_sorted = chain.occ_sorted
-    run_bounds = chain.run_bounds
+    occ_sorted = links.sort_idx
+    # keys_arr[occ_sorted], gathered only once an eviction repair first
+    # needs a key's occurrence run.
+    sorted_keys: np.ndarray | None = None
     hit_b = links.hit
     last_ev = links.last_ev
     cum_get = links.cum_get
@@ -702,7 +680,6 @@ def replay_nemo_columnar(
     pool_map = engine._pool_map
     free_zones = engine._free_sg_zones
     set_size = engine.set_size
-    page_size = engine.geometry.page_size
     window_sgs = engine._window_sgs
     OP_GET_ = OP_GET
 
@@ -724,6 +701,15 @@ def replay_nemo_columnar(
     # ------------------------------------------------------------------
     # Column repair after a delayed-flush eviction
     # ------------------------------------------------------------------
+    def occurrences(key: int) -> np.ndarray:
+        """Every request position of ``key``, ascending."""
+        nonlocal sorted_keys
+        if sorted_keys is None:
+            sorted_keys = keys_arr[occ_sorted]
+        lo = int(np.searchsorted(sorted_keys, key, side="left"))
+        hi = int(np.searchsorted(sorted_keys, key, side="right"))
+        return occ_sorted[lo:hi]
+
     def dirty(key: int, t: int) -> None:
         """Repair the decision columns after ``key`` left memory at ``t``."""
         # Settle everything before the eviction first: requests below
@@ -731,8 +717,7 @@ def replay_nemo_columnar(
         # the shared carrier entry, which would misclassify them.
         settle(t)
         read_settle(t)
-        lo, hi = run_bounds[key]
-        occ = occ_sorted[lo:hi]
+        occ = occurrences(key)
         i = int(np.searchsorted(occ, t, side="right")) - 1
         carrier = int(last_ev[occ[i]])
         holder_id = flash_index.get(key)
@@ -744,7 +729,7 @@ def replay_nemo_columnar(
             j = i + 1
             # Per-occurrence repair walk: bounded by this key's future
             # GET-hit run, not the trace.
-            while j < hi - lo:
+            while j < len(occ):
                 p = int(occ[j])
                 if ops[p] != OP_GET_ or not hit_b[p]:
                     break
@@ -753,7 +738,7 @@ def replay_nemo_columnar(
             return
         # No copy anywhere: the key's next classified hit is really a
         # read-through miss.  Handle that one request scalar, in place.
-        if i + 1 < hi - lo:
+        if i + 1 < len(occ):
             q = int(occ[i + 1])
             if ops[q] == OP_GET_ and hit_b[q]:
                 heappush(sched, q)
@@ -844,8 +829,7 @@ def replay_nemo_columnar(
             zones = device.zones
             if any(zones[fsg.zone_id].state is not ZoneState.FULL for fsg in pool_dq):
                 raise ReadError("an SG-pool zone is not fully programmed")
-            device.nand.read_count += pages_read
-            stats.record_page_reads(pages_read, page_size)
+            device.record_reads(pages_read)
         if n_flash_hits:
             assert hp is not None and sg is not None and mem is not None
             fh = hp[~mem]
@@ -1033,10 +1017,9 @@ def replay_nemo_columnar(
                 # Re-point the key's carrier at the new placement
                 # and repair its future GET-hit run to this size.
                 sg_arr[carrier] = placed
-                lo, hi = run_bounds[key]
-                occ = occ_sorted[lo:hi]
+                occ = occurrences(key)
                 j = int(np.searchsorted(occ, t, side="right"))
-                while j < hi - lo:
+                while j < len(occ):
                     p = int(occ[j])
                     if ops[p] != OP_GET_ or not hit_b[p]:
                         break

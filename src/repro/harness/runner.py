@@ -8,7 +8,7 @@ Semantics (matching the paper's CacheLib harness):
 - **SET**: insert/overwrite the object.
 - **DELETE**: user-driven removal.
 
-A simulated wall clock advances by ``1e6 / arrival_rate`` microseconds
+A simulated wall clock advances by ``1e6 / ARRIVAL_RATE`` microseconds
 per request so the device latency model experiences realistic
 inter-arrival gaps; "flash writes per minute" uses this clock.
 
@@ -46,12 +46,15 @@ import numpy as np
 
 from repro.baselines.base import CacheEngine
 from repro.errors import ConfigError
-from repro.harness.metrics import MetricSeries, WindowedRate
+from repro.harness.metrics import MetricSeries
 from repro.harness.percentile import LatencyRecorder
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
 #: Percentiles the paper reports (Fig. 15): median, p99, p9999.
 LATENCY_PERCENTILES = [50.0, 99.0, 99.99]
+
+#: Requests per simulated second: the replay clock's open-loop rate.
+ARRIVAL_RATE = 50_000.0
 
 #: Valid ``replay(kernel=...)`` lanes.
 REPLAY_KERNELS = ("batched", "columnar", "scalar")
@@ -86,9 +89,7 @@ class ReplayResult:
     final: dict[str, float]
     series: dict[str, MetricSeries] = field(default_factory=dict)
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    write_rate: WindowedRate | None = None
     wall_seconds: float = 0.0
-    sim_seconds: float = 0.0
     #: Which replay lane produced this result (metrics are lane-invariant).
     kernel: str = "batched"
     #: Human-readable dispatch notes (e.g. why the columnar lane fell
@@ -169,9 +170,7 @@ def replay(
     *,
     sample_every: int | None = None,
     sample_at: Sequence[int] | None = None,
-    arrival_rate: float = 50_000.0,
     record_latency: bool = False,
-    write_rate_window_s: float | None = None,
     mark_window_at: int | None = None,
     sampled_metrics: tuple[str, ...] = ("wa", "miss_ratio", "host_write_bytes"),
     progress: bool = False,
@@ -192,14 +191,9 @@ def replay(
     sample_at:
         Explicit sample positions (overrides ``sample_every``); the
         system runs sample the union of every figure's layout with it.
-    arrival_rate:
-        Requests per simulated second (drives the latency clock).
     record_latency:
         Record per-GET service latency (needs the engine's device to
         have a latency model for non-zero values).
-    write_rate_window_s:
-        When set, collect host-write bytes per window of simulated
-        seconds (Fig. 13).
     mark_window_at:
         Request index at which to split latency percentiles into
         before/after windows (Fig. 15's "flash space fully utilised"
@@ -215,17 +209,15 @@ def replay(
         pre-warmed engines, device wrap-around).
 
     Device timing is the engine's own: build it with ``latency=`` or
-    call ``engine.install_latency_model`` before replay.
+    call ``engine.install_latency_model`` before replay.  The simulated
+    clock advances ``1e6 / ARRIVAL_RATE`` µs per request.
     """
-    if arrival_rate <= 0:
-        raise ConfigError("arrival_rate must be positive")
     kernel = resolve_kernel(kernel)
     n = len(trace)
     series = {m: MetricSeries(name=m) for m in sampled_metrics}
     latency = LatencyRecorder()
-    write_rate = WindowedRate(write_rate_window_s) if write_rate_window_s else None
 
-    step_us = 1e6 / arrival_rate
+    step_us = 1e6 / ARRIVAL_RATE
 
     # The trace is pre-sliced into chunks that end exactly at a sample
     # boundary or the Fig. 15 window mark, so no per-request
@@ -235,7 +227,7 @@ def replay(
     )
 
     # Only latency recording needs per-GET instrumentation; everything
-    # else (sampling, write-rate windows, window marks) happens at chunk
+    # else (sampling, window marks) happens at chunk
     # boundaries on every executor.  ``latency.record`` is the sample
     # buffer's own bound ``append``, bound here once: a recorded GET
     # costs one C call, no Python method frame.
@@ -370,8 +362,6 @@ def replay(
             snap = engine.metrics_snapshot(sampled_metrics)
             for m in sampled_metrics:
                 series[m].record(stop, snap.get(m, float("nan")))
-            if write_rate is not None:
-                write_rate.update(now_us / 1e6, snap["host_write_bytes"])
             if progress and stop >= next_progress:
                 # One line per ~10 % of the trace: the first sample at
                 # or past each decile.
@@ -381,9 +371,6 @@ def replay(
                     f"wa={snap.get('wa', float('nan')):.2f} "
                     f"miss={snap.get('miss_ratio', float('nan')):.3f}"
                 )
-    if write_rate is not None:
-        write_rate.finish(now_us / 1e6)
-
     return ReplayResult(
         engine_name=engine.name,
         trace_name=trace.name,
@@ -391,9 +378,7 @@ def replay(
         final=engine.metrics_snapshot(),
         series=series,
         latency=latency,
-        write_rate=write_rate,
         wall_seconds=time.perf_counter() - t0,
-        sim_seconds=now_us / 1e6,
         kernel=kernel,
         notes=notes,
     )

@@ -1,12 +1,14 @@
 """Array-path GC relocation must equal the per-set reference path.
 
 ``HierarchicalSet._relocate_batch`` relocates a whole victim's valid
-sets by gather/slice/scatter over the placement maps and the NAND state;
-``_relocate_set`` is the per-set path that stays in charge under a
-latency model and is the reference here.  Twin HSets
-(Kangaroo mode) take identical writes, one relocating through the array
-path and one through the per-set path, and every piece of state the two
-touch must end up identical.
+sets through ``ZNSDevice.copy_many`` and one scatter over the placement
+maps; ``_relocate_set`` (one background read and one append per set,
+FW's hot-set path) is the reference here.  Twin HSets (Kangaroo mode)
+take identical writes, one relocating through the array path and one
+through the per-set path, and every piece of state the two touch must
+end up identical — with no latency model, and with an analytic or an
+event latency model attached to both twins (whose models must then end
+in the same state too).
 """
 
 import dataclasses
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 from repro.baselines.hset import CASE_PASSIVE, CASE_RELOCATE, HierarchicalSet
 from repro.errors import DeviceError, EngineStateError, ReadError
 from repro.flash.device import PAGE_ERASED, PAGE_PROGRAMMED
+from repro.flash.devsim import make_latency_model
+from repro.flash.devsim.model import EventLatencyModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.zns import ZNSDevice
 
@@ -26,7 +30,7 @@ PAGES_PER_BLOCK = 4
 NUM_ZONES = 6
 
 
-def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
+def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5, lane=None):
     """A Kangaroo-mode HSet (greedy victims) whose sets leave
     ``spare_zones`` zones of spare pages, so GC victims run from nearly
     to fully valid.
@@ -34,6 +38,7 @@ def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
     ``per_set`` routes every GC relocation through ``_relocate_set``:
     the batch entry point is replaced by a loop of per-set calls over
     the same victim scan, so both twins relocate identical victims.
+    ``lane`` attaches a fresh latency model of that lane to the device.
     """
     geo = FlashGeometry(
         page_size=4096,
@@ -41,7 +46,9 @@ def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
         num_blocks=NUM_ZONES * blocks_per_zone,
         blocks_per_zone=blocks_per_zone,
     )
-    device = ZNSDevice(geo)
+    device = ZNSDevice(
+        geo, latency=None if lane is None else make_latency_model(lane)
+    )
     ppz = geo.pages_per_zone
     evicted = []
     hset = HierarchicalSet(
@@ -55,19 +62,26 @@ def make_hset(blocks_per_zone, *, per_set=False, spare_zones=1.5):
     )
     if per_set:
 
-        def relocate_each(set_ids):
+        def relocate_each(set_ids, *, now_us=0.0):
             for set_id in np.asarray(set_ids).tolist():
-                hset._relocate_set(set_id)
+                hset._relocate_set(set_id, now_us=now_us)
 
         hset._relocate_batch = relocate_each
     return hset, evicted
 
 
 def apply_writes(hset, buckets):
-    """One set write per entry; keys are fresh so every write is new."""
+    """One set write per entry; keys are fresh so every write is new.
+
+    Write ``i`` is issued at ``i`` µs, so a latency model sees its
+    relocation reads and programs queue behind earlier work.
+    """
     for key, bucket in enumerate(buckets):
         hset.install_bucket(
-            bucket % hset.num_buckets, [(key, 300)], case=CASE_PASSIVE
+            bucket % hset.num_buckets,
+            [(key, 300)],
+            case=CASE_PASSIVE,
+            now_us=float(key),
         )
 
 
@@ -104,7 +118,29 @@ def full_state(hset, evicted=()):
         "case_writes": dict(hset.case_writes),
         "gc_valid_fractions": list(hset.gc_valid_fractions),
         "evicted": list(evicted),
+        "latency": latency_state(device.latency),
     }
+
+
+def latency_state(model):
+    """A latency model's whole timing state: the analytic lane's
+    channel horizons and read cache, and the event lane's completed
+    ops, preemptions and per-die queue tails."""
+    if model is None:
+        return None
+    state = {
+        "busy_until": list(model._busy_until),
+        "busy_is_program": bytes(model._busy_is_program),
+        "read_cache": list(model._read_cache),
+    }
+    if isinstance(model, EventLatencyModel):
+        state["completed_ops"] = model.completed_ops
+        state["preemptions"] = model.total_preemptions
+        state["dies"] = [
+            (d.now, d.fg_tail, d.bg_tail, d.write_tail, d.busy_horizon())
+            for d in model.dies
+        ]
+    return state
 
 
 def assert_same_state(a, b):
@@ -207,6 +243,59 @@ class TestRelocateBatchParity:
         assert batch.case_writes[CASE_RELOCATE] == ppz
         assert_same_state(full_state(batch), full_state(ref))
         batch.check_invariants()
+
+
+@pytest.mark.parametrize("blocks_per_zone", [1, 4])
+@pytest.mark.parametrize("lane", ["analytic", "event"])
+class TestTimedGcParity:
+    """The twin comparisons above, with a latency model on both twins:
+    ``copy_many`` times each read/program pair exactly as the per-set
+    path's ``read(background=True)`` and ``append`` do."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(buckets=WRITES)
+    def test_gc_rounds_match_per_set_path(self, lane, blocks_per_zone, buckets):
+        batch, batch_evicted = make_hset(blocks_per_zone, lane=lane)
+        ref, ref_evicted = make_hset(blocks_per_zone, per_set=True, lane=lane)
+        prefill = list(range(batch.num_buckets))
+        apply_writes(batch, prefill + buckets)
+        apply_writes(ref, prefill + buckets)
+        assert batch.gc_runs > 0
+        state = full_state(batch, batch_evicted)
+        assert state["latency"] != latency_state(make_latency_model(lane))
+        assert_same_state(state, full_state(ref, ref_evicted))
+
+    def test_fully_valid_victim_drops_one_set(self, lane, blocks_per_zone):
+        batch, batch_evicted = make_hset(blocks_per_zone, spare_zones=1, lane=lane)
+        ref, ref_evicted = make_hset(
+            blocks_per_zone, per_set=True, spare_zones=1, lane=lane
+        )
+        last = batch.num_buckets - 1
+        writes = list(range(batch.num_buckets)) + [last] * (
+            3 * batch.device.geometry.pages_per_zone
+        )
+        apply_writes(batch, writes)
+        apply_writes(ref, writes)
+        assert batch.gc_dropped_sets == ref.gc_dropped_sets > 0
+        assert_same_state(
+            full_state(batch, batch_evicted), full_state(ref, ref_evicted)
+        )
+
+    def test_batch_straddles_zone_and_block_boundaries(self, lane, blocks_per_zone):
+        batch, _ = make_hset(blocks_per_zone, lane=lane)
+        ref, _ = make_hset(blocks_per_zone, lane=lane)
+        ppz = batch.device.geometry.pages_per_zone
+        writes = list(range(ppz + ppz - 2))
+        apply_writes(batch, writes)
+        apply_writes(ref, writes)
+        ids = list(range(ppz - 1, -1, -1))
+        now = float(len(writes))
+        batch._in_gc = ref._in_gc = True
+        batch._relocate_batch(ids, now_us=now)
+        for set_id in ids:
+            ref._relocate_set(set_id, now_us=now)
+        batch._in_gc = ref._in_gc = False
+        assert_same_state(full_state(batch), full_state(ref))
 
 
 class TestRelocateBatchValidation:

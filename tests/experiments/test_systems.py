@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.config import NemoConfig
 from repro.errors import ConfigError
-from repro.experiments import fig13_writes_per_minute as f13
 from repro.experiments.common import nemo_config, scale_params, twitter_trace
 from repro.experiments.systems import (
     SAMPLE_DIVISORS,
@@ -102,18 +101,6 @@ class TestRecord:
         # comparing serial and pooled records must still call them equal.
         assert math.isnan(fw_record.samples["p_fraction"][0])
         assert pickle.loads(pickle.dumps(fw_record)) == fw_record
-
-    def test_fig13_rates_match_a_windowed_replay(self, fw_spec, fw_record):
-        geometry, _ = scale_params("micro")
-        window_s = max(1e-3, N / f13.ARRIVAL_RATE / 64.0)
-        r = replay(
-            fw_spec.build(geometry),
-            twitter_trace(N),
-            arrival_rate=f13.ARRIVAL_RATE,
-            write_rate_window_s=window_s,
-            sample_every=max(1, N // 512),
-        )
-        assert f13.write_rates(fw_record, window_s) == r.write_rate.rates
 
 
 def _scalar_early_snapshot(engine, trace) -> Counter:

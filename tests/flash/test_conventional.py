@@ -1,17 +1,27 @@
-"""Unit tests for the conventional (block-interface) SSD wrapper."""
+"""The conventional (block-interface) SSD: ``PageMapFTL`` used as a device.
+
+The Set baseline runs on a ``PageMapFTL`` directly; these tests drive it
+through the host interface an engine uses (LBA read/write, mapping
+queries, TRIM, shared stats).
+"""
 
 import pytest
 
-from repro.flash.conventional import ConventionalSSD
+from repro.flash.ftl import PageMapFTL
 from repro.flash.geometry import FlashGeometry
+from repro.flash.stats import FlashStats
 
 
 @pytest.fixture
-def ssd():
-    geo = FlashGeometry(
+def geo():
+    return FlashGeometry(
         page_size=4096, pages_per_block=4, num_blocks=8, blocks_per_zone=1
     )
-    return ConventionalSSD(geo, op_ratio=0.25)
+
+
+@pytest.fixture
+def ssd(geo):
+    return PageMapFTL(geo, op_ratio=0.25)
 
 
 class TestInterface:
@@ -30,9 +40,12 @@ class TestInterface:
         ssd.trim(2)
         assert not ssd.is_mapped(2)
 
-    def test_stats_shared_with_ftl(self, ssd):
+    def test_stats_shared_with_ftl(self, geo):
+        stats = FlashStats()
+        ssd = PageMapFTL(geo, op_ratio=0.25, stats=stats)
         ssd.write(0, "x")
-        assert ssd.stats.host_write_bytes == 4096
+        assert ssd.stats is stats
+        assert stats.host_write_bytes == 4096
 
     def test_dlwa_emerges_under_churn(self, ssd):
         for round_ in range(10):
@@ -42,3 +55,11 @@ class TestInterface:
         # The set-baseline scenario: everything still intact.
         for lba in range(ssd.num_lbas):
             assert ssd.read(lba)[0] == 9
+
+    def test_record_reads_counts_nand_and_host_reads(self, ssd):
+        ssd.write(1, "x")
+        ssd.read(1)
+        ssd.record_reads(3)
+        assert ssd.nand.read_count == 4
+        assert ssd.stats.host_read_ops == 4
+        assert ssd.stats.host_read_bytes == ssd.stats.flash_read_bytes == 4 * 4096

@@ -63,11 +63,6 @@ def _assert_results_identical(a, b):
             assert va == vb or (math.isnan(va) and math.isnan(vb))
     assert a.latency._values == b.latency._values
     assert a.latency._window_bounds == b.latency._window_bounds
-    if a.write_rate is None:
-        assert b.write_rate is None
-    else:
-        assert a.write_rate.rates == b.write_rate.rates
-    assert a.sim_seconds == b.sim_seconds
     assert a.num_requests == b.num_requests
 
 
@@ -137,7 +132,6 @@ class TestNemoColumnarParity:
             sample_every=517,
             record_latency=True,
             mark_window_at=len(trace) // 3,
-            write_rate_window_s=0.01,
         )
         batched = replay(
             NemoCache(small_geometry, config), trace, **kwargs

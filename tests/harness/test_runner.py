@@ -6,9 +6,8 @@ import pytest
 from repro.baselines.log_structured import LogStructuredCache
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
-from repro.errors import ConfigError
 from repro.flash.latency import LatencyModel
-from repro.harness.runner import replay
+from repro.harness.runner import ARRIVAL_RATE, replay
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
 
@@ -49,10 +48,6 @@ class TestSemantics:
         assert engine.counters.deletes == 1
         assert engine.counters.hits == 0
 
-    def test_rejects_bad_rate(self, engine):
-        with pytest.raises(ConfigError):
-            replay(engine, make_trace([(OP_GET, 1, 100)]), arrival_rate=0)
-
 
 class TestCollection:
     def test_samples_recorded(self, engine, small_trace):
@@ -83,17 +78,25 @@ class TestCollection:
         windows = result.latency.window_percentiles([50.0])
         assert len(windows) == 2
 
-    def test_write_rate_collection(self, engine, small_trace):
-        result = replay(engine, small_trace, write_rate_window_s=0.1)
-        assert result.write_rate is not None
-        assert result.write_rate.rates
-
     def test_summary_mentions_engine(self, engine, small_trace):
         result = replay(engine, small_trace)
         assert "Log" in result.summary()
         assert "WA" in result.summary()
 
     def test_sim_clock_advances(self, engine):
+        """Each request advances the clock by ``1e6 / ARRIVAL_RATE`` µs."""
         trace = make_trace([(OP_GET, 1, 100)] * 100)
-        result = replay(engine, trace, arrival_rate=1000.0)
-        assert result.sim_seconds == pytest.approx(0.1)
+        calls = []
+        inner = engine.lookup_many
+
+        def spy(keys, sizes, now_us, step_us, *args, **kwargs):
+            calls.append((len(keys), now_us, step_us))
+            return inner(keys, sizes, now_us, step_us, *args, **kwargs)
+
+        engine.lookup_many = spy
+        replay(engine, trace, sample_every=25)
+        step = 1e6 / ARRIVAL_RATE
+        assert [(n, step_us) for n, _, step_us in calls] == [(25, step)] * 4
+        assert [now for _, now, _ in calls] == pytest.approx(
+            [0.0, 25 * step, 50 * step, 75 * step]
+        )

@@ -80,22 +80,6 @@ class TestPathEquivalence:
         )
         _assert_metrics_equal(fast, instrumented)
 
-    def test_write_rate_windows_identical(self, small_geometry, small_trace):
-        kwargs = dict(
-            sample_every=7_000,
-            arrival_rate=50_000.0,
-            write_rate_window_s=0.1,
-        )
-        fast = replay(LogStructuredCache(small_geometry), small_trace, **kwargs)
-        instrumented = replay(
-            LogStructuredCache(small_geometry),
-            small_trace,
-            record_latency=True,
-            **kwargs,
-        )
-        _assert_metrics_equal(fast, instrumented)
-        assert fast.write_rate.rates == instrumented.write_rate.rates
-
 
 @pytest.fixture
 def hash_calls(monkeypatch):

@@ -244,7 +244,7 @@ def corrupt_a_flash_hit(case):
         return engine, 5
     if name == "set":
         engine.insert_many([5], [100], 0.0, STEP_US)
-        ftl = engine.device.ftl
+        ftl = engine.device
         ftl._l2p[engine._placement_of(5)] = ftl.nand._num_pages
         return engine, 5
     if tier == "hlog":
@@ -346,8 +346,8 @@ class TestSetLatencyFreeLane:
             scalar_engine.stats
         )
         assert (
-            bulk_engine.device.ftl.nand.read_count
-            == scalar_engine.device.ftl.nand.read_count
+            bulk_engine.device.nand.read_count
+            == scalar_engine.device.nand.read_count
         )
 
     def test_unmapped_lba_hit_raises_read_error(self):
@@ -360,7 +360,7 @@ class TestSetLatencyFreeLane:
     def test_unprogrammed_page_hit_raises_read_error(self):
         engine = make_engine("set")
         engine.insert_many([5], [100], 0.0, STEP_US)
-        ftl = engine.device.ftl
+        ftl = engine.device
         ftl.nand._state[ftl._l2p[engine._placement_of(5)]] = PAGE_ERASED
         with pytest.raises(ReadError, match="not programmed"):
             engine.lookup_many([5], [100], 0.0, STEP_US)

@@ -134,7 +134,7 @@ def fingerprint() -> dict[str, str]:
         if lane is not None:
             engine.install_latency_model(make_latency_model(lane))
         result = replay(engine, trace, kernel=kernel, record_latency=lane is not None)
-        values = {**result.final, "sim_seconds": result.sim_seconds}
+        values = dict(result.final)
         if lane is not None:
             values.update(result.latency.percentiles(LATENCY_PERCENTILES))
         for key, value in values.items():
