@@ -258,6 +258,8 @@ class HierarchicalCacheBase(CacheEngine):
                 if set_id >= 0:  # else the promotion staging buffer (DRAM)
                     page = location[set_id]
                     if not 0 <= page < num_pages:
+                        if page < 0:  # no flash copy, as in ZNSDevice.read
+                            raise ReadError(f"page {page} is not programmed")
                         raise AlignmentError(
                             f"page {page} out of range [0, {num_pages})"
                         )
@@ -365,11 +367,11 @@ class HierarchicalCacheBase(CacheEngine):
     # ------------------------------------------------------------------
     @property
     def n_log_pages(self) -> int:
-        return self.hlog.capacity_pages
+        return self.hlog.region.capacity_pages
 
     @property
     def n_set_pages(self) -> int:
-        return len(self.hset.zone_ids) * self.geometry.pages_per_zone
+        return self.hset.region.capacity_pages
 
     def model(self, object_size: float) -> "HierarchicalModel":
         """§3's analytic model instantiated with this engine's geometry."""

@@ -30,9 +30,8 @@ on every call.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
+from repro.flash.region import ZoneRegion
 from repro.flash.zns import ZNSDevice
 
 
@@ -62,7 +61,8 @@ class HierarchicalLog:
     device:
         The shared ZNS device; the log owns ``zone_ids`` on it.
     zone_ids:
-        Zones dedicated to the log region (FIFO-recycled).
+        Zones of the log's :class:`~repro.flash.region.ZoneRegion`,
+        reclaimed oldest first.
     num_buckets:
         Hash-table buckets == number of migration-target sets.
     """
@@ -78,7 +78,7 @@ class HierarchicalLog:
         if num_buckets <= 0:
             raise ConfigError("num_buckets must be positive")
         self.device = device
-        self.zone_ids = list(zone_ids)
+        self.region = ZoneRegion(device, zone_ids)
         self.num_buckets = num_buckets
         self.page_size = device.geometry.page_size
 
@@ -92,20 +92,11 @@ class HierarchicalLog:
         self._buffer_buckets: list[int] = []
         self._buffer_bytes = 0
 
-        # Zone FIFO: zones currently holding log pages, oldest first.
-        self._zone_fifo: deque[int] = deque()
-        self._free_zones: deque[int] = deque(zone_ids)
-        self._open_zone: int | None = None
-
         self._seq = 0
 
     # ------------------------------------------------------------------
     def object_count(self) -> int:
         return self._object_count
-
-    @property
-    def capacity_pages(self) -> int:
-        return len(self.zone_ids) * self.device.geometry.pages_per_zone
 
     # ------------------------------------------------------------------
     # Insertion
@@ -141,7 +132,7 @@ class HierarchicalLog:
         """Write the open page buffer to flash; False when out of space."""
         if not self._buffer:
             return True
-        zone_id = self._writable_zone()
+        zone_id = self.region.zone_with_room()
         if zone_id is None:
             return False
         # The page payload ``{key: (size, seq, bucket)}`` is what the
@@ -163,28 +154,7 @@ class HierarchicalLog:
         self._buffer.clear()
         self._buffer_buckets.clear()
         self._buffer_bytes = 0
-        if self.device.zones[zone_id].remaining_pages == 0:
-            self._open_zone = None
         return True
-
-    def _writable_zone(self) -> int | None:
-        if self._open_zone is not None:
-            return self._open_zone
-        if not self._free_zones:
-            return None
-        zone_id = self._free_zones.popleft()
-        self._open_zone = zone_id
-        self._zone_fifo.append(zone_id)
-        return zone_id
-
-    @property
-    def is_full(self) -> bool:
-        """True when an insert would fail (no free zone for the buffer)."""
-        return (
-            self._open_zone is None
-            and not self._free_zones
-            and self._buffer_bytes > 0
-        )
 
     # ------------------------------------------------------------------
     # Migration support
@@ -198,11 +168,10 @@ class HierarchicalLog:
         (:meth:`drain_bucket`) *before* the next insert, because this
         method drops the flash copies.
         """
-        if not self._zone_fifo:
+        if not self.region.written:
             raise EngineStateError("no log zone to reclaim")
-        victim = self._zone_fifo.popleft()
-        if victim == self._open_zone:
-            self._open_zone = None
+        # The oldest zone, even when it is the open one.
+        victim = self.region.written[0]
         geo = self.device.geometry
         first = geo.zone_first_page(victim)
         wp = self.device.zones[victim].write_pointer
@@ -215,8 +184,7 @@ class HierarchicalLog:
                 cur = buckets[b].get(key)
                 if cur is not None and cur.seq == seq:
                     stale_buckets.add(b)
-        self.device.reset_zone(victim, now_us=now_us)
-        self._free_zones.append(victim)
+        self.region.reclaim(victim, now_us=now_us)
         return sorted(stale_buckets)
 
     def drain_bucket(self, bucket_id: int) -> list[tuple[int, int]]:

@@ -3,9 +3,10 @@
 The HSet holds the bulk of the cache as fixed 4 KiB sets.  Physically the
 sets live log-structured in zones of the shared device: every set write
 appends a fresh copy of the set's page to the open zone and invalidates
-the previous copy (a host-FTL page map).  When the set region runs out
-of zones, the oldest zone is reclaimed (FIFO), and its still-current
-pages are handled per the paper's two GC disciplines:
+the previous copy (a host-FTL page map).  When the set region (a
+:class:`~repro.flash.region.ZoneRegion`) runs out of zones, a victim
+zone is reclaimed, and its still-current pages are handled per the
+paper's two GC disciplines:
 
 - **Kangaroo (Case 3.1)** — valid sets are relocated verbatim; those
   relocation writes are pure garbage-collection write amplification
@@ -32,7 +33,7 @@ passive and active cases (Figures 4 and 5), passive/active RMW counts
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Sequence
 from typing import Callable
 
@@ -40,8 +41,8 @@ import numpy as np
 
 from repro.errors import ConfigError, EngineStateError, ObjectTooLargeError
 from repro.flash.device import PAGE_PROGRAMMED
+from repro.flash.region import ZoneRegion
 from repro.flash.zns import ZNSDevice
-from repro.flash.zone import ZoneState
 
 #: Set-write cases, used for instrumentation.
 CASE_FIRST = "first"        # set written for the first time (early stage)
@@ -127,7 +128,7 @@ class HierarchicalSet:
         if num_buckets <= 0:
             raise ConfigError("num_buckets must be positive")
         self.device = device
-        self.zone_ids = list(zone_ids)
+        self.region = ZoneRegion(device, zone_ids)
         self.num_buckets = num_buckets
         self.fairywren = fairywren
         self.bucket_drainer = bucket_drainer
@@ -137,7 +138,7 @@ class HierarchicalSet:
         self.promote_batch_bytes = self.page_size // 2
 
         self.num_sets = num_buckets * (2 if fairywren else 1)
-        region_pages = len(zone_ids) * device.geometry.pages_per_zone
+        region_pages = self.region.capacity_pages
         if self.num_sets > region_pages:
             raise ConfigError(
                 f"{self.num_sets} sets cannot fit the {region_pages}-page region"
@@ -159,9 +160,6 @@ class HierarchicalSet:
         #: array over the whole device so the GC scan is one slice.
         self._page_owner: array[int] = array("q", [-1]) * device.geometry.num_pages
         self._pages_per_zone = device.geometry.pages_per_zone
-        self._free_zones: deque[int] = deque(zone_ids)
-        self._zone_fifo: deque[int] = deque()
-        self._open_zone: int | None = None
         self._in_gc = False
         #: live (current-copy) pages per zone, for greedy victim choice.
         self._zone_valid: array[int] = array("q", [0]) * device.geometry.num_zones
@@ -358,8 +356,6 @@ class HierarchicalSet:
             owner[base:stop] = run
             location[run] = np.arange(base, stop)
             zone_valid[zone_id] += take
-            if device.zones[zone_id].state is ZoneState.FULL:
-                self._open_zone = None
             i += take
         self.case_writes[CASE_RELOCATE] += total
 
@@ -399,24 +395,12 @@ class HierarchicalSet:
         self.location[set_id] = page
         self._page_owner[page] = set_id
         zone_valid[zone_id] += 1
-        if device.zones[zone_id].state is ZoneState.FULL:
-            self._open_zone = None
 
     def _writable_zone(self) -> int:
-        if self._open_zone is not None:
-            return self._open_zone
-        if not self._free_zones:
+        zone_id = self.region.zone_with_room()
+        if zone_id is None:
             raise EngineStateError("set region out of space (GC starved)")
-        zone_id = self._free_zones.popleft()
-        self._open_zone = zone_id
-        self._zone_fifo.append(zone_id)
         return zone_id
-
-    def _free_pages(self) -> int:
-        pages = len(self._free_zones) * self.device.geometry.pages_per_zone
-        if self._open_zone is not None:
-            pages += self.device.zones[self._open_zone].remaining_pages
-        return pages
 
     def _ensure_headroom(self, *, now_us: float = 0.0) -> None:
         """Run GC until more than one zone of headroom is free.
@@ -430,12 +414,12 @@ class HierarchicalSet:
         (nearly) fully valid, so the engine sizes its sets from the
         region minus one zone (``HierarchicalCacheBase``).
         """
-        ppz = self.device.geometry.pages_per_zone
-        while self._free_pages() <= ppz:
-            if not self._zone_fifo or (
-                len(self._zone_fifo) == 1 and self._zone_fifo[0] == self._open_zone
-            ):
-                if self._free_pages() >= 1:
+        ppz = self._pages_per_zone
+        region = self.region
+        while region.free_pages() <= ppz:
+            written = region.written
+            if not written or (len(written) == 1 and written[0] == region.open):
+                if region.free_pages() >= 1:
                     return
                 raise EngineStateError("set region exhausted with nothing to GC")
             self._gc_once(now_us=now_us)
@@ -451,7 +435,8 @@ class HierarchicalSet:
         validity in the 50–80 % band instead of degenerating into
         cold-data accumulation.
         """
-        candidates = [z for z in self._zone_fifo if z != self._open_zone]
+        open_zone = self.region.open
+        candidates = [z for z in self.region.written if z != open_zone]
         if not candidates:
             raise EngineStateError("no GC victim available")
         if self.fairywren:
@@ -460,7 +445,6 @@ class HierarchicalSet:
 
     def _gc_once(self, *, now_us: float = 0.0) -> None:
         victim = self._pick_victim()
-        self._zone_fifo.remove(victim)
         first = self.device.geometry.zone_first_page(victim)
         wp = self.device.zones[victim].write_pointer
         # Victim scan: the sets whose current copy sits in the victim's
@@ -479,19 +463,20 @@ class HierarchicalSet:
         # dropped so the zone reclaim nets a page.  (The paper notes
         # dropping valid sets is possible but costly; we only do it to
         # avoid GC livelock, which real deployments avoid via OP.)
-        budget = self._free_pages()
+        budget = self.region.free_pages()
         max_relocate = min(len(valid_sets), budget)
         if len(valid_sets) >= wp:
             max_relocate = min(max_relocate, wp - 1)
 
+        # Nothing reads ``written`` during GC, so reclaiming the victim
+        # after the install leaves the zone order of taking it out first.
         self._in_gc = True
         try:
             self._gc_install(valid_sets, max_relocate, now_us=now_us)
         finally:
             self._in_gc = False
         owner[first : first + wp] = -1
-        self.device.reset_zone(victim, now_us=now_us)
-        self._free_zones.append(victim)
+        self.region.reclaim(victim, now_us=now_us)
         if self._zone_valid[victim] != 0:
             raise EngineStateError(
                 f"zone {victim} reclaimed with {self._zone_valid[victim]} "
@@ -546,7 +531,7 @@ class HierarchicalSet:
 
         Recomputes every incrementally-maintained quantity (the two
         placement maps against each other, per-zone valid counts, the
-        resident-object count, the zone bookkeeping) from the raw state,
+        resident-object count, the region's zone lists) from the raw state,
         so a stale counter or a half-applied scatter cannot hide behind
         its own cache.
         """
@@ -582,18 +567,7 @@ class HierarchicalSet:
             raise EngineStateError(
                 f"stale object count ({self._object_count} != {objects})"
             )
-        # Every zone is free or written (the open zone is the youngest
-        # written one), never both, never neither.
-        zones = [*self._free_zones, *self._zone_fifo]
-        if sorted(zones) != sorted(self.zone_ids):
-            raise EngineStateError(
-                f"free {list(self._free_zones)} + written "
-                f"{list(self._zone_fifo)} zones do not partition {self.zone_ids}"
-            )
-        if self._open_zone is not None and self._open_zone not in self._zone_fifo:
-            raise EngineStateError(
-                f"open zone {self._open_zone} missing from the written-zone FIFO"
-            )
+        self.region.check_invariants()
 
     # ------------------------------------------------------------------
     # Instrumentation helpers

@@ -15,7 +15,6 @@ widths, not Python's allocator.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from itertools import repeat
 
@@ -24,6 +23,7 @@ from repro.errors import AlignmentError, ObjectTooLargeError, ReadError
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
+from repro.flash.region import ZoneRegion
 from repro.flash.zns import ZNSDevice
 
 #: Paper §2.3 index entry: flash offset (29 b) + tag (29 b) + next pointer
@@ -64,11 +64,10 @@ class LogStructuredCache(CacheEngine):
         # Open page buffer: list of (key, size), plus its byte fill.
         self._buffer: list[tuple[int, int]] = []
         self._buffer_bytes = 0
-        # FIFO of zones holding live data (oldest first).
-        self._zone_fifo: deque[int] = deque()
-        self._open_zone: int | None = None
+        # The whole device is one region, its zones evicted FIFO.
+        self.region = ZoneRegion(self.device, range(geometry.num_zones))
         # Keys per zone, for wholesale invalidation on zone reset.
-        self._zone_keys: dict[int, list[int]] = {}
+        self._zone_keys: list[list[int]] = [[] for _ in range(geometry.num_zones)]
 
     # ------------------------------------------------------------------
     # CacheEngine API
@@ -254,7 +253,7 @@ class LogStructuredCache(CacheEngine):
         # point at pages later flushes create are not read before those
         # flushes run.
         index.update(zip(keys, zip(pages, sizes)))
-        zone_id = self._open_zone
+        zone_id = self.region.open
         zones = device.zones
         append_page = device.append_page
         zone_keys_map = self._zone_keys
@@ -278,7 +277,7 @@ class LogStructuredCache(CacheEngine):
             zone_keys.extend(seg_keys)
             zone_left -= 1
             if not zone_left:
-                zone_id = self._open_zone = None
+                zone_id = None
             pos = cut
         if pos < n_run:
             # Trailing partial page: stays in the write buffer (its
@@ -316,23 +315,20 @@ class LogStructuredCache(CacheEngine):
                 zone_keys.append(k)
         self._buffer.clear()
         self._buffer_bytes = 0
-        if self.device.zones[zone_id].remaining_pages == 0:
-            self._open_zone = None
 
     def _writable_zone(self, *, now_us: float = 0.0) -> int:
-        if self._open_zone is not None:
-            return self._open_zone
-        zone_id = self.device.find_empty_zone()
+        zone_id = self.region.zone_with_room()
         if zone_id is None:
-            zone_id = self._evict_oldest_zone(now_us=now_us)
-        self._open_zone = zone_id
-        self._zone_fifo.append(zone_id)
-        self._zone_keys.setdefault(zone_id, [])
+            # Full device: the evicted oldest zone is the one free zone.
+            self._evict_oldest_zone(now_us=now_us)
+            zone_id = self.region.zone_with_room()
+            assert zone_id is not None  # the evicted zone is free
         return zone_id
 
-    def _evict_oldest_zone(self, *, now_us: float = 0.0) -> int:
-        victim = self._zone_fifo.popleft()
-        for key in self._zone_keys.pop(victim, []):
+    def _evict_oldest_zone(self, *, now_us: float = 0.0) -> None:
+        victim = self.region.written[0]
+        zone_keys = self._zone_keys[victim]
+        for key in zone_keys:
             entry = self._index.get(key)
             if entry is not None and entry[0] >= 0 and (
                 self.geometry.page_to_zone(entry[0]) == victim
@@ -340,5 +336,5 @@ class LogStructuredCache(CacheEngine):
                 del self._index[key]
                 self.counters.evicted_objects += 1
                 self.counters.evicted_bytes += entry[1]
-        self.device.reset_zone(victim, now_us=now_us)
-        return victim
+        zone_keys.clear()
+        self.region.reclaim(victim, now_us=now_us)

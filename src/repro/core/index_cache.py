@@ -12,21 +12,22 @@ points, reproduced here:
   page from flash (Fig. 19b) — Zipf skew concentrates lookups on few
   offsets, hence few pages.
 
-The pool writes index groups to dedicated device zones FIFO; a zone is
-reclaimed once every group stored in it is dead (all member SGs evicted
-from the SG pool), which the matching FIFO order of SGs and groups
-guarantees happens oldest-first.
+The pool writes index groups to the zones of its own
+:class:`~repro.flash.region.ZoneRegion`; the oldest zone is reclaimed
+once every group stored in it is dead (all member SGs evicted from the
+SG pool), which the matching FIFO order of SGs and groups guarantees.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, OrderedDict, deque
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.pbfg import IndexLayout
 from repro.errors import ConfigError, EngineStateError
+from repro.flash.region import ZoneRegion
 from repro.flash.zns import ZNSDevice
 
 #: Cache/pool page key: (group_id, page_index_within_group).
@@ -161,10 +162,7 @@ class IndexPool:
             )
         self.device = device
         self.layout = layout
-        self.zone_ids = list(zone_ids)
-        self._free_zones: deque[int] = deque(zone_ids)
-        self._zone_fifo: deque[int] = deque()
-        self._open_zone: int | None = None
+        self.region = ZoneRegion(device, zone_ids)
         self._zone_groups: dict[int, list[int]] = {}
         self.groups: OrderedDict[int, _Group] = OrderedDict()
         self._sg_to_group: dict[int, int] = {}
@@ -197,7 +195,11 @@ class IndexPool:
                 f"expected {self.layout.pages_per_group} pages, "
                 f"got {len(page_payloads)}"
             )
-        zone_id = self._zone_with_room(len(page_payloads), now_us=now_us)
+        zone_id = self.region.zone_with_room(len(page_payloads))
+        if zone_id is None:
+            self._reclaim_oldest_zone(now_us=now_us)
+            zone_id = self.region.zone_with_room(len(page_payloads))
+            assert zone_id is not None  # the reclaimed zone is free
         pages, _ = self.device.append_many(zone_id, page_payloads, now_us=now_us)
         gid = self._next_group_id
         self._next_group_id += 1
@@ -211,24 +213,9 @@ class IndexPool:
         self._generation += 1
         return gid
 
-    def _zone_with_room(self, pages: int, *, now_us: float = 0.0) -> int:
-        if self._open_zone is not None:
-            if self.device.zones[self._open_zone].remaining_pages >= pages:
-                return self._open_zone
-            self._open_zone = None
-        if not self._free_zones:
-            self._reclaim_oldest_zone(now_us=now_us)
-        if not self._free_zones:
-            raise EngineStateError("index pool out of zones")
-        zone_id = self._free_zones.popleft()
-        self._open_zone = zone_id
-        self._zone_fifo.append(zone_id)
-        return zone_id
-
     def _reclaim_oldest_zone(self, *, now_us: float = 0.0) -> None:
-        if not self._zone_fifo:
-            raise EngineStateError("index pool has no zone to reclaim")
-        victim = self._zone_fifo[0]
+        # Only called with no zone free, so every zone is written.
+        victim = self.region.written[0]
         gids = self._zone_groups.get(victim, [])
         alive = [g for g in gids if self.groups[g].live_members > 0]
         if alive:
@@ -236,13 +223,11 @@ class IndexPool:
                 "index pool sized too small: oldest index zone still has "
                 f"{len(alive)} live group(s); give the pool more zones"
             )
-        self._zone_fifo.popleft()
         # Every popped group is dead: the live count does not move.
         for g in gids:
             self.groups.pop(g, None)
         self._zone_groups.pop(victim, None)
-        self.device.reset_zone(victim, now_us=now_us)
-        self._free_zones.append(victim)
+        self.region.reclaim(victim, now_us=now_us)
 
     # ------------------------------------------------------------------
     # Retrieval / liveness
@@ -288,8 +273,9 @@ class IndexPool:
         return sum(1 for g in self.groups.values() if g.live_members > 0)
 
     def check_invariants(self) -> None:
-        """Audit the incrementally-maintained live-group count against
-        a scan of the groups; raises :class:`EngineStateError` on drift."""
+        """Audit the region and the incrementally-maintained live-group
+        count against a scan of the groups; raises :class:`EngineStateError`."""
+        self.region.check_invariants()
         live = self._scan_live_groups()
         if self._live_groups != live:
             raise EngineStateError(

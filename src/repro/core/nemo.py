@@ -54,6 +54,7 @@ from repro.errors import (
 from repro.flash.device import PAGE_PROGRAMMED
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
+from repro.flash.region import ZoneRegion
 from repro.flash.zns import ZNSDevice
 import numpy as np
 
@@ -113,7 +114,7 @@ class NemoCache(CacheEngine):
         sg_zone_count, index_zone_count = self._split_zones()
         # One pool SG per zone: zones [0, pool_capacity_sgs) hold SGs.
         self.pool_capacity_sgs = sg_zone_count
-        self._free_sg_zones: deque[int] = deque(range(sg_zone_count))
+        self.sg_region = ZoneRegion(self.device, range(sg_zone_count))
 
         self.queue = SetGroupQueue(
             self.config.effective_inmem_sgs, self.sets_per_sg, self.set_size
@@ -588,10 +589,11 @@ class NemoCache(CacheEngine):
     # Flush + eviction
     # ------------------------------------------------------------------
     def _flush_front(self, *, now_us: float = 0.0) -> None:
-        if not self._free_sg_zones:
+        if not self.sg_region.free:
             self._evict_oldest_sg(now_us=now_us)
         front = self.queue.pop_front_for_flush()
-        zone_id = self._free_sg_zones.popleft()
+        zone_id = self.sg_region.zone_with_room(self.sets_per_sg)
+        assert zone_id is not None  # a zone was freed above
 
         # Fill rates first: the zero-copy handoff below empties the sets.
         fill_rate = front.fill_rate()
@@ -648,8 +650,7 @@ class NemoCache(CacheEngine):
                         self.counters.evicted_bytes += size
                 self.hotness.discard(key)
 
-        self.device.reset_zone(victim.zone_id, now_us=now_us)
-        self._free_sg_zones.append(victim.zone_id)
+        self.sg_region.reclaim(victim.zone_id, now_us=now_us)
         self.index_pool.on_sg_evicted(victim.sg_id)
 
     def _writeback(self, victim: FlashSG, *, now_us: float = 0.0) -> None:

@@ -72,13 +72,6 @@ class ZNSDevice:
     def zone_state(self, zone_id: int) -> ZoneState:
         return self.zones[zone_id].state
 
-    def find_empty_zone(self) -> int | None:
-        """Lowest-numbered EMPTY zone, or ``None`` when all are in use."""
-        for z in self.zones:
-            if z.state is ZoneState.EMPTY:
-                return z.zone_id
-        return None
-
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
@@ -166,6 +159,8 @@ class ZNSDevice:
         """
         nand = self.nand
         if not 0 <= page < nand._num_pages:
+            if page < 0:  # no flash copy
+                raise ReadError(f"page {page} is not programmed")
             raise AlignmentError(f"page {page} out of range [0, {nand._num_pages})")
         if nand._state[page] != PAGE_PROGRAMMED:
             raise ReadError(f"page {page} is not programmed")
@@ -209,6 +204,8 @@ class ZNSDevice:
         num_pages = nand._num_pages
         for page in pages:
             if not 0 <= page < num_pages:
+                if page < 0:  # no flash copy
+                    raise ReadError(f"page {page} is not programmed")
                 raise AlignmentError(f"page {page} out of range [0, {num_pages})")
             if state[page] != PAGE_PROGRAMMED:
                 raise ReadError(f"page {page} is not programmed")

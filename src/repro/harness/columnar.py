@@ -678,7 +678,7 @@ def replay_nemo_columnar(
     pool_dq = engine.pool
     flash_index = engine._flash_index
     pool_map = engine._pool_map
-    free_zones = engine._free_sg_zones
+    free_zones = engine.sg_region.free
     set_size = engine.set_size
     window_sgs = engine._window_sgs
     OP_GET_ = OP_GET

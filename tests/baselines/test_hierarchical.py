@@ -27,7 +27,7 @@ class TestConstruction:
         fw = FairyWrenCache(geometry)
         kg = KangarooCache(geometry)
         ppz = geometry.pages_per_zone
-        region = len(kg.hset.zone_ids) * ppz
+        region = len(kg.hset.region.zone_ids) * ppz
         # KG relocates verbatim, so one zone is GC reserve, not OP.
         assert kg.hlog.num_buckets == int(0.95 * (region - ppz))
         # FW folds GC into migration: OP over the whole region, halved
@@ -38,13 +38,13 @@ class TestConstruction:
     def test_kg_spare_exceeds_one_zone_at_every_scale(self, scale):
         geo, _ = scale_params(scale)
         kg = KangarooCache(geo)
-        spare = len(kg.hset.zone_ids) * geo.pages_per_zone - kg.hset.num_sets
+        spare = len(kg.hset.region.zone_ids) * geo.pages_per_zone - kg.hset.num_sets
         assert spare > geo.pages_per_zone
 
     def test_zone_split_matches_log_fraction(self, geometry):
         fw = FairyWrenCache(geometry, log_fraction=0.25)
-        assert len(fw.hlog.zone_ids) == 4
-        assert len(fw.hset.zone_ids) == 12
+        assert len(fw.hlog.region.zone_ids) == 4
+        assert len(fw.hset.region.zone_ids) == 12
 
     def test_too_small_geometry_rejected(self):
         geo = FlashGeometry(

@@ -86,7 +86,6 @@ class TestFlushingAndCapacity:
         while insert(log, key, 300):
             key += 1
             assert key < 10_000, "log never filled"
-        assert log.is_full
 
     def test_reclaim_returns_stale_buckets(self):
         log, _ = make_log(num_zones=1)
@@ -156,7 +155,7 @@ def flushed_pages(log):
     """Payloads of every flushed page still on the log's zones."""
     geo = log.device.geometry
     payloads = []
-    for zone in log._zone_fifo:
+    for zone in log.region.written:
         first = geo.zone_first_page(zone)
         wp = log.device.zones[zone].write_pointer
         payloads.extend(log.device.nand._payload[first : first + wp])
@@ -177,7 +176,7 @@ class TestPayloadCarriesBucket:
         for seed in range(4):
             churn(log, seed=seed, steps=500)
             geo = log.device.geometry
-            victim = log._zone_fifo[0]
+            victim = log.region.written[0]
             first = geo.zone_first_page(victim)
             wp = log.device.zones[victim].write_pointer
             expected = set()

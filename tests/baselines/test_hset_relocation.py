@@ -92,9 +92,9 @@ def placement_state(hset):
         "page_owner": list(hset._page_owner),
         "zone_valid": list(hset._zone_valid),
         "object_count": hset.object_count(),
-        "open_zone": hset._open_zone,
-        "free_zones": list(hset._free_zones),
-        "zone_fifo": list(hset._zone_fifo),
+        "open_zone": hset.region.open,
+        "free_zones": list(hset.region.free),
+        "zone_fifo": list(hset.region.written),
     }
 
 
@@ -211,7 +211,7 @@ class TestRelocateBatchParity:
                 st.sampled_from(on_flash),
                 unique=True,
                 min_size=1,
-                max_size=min(len(on_flash), batch._free_pages()),
+                max_size=min(len(on_flash), batch.region.free_pages()),
             )
         )
         # As inside a GC round: appends must not start a nested GC.
@@ -313,16 +313,21 @@ class TestRelocateBatchValidation:
         with pytest.raises(ReadError, match=f"page {hset.location[4]} "):
             hset._relocate_batch([3, 4, 5])
 
-    def test_set_without_flash_copy_raises_read_error(self):
+    @pytest.mark.parametrize(
+        "relocate",
+        [lambda hset: hset._relocate_batch([3, 11]), lambda hset: hset._relocate_set(11)],
+        ids=["_relocate_batch", "_relocate_set"],
+    )
+    def test_set_without_flash_copy_raises_read_error(self, relocate):
         hset = self.filled()
         assert hset.location[11] == -1
         with pytest.raises(ReadError):
-            hset._relocate_batch([3, 11])
+            relocate(hset)
 
     def test_programmed_target_raises_device_error(self):
         hset = self.filled()
-        zone = hset.device.zones[hset._open_zone]
-        target = hset._open_zone * zone.capacity_pages + zone.write_pointer + 1
+        zone = hset.device.zones[hset.region.open]
+        target = hset.region.open * zone.capacity_pages + zone.write_pointer + 1
         hset.device.nand._state[target] = PAGE_PROGRAMMED
         with pytest.raises(DeviceError, match=f"page {target} ") as exc:
             hset._relocate_batch([3, 4, 5])
@@ -370,12 +375,12 @@ class TestCheckInvariants:
 
     def test_detects_zone_in_two_lists(self):
         def mutate(hset):
-            hset._free_zones.append(hset._zone_fifo[0])
+            hset.region.free.append(hset.region.written[0])
 
         self.corrupt(mutate, "partition")
 
     def test_detects_open_zone_outside_fifo(self):
         def mutate(hset):
-            hset._open_zone = hset._free_zones[0]
+            hset.region._open = hset.region.free[0]
 
         self.corrupt(mutate, "open zone")

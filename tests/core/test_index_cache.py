@@ -118,14 +118,15 @@ class TestIndexPool:
 
     def test_zone_reclaimed_when_groups_dead(self):
         pool, layout, device = make_pool(num_zones=2, sets_per_sg=8, sgs_per_group=1)
-        # Each group takes one 8-page zone (pages_per_group == 8/4 = 2?).
-        written = []
-        for i in range(8):
-            written.append(pool.write_group([i], group_payloads(layout)))
+        # One page per group: the 17th group reclaims zone 0, the oldest.
+        for i in range(24):
+            pool.write_group([i], group_payloads(layout))
             # Kill old groups aggressively so reclamation can proceed.
             if i >= 2:
                 pool.on_sg_evicted(i - 2)
-        assert device.stats.erase_ops >= 0  # reclamation path exercised
+        assert device.stats.erase_ops == device.geometry.blocks_per_zone
+        assert list(pool.region.written) == [1, 0]
+        pool.check_invariants()
 
     def test_starved_pool_raises(self):
         pool, layout, _ = make_pool(num_zones=1, sgs_per_group=1)
@@ -161,4 +162,11 @@ class TestIndexPool:
         assert pool.live_group_count() == 2
         pool._live_groups += 1
         with pytest.raises(EngineStateError):
+            pool.check_invariants()
+
+    def test_zone_lists_are_audited(self):
+        pool, layout, _ = make_pool()
+        pool.write_group([0, 1], group_payloads(layout))
+        pool.region.free.append(pool.region.written[0])
+        with pytest.raises(EngineStateError, match="partition"):
             pool.check_invariants()

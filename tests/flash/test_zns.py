@@ -57,10 +57,23 @@ class TestReads:
         assert dev.stats.flash_read_bytes == 3 * dev.geometry.page_size
         assert dev.nand.read_count == 3
 
+    def test_read_checks_the_page(self, dev):
+        dev.append(0, "a")
+        with pytest.raises(ReadError):
+            dev.read(1)
+        with pytest.raises(ReadError):  # no flash copy
+            dev.read(-1)
+        with pytest.raises(AlignmentError):
+            dev.read(dev.geometry.num_pages)
+        assert dev.nand.read_count == 0
+        assert dev.stats.host_read_ops == 0
+
     def test_read_many_checks_every_page(self, dev):
         pages, _ = dev.append_many(0, list("ab"))
         with pytest.raises(ReadError):
             dev.read_many([pages[0], pages[1] + 1], 0.0)
+        with pytest.raises(ReadError):  # no flash copy
+            dev.read_many([pages[0], -1], 0.0)
         with pytest.raises(AlignmentError):
             dev.read_many([dev.geometry.num_pages], 0.0)
         assert dev.nand.read_count == 0
@@ -235,11 +248,6 @@ class TestZoneManagement:
     def test_reset_empty_zone_is_noop(self, dev):
         assert dev.reset_zone(3) == 0.0
         assert dev.stats.erase_ops == 0
-
-    def test_find_empty_zone(self, dev):
-        assert dev.find_empty_zone() == 0
-        dev.append(0, "a")
-        assert dev.find_empty_zone() == 1
 
     def test_empty_zones_lists_all_initially(self, dev):
         assert all(

@@ -210,7 +210,7 @@ def assert_long_run_reaches_the_inline_lanes(name, lane):
         assert bulk_engine.pbfg_lookups_from_pool > 0
     else:
         bpz = bulk_engine.geometry.blocks_per_zone
-        assert any(nand.block_erases[z * bpz] for z in bulk_engine.hlog.zone_ids)
+        assert any(nand.block_erases[z * bpz] for z in bulk_engine.hlog.region.zone_ids)
 
 
 @pytest.mark.parametrize("lane", ["analytic", "event"])
@@ -447,7 +447,7 @@ def test_service_fn_matches_the_scalar_closure(name, lane):
     elif name in ("fw", "kg"):
         bpz = fast.geometry.blocks_per_zone
         nand = fast.device.nand
-        assert any(nand.block_erases[z * bpz] for z in fast.hlog.zone_ids)
+        assert any(nand.block_erases[z * bpz] for z in fast.hlog.region.zone_ids)
 
 
 def test_service_fn_unprogrammed_holder_page_raises_read_error():

@@ -15,6 +15,8 @@ through ``record_reads``).  This test parses every module outside
 - an assignment to a ``host_*`` / ``flash_*`` field of ``FlashStats``;
 - a call of ``record_page_reads``, ``record_host_*``, ``record_erase``
   or ``record_gc``;
+- a call of ``reset_zone``: engines reclaim zones through
+  ``ZoneRegion.reclaim`` (``flash/region.py``);
 - a writable view of, or a store into, ``nand._state`` /
   ``nand._payload`` (``np.frombuffer`` / ``memoryview`` over them, a
   subscript store through them or through a local bound to them).
@@ -33,7 +35,7 @@ COUNTERS = {"read_count", "program_count", "erase_count", "write_pointer"}
 TRAFFIC_FIELDS = {
     f.name for f in fields(FlashStats) if f.name.startswith(("host_", "flash_"))
 }
-RECORDERS = {"record_page_reads", "record_erase", "record_gc"}
+RECORDERS = {"record_page_reads", "record_erase", "record_gc", "reset_zone"}
 NAND_ARRAYS = {"_state", "_payload"}
 VIEW_CALLS = {"frombuffer", "memoryview"}
 
@@ -113,7 +115,10 @@ def test_only_the_devices_write_flash_state():
             continue
         for line, reason in violations(ast.parse(path.read_text())):
             stray.append(f"{rel}:{line}: {reason}")
-    assert not stray, "write flash state through a device method: " + ", ".join(stray)
+    assert not stray, (
+        "write flash state through a device method, reset zones through "
+        "ZoneRegion.reclaim: " + ", ".join(stray)
+    )
 
 
 def test_each_forbidden_form_is_caught():
@@ -126,13 +131,14 @@ a, stats.flash_read_bytes = 1, 2
 stats.record_page_reads(n, 4096)
 stats.record_host_write(4096)
 stats.record_erase()
+device.reset_zone(victim, now_us=now_us)
 state = np.frombuffer(nand._state, dtype=np.uint8)
 nand._payload[3] = None
 alias = device.nand._state
 alias[5] = 1
 """
     lines = [line for line, _ in violations(ast.parse(snippet))]
-    assert sorted(lines) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13]
+    assert sorted(lines) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14]
 
 
 def test_reads_are_allowed():
