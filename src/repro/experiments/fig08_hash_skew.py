@@ -33,6 +33,8 @@ from repro.workloads.trace import Trace
 #: Sets per SG to probe (the paper probes SG bytes; sets = bytes/4 KiB).
 SET_COUNTS = [256, 1024, 4096, 16384]
 SET_SIZES = [4096, 8192]
+#: Requests per window of the first-occurrence pass.
+_WINDOW = 1 << 16
 
 
 @dataclass
@@ -71,6 +73,22 @@ def _twitter_stream(
     return trace.keys[order], trace.sizes[order]
 
 
+def _first_occurrences(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """Ascending positions of each key's first request:
+    ``np.sort(np.unique(keys, return_index=True)[1])``, one 64k-request
+    window at a time against a ``num_keys`` boolean seen-map, so it holds
+    O(window) + 1 B per key instead of sorting the whole trace."""
+    seen = np.zeros(num_keys, dtype=bool)
+    firsts = []
+    for lo in range(0, len(keys), _WINDOW):
+        window = keys[lo : lo + _WINDOW]
+        fresh = np.flatnonzero(~seen[window])
+        new_keys, first = np.unique(window[fresh], return_index=True)
+        seen[new_keys] = True
+        firsts.append(np.sort(fresh[first]) + lo)
+    return np.concatenate(firsts)
+
+
 def _synthetic_stream(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 2**62, size=n, dtype=np.int64)
@@ -96,7 +114,7 @@ def _measure(scale: str) -> Fig08Result:
     trace = merged_twitter_trace(
         num_requests=max(8 * longest, 200_000), wss_scale=1.0 / 32
     )
-    first_seen = np.sort(np.unique(trace.keys, return_index=True)[1])
+    first_seen = _first_occurrences(trace.keys, trace.num_keys)
     for workload in ("twitter", "synthetic"):
         for num_sets in set_counts:
             for set_size in SET_SIZES:

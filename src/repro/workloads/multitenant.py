@@ -124,7 +124,7 @@ def multi_tenant_trace(
         tenant_ids[spec.name] = tenant_id
         tenant_seed = seed + tenant_id * 1_000_003
         # Keys before sizes, as in ``generate_cluster_trace``: the Zipf
-        # draw's universe arrays are gone before the size table is drawn.
+        # draw's permutation is gone before the size table is drawn.
         local_keys = ZipfGenerator(
             spec.num_keys, spec.zipf_alpha, seed=tenant_seed
         ).sample(int(count))

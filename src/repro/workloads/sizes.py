@@ -23,26 +23,69 @@ import abc
 import numpy as np
 
 from repro.errors import TraceError
+from repro.workloads.zipf import BLOCK_KEYS, BLOCK_SHIFT
 
 
 class SizeModel(abc.ABC):
-    """Deterministic per-key size table factory."""
+    """Deterministic per-key size table factory.
+
+    Peak rule: :meth:`sizes_of` never holds the table whole.  It draws it
+    one block of :data:`~repro.workloads.zipf.BLOCK_KEYS` keys at a time
+    and keeps only the sampled keys' sizes, so it holds O(block) +
+    O(len(keys)).
+    """
+
+    #: Smallest size a table holds; draws below it are raised to it.
+    minimum: int
 
     @abc.abstractmethod
-    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        """The per-key sizes as a ``float64`` array of whole numbers."""
+    def _draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` raw ``float64`` sizes, the next draws from ``rng``."""
+
+    def _finish(self, sizes: np.ndarray) -> np.ndarray:
+        """Round raw sizes, raise them to the minimum and cast to ``int64``."""
+        np.rint(sizes, out=sizes)
+        np.maximum(sizes, self.minimum, out=sizes)
+        return sizes.astype(np.int64)
 
     def build_table(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
         """Return an ``int64`` array of per-key object sizes."""
-        return self._draw(num_keys, rng).astype(np.int64)
+        return self._finish(self._draw(num_keys, rng))
 
     def sizes_of(
         self, keys: np.ndarray, num_keys: int, rng: np.random.Generator
     ) -> np.ndarray:
         """``build_table(num_keys, rng)[keys]``, leaving ``rng`` in the same
-        state, while holding one 8-byte-per-key array instead of two: only
-        the sampled keys' sizes are converted to ``int64``."""
-        return self._draw(num_keys, rng)[keys].astype(np.int64)
+        state, one block of the table at a time.
+
+        ``rng`` draws the table's blocks in order, the same stream as one
+        whole-table draw.  The keys are grouped by block with a stable
+        radix argsort of their block numbers; rounding, the minimum and
+        the cast are elementwise, so they run on the gathered sizes only.
+        """
+        if len(keys) and (keys.min() < 0 or keys.max() >= num_keys):
+            raise TraceError(f"keys must lie in [0, {num_keys})")
+        num_blocks = -(-num_keys // BLOCK_KEYS)
+        blocks = keys >> BLOCK_SHIFT
+        if num_blocks <= 1 << 16:
+            blocks = blocks.astype(np.uint16)
+        order = np.argsort(blocks, kind="stable")
+        ends = np.searchsorted(
+            blocks,
+            np.arange(num_blocks, dtype=blocks.dtype),
+            side="right",
+            sorter=order,
+        )
+        del blocks
+        sizes = np.empty(len(keys), dtype=np.float64)
+        start = 0
+        for block, stop in enumerate(ends.tolist()):
+            lo = block * BLOCK_KEYS
+            table = self._draw(min(BLOCK_KEYS, num_keys - lo), rng)
+            picked = order[start:stop]
+            sizes[picked] = table[keys[picked] - lo]
+            start = stop
+        return self._finish(sizes)
 
     @property
     @abc.abstractmethod
@@ -62,11 +105,8 @@ class NormalSizeModel(SizeModel):
         self.std = std
         self.minimum = minimum
 
-    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        sizes = rng.normal(self.mean, self.std, size=num_keys)
-        np.rint(sizes, out=sizes)
-        np.maximum(sizes, self.minimum, out=sizes)
-        return sizes
+    def _draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.mean, self.std, size=count)
 
     @property
     def mean_size(self) -> float:
@@ -96,11 +136,8 @@ class LogNormalSizeModel(SizeModel):
         self.minimum = minimum
         self._mu = np.log(mean) - sigma * sigma / 2.0
 
-    def _draw(self, num_keys: int, rng: np.random.Generator) -> np.ndarray:
-        sizes = rng.lognormal(self._mu, self.sigma, size=num_keys)
-        np.rint(sizes, out=sizes)
-        np.maximum(sizes, self.minimum, out=sizes)
-        return sizes
+    def _draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.lognormal(self._mu, self.sigma, size=count)
 
     @property
     def mean_size(self) -> float:

@@ -105,10 +105,11 @@ def generate_cluster_trace(
     wss_bytes = spec.wss_mb * MIB * wss_scale
     num_keys = max(64, int(round(wss_bytes / mean_obj)))
 
-    # Keys first: the Zipf draw uses its own generators, so its CDF and
-    # permutation are gone before the size table is drawn.  One cluster
-    # thus holds at most one 8-byte-per-key array (cluster_29's 4.77M
-    # keys at fig08's 1/32 scale: 38 MB) plus O(num_requests).
+    # Peak rule: the only key-universe-sized array is the Zipf draw's
+    # 4-byte-per-key rank-to-key permutation (cluster_29's 4.77M keys at
+    # fig08's 1/32 scale: 19 MB).  The CDF and the size table are built a
+    # block at a time, and the permutation is gone before the sizes are
+    # drawn, so one cluster holds 4 B per key + O(block) + O(num_requests).
     keys = ZipfGenerator(num_keys, spec.zipf_alpha, seed=seed).sample(num_requests)
     rng = np.random.default_rng(seed)
     # Per-key sizes: fixed key size + lognormal value size, then the §5.1

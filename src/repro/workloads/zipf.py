@@ -7,9 +7,13 @@ here draws millions of keys per second by building the CDF over the
 randoms — exact finite-N Zipf, not the rejection approximation of
 ``numpy.random.zipf`` (which models an unbounded support).
 
-Peak rule: a draw holds at most one 8-byte-per-key array of the universe
-(the CDF, released before the 4-byte-per-key permutation is built) plus
-O(count); nothing universe-sized outlives the call.
+Peak rule: the one universe-sized array a draw holds is the 4-byte-per-key
+rank-to-key permutation (Fisher–Yates needs it whole).  The CDF is built
+and inverted one block of :data:`BLOCK_KEYS` keys at a time, so beyond
+the permutation a draw holds O(block) + O(count); nothing universe-sized
+outlives the call.  The blocked CDF is bit for bit the whole-array one:
+the normaliser repeats ``np.add.reduce``'s pairwise summation order
+(:func:`zipf_normaliser`) and ``np.cumsum`` carries across blocks.
 
 Rank-to-key mapping: ranks are shuffled into key ids with a seeded
 permutation so the hottest keys are scattered across the id space the
@@ -20,11 +24,18 @@ set-access histogram) honest.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
 
 from repro.errors import TraceError
+
+#: Keys per block of the blocked CDF (here) and size-table draws
+#: (:meth:`~repro.workloads.sizes.SizeModel.sizes_of`): 512 KiB of
+#: ``float64``.
+BLOCK_SHIFT = 16
+BLOCK_KEYS = 1 << BLOCK_SHIFT
 
 
 def _check(num_keys: int, alpha: float) -> None:
@@ -34,17 +45,70 @@ def _check(num_keys: int, alpha: float) -> None:
         raise TraceError("alpha must be non-negative")
 
 
+def _weights(lo: int, hi: int, alpha: float) -> np.ndarray:
+    """Unnormalised weights ``rank ** -alpha`` of ranks ``lo+1..hi``."""
+    weights = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    np.power(weights, -alpha, out=weights)
+    return weights
+
+
 def zipf_probabilities(num_keys: int, alpha: float) -> np.ndarray:
     """Normalised Zipf(α) probabilities over ranks ``1..num_keys``.
 
     ``alpha=0`` degenerates to the uniform distribution.
     """
     _check(num_keys, alpha)
-    # In place: one key-universe-sized array, no temporaries.
-    weights = np.arange(1, num_keys + 1, dtype=np.float64)
-    np.power(weights, -alpha, out=weights)
+    weights = _weights(0, num_keys, alpha)
     weights /= weights.sum()
     return weights
+
+
+def zipf_normaliser(num_keys: int, alpha: float) -> float:
+    """``_weights(0, num_keys, alpha).sum()`` bit for bit, holding one
+    block of weights at a time.
+
+    ``np.add.reduce`` sums a contiguous ``float64`` array pairwise: it
+    splits a range at ``n2 = n//2 - (n//2) % 8`` until the pieces are
+    small.  This splits the same way down to pieces of at most one
+    block and sums each with ``np.sum``, which continues the same
+    recursion inside it, so the rounding is the same.
+    """
+
+    def total(lo: int, hi: int) -> float:
+        if hi - lo <= BLOCK_KEYS:
+            return float(np.sum(_weights(lo, hi, alpha)))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return total(lo, lo + half) + total(lo + half, hi)
+
+    _check(num_keys, alpha)
+    return total(0, num_keys)
+
+
+def zipf_cdf_blocks(
+    num_keys: int, alpha: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, cdf[lo:lo + BLOCK_KEYS])`` of the Zipf CDF over ranks
+    ``1..num_keys``, bit for bit ``np.cumsum(zipf_probabilities(...))``
+    with the last bin forced to 1.0.
+
+    Each block is normalised, takes the previous block's last CDF value
+    into its first element and runs ``np.cumsum`` in place, which is the
+    whole-array cumsum's sequence of additions.
+    """
+    total = zipf_normaliser(num_keys, alpha)
+    carry = 0.0
+    for lo in range(0, num_keys, BLOCK_KEYS):
+        hi = min(lo + BLOCK_KEYS, num_keys)
+        cdf = _weights(lo, hi, alpha)
+        cdf /= total
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        if hi == num_keys:
+            # Guard against floating-point drift: the last bin is 1.
+            cdf[-1] = 1.0
+        carry = float(cdf[-1])
+        yield lo, cdf
 
 
 def rank_dtype(num_keys: int) -> type[np.signedinteger[Any]]:
@@ -70,11 +134,11 @@ class ZipfGenerator:
         instead of ``r-1``.
 
     Memory: the generator keeps no key-universe-sized array between
-    calls.  A draw builds the CDF (8 B per key), inverts it, releases it,
-    and only then builds the rank-to-key permutation (4 B per key below
-    2**31 keys), so it never holds more than one 8-byte-per-key array plus
-    O(count).  Each call rebuilds both, so draw a large universe in one
-    call.
+    calls.  A draw inverts the CDF one block at a time (:meth:`_ranks`)
+    and then builds the rank-to-key permutation (4 B per key below 2**31
+    keys), so it never holds more than that permutation plus O(block)
+    and O(count).  Each call rebuilds both, so draw a large universe in
+    one call.
     """
 
     def __init__(
@@ -92,12 +156,32 @@ class ZipfGenerator:
         self.shuffle = shuffle
         self._rng = np.random.default_rng(seed)
 
-    def _cdf(self) -> np.ndarray:
-        cdf = zipf_probabilities(self.num_keys, self.alpha)
-        np.cumsum(cdf, out=cdf)
-        # Guard against floating-point drift: force the last CDF bin to 1.
-        cdf[-1] = 1.0
-        return cdf
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, u, side="left")`` against the whole-universe
+        CDF, one block of it at a time (:func:`zipf_cdf_blocks`).
+
+        A draw resolves in the block whose CDF first reaches it.  The
+        first block holds most of the mass (93–98 % on every Table 5
+        cluster), so one ``searchsorted`` resolves most draws; only the
+        rest are sorted, and later blocks resolve them in order until
+        none is left.
+        """
+        blocks = zipf_cdf_blocks(self.num_keys, self.alpha)
+        _, cdf = next(blocks)
+        ranks = np.searchsorted(cdf, u, side="left")
+        pending = np.flatnonzero(ranks == len(cdf))
+        pending = pending[np.argsort(u[pending])]
+        pending_u = u[pending]
+        done = 0
+        # The last block ends at 1.0 > u, so the walk ends by then.
+        while done < len(pending):
+            lo, cdf = next(blocks)
+            stop = int(np.searchsorted(pending_u, cdf[-1], side="right"))
+            ranks[pending[done:stop]] = lo + np.searchsorted(
+                cdf, pending_u[done:stop], side="left"
+            )
+            done = stop
+        return ranks
 
     def _rank_to_key(self) -> np.ndarray:
         # Equal to ``default_rng(...).permutation(num_keys)``, which
@@ -110,7 +194,7 @@ class ZipfGenerator:
         """Draw ``count`` key ids as an ``int64`` array."""
         if count < 0:
             raise TraceError("count must be non-negative")
-        ranks = np.searchsorted(self._cdf(), self._rng.random(count), side="left")
+        ranks = self._ranks(self._rng.random(count))
         if not self.shuffle:
             return ranks.astype(np.int64, copy=False)
         return self._rank_to_key()[ranks].astype(np.int64)

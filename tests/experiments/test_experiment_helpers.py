@@ -2,12 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.fig08_hash_skew import _WINDOW, _first_occurrences
 from repro.experiments.fig14_wa_trend import _first_knee
 from repro.experiments.fig19_pbfg import set_access_top_share
 from repro.experiments.fig12_wa_main import PAPER_WA, build_engines
 from repro.experiments.fig17_sg_breakdown import PAPER_FILL, variant_configs
 from repro.experiments.common import geometry
+
+
+class TestFirstOccurrences:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_keys=st.integers(1, 3 * _WINDOW),
+        length=st.integers(1, 3 * _WINDOW + 7),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_equals_whole_trace_unique(self, num_keys, length, seed):
+        """Windowed against a seen-map, the positions are the ones a
+        whole-trace ``np.unique`` finds, including keys whose first and
+        later requests sit in different windows."""
+        keys = np.random.default_rng(seed).integers(0, num_keys, size=length)
+        expected = np.sort(np.unique(keys, return_index=True)[1])
+        assert np.array_equal(_first_occurrences(keys, num_keys), expected)
 
 
 class TestFirstKnee:

@@ -2,11 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.workloads.sizes import LogNormalSizeModel, NormalSizeModel
+
+
+def whole_table(model, num_keys, rng):
+    """The size table as one universe-sized draw: the reference the
+    blocked ``sizes_of`` must equal byte for byte."""
+    if isinstance(model, NormalSizeModel):
+        sizes = rng.normal(model.mean, model.std, size=num_keys)
+    else:
+        mu = np.log(model.mean) - model.sigma**2 / 2.0
+        sizes = rng.lognormal(mu, model.sigma, size=num_keys)
+    np.rint(sizes, out=sizes)
+    np.maximum(sizes, model.minimum, out=sizes)
+    return sizes.astype(np.int64)
 
 
 class TestNormal:
@@ -57,3 +70,45 @@ def test_lognormal_tables_are_positive_ints(mean, sigma):
     )
     assert table.dtype == np.int64
     assert table.min() >= 1
+
+
+class TestSizesOf:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_keys=st.sampled_from([1, 2, 7, 65_535, 65_536, 65_537, 131_081]),
+        lognormal=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    @example(num_keys=4_770_393, lognormal=True, seed=0, data=None)
+    def test_equals_whole_table_and_leaves_rng_the_same(
+        self, num_keys, lognormal, seed, data
+    ):
+        model = (
+            LogNormalSizeModel(799, sigma=0.45, minimum=8)
+            if lognormal
+            else NormalSizeModel(250, 200)
+        )
+        count = 50_000 if data is None else data.draw(st.integers(0, 3000))
+        keys = np.random.default_rng(seed).integers(0, num_keys, size=count)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model.sizes_of(keys, num_keys, rng)
+        expected = whole_table(model, num_keys, ref_rng)[keys]
+        assert got.dtype == np.int64
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_build_table_equals_whole_table(self):
+        model = NormalSizeModel(250, 200)
+        table = model.build_table(70_000, np.random.default_rng(3))
+        assert np.array_equal(
+            table, whole_table(model, 70_000, np.random.default_rng(3))
+        )
+
+    @pytest.mark.parametrize("key", [-1, 10, 11])
+    def test_out_of_range_key_rejected(self, key):
+        """A negative key used to wrap to the end of the table, and one
+        past it raised a bare IndexError."""
+        keys = np.array([0, key, 9], dtype=np.int64)
+        with pytest.raises(TraceError, match="keys must lie in"):
+            LogNormalSizeModel(300).sizes_of(keys, 10, np.random.default_rng(0))

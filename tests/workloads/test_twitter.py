@@ -12,6 +12,7 @@ from repro.workloads.twitter import (
     TWITTER_CLUSTERS,
     generate_cluster_trace,
 )
+from repro.workloads.zipf import BLOCK_KEYS
 
 
 class TestSpecs:
@@ -122,19 +123,20 @@ def test_sha256_at_non_default_seed_and_sigma():
     assert h.hexdigest()[:12] == "3245a9864c39"
 
 
-def test_traced_peak_is_one_8_byte_array_per_key():
-    """Generation holds at most one 8-byte-per-key array of the key
-    universe (the Zipf CDF, later the float size table) plus
-    O(num_requests); three live universe arrays would be ~25 B per key."""
+def test_traced_peak_is_the_4_byte_permutation_per_key():
+    """Generation holds one key-universe array, the 4-byte-per-key
+    rank-to-key permutation, plus two 8-byte blocks of the blocked CDF
+    and size table, plus O(num_requests).  A whole-universe ``float64``
+    CDF or size table alone would be 8 B per key."""
     num_requests = 20_000
     tracemalloc.start()
     try:
         t = generate_cluster_trace(
-            "cluster_29", num_requests=num_requests, wss_scale=1 / 256
+            "cluster_29", num_requests=num_requests, wss_scale=1 / 64
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     num_keys = t.meta["cluster_num_keys"]
-    assert num_keys > 25 * num_requests
-    assert peak <= 8 * num_keys + 64 * num_requests
+    assert num_keys > 100 * num_requests
+    assert peak <= 4 * num_keys + 2 * 8 * BLOCK_KEYS + 64 * num_requests

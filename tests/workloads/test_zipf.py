@@ -4,11 +4,29 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.workloads.zipf import ZipfGenerator, rank_dtype, zipf_probabilities
+from repro.workloads.zipf import (
+    BLOCK_KEYS,
+    ZipfGenerator,
+    rank_dtype,
+    zipf_cdf_blocks,
+    zipf_normaliser,
+    zipf_probabilities,
+)
+
+
+def whole_array_cdf(num_keys, alpha):
+    """The CDF as one universe-sized array: the reference the blocked
+    CDF must equal bit for bit."""
+    weights = np.arange(1, num_keys + 1, dtype=np.float64)
+    np.power(weights, -alpha, out=weights)
+    weights /= weights.sum()
+    np.cumsum(weights, out=weights)
+    weights[-1] = 1.0
+    return weights
 
 
 class TestProbabilities:
@@ -123,3 +141,83 @@ def test_sample_domain_property(num_keys, alpha):
     keys = gen.sample(256)
     assert keys.min() >= 0
     assert keys.max() < num_keys
+
+
+#: Universes around the block edges, plus cluster_29's at fig08's 1/32.
+BLOCK_EDGE_UNIVERSES = [1, 2, 7, 65_535, 65_536, 65_537, 131_081]
+#: Uniform, the Table 5 range, and a deep float plateau below 1.0.
+ALPHAS = [0.0, 1.14, 2.0, 3.0]
+
+
+class TestBlockedAgainstWholeArray:
+    """The blocked CDF and inversion equal the whole-array ones byte for
+    byte: every trace pin rests on it."""
+
+    @pytest.mark.parametrize(
+        "num_keys",
+        [
+            BLOCK_KEYS - 1,
+            BLOCK_KEYS,
+            BLOCK_KEYS + 1,
+            2 * BLOCK_KEYS - 1,
+            2 * BLOCK_KEYS,
+            2 * BLOCK_KEYS + 1,
+            2 * BLOCK_KEYS + 9,
+            3 * BLOCK_KEYS + 5,
+            8 * BLOCK_KEYS + 3,
+            4_770_393,
+        ],
+    )
+    @pytest.mark.parametrize("alpha", ALPHAS + [1.2323])
+    def test_normaliser_equals_np_sum(self, num_keys, alpha):
+        """Fails if numpy changes ``np.add.reduce``'s summation order."""
+        weights = np.power(np.arange(1, num_keys + 1, dtype=np.float64), -alpha)
+        assert zipf_normaliser(num_keys, alpha) == np.sum(weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_keys=st.sampled_from(BLOCK_EDGE_UNIVERSES),
+        alpha=st.sampled_from(ALPHAS),
+        seed=st.integers(0, 2**31 - 1),
+        count=st.integers(0, 3000),
+        shuffle=st.booleans(),
+    )
+    @example(num_keys=4_770_393, alpha=1.2323, seed=0, count=50_000, shuffle=True)
+    def test_sample_and_next_draw_equal_whole_array(
+        self, num_keys, alpha, seed, count, shuffle
+    ):
+        gen = ZipfGenerator(num_keys, alpha, seed=seed, shuffle=shuffle)
+        got = gen.sample(count)
+        rng = np.random.default_rng(seed)
+        ranks = np.searchsorted(
+            whole_array_cdf(num_keys, alpha), rng.random(count), side="left"
+        )
+        expected = gen._rank_to_key()[ranks] if shuffle else ranks
+        assert got.dtype == np.int64
+        assert got.tobytes() == expected.astype(np.int64).tobytes()
+        assert gen._rng.random() == rng.random()
+
+    @pytest.mark.parametrize("num_keys", BLOCK_EDGE_UNIVERSES + [4_770_393])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_blocks_and_edge_draws_equal_whole_array(self, num_keys, alpha):
+        """The blocks concatenate to the whole-array CDF, and draws at its
+        block edges, its plateaus and both ends of [0, 1) invert the same."""
+        cdf = whole_array_cdf(num_keys, alpha)
+        blocks = list(zipf_cdf_blocks(num_keys, alpha))
+        assert [lo for lo, _ in blocks] == list(range(0, num_keys, BLOCK_KEYS))
+        assert np.concatenate([b for _, b in blocks]).tobytes() == cdf.tobytes()
+        edges = cdf[BLOCK_KEYS - 1 :: BLOCK_KEYS]
+        u = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+                np.random.default_rng(num_keys).random(2000),
+            ]
+        )
+        # Draws lie in [0, 1); a CDF that drifts above 1.0 has edges there.
+        u = u[u < 1.0]
+        gen = ZipfGenerator(num_keys, alpha)
+        expected = np.searchsorted(cdf, u, side="left")
+        assert gen._ranks(u).tobytes() == expected.tobytes()
