@@ -17,7 +17,6 @@ Four baselines, each a full engine over the simulated devices:
 """
 
 from repro.baselines.base import CacheEngine, LookupResult
-from repro.baselines.dram import DramCache, TieredCache
 from repro.baselines.log_structured import LogStructuredCache
 from repro.baselines.set_associative import SetAssociativeCache
 from repro.baselines.hlog import HierarchicalLog
@@ -28,8 +27,6 @@ from repro.baselines.fairywren import FairyWrenCache
 __all__ = [
     "CacheEngine",
     "LookupResult",
-    "DramCache",
-    "TieredCache",
     "LogStructuredCache",
     "SetAssociativeCache",
     "HierarchicalLog",

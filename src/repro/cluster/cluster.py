@@ -64,6 +64,9 @@ _RAW_METRICS = (
     "gc_relocated_pages",
 )
 
+#: Zones on each shard's device (``geometry(ZONES_PER_SHARD)``: 8 MiB).
+ZONES_PER_SHARD = 8
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -71,14 +74,11 @@ class ClusterConfig:
 
     num_shards: int = 4
     engine: str = "log"
-    zones_per_shard: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
-        if self.zones_per_shard < 1:
-            raise ConfigError("zones_per_shard must be >= 1")
         if self.engine not in ENGINE_NAMES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of "
@@ -90,21 +90,10 @@ class ClusterConfig:
 class ClusterReplayResult:
     """Merged outcome of one cluster replay."""
 
-    engine_name: str
-    trace_name: str
     num_requests: int
-    num_shards: int
     final: dict[str, float]
     shard_requests: list[int] = field(default_factory=list)
     shard_wall_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def wa(self) -> float:
-        return self.final.get("wa", float("nan"))
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.final.get("miss_ratio", float("nan"))
 
     @property
     def critical_path_seconds(self) -> float:
@@ -125,7 +114,6 @@ class ClusterReplayResult:
 
 def _replay_shard(
     engine_name: str,
-    zones_per_shard: int,
     ops: np.ndarray,
     keys: np.ndarray,
     sizes: np.ndarray,
@@ -138,7 +126,7 @@ def _replay_shard(
     to spawn workers; a pure function of its arguments, so results are
     independent of job count and execution order.
     """
-    engine = make_engine(engine_name, geometry(zones_per_shard))
+    engine = make_engine(engine_name, geometry(ZONES_PER_SHARD))
     trace = Trace(ops=ops, keys=keys, sizes=sizes, name=trace_name)
     result = replay(engine, trace, sample_at=())
     return result.final, result.wall_seconds
@@ -182,7 +170,6 @@ class CacheCluster:
                 fn=_replay_shard,
                 args=(
                     self.config.engine,
-                    self.config.zones_per_shard,
                     trace.ops[idx],
                     trace.keys[idx],
                     trace.sizes[idx],
@@ -197,14 +184,9 @@ class CacheCluster:
         comps = {
             m: sum(int(final[m]) for final, _ in outcomes) for m in _RAW_METRICS
         }
-        probe = make_engine(
-            self.config.engine, geometry(self.config.zones_per_shard)
-        )
+        probe = make_engine(self.config.engine, geometry(ZONES_PER_SHARD))
         return ClusterReplayResult(
-            engine_name=probe.name,
-            trace_name=trace.name,
             num_requests=len(trace),
-            num_shards=self.config.num_shards,
             final=_merged_snapshot(comps, probe),
             shard_requests=[len(idx) for idx in shard_indices],
             shard_wall_seconds=[wall for _, wall in outcomes],

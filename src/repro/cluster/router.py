@@ -1,6 +1,6 @@
 """Deterministic consistent-hash request router.
 
-Shards a namespaced key space across N cache shards with a classic
+Shards a key space across N cache shards with a classic
 consistent-hash ring (Karger et al.): every shard owns 128 (``_VNODES``)
 pseudo-random points on a 64-bit circle, and a key belongs to the shard
 owning the first ring point at or after the key's hash (wrapping at the

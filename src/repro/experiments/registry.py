@@ -93,10 +93,6 @@ _SPECS: dict[str, tuple[str, str]] = {
         "repro.experiments.appendix_pbfg_tradeoff",
         "PBFG accuracy vs read-amplification trade-off",
     ),
-    "cluster": (
-        "repro.experiments.cluster_crossover",
-        "Sharded-cluster crossover: Nemo vs FW/KG over shard count × skew",
-    ),
 }
 
 

@@ -35,9 +35,10 @@ a parallel ``bytearray``, and :meth:`LatencyModel.read_many` /
 no per-page method dispatch, no intermediate event objects — while
 computing exactly the same completion times as the scalar methods.
 Experiments that never consult timing do not pay for the model at all:
-engines constructed without a latency model use the devices' latency-free
-page lanes (e.g. ``ZNSDevice.read_page``) and this module is bypassed
-entirely.
+every engine read goes through ``ZNSDevice.read`` / ``read_many``, which
+skip the model when none is attached, so this module is bypassed
+entirely.  ``ZNSDevice.read_page`` is never timed, with or without a
+model: it is only the HLog's victim scan.
 """
 
 from __future__ import annotations

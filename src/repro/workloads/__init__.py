@@ -26,7 +26,6 @@ from repro.workloads.twitter import (
     generate_cluster_trace,
 )
 from repro.workloads.mixer import merged_twitter_trace, proportional_interleave
-from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
 from repro.workloads.twitter_csv import load_twitter_csv
 
 __all__ = [
@@ -44,7 +43,5 @@ __all__ = [
     "generate_cluster_trace",
     "proportional_interleave",
     "merged_twitter_trace",
-    "TenantSpec",
-    "multi_tenant_trace",
     "load_twitter_csv",
 ]

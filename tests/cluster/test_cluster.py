@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import CacheCluster, ClusterConfig
+from repro.cluster.cluster import ZONES_PER_SHARD
 from repro.engines import ENGINE_NAMES, geometry, make_engine
 from repro.errors import ConfigError
 from repro.harness.runner import KERNEL_ENV_VAR, replay
-from repro.workloads.multitenant import TenantSpec, multi_tenant_trace
+from repro.workloads.mixer import merged_twitter_trace
 
 
 def _assert_finals_identical(fa, fb, label=""):
@@ -43,11 +44,7 @@ def _assert_results_identical(a, b):
 
 
 def _trace(num_requests=8_000, seed=0):
-    specs = [
-        TenantSpec(name="a", zipf_alpha=0.9, num_keys=800),
-        TenantSpec(name="b", zipf_alpha=1.2, num_keys=600, request_share=2.0),
-    ]
-    return multi_tenant_trace(specs, num_requests=num_requests, seed=seed)
+    return merged_twitter_trace(num_requests=num_requests, seed=seed)
 
 
 class TestDeterminism:
@@ -67,11 +64,9 @@ class TestDeterminism:
         _assert_results_identical(a, b)
 
     def test_nemo_cluster_replays(self):
-        """Nemo needs >= 4 zones per shard; tiny shards still merge."""
+        """Eight Nemo shards replay a short trace and still merge."""
         trace = _trace(num_requests=2_000)
-        config = ClusterConfig(
-            num_shards=8, engine="nemo", zones_per_shard=4
-        )
+        config = ClusterConfig(num_shards=8, engine="nemo")
         result = CacheCluster(config).replay(trace, jobs=1)
         assert result.num_requests == 2_000
         assert sum(result.shard_requests) == 2_000
@@ -95,7 +90,7 @@ class TestShardPlacementColumns:
 
         monkeypatch.setattr(trace_mod, "splitmix64_array", counting)
         monkeypatch.setenv(KERNEL_ENV_VAR, "columnar")
-        config = ClusterConfig(num_shards=4, engine="nemo", zones_per_shard=8)
+        config = ClusterConfig(num_shards=4, engine="nemo")
         result = CacheCluster(config).replay(trace, jobs=1)
         assert result.num_requests == 4_000
         # One pass per shard over its own requests: every key of the
@@ -106,7 +101,7 @@ class TestShardPlacementColumns:
         """Shard workers dispatching to the Nemo whole-trace kernel
         merge byte-identically with the batched shard lane."""
         trace = _trace(num_requests=6_000)
-        config = ClusterConfig(num_shards=4, engine="nemo", zones_per_shard=8)
+        config = ClusterConfig(num_shards=4, engine="nemo")
         results = {}
         for kernel in ("columnar", "batched"):
             monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
@@ -121,15 +116,11 @@ class TestOneShardIsSerial:
         trace is big enough for FW's and KG's set regions to collect
         (``set_gc_runs`` > 0), so their relocation and erase counters
         are real numbers on both sides."""
-        specs = [
-            TenantSpec(name="a", zipf_alpha=0.8, num_keys=8_000),
-            TenantSpec(name="b", zipf_alpha=0.9, num_keys=8_000),
-        ]
-        trace = multi_tenant_trace(specs, num_requests=20_000)
+        trace = _trace(num_requests=60_000)
         for name in ENGINE_NAMES:
-            config = ClusterConfig(num_shards=1, engine=name, zones_per_shard=4)
+            config = ClusterConfig(num_shards=1, engine=name)
             cluster = CacheCluster(config).replay(trace, jobs=1)
-            serial = replay(make_engine(name, geometry(4)), trace)
+            serial = replay(make_engine(name, geometry(ZONES_PER_SHARD)), trace)
             if name in ("fw", "kg"):
                 assert serial.final["set_gc_runs"] > 0, name
             _assert_finals_identical(
@@ -145,9 +136,9 @@ class TestOneShardIsSerial:
         for engine_name in ("log", "set"):
             config = ClusterConfig(num_shards=1, engine=engine_name)
             cluster = CacheCluster(config).replay(trace, jobs=1)
-            engine = make_engine(engine_name, geometry(8))
+            engine = make_engine(engine_name, geometry(ZONES_PER_SHARD))
             serial = replay(engine, trace)
-            assert cluster.wa == serial.final["wa"]
+            assert cluster.final["wa"] == serial.final["wa"]
 
 
 class TestRoutingInvariants:

@@ -21,14 +21,6 @@ def results():
     return {exp_id: run_experiment(exp_id, scale="micro") for exp_id in EXPERIMENTS}
 
 
-def _sim_output(exp_id, result):
-    """Everything an experiment reports that is not host time."""
-    if exp_id == "cluster":
-        # Its table prints critical-path capacity, a host-time number.
-        return {k: (v["wa"], v["miss"]) for k, v in result.grid.items()}
-    return result.format()
-
-
 class TestAllRunAndFormat:
     def test_every_experiment_formats(self, results):
         for exp_id, result in results.items():
@@ -161,9 +153,7 @@ class TestSharedSystemRuns:
     def test_pooled_suite_matches_single_runs(self, results):
         pooled = run_experiments(list(EXPERIMENTS), scale="micro", jobs=2)
         for exp_id, result in zip(EXPERIMENTS, pooled):
-            assert _sim_output(exp_id, result) == _sim_output(
-                exp_id, results[exp_id]
-            ), exp_id
+            assert result.format() == results[exp_id].format(), exp_id
 
     def test_each_system_replays_once(self, monkeypatch, results):
         calls = Counter()
@@ -194,6 +184,4 @@ class TestSharedSystemRuns:
         }
         assert {spec: listed[spec] for spec in shared} == shared
         for exp_id, result in zip(EXPERIMENTS, pooled):
-            assert _sim_output(exp_id, result) == _sim_output(
-                exp_id, results[exp_id]
-            ), exp_id
+            assert result.format() == results[exp_id].format(), exp_id

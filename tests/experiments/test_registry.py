@@ -30,7 +30,6 @@ class TestRegistry:
             "fig19",
             "table6",
             "appendixA",
-            "cluster",
         }
         assert set(EXPERIMENTS) == expected
 

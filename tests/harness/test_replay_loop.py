@@ -18,6 +18,7 @@ import pytest
 
 from repro.baselines.log_structured import LogStructuredCache
 from repro.cluster import CacheCluster, ClusterConfig
+from repro.cluster.cluster import ZONES_PER_SHARD
 from repro.core.config import NemoConfig
 from repro.core.nemo import NemoCache
 from repro.engines import geometry, make_engine
@@ -241,11 +242,9 @@ class TestDegenerateTraces:
     @pytest.mark.parametrize("engine", ["log", "nemo"])
     def test_cluster_follows_the_runner(self, engine, shards, n):
         trace = _short_trace(n)
-        cluster = CacheCluster(
-            ClusterConfig(num_shards=shards, engine=engine, zones_per_shard=4)
-        )
+        cluster = CacheCluster(ClusterConfig(num_shards=shards, engine=engine))
         merged = cluster.replay(trace, jobs=1)
-        serial = replay(make_engine(engine, geometry(4)), trace)
+        serial = replay(make_engine(engine, geometry(ZONES_PER_SHARD)), trace)
         assert merged.num_requests == n
         assert sum(merged.shard_requests) == n
         _assert_finals_identical(merged.final, serial.final, merged.final.keys())

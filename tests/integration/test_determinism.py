@@ -17,7 +17,6 @@ fingerprint it compares.
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,9 +41,6 @@ DIFFERENTIAL_REPLAYS = (
     ("nemo", "columnar", None),
     ("nemo", "batched", "event"),
 )
-
-#: The cluster table's capacity column is host time (``0.14M`` req/s).
-_CAPACITY_COLUMN = re.compile(r" +[0-9.]+M$", re.MULTILINE)
 
 
 def geometry():
@@ -123,10 +119,7 @@ def fingerprint() -> dict[str, str]:
     out = {}
     results = run_experiments(list(EXPERIMENTS), scale="micro", jobs=1)
     for exp_id, result in zip(EXPERIMENTS, results):
-        text = result.format()
-        if exp_id == "cluster":
-            text = _CAPACITY_COLUMN.sub("", text)
-        out[exp_id] = hashlib.sha256(text.encode()).hexdigest()
+        out[exp_id] = hashlib.sha256(result.format().encode()).hexdigest()
     geo = FlashGeometry(page_size=4096, pages_per_block=64, num_blocks=32, blocks_per_zone=4)
     trace = merged_twitter_trace(num_requests=100_000, wss_scale=1 / 128, seed=0)
     for name, kernel, lane in DIFFERENTIAL_REPLAYS:

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import re
 from dataclasses import fields
 
 import pytest
@@ -62,6 +63,44 @@ class TestExports:
         result = replay(cache, trace)
         assert result.num_requests == 5_000
         assert "Nemo" in result.summary()
+
+
+#: Each subpackage's exports.  The paper evaluates one engine per
+#: device, so no DRAM tier or tenant generator is among them.
+SUBPACKAGE_EXPORTS = {
+    "repro.baselines": [
+        "CacheEngine", "LookupResult", "LogStructuredCache",
+        "SetAssociativeCache", "HierarchicalLog", "HierarchicalSet",
+        "KangarooCache", "FairyWrenCache",
+    ],
+    "repro.workloads": [
+        "OP_GET", "OP_SET", "OP_DELETE", "Trace", "ZipfGenerator",
+        "zipf_probabilities", "SizeModel", "NormalSizeModel",
+        "LogNormalSizeModel", "TwitterClusterSpec", "TWITTER_CLUSTERS",
+        "generate_cluster_trace", "proportional_interleave",
+        "merged_twitter_trace", "load_twitter_csv",
+    ],
+}
+
+
+class TestPaperSurface:
+    @pytest.mark.parametrize("module", sorted(SUBPACKAGE_EXPORTS))
+    def test_subpackage_exports_pinned(self, module):
+        assert importlib.import_module(module).__all__ == SUBPACKAGE_EXPORTS[module]
+
+    def test_cluster_config_fields_pinned(self):
+        from repro.cluster import ClusterConfig
+
+        assert [f.name for f in fields(ClusterConfig)] == [
+            "num_shards", "engine", "seed",
+        ]
+
+    def test_every_experiment_is_a_paper_result(self):
+        """Each registered id names a paper figure, table or appendix."""
+        from repro.experiments import EXPERIMENTS
+
+        for exp_id in EXPERIMENTS:
+            assert re.fullmatch(r"(fig|table|appendix)\w+", exp_id), exp_id
 
 
 #: Every settable value of the engines and the layers they build, by
